@@ -4,10 +4,8 @@ deconvolution and channel characterization."""
 from .channels import (
     PTM,
     KrausChannel,
-    PauliDiagonalChannel,
     adjoint_ptm,
     apply_channel,
-    as_ptm,
     bit_flip_channel,
     channel_from_config,
     compose,
@@ -16,8 +14,6 @@ from .channels import (
     correlated_pauli_weights,
     dephasing_channel,
     depolarizing_channel,
-    diagonal_channel,
-    ptm_from_kraus,
     ptm_power,
 )
 from .characterization import (
@@ -27,6 +23,7 @@ from .characterization import (
     estimate_diagonal_entry,
     estimate_full_ptm,
     is_positive_semidefinite,
+    positivity_certificate,
     positivity_coefficients,
     probe_state,
 )
@@ -46,15 +43,14 @@ from .pauli import (
     PauliIndex,
     devectorize,
     hs_inner,
-    observable_from_operator,
     pauli_element,
     vectorize,
 )
+from .sampling import exact_pauli_expectation
 from .simulator import (
     ExpectationRecord,
     ExperimentConfig,
     evolve,
-    expectation_exact,
     expectation_sampled,
     records_to_csv,
     run_experiment,

@@ -1,12 +1,11 @@
-"""Quantum channels: Kraus sets, Pauli transfer matrices, diagonal forms.
+"""Quantum channels: Kraus sets and Pauli transfer matrices.
 
-Three interchangeable representations are provided:
+Two representations share one interface (``n``, ``d``, ``lambdas()``,
+``ptm()`` and ``apply(rho, method)``):
 
 * :class:`KrausChannel` -- explicit operator-sum form; also carries the
   probability vector over Pauli strings when the channel is a random
   Pauli map, which unlocks the fast diagonal paths below.
-* :class:`PauliDiagonalChannel` -- probability vector beta over Pauli
-  strings and/or the diagonal transfer-matrix entries lambda.
 * :class:`PTM` -- the full d^2 x d^2 real transfer matrix with entries
   Tr[P_j Phi(P_q)]/d.
 
@@ -49,6 +48,7 @@ from .pauli import (
     MAX_QUBITS,
     PauliIndex,
     _transform_per_qubit,
+    as_index,
     devectorize,
     num_qubits,
     pauli_element,
@@ -58,10 +58,8 @@ from .pauli import (
 __all__ = [
     "MAX_QUBITS_FULL_PTM",
     "KrausChannel",
-    "PauliDiagonalChannel",
     "PTM",
     "Channel",
-    "ptm_from_kraus",
     "apply_channel",
     "adjoint_ptm",
     "compose",
@@ -73,8 +71,6 @@ __all__ = [
     "dephasing_channel",
     "correlated_amplitude_damping",
     "channel_from_config",
-    "diagonal_channel",
-    "as_ptm",
     "CHANNEL_FAMILIES",
 ]
 
@@ -118,18 +114,14 @@ def _validate_probability_vector(p, size: int, what: str) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != (size,):
         raise InvalidProbability(f"{what} must have length {size}, got shape {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise InvalidProbability(f"{what} has non-finite entries")
     if np.min(p) < -1e-12:
         raise InvalidProbability(f"{what} has negative entries (min {float(np.min(p))!r})")
     if abs(p.sum() - 1.0) > 1e-9:
         raise InvalidProbability(f"{what} must sum to 1, got {float(p.sum())!r}")
     p = np.clip(p, 0.0, None)
     return p / p.sum()
-
-
-def lambdas_from_weights(weights: np.ndarray, n: int) -> np.ndarray:
-    """Diagonal transfer-matrix entries of a Pauli channel with the given
-    Pauli-string probabilities, via per-qubit commutation signs."""
-    return _transform_per_qubit(_COMMUTATION_SIGNS, np.asarray(weights, float), n)
 
 
 class PTM:
@@ -166,17 +158,29 @@ class PTM:
     def d(self) -> int:
         return 2**self.n
 
-    def is_diagonal(self, tol: float = DIAGONAL_TOL) -> bool:
-        off = self.matrix - np.diag(np.diag(self.matrix))
-        return bool(np.max(np.abs(off)) <= tol)
-
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.matrix).copy()
-
     def is_unital(self, tol: float = 1e-9) -> bool:
         first_col = np.zeros(4**self.n)
         first_col[0] = 1.0
         return bool(np.max(np.abs(self.matrix[:, 0] - first_col)) <= tol)
+
+    def lambdas(self) -> np.ndarray:
+        """Diagonal entries of a Pauli-diagonal map: lambda_0 = 1 (trace
+        preservation) and every |lambda_k| <= 1."""
+        lam = np.diag(self.matrix)
+        if np.max(np.abs(self.matrix - np.diag(lam))) > DIAGONAL_TOL:
+            raise NotPauliDiagonal("transfer matrix is not diagonal")
+        if abs(lam[0] - 1.0) > 1e-9:
+            raise NotTracePreserving(f"lambda_0 must equal 1, got {float(lam[0])!r}")
+        if np.max(np.abs(lam)) > 1.0 + 1e-9:
+            raise NotPauliDiagonal("lambda entries must lie in [-1, 1]")
+        return _readonly(lam)
+
+    def ptm(self) -> "PTM":
+        return self
+
+    def apply(self, rho: np.ndarray, method: str = "auto") -> np.ndarray:
+        """Map rho through the matrix (``auto``/``ptm``) or its diagonal."""
+        return _apply_transfer(self, _as_operator(rho, self.d), "ptm" if method == "auto" else method)
 
     def __repr__(self) -> str:
         return f"PTM(n={self.n}, shape={self.matrix.shape})"
@@ -248,26 +252,23 @@ class KrausChannel:
         return self._kraus
 
     def lambdas(self) -> np.ndarray:
-        """Diagonal transfer-matrix entries (valid up to n = MAX_QUBITS)."""
+        """Diagonal transfer-matrix entries.  A Pauli map gets them from its
+        weights through the per-qubit commutation signs, once, without the
+        full matrix (so up to n = MAX_QUBITS)."""
         with self._lock:
             if self._lambdas is None:
                 if self._weights is not None:
-                    lam = lambdas_from_weights(self._weights, self.n)
+                    lam = _transform_per_qubit(_COMMUTATION_SIGNS, self._weights, self.n)
+                    self._lambdas = _readonly(lam)
                 else:
-                    ptm = self._ptm_locked()
-                    if not ptm.is_diagonal():
-                        raise NotPauliDiagonal(
-                            "channel transfer matrix is not diagonal"
-                        )
-                    lam = ptm.diagonal()
-                self._lambdas = _readonly(lam)
+                    self._lambdas = self._ptm_locked().lambdas()
         return self._lambdas
 
     def _ptm_locked(self) -> PTM:
         if self._ptm is None:
             if self._weights is not None:
                 _check_full_ptm_cap(self.n)
-                self._ptm = PTM(self.n, np.diag(lambdas_from_weights(self._weights, self.n)))
+                self._ptm = PTM(self.n, np.diag(self.lambdas()))
             else:
                 self._ptm = _ptm_by_columns(self.kraus_ops, self.n)
         return self._ptm
@@ -276,17 +277,10 @@ class KrausChannel:
         with self._lock:
             return self._ptm_locked()
 
-    def diagonal(self) -> "PauliDiagonalChannel":
-        if self._weights is not None:
-            return PauliDiagonalChannel(self.n, probs=self._weights)
-        return PauliDiagonalChannel(self.n, lambdas=self.lambdas())
-
     def apply(self, rho: np.ndarray, method: str = "auto") -> np.ndarray:
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (self.d, self.d):
-            raise DimensionMismatch(
-                f"state shape {rho.shape} does not match d={self.d}"
-            )
+        """Map rho through the Kraus operators, the diagonal or the full
+        transfer matrix; ``auto`` takes the diagonal for Pauli maps at n >= 4."""
+        rho = _as_operator(rho, self.d)
         if method == "auto":
             method = "diagonal" if (self.is_pauli and self.n >= 4) else "kraus"
         if method == "kraus":
@@ -294,77 +288,29 @@ class KrausChannel:
             for K in self.kraus_ops:
                 out += K @ rho @ K.conj().T
             return out
-        if method == "diagonal":
-            return devectorize(self.lambdas() * vectorize(rho))
-        if method == "ptm":
-            return devectorize(self.ptm().matrix @ vectorize(rho))
-        raise ValueError(f"unknown application method {method!r}")
+        return _apply_transfer(self, rho, method)
 
     def __repr__(self) -> str:
         kind = "pauli" if self.is_pauli else "generic"
         return f"KrausChannel(n={self.n}, kind={kind})"
 
 
-class PauliDiagonalChannel:
-    """Pauli channel held as its probability vector and/or its diagonal
-    transfer-matrix entries.
-
-    ``lambdas[0]`` must be 1 (trace preservation) and every entry real
-    with magnitude at most 1.
-    """
-
-    def __init__(self, n: int, probs=None, lambdas=None):
-        self.n = int(n)
-        if probs is None and lambdas is None:
-            raise ValueError("provide probs, lambdas, or both")
-        dim = 4**self.n
-        self.probs = None
-        if probs is not None:
-            self.probs = _readonly(_validate_probability_vector(probs, dim, "beta vector"))
-        if lambdas is None:
-            lam = lambdas_from_weights(self.probs, self.n)
-        else:
-            lam = np.asarray(lambdas)
-            if lam.shape != (dim,):
-                raise DimensionMismatch(f"lambda vector must have length {dim}")
-            if np.iscomplexobj(lam):
-                if np.max(np.abs(lam.imag)) > 1e-10:
-                    raise NotPauliDiagonal("lambda entries must be real")
-                lam = lam.real
-        lam = lam.astype(float)
-        if abs(lam[0] - 1.0) > 1e-9:
-            raise NotTracePreserving(f"lambda_0 must equal 1, got {float(lam[0])!r}")
-        if np.max(np.abs(lam)) > 1.0 + 1e-9:
-            raise NotPauliDiagonal("lambda entries must lie in [-1, 1]")
-        self._lambdas = _readonly(lam)
-
-    @property
-    def d(self) -> int:
-        return 2**self.n
-
-    def lambdas(self) -> np.ndarray:
-        return self._lambdas
-
-    def ptm(self) -> PTM:
-        _check_full_ptm_cap(self.n)
-        return PTM(self.n, np.diag(self._lambdas))
-
-    def to_kraus(self) -> KrausChannel:
-        if self.probs is None:
-            raise ValueError("no probability vector available for a Kraus form")
-        return KrausChannel.from_pauli_weights(self.n, self.probs)
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (self.d, self.d):
-            raise DimensionMismatch(f"state shape {rho.shape} does not match d={self.d}")
-        return devectorize(self._lambdas * vectorize(rho))
-
-    def __repr__(self) -> str:
-        return f"PauliDiagonalChannel(n={self.n})"
+Channel = Union[KrausChannel, PTM]
 
 
-Channel = Union[KrausChannel, PauliDiagonalChannel, PTM]
+def _as_operator(rho, d: int) -> np.ndarray:
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (d, d):
+        raise DimensionMismatch(f"state shape {rho.shape} does not match d={d}")
+    return rho
+
+
+def _apply_transfer(ch: Channel, rho: np.ndarray, method: str) -> np.ndarray:
+    if method == "diagonal":
+        return devectorize(ch.lambdas() * vectorize(rho))
+    if method == "ptm":
+        return devectorize(ch.ptm().matrix @ vectorize(rho))
+    raise ValueError(f"unknown application method {method!r}")
 
 
 def _ptm_by_columns(kraus_ops: Sequence[np.ndarray], n: int) -> PTM:
@@ -380,42 +326,9 @@ def _ptm_by_columns(kraus_ops: Sequence[np.ndarray], n: int) -> PTM:
     return PTM(n, cols)
 
 
-def ptm_from_kraus(ch: KrausChannel) -> PTM:
-    """Full transfer matrix of a Kraus channel (capped at n = 5)."""
-    return ch.ptm()
-
-
-def as_ptm(ch: Channel) -> PTM:
-    if isinstance(ch, PTM):
-        return ch
-    return ch.ptm()
-
-
-def diagonal_channel(ch: Channel) -> PauliDiagonalChannel:
-    """View any diagonal-transfer-matrix channel as a PauliDiagonalChannel."""
-    if isinstance(ch, PauliDiagonalChannel):
-        return ch
-    if isinstance(ch, KrausChannel):
-        return ch.diagonal()
-    if isinstance(ch, PTM):
-        if not ch.is_diagonal():
-            raise NotPauliDiagonal("transfer matrix is not diagonal")
-        return PauliDiagonalChannel(ch.n, lambdas=ch.diagonal())
-    raise TypeError(f"not a channel: {ch!r}")
-
-
 def apply_channel(ch: Channel, rho: np.ndarray, method: str = "auto") -> np.ndarray:
     """Apply a channel to a density matrix (or any operator)."""
-    if isinstance(ch, KrausChannel):
-        return ch.apply(rho, method=method)
-    if isinstance(ch, PauliDiagonalChannel):
-        return ch.apply(rho)
-    if isinstance(ch, PTM):
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (ch.d, ch.d):
-            raise DimensionMismatch(f"state shape {rho.shape} does not match d={ch.d}")
-        return devectorize(ch.matrix @ vectorize(rho))
-    raise TypeError(f"not a channel: {ch!r}")
+    return ch.apply(rho, method=method)
 
 
 def adjoint_ptm(ptm: PTM) -> PTM:
@@ -537,7 +450,7 @@ def channel_from_config(cfg: Mapping) -> KrausChannel:
     """
     try:
         family = cfg["family"]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ConfigError("channel config lacks the 'family' key") from None
     if family not in CHANNEL_FAMILIES:
         raise ConfigError(
@@ -562,7 +475,7 @@ def channel_from_config(cfg: Mapping) -> KrausChannel:
             if isinstance(beta, Mapping):
                 w = np.zeros(4**n)
                 for label, weight in beta.items():
-                    w[PauliIndex.from_label(str(label)).k] = float(weight)
+                    w[as_index(PauliIndex.from_label(str(label)), n).k] = float(weight)
             else:
                 w = np.asarray(beta, dtype=float)
             return KrausChannel.from_pauli_weights(n, w)

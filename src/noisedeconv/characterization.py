@@ -20,6 +20,7 @@ beyond, independent of k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,7 @@ __all__ = [
     "estimate_full_ptm",
     "positivity_coefficients",
     "is_positive_semidefinite",
+    "positivity_certificate",
     "UNITALITY_TOL",
     "PSD_TOL",
 ]
@@ -78,23 +80,10 @@ def probe_state(k, n: int | None = None) -> ProbeState:
     return ProbeState(n=idx.n, k=idx.k, operator=op)
 
 
-def _channel_qubits(ch: Channel) -> int:
-    return ch.n
-
-
-def _check_unital_component(ch: Channel, j: int, n: int) -> None:
-    """Reject channels that push the maximally mixed state onto P_j."""
-    d = 2**n
-    out = apply_channel(ch, np.eye(d, dtype=complex) / d)
-    resid = abs(exact_pauli_expectation(out, as_index(j, n)))
-    if resid > UNITALITY_TOL:
-        raise NonUnitalChannel(
-            f"channel is not unital: |Tr[P_{j} Phi(1/d)]| = {resid:.3e}"
-        )
-
-
-def _check_unital(ch: Channel, n: int) -> None:
-    d = 2**n
+def _check_unital(ch: Channel) -> None:
+    """Reject channels that move the maximally mixed state (which would
+    bias every probe estimate)."""
+    d = ch.d
     out = apply_channel(ch, np.eye(d, dtype=complex) / d)
     coeffs = vectorize(out) * d  # entry j is Tr[P_j Phi(1/d)]
     coeffs[0] -= 1.0
@@ -118,9 +107,6 @@ class CharacterizedPTM:
     entries: dict[tuple[int, int], tuple[float, float]]
     shots: int
     seed: int
-
-    def lambdas_available(self) -> dict[int, float]:
-        return {j: est for (j, k), (est, _) in self.entries.items() if j == k}
 
     def to_ptm(self) -> PTM:
         if self.mode != "full":
@@ -156,12 +142,12 @@ class CharacterizedPTM:
             fields = line.split()
             if len(fields) == 2:
                 key, value = fields
-                if key == "n":
+                if key == "n" and value.isdigit():
                     n = int(value)
                 elif key == "mode":
                     mode = value
                 else:
-                    raise ParseError(f"line {lineno}: unknown header key {key!r}")
+                    raise ParseError(f"line {lineno}: bad header line {raw!r}")
                 continue
             if len(fields) != 6:
                 raise ParseError(
@@ -173,9 +159,13 @@ class CharacterizedPTM:
                 shots, seed = int(fields[4]), int(fields[5])
             except ValueError:
                 raise ParseError(f"line {lineno}: malformed row {raw!r}") from None
+            if not (math.isfinite(est) and math.isfinite(err)):
+                raise ParseError(f"line {lineno}: non-finite estimate or error in {raw!r}")
             entries[(j, k)] = (est, err)
-        if n is None or mode not in ("diagonal", "full"):
+        if n is None or n < 1 or mode not in ("diagonal", "full"):
             raise ParseError("report lacks a valid 'n'/'mode' header")
+        if entries and not (0 <= min(map(min, entries)) and max(map(max, entries)) < 4**n):
+            raise ParseError(f"report entries must have j and k in 0..{4**n - 1}")
         return cls(n=n, mode=mode, entries=entries, shots=shots, seed=seed)
 
 
@@ -191,21 +181,20 @@ def estimate_diagonal_entry(ch: Channel, k, shots: int = 0, seed: int = 0) -> tu
     """Estimate the diagonal entry at k by probing the channel once.
 
     ``shots = 0`` means exact readout.  Raises NonUnitalChannel when the
-    channel moves the maximally mixed state onto P_k, which would bias
-    this estimator.
+    channel moves the maximally mixed state, which would bias the
+    probe estimates.
     """
-    n = _channel_qubits(ch)
-    idx = as_index(k, n)
+    idx = as_index(k, ch.n)
     if idx.k == 0:
         raise IdentityProbe("the k=0 entry equals 1 by trace preservation")
-    _check_unital_component(ch, idx.k, n)
+    _check_unital(ch)
     out = apply_channel(ch, probe_state(idx).operator)
     return _measure(out, idx, shots, seed, idx.k)
 
 
 def estimate_diagonal_entries(ch: Channel, ks, shots: int = 0, seed: int = 0) -> CharacterizedPTM:
     """Estimate the requested diagonal entries; one probe per entry."""
-    n = _channel_qubits(ch)
+    n = ch.n
     entries: dict[tuple[int, int], tuple[float, float]] = {}
     for k in ks:
         idx = as_index(k, n)
@@ -220,8 +209,8 @@ def estimate_full_ptm(ch: Channel, shots: int = 0, seed: int = 0) -> Characteriz
     measured over the output; the k = 0 row and column are filled from
     the trace-preservation and unitality identities.
     """
-    n = _channel_qubits(ch)
-    _check_unital(ch, n)
+    n = ch.n
+    _check_unital(ch)
     dim = 4**n
     entries: dict[tuple[int, int], tuple[float, float]] = {(0, 0): (1.0, 0.0)}
     for q in range(1, dim):
@@ -263,6 +252,18 @@ def positivity_coefficients(rho: np.ndarray, d: int | None = None) -> list[float
     return S
 
 
+def positivity_certificate(rho: np.ndarray, tol: float = PSD_TOL) -> tuple[list[float], bool]:
+    """The coefficients S_0 ... S_d of rho and its PSD verdict.
+
+    The verdict also requires the smallest eigenvalue to be >= tol: the
+    high-order S_m are products of many eigenvalues, so past n = 3 a
+    negative eigenvalue can leave every S_m above an absolute tolerance.
+    """
+    S = positivity_coefficients(rho)
+    ok = all(s >= tol for s in S) and float(np.linalg.eigvalsh(rho)[0]) >= tol
+    return S, ok
+
+
 def is_positive_semidefinite(rho: np.ndarray, tol: float = PSD_TOL) -> bool:
-    """PSD verdict from the S_m coefficients: all S_m >= tol."""
-    return all(s >= tol for s in positivity_coefficients(rho))
+    """PSD verdict of :func:`positivity_certificate`."""
+    return positivity_certificate(rho, tol)[1]

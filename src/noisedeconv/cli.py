@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 from . import characterization, deconvolution, simulator
-from .channels import as_ptm, channel_from_config, diagonal_channel
+from .channels import channel_from_config
 from .exceptions import (
     ConfigError,
     MathematicalError,
@@ -85,6 +86,8 @@ def _parse_measurements(text: str) -> tuple[dict[int, float], dict[int, float], 
             err = float(fields[2]) if len(fields) == 3 else 0.0
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
+        if not (math.isfinite(value) and math.isfinite(err)):
+            raise ParseError(f"line {lineno}: value and std_error must be finite, got {raw!r}")
         if n is None:
             n = idx.n
         elif idx.n != n:
@@ -100,14 +103,14 @@ def cmd_ptm(args) -> int:
     cfg = _load_json(args.config)
     ch = channel_from_config(cfg)
     if args.diagonal_only:
-        lam = diagonal_channel(ch).lambdas()
+        lam = ch.lambdas()
         if args.format == "json":
             text = json.dumps({"n": ch.n, "diagonal": [float(v) for v in lam]}, indent=2) + "\n"
         else:
             lines = ["k,lambda"] + [f"{k},{_fmt(v)}" for k, v in enumerate(lam)]
             text = "\n".join(lines) + "\n"
     else:
-        M = as_ptm(ch).matrix
+        M = ch.ptm().matrix
         if args.format == "json":
             text = json.dumps({"n": ch.n, "matrix": [[float(v) for v in row] for row in M]}, indent=2) + "\n"
         else:
@@ -130,10 +133,12 @@ def cmd_deconvolve(args) -> int:
         plan = deconvolution.plan_from_characterization(obs, report)
     else:
         ch = channel_from_config(_load_json(args.config))
+        if ch.n != obs.n:
+            raise ConfigError(f"channel is on {ch.n} qubits, observable on {obs.n}")
         if ch.is_pauli:
             plan = deconvolution.plan_pauli(obs, ch)
         else:
-            plan = deconvolution.plan_general(obs, as_ptm(ch))
+            plan = deconvolution.plan_general(obs, ch.ptm())
     value = deconvolution.deconvolve(plan, values)
     err = deconvolution.propagated_std_error(plan, errors)
     if args.format == "json":
@@ -173,6 +178,8 @@ def _parse_entries(spec: str, n: int) -> list[int]:
 
 
 def cmd_characterize(args) -> int:
+    if args.shots < 0 or args.seed < 0:
+        raise ConfigError(f"--shots and --seed must be >= 0, got {args.shots} and {args.seed}")
     ch = channel_from_config(_load_json(args.config))
     if args.entries == "full":
         result = characterization.estimate_full_ptm(ch, shots=args.shots, seed=args.seed)
@@ -223,15 +230,9 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_check_positivity(args) -> int:
-    lines = []
-    ok = True
     if args.state_file:
-        rho = simulator._matrix_from_json(_load_json(args.state_file))
-        S = characterization.positivity_coefficients(rho)
-        verdict = "PASS" if all(s >= characterization.PSD_TOL for s in S) else "FAIL"
-        ok = verdict == "PASS"
-        lines.append(f"state-file {args.state_file}")
-        lines.append("S " + " ".join(_fmt(s) for s in S) + f" {verdict}")
+        lines = [f"state-file {args.state_file}"]
+        states = [("", simulator._matrix_from_json(_load_json(args.state_file)))]
     else:
         if args.n is None:
             raise ConfigError("check-positivity needs --n or --state-file")
@@ -259,14 +260,14 @@ def cmd_check_positivity(args) -> int:
                 raise ConfigError(f"k {k_int} out of range 0..{4**n - 1}")
             ks = [k_int]
         d = 2**n
-        lines.append(f"n {n} d {d} delta {_fmt(1 + d / 2)}")
-        for k in ks:
-            probe = characterization.probe_state(k, n)
-            S = characterization.positivity_coefficients(probe.operator)
-            verdict = "PASS" if all(s >= characterization.PSD_TOL for s in S) else "FAIL"
-            ok = ok and verdict == "PASS"
-            label = PauliIndex(n, k).label
-            lines.append(f"k {k} {label} S " + " ".join(_fmt(s) for s in S) + f" {verdict}")
+        lines = [f"n {n} d {d} delta {_fmt(1 + d / 2)}"]
+        states = [(f"k {k} {PauliIndex(n, k).label} ", characterization.probe_state(k, n).operator)
+                  for k in ks]
+    ok = True
+    for prefix, rho in states:
+        S, passed = characterization.positivity_certificate(rho)
+        ok = ok and passed
+        lines.append(prefix + "S " + " ".join(_fmt(s) for s in S) + (" PASS" if passed else " FAIL"))
     lines.append("ALL PASS" if ok else "FAILED")
     _write_output("\n".join(lines) + "\n", args.out)
     return 0 if ok else 3

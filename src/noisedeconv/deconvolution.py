@@ -15,14 +15,17 @@ so results do not depend on scheduling.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import PTM, Channel, diagonal_channel
+from .channels import PTM, Channel
 from .exceptions import (
+    DimensionMismatch,
     IllConditionedWarning,
+    MathematicalError,
     MissingMeasurement,
     NonInvertibleChannel,
     SingularPTM,
@@ -81,12 +84,14 @@ def _as_k(key) -> int:
     return key.k if isinstance(key, PauliIndex) else int(key)
 
 
-def plan_pauli(obs: Observable, ch: Channel, inv_tol: float = INVERTIBILITY_TOL) -> DeconvolutionPlan:
-    """Diagonal-path plan: one reciprocal diagonal entry per observable term."""
-    diag = diagonal_channel(ch)
-    if diag.n != obs.n:
-        raise ValueError(f"observable is on n={obs.n}, channel on n={diag.n}")
-    lam = diag.lambdas()
+def _finite(x: float, what: str) -> float:
+    if not math.isfinite(x):
+        raise MathematicalError(f"{what} is {float(x)!r}; the inputs overflow the float range")
+    return x
+
+
+def _rescaling_plan(obs: Observable, lam, inv_tol: float) -> DeconvolutionPlan:
+    """Diagonal-path plan: divide each term k by the diagonal entry lam[k]."""
     factors: dict[int, float] = {}
     weights: dict[int, float] = {}
     for k, coeff in obs.items():
@@ -102,6 +107,13 @@ def plan_pauli(obs: Observable, ch: Channel, inv_tol: float = INVERTIBILITY_TOL)
         factors=factors,
         weights=weights,
     )
+
+
+def plan_pauli(obs: Observable, ch: Channel, inv_tol: float = INVERTIBILITY_TOL) -> DeconvolutionPlan:
+    """Diagonal-path plan: one reciprocal diagonal entry per observable term."""
+    if ch.n != obs.n:
+        raise DimensionMismatch(f"observable is on n={obs.n}, channel on n={ch.n}")
+    return _rescaling_plan(obs, ch.lambdas(), inv_tol)
 
 
 def _invert_adjoint(matrix: np.ndarray, cond_warn: float) -> np.ndarray:
@@ -121,8 +133,8 @@ def _invert_adjoint(matrix: np.ndarray, cond_warn: float) -> np.ndarray:
         raise SingularPTM(str(exc)) from None
 
 
-def _weights_from_inverse(obs: Observable, inv: np.ndarray) -> dict[int, float]:
-    w = inv @ obs.coefficient_vector()
+def _pruned_weights(w: np.ndarray) -> dict[int, float]:
+    """Nonzero entries of a weight vector, relative cut _WEIGHT_PRUNE."""
     cut = _WEIGHT_PRUNE * max(1.0, float(np.max(np.abs(w))))
     return {int(j): float(w[j]) for j in np.nonzero(np.abs(w) > cut)[0]}
 
@@ -130,13 +142,13 @@ def _weights_from_inverse(obs: Observable, inv: np.ndarray) -> dict[int, float]:
 def plan_general(obs: Observable, ptm: PTM, cond_warn: float = CONDITION_WARN) -> DeconvolutionPlan:
     """General-path plan: invert the transposed transfer matrix outright."""
     if ptm.n != obs.n:
-        raise ValueError(f"observable is on n={obs.n}, transfer matrix on n={ptm.n}")
+        raise DimensionMismatch(f"observable is on n={obs.n}, transfer matrix on n={ptm.n}")
     inv = _invert_adjoint(ptm.matrix, cond_warn)
     return DeconvolutionPlan(
         observable=obs,
         entries_consulted=inv.size,
         inverse_adjoint_ptm=inv,
-        weights=_weights_from_inverse(obs, inv),
+        weights=_pruned_weights(inv @ obs.coefficient_vector()),
     )
 
 
@@ -154,10 +166,9 @@ def plan_composed(
     factor enters as an analytic rescaling of the inverse's rows or
     columns (``pauli_first`` states which map acts on the state first).
     """
-    diag = diagonal_channel(pauli_part)
-    if diag.n != obs.n or other.n != obs.n:
-        raise ValueError("observable and both channel factors must share one qubit count")
-    lam = diag.lambdas()
+    if pauli_part.n != obs.n or other.n != obs.n:
+        raise DimensionMismatch("observable and both channel factors must share one qubit count")
+    lam = pauli_part.lambdas()
     if np.min(np.abs(lam)) <= inv_tol:
         k = int(np.argmin(np.abs(lam)))
         raise NonInvertibleChannel(
@@ -174,7 +185,7 @@ def plan_composed(
         observable=obs,
         entries_consulted=inv.size,
         inverse_adjoint_ptm=inv,
-        weights=_weights_from_inverse(obs, inv),
+        weights=_pruned_weights(inv @ obs.coefficient_vector()),
     )
 
 
@@ -188,27 +199,13 @@ def plan_from_characterization(obs: Observable, char, inv_tol: float = INVERTIBI
     """
     if char.mode == "full":
         return plan_general(obs, char.to_ptm(), cond_warn)
-    factors: dict[int, float] = {}
-    weights: dict[int, float] = {}
-    for k, coeff in obs.items():
-        entry = char.entries.get((k, k))
-        if entry is None and k == 0:
-            entry = (1.0, 0.0)
+    lam: dict[int, float] = {}
+    for k in obs.terms:
+        entry = char.entries.get((k, k), (1.0, 0.0) if k == 0 else None)
         if entry is None:
             raise MissingMeasurement(f"characterization report lacks the diagonal entry k={k}")
-        value = entry[0]
-        if abs(value) <= inv_tol:
-            raise NonInvertibleChannel(
-                f"estimated diagonal entry {value!r} at k={k} is not invertible"
-            )
-        factors[k] = 1.0 / value
-        weights[k] = coeff / value
-    return DeconvolutionPlan(
-        observable=obs,
-        entries_consulted=len(factors),
-        factors=factors,
-        weights=weights,
-    )
+        lam[k] = entry[0]
+    return _rescaling_plan(obs, lam, inv_tol)
 
 
 def deconvolve(plan: DeconvolutionPlan, noisy) -> float:
@@ -223,26 +220,32 @@ def deconvolve(plan: DeconvolutionPlan, noisy) -> float:
         if j not in table:
             raise MissingMeasurement(f"no measurement supplied for index {j}")
         total += plan.weights[j] * table[j]
-    return total
+    return _finite(total, "deconvolved value")
 
 
 def propagated_std_error(plan: DeconvolutionPlan, std_errors) -> float:
     """Standard error of the deconvolved value for independent inputs."""
     table = {_as_k(key): float(v) for key, v in std_errors.items()}
     acc = 0.0
-    for j in sorted(plan.weights):
-        acc += (plan.weights[j] * table.get(j, 0.0)) ** 2
-    return float(np.sqrt(acc))
+    try:
+        for j in sorted(plan.weights):
+            acc += (plan.weights[j] * table.get(j, 0.0)) ** 2
+    except OverflowError:  # float ** 2 raises where numpy scalars give inf
+        acc = float("inf")
+    return _finite(float(np.sqrt(acc)), "propagated standard error")
 
 
 def reconstruction_factor(ch: Channel, k, m: int = 1, inv_tol: float = INVERTIBILITY_TOL) -> float:
     """Rescaling factor lambda_k**(-m) for m applications of a diagonal channel."""
     if m < 0:
         raise ValueError(f"repetition count must be >= 0, got {m}")
-    diag = diagonal_channel(ch)
-    lam = diag.lambdas()[_as_k(k)]
+    k = _as_k(k)
+    lam = ch.lambdas()[k]
     if abs(lam) <= inv_tol:
         raise NonInvertibleChannel(
-            f"diagonal entry {float(lam)!r} at k={_as_k(k)} is not invertible (tol {inv_tol})"
+            f"diagonal entry {float(lam)!r} at k={k} is not invertible (tol {inv_tol})"
         )
-    return float(lam ** (-m))
+    factor = float(lam ** (-m))
+    if not math.isfinite(factor):
+        raise NonInvertibleChannel(f"lambda_k**(-m) overflows at k={k}, m={m}")
+    return factor

@@ -13,6 +13,7 @@ n up to MAX_QUBITS; beyond that, entry points raise ResourceCapExceeded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping
@@ -20,6 +21,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .exceptions import (
+    ConfigError,
     DimensionMismatch,
     NonHermitianInput,
     ParseError,
@@ -38,7 +40,6 @@ __all__ = [
     "hs_inner",
     "vectorize",
     "devectorize",
-    "observable_from_operator",
     "num_qubits",
     "is_hermitian",
 ]
@@ -241,6 +242,8 @@ class Observable:
         for key, coeff in terms.items():
             idx = as_index(key, self.n)
             coeff = float(coeff)
+            if not math.isfinite(coeff):
+                raise ConfigError(f"coefficient of {idx.label} is not finite: {coeff!r}")
             if abs(coeff) > prune_tol:
                 cleaned[idx.k] = cleaned.get(idx.k, 0.0) + coeff
         self.terms: dict[int, float] = dict(sorted(cleaned.items()))
@@ -310,7 +313,10 @@ class Observable:
                 raise ParseError(f"line {lineno}: invalid coefficient {coeff!r}") from None
         if not pairs:
             raise ParseError("observable text contains no terms")
-        return cls.from_pairs(pairs)
+        try:
+            return cls.from_pairs(pairs)
+        except ValueError as exc:  # labels on different qubit counts
+            raise ParseError(str(exc)) from None
 
     def to_text(self) -> str:
         lines = [
@@ -328,8 +334,3 @@ class Observable:
     def __repr__(self) -> str:
         body = ", ".join(f"{PauliIndex(self.n, k).label}: {c!r}" for k, c in self.terms.items())
         return f"Observable(n={self.n}, {{{body}}})"
-
-
-def observable_from_operator(A: np.ndarray, prune_tol: float = PRUNE_TOL) -> Observable:
-    """Project a Hermitian operator onto the Pauli basis and prune."""
-    return Observable.from_operator(A, prune_tol)

@@ -22,10 +22,13 @@ from .exceptions import InvalidState, ProbabilityOutOfRange
 from .pauli import as_index, num_qubits, pauli_element
 
 __all__ = [
+    "SAMPLING_METHODS",
     "derive_rng",
     "exact_pauli_expectation",
     "sample_pauli_expectation",
 ]
+
+SAMPLING_METHODS = ("marginal", "projective")
 
 _IMAG_TOL = 1e-10
 _RANGE_TOL = 1e-9

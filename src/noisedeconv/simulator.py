@@ -13,38 +13,22 @@ round-trip decimals so outputs are byte-stable across runs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channels import (
-    PTM,
-    STRENGTH_KEYS,
-    Channel,
-    KrausChannel,
-    PauliDiagonalChannel,
-    apply_channel,
-    as_ptm,
-    channel_from_config,
-)
+from .channels import STRENGTH_KEYS, Channel, apply_channel, channel_from_config
 from .characterization import is_positive_semidefinite
-from .deconvolution import (
-    CONDITION_WARN,
-    INVERTIBILITY_TOL,
-    _WEIGHT_PRUNE,
-    _invert_adjoint,
-)
-from .exceptions import ConfigError, InvalidState, NonInvertibleChannel
+from .deconvolution import CONDITION_WARN, _invert_adjoint, _pruned_weights, reconstruction_factor
+from .exceptions import ConfigError, InvalidState, NotPauliDiagonal
 from .pauli import Observable, as_index
-from .sampling import derive_rng, exact_pauli_expectation, sample_pauli_expectation
+from .sampling import SAMPLING_METHODS, derive_rng, exact_pauli_expectation, sample_pauli_expectation
 
 __all__ = [
     "ExperimentConfig",
     "ExpectationRecord",
     "evolve",
-    "expectation_exact",
     "expectation_sampled",
     "run_experiment",
     "records_to_csv",
@@ -79,11 +63,6 @@ def evolve(rho: np.ndarray, ch: Channel, m: int) -> np.ndarray:
     for _ in range(m):
         out = apply_channel(ch, out)
     return out
-
-
-def expectation_exact(rho: np.ndarray, k) -> float:
-    """Exact expectation Tr[P_k rho]."""
-    return exact_pauli_expectation(rho, k)
 
 
 @dataclass(frozen=True)
@@ -143,6 +122,10 @@ class ExperimentConfig:
             raise ConfigError(f"shots must be >= 0, got {self.shots}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.sampling not in SAMPLING_METHODS:
+            raise ConfigError(
+                f"unknown sampling method {self.sampling!r}; expected one of {SAMPLING_METHODS}"
+            )
         if self.observable.n != self.n:
             raise ConfigError(
                 f"observable acts on {self.observable.n} qubits, config says n={self.n}"
@@ -154,40 +137,34 @@ class ExperimentConfig:
             n = int(raw["n"])
             channel = dict(raw["channel"])
             obs_spec = raw["observable"]
+            if isinstance(obs_spec, str):
+                observable = Observable.from_text(obs_spec)
+            else:
+                observable = Observable.from_pairs([(str(l), float(c)) for l, c in obs_spec])
+            state_spec = raw.get("initial_state", "zeros")
+            if isinstance(state_spec, str):
+                initial_state = preset_state(state_spec, n)
+            else:
+                initial_state = _matrix_from_json(state_spec)
+            grids = {}
+            for key in ("mu_grid", "strength_grid"):
+                if raw.get(key) is not None:
+                    grids[key] = [float(v) for v in raw[key]]
+            return cls(
+                n=n,
+                channel=channel,
+                observable=observable,
+                initial_state=initial_state,
+                m_max=int(raw.get("m_max", 40)),
+                shots=int(raw.get("shots", 0)),
+                seed=int(raw.get("seed", 0)),
+                sampling=str(raw.get("sampling", "marginal")),
+                **grids,
+            )
         except KeyError as exc:
             raise ConfigError(f"experiment config lacks key {exc}") from None
-        if isinstance(obs_spec, str):
-            observable = Observable.from_text(obs_spec)
-        else:
-            observable = Observable.from_pairs([(str(l), float(c)) for l, c in obs_spec])
-        state_spec = raw.get("initial_state", "zeros")
-        if isinstance(state_spec, str):
-            initial_state = preset_state(state_spec, n)
-        else:
-            initial_state = _matrix_from_json(state_spec)
-        grids = {}
-        for key in ("mu_grid", "strength_grid"):
-            if raw.get(key) is not None:
-                grids[key] = [float(v) for v in raw[key]]
-        return cls(
-            n=n,
-            channel=channel,
-            observable=observable,
-            initial_state=initial_state,
-            m_max=int(raw.get("m_max", 40)),
-            shots=int(raw.get("shots", 0)),
-            seed=int(raw.get("seed", 0)),
-            sampling=str(raw.get("sampling", "marginal")),
-            **grids,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-        return cls.from_dict(raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad experiment config value: {exc}") from None
 
 
 def _matrix_from_json(entries) -> np.ndarray:
@@ -228,40 +205,21 @@ def _grid_channel(base: dict, mu: float | None, strength: float | None) -> dict:
     return cfg
 
 
-def _diagonal_lambdas_or_none(ch: Channel) -> np.ndarray | None:
-    if isinstance(ch, PauliDiagonalChannel):
-        return ch.lambdas()
-    if isinstance(ch, KrausChannel) and ch.is_pauli:
-        return ch.lambdas()
-    if isinstance(ch, PTM) and ch.is_diagonal():
-        return ch.diagonal()
-    return None
-
-
 def _deconvolution_weights(ch: Channel, term_ks: Sequence[int], m_max: int) -> list[dict[int, dict[int, float]]]:
     """Per-m weight tables: weights[m][k] maps measurement index j to the
     coefficient reconstructing the noiseless <P_k>."""
     terms = sorted(term_ks)
-    lam = _diagonal_lambdas_or_none(ch)
+    try:
+        ch.lambdas()
+    except NotPauliDiagonal:
+        pass
+    else:
+        return [{k: {k: reconstruction_factor(ch, k, m)} for k in terms} for m in range(m_max + 1)]
+    inv = _invert_adjoint(ch.ptm().matrix, cond_warn=CONDITION_WARN)
     tables: list[dict[int, dict[int, float]]] = []
-    if lam is not None:
-        for k in terms:
-            if abs(lam[k]) <= INVERTIBILITY_TOL:
-                raise NonInvertibleChannel(
-                    f"diagonal entry {float(lam[k])!r} at k={k} is not invertible"
-                )
-        for m in range(m_max + 1):
-            tables.append({k: {k: float(lam[k] ** (-m))} for k in terms})
-        return tables
-    inv = _invert_adjoint(as_ptm(ch).matrix, cond_warn=CONDITION_WARN)
     power = np.eye(inv.shape[0])
     for m in range(m_max + 1):
-        table = {}
-        for k in terms:
-            col = power[:, k]
-            cut = _WEIGHT_PRUNE * max(1.0, float(np.max(np.abs(col))))
-            table[k] = {int(j): float(col[j]) for j in np.nonzero(np.abs(col) > cut)[0]}
-        tables.append(table)
+        tables.append({k: _pruned_weights(power[:, k]) for k in terms})
         power = power @ inv
     return tables
 

@@ -19,7 +19,6 @@ import numpy as np
 from conftest import random_density, random_hermitian
 
 import noisedeconv as nd
-from noisedeconv.channels import as_ptm
 from noisedeconv.deconvolution import (
     deconvolve,
     plan_general,
@@ -31,7 +30,7 @@ from noisedeconv.characterization import (
     positivity_coefficients,
     probe_state,
 )
-from noisedeconv.pauli import Observable, PauliIndex, observable_from_operator
+from noisedeconv.pauli import Observable, PauliIndex
 from noisedeconv.sampling import exact_pauli_expectation
 from noisedeconv.simulator import ExperimentConfig, run_experiment
 
@@ -118,7 +117,7 @@ def test_acceptance_2_amplitude_damping_suite():
     worst = 0.0
     for eta, mu in product(ETA_GRID, MU_GRID):
         ch = nd.correlated_amplitude_damping(eta, mu)
-        ptm = as_ptm(ch)
+        ptm = ch.ptm()
         f = 1.0 / (2 * (mu * (eta - np.sqrt(eta)) - eta) * (mu * (eta - 1) - eta))
         g = 1.0 / (eta + mu * (1 - eta)) ** 2
         plan = plan_general(Observable.from_pairs([("XX", 1.0)]), ptm)
@@ -144,14 +143,14 @@ def test_acceptance_2_amplitude_damping_suite():
     for eta in ETA_GRID:
         E0 = np.array([[1, 0], [0, np.sqrt(eta)]], dtype=complex)
         E1 = np.array([[0, np.sqrt(1 - eta)], [0, 0]], dtype=complex)
-        single = as_ptm(nd.KrausChannel([E0, E1])).matrix
-        full = as_ptm(nd.correlated_amplitude_damping(eta, 0.0)).matrix
+        single = nd.KrausChannel([E0, E1]).ptm().matrix
+        full = nd.correlated_amplitude_damping(eta, 0.0).ptm().matrix
         assert np.max(np.abs(full - np.kron(single, single))) <= 1e-12
     # boundary: mu = 1 leaves <sigma_z x sigma_z> untouched
     for eta in ETA_GRID:
-        M = as_ptm(nd.correlated_amplitude_damping(eta, 1.0)).matrix
+        M = nd.correlated_amplitude_damping(eta, 1.0).ptm().matrix
         assert abs(M[15, 15] - 1.0) <= 1e-12
-        plan = plan_general(Observable.from_pairs([("ZZ", 1.0)]), as_ptm(nd.correlated_amplitude_damping(eta, 1.0)))
+        plan = plan_general(Observable.from_pairs([("ZZ", 1.0)]), nd.correlated_amplitude_damping(eta, 1.0).ptm())
         assert set(plan.weights) == {15}
         assert abs(plan.weights[15] - 1.0) <= 1e-12
     elapsed = time.monotonic() - start
@@ -178,7 +177,7 @@ def test_acceptance_3_exact_roundtrip_oracle():
             n = int(rng.integers(1, 4))
             ch = build(n)
             rho = random_density(n, rng)
-            obs = observable_from_operator(random_hermitian(n, rng))
+            obs = Observable.from_operator(random_hermitian(n, rng))
             ideal = float(np.trace(rho @ obs.to_operator()).real)
             rhop = nd.apply_channel(ch, rho)
             plan = plan_pauli(obs, ch)
@@ -187,10 +186,10 @@ def test_acceptance_3_exact_roundtrip_oracle():
     for _ in range(trials_per_family):
         ch = nd.correlated_amplitude_damping(rng.uniform(0.2, 1.0), rng.uniform(0, 1))
         rho = random_density(2, rng)
-        obs = observable_from_operator(random_hermitian(2, rng))
+        obs = Observable.from_operator(random_hermitian(2, rng))
         ideal = float(np.trace(rho @ obs.to_operator()).real)
         rhop = nd.apply_channel(ch, rho)
-        plan = plan_general(obs, as_ptm(ch))
+        plan = plan_general(obs, ch.ptm())
         noisy = {j: exact_pauli_expectation(rhop, PauliIndex(2, j))
                  for j in plan.required_indices}
         worst = max(worst, abs(deconvolve(plan, noisy) - ideal))
@@ -247,11 +246,11 @@ def test_acceptance_5_characterization_equivalence():
     worst = 0.0
     for ch in presets:
         est = estimate_full_ptm(ch).to_ptm().matrix
-        worst = max(worst, float(np.max(np.abs(est - as_ptm(ch).matrix))))
+        worst = max(worst, float(np.max(np.abs(est - ch.ptm().matrix))))
     assert worst <= 1e-12
     # sampled mode: 65536 shots, 20 seeds, >= 99% of measured entries within 4 sigma
     ch = nd.bit_flip_channel(2, 0.1, 0.3)
-    exact = as_ptm(ch).matrix
+    exact = ch.ptm().matrix
     total = hits = 0
     for seed in range(20):
         result = estimate_full_ptm(ch, shots=65536, seed=seed)
@@ -297,7 +296,7 @@ def test_acceptance_7_speedup_accounting():
         fast = plan_pauli(obs, ch)
         assert fast.entries_consulted == obs.r
         assert obs.r <= d**2
-        general = plan_general(obs, as_ptm(ch))
+        general = plan_general(obs, ch.ptm())
         assert general.entries_consulted == d**4
     print("ACCEPTANCE 7 PASS speedup accounting: diagonal plan consults r <= d^2 entries, "
           "general plan materializes d^4")

@@ -4,11 +4,9 @@ from conftest import ptm_bruteforce, random_density
 
 from noisedeconv.channels import (
     KrausChannel,
-    PauliDiagonalChannel,
     PTM,
     adjoint_ptm,
     apply_channel,
-    as_ptm,
     bit_flip_channel,
     channel_from_config,
     compose,
@@ -17,14 +15,13 @@ from noisedeconv.channels import (
     correlated_pauli_weights,
     dephasing_channel,
     depolarizing_channel,
-    diagonal_channel,
-    ptm_from_kraus,
     ptm_power,
 )
 from noisedeconv.exceptions import (
     ConfigError,
     InvalidCorrelation,
     InvalidProbability,
+    NotPauliDiagonal,
     NotTracePreserving,
     ResourceCapExceeded,
 )
@@ -41,21 +38,21 @@ def kron_power(M, n):
 class TestPtmFromKraus:
     def test_identity_channel(self):
         ch = KrausChannel([np.eye(2)])
-        assert np.allclose(ptm_from_kraus(ch).matrix, np.eye(4))
+        assert np.allclose(ch.ptm().matrix, np.eye(4))
 
     def test_bit_flip_diagonal(self):
         p = 0.1
-        lam = diagonal_channel(bit_flip_channel(1, p)).lambdas()
+        lam = bit_flip_channel(1, p).lambdas()
         assert np.allclose(lam, [1, 1, 1 - 2 * p, 1 - 2 * p], atol=1e-14)
 
     def test_depolarizing_diagonal(self):
         q = 0.2
-        lam = diagonal_channel(depolarizing_channel(1, q)).lambdas()
+        lam = depolarizing_channel(1, q).lambdas()
         assert np.allclose(lam, [1, 1 - q, 1 - q, 1 - q], atol=1e-14)
 
     def test_dephasing_diagonal(self):
         p = 0.15
-        lam = diagonal_channel(dephasing_channel(1, p)).lambdas()
+        lam = dephasing_channel(1, p).lambdas()
         assert np.allclose(lam, [1, 1 - 2 * p, 1 - 2 * p, 1], atol=1e-14)
 
     def test_matches_bruteforce_traces(self):
@@ -79,7 +76,7 @@ class TestPtmFromKraus:
             depolarizing_channel(1, 0.3),
             correlated_amplitude_damping(0.4, 0.7),
         ):
-            row = as_ptm(ch).matrix[0]
+            row = ch.ptm().matrix[0]
             expect = np.zeros(row.size)
             expect[0] = 1.0
             assert np.max(np.abs(row - expect)) < 1e-12
@@ -125,7 +122,7 @@ class TestApplyChannel:
 
 class TestAdjoint:
     def test_diagonal_self_adjoint(self):
-        ptm = as_ptm(bit_flip_channel(2, 0.1, 0.3))
+        ptm = bit_flip_channel(2, 0.1, 0.3).ptm()
         assert np.array_equal(adjoint_ptm(ptm).matrix, ptm.matrix)
 
     def test_identity(self):
@@ -136,7 +133,7 @@ class TestAdjoint:
         # Tr[Phi(A)^dag B] = Tr[A^dag Phi*(B)] on random A, B
         rng = np.random.default_rng(5)
         ch = correlated_amplitude_damping(0.6, 0.3)
-        ptm = as_ptm(ch)
+        ptm = ch.ptm()
         adj = adjoint_ptm(ptm)
         for _ in range(5):
             A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -148,16 +145,16 @@ class TestAdjoint:
 
 class TestComposePower:
     def test_zero_power_is_identity(self):
-        ptm = as_ptm(bit_flip_channel(1, 0.2))
+        ptm = bit_flip_channel(1, 0.2).ptm()
         assert np.array_equal(ptm_power(ptm, 0).matrix, np.eye(4))
 
     def test_square_of_bit_flip(self):
         p = 0.17
-        sq = ptm_power(as_ptm(bit_flip_channel(1, p)), 2)
+        sq = ptm_power(bit_flip_channel(1, p).ptm(), 2)
         assert abs(sq.matrix[3, 3] - (1 - 2 * p) ** 2) < 1e-14
 
     def test_compose_with_inverse(self):
-        ptm = as_ptm(bit_flip_channel(2, 0.1, 0.5))
+        ptm = bit_flip_channel(2, 0.1, 0.5).ptm()
         inv = PTM(2, np.linalg.inv(ptm.matrix), require_tp_row=False)
         assert np.max(np.abs(compose(ptm, inv).matrix - np.eye(16))) < 1e-10
 
@@ -174,16 +171,16 @@ class TestComposePower:
                     for _ in range(m):
                         out = apply_channel(ch, out)
                     ref[:, q] = vectorize(out)
-                got = ptm_power(as_ptm(ch), m).matrix
+                got = ptm_power(ch.ptm(), m).matrix
                 assert np.max(np.abs(got - ref.real)) < 1e-9
 
 
 class TestCorrelatedPauliFamily:
     def test_memoryless_factorizes(self):
         p_vec = [0.7, 0.1, 0.05, 0.15]
-        single = as_ptm(correlated_pauli_channel(1, p_vec, 0.0)).matrix
+        single = correlated_pauli_channel(1, p_vec, 0.0).ptm().matrix
         for n in (2, 3):
-            full = as_ptm(correlated_pauli_channel(n, p_vec, 0.0)).matrix
+            full = correlated_pauli_channel(n, p_vec, 0.0).ptm().matrix
             assert np.max(np.abs(full - kron_power(single, n))) < 1e-12
 
     def test_full_memory_bit_flip_weights(self):
@@ -196,7 +193,7 @@ class TestCorrelatedPauliFamily:
 
     def test_two_qubit_bit_flip_zz_entry(self):
         p, mu = 0.12, 0.4
-        lam = diagonal_channel(bit_flip_channel(2, p, mu)).lambdas()
+        lam = bit_flip_channel(2, p, mu).lambdas()
         assert abs(lam[15] - (1 + 4 * (mu - 1) * (1 - p) * p)) < 1e-14
 
     def test_weights_sum_to_one(self):
@@ -226,12 +223,12 @@ class TestCorrelatedPauliFamily:
         assert np.allclose(w, [0.9, 0.1, 0, 0])
         q = 0.2
         w = correlated_pauli_weights(1, [1 - 0.75 * q, 0.25 * q, 0.25 * q, 0.25 * q], 0.0)
-        assert np.allclose(diagonal_channel(depolarizing_channel(1, q)).lambdas(),
+        assert np.allclose(depolarizing_channel(1, q).lambdas(),
                            np.array([w @ s for s in np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]])]))
 
     def test_depolarizing_zero_strength_is_identity(self):
         for mu in (0.0, 0.5, 1.0):
-            lam = diagonal_channel(depolarizing_channel(2, 0.0, mu)).lambdas()
+            lam = depolarizing_channel(2, 0.0, mu).lambdas()
             assert np.allclose(lam, np.ones(16))
 
     def test_parameter_validation(self):
@@ -248,19 +245,19 @@ class TestCorrelatedPauliFamily:
 class TestCorrelatedAmplitudeDamping:
     def test_full_transmission_is_identity(self):
         ch = correlated_amplitude_damping(1.0, 0.3)
-        assert np.max(np.abs(as_ptm(ch).matrix - np.eye(16))) < 1e-12
+        assert np.max(np.abs(ch.ptm().matrix - np.eye(16))) < 1e-12
 
     def test_memoryless_factorizes(self):
         eta = 0.4
         E0 = np.array([[1, 0], [0, np.sqrt(eta)]], dtype=complex)
         E1 = np.array([[0, np.sqrt(1 - eta)], [0, 0]], dtype=complex)
         single = ptm_bruteforce([E0, E1], 1)
-        full = as_ptm(correlated_amplitude_damping(eta, 0.0)).matrix
+        full = correlated_amplitude_damping(eta, 0.0).ptm().matrix
         assert np.max(np.abs(full - np.kron(single, single))) < 1e-12
 
     def test_full_memory_preserves_zz(self):
         for eta in (0.2, 0.5, 0.8):
-            M = as_ptm(correlated_amplitude_damping(eta, 1.0)).matrix
+            M = correlated_amplitude_damping(eta, 1.0).ptm().matrix
             assert abs(M[15, 15] - 1.0) < 1e-12
 
     def test_trace_preserving(self):
@@ -270,8 +267,8 @@ class TestCorrelatedAmplitudeDamping:
             assert np.max(np.abs(acc - np.eye(4))) < 1e-12
 
     def test_unital_only_at_full_transmission(self):
-        assert as_ptm(correlated_amplitude_damping(1.0, 0.2)).is_unital()
-        assert not as_ptm(correlated_amplitude_damping(0.5, 0.2)).is_unital()
+        assert correlated_amplitude_damping(1.0, 0.2).ptm().is_unital()
+        assert not correlated_amplitude_damping(0.5, 0.2).ptm().is_unital()
 
     def test_parameter_range(self):
         with pytest.raises(InvalidProbability):
@@ -280,22 +277,32 @@ class TestCorrelatedAmplitudeDamping:
             correlated_amplitude_damping(0.5, -0.1)
 
 
-class TestPauliDiagonalChannel:
+class TestPTMLambdas:
     def test_lambda_zero_must_be_one(self):
         with pytest.raises(NotTracePreserving):
-            PauliDiagonalChannel(1, lambdas=[0.9, 1, 1, 1])
+            PTM(1, np.diag([0.9, 1, 1, 1]), require_tp_row=False).lambdas()
 
     def test_probs_validated(self):
         with pytest.raises(InvalidProbability):
-            PauliDiagonalChannel(1, probs=[0.5, 0.1, 0.1, 0.1])
+            KrausChannel.from_pauli_weights(1, [0.5, 0.1, 0.1, 0.1])
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(InvalidProbability):
+                KrausChannel.from_pauli_weights(1, [bad, 0.0, 0.0, 0.0])
+
+    def test_off_diagonal_and_out_of_range_rejected(self):
+        with pytest.raises(NotPauliDiagonal):
+            correlated_amplitude_damping(0.5, 0.2).ptm().lambdas()
+        with pytest.raises(NotPauliDiagonal):
+            PTM(1, np.diag([1.0, 1.5, 1, 1])).lambdas()
 
     def test_apply_matches_kraus(self):
-        rng = np.random.default_rng(9)
-        w = rng.dirichlet(np.ones(16))
-        diag = PauliDiagonalChannel(2, probs=w)
-        kraus = diag.to_kraus()
-        rho = random_density(2, rng)
-        assert np.max(np.abs(diag.apply(rho) - kraus.apply(rho, "kraus"))) < 1e-12
+        ch = bit_flip_channel(2, 0.1, 0.3)
+        ptm = PTM(2, ch.ptm().matrix)
+        assert ptm.ptm() is ptm and ptm.d == ch.d
+        assert np.array_equal(ptm.lambdas(), ch.lambdas())
+        rho = random_density(2, np.random.default_rng(9))
+        for method in ("auto", "diagonal", "ptm"):
+            assert np.max(np.abs(ptm.apply(rho, method) - ch.apply(rho, "kraus"))) < 1e-12
 
 
 class TestCaps:
@@ -305,7 +312,7 @@ class TestCaps:
             ch.ptm()
 
     def test_diagonal_allowed_to_n6(self):
-        lam = diagonal_channel(bit_flip_channel(6, 0.1, 0.5)).lambdas()
+        lam = bit_flip_channel(6, 0.1, 0.5).lambdas()
         assert lam.shape == (4**6,)
         assert abs(lam[0] - 1.0) < 1e-12
 

@@ -4,7 +4,6 @@ from conftest import random_density
 
 from noisedeconv.channels import (
     KrausChannel,
-    as_ptm,
     bit_flip_channel,
     correlated_amplitude_damping,
     dephasing_channel,
@@ -67,7 +66,7 @@ class TestEstimateDiagonalEntry:
         ch = bit_flip_channel(2, 0.2, 0.6)
         k = PauliIndex.from_label("ZZ").k
         value, _ = estimate_diagonal_entry(ch, k)
-        assert value == pytest.approx(as_ptm(ch).matrix[k, k], abs=1e-12)
+        assert value == pytest.approx(ch.ptm().matrix[k, k], abs=1e-12)
 
     def test_non_unital_rejected(self):
         with pytest.raises(NonUnitalChannel):
@@ -106,7 +105,7 @@ class TestEstimateFullPtm:
         for n in (1, 2, 3):
             ch = KrausChannel.from_pauli_weights(n, rng.dirichlet(np.ones(4**n)))
             est = estimate_full_ptm(ch).to_ptm().matrix
-            assert np.max(np.abs(est - as_ptm(ch).matrix)) < 1e-12
+            assert np.max(np.abs(est - ch.ptm().matrix)) < 1e-12
 
     def test_non_unital_rejected(self):
         with pytest.raises(NonUnitalChannel):
@@ -120,7 +119,7 @@ class TestEstimateFullPtm:
 
     def test_sampled_within_four_sigma(self):
         ch = bit_flip_channel(1, 0.1)
-        exact = as_ptm(ch).matrix
+        exact = ch.ptm().matrix
         result = estimate_full_ptm(ch, shots=65536, seed=3)
         for (j, k), (est, err) in result.entries.items():
             if j == 0 or k == 0:
@@ -160,6 +159,11 @@ class TestReportFormat:
         with pytest.raises(ParseError):
             CharacterizedPTM.from_report_text("")
 
+    @pytest.mark.parametrize("row", ["4 4 0.9 0.0 0 0", "-1 1 0.9 0.0 0 0", "1 1 nan 0.0 0 0"])
+    def test_out_of_range_or_non_finite_row(self, row):
+        with pytest.raises(ParseError):
+            CharacterizedPTM.from_report_text(f"n 1\nmode diagonal\n{row}\n")
+
 
 class TestPositivityCoefficients:
     def test_single_qubit_probe(self):
@@ -191,6 +195,15 @@ class TestPositivityCoefficients:
                 rho = rho / np.trace(rho)
             psd_oracle = bool(np.min(np.linalg.eigvalsh(rho)) >= -1e-10)
             assert is_positive_semidefinite(rho) == psd_oracle
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_negative_eigenvalue_detected_past_three_qubits(self, n):
+        # Every S_m stays above PSD_TOL here: S_d is -0.01 times 15 (31)
+        # eigenvalues of about 1/d.
+        d = 2**n
+        rho = np.diag([-0.01] + [1.01 / (d - 1)] * (d - 1))
+        assert min(positivity_coefficients(rho)) > -1e-10
+        assert not is_positive_semidefinite(rho)
 
     def test_probe_theorem_all_k(self):
         # S_m > 0 below delta = 1 + d/2, zero at and beyond, for every k

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisedeconv.cli import main
 
@@ -57,6 +63,15 @@ class TestPtmCommand:
     def test_cap_exit_code(self, tmp_path, capsys):
         cfg = channel_json(tmp_path, family="bit_flip", n=6, p=0.1)
         assert main(["ptm", "--config", cfg]) == 4
+
+    def test_diagonal_only_is_the_diagonal_byte_for_byte(self, tmp_path, capsys):
+        beta = np.random.default_rng(4).dirichlet(np.ones(64)).tolist()
+        cfg = channel_json(tmp_path, family="pauli_custom", n=3, beta=beta)
+        assert main(["ptm", "--config", cfg, "--diagonal-only"]) == 0
+        diag = capsys.readouterr().out.splitlines()[1:]
+        assert main(["ptm", "--config", cfg]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert diag == [f"{k},{row.split(',')[k]}" for k, row in enumerate(rows)]
 
 
 class TestDeconvolveCommand:
@@ -215,6 +230,18 @@ class TestCheckPositivityCommand:
     def test_all_cap(self, capsys):
         assert main(["check-positivity", "--n", "5", "--k", "all"]) == 4
 
+    def test_all_probes_four_qubits(self, capsys):
+        assert main(["check-positivity", "--n", "4", "--k", "all"]) == 0
+        assert capsys.readouterr().out.endswith("ALL PASS\n")
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_negative_eigenvalue_fails_past_three_qubits(self, tmp_path, capsys, n):
+        d = 2**n
+        eigenvalues = [-0.01] + [1.01 / (d - 1)] * (d - 1)
+        state = write(tmp_path, "state.json", json.dumps(np.diag(eigenvalues).tolist()))
+        assert main(["check-positivity", "--state-file", state]) == 3
+        assert capsys.readouterr().out.endswith("FAIL\nFAILED\n")
+
 
 class TestArgumentErrors:
     def test_unknown_command_exits_two(self):
@@ -229,6 +256,99 @@ class TestArgumentErrors:
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["ptm", "--config", "/nonexistent/ch.json"]) == 2
+
+    def test_negative_shots_exits_two(self, tmp_path, capsys):
+        cfg = channel_json(tmp_path, family="bit_flip", n=1, p=0.1)
+        assert main(["characterize", "--config", cfg, "--shots", "-1"]) == 2
+
+    def test_unknown_sampling_exits_two(self, tmp_path, capsys):
+        cfg = write(tmp_path, "exp.json", json.dumps({
+            "n": 1, "channel": {"family": "bit_flip", "n": 1, "p": 0.05},
+            "observable": [["Z", 1.0]], "m_max": 1, "shots": 16, "sampling": "bogus",
+        }))
+        assert main(["experiment", "--config", cfg]) == 2
+
+    def test_report_entry_out_of_range_exits_two(self, tmp_path, capsys):
+        report = write(tmp_path, "report.txt", "n 1\nmode full\n1 4 0.9 0.0 0 0\n")
+        obs = write(tmp_path, "obs.txt", "Z 1.0\n")
+        meas = write(tmp_path, "meas.txt", "Z 0.5\n")
+        assert main(["deconvolve", "--observable", obs, "--characterization", report,
+                     "--measurements", meas]) == 2
+
+
+class TestNonFiniteInputs:
+    def test_nan_strength_exits_three(self, tmp_path, capsys):
+        cfg = channel_json(tmp_path, family="bit_flip", n=1, p=float("nan"))
+        assert main(["ptm", "--config", cfg, "--diagonal-only"]) == 3
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("obs_text, meas_text", [
+        ("Z 1.0\n", "Z nan\n"),
+        ("Z 1.0\n", "Z 0.5 inf\n"),
+        ("Z inf\n", "Z 0.5\n"),
+        ("Z nan\n", "Z 0.5\n"),
+    ])
+    def test_non_finite_text_exits_two(self, tmp_path, capsys, obs_text, meas_text):
+        cfg = channel_json(tmp_path, family="bit_flip", n=1, p=0.1)
+        obs = write(tmp_path, "obs.txt", obs_text)
+        meas = write(tmp_path, "meas.txt", meas_text)
+        assert main(["deconvolve", "--observable", obs, "--config", cfg,
+                     "--measurements", meas]) == 2
+        assert capsys.readouterr().out == ""
+
+
+# Channel parameters: mostly valid values, plus NaN, +-inf, negatives and
+# values above 1 (st.floats() draws all of these).
+PARAMS = st.one_of(st.floats(0.0, 1.0), st.floats())
+LABELS = st.text("IXYZ", min_size=1, max_size=2)
+NUMBERS = st.one_of(st.floats(-1.0, 1.0).map(repr), st.floats().map(repr),
+                    st.sampled_from(["1e999", "-1e999", "x", "0x1p3"]))
+CHANNELS = st.one_of(
+    st.fixed_dictionaries({"family": st.sampled_from(["bit_flip", "dephasing"]),
+                           "n": st.integers(1, 2), "p": PARAMS, "mu": PARAMS}),
+    st.fixed_dictionaries({"family": st.just("depolarizing"),
+                           "n": st.integers(1, 2), "q": PARAMS, "mu": PARAMS}),
+    st.fixed_dictionaries({"family": st.just("amp_damp_corr"), "eta": PARAMS, "mu": PARAMS}),
+    st.fixed_dictionaries({"family": st.just("pauli_custom"), "n": st.just(1),
+                           "p_vec": st.lists(PARAMS, min_size=4, max_size=4), "mu": PARAMS}),
+)
+
+
+def _text(rows):
+    return "".join(" ".join(row) + "\n" for row in rows)
+
+
+@st.composite
+def cli_inputs(draw):
+    """A channel config plus observable and measurement text, with labels
+    mostly on the channel's qubit count."""
+    cfg = draw(CHANNELS)
+    labels = st.one_of(st.text("IXYZ", min_size=cfg.get("n", 2), max_size=cfg.get("n", 2)), LABELS)
+    obs = draw(st.lists(st.tuples(labels, NUMBERS), min_size=1, max_size=3))
+    meas = draw(st.lists(st.tuples(labels, NUMBERS, NUMBERS), min_size=1, max_size=6))
+    return cfg, _text(obs), _text(meas)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=cli_inputs())
+def test_fuzzed_inputs_keep_the_exit_code_contract(tmp_path_factory, inputs):
+    cfg, obs, meas = inputs
+    tmp = tmp_path_factory.mktemp("fuzz")
+    cfg = channel_json(tmp, **cfg)
+    obs, meas = write(tmp, "obs.txt", obs), write(tmp, "meas.txt", meas)
+    for argv in (["ptm", "--config", cfg],
+                 ["deconvolve", "--config", cfg, "--observable", obs, "--measurements", meas]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            rc = main(argv)
+        assert rc in (0, 2, 3, 4), argv
+        if rc == 0:
+            for token in re.split(r"[\s,]+", out.getvalue()):
+                try:
+                    value = float(token)
+                except ValueError:
+                    continue
+                assert math.isfinite(value), (argv, out.getvalue())
 
 
 import pathlib

@@ -5,7 +5,6 @@ from conftest import random_density, random_hermitian
 from noisedeconv.channels import (
     PTM,
     apply_channel,
-    as_ptm,
     bit_flip_channel,
     compose,
     correlated_amplitude_damping,
@@ -23,11 +22,12 @@ from noisedeconv.deconvolution import (
 )
 from noisedeconv.exceptions import (
     IllConditionedWarning,
+    MathematicalError,
     MissingMeasurement,
     NonInvertibleChannel,
     SingularPTM,
 )
-from noisedeconv.pauli import Observable, PauliIndex, observable_from_operator
+from noisedeconv.pauli import Observable, PauliIndex
 from noisedeconv.sampling import exact_pauli_expectation
 from noisedeconv.characterization import estimate_diagonal_entries, estimate_full_ptm
 
@@ -52,7 +52,7 @@ class TestPlanPauli:
 
     def test_consults_r_entries(self):
         rng = np.random.default_rng(0)
-        obs = observable_from_operator(random_hermitian(2, rng))
+        obs = Observable.from_operator(random_hermitian(2, rng))
         plan = plan_pauli(obs, depolarizing_channel(2, 0.1, 0.5))
         assert plan.entries_consulted == obs.r == len(plan.factors)
 
@@ -74,7 +74,7 @@ class TestDeconvolve:
     def test_exact_roundtrip_two_qubits(self):
         rng = np.random.default_rng(1)
         rho = random_density(2, rng)
-        obs = observable_from_operator(random_hermitian(2, rng))
+        obs = Observable.from_operator(random_hermitian(2, rng))
         w = rng.dirichlet(np.ones(16) * 4)
         from noisedeconv.channels import KrausChannel
         ch = KrausChannel.from_pauli_weights(2, w)
@@ -113,10 +113,10 @@ class TestPlanGeneral:
 
     def test_reduces_to_diagonal_path(self):
         rng = np.random.default_rng(2)
-        obs = observable_from_operator(random_hermitian(2, rng))
+        obs = Observable.from_operator(random_hermitian(2, rng))
         ch = bit_flip_channel(2, 0.2, 0.6)
         fast = plan_pauli(obs, ch)
-        general = plan_general(obs, as_ptm(ch))
+        general = plan_general(obs, ch.ptm())
         for k, coeff in obs.items():
             assert general.weights[k] == pytest.approx(fast.factors[k] * coeff, abs=1e-12)
         assert fast.entries_consulted == obs.r
@@ -125,7 +125,7 @@ class TestPlanGeneral:
     def test_amplitude_damping_xx_row(self):
         eta, mu = 0.5, 0.3
         plan = plan_general(Observable.from_pairs([("XX", 1.0)]),
-                            as_ptm(correlated_amplitude_damping(eta, mu)))
+                            correlated_amplitude_damping(eta, mu).ptm())
         f = 1.0 / (2 * (mu * (eta - np.sqrt(eta)) - eta) * (mu * (eta - 1) - eta))
         assert set(plan.weights) == {k_of("XX"), k_of("YY")}
         assert plan.weights[k_of("XX")] == pytest.approx(
@@ -136,7 +136,7 @@ class TestPlanGeneral:
     def test_amplitude_damping_zz_row(self):
         eta, mu = 0.7, 0.4
         plan = plan_general(Observable.from_pairs([("ZZ", 1.0)]),
-                            as_ptm(correlated_amplitude_damping(eta, mu)))
+                            correlated_amplitude_damping(eta, mu).ptm())
         g = 1.0 / (eta + mu * (1 - eta)) ** 2
         expected = {
             k_of("II"): g * (mu - 1) ** 2 * (eta - 1) ** 2,
@@ -151,10 +151,10 @@ class TestPlanGeneral:
     def test_singular_ptm(self):
         with pytest.raises(SingularPTM):
             plan_general(Observable.from_pairs([("Z", 1.0)]),
-                         as_ptm(depolarizing_channel(1, 1.0)))
+                         depolarizing_channel(1, 1.0).ptm())
 
     def test_ill_conditioned_warning(self):
-        ptm = as_ptm(depolarizing_channel(1, 0.999))
+        ptm = depolarizing_channel(1, 0.999).ptm()
         with pytest.warns(IllConditionedWarning):
             plan_general(Observable.from_pairs([("Z", 1.0)]), ptm, cond_warn=100.0)
 
@@ -164,10 +164,10 @@ class TestPlanGeneral:
             eta, mu = rng.uniform(0.2, 1.0), rng.uniform(0.0, 1.0)
             ch = correlated_amplitude_damping(eta, mu)
             rho = random_density(2, rng)
-            obs = observable_from_operator(random_hermitian(2, rng))
+            obs = Observable.from_operator(random_hermitian(2, rng))
             ideal = float(np.trace(rho @ obs.to_operator()).real)
             rhop = apply_channel(ch, rho)
-            plan = plan_general(obs, as_ptm(ch))
+            plan = plan_general(obs, ch.ptm())
             noisy = {j: exact_pauli_expectation(rhop, PauliIndex(2, j))
                      for j in plan.required_indices}
             assert abs(deconvolve(plan, noisy) - ideal) < 1e-9
@@ -178,12 +178,12 @@ class TestPlanComposed:
     def test_matches_full_inversion(self, pauli_first):
         rng = np.random.default_rng(4)
         pauli = dephasing_channel(2, 0.1, 0.5)
-        other = as_ptm(correlated_amplitude_damping(0.6, 0.2))
-        obs = observable_from_operator(random_hermitian(2, rng))
+        other = correlated_amplitude_damping(0.6, 0.2).ptm()
+        obs = Observable.from_operator(random_hermitian(2, rng))
         if pauli_first:
-            total = compose(other, as_ptm(pauli))
+            total = compose(other, pauli.ptm())
         else:
-            total = compose(as_ptm(pauli), other)
+            total = compose(pauli.ptm(), other)
         ref = plan_general(obs, total)
         got = plan_composed(obs, pauli, other, pauli_first=pauli_first)
         for j in set(ref.weights) | set(got.weights):
@@ -194,7 +194,7 @@ class TestPlanComposed:
             plan_composed(
                 Observable.from_pairs([("ZZ", 1.0)]),
                 depolarizing_channel(2, 1.0),
-                as_ptm(correlated_amplitude_damping(0.5, 0.5)),
+                correlated_amplitude_damping(0.5, 0.5).ptm(),
             )
 
 
@@ -223,6 +223,10 @@ class TestReconstructionFactor:
         with pytest.raises(NonInvertibleChannel):
             reconstruction_factor(depolarizing_channel(1, 1.0), k_of("Z"))
 
+    def test_overflow_raises(self):
+        with pytest.raises(NonInvertibleChannel):
+            reconstruction_factor(bit_flip_channel(1, 0.45), k_of("Z"), m=500)
+
 
 class TestRoundTripAllFamilies:
     def test_exact_roundtrip(self):
@@ -237,7 +241,7 @@ class TestRoundTripAllFamilies:
                 n = int(rng.integers(1, 4))
                 ch = build(n)
                 rho = random_density(n, rng)
-                obs = observable_from_operator(random_hermitian(n, rng))
+                obs = Observable.from_operator(random_hermitian(n, rng))
                 ideal = float(np.trace(rho @ obs.to_operator()).real)
                 rhop = apply_channel(ch, rho)
                 plan = plan_pauli(obs, ch)
@@ -281,3 +285,10 @@ class TestErrorPropagation:
                           bit_flip_channel(1, 0.0))
         err = propagated_std_error(plan, {3: 0.03, 1: 0.04})
         assert err == pytest.approx(0.05, abs=1e-15)
+
+    def test_overflowing_result_raises(self):
+        plan = plan_pauli(Observable.from_pairs([("Z", 1e308)]), bit_flip_channel(1, 0.25))
+        with pytest.raises(MathematicalError):
+            deconvolve(plan, {3: 1.0})
+        with pytest.raises(MathematicalError):
+            propagated_std_error(plan, {3: 1.0})

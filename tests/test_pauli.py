@@ -3,6 +3,7 @@ import pytest
 from conftest import pauli_basis_bruteforce, random_hermitian, vectorize_bruteforce
 
 from noisedeconv.exceptions import (
+    ConfigError,
     DimensionMismatch,
     NonHermitianInput,
     ParseError,
@@ -13,7 +14,6 @@ from noisedeconv.pauli import (
     PauliIndex,
     devectorize,
     hs_inner,
-    observable_from_operator,
     pauli_element,
     vectorize,
 )
@@ -153,13 +153,13 @@ class TestDevectorize:
 
 class TestObservable:
     def test_single_basis_element(self):
-        obs = observable_from_operator(np.asarray(pauli_element(63, 3)))
+        obs = Observable.from_operator(np.asarray(pauli_element(63, 3)))
         assert obs.terms == {63: 1.0}
         assert obs.r == 1
 
     def test_two_term_sum(self):
         A = np.kron(np.eye(2), pauli_element(3, 1)) + np.kron(pauli_element(3, 1), np.eye(2))
-        obs = observable_from_operator(A)
+        obs = Observable.from_operator(A)
         assert set(obs.terms) == {3, 12}
         assert obs.r == 2
         assert np.allclose(list(obs.terms.values()), [1.0, 1.0])
@@ -167,14 +167,14 @@ class TestObservable:
     def test_random_hermitian_roundtrip(self):
         rng = np.random.default_rng(7)
         A = random_hermitian(2, rng)
-        obs = observable_from_operator(A)
+        obs = Observable.from_operator(A)
         assert obs.r <= 16
         assert np.max(np.abs(obs.to_operator() - A)) < 1e-12
 
     def test_non_hermitian_rejected(self):
         A = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(NonHermitianInput):
-            observable_from_operator(A)
+            Observable.from_operator(A)
 
     def test_pruning(self):
         obs = Observable(1, {0: 1.0, 3: 1e-15})
@@ -194,6 +194,13 @@ class TestObservable:
             Observable.from_text("ZZ notanumber\n")
         with pytest.raises(ParseError):
             Observable.from_text("# only a comment\n")
+
+    @pytest.mark.parametrize("coeff", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_coefficient_rejected(self, coeff):
+        with pytest.raises(ConfigError):
+            Observable(1, {3: coeff})
+        with pytest.raises(ConfigError):
+            Observable.from_text(f"Z {coeff!r}\n")
 
     def test_from_pairs_merges_duplicates(self):
         obs = Observable.from_pairs([("Z", 0.5), ("Z", 0.25)])

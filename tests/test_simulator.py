@@ -14,12 +14,11 @@ from noisedeconv.exceptions import (
     ProbabilityOutOfRange,
 )
 from noisedeconv.pauli import Observable, PauliIndex
-from noisedeconv.sampling import derive_rng, sample_pauli_expectation
+from noisedeconv.sampling import derive_rng, exact_pauli_expectation, sample_pauli_expectation
 from noisedeconv.simulator import (
     CSV_HEADER,
     ExperimentConfig,
     evolve,
-    expectation_exact,
     expectation_sampled,
     preset_state,
     records_to_csv,
@@ -61,7 +60,7 @@ class TestEvolve:
         q, mu = 0.00052, 0.25
         rho = preset_state("zeros", 3)
         out = evolve(rho, depolarizing_channel(3, q, mu), 1)
-        got = expectation_exact(out, PauliIndex(3, 63))
+        got = exact_pauli_expectation(out, PauliIndex(3, 63))
         assert got == pytest.approx(fig2_lambda(q, mu), abs=1e-14)
 
     def test_trace_and_hermiticity_through_fifty_steps(self):
@@ -76,20 +75,20 @@ class TestEvolve:
 
 class TestExpectationExact:
     def test_ground_state_zzz(self):
-        assert expectation_exact(preset_state("zeros", 3), PauliIndex(3, 63)) == 1.0
+        assert exact_pauli_expectation(preset_state("zeros", 3), PauliIndex(3, 63)) == 1.0
 
     def test_mixed_state_vanishes(self):
         rho = preset_state("mixed", 2)
         for k in (1, 5, 15):
-            assert abs(expectation_exact(rho, PauliIndex(2, k))) < 1e-14
+            assert abs(exact_pauli_expectation(rho, PauliIndex(2, k))) < 1e-14
 
     def test_plus_state_x(self):
-        assert expectation_exact(preset_state("plus", 1), PauliIndex(1, 1)) == pytest.approx(1.0)
+        assert exact_pauli_expectation(preset_state("plus", 1), PauliIndex(1, 1)) == pytest.approx(1.0)
 
     def test_imaginary_residue_rejected(self):
         rho = np.array([[0.5, 1j], [0.0, 0.5]])
         with pytest.raises(InvalidState):
-            expectation_exact(rho, PauliIndex(1, 1))
+            exact_pauli_expectation(rho, PauliIndex(1, 1))
 
 
 class TestExpectationSampled:
@@ -114,7 +113,7 @@ class TestExpectationSampled:
 
     def test_projective_sampler_agrees_statistically(self):
         rho = np.asarray(evolve(preset_state("zeros", 2), bit_flip_channel(2, 0.2, 0.3), 2))
-        exact = expectation_exact(rho, PauliIndex(2, 15))
+        exact = exact_pauli_expectation(rho, PauliIndex(2, 15))
         for method in ("marginal", "projective"):
             vals = [
                 sample_pauli_expectation(rho, PauliIndex(2, 15), 4096, derive_rng(s), method)[0]
@@ -181,7 +180,7 @@ class TestRunExperiment:
             "seed": 0,
         })
         rho = preset_state("plus", 2)
-        ideal = {k: expectation_exact(rho, PauliIndex(2, k)) for k in (5, 15)}
+        ideal = {k: exact_pauli_expectation(rho, PauliIndex(2, k)) for k in (5, 15)}
         for r in run_experiment(cfg):
             assert r.deconvolved == pytest.approx(ideal[r.k], abs=1e-9)
 
