@@ -12,7 +12,15 @@ Two representations share one interface (``n``, ``d``, ``lambdas()``,
 Conversions are explicit and cached per instance.  Diagonal entries of a
 Pauli channel are computed from the commutation signs between Pauli
 strings (lambda_j = sum_m beta_m * s(m, j)) instead of matrix traces,
-which keeps the cost per entry linear in the number of weights.
+which keeps the cost per entry linear in the number of weights.  A
+general Kraus set gets its transfer matrix from the superoperator
+sum_i K_i (x) conj(K_i), taken to the Pauli basis by per-qubit 4x4
+kernels on both sides, with no loop over the 4**n basis strings.
+
+A PTM's entries are fixed for its lifetime (``matrix`` is a read-only
+property), so the general deconvolution path inverts the transposed
+matrix once per PTM: the condition number and the inverse are kept on
+the PTM and shared, read-only, by every plan built on it.
 
 Channel families:
 
@@ -45,6 +53,8 @@ from .exceptions import (
     ResourceCapExceeded,
 )
 from .pauli import (
+    _DEVEC_KERNEL,
+    _VEC_KERNEL,
     MAX_QUBITS,
     PauliIndex,
     _transform_per_qubit,
@@ -94,6 +104,11 @@ _COMMUTATION_SIGNS = np.array(
 )
 
 
+def _check_qubit_range(n: int) -> None:
+    if not 1 <= n <= MAX_QUBITS:
+        raise ResourceCapExceeded(f"supported qubit range is 1..{MAX_QUBITS}, got {n}")
+
+
 def _check_full_ptm_cap(n: int) -> None:
     if n > MAX_QUBITS_FULL_PTM:
         raise ResourceCapExceeded(
@@ -131,6 +146,10 @@ class PTM:
     the trace-preservation signature: first row equal to (1, 0, ..., 0).
     Adjoint matrices of non-unital channels legitimately violate it, so
     derived matrices are built with the check disabled.
+
+    ``matrix`` is read-only and fixed for the instance's lifetime, so the
+    2-norm condition number and the inverse of the transpose (filled in by
+    the general deconvolution path) are computed once and kept.
     """
 
     def __init__(self, n: int, matrix, *, require_tp_row: bool = True):
@@ -152,7 +171,24 @@ class PTM:
             first[0] = 1.0
             if np.max(np.abs(M[0] - first)) > 1e-9:
                 raise NotTracePreserving("first row of the transfer matrix is not (1, 0, ..., 0)")
-        self.matrix = _readonly(M.astype(float))
+        self._matrix = _readonly(np.asarray(M, dtype=float))
+        self._condition_number: float | None = None
+        # inv(matrix.T), set by deconvolution and shared read-only by its plans.
+        self._inverse_adjoint: np.ndarray | None = None
+        self._lock = threading.RLock()
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self._matrix
+
+    @property
+    def condition_number(self) -> float:
+        """2-norm condition number of the matrix (ratio of its extreme
+        singular values), from one SVD on first use."""
+        with self._lock:
+            if self._condition_number is None:
+                self._condition_number = float(np.linalg.cond(self._matrix.T))
+        return self._condition_number
 
     @property
     def d(self) -> int:
@@ -218,6 +254,7 @@ class KrausChannel:
     @classmethod
     def from_pauli_weights(cls, n: int, weights) -> "KrausChannel":
         """Random Pauli map with probability weights[k] on Pauli string k."""
+        _check_qubit_range(n)
         w = _validate_probability_vector(weights, 4**n, "Pauli weight vector")
         self = cls.__new__(cls)
         self.n = int(n)
@@ -258,7 +295,7 @@ class KrausChannel:
         with self._lock:
             if self._lambdas is None:
                 if self._weights is not None:
-                    lam = _transform_per_qubit(_COMMUTATION_SIGNS, self._weights, self.n)
+                    lam = _transform_per_qubit([_COMMUTATION_SIGNS] * self.n, self._weights)
                     self._lambdas = _readonly(lam)
                 else:
                     self._lambdas = self._ptm_locked().lambdas()
@@ -270,7 +307,7 @@ class KrausChannel:
                 _check_full_ptm_cap(self.n)
                 self._ptm = PTM(self.n, np.diag(self.lambdas()))
             else:
-                self._ptm = _ptm_by_columns(self.kraus_ops, self.n)
+                self._ptm = _superoperator_ptm(self.kraus_ops, self.n)
         return self._ptm
 
     def ptm(self) -> PTM:
@@ -313,17 +350,27 @@ def _apply_transfer(ch: Channel, rho: np.ndarray, method: str) -> np.ndarray:
     raise ValueError(f"unknown application method {method!r}")
 
 
-def _ptm_by_columns(kraus_ops: Sequence[np.ndarray], n: int) -> PTM:
+def _superoperator_ptm(kraus_ops: Sequence[np.ndarray], n: int) -> PTM:
+    """Transfer matrix of rho -> sum_i K_i rho K_i^dag in one basis change.
+
+    S = sum_i K_i (x) conj(K_i) maps the row-major entries of rho to those
+    of its image; one product over the stacked operators forms it.  With
+    each qubit's (row, column) entry axes made adjacent, the vectorize
+    kernel on the output side and the devectorize kernel on the input side
+    give Gamma = V S W / d in 2n per-qubit contractions.
+    """
     _check_full_ptm_cap(n)
-    dim = 4**n
-    cols = np.empty((dim, dim), dtype=complex)
-    for q in range(dim):
-        Pq = pauli_element(q, n)
-        out = np.zeros_like(Pq)
-        for K in kraus_ops:
-            out = out + K @ Pq @ K.conj().T
-        cols[:, q] = vectorize(out)
-    return PTM(n, cols)
+    d = 2**n
+    stacked = np.stack(kraus_ops).reshape(len(kraus_ops), d * d)
+    # S[(a, c), (b, e)] = sum_i K_i[a, c] conj(K_i[b, e]), for output entry
+    # (a, b) and input entry (c, e); axes a, c, b, e hold n qubit bits each.
+    S = (stacked.T @ stacked.conj()).reshape((2,) * (4 * n))
+    a, c, b, e = (range(i * n, (i + 1) * n) for i in range(4))
+    order = [ax for q in range(n) for ax in (a[q], b[q])] + [ax for q in range(n) for ax in (c[q], e[q])]
+    S = np.ascontiguousarray(S.transpose(order))
+    gamma = _transform_per_qubit([_VEC_KERNEL] * n + [_DEVEC_KERNEL.T] * n, S)
+    gamma /= d
+    return PTM(n, gamma.reshape(d * d, d * d))
 
 
 def apply_channel(ch: Channel, rho: np.ndarray, method: str = "auto") -> np.ndarray:
@@ -359,8 +406,7 @@ def correlated_pauli_weights(n: int, p_vec, mu: float) -> np.ndarray:
 
         w[a_1 ... a_n] = p[a_1] * prod_j ((1 - mu) p[a_j] + mu delta(a_{j-1}, a_j))
     """
-    if n < 1 or n > MAX_QUBITS:
-        raise ResourceCapExceeded(f"supported qubit range is 1..{MAX_QUBITS}, got {n}")
+    _check_qubit_range(n)
     p = _validate_probability_vector(p_vec, 4, "p_vec")
     mu = float(mu)
     if not 0.0 <= mu <= 1.0:
@@ -471,6 +517,7 @@ def channel_from_config(cfg: Mapping) -> KrausChannel:
             return depolarizing_channel(n, float(cfg["q"]), mu)
         # pauli_custom
         if "beta" in cfg:
+            _check_qubit_range(n)  # before 4**n weights are allocated
             beta = cfg["beta"]
             if isinstance(beta, Mapping):
                 w = np.zeros(4**n)

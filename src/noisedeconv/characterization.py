@@ -185,20 +185,22 @@ def estimate_diagonal_entry(ch: Channel, k, shots: int = 0, seed: int = 0) -> tu
     probe estimates.
     """
     idx = as_index(k, ch.n)
-    if idx.k == 0:
-        raise IdentityProbe("the k=0 entry equals 1 by trace preservation")
-    _check_unital(ch)
-    out = apply_channel(ch, probe_state(idx).operator)
-    return _measure(out, idx, shots, seed, idx.k)
+    return estimate_diagonal_entries(ch, [idx], shots, seed).entries[(idx.k, idx.k)]
 
 
 def estimate_diagonal_entries(ch: Channel, ks, shots: int = 0, seed: int = 0) -> CharacterizedPTM:
-    """Estimate the requested diagonal entries; one probe per entry."""
+    """Estimate the requested diagonal entries: one probe per entry, and
+    one unitality check per call, before the first probe."""
     n = ch.n
     entries: dict[tuple[int, int], tuple[float, float]] = {}
-    for k in ks:
+    for i, k in enumerate(ks):
         idx = as_index(k, n)
-        entries[(idx.k, idx.k)] = estimate_diagonal_entry(ch, idx, shots, seed)
+        if idx.k == 0:
+            raise IdentityProbe("the k=0 entry equals 1 by trace preservation")
+        if i == 0:
+            _check_unital(ch)
+        out = apply_channel(ch, probe_state(idx).operator)
+        entries[(idx.k, idx.k)] = _measure(out, idx, shots, seed, idx.k)
     return CharacterizedPTM(n=n, mode="diagonal", entries=entries, shots=shots, seed=seed)
 
 

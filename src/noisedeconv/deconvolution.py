@@ -6,7 +6,8 @@ matching diagonal entry, so a plan consults exactly r entries where r is
 the number of nonzero components.  For general invertible channels the
 full transfer matrix is transposed and inverted, and the observable's
 coefficient vector is pushed through the inverse; that path materializes
-all d^4 matrix entries.
+all d^4 matrix entries.  The inverse belongs to the channel, not to the
+observable: it is computed once per PTM and shared by every plan on it.
 
 Plans are immutable; ``deconvolve`` is a pure function of the plan and
 the supplied noisy expectation values, summed in ascending index order
@@ -61,6 +62,9 @@ class DeconvolutionPlan:
     ``inverse_adjoint_ptm`` (general path) is set.  ``weights`` maps each
     required measurement index j to its final coefficient, so the
     deconvolved value is sum_j weights[j] * noisy[j] in both cases.
+    ``inverse_adjoint_ptm`` is read-only: every ``plan_general`` plan on
+    one PTM shares the array that PTM keeps for its lifetime, so a second
+    plan costs no inversion.
     ``entries_consulted`` counts transfer-matrix entries used: r for the
     diagonal path, d^4 for the general one.
     """
@@ -116,21 +120,45 @@ def plan_pauli(obs: Observable, ch: Channel, inv_tol: float = INVERTIBILITY_TOL)
     return _rescaling_plan(obs, ch.lambdas(), inv_tol)
 
 
-def _invert_adjoint(matrix: np.ndarray, cond_warn: float) -> np.ndarray:
-    adj = matrix.T
-    cond = np.linalg.cond(adj)
+def _check_condition(cond: float, cond_warn: float) -> None:
+    """Refuse a numerically singular matrix; warn above ``cond_warn``,
+    attributed to the caller of the plan that asked for the inverse."""
     if not np.isfinite(cond) or cond > 1.0 / np.finfo(float).eps:
         raise SingularPTM(f"transfer matrix is numerically singular (cond {cond:.3e})")
     if cond > cond_warn:
         warnings.warn(
             f"transfer-matrix inversion with condition number {cond:.3e}",
             IllConditionedWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
+
+
+def _invert_adjoint(matrix: np.ndarray, cond_warn: float, cond: float | None = None) -> np.ndarray:
+    """inv(matrix.T) behind the singularity gate and the conditioning
+    warning; every inversion on the general path runs here.  ``cond`` is
+    the 2-norm condition number when the caller already has it, else one
+    SVD computes it."""
+    adj = matrix.T
+    _check_condition(np.linalg.cond(adj) if cond is None else cond, cond_warn)
     try:
         return np.linalg.inv(adj)
     except np.linalg.LinAlgError as exc:
         raise SingularPTM(str(exc)) from None
+
+
+def _shared_inverse_adjoint(ptm: PTM, cond_warn: float) -> np.ndarray:
+    """inv(Gamma^T) of ``ptm``, inverted on first use and kept on the PTM;
+    every later plan on it shares that read-only array.  The singularity
+    gate and the conditioning warning apply on every call, against this
+    call's ``cond_warn``."""
+    with ptm._lock:
+        cond = ptm.condition_number
+        _check_condition(cond, cond_warn)
+        if ptm._inverse_adjoint is None:
+            inv = _invert_adjoint(ptm.matrix, math.inf, cond)
+            inv.setflags(write=False)
+            ptm._inverse_adjoint = inv
+        return ptm._inverse_adjoint
 
 
 def _pruned_weights(w: np.ndarray) -> dict[int, float]:
@@ -140,10 +168,11 @@ def _pruned_weights(w: np.ndarray) -> dict[int, float]:
 
 
 def plan_general(obs: Observable, ptm: PTM, cond_warn: float = CONDITION_WARN) -> DeconvolutionPlan:
-    """General-path plan: invert the transposed transfer matrix outright."""
+    """General-path plan through the inverse of the transposed transfer
+    matrix, which ``ptm`` computes once and shares with every plan on it."""
     if ptm.n != obs.n:
         raise DimensionMismatch(f"observable is on n={obs.n}, transfer matrix on n={ptm.n}")
-    inv = _invert_adjoint(ptm.matrix, cond_warn)
+    inv = _shared_inverse_adjoint(ptm, cond_warn)
     return DeconvolutionPlan(
         observable=obs,
         entries_consulted=inv.size,
@@ -174,13 +203,14 @@ def plan_composed(
         raise NonInvertibleChannel(
             f"diagonal entry {float(lam[k])!r} at k={k} is not invertible (tol {inv_tol})"
         )
-    inv_other = _invert_adjoint(other.matrix, cond_warn)
+    inv_other = _shared_inverse_adjoint(other, cond_warn)
     if pauli_first:
         # Gamma = Gamma_other @ D, so inv(Gamma^T) = inv(other^T) scaled
         # on the right ... columns divided by lambda.
         inv = inv_other / lam[None, :]
     else:
         inv = inv_other / lam[:, None]
+    inv.setflags(write=False)
     return DeconvolutionPlan(
         observable=obs,
         entries_consulted=inv.size,

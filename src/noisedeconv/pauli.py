@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -193,11 +193,17 @@ _DEVEC_KERNEL = np.array(
 )
 
 
-def _transform_per_qubit(kernel: np.ndarray, flat: np.ndarray, n: int) -> np.ndarray:
-    """Apply a 4x4 kernel along every qubit axis of a length-4**n vector."""
-    t = flat.reshape((4,) * n)
-    for q in range(n):
-        t = np.moveaxis(np.tensordot(kernel, t, axes=(1, q)), 0, q)
+def _transform_per_qubit(kernels: Sequence[np.ndarray], flat: np.ndarray) -> np.ndarray:
+    """Apply kernels[q], a 4x4 matrix, along axis q of ``flat`` viewed as
+    an array of shape (4,) * len(kernels); return the result flattened.
+
+    Each step contracts the leading axis and appends its image as the last
+    axis, so a step is one matrix product over a transposed view, with no
+    copy, and the previous step's array is freed as soon as it is used.
+    """
+    t = flat.reshape(-1)
+    for kernel in kernels:
+        t = np.dot(t.reshape(4, -1).T, kernel.T)
     return t.reshape(-1)
 
 
@@ -211,7 +217,7 @@ def vectorize(A: np.ndarray) -> np.ndarray:
     t = A.reshape((2,) * (2 * n))
     order = [ax for q in range(n) for ax in (q, n + q)]
     t = np.ascontiguousarray(t.transpose(order)).reshape(-1)
-    return _transform_per_qubit(_VEC_KERNEL, t, n) / (2**n)
+    return _transform_per_qubit([_VEC_KERNEL] * n, t) / (2**n)
 
 
 def devectorize(coeffs: np.ndarray) -> np.ndarray:
@@ -221,7 +227,7 @@ def devectorize(coeffs: np.ndarray) -> np.ndarray:
     if v.size < 4 or 4**n != v.size:
         raise DimensionMismatch(f"coefficient length {v.size} is not 4**n")
     _check_dense_cap(n)
-    t = _transform_per_qubit(_DEVEC_KERNEL, v, n).reshape((2,) * (2 * n))
+    t = _transform_per_qubit([_DEVEC_KERNEL] * n, v).reshape((2,) * (2 * n))
     order = [2 * q for q in range(n)] + [2 * q + 1 for q in range(n)]
     return np.ascontiguousarray(t.transpose(order)).reshape(2**n, 2**n)
 

@@ -70,6 +70,38 @@ class TestPtmFromKraus:
         with pytest.raises(NotTracePreserving):
             KrausChannel([0.5 * np.eye(2)])
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_superoperator_build_matches_bruteforce(self, n):
+        rng = np.random.default_rng(10 + n)
+        d = 2**n
+        # Random isometry split into r blocks: trace preserving, not unital.
+        r = 3
+        A = rng.normal(size=(r * d, d)) + 1j * rng.normal(size=(r * d, d))
+        V = np.linalg.qr(A)[0]
+        kraus = [V[i * d:(i + 1) * d] for i in range(r)]
+        assert not KrausChannel(kraus).ptm().is_unital()
+        H = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        unitary = [np.linalg.qr(H)[0]]
+        for ops in (kraus, unitary):
+            ref = ptm_bruteforce(ops, n)
+            assert np.max(np.abs(KrausChannel(ops).ptm().matrix - ref)) < 1e-12
+        if n == 2:
+            ops = correlated_amplitude_damping(0.35, 0.55).kraus_ops
+            ref = ptm_bruteforce(ops, n)
+            assert np.max(np.abs(KrausChannel(ops).ptm().matrix - ref)) < 1e-12
+
+    def test_unchecked_non_trace_preserving_set_fails_at_the_ptm(self):
+        ch = KrausChannel([0.5 * np.eye(4), 0.5 * np.kron(pauli_element(1, 1), np.eye(2))],
+                          check_tp=False)
+        with pytest.raises(NotTracePreserving):
+            ch.ptm()
+
+    def test_matrix_is_a_read_only_property(self):
+        ptm = bit_flip_channel(1, 0.1).ptm()
+        with pytest.raises(AttributeError):
+            ptm.matrix = np.eye(4)
+        assert not ptm.matrix.flags.writeable
+
     def test_first_row_invariant(self):
         for ch in (
             bit_flip_channel(2, 0.2, 0.4),
@@ -342,6 +374,15 @@ class TestChannelConfig:
     def test_invalid_probability_passes_through(self):
         with pytest.raises(InvalidProbability):
             channel_from_config({"family": "bit_flip", "n": 1, "p": 1.5})
+
+    @pytest.mark.parametrize("n", [0, -1, 7])
+    def test_pauli_weights_outside_qubit_range(self, n):
+        with pytest.raises(ResourceCapExceeded):
+            KrausChannel.from_pauli_weights(n, [1.0])
+        with pytest.raises(ResourceCapExceeded):
+            channel_from_config({"family": "pauli_custom", "n": n, "beta": [1.0]})
+        with pytest.raises(ResourceCapExceeded):
+            channel_from_config({"family": "pauli_custom", "n": n, "beta": {"I": 1.0}})
 
 
 class TestConcurrencyContract:

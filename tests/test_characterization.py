@@ -136,6 +136,30 @@ class TestDiagonalEntries:
         assert set(result.entries) == {(k, k) for k in ks}
         assert len(result.entries) == len(ks)
 
+    def test_unitality_checked_once_per_call(self, monkeypatch):
+        from noisedeconv import characterization
+
+        calls = []
+        original = characterization.apply_channel
+
+        def counting(ch, rho, *args, **kwargs):
+            calls.append(1)
+            return original(ch, rho, *args, **kwargs)
+
+        monkeypatch.setattr(characterization, "apply_channel", counting)
+        ch = depolarizing_channel(2, 0.1, 0.3)
+        ks = [1, 3, 5, 12, 15]
+        result = estimate_diagonal_entries(ch, ks)
+        assert len(calls) == len(ks) + 1
+        for k in ks:
+            calls.clear()
+            assert estimate_diagonal_entry(ch, k) == result.entries[(k, k)]
+            assert len(calls) == 2
+
+    def test_non_unital_rejected(self):
+        with pytest.raises(NonUnitalChannel):
+            estimate_diagonal_entries(correlated_amplitude_damping(0.5, 0.3), [3, 12])
+
 
 class TestReportFormat:
     def test_roundtrip(self):

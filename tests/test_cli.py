@@ -64,6 +64,13 @@ class TestPtmCommand:
         cfg = channel_json(tmp_path, family="bit_flip", n=6, p=0.1)
         assert main(["ptm", "--config", cfg]) == 4
 
+    @pytest.mark.parametrize("n", [0, 7])
+    @pytest.mark.parametrize("beta", [[1.0], {"I": 1.0}])
+    def test_pauli_weights_outside_qubit_range_exit_four(self, tmp_path, capsys, n, beta):
+        cfg = channel_json(tmp_path, family="pauli_custom", n=n, beta=beta)
+        assert main(["ptm", "--config", cfg]) == 4
+        assert capsys.readouterr().out == ""
+
     def test_diagonal_only_is_the_diagonal_byte_for_byte(self, tmp_path, capsys):
         beta = np.random.default_rng(4).dirichlet(np.ones(64)).tolist()
         cfg = channel_json(tmp_path, family="pauli_custom", n=3, beta=beta)

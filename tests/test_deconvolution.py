@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import random_density, random_hermitian
@@ -171,6 +173,76 @@ class TestPlanGeneral:
             noisy = {j: exact_pauli_expectation(rhop, PauliIndex(2, j))
                      for j in plan.required_indices}
             assert abs(deconvolve(plan, noisy) - ideal) < 1e-9
+
+
+class TestInverseShared:
+    """plan_general and plan_composed invert a PTM's transpose once and
+    share the result; the gates still run on every call."""
+
+    @pytest.fixture
+    def inversions(self, monkeypatch):
+        from noisedeconv import deconvolution
+
+        calls = []
+        original = deconvolution._invert_adjoint
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(deconvolution, "_invert_adjoint", counting)
+        return calls
+
+    def test_two_plans_invert_once_and_match_a_fresh_ptm(self, inversions):
+        rng = np.random.default_rng(5)
+        ptm = correlated_amplitude_damping(0.6, 0.3).ptm()
+        obs_a = Observable.from_operator(random_hermitian(2, rng))
+        obs_b = Observable.from_operator(random_hermitian(2, rng))
+        a = plan_general(obs_a, ptm)
+        b = plan_general(obs_b, ptm)
+        assert len(inversions) == 1
+        assert a.inverse_adjoint_ptm is b.inverse_adjoint_ptm
+        assert not a.inverse_adjoint_ptm.flags.writeable
+        for obs, plan in ((obs_a, a), (obs_b, b)):
+            fresh = plan_general(obs, PTM(2, ptm.matrix))
+            assert repr(sorted(plan.weights.items())) == repr(sorted(fresh.weights.items()))
+            assert plan.inverse_adjoint_ptm.tobytes() == fresh.inverse_adjoint_ptm.tobytes()
+        assert len(inversions) == 3
+
+    def test_warning_on_every_call_against_its_own_threshold(self, inversions):
+        ptm = depolarizing_channel(1, 0.999).ptm()
+        obs = Observable.from_pairs([("Z", 1.0)])
+        for _ in range(2):
+            with pytest.warns(IllConditionedWarning):
+                plan_general(obs, ptm, cond_warn=100.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan_general(obs, ptm, cond_warn=ptm.condition_number * 2)
+        assert len(inversions) == 1
+
+    def test_singular_on_every_call(self, inversions):
+        ptm = depolarizing_channel(1, 1.0).ptm()
+        obs = Observable.from_pairs([("Z", 1.0)])
+        for _ in range(3):
+            with pytest.raises(SingularPTM):
+                plan_general(obs, ptm)
+        with pytest.raises(SingularPTM):
+            plan_composed(obs, bit_flip_channel(1, 0.1), ptm)
+        assert inversions == []
+
+    def test_composed_plan_uses_the_same_inverse(self, inversions):
+        rng = np.random.default_rng(6)
+        pauli = dephasing_channel(2, 0.1, 0.5)
+        other = correlated_amplitude_damping(0.6, 0.2).ptm()
+        obs = Observable.from_operator(random_hermitian(2, rng))
+        general = plan_general(obs, other)
+        for pauli_first in (True, False):
+            composed = plan_composed(obs, pauli, other, pauli_first=pauli_first)
+            assert not composed.inverse_adjoint_ptm.flags.writeable
+        assert len(inversions) == 1
+        lam = pauli.lambdas()
+        assert np.array_equal(composed.inverse_adjoint_ptm,
+                              general.inverse_adjoint_ptm / lam[:, None])
 
 
 class TestPlanComposed:
