@@ -148,8 +148,9 @@ class PTM:
     derived matrices are built with the check disabled.
 
     ``matrix`` is read-only and fixed for the instance's lifetime, so the
-    2-norm condition number and the inverse of the transpose (filled in by
-    the general deconvolution path) are computed once and kept.
+    2-norm condition number, the diagonal verdict of ``lambdas()`` and the
+    inverse of the transpose (filled in by the general deconvolution path)
+    are computed once and kept.
     """
 
     def __init__(self, n: int, matrix, *, require_tp_row: bool = True):
@@ -175,6 +176,8 @@ class PTM:
         self._condition_number: float | None = None
         # inv(matrix.T), set by deconvolution and shared read-only by its plans.
         self._inverse_adjoint: np.ndarray | None = None
+        # (lambdas, None) or (None, refusal), from the first lambdas() call.
+        self._diagonal: tuple[np.ndarray | None, Exception | None] | None = None
         self._lock = threading.RLock()
 
     @property
@@ -201,15 +204,26 @@ class PTM:
 
     def lambdas(self) -> np.ndarray:
         """Diagonal entries of a Pauli-diagonal map: lambda_0 = 1 (trace
-        preservation) and every |lambda_k| <= 1."""
-        lam = np.diag(self.matrix)
-        if np.max(np.abs(self.matrix - np.diag(lam))) > DIAGONAL_TOL:
-            raise NotPauliDiagonal("transfer matrix is not diagonal")
+        preservation) and every |lambda_k| <= 1.  The verdict is reached
+        once per PTM; a refusal raises again on every call."""
+        with self._lock:
+            if self._diagonal is None:
+                self._diagonal = self._diagonal_verdict()
+        lam, refusal = self._diagonal
+        if refusal is not None:
+            raise type(refusal)(*refusal.args)
+        return lam
+
+    def _diagonal_verdict(self) -> tuple[np.ndarray | None, Exception | None]:
+        M = self._matrix
+        lam = np.diag(M)
+        if np.max(np.abs(M - np.diag(lam))) > DIAGONAL_TOL:
+            return None, NotPauliDiagonal("transfer matrix is not diagonal")
         if abs(lam[0] - 1.0) > 1e-9:
-            raise NotTracePreserving(f"lambda_0 must equal 1, got {float(lam[0])!r}")
+            return None, NotTracePreserving(f"lambda_0 must equal 1, got {float(lam[0])!r}")
         if np.max(np.abs(lam)) > 1.0 + 1e-9:
-            raise NotPauliDiagonal("lambda entries must lie in [-1, 1]")
-        return _readonly(lam)
+            return None, NotPauliDiagonal("lambda entries must lie in [-1, 1]")
+        return _readonly(lam), None
 
     def ptm(self) -> "PTM":
         return self

@@ -32,7 +32,13 @@ from .exceptions import (
     ParseError,
 )
 from .pauli import as_index, num_qubits, pauli_element, vectorize
-from .sampling import derive_rng, exact_pauli_expectation, sample_pauli_expectation
+from .sampling import (
+    coefficient_expectations,
+    derive_rng,
+    exact_pauli_expectation,
+    sample_marginal,
+    sample_pauli_expectation,
+)
 
 __all__ = [
     "ProbeState",
@@ -169,14 +175,6 @@ class CharacterizedPTM:
         return cls(n=n, mode=mode, entries=entries, shots=shots, seed=seed)
 
 
-def _measure(rho: np.ndarray, j, shots: int, seed: int, k_tag: int) -> tuple[float, float]:
-    idx = as_index(j, num_qubits(rho))
-    if shots == 0:
-        return exact_pauli_expectation(rho, idx), 0.0
-    rng = derive_rng(seed, k_tag, idx.k)
-    return sample_pauli_expectation(rho, idx, shots, rng)
-
-
 def estimate_diagonal_entry(ch: Channel, k, shots: int = 0, seed: int = 0) -> tuple[float, float]:
     """Estimate the diagonal entry at k by probing the channel once.
 
@@ -200,7 +198,10 @@ def estimate_diagonal_entries(ch: Channel, ks, shots: int = 0, seed: int = 0) ->
         if i == 0:
             _check_unital(ch)
         out = apply_channel(ch, probe_state(idx).operator)
-        entries[(idx.k, idx.k)] = _measure(out, idx, shots, seed, idx.k)
+        entries[(idx.k, idx.k)] = (
+            (exact_pauli_expectation(out, idx), 0.0) if shots == 0
+            else sample_pauli_expectation(out, idx, shots, derive_rng(seed, idx.k, idx.k))
+        )
     return CharacterizedPTM(n=n, mode="diagonal", entries=entries, shots=shots, seed=seed)
 
 
@@ -208,8 +209,10 @@ def estimate_full_ptm(ch: Channel, shots: int = 0, seed: int = 0) -> Characteriz
     """Estimate every transfer-matrix entry from 4**n - 1 probes.
 
     For each k != 0 the channel is applied to one probe and all P_j are
-    measured over the output; the k = 0 row and column are filled from
-    the trace-preservation and unitality identities.
+    read from the output's Pauli coefficient vector (with shots, one
+    marginal draw per entry from the stream (seed, k, j)); the k = 0 row
+    and column are filled from the trace-preservation and unitality
+    identities.
     """
     n = ch.n
     _check_unital(ch)
@@ -220,13 +223,9 @@ def estimate_full_ptm(ch: Channel, shots: int = 0, seed: int = 0) -> Characteriz
         entries[(q, 0)] = (0.0, 0.0)
     for k in range(1, dim):
         out = apply_channel(ch, probe_state(k, n).operator)
-        if shots == 0:
-            row = vectorize(out) * (2**n)  # entry j is Tr[P_j out]
-            for j in range(1, dim):
-                entries[(j, k)] = (float(row[j].real), 0.0)
-        else:
-            for j in range(1, dim):
-                entries[(j, k)] = _measure(out, j, shots, seed, k)
+        row = vectorize(out) * (2**n)  # entry j is Tr[P_j out]
+        for j, e in enumerate(coefficient_expectations(row, range(1, dim)), start=1):
+            entries[(j, k)] = (e, 0.0) if shots == 0 else sample_marginal(e, shots, derive_rng(seed, k, j))
     return CharacterizedPTM(n=n, mode="full", entries=entries, shots=shots, seed=seed)
 
 

@@ -3,8 +3,11 @@
 A Pauli string has a +/-1 spectrum, so a finite-shot measurement is a
 Bernoulli experiment with success probability (1 + e)/2 where e is the
 exact expectation value.  The default sampler draws from that marginal
-directly; a projective sampler that draws from the full eigenbasis
-distribution is available for cross-validation and is equivalent in
+directly, and ``sample_marginal`` is the one copy of that draw: it takes
+e, so a caller holding the state's Pauli coefficient vector reads e from
+it (``coefficient_expectations``) with no dense matrix.  A projective
+sampler that draws from the full eigenbasis distribution of a density
+matrix is available for cross-validation and is equivalent in
 distribution for a single observable.
 
 Every sampler consumes a numpy Generator; ``derive_rng`` builds
@@ -25,6 +28,8 @@ __all__ = [
     "SAMPLING_METHODS",
     "derive_rng",
     "exact_pauli_expectation",
+    "coefficient_expectations",
+    "sample_marginal",
     "sample_pauli_expectation",
 ]
 
@@ -42,16 +47,33 @@ def derive_rng(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng(entropy)
 
 
+def _check_real(val: complex, n: int, k: int) -> None:
+    if abs(val.imag) >= _IMAG_TOL:
+        raise InvalidState(
+            f"expectation of {as_index(k, n).label} has imaginary residue {val.imag:.3e}"
+        )
+
+
 def exact_pauli_expectation(rho: np.ndarray, k) -> float:
     """Tr[P_k rho] for a Hermitian unit-trace rho."""
     rho = np.asarray(rho, dtype=complex)
     idx = as_index(k, num_qubits(rho))
     val = complex(np.einsum("ij,ji->", pauli_element(idx), rho))
-    if abs(val.imag) >= _IMAG_TOL:
-        raise InvalidState(
-            f"expectation of {idx.label} has imaginary residue {val.imag:.3e}"
-        )
+    _check_real(val, idx.n, idx.k)
     return float(val.real)
+
+
+def coefficient_expectations(coeffs: np.ndarray, ks) -> list[float]:
+    """Tr[P_k rho] for each k in ``ks``, read from rho's scaled Pauli
+    coefficient vector ``coeffs = d * vectorize(rho)`` (entry j is
+    Tr[P_j rho]); every entry read gets the imaginary-residue check."""
+    ks = np.asarray(ks, dtype=int)
+    vals = coeffs[ks]
+    bad = np.abs(vals.imag) >= _IMAG_TOL
+    if bad.any():
+        i = int(np.argmax(bad))
+        _check_real(complex(vals[i]), (coeffs.size.bit_length() - 1) // 2, int(ks[i]))
+    return vals.real.tolist()
 
 
 @lru_cache(maxsize=256)
@@ -61,6 +83,31 @@ def _pauli_eigensystem(n: int, k: int):
     vals.setflags(write=False)
     vecs.setflags(write=False)
     return vals, vecs
+
+
+def _check_draw(e: float, shots: int) -> None:
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    if abs(e) > 1.0 + _RANGE_TOL:
+        raise ProbabilityOutOfRange(
+            f"expectation value {e!r} lies outside [-1, 1]; upstream state is corrupted"
+        )
+
+
+def _estimate(value: float, shots: int) -> tuple[float, float]:
+    return value, float(np.sqrt(max(0.0, 1.0 - value * value) / shots))
+
+
+def sample_marginal(e: float, shots: int, rng: np.random.Generator) -> tuple[float, float]:
+    """Finite-shot estimate of a +/-1-valued observable whose exact
+    expectation is ``e``: one binomial draw of the +1 count.
+
+    Returns ``(value, std_error)`` with std_error = sqrt((1 - value^2)/shots).
+    """
+    _check_draw(e, shots)
+    p_plus = min(1.0, max(0.0, 0.5 * (1.0 + e)))
+    plus = int(rng.binomial(shots, p_plus))
+    return _estimate(2.0 * plus / shots - 1.0, shots)
 
 
 def sample_pauli_expectation(
@@ -74,30 +121,21 @@ def sample_pauli_expectation(
 
     Returns ``(value, std_error)`` with std_error = sqrt((1 - value^2)/shots).
     ``method`` is ``"marginal"`` (single Bernoulli draw on the +/-1
-    outcome) or ``"projective"`` (multinomial over the full eigenbasis).
+    outcome, :func:`sample_marginal`) or ``"projective"`` (multinomial
+    over the full eigenbasis).
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
     e = exact_pauli_expectation(rho, k)
-    if abs(e) > 1.0 + _RANGE_TOL:
-        raise ProbabilityOutOfRange(
-            f"expectation value {e!r} lies outside [-1, 1]; upstream state is corrupted"
-        )
     if method == "marginal":
-        p_plus = min(1.0, max(0.0, 0.5 * (1.0 + e)))
-        plus = int(rng.binomial(shots, p_plus))
-        value = 2.0 * plus / shots - 1.0
-    elif method == "projective":
-        idx = as_index(k, num_qubits(rho))
-        vals, vecs = _pauli_eigensystem(idx.n, idx.k)
-        probs = np.einsum("ij,jk,ki->i", vecs.conj().T, np.asarray(rho, complex), vecs).real
-        probs = np.clip(probs, 0.0, None)
-        total = probs.sum()
-        if not 0.0 < total <= 1.0 + _RANGE_TOL:
-            raise ProbabilityOutOfRange(f"outcome probabilities sum to {total!r}")
-        counts = rng.multinomial(shots, probs / total)
-        value = float(counts @ vals) / shots
-    else:
+        return sample_marginal(e, shots, rng)
+    _check_draw(e, shots)
+    if method != "projective":
         raise ValueError(f"unknown sampling method {method!r}")
-    std_error = float(np.sqrt(max(0.0, 1.0 - value * value) / shots))
-    return value, std_error
+    idx = as_index(k, num_qubits(rho))
+    vals, vecs = _pauli_eigensystem(idx.n, idx.k)
+    probs = np.einsum("ij,jk,ki->i", vecs.conj().T, np.asarray(rho, complex), vecs).real
+    probs = np.clip(probs, 0.0, None)
+    total = probs.sum()
+    if not 0.0 < total <= 1.0 + _RANGE_TOL:
+        raise ProbabilityOutOfRange(f"outcome probabilities sum to {total!r}")
+    counts = rng.multinomial(shots, probs / total)
+    return _estimate(float(counts @ vals) / shots, shots)

@@ -1,10 +1,18 @@
-"""Density-matrix evolution under repeated noise and end-to-end experiments.
+"""Repeated-noise evolution and end-to-end experiments.
 
 ``run_experiment`` drives the full pipeline: prepare a state, apply the
 channel m times for m = 0..m_max, measure the observable's Pauli
 components (exactly, or with a finite shot budget), and attach the
 deconvolved values obtained by rescaling with the m-fold inverse map.
 Repetitions apply the identical channel independently at each step.
+
+The experiment evolves the state as its Pauli coefficient vector
+c = d * vectorize(rho), whose entry j is Tr[P_j rho]: one step rescales
+it by the channel's diagonal (c -> lambda * c) for a Pauli channel, or
+multiplies it by the transfer matrix Gamma otherwise, and every
+expectation is read from c.  A dense matrix is rebuilt only for the
+projective sampler.  ``evolve`` is the dense counterpart, one
+``apply_channel`` per step.
 
 Records carry the raw and deconvolved estimates together with their
 standard errors; ``records_to_csv`` renders them with shortest
@@ -22,8 +30,14 @@ from .channels import STRENGTH_KEYS, Channel, apply_channel, channel_from_config
 from .characterization import is_positive_semidefinite
 from .deconvolution import CONDITION_WARN, _invert_adjoint, _pruned_weights, reconstruction_factor
 from .exceptions import ConfigError, InvalidState, NotPauliDiagonal
-from .pauli import Observable, as_index
-from .sampling import SAMPLING_METHODS, derive_rng, exact_pauli_expectation, sample_pauli_expectation
+from .pauli import Observable, as_index, devectorize, vectorize
+from .sampling import (
+    SAMPLING_METHODS,
+    coefficient_expectations,
+    derive_rng,
+    sample_marginal,
+    sample_pauli_expectation,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -205,22 +219,20 @@ def _grid_channel(base: dict, mu: float | None, strength: float | None) -> dict:
     return cfg
 
 
-def _deconvolution_weights(ch: Channel, term_ks: Sequence[int], m_max: int) -> list[dict[int, dict[int, float]]]:
+def _deconvolution_weights(ch: Channel, diagonal: bool, term_ks: Sequence[int],
+                           m_max: int) -> list[dict[int, dict[int, float]]]:
     """Per-m weight tables: weights[m][k] maps measurement index j to the
     coefficient reconstructing the noiseless <P_k>."""
     terms = sorted(term_ks)
-    try:
-        ch.lambdas()
-    except NotPauliDiagonal:
-        pass
-    else:
+    if diagonal:
         return [{k: {k: reconstruction_factor(ch, k, m)} for k in terms} for m in range(m_max + 1)]
     inv = _invert_adjoint(ch.ptm().matrix, cond_warn=CONDITION_WARN)
+    # Columns `terms` of inv^m, carried as one D x r block.
+    block = np.eye(inv.shape[0])[:, terms]
     tables: list[dict[int, dict[int, float]]] = []
-    power = np.eye(inv.shape[0])
     for m in range(m_max + 1):
-        tables.append({k: _pruned_weights(power[:, k]) for k in terms})
-        power = power @ inv
+        tables.append({k: _pruned_weights(block[:, i]) for i, k in enumerate(terms)})
+        block = inv @ block
     return tables
 
 
@@ -236,6 +248,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExpectationRecord]:
     mu_values: list[float | None] = list(cfg.mu_grid) if cfg.mu_grid else [None]
     s_values: list[float | None] = list(cfg.strength_grid) if cfg.strength_grid else [None]
     term_ks = sorted(cfg.observable.terms)
+    d = 2**cfg.n
+    projective = cfg.shots > 0 and cfg.sampling == "projective"
     records: list[ExpectationRecord] = []
     for gi, mu in enumerate(mu_values):
         for si, strength in enumerate(s_values):
@@ -246,21 +260,28 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExpectationRecord]:
             mu_out = float(ch_cfg.get("mu", 0.0))
             strength_key = STRENGTH_KEYS.get(ch_cfg.get("family"))
             strength_out = float(ch_cfg[strength_key]) if strength_key and strength_key in ch_cfg else float("nan")
-            weight_tables = _deconvolution_weights(ch, term_ks, cfg.m_max)
-            rho = np.asarray(cfg.initial_state, dtype=complex)
+            try:
+                lam, gamma = ch.lambdas(), None
+            except NotPauliDiagonal:
+                lam, gamma = None, ch.ptm().matrix
+            weight_tables = _deconvolution_weights(ch, lam is not None, term_ks, cfg.m_max)
+            c = vectorize(cfg.initial_state) * d  # entry j is Tr[P_j rho]
             for m in range(cfg.m_max + 1):
                 if m > 0:
-                    rho = apply_channel(ch, rho)
+                    c = lam * c if gamma is None else gamma @ c
                 table = weight_tables[m]
                 needed = sorted({j for k in term_ks for j in table[k]} | set(term_ks))
                 measured: dict[int, tuple[float, float]] = {}
-                for j in needed:
-                    if cfg.shots == 0:
-                        measured[j] = (exact_pauli_expectation(rho, j), 0.0)
-                    else:
+                if projective:
+                    rho = devectorize(c / d)
+                    for j in needed:
                         rng = derive_rng(cfg.seed, gi, si, m, j)
-                        measured[j] = sample_pauli_expectation(
-                            rho, j, cfg.shots, rng, cfg.sampling
+                        measured[j] = sample_pauli_expectation(rho, j, cfg.shots, rng, "projective")
+                else:
+                    for j, e in zip(needed, coefficient_expectations(c, needed)):
+                        measured[j] = (
+                            sample_marginal(e, cfg.shots, derive_rng(cfg.seed, gi, si, m, j))
+                            if cfg.shots else (e, 0.0)
                         )
                 for k in term_ks:
                     noisy, err = measured[k]

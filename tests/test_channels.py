@@ -327,6 +327,19 @@ class TestPTMLambdas:
         with pytest.raises(NotPauliDiagonal):
             PTM(1, np.diag([1.0, 1.5, 1, 1])).lambdas()
 
+    def test_verdict_kept_per_ptm(self):
+        ptm = PTM(2, bit_flip_channel(2, 0.1, 0.3).ptm().matrix)
+        lam = ptm.lambdas()
+        assert ptm.lambdas() is lam and not lam.flags.writeable
+        general = correlated_amplitude_damping(0.5, 0.2).ptm()
+        for _ in range(3):
+            with pytest.raises(NotPauliDiagonal, match="not diagonal"):
+                general.lambdas()
+        not_tp = PTM(1, np.diag([0.9, 1, 1, 1]), require_tp_row=False)
+        for _ in range(2):
+            with pytest.raises(NotTracePreserving):
+                not_tp.lambdas()
+
     def test_apply_matches_kraus(self):
         ch = bit_flip_channel(2, 0.1, 0.3)
         ptm = PTM(2, ch.ptm().matrix)

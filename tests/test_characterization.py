@@ -4,6 +4,7 @@ from conftest import random_density
 
 from noisedeconv.channels import (
     KrausChannel,
+    apply_channel,
     bit_flip_channel,
     correlated_amplitude_damping,
     dephasing_channel,
@@ -20,6 +21,7 @@ from noisedeconv.characterization import (
 )
 from noisedeconv.exceptions import IdentityProbe, NonUnitalChannel, ParseError
 from noisedeconv.pauli import PauliIndex
+from noisedeconv.sampling import derive_rng, sample_pauli_expectation
 
 
 class TestProbeState:
@@ -116,6 +118,17 @@ class TestEstimateFullPtm:
         M = result.to_ptm().matrix
         assert np.array_equal(M[0], [1, 0, 0, 0])
         assert np.array_equal(M[:, 0], [1, 0, 0, 0])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_sampled_equals_dense_sampler_per_entry(self, n):
+        ch = depolarizing_channel(n, 0.2, 0.4) if n == 2 else dephasing_channel(1, 0.15)
+        shots, seed = 700, 13
+        result = estimate_full_ptm(ch, shots=shots, seed=seed)
+        for k in range(1, 4**n):
+            out = apply_channel(ch, probe_state(k, n).operator)
+            for j in range(1, 4**n):
+                expected = sample_pauli_expectation(out, j, shots, derive_rng(seed, k, j))
+                assert result.entries[(j, k)] == expected
 
     def test_sampled_within_four_sigma(self):
         ch = bit_flip_channel(1, 0.1)

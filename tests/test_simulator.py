@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from conftest import random_density
 
+from noisedeconv import channels, simulator
 from noisedeconv.channels import (
     KrausChannel,
     bit_flip_channel,
+    channel_from_config,
     correlated_amplitude_damping,
     depolarizing_channel,
 )
@@ -13,8 +15,14 @@ from noisedeconv.exceptions import (
     InvalidState,
     ProbabilityOutOfRange,
 )
-from noisedeconv.pauli import Observable, PauliIndex
-from noisedeconv.sampling import derive_rng, exact_pauli_expectation, sample_pauli_expectation
+from noisedeconv.pauli import Observable, PauliIndex, vectorize
+from noisedeconv.sampling import (
+    coefficient_expectations,
+    derive_rng,
+    exact_pauli_expectation,
+    sample_marginal,
+    sample_pauli_expectation,
+)
 from noisedeconv.simulator import (
     CSV_HEADER,
     ExperimentConfig,
@@ -209,6 +217,130 @@ class TestRunExperiment:
             fig2_config(m_max=-1)
         with pytest.raises(ConfigError):
             fig2_config(observable=[["ZZ", 1.0]])  # wrong qubit count
+
+
+# Channel configs per qubit count; each family's strength is swept.
+EVOLUTION_CHANNELS = [
+    {"family": "bit_flip", "n": 1, "p": 0.2, "mu": 0.0},
+    {"family": "dephasing", "n": 2, "p": 0.1, "mu": 0.6},
+    {"family": "depolarizing", "n": 3, "q": 0.3, "mu": 0.25},
+    {"family": "pauli_custom", "n": 4, "p_vec": [0.8, 0.05, 0.1, 0.05], "mu": 0.5},
+    {"family": "amp_damp_corr", "eta": 0.85, "mu": 0.3},
+]
+
+
+def evolution_config(channel, state, **overrides):
+    n = channel.get("n", 2)
+    labels = ["Z" * n, "X" * n, "Y" + "I" * (n - 1), ("XZ" * n)[:n]]
+    raw = {
+        "n": n,
+        "channel": channel,
+        "observable": [[label, 0.5 + 0.1 * i] for i, label in enumerate(labels)],
+        "initial_state": "zeros",
+        "m_max": 10,
+        "shots": 0,
+        "seed": 0,
+        "mu_grid": [0.0, 0.7],
+    }
+    raw.update(overrides)
+    cfg = ExperimentConfig.from_dict(raw)
+    if state == "random":
+        cfg.initial_state = random_density(n, np.random.default_rng(n))
+    elif state != "zeros":
+        cfg.initial_state = preset_state(state, n)
+    return cfg
+
+
+def grid_channels(cfg):
+    """(gi, si, channel) per grid point, in run_experiment's order."""
+    strengths = cfg.strength_grid or [None]
+    for gi, mu in enumerate(cfg.mu_grid or [None]):
+        for si, strength in enumerate(strengths):
+            yield gi, si, channel_from_config(simulator._grid_channel(cfg.channel, mu, strength))
+
+
+class TestCoefficientEvolution:
+    """run_experiment evolves Pauli coefficient vectors; these pin it to
+    the dense path (evolve + a readout of the density matrix)."""
+
+    @pytest.mark.parametrize("state", ["zeros", "plus", "random"])
+    @pytest.mark.parametrize("channel", EVOLUTION_CHANNELS, ids=lambda c: f"{c['family']}")
+    def test_exact_records_match_dense_evolution(self, channel, state):
+        cfg = evolution_config(channel, state)
+        records = iter(run_experiment(cfg))
+        ideal = {k: exact_pauli_expectation(cfg.initial_state, k) for k in cfg.observable.terms}
+        for _, _, ch in grid_channels(cfg):
+            for m in range(cfg.m_max + 1):
+                rho = evolve(cfg.initial_state, ch, m)
+                for k in cfg.observable.terms:
+                    r = next(records)
+                    assert (r.m, r.k) == (m, k)
+                    assert abs(r.value - exact_pauli_expectation(rho, k)) < 1e-12
+                    assert abs(r.deconvolved - ideal[k]) < 1e-10
+        assert next(records, None) is None
+
+    @pytest.mark.parametrize("method", ["marginal", "projective"])
+    @pytest.mark.parametrize("channel, strengths", [(EVOLUTION_CHANNELS[1], [0.05, 0.2]),
+                                                    (EVOLUTION_CHANNELS[4], [0.8, 0.95])],
+                             ids=["dephasing", "amp_damp_corr"])
+    def test_sampled_records_match_dense_sampler(self, channel, strengths, method):
+        cfg = evolution_config(channel, "plus", shots=900, seed=21, m_max=3,
+                               strength_grid=strengths, sampling=method)
+        records = iter(run_experiment(cfg))
+        for gi, si, ch in grid_channels(cfg):
+            for m in range(cfg.m_max + 1):
+                rho = evolve(cfg.initial_state, ch, m)
+                for k in cfg.observable.terms:
+                    r = next(records)
+                    expected = sample_pauli_expectation(
+                        rho, k, cfg.shots, derive_rng(cfg.seed, gi, si, m, k), method
+                    )
+                    assert (r.value, r.std_error) == expected
+
+    def test_no_channel_application(self, monkeypatch):
+        calls = []
+
+        def counting(original):
+            def wrapper(*args, **kwargs):
+                calls.append(original)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for owner, name in ((simulator, "apply_channel"), (channels, "apply_channel"),
+                            (channels.KrausChannel, "apply"), (channels.PTM, "apply")):
+            monkeypatch.setattr(owner, name, counting(getattr(owner, name)))
+        for channel in EVOLUTION_CHANNELS:
+            for overrides in ({}, {"shots": 64}, {"shots": 64, "sampling": "projective"}):
+                run_experiment(evolution_config(channel, "plus", m_max=3, **overrides))
+        assert calls == []
+
+    @pytest.mark.parametrize("shots", [0, 100])
+    def test_non_hermitian_initial_state_rejected_at_readout(self, shots):
+        # Unit trace, and positive by the PSD gate (which reads one
+        # triangle), but <X> = 0.6i.
+        rho = np.array([[0.5, 0.3j], [0.3j, 0.5]])
+        cfg = ExperimentConfig(n=1, channel={"family": "bit_flip", "n": 1, "p": 0.1},
+                               observable=Observable.from_pairs([("X", 1.0)]),
+                               initial_state=rho, m_max=2, shots=shots)
+        with pytest.raises(InvalidState, match="imaginary residue"):
+            run_experiment(cfg)
+
+    def test_coefficient_readout_and_marginal_draw(self):
+        rho = random_density(2, np.random.default_rng(4))
+        c = vectorize(rho) * 4
+        values = coefficient_expectations(c, range(16))
+        for k in range(16):
+            assert abs(values[k] - exact_pauli_expectation(rho, k)) < 1e-15
+        c[[5, 9]] += 1e-6j
+        assert coefficient_expectations(c, [3, 4]) == [values[3], values[4]]
+        with pytest.raises(InvalidState, match="XX"):
+            coefficient_expectations(c, [3, 5, 9])
+        e = exact_pauli_expectation(rho, 5)
+        assert sample_marginal(e, 300, derive_rng(2)) == sample_pauli_expectation(rho, 5, 300, derive_rng(2))
+        with pytest.raises(ProbabilityOutOfRange):
+            sample_marginal(1.5, 100, derive_rng(0))
+        with pytest.raises(ValueError):
+            sample_marginal(0.5, 0, derive_rng(0))
 
 
 class TestCsvOutput:
