@@ -30,6 +30,7 @@ from .characterization import (
 from .deconvolution import (
     DeconvolutionPlan,
     deconvolve,
+    plan,
     plan_composed,
     plan_from_characterization,
     plan_general,

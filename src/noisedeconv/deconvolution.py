@@ -1,13 +1,15 @@
 """Recover noiseless expectation values from noisy measurement data.
 
-For channels with a diagonal transfer matrix the recovery is a per-term
+``plan(obs, channel, m)`` chooses the path for m applications of a
+channel.  With a diagonal transfer matrix the recovery is a per-term
 rescaling: each Pauli component of the observable is divided by the
-matching diagonal entry, so a plan consults exactly r entries where r is
-the number of nonzero components.  For general invertible channels the
-full transfer matrix is transposed and inverted, and the observable's
-coefficient vector is pushed through the inverse; that path materializes
-all d^4 matrix entries.  The inverse belongs to the channel, not to the
-observable: it is computed once per PTM and shared by every plan on it.
+matching diagonal entry to the m-th power, so a plan consults exactly r
+entries where r is the number of nonzero components.  Otherwise the full
+transfer matrix is transposed and inverted, and the observable's
+coefficient vector is pushed through the inverse m times; that path
+materializes all d^4 matrix entries.  The inverse belongs to the channel,
+not to the observable: it is computed once per PTM and shared by every
+plan on it.
 
 Plans are immutable; ``deconvolve`` is a pure function of the plan and
 the supplied noisy expectation values, summed in ascending index order
@@ -29,12 +31,14 @@ from .exceptions import (
     MathematicalError,
     MissingMeasurement,
     NonInvertibleChannel,
+    NotPauliDiagonal,
     SingularPTM,
 )
 from .pauli import Observable, PauliIndex
 
 __all__ = [
     "DeconvolutionPlan",
+    "plan",
     "plan_pauli",
     "plan_general",
     "plan_composed",
@@ -58,13 +62,13 @@ _WEIGHT_PRUNE = 1e-12
 class DeconvolutionPlan:
     """Everything needed to turn noisy Pauli expectations into the ideal one.
 
-    Exactly one of ``factors`` (diagonal path: k -> 1/lambda_k) and
-    ``inverse_adjoint_ptm`` (general path) is set.  ``weights`` maps each
-    required measurement index j to its final coefficient, so the
-    deconvolved value is sum_j weights[j] * noisy[j] in both cases.
-    ``inverse_adjoint_ptm`` is read-only: every ``plan_general`` plan on
-    one PTM shares the array that PTM keeps for its lifetime, so a second
-    plan costs no inversion.
+    Exactly one of ``factors`` (diagonal path: k -> lambda_k**(-m)) and
+    ``inverse_adjoint_ptm`` (general path: the one-step inverse inv(Gamma^T)
+    for every m) is set.  ``weights`` maps each required measurement index j
+    to its final coefficient, so the deconvolved value is
+    sum_j weights[j] * noisy[j] in both cases.  ``inverse_adjoint_ptm`` is
+    read-only: every ``plan_general`` plan on one PTM shares the array that
+    PTM keeps for its lifetime, so a second plan costs no inversion.
     ``entries_consulted`` counts transfer-matrix entries used: r for the
     diagonal path, d^4 for the general one.
     """
@@ -94,17 +98,26 @@ def _finite(x: float, what: str) -> float:
     return x
 
 
-def _rescaling_plan(obs: Observable, lam, inv_tol: float) -> DeconvolutionPlan:
-    """Diagonal-path plan: divide each term k by the diagonal entry lam[k]."""
+def _diagonal_power(lam: float, k: int, m: int, inv_tol: float) -> float:
+    """lam**m for the diagonal entry at k; refuses |lam| <= inv_tol and an overflowing lam**(-m)."""
+    if abs(lam) <= inv_tol:
+        raise NonInvertibleChannel(
+            f"diagonal entry {float(lam)!r} at k={k} is not invertible (tol {inv_tol})"
+        )
+    power = float(lam) ** m
+    if power == 0.0 or not math.isfinite(1.0 / power):
+        raise NonInvertibleChannel(f"lambda_k**(-m) overflows at k={k}, m={m}")
+    return power
+
+
+def _rescaling_plan(obs: Observable, lam, inv_tol: float, m: int = 1) -> DeconvolutionPlan:
+    """Diagonal-path plan: divide each term k by lam[k]**m."""
     factors: dict[int, float] = {}
     weights: dict[int, float] = {}
     for k, coeff in obs.items():
-        if abs(lam[k]) <= inv_tol:
-            raise NonInvertibleChannel(
-                f"diagonal entry {float(lam[k])!r} at k={k} is not invertible (tol {inv_tol})"
-            )
-        factors[k] = 1.0 / lam[k]
-        weights[k] = coeff / lam[k]
+        power = _diagonal_power(lam[k], k, m, inv_tol)
+        factors[k] = 1.0 / power
+        weights[k] = coeff / power
     return DeconvolutionPlan(
         observable=obs,
         entries_consulted=len(factors),
@@ -113,11 +126,24 @@ def _rescaling_plan(obs: Observable, lam, inv_tol: float) -> DeconvolutionPlan:
     )
 
 
-def plan_pauli(obs: Observable, ch: Channel, inv_tol: float = INVERTIBILITY_TOL) -> DeconvolutionPlan:
-    """Diagonal-path plan: one reciprocal diagonal entry per observable term."""
+def plan(obs: Observable, ch: Channel, m: int = 1) -> DeconvolutionPlan:
+    """Plan the recovery of ``obs`` after m applications of ``ch``: the diagonal
+    path when the channel's transfer matrix is diagonal, the general one otherwise."""
+    try:
+        ch.lambdas()
+    except NotPauliDiagonal:
+        return plan_general(obs, ch.ptm(), m=m)
+    return plan_pauli(obs, ch, m=m)
+
+
+def plan_pauli(obs: Observable, ch: Channel, inv_tol: float = INVERTIBILITY_TOL,
+               m: int = 1) -> DeconvolutionPlan:
+    """Diagonal-path plan: divide each term k by lambda_k**m (m applications of the channel)."""
+    if m < 0:
+        raise ValueError(f"repetition count must be >= 0, got {m}")
     if ch.n != obs.n:
         raise DimensionMismatch(f"observable is on n={obs.n}, channel on n={ch.n}")
-    return _rescaling_plan(obs, ch.lambdas(), inv_tol)
+    return _rescaling_plan(obs, ch.lambdas(), inv_tol, m)
 
 
 def _check_condition(cond: float, cond_warn: float) -> None:
@@ -167,17 +193,23 @@ def _pruned_weights(w: np.ndarray) -> dict[int, float]:
     return {int(j): float(w[j]) for j in np.nonzero(np.abs(w) > cut)[0]}
 
 
-def plan_general(obs: Observable, ptm: PTM, cond_warn: float = CONDITION_WARN) -> DeconvolutionPlan:
-    """General-path plan through the inverse of the transposed transfer
-    matrix, which ``ptm`` computes once and shares with every plan on it."""
+def plan_general(obs: Observable, ptm: PTM, cond_warn: float = CONDITION_WARN,
+                 m: int = 1) -> DeconvolutionPlan:
+    """General-path plan: the inverse of the transposed transfer matrix, which ``ptm``
+    computes once and shares with every plan on it, applied m times to the coefficients."""
+    if m < 0:
+        raise ValueError(f"repetition count must be >= 0, got {m}")
     if ptm.n != obs.n:
         raise DimensionMismatch(f"observable is on n={obs.n}, transfer matrix on n={ptm.n}")
     inv = _shared_inverse_adjoint(ptm, cond_warn)
+    w = obs.coefficient_vector()
+    for _ in range(m):
+        w = inv @ w
     return DeconvolutionPlan(
         observable=obs,
         entries_consulted=inv.size,
         inverse_adjoint_ptm=inv,
-        weights=_pruned_weights(inv @ obs.coefficient_vector()),
+        weights=_pruned_weights(w),
     )
 
 
@@ -198,11 +230,8 @@ def plan_composed(
     if pauli_part.n != obs.n or other.n != obs.n:
         raise DimensionMismatch("observable and both channel factors must share one qubit count")
     lam = pauli_part.lambdas()
-    if np.min(np.abs(lam)) <= inv_tol:
-        k = int(np.argmin(np.abs(lam)))
-        raise NonInvertibleChannel(
-            f"diagonal entry {float(lam[k])!r} at k={k} is not invertible (tol {inv_tol})"
-        )
+    k = int(np.argmin(np.abs(lam)))
+    _diagonal_power(lam[k], k, 1, inv_tol)  # refuses the smallest entry if it is not invertible
     inv_other = _shared_inverse_adjoint(other, cond_warn)
     if pauli_first:
         # Gamma = Gamma_other @ D, so inv(Gamma^T) = inv(other^T) scaled
@@ -262,20 +291,10 @@ def propagated_std_error(plan: DeconvolutionPlan, std_errors) -> float:
             acc += (plan.weights[j] * table.get(j, 0.0)) ** 2
     except OverflowError:  # float ** 2 raises where numpy scalars give inf
         acc = float("inf")
-    return _finite(float(np.sqrt(acc)), "propagated standard error")
+    return _finite(math.sqrt(acc), "propagated standard error")
 
 
 def reconstruction_factor(ch: Channel, k, m: int = 1, inv_tol: float = INVERTIBILITY_TOL) -> float:
     """Rescaling factor lambda_k**(-m) for m applications of a diagonal channel."""
-    if m < 0:
-        raise ValueError(f"repetition count must be >= 0, got {m}")
     k = _as_k(k)
-    lam = ch.lambdas()[k]
-    if abs(lam) <= inv_tol:
-        raise NonInvertibleChannel(
-            f"diagonal entry {float(lam)!r} at k={k} is not invertible (tol {inv_tol})"
-        )
-    factor = float(lam ** (-m))
-    if not math.isfinite(factor):
-        raise NonInvertibleChannel(f"lambda_k**(-m) overflows at k={k}, m={m}")
-    return factor
+    return plan_pauli(Observable(ch.n, {k: 1.0}), ch, inv_tol, m).factors[k]

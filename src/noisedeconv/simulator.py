@@ -3,8 +3,10 @@
 ``run_experiment`` drives the full pipeline: prepare a state, apply the
 channel m times for m = 0..m_max, measure the observable's Pauli
 components (exactly, or with a finite shot budget), and attach the
-deconvolved values obtained by rescaling with the m-fold inverse map.
-Repetitions apply the identical channel independently at each step.
+deconvolved values.  The deconvolved <P_k> after m steps comes from
+``deconvolution.plan(P_k, channel, m)``, the same plan the CLI uses, with
+its ``deconvolve`` and ``propagated_std_error``.  Repetitions apply the
+identical channel independently at each step.
 
 The experiment evolves the state as its Pauli coefficient vector
 c = d * vectorize(rho), whose entry j is Tr[P_j rho]: one step rescales
@@ -22,13 +24,15 @@ round-trip decimals so outputs are byte-stable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .channels import STRENGTH_KEYS, Channel, apply_channel, channel_from_config
 from .characterization import is_positive_semidefinite
-from .deconvolution import CONDITION_WARN, _invert_adjoint, _pruned_weights, reconstruction_factor
+from .deconvolution import deconvolve, plan, propagated_std_error
+# Unused here; bound only for the benchmark self-test that counts inversions at every binding.
+from .deconvolution import _invert_adjoint  # noqa: F401
 from .exceptions import ConfigError, InvalidState, NotPauliDiagonal
 from .pauli import Observable, as_index, devectorize, vectorize
 from .sampling import (
@@ -219,23 +223,6 @@ def _grid_channel(base: dict, mu: float | None, strength: float | None) -> dict:
     return cfg
 
 
-def _deconvolution_weights(ch: Channel, diagonal: bool, term_ks: Sequence[int],
-                           m_max: int) -> list[dict[int, dict[int, float]]]:
-    """Per-m weight tables: weights[m][k] maps measurement index j to the
-    coefficient reconstructing the noiseless <P_k>."""
-    terms = sorted(term_ks)
-    if diagonal:
-        return [{k: {k: reconstruction_factor(ch, k, m)} for k in terms} for m in range(m_max + 1)]
-    inv = _invert_adjoint(ch.ptm().matrix, cond_warn=CONDITION_WARN)
-    # Columns `terms` of inv^m, carried as one D x r block.
-    block = np.eye(inv.shape[0])[:, terms]
-    tables: list[dict[int, dict[int, float]]] = []
-    for m in range(m_max + 1):
-        tables.append({k: _pruned_weights(block[:, i]) for i, k in enumerate(terms)})
-        block = inv @ block
-    return tables
-
-
 def run_experiment(cfg: ExperimentConfig) -> list[ExpectationRecord]:
     """Execute the configured sweep and return records in canonical order.
 
@@ -248,6 +235,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExpectationRecord]:
     mu_values: list[float | None] = list(cfg.mu_grid) if cfg.mu_grid else [None]
     s_values: list[float | None] = list(cfg.strength_grid) if cfg.strength_grid else [None]
     term_ks = sorted(cfg.observable.terms)
+    units = {k: Observable(cfg.n, {k: 1.0}) for k in term_ks}
     d = 2**cfg.n
     projective = cfg.shots > 0 and cfg.sampling == "projective"
     records: list[ExpectationRecord] = []
@@ -264,41 +252,35 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExpectationRecord]:
                 lam, gamma = ch.lambdas(), None
             except NotPauliDiagonal:
                 lam, gamma = None, ch.ptm().matrix
-            weight_tables = _deconvolution_weights(ch, lam is not None, term_ks, cfg.m_max)
             c = vectorize(cfg.initial_state) * d  # entry j is Tr[P_j rho]
             for m in range(cfg.m_max + 1):
                 if m > 0:
                     c = lam * c if gamma is None else gamma @ c
-                table = weight_tables[m]
-                needed = sorted({j for k in term_ks for j in table[k]} | set(term_ks))
-                measured: dict[int, tuple[float, float]] = {}
+                plans = [plan(units[k], ch, m) for k in term_ks]
+                needed = sorted({j for p in plans for j in p.weights} | set(term_ks))
+                values, errors = {}, {}
                 if projective:
                     rho = devectorize(c / d)
                     for j in needed:
                         rng = derive_rng(cfg.seed, gi, si, m, j)
-                        measured[j] = sample_pauli_expectation(rho, j, cfg.shots, rng, "projective")
+                        values[j], errors[j] = sample_pauli_expectation(rho, j, cfg.shots, rng, "projective")
                 else:
                     for j, e in zip(needed, coefficient_expectations(c, needed)):
-                        measured[j] = (
+                        values[j], errors[j] = (
                             sample_marginal(e, cfg.shots, derive_rng(cfg.seed, gi, si, m, j))
                             if cfg.shots else (e, 0.0)
                         )
-                for k in term_ks:
-                    noisy, err = measured[k]
-                    dec = sum(w * measured[j][0] for j, w in sorted(table[k].items()))
-                    dec_err = float(
-                        np.sqrt(sum((w * measured[j][1]) ** 2 for j, w in table[k].items()))
-                    )
+                for k, p in zip(term_ks, plans):
                     records.append(
                         ExpectationRecord(
                             m=m,
                             k=k,
-                            value=noisy,
-                            std_error=err,
+                            value=values[k],
+                            std_error=errors[k],
                             shots=cfg.shots,
                             seed=cfg.seed,
-                            deconvolved=float(dec),
-                            deconvolved_std_error=dec_err,
+                            deconvolved=deconvolve(p, values),
+                            deconvolved_std_error=propagated_std_error(p, errors),
                             mu=mu_out,
                             strength=strength_out,
                         )

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -143,13 +144,30 @@ class TestDeconvolveCommand:
         assert main(["deconvolve", "--observable", obs, "--config", cfg,
                      "--measurements", meas]) == 2
 
-    def test_general_channel(self, tmp_path, capsys):
-        cfg = channel_json(tmp_path, family="amp_damp_corr", eta=0.5, mu=0.3)
+    # The eta = 1 preset is the identity map, given as Kraus operators: its
+    # transfer matrix is diagonal, so the plan consults r entries.
+    @pytest.mark.parametrize("cfg, entries", [({"eta": 0.5, "mu": 0.3}, 256),
+                                              ("amp_damp_corr_unital.json", 1)])
+    def test_general_channel(self, tmp_path, capsys, cfg, entries):
+        if isinstance(cfg, dict):
+            cfg = channel_json(tmp_path, family="amp_damp_corr", **cfg)
+        else:
+            cfg = str(CONFIG_DIR / "channels" / cfg)
         obs = write(tmp_path, "obs.txt", "XX 1.0\n")
         meas = write(tmp_path, "meas.txt", "XX 0.3\nYY 0.1\n")
         assert main(["deconvolve", "--observable", obs, "--config", cfg,
                      "--measurements", meas]) == 0
-        assert "entries_consulted 256" in capsys.readouterr().out
+        assert f"entries_consulted {entries}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n, mode", [(10, "full"), (10, "diagonal"), (6, "full")])
+    def test_report_past_the_cap_exits_four(self, tmp_path, capsys, n, mode):
+        k = 4**n - 1
+        report = write(tmp_path, "report.txt", f"n {n}\nmode {mode}\n{k} {k} 0.9 0.0 0 0\n")
+        obs = write(tmp_path, "obs.txt", "Z" * n + " 1.0\n")
+        meas = write(tmp_path, "meas.txt", "Z" * n + " 0.5\n")
+        assert main(["deconvolve", "--observable", obs, "--characterization", report,
+                     "--measurements", meas]) == 4
+        assert capsys.readouterr().out == ""
 
 
 class TestCharacterizeCommand:
@@ -256,6 +274,22 @@ class TestArgumentErrors:
             main(["frobnicate"])
         assert err.value.code == 2
 
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        assert main(["check-positivity", "--n", "1", "--k", "3"]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert main(["check-positivity", "--n", "1", "--k", "3"]) == 0
+        with pytest.raises(SystemExit) as err:
+            main(["check-positivity", "--n", "one"])
+        assert err.value.code == 2
+        assert built == []
+
     def test_malformed_json_exits_two(self, tmp_path, capsys):
         cfg = write(tmp_path, "bad.json", '{"family": "bit_flip",')
         assert main(["ptm", "--config", cfg]) == 2
@@ -325,32 +359,100 @@ def _text(rows):
     return "".join(" ".join(row) + "\n" for row in rows)
 
 
+def _label(k, n):
+    return "".join("IXYZ"[(k >> 2 * (n - 1 - q)) & 3] for q in range(n))
+
+
+@st.composite
+def experiment_configs(draw, channel):
+    """An experiment config on ``channel`` with grids that may hold NaN or
+    inf; in every other draw one field is out of range or unknown."""
+    n = channel.get("n", 2)
+    raw = {
+        "n": n,
+        "channel": channel,
+        "observable": draw(st.lists(st.tuples(st.text("IXYZ", min_size=n, max_size=n),
+                                              st.floats(-1.0, 1.0)), min_size=1, max_size=3)),
+        "initial_state": draw(st.sampled_from(["zeros", "plus", "mixed"])),
+        "m_max": draw(st.integers(0, 6)),
+        "shots": draw(st.sampled_from([0, 1, 64])),
+        "seed": draw(st.integers(0, 3)),
+        "sampling": draw(st.sampled_from(["marginal", "projective"])),
+    }
+    for key in ("mu_grid", "strength_grid"):
+        grid = draw(st.one_of(st.none(), st.lists(PARAMS, min_size=1, max_size=2)))
+        if grid is not None:
+            raw[key] = grid
+    if draw(st.booleans()):
+        key, value = draw(st.sampled_from([
+            ("n", 3), ("m_max", -1), ("shots", -1), ("seed", -1), ("initial_state", "bogus"),
+            ("sampling", "bogus"), ("observable", [["Z" * n, float("inf")]]),
+        ]))
+        raw[key] = value
+    return raw
+
+
+@st.composite
+def report_inputs(draw):
+    """A characterization report with observable and measurement text on
+    its qubit count.  Full reports start from the identity, so some
+    invert; in every other draw the header is out of range or malformed."""
+    n = draw(st.integers(1, 2))
+    D = 4**n
+    terms = draw(st.lists(st.integers(0, D - 1), min_size=1, max_size=3, unique=True))
+    obs = _text([(_label(k, n), repr(draw(st.floats(-1.0, 1.0)))) for k in terms])
+    meas = _text([(_label(j, n), repr(draw(st.floats(-1.0, 1.0))), repr(draw(st.floats(0.0, 1.0))))
+                  for j in range(D)])
+    mode = draw(st.sampled_from(["diagonal", "full"]))
+    pairs = st.one_of(st.sampled_from(terms).map(lambda k: (k, k)),
+                      st.tuples(st.integers(-1, D), st.integers(-1, D)))
+    rows = [(k, k, "1.0") for k in range(D)] if mode == "full" else []
+    rows += [(j, k, est) for (j, k), est in draw(st.lists(st.tuples(pairs, NUMBERS), max_size=6))]
+    header = f"n {n}\nmode {mode}\n"
+    if draw(st.booleans()):
+        header = draw(st.sampled_from(["n 0\nmode full\n", "n 7\nmode diagonal\n", "n 10\nmode full\n",
+                                       f"n {n}\nmode bogus\n", f"n {n}\n", "n x\nmode full\n"]))
+    report = header + _text([(str(j), str(k), est, "0.0", "0", "0") for j, k, est in rows])
+    return report, obs, meas
+
+
 @st.composite
 def cli_inputs(draw):
     """A channel config plus observable and measurement text, with labels
-    mostly on the channel's qubit count."""
+    mostly on the channel's qubit count, an experiment config on the
+    channel, and a characterization report with its own observable and
+    measurements."""
     cfg = draw(CHANNELS)
     labels = st.one_of(st.text("IXYZ", min_size=cfg.get("n", 2), max_size=cfg.get("n", 2)), LABELS)
     obs = draw(st.lists(st.tuples(labels, NUMBERS), min_size=1, max_size=3))
     meas = draw(st.lists(st.tuples(labels, NUMBERS, NUMBERS), min_size=1, max_size=6))
-    return cfg, _text(obs), _text(meas)
+    return cfg, _text(obs), _text(meas), draw(experiment_configs(cfg)), draw(report_inputs())
 
 
 @settings(max_examples=150, deadline=None)
 @given(inputs=cli_inputs())
 def test_fuzzed_inputs_keep_the_exit_code_contract(tmp_path_factory, inputs):
-    cfg, obs, meas = inputs
+    cfg, obs, meas, experiment, report = inputs
     tmp = tmp_path_factory.mktemp("fuzz")
     cfg = channel_json(tmp, **cfg)
     obs, meas = write(tmp, "obs.txt", obs), write(tmp, "meas.txt", meas)
+    experiment = channel_json(tmp, "exp.json", **experiment)
+    report, report_obs, report_meas = (write(tmp, name, text) for name, text in
+                                       zip(("report.txt", "report_obs.txt", "report_meas.txt"), report))
     for argv in (["ptm", "--config", cfg],
-                 ["deconvolve", "--config", cfg, "--observable", obs, "--measurements", meas]):
+                 ["deconvolve", "--config", cfg, "--observable", obs, "--measurements", meas],
+                 ["experiment", "--config", experiment],
+                 ["deconvolve", "--characterization", report, "--observable", report_obs,
+                  "--measurements", report_meas]):
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             rc = main(argv)
         assert rc in (0, 2, 3, 4), argv
         if rc == 0:
-            for token in re.split(r"[\s,]+", out.getvalue()):
+            text = out.getvalue()
+            if argv[0] == "experiment":  # mu and q are NaN where the family has none
+                text = "\n".join(",".join(line.split(",")[2:]) for line in text.splitlines())
+            for token in re.split(r"[\s,]+", text):
                 try:
                     value = float(token)
                 except ValueError:

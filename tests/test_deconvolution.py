@@ -6,6 +6,7 @@ from conftest import random_density, random_hermitian
 
 from noisedeconv.channels import (
     PTM,
+    KrausChannel,
     apply_channel,
     bit_flip_channel,
     compose,
@@ -15,6 +16,7 @@ from noisedeconv.channels import (
 )
 from noisedeconv.deconvolution import (
     deconvolve,
+    plan,
     plan_composed,
     plan_from_characterization,
     plan_general,
@@ -57,6 +59,87 @@ class TestPlanPauli:
         obs = Observable.from_operator(random_hermitian(2, rng))
         plan = plan_pauli(obs, depolarizing_channel(2, 0.1, 0.5))
         assert plan.entries_consulted == obs.r == len(plan.factors)
+
+
+def _kraus_z_flip(p):
+    """Phase flip written as a plain Kraus set: its transfer matrix is
+    diagonal although the channel carries no Pauli weights."""
+    return KrausChannel([np.sqrt(1 - p) * np.eye(2), np.sqrt(p) * np.diag([1.0, -1.0])])
+
+
+# (channel, path plan() must take); the Kraus sets with a diagonal
+# transfer matrix take the diagonal path.
+PLAN_CHANNELS = [
+    (bit_flip_channel(1, 0.1), "diagonal"),
+    (depolarizing_channel(2, 0.15, 0.5), "diagonal"),
+    (dephasing_channel(2, 0.1, 0.3).ptm(), "diagonal"),
+    (_kraus_z_flip(0.2), "diagonal"),
+    (correlated_amplitude_damping(1.0, 0.25), "diagonal"),
+    (correlated_amplitude_damping(0.6, 0.3), "general"),
+    (correlated_amplitude_damping(0.6, 0.3).ptm(), "general"),
+]
+PLAN_IDS = ["bit_flip", "depolarizing", "dephasing_ptm", "kraus_z_flip",
+            "amp_damp_unital", "amp_damp", "amp_damp_ptm"]
+
+
+def _plan_bytes(p):
+    return (repr(sorted(p.weights.items())),
+            None if p.factors is None else repr(sorted(p.factors.items())),
+            p.entries_consulted)
+
+
+class TestPlanEntryPoint:
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    @pytest.mark.parametrize("ch, path", PLAN_CHANNELS, ids=PLAN_IDS)
+    def test_plan_is_the_path_function_byte_for_byte(self, ch, path, m):
+        obs = Observable.from_operator(random_hermitian(ch.n, np.random.default_rng(m)))
+        got = plan(obs, ch, m)
+        if path == "diagonal":
+            ref = plan_pauli(obs, ch, m=m)
+            assert got.entries_consulted == obs.r
+        else:
+            ref = plan_general(obs, ch.ptm(), m=m)
+            assert got.inverse_adjoint_ptm is ref.inverse_adjoint_ptm
+        assert _plan_bytes(got) == _plan_bytes(ref)
+
+    @pytest.mark.parametrize("m", [0, 2, 7])
+    @pytest.mark.parametrize("ch, path", PLAN_CHANNELS, ids=PLAN_IDS)
+    def test_m_fold_weights(self, ch, path, m):
+        obs = Observable.from_operator(random_hermitian(ch.n, np.random.default_rng(10 + m)))
+        got = plan(obs, ch, m)
+        if path == "diagonal":
+            lam = ch.lambdas()
+            assert got.weights == {k: c / float(lam[k]) ** m for k, c in obs.items()}
+            assert got.factors == {k: 1.0 / float(lam[k]) ** m for k in obs.terms}
+        else:
+            ref = np.linalg.matrix_power(np.linalg.inv(ch.ptm().matrix.T), m) @ obs.coefficient_vector()
+            w = np.zeros_like(ref)
+            for j, v in got.weights.items():
+                w[j] = v
+            assert np.max(np.abs(w - ref)) <= 1e-12 * np.sum(np.abs(ref))
+        if m == 0:
+            assert got.weights == obs.terms
+        if path == "diagonal":
+            for k in obs.terms:
+                unit = plan(Observable(ch.n, {k: 1.0}), ch, m)
+                assert reconstruction_factor(ch, k, m) == unit.factors[k]
+
+    def test_negative_repetitions_raise(self):
+        obs = Observable.from_pairs([("ZZ", 1.0)])
+        pauli, general = bit_flip_channel(2, 0.1), correlated_amplitude_damping(0.6, 0.3)
+        for call in (lambda: plan(obs, pauli, -1), lambda: plan(obs, general, -1),
+                     lambda: plan_pauli(obs, pauli, m=-1), lambda: plan_general(obs, general.ptm(), m=-1)):
+            with pytest.raises(ValueError, match="repetition count"):
+                call()
+
+    def test_non_invertible_and_overflow_refused_at_every_m(self):
+        obs = Observable.from_pairs([("Z", 1.0)])
+        for m in (0, 1, 4):
+            with pytest.raises(NonInvertibleChannel):
+                plan(obs, depolarizing_channel(1, 1.0), m)
+        plan(obs, bit_flip_channel(1, 0.45), 300)
+        with pytest.raises(NonInvertibleChannel, match="overflows"):
+            plan(obs, bit_flip_channel(1, 0.45), 500)
 
 
 class TestDeconvolve:

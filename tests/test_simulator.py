@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import random_density
 
-from noisedeconv import channels, simulator
+from noisedeconv import channels, deconvolution, simulator
 from noisedeconv.channels import (
     KrausChannel,
     bit_flip_channel,
@@ -10,8 +10,10 @@ from noisedeconv.channels import (
     correlated_amplitude_damping,
     depolarizing_channel,
 )
+from noisedeconv.deconvolution import deconvolve, plan, propagated_std_error
 from noisedeconv.exceptions import (
     ConfigError,
+    IllConditionedWarning,
     InvalidState,
     ProbabilityOutOfRange,
 )
@@ -341,6 +343,56 @@ class TestCoefficientEvolution:
             sample_marginal(1.5, 100, derive_rng(0))
         with pytest.raises(ValueError):
             sample_marginal(0.5, 0, derive_rng(0))
+
+
+# Terms closed under the amplitude-damping inverse: every weight of
+# plan(P_k, channel, m) for a term k falls on a term, so its value is a record.
+AMP_DAMP_TERMS = [["II", 1.0], ["IZ", 0.5], ["ZI", 0.4], ["ZZ", 0.3], ["XX", 0.2], ["YY", 0.1]]
+
+
+class TestDeconvolvedThroughPlan:
+    """Each record's deconvolved value and error are those of
+    deconvolution.plan(P_k, channel, m), the plan the CLI uses."""
+
+    @pytest.mark.parametrize("shots", [0, 64])
+    @pytest.mark.parametrize("channel", EVOLUTION_CHANNELS, ids=lambda c: f"{c['family']}")
+    def test_records_equal_the_plan_byte_for_byte(self, channel, shots):
+        overrides = {"observable": AMP_DAMP_TERMS} if channel["family"] == "amp_damp_corr" else {}
+        cfg = evolution_config(channel, "plus", shots=shots, seed=5, **overrides)
+        terms = sorted(cfg.observable.terms)
+        records = run_experiment(cfg)
+        groups = iter([records[i:i + len(terms)] for i in range(0, len(records), len(terms))])
+        for _, _, ch in grid_channels(cfg):
+            for m in range(cfg.m_max + 1):
+                group = next(groups)
+                values = {r.k: r.value for r in group}
+                errors = {r.k: r.std_error for r in group}
+                for r in group:
+                    p = plan(Observable(cfg.n, {r.k: 1.0}), ch, m)
+                    assert set(p.weights) <= set(values)
+                    assert repr(r.deconvolved) == repr(deconvolve(p, values))
+                    assert repr(r.deconvolved_std_error) == repr(propagated_std_error(p, errors))
+        assert next(groups, None) is None
+
+    def test_one_inversion_per_grid_point(self, monkeypatch):
+        calls = []
+        original = deconvolution._invert_adjoint
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(deconvolution, "_invert_adjoint", counting)
+        run_experiment(evolution_config(EVOLUTION_CHANNELS[4], "plus", strength_grid=[0.8, 0.9]))
+        assert len(calls) == 4
+        run_experiment(evolution_config(EVOLUTION_CHANNELS[2], "plus"))
+        assert len(calls) == 4
+
+    def test_ill_conditioned_channel_warns(self):
+        cfg = evolution_config({"family": "amp_damp_corr", "eta": 1e-5, "mu": 0.0}, "zeros",
+                               m_max=1, mu_grid=None)
+        with pytest.warns(IllConditionedWarning):
+            run_experiment(cfg)
 
 
 class TestCsvOutput:
