@@ -176,6 +176,9 @@ class PTM:
         self._condition_number: float | None = None
         # inv(matrix.T), set by deconvolution and shared read-only by its plans.
         self._inverse_adjoint: np.ndarray | None = None
+        # observable terms -> (m, inverse applied m times to its coefficients),
+        # the latest image per observable, kept by the general deconvolution path.
+        self._inverse_images: dict[tuple, tuple[int, np.ndarray]] = {}
         # (lambdas, None) or (None, refusal), from the first lambdas() call.
         self._diagonal: tuple[np.ndarray | None, Exception | None] | None = None
         self._lock = threading.RLock()
@@ -306,6 +309,8 @@ class KrausChannel:
         """Diagonal transfer-matrix entries.  A Pauli map gets them from its
         weights through the per-qubit commutation signs, once, without the
         full matrix (so up to n = MAX_QUBITS)."""
+        if self._lambdas is not None:  # set once, so read without the lock
+            return self._lambdas
         with self._lock:
             if self._lambdas is None:
                 if self._weights is not None:

@@ -25,14 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import MAX_QUBITS_FULL_PTM, PTM, Channel, apply_channel
+from .channels import PTM, Channel, _check_full_ptm_cap, _check_qubit_range, apply_channel
 from .exceptions import (
     IdentityProbe,
     NonUnitalChannel,
     ParseError,
-    ResourceCapExceeded,
 )
-from .pauli import MAX_QUBITS, as_index, num_qubits, pauli_element, vectorize
+from .pauli import as_index, num_qubits, pauli_element, vectorize
 from .sampling import (
     coefficient_expectations,
     derive_rng,
@@ -118,10 +117,7 @@ class CharacterizedPTM:
     def to_ptm(self) -> PTM:
         if self.mode != "full":
             raise ValueError("only full-mode reports define a complete transfer matrix")
-        if self.n > MAX_QUBITS_FULL_PTM:
-            raise ResourceCapExceeded(
-                f"full transfer matrices are capped at n={MAX_QUBITS_FULL_PTM}, got n={self.n}"
-            )
+        _check_full_ptm_cap(self.n)
         dim = 4**self.n
         M = np.zeros((dim, dim))
         for (j, k), (est, _) in self.entries.items():
@@ -175,8 +171,7 @@ class CharacterizedPTM:
             entries[(j, k)] = (est, err)
         if n is None or mode not in ("diagonal", "full"):
             raise ParseError("report lacks a valid 'n'/'mode' header")
-        if not 1 <= n <= MAX_QUBITS:
-            raise ResourceCapExceeded(f"supported qubit range is 1..{MAX_QUBITS}, got {n}")
+        _check_qubit_range(n)
         if entries and not (0 <= min(map(min, entries)) and max(map(max, entries)) < 4**n):
             raise ParseError(f"report entries must have j and k in 0..{4**n - 1}")
         return cls(n=n, mode=mode, entries=entries, shots=shots, seed=seed)

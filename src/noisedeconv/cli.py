@@ -19,14 +19,14 @@ import sys
 from pathlib import Path
 
 from . import characterization, deconvolution, simulator
-from .channels import channel_from_config
+from .channels import _check_qubit_range, channel_from_config
 from .exceptions import (
     ConfigError,
     MathematicalError,
     ParseError,
     ResourceCapExceeded,
 )
-from .pauli import MAX_QUBITS, Observable, PauliIndex
+from .pauli import Observable, PauliIndex
 from .simulator import ExperimentConfig
 
 OUT_DIR_ENV = "NOISEDECONV_OUT_DIR"
@@ -235,8 +235,7 @@ def cmd_check_positivity(args) -> int:
         if args.n is None:
             raise ConfigError("check-positivity needs --n or --state-file")
         n = args.n
-        if not 1 <= n <= MAX_QUBITS:
-            raise ResourceCapExceeded(f"supported qubit range is 1..{MAX_QUBITS}, got {n}")
+        _check_qubit_range(n)
         if args.k == "all":
             if n > MAX_QUBITS_POSITIVITY_ALL:
                 raise ResourceCapExceeded(

@@ -9,7 +9,8 @@ transfer matrix is transposed and inverted, and the observable's
 coefficient vector is pushed through the inverse m times; that path
 materializes all d^4 matrix entries.  The inverse belongs to the channel,
 not to the observable: it is computed once per PTM and shared by every
-plan on it.
+plan on it, and the PTM keeps each observable's latest m-fold image, so
+plans at m, m + 1, ... cost one matrix-vector product each.
 
 Plans are immutable; ``deconvolve`` is a pure function of the plan and
 the supplied noisy expectation values, summed in ascending index order
@@ -193,6 +194,23 @@ def _pruned_weights(w: np.ndarray) -> dict[int, float]:
     return {int(j): float(w[j]) for j in np.nonzero(np.abs(w) > cut)[0]}
 
 
+def _inverse_image(ptm: PTM, inv: np.ndarray, obs: Observable, m: int) -> np.ndarray:
+    """``inv`` applied m times to the coefficient vector of ``obs``.  The PTM
+    keeps the latest image per observable (about one per matrix row), so
+    plans at m, m + 1, ... on one PTM cost one product each."""
+    key = tuple(obs.items())
+    with ptm._lock:
+        start, w = ptm._inverse_images.get(key, (0, None))
+        if w is None or start > m:
+            start, w = 0, obs.coefficient_vector()
+        for _ in range(m - start):
+            w = inv @ w
+        if len(ptm._inverse_images) > inv.shape[0]:
+            ptm._inverse_images.clear()
+        ptm._inverse_images[key] = (m, w)
+    return w
+
+
 def plan_general(obs: Observable, ptm: PTM, cond_warn: float = CONDITION_WARN,
                  m: int = 1) -> DeconvolutionPlan:
     """General-path plan: the inverse of the transposed transfer matrix, which ``ptm``
@@ -202,14 +220,11 @@ def plan_general(obs: Observable, ptm: PTM, cond_warn: float = CONDITION_WARN,
     if ptm.n != obs.n:
         raise DimensionMismatch(f"observable is on n={obs.n}, transfer matrix on n={ptm.n}")
     inv = _shared_inverse_adjoint(ptm, cond_warn)
-    w = obs.coefficient_vector()
-    for _ in range(m):
-        w = inv @ w
     return DeconvolutionPlan(
         observable=obs,
         entries_consulted=inv.size,
         inverse_adjoint_ptm=inv,
-        weights=_pruned_weights(w),
+        weights=_pruned_weights(_inverse_image(ptm, inv, obs, m)),
     )
 
 

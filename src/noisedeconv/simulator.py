@@ -279,8 +279,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExpectationRecord]:
                             std_error=errors[k],
                             shots=cfg.shots,
                             seed=cfg.seed,
-                            deconvolved=deconvolve(p, values),
-                            deconvolved_std_error=propagated_std_error(p, errors),
+                            deconvolved=deconvolve(p, {j: values[j] for j in p.weights}),
+                            deconvolved_std_error=propagated_std_error(p, {j: errors[j] for j in p.weights}),
                             mu=mu_out,
                             strength=strength_out,
                         )

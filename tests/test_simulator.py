@@ -374,6 +374,25 @@ class TestDeconvolvedThroughPlan:
                     assert repr(r.deconvolved_std_error) == repr(propagated_std_error(p, errors))
         assert next(groups, None) is None
 
+    @pytest.mark.parametrize("channel", [EVOLUTION_CHANNELS[1], EVOLUTION_CHANNELS[4]],
+                             ids=["dephasing", "amp_damp_corr"])
+    def test_records_hand_over_only_their_plans_entries(self, channel, monkeypatch):
+        # a record costs O(|weights|), not O(r): with all 16 terms measured,
+        # each deconvolve/propagated_std_error call sees only its plan's entries
+        seen = []
+
+        def spy(real):
+            def call(p, table):
+                seen.append(set(table) == set(p.weights))
+                return real(p, table)
+            return call
+
+        monkeypatch.setattr(simulator, "deconvolve", spy(deconvolve))
+        monkeypatch.setattr(simulator, "propagated_std_error", spy(propagated_std_error))
+        full = [[a + b, 1.0] for a in "IXYZ" for b in "IXYZ"]
+        run_experiment(evolution_config(channel, "plus", observable=full, m_max=3, mu_grid=None))
+        assert len(seen) == 2 * 16 * 4 and all(seen)
+
     def test_one_inversion_per_grid_point(self, monkeypatch):
         calls = []
         original = deconvolution._invert_adjoint
