@@ -4,17 +4,14 @@ deconvolution and channel characterization."""
 from .channels import (
     PTM,
     KrausChannel,
-    adjoint_ptm,
     apply_channel,
     bit_flip_channel,
     channel_from_config,
-    compose,
     correlated_amplitude_damping,
     correlated_pauli_channel,
     correlated_pauli_weights,
     dephasing_channel,
     depolarizing_channel,
-    ptm_power,
 )
 from .characterization import (
     CharacterizedPTM,
@@ -31,7 +28,6 @@ from .deconvolution import (
     DeconvolutionPlan,
     deconvolve,
     plan,
-    plan_composed,
     plan_from_characterization,
     plan_general,
     plan_pauli,
@@ -52,7 +48,6 @@ from .simulator import (
     ExpectationRecord,
     ExperimentConfig,
     evolve,
-    expectation_sampled,
     records_to_csv,
     run_experiment,
 )

@@ -38,6 +38,7 @@ diagonal-only computations extend to pauli.MAX_QUBITS.
 
 from __future__ import annotations
 
+import numbers
 import threading
 from typing import Mapping, Sequence, Union
 
@@ -71,9 +72,6 @@ __all__ = [
     "PTM",
     "Channel",
     "apply_channel",
-    "adjoint_ptm",
-    "compose",
-    "ptm_power",
     "correlated_pauli_weights",
     "correlated_pauli_channel",
     "bit_flip_channel",
@@ -116,6 +114,16 @@ def _check_full_ptm_cap(n: int) -> None:
         )
 
 
+def _config_int(value, what: str) -> int:
+    """An integer config field: a JSON integer or an integral float such as
+    2.0.  Bools, fractions and strings raise ConfigError."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a)
     a.setflags(write=False)
@@ -140,12 +148,8 @@ def _validate_probability_vector(p, size: int, what: str) -> np.ndarray:
 
 
 class PTM:
-    """Real transfer matrix of a linear map in the Pauli basis.
-
-    ``require_tp_row=True`` (the default for channel construction) checks
-    the trace-preservation signature: first row equal to (1, 0, ..., 0).
-    Adjoint matrices of non-unital channels legitimately violate it, so
-    derived matrices are built with the check disabled.
+    """Real transfer matrix of a trace-preserving map in the Pauli basis:
+    the first row must equal (1, 0, ..., 0).
 
     ``matrix`` is read-only and fixed for the instance's lifetime, so the
     2-norm condition number, the diagonal verdict of ``lambdas()`` and the
@@ -153,7 +157,7 @@ class PTM:
     are computed once and kept.
     """
 
-    def __init__(self, n: int, matrix, *, require_tp_row: bool = True):
+    def __init__(self, n: int, matrix):
         self.n = int(n)
         _check_full_ptm_cap(self.n)
         M = np.asarray(matrix)
@@ -167,11 +171,10 @@ class PTM:
                     f"transfer matrix has imaginary residue {resid:.3e}"
                 )
             M = M.real
-        if require_tp_row:
-            first = np.zeros(dim)
-            first[0] = 1.0
-            if np.max(np.abs(M[0] - first)) > 1e-9:
-                raise NotTracePreserving("first row of the transfer matrix is not (1, 0, ..., 0)")
+        first = np.zeros(dim)
+        first[0] = 1.0
+        if np.max(np.abs(M[0] - first)) > 1e-9:
+            raise NotTracePreserving("first row of the transfer matrix is not (1, 0, ..., 0)")
         self._matrix = _readonly(np.asarray(M, dtype=float))
         self._condition_number: float | None = None
         # inv(matrix.T), set by deconvolution and shared read-only by its plans.
@@ -200,14 +203,9 @@ class PTM:
     def d(self) -> int:
         return 2**self.n
 
-    def is_unital(self, tol: float = 1e-9) -> bool:
-        first_col = np.zeros(4**self.n)
-        first_col[0] = 1.0
-        return bool(np.max(np.abs(self.matrix[:, 0] - first_col)) <= tol)
-
     def lambdas(self) -> np.ndarray:
-        """Diagonal entries of a Pauli-diagonal map: lambda_0 = 1 (trace
-        preservation) and every |lambda_k| <= 1.  The verdict is reached
+        """Diagonal entries of a Pauli-diagonal map: lambda_0 = 1 (the
+        first-row check) and every |lambda_k| <= 1.  The verdict is reached
         once per PTM; a refusal raises again on every call."""
         with self._lock:
             if self._diagonal is None:
@@ -222,8 +220,6 @@ class PTM:
         lam = np.diag(M)
         if np.max(np.abs(M - np.diag(lam))) > DIAGONAL_TOL:
             return None, NotPauliDiagonal("transfer matrix is not diagonal")
-        if abs(lam[0] - 1.0) > 1e-9:
-            return None, NotTracePreserving(f"lambda_0 must equal 1, got {float(lam[0])!r}")
         if np.max(np.abs(lam)) > 1.0 + 1e-9:
             return None, NotPauliDiagonal("lambda entries must lie in [-1, 1]")
         return _readonly(lam), None
@@ -245,10 +241,11 @@ class KrausChannel:
     When the channel is a random Pauli map, construct it through
     :meth:`from_pauli_weights` (or the family helpers); the weight vector
     is then available as ``pauli_weights`` and the Kraus operators
-    sqrt(w_k) P_k are materialized lazily on first access.
+    sqrt(w_k) P_k are materialized lazily on first access.  Operators given
+    directly must satisfy sum K^dag K = 1 to within TP_TOL.
     """
 
-    def __init__(self, kraus_ops: Sequence[np.ndarray], *, check_tp: bool = True):
+    def __init__(self, kraus_ops: Sequence[np.ndarray]):
         ops = [np.asarray(K, dtype=complex) for K in kraus_ops]
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
@@ -256,12 +253,9 @@ class KrausChannel:
         for K in ops:
             if K.shape != ops[0].shape:
                 raise DimensionMismatch("Kraus operators must share one shape")
-        if check_tp:
-            acc = sum(K.conj().T @ K for K in ops)
-            if np.max(np.abs(acc - np.eye(self.d))) > TP_TOL:
-                raise NotTracePreserving(
-                    f"sum K^dag K deviates from identity beyond {TP_TOL}"
-                )
+        acc = sum(K.conj().T @ K for K in ops)
+        if np.max(np.abs(acc - np.eye(self.d))) > TP_TOL:
+            raise NotTracePreserving(f"sum K^dag K deviates from identity beyond {TP_TOL}")
         self._kraus: list[np.ndarray] | None = [_readonly(K) for K in ops]
         self._weights: np.ndarray | None = None
         self._lambdas: np.ndarray | None = None
@@ -397,25 +391,6 @@ def apply_channel(ch: Channel, rho: np.ndarray, method: str = "auto") -> np.ndar
     return ch.apply(rho, method=method)
 
 
-def adjoint_ptm(ptm: PTM) -> PTM:
-    """Transfer matrix of the adjoint map: the transpose (real entries)."""
-    return PTM(ptm.n, ptm.matrix.T, require_tp_row=False)
-
-
-def compose(ptm_a: PTM, ptm_b: PTM) -> PTM:
-    """Transfer matrix of a-after-b, i.e. the product Gamma_a @ Gamma_b."""
-    if ptm_a.n != ptm_b.n:
-        raise DimensionMismatch(f"qubit counts differ: {ptm_a.n} vs {ptm_b.n}")
-    return PTM(ptm_a.n, ptm_a.matrix @ ptm_b.matrix, require_tp_row=False)
-
-
-def ptm_power(ptm: PTM, m: int) -> PTM:
-    """m-fold composition of a map with itself; m = 0 gives the identity."""
-    if m < 0:
-        raise ValueError(f"repetition count must be >= 0, got {m}")
-    return PTM(ptm.n, np.linalg.matrix_power(ptm.matrix, m), require_tp_row=False)
-
-
 def correlated_pauli_weights(n: int, p_vec, mu: float) -> np.ndarray:
     """Pauli-string probabilities of the Markov-correlated family.
 
@@ -523,10 +498,10 @@ def channel_from_config(cfg: Mapping) -> KrausChannel:
         )
     try:
         if family == "amp_damp_corr":
-            if int(cfg.get("n", 2)) != 2:
+            if _config_int(cfg.get("n", 2), "n") != 2:
                 raise ConfigError("amp_damp_corr is defined for n=2 only")
             return correlated_amplitude_damping(float(cfg["eta"]), float(cfg.get("mu", 0.0)))
-        n = int(cfg["n"])
+        n = _config_int(cfg["n"], "n")
         mu = float(cfg.get("mu", 0.0))
         if family == "bit_flip":
             return bit_flip_channel(n, float(cfg["p"]), mu)

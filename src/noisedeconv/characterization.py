@@ -31,7 +31,7 @@ from .exceptions import (
     NonUnitalChannel,
     ParseError,
 )
-from .pauli import as_index, num_qubits, pauli_element, vectorize
+from .pauli import as_index, is_hermitian, num_qubits, pauli_element, vectorize
 from .sampling import (
     coefficient_expectations,
     derive_rng,
@@ -258,12 +258,13 @@ def positivity_coefficients(rho: np.ndarray, d: int | None = None) -> list[float
 def positivity_certificate(rho: np.ndarray, tol: float = PSD_TOL) -> tuple[list[float], bool]:
     """The coefficients S_0 ... S_d of rho and its PSD verdict.
 
-    The verdict also requires the smallest eigenvalue to be >= tol: the
-    high-order S_m are products of many eigenvalues, so past n = 3 a
-    negative eigenvalue can leave every S_m above an absolute tolerance.
+    The verdict requires rho to be Hermitian (``eigvalsh`` reads only one
+    triangle) and its smallest eigenvalue to be >= tol: the high-order S_m
+    are products of many eigenvalues, so past n = 3 a negative eigenvalue
+    can leave every S_m above an absolute tolerance.
     """
     S = positivity_coefficients(rho)
-    ok = all(s >= tol for s in S) and float(np.linalg.eigvalsh(rho)[0]) >= tol
+    ok = is_hermitian(rho) and all(s >= tol for s in S) and float(np.linalg.eigvalsh(rho)[0]) >= tol
     return S, ok
 
 

@@ -27,17 +27,13 @@ from .exceptions import (
     ResourceCapExceeded,
 )
 from .pauli import Observable, PauliIndex
-from .simulator import ExperimentConfig
+from .simulator import ExperimentConfig, _fmt
 
 OUT_DIR_ENV = "NOISEDECONV_OUT_DIR"
 
 # `check-positivity --k all` enumerates 4**n - 1 probes; past this the
 # table stops being a table.
 MAX_QUBITS_POSITIVITY_ALL = 4
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def _read_text(path: str) -> str:

@@ -1,16 +1,21 @@
 """Recover noiseless expectation values from noisy measurement data.
 
-``plan(obs, channel, m)`` chooses the path for m applications of a
-channel.  With a diagonal transfer matrix the recovery is a per-term
-rescaling: each Pauli component of the observable is divided by the
-matching diagonal entry to the m-th power, so a plan consults exactly r
-entries where r is the number of nonzero components.  Otherwise the full
-transfer matrix is transposed and inverted, and the observable's
-coefficient vector is pushed through the inverse m times; that path
-materializes all d^4 matrix entries.  The inverse belongs to the channel,
-not to the observable: it is computed once per PTM and shared by every
-plan on it, and the PTM keeps each observable's latest m-fold image, so
-plans at m, m + 1, ... cost one matrix-vector product each.
+A plan is one linear map from noisy Pauli expectations to the noiseless
+value: weights w_j with <O>_ideal = sum_j w_j <P_j>_noisy.
+``plan(obs, channel, m)`` chooses how the weights are found for m
+applications of a channel.  With a diagonal transfer matrix they are a
+per-term rescaling: each Pauli component of the observable is divided by
+the matching diagonal entry to the m-th power, so a plan consults exactly
+r entries where r is the number of nonzero components.  Otherwise the
+full transfer matrix is transposed and inverted, and the observable's
+coefficient vector is pushed through the inverse m times to give the
+weights; that path materializes all d^4 matrix entries.  The inverse
+belongs to the channel, not to the observable: it is computed once per
+PTM and shared by every plan on it, and the PTM keeps each observable's
+latest m-fold image, so plans at m, m + 1, ... cost one matrix-vector
+product each.  A general-path plan warns when its weights amplify the
+observable's coefficients (sum_j |w_j| / sum_k |c_k|) beyond
+CONDITION_WARN: rounding in the data is then amplified as much.
 
 Plans are immutable; ``deconvolve`` is a pure function of the plan and
 the supplied noisy expectation values, summed in ascending index order
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +47,6 @@ __all__ = [
     "plan",
     "plan_pauli",
     "plan_general",
-    "plan_composed",
     "plan_from_characterization",
     "deconvolve",
     "propagated_std_error",
@@ -63,22 +67,17 @@ _WEIGHT_PRUNE = 1e-12
 class DeconvolutionPlan:
     """Everything needed to turn noisy Pauli expectations into the ideal one.
 
-    Exactly one of ``factors`` (diagonal path: k -> lambda_k**(-m)) and
-    ``inverse_adjoint_ptm`` (general path: the one-step inverse inv(Gamma^T)
-    for every m) is set.  ``weights`` maps each required measurement index j
-    to its final coefficient, so the deconvolved value is
-    sum_j weights[j] * noisy[j] in both cases.  ``inverse_adjoint_ptm`` is
-    read-only: every ``plan_general`` plan on one PTM shares the array that
-    PTM keeps for its lifetime, so a second plan costs no inversion.
+    ``weights`` maps each required measurement index j to its coefficient,
+    so the deconvolved value is sum_j weights[j] * noisy[j] on both paths:
+    c_k * lambda_k**(-m) for each term k on the diagonal path, the m-fold
+    image of the coefficients under inv(Gamma^T) on the general one.
     ``entries_consulted`` counts transfer-matrix entries used: r for the
     diagonal path, d^4 for the general one.
     """
 
     observable: Observable
     entries_consulted: int
-    factors: dict[int, float] | None = None
-    inverse_adjoint_ptm: np.ndarray | None = None
-    weights: dict[int, float] = field(default_factory=dict)
+    weights: dict[int, float]
 
     @property
     def n(self) -> int:
@@ -99,32 +98,21 @@ def _finite(x: float, what: str) -> float:
     return x
 
 
-def _diagonal_power(lam: float, k: int, m: int, inv_tol: float) -> float:
-    """lam**m for the diagonal entry at k; refuses |lam| <= inv_tol and an overflowing lam**(-m)."""
-    if abs(lam) <= inv_tol:
-        raise NonInvertibleChannel(
-            f"diagonal entry {float(lam)!r} at k={k} is not invertible (tol {inv_tol})"
-        )
-    power = float(lam) ** m
-    if power == 0.0 or not math.isfinite(1.0 / power):
-        raise NonInvertibleChannel(f"lambda_k**(-m) overflows at k={k}, m={m}")
-    return power
-
-
-def _rescaling_plan(obs: Observable, lam, inv_tol: float, m: int = 1) -> DeconvolutionPlan:
-    """Diagonal-path plan: divide each term k by lam[k]**m."""
-    factors: dict[int, float] = {}
+def _rescaling_plan(obs: Observable, lam, m: int = 1) -> DeconvolutionPlan:
+    """Diagonal-path plan: divide each term k by lam[k]**m.  Refuses
+    |lam[k]| <= INVERTIBILITY_TOL and an overflowing lam[k]**(-m)."""
     weights: dict[int, float] = {}
     for k, coeff in obs.items():
-        power = _diagonal_power(lam[k], k, m, inv_tol)
-        factors[k] = 1.0 / power
+        lam_k = float(lam[k])
+        if abs(lam_k) <= INVERTIBILITY_TOL:
+            raise NonInvertibleChannel(
+                f"diagonal entry {lam_k!r} at k={k} is not invertible (tol {INVERTIBILITY_TOL})"
+            )
+        power = lam_k ** m
+        if power == 0.0 or not math.isfinite(1.0 / power):
+            raise NonInvertibleChannel(f"lambda_k**(-m) overflows at k={k}, m={m}")
         weights[k] = coeff / power
-    return DeconvolutionPlan(
-        observable=obs,
-        entries_consulted=len(factors),
-        factors=factors,
-        weights=weights,
-    )
+    return DeconvolutionPlan(observable=obs, entries_consulted=len(weights), weights=weights)
 
 
 def plan(obs: Observable, ch: Channel, m: int = 1) -> DeconvolutionPlan:
@@ -137,14 +125,13 @@ def plan(obs: Observable, ch: Channel, m: int = 1) -> DeconvolutionPlan:
     return plan_pauli(obs, ch, m=m)
 
 
-def plan_pauli(obs: Observable, ch: Channel, inv_tol: float = INVERTIBILITY_TOL,
-               m: int = 1) -> DeconvolutionPlan:
+def plan_pauli(obs: Observable, ch: Channel, m: int = 1) -> DeconvolutionPlan:
     """Diagonal-path plan: divide each term k by lambda_k**m (m applications of the channel)."""
     if m < 0:
         raise ValueError(f"repetition count must be >= 0, got {m}")
     if ch.n != obs.n:
         raise DimensionMismatch(f"observable is on n={obs.n}, channel on n={ch.n}")
-    return _rescaling_plan(obs, ch.lambdas(), inv_tol, m)
+    return _rescaling_plan(obs, ch.lambdas(), m)
 
 
 def _check_condition(cond: float, cond_warn: float) -> None:
@@ -214,72 +201,41 @@ def _inverse_image(ptm: PTM, inv: np.ndarray, obs: Observable, m: int) -> np.nda
 def plan_general(obs: Observable, ptm: PTM, cond_warn: float = CONDITION_WARN,
                  m: int = 1) -> DeconvolutionPlan:
     """General-path plan: the inverse of the transposed transfer matrix, which ``ptm``
-    computes once and shares with every plan on it, applied m times to the coefficients."""
+    computes once and shares with every plan on it, applied m times to the coefficients.
+    Warns when the weights' 1-norm exceeds ``cond_warn`` times the coefficients'."""
     if m < 0:
         raise ValueError(f"repetition count must be >= 0, got {m}")
     if ptm.n != obs.n:
         raise DimensionMismatch(f"observable is on n={obs.n}, transfer matrix on n={ptm.n}")
     inv = _shared_inverse_adjoint(ptm, cond_warn)
-    return DeconvolutionPlan(
-        observable=obs,
-        entries_consulted=inv.size,
-        inverse_adjoint_ptm=inv,
-        weights=_pruned_weights(_inverse_image(ptm, inv, obs, m)),
-    )
+    w = _inverse_image(ptm, inv, obs, m)
+    amplification = float(np.sum(np.abs(w)))
+    scale = sum(abs(c) for c in obs.terms.values())
+    if amplification > cond_warn * scale:
+        warnings.warn(
+            f"deconvolution weights amplify the observable by {amplification / scale:.3e} (m = {m})",
+            IllConditionedWarning,
+            stacklevel=2,
+        )
+    return DeconvolutionPlan(observable=obs, entries_consulted=inv.size, weights=_pruned_weights(w))
 
 
-def plan_composed(
-    obs: Observable,
-    pauli_part: Channel,
-    other: PTM,
-    pauli_first: bool = True,
-    inv_tol: float = INVERTIBILITY_TOL,
-    cond_warn: float = CONDITION_WARN,
-) -> DeconvolutionPlan:
-    """Plan for a composition of a diagonal channel with a general one.
-
-    Only the non-diagonal factor is inverted numerically; the diagonal
-    factor enters as an analytic rescaling of the inverse's rows or
-    columns (``pauli_first`` states which map acts on the state first).
-    """
-    if pauli_part.n != obs.n or other.n != obs.n:
-        raise DimensionMismatch("observable and both channel factors must share one qubit count")
-    lam = pauli_part.lambdas()
-    k = int(np.argmin(np.abs(lam)))
-    _diagonal_power(lam[k], k, 1, inv_tol)  # refuses the smallest entry if it is not invertible
-    inv_other = _shared_inverse_adjoint(other, cond_warn)
-    if pauli_first:
-        # Gamma = Gamma_other @ D, so inv(Gamma^T) = inv(other^T) scaled
-        # on the right ... columns divided by lambda.
-        inv = inv_other / lam[None, :]
-    else:
-        inv = inv_other / lam[:, None]
-    inv.setflags(write=False)
-    return DeconvolutionPlan(
-        observable=obs,
-        entries_consulted=inv.size,
-        inverse_adjoint_ptm=inv,
-        weights=_pruned_weights(inv @ obs.coefficient_vector()),
-    )
-
-
-def plan_from_characterization(obs: Observable, char, inv_tol: float = INVERTIBILITY_TOL,
-                               cond_warn: float = CONDITION_WARN) -> DeconvolutionPlan:
+def plan_from_characterization(obs: Observable, char) -> DeconvolutionPlan:
     """Plan built from estimated transfer-matrix entries.
 
     ``char`` is a CharacterizedPTM: diagonal-only reports supply the
-    reciprocal factors directly, full reports go through the general
-    inversion path.
+    diagonal entries of the rescaling directly, full reports go through
+    the general inversion path.
     """
     if char.mode == "full":
-        return plan_general(obs, char.to_ptm(), cond_warn)
+        return plan_general(obs, char.to_ptm())
     lam: dict[int, float] = {}
     for k in obs.terms:
         entry = char.entries.get((k, k), (1.0, 0.0) if k == 0 else None)
         if entry is None:
             raise MissingMeasurement(f"characterization report lacks the diagonal entry k={k}")
         lam[k] = entry[0]
-    return _rescaling_plan(obs, lam, inv_tol)
+    return _rescaling_plan(obs, lam)
 
 
 def deconvolve(plan: DeconvolutionPlan, noisy) -> float:
@@ -309,7 +265,7 @@ def propagated_std_error(plan: DeconvolutionPlan, std_errors) -> float:
     return _finite(math.sqrt(acc), "propagated standard error")
 
 
-def reconstruction_factor(ch: Channel, k, m: int = 1, inv_tol: float = INVERTIBILITY_TOL) -> float:
+def reconstruction_factor(ch: Channel, k, m: int = 1) -> float:
     """Rescaling factor lambda_k**(-m) for m applications of a diagonal channel."""
     k = _as_k(k)
-    return plan_pauli(Observable(ch.n, {k: 1.0}), ch, inv_tol, m).factors[k]
+    return plan_pauli(Observable(ch.n, {k: 1.0}), ch, m).weights[k]

@@ -79,4 +79,5 @@ class ProbabilityOutOfRange(MathematicalError):
 
 
 class IllConditionedWarning(UserWarning):
-    """Transfer-matrix inversion requested on an ill-conditioned matrix."""
+    """Transfer-matrix inversion requested on an ill-conditioned matrix, or
+    deconvolution weights that amplify the observable beyond the threshold."""

@@ -240,7 +240,7 @@ class Observable:
     stored terms.  Instances are immutable by convention.
     """
 
-    def __init__(self, n: int, terms: Mapping, prune_tol: float = PRUNE_TOL):
+    def __init__(self, n: int, terms: Mapping):
         if n < 1:
             raise ValueError(f"qubit count must be >= 1, got {n}")
         self.n = int(n)
@@ -250,7 +250,7 @@ class Observable:
             coeff = float(coeff)
             if not math.isfinite(coeff):
                 raise ConfigError(f"coefficient of {idx.label} is not finite: {coeff!r}")
-            if abs(coeff) > prune_tol:
+            if abs(coeff) > PRUNE_TOL:
                 cleaned[idx.k] = cleaned.get(idx.k, 0.0) + coeff
         self.terms: dict[int, float] = dict(sorted(cleaned.items()))
 
@@ -274,7 +274,7 @@ class Observable:
         return devectorize(self.coefficient_vector())
 
     @classmethod
-    def from_operator(cls, A: np.ndarray, prune_tol: float = PRUNE_TOL) -> "Observable":
+    def from_operator(cls, A: np.ndarray) -> "Observable":
         A = np.asarray(A, dtype=complex)
         n = num_qubits(A)
         if not is_hermitian(A):
@@ -282,7 +282,7 @@ class Observable:
                 f"operator deviates from Hermiticity by more than {HERMITIAN_TOL}"
             )
         coeffs = vectorize(A)
-        return cls(n, {k: coeffs[k].real for k in range(coeffs.size)}, prune_tol)
+        return cls(n, {k: coeffs[k].real for k in range(coeffs.size)})
 
     @classmethod
     def from_pairs(cls, pairs: Iterable, n: int | None = None) -> "Observable":

@@ -28,13 +28,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .channels import STRENGTH_KEYS, Channel, apply_channel, channel_from_config
+from .channels import STRENGTH_KEYS, Channel, _config_int, apply_channel, channel_from_config
 from .characterization import is_positive_semidefinite
 from .deconvolution import deconvolve, plan, propagated_std_error
 # Unused here; bound only for the benchmark self-test that counts inversions at every binding.
 from .deconvolution import _invert_adjoint  # noqa: F401
 from .exceptions import ConfigError, InvalidState, NotPauliDiagonal
-from .pauli import Observable, as_index, devectorize, vectorize
+from .pauli import Observable, devectorize, vectorize
 from .sampling import (
     SAMPLING_METHODS,
     coefficient_expectations,
@@ -47,7 +47,6 @@ __all__ = [
     "ExperimentConfig",
     "ExpectationRecord",
     "evolve",
-    "expectation_sampled",
     "run_experiment",
     "records_to_csv",
     "CSV_HEADER",
@@ -104,14 +103,6 @@ class ExpectationRecord:
     strength: float | None = None
 
 
-def expectation_sampled(rho: np.ndarray, k, shots: int, seed: int,
-                        method: str = "marginal") -> ExpectationRecord:
-    """Finite-shot estimate of <P_k> packaged as a record."""
-    idx = as_index(k, int(np.log2(rho.shape[0])))
-    value, err = sample_pauli_expectation(rho, idx, shots, derive_rng(seed, idx.k), method)
-    return ExpectationRecord(m=0, k=idx.k, value=value, std_error=err, shots=shots, seed=seed)
-
-
 @dataclass
 class ExperimentConfig:
     """Declarative description of a deconvolution experiment.
@@ -152,7 +143,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         try:
-            n = int(raw["n"])
+            n = _config_int(raw["n"], "n")
             channel = dict(raw["channel"])
             obs_spec = raw["observable"]
             if isinstance(obs_spec, str):
@@ -173,9 +164,9 @@ class ExperimentConfig:
                 channel=channel,
                 observable=observable,
                 initial_state=initial_state,
-                m_max=int(raw.get("m_max", 40)),
-                shots=int(raw.get("shots", 0)),
-                seed=int(raw.get("seed", 0)),
+                m_max=_config_int(raw.get("m_max", 40), "m_max"),
+                shots=_config_int(raw.get("shots", 0), "shots"),
+                seed=_config_int(raw.get("seed", 0), "seed"),
                 sampling=str(raw.get("sampling", "marginal")),
                 **grids,
             )

@@ -2,20 +2,18 @@ import numpy as np
 import pytest
 from conftest import ptm_bruteforce, random_density
 
+from noisedeconv import channels
 from noisedeconv.channels import (
     KrausChannel,
     PTM,
-    adjoint_ptm,
     apply_channel,
     bit_flip_channel,
     channel_from_config,
-    compose,
     correlated_amplitude_damping,
     correlated_pauli_channel,
     correlated_pauli_weights,
     dephasing_channel,
     depolarizing_channel,
-    ptm_power,
 )
 from noisedeconv.exceptions import (
     ConfigError,
@@ -25,7 +23,7 @@ from noisedeconv.exceptions import (
     NotTracePreserving,
     ResourceCapExceeded,
 )
-from noisedeconv.pauli import pauli_element, vectorize
+from noisedeconv.pauli import devectorize, pauli_element, vectorize
 
 
 def kron_power(M, n):
@@ -79,7 +77,7 @@ class TestPtmFromKraus:
         A = rng.normal(size=(r * d, d)) + 1j * rng.normal(size=(r * d, d))
         V = np.linalg.qr(A)[0]
         kraus = [V[i * d:(i + 1) * d] for i in range(r)]
-        assert not KrausChannel(kraus).ptm().is_unital()
+        assert np.max(np.abs(KrausChannel(kraus).ptm().matrix[:, 0] - np.eye(d * d)[0])) > 1e-9  # not unital
         H = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         unitary = [np.linalg.qr(H)[0]]
         for ops in (kraus, unitary):
@@ -91,10 +89,9 @@ class TestPtmFromKraus:
             assert np.max(np.abs(KrausChannel(ops).ptm().matrix - ref)) < 1e-12
 
     def test_unchecked_non_trace_preserving_set_fails_at_the_ptm(self):
-        ch = KrausChannel([0.5 * np.eye(4), 0.5 * np.kron(pauli_element(1, 1), np.eye(2))],
-                          check_tp=False)
-        with pytest.raises(NotTracePreserving):
-            ch.ptm()
+        ops = [0.5 * np.eye(4), 0.5 * np.kron(pauli_element(1, 1), np.eye(2))]
+        with pytest.raises(NotTracePreserving, match="first row"):
+            channels._superoperator_ptm(ops, 2)
 
     def test_matrix_is_a_read_only_property(self):
         ptm = bit_flip_channel(1, 0.1).ptm()
@@ -152,45 +149,22 @@ class TestApplyChannel:
         assert np.max(np.abs(ch.apply(rho, "kraus") - ch.apply(rho, "diagonal"))) < 1e-12
 
 
-class TestAdjoint:
-    def test_diagonal_self_adjoint(self):
-        ptm = bit_flip_channel(2, 0.1, 0.3).ptm()
-        assert np.array_equal(adjoint_ptm(ptm).matrix, ptm.matrix)
+class TestTransferMatrixAlgebra:
+    """The general deconvolution path rests on these two identities."""
 
-    def test_identity(self):
-        ptm = PTM(1, np.eye(4))
-        assert np.array_equal(adjoint_ptm(ptm).matrix, np.eye(4))
-
-    def test_adjoint_defining_identity(self):
-        # Tr[Phi(A)^dag B] = Tr[A^dag Phi*(B)] on random A, B
+    def test_transpose_is_the_adjoint_map(self):
+        # Tr[Phi(A)^dag B] = Tr[A^dag Phi*(B)] on random A, B, with Phi* from Gamma^T
         rng = np.random.default_rng(5)
         ch = correlated_amplitude_damping(0.6, 0.3)
-        ptm = ch.ptm()
-        adj = adjoint_ptm(ptm)
+        gamma_t = ch.ptm().matrix.T
         for _ in range(5):
             A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             B = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             lhs = np.trace(apply_channel(ch, A).conj().T @ B)
-            rhs = np.trace(A.conj().T @ apply_channel(adj, B))
+            rhs = np.trace(A.conj().T @ devectorize(gamma_t @ vectorize(B)))
             assert abs(lhs - rhs) < 1e-10
 
-
-class TestComposePower:
-    def test_zero_power_is_identity(self):
-        ptm = bit_flip_channel(1, 0.2).ptm()
-        assert np.array_equal(ptm_power(ptm, 0).matrix, np.eye(4))
-
-    def test_square_of_bit_flip(self):
-        p = 0.17
-        sq = ptm_power(bit_flip_channel(1, p).ptm(), 2)
-        assert abs(sq.matrix[3, 3] - (1 - 2 * p) ** 2) < 1e-14
-
-    def test_compose_with_inverse(self):
-        ptm = bit_flip_channel(2, 0.1, 0.5).ptm()
-        inv = PTM(2, np.linalg.inv(ptm.matrix), require_tp_row=False)
-        assert np.max(np.abs(compose(ptm, inv).matrix - np.eye(16))) < 1e-10
-
-    def test_power_matches_repeated_application(self):
+    def test_matrix_power_matches_repeated_application(self):
         # column q of the m-fold map is vec(N^m(P_q))
         rng = np.random.default_rng(6)
         for ch in (bit_flip_channel(1, 0.23, 0.0), depolarizing_channel(3, 0.2, 0.6),
@@ -203,7 +177,7 @@ class TestComposePower:
                     for _ in range(m):
                         out = apply_channel(ch, out)
                     ref[:, q] = vectorize(out)
-                got = ptm_power(ch.ptm(), m).matrix
+                got = np.linalg.matrix_power(ch.ptm().matrix, m)
                 assert np.max(np.abs(got - ref.real)) < 1e-9
 
 
@@ -299,8 +273,9 @@ class TestCorrelatedAmplitudeDamping:
             assert np.max(np.abs(acc - np.eye(4))) < 1e-12
 
     def test_unital_only_at_full_transmission(self):
-        assert correlated_amplitude_damping(1.0, 0.2).ptm().is_unital()
-        assert not correlated_amplitude_damping(0.5, 0.2).ptm().is_unital()
+        identity_column = np.eye(16)[0]
+        assert np.max(np.abs(correlated_amplitude_damping(1.0, 0.2).ptm().matrix[:, 0] - identity_column)) <= 1e-9
+        assert np.max(np.abs(correlated_amplitude_damping(0.5, 0.2).ptm().matrix[:, 0] - identity_column)) > 1e-9
 
     def test_parameter_range(self):
         with pytest.raises(InvalidProbability):
@@ -310,9 +285,9 @@ class TestCorrelatedAmplitudeDamping:
 
 
 class TestPTMLambdas:
-    def test_lambda_zero_must_be_one(self):
-        with pytest.raises(NotTracePreserving):
-            PTM(1, np.diag([0.9, 1, 1, 1]), require_tp_row=False).lambdas()
+    def test_first_row_must_be_trace_preserving(self):
+        with pytest.raises(NotTracePreserving, match="first row"):
+            PTM(1, np.diag([0.9, 1, 1, 1]))
 
     def test_probs_validated(self):
         with pytest.raises(InvalidProbability):
@@ -335,10 +310,10 @@ class TestPTMLambdas:
         for _ in range(3):
             with pytest.raises(NotPauliDiagonal, match="not diagonal"):
                 general.lambdas()
-        not_tp = PTM(1, np.diag([0.9, 1, 1, 1]), require_tp_row=False)
+        out_of_range = PTM(1, np.diag([1.0, 1.5, 1, 1]))
         for _ in range(2):
-            with pytest.raises(NotTracePreserving):
-                not_tp.lambdas()
+            with pytest.raises(NotPauliDiagonal, match=r"\[-1, 1\]"):
+                out_of_range.lambdas()
 
     def test_apply_matches_kraus(self):
         ch = bit_flip_channel(2, 0.1, 0.3)

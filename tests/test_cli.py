@@ -3,13 +3,19 @@ import contextlib
 import io
 import json
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import noisedeconv
 from noisedeconv.cli import main
 
 
@@ -234,6 +240,26 @@ class TestExperimentCommand:
         row = capsys.readouterr().out.strip().split("\n")[1].split(",")
         assert row[4] == "128" and row[5] == "7"
 
+    def test_amplified_weights_warn_on_stderr_and_leave_stdout(self, tmp_path):
+        cfg = write(tmp_path, "exp.json", json.dumps({
+            "n": 2,
+            "channel": {"family": "amp_damp_corr", "eta": 0.3, "mu": 0.5},
+            "observable": [["ZZ", 1.0]],
+            "initial_state": "plus",
+            "m_max": 27,
+        }))
+        src = str(pathlib.Path(noisedeconv.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-W", "default", "-m", "noisedeconv", "experiment", "--config", cfg],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0
+        assert "IllConditionedWarning" in proc.stderr
+        assert "(m = 12)" in proc.stderr and "(m = 24)" in proc.stderr and "(m = 11)" not in proc.stderr
+        out = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+            warnings.simplefilter("ignore")
+            assert main(["experiment", "--config", cfg]) == 0
+        assert out.getvalue() == proc.stdout
+
 
 class TestCheckPositivityCommand:
     def test_single_probe(self, capsys):
@@ -266,6 +292,12 @@ class TestCheckPositivityCommand:
         state = write(tmp_path, "state.json", json.dumps(np.diag(eigenvalues).tolist()))
         assert main(["check-positivity", "--state-file", state]) == 3
         assert capsys.readouterr().out.endswith("FAIL\nFAILED\n")
+
+    def test_non_hermitian_state_fails(self, tmp_path, capsys):
+        # eigvalsh reads one triangle, so the S_m and the smallest eigenvalue alone pass it
+        state = write(tmp_path, "state.json", json.dumps([[0.5, 1.0], [0.0, 0.5]]))
+        assert main(["check-positivity", "--state-file", state]) == 3
+        assert capsys.readouterr().out.endswith("S 1.0 1.0 0.25 FAIL\nFAILED\n")
 
 
 class TestArgumentErrors:
@@ -308,6 +340,33 @@ class TestArgumentErrors:
             "observable": [["Z", 1.0]], "m_max": 1, "shots": 16, "sampling": "bogus",
         }))
         assert main(["experiment", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("key, value", [("n", 1.9), ("m_max", 1.7), ("shots", True), ("seed", 2.2),
+                                            ("seed", "2"), ("channel", {"family": "bit_flip", "n": 1.5, "p": 0.05})])
+    def test_non_integral_count_exits_two(self, tmp_path, capsys, key, value):
+        raw = {"n": 1, "channel": {"family": "bit_flip", "n": 1, "p": 0.05},
+               "observable": [["Z", 1.0]], "m_max": 2, "shots": 0, "seed": 0}
+        raw[key] = value
+        cfg = write(tmp_path, "exp.json", json.dumps(raw))
+        assert main(["experiment", "--config", cfg]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg", [{"family": "depolarizing", "n": 1.9, "q": 0.1},
+                                     {"family": "amp_damp_corr", "n": 2.5, "eta": 0.5},
+                                     {"family": "pauli_custom", "n": False, "p_vec": [1, 0, 0, 0]}])
+    def test_non_integral_channel_qubit_count_exits_two(self, tmp_path, capsys, cfg):
+        assert main(["ptm", "--config", channel_json(tmp_path, **cfg)]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_integral_floats_count_as_integers(self, tmp_path, capsys):
+        raw = {"n": 1, "channel": {"family": "bit_flip", "n": 1, "p": 0.05},
+               "observable": [["Z", 1.0]], "m_max": 2, "shots": 64, "seed": 3}
+        outputs = []
+        for value in (raw, {**raw, "n": 1.0, "channel": {**raw["channel"], "n": 1.0},
+                            "m_max": 2.0, "shots": 64.0, "seed": 3.0}):
+            assert main(["experiment", "--config", write(tmp_path, "exp.json", json.dumps(value))]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_report_entry_out_of_range_exits_two(self, tmp_path, capsys):
         report = write(tmp_path, "report.txt", "n 1\nmode full\n1 4 0.9 0.0 0 0\n")
@@ -387,6 +446,7 @@ def experiment_configs(draw, channel):
         key, value = draw(st.sampled_from([
             ("n", 3), ("m_max", -1), ("shots", -1), ("seed", -1), ("initial_state", "bogus"),
             ("sampling", "bogus"), ("observable", [["Z" * n, float("inf")]]),
+            ("n", 1.5), ("m_max", 2.5), ("shots", True),
         ]))
         raw[key] = value
     return raw
@@ -460,8 +520,6 @@ def test_fuzzed_inputs_keep_the_exit_code_contract(tmp_path_factory, inputs):
                 assert math.isfinite(value), (argv, out.getvalue())
 
 
-import pathlib
-
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -480,6 +538,20 @@ class TestShippedPresets:
             assert main(["experiment", "--config", str(path)]) == 0, path
             out = capsys.readouterr().out
             assert out.startswith("mu,q,m,k,")
+
+    def test_shipped_configs_do_not_warn(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for path in sorted((CONFIG_DIR / "experiments").glob("*.json")):
+                assert main(["experiment", "--config", str(path)]) == 0, path
+            for path in sorted((CONFIG_DIR / "channels").glob("*.json")):
+                n = json.loads(path.read_text()).get("n", 2)
+                labels = ["".join("IXYZ"[(k >> 2 * (n - 1 - q)) & 3] for q in range(n)) for k in range(4**n)]
+                obs = write(tmp_path, "obs.txt", "".join(f"{label} 1.0\n" for label in labels))
+                meas = write(tmp_path, "meas.txt", "".join(f"{label} 0.5\n" for label in labels))
+                assert main(["deconvolve", "--config", str(path), "--observable", obs,
+                             "--measurements", meas]) == 0, path
+        capsys.readouterr()
 
     def test_mu_sweep_preset_one_curve_per_mu(self, capsys):
         assert main(["experiment", "--config", str(CONFIG_DIR / "experiments" / "fig2a_mu_sweep.json")]) == 0

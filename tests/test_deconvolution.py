@@ -9,7 +9,6 @@ from noisedeconv.channels import (
     KrausChannel,
     apply_channel,
     bit_flip_channel,
-    compose,
     correlated_amplitude_damping,
     dephasing_channel,
     depolarizing_channel,
@@ -17,7 +16,6 @@ from noisedeconv.channels import (
 from noisedeconv.deconvolution import (
     deconvolve,
     plan,
-    plan_composed,
     plan_from_characterization,
     plan_general,
     plan_pauli,
@@ -43,12 +41,12 @@ def k_of(label):
 class TestPlanPauli:
     def test_bit_flip_factor(self):
         plan = plan_pauli(Observable.from_pairs([("Z", 1.0)]), bit_flip_channel(1, 0.1))
-        assert plan.factors == {3: pytest.approx(1.25, abs=1e-14)}
+        assert plan.weights == {3: pytest.approx(1.25, abs=1e-14)}
         assert plan.entries_consulted == 1
 
     def test_identity_component_factor_one(self):
         plan = plan_pauli(Observable.from_pairs([("I", 2.0)]), bit_flip_channel(1, 0.3))
-        assert plan.factors == {0: 1.0}
+        assert plan.weights == {0: 2.0}
 
     def test_non_invertible(self):
         with pytest.raises(NonInvertibleChannel):
@@ -58,7 +56,7 @@ class TestPlanPauli:
         rng = np.random.default_rng(0)
         obs = Observable.from_operator(random_hermitian(2, rng))
         plan = plan_pauli(obs, depolarizing_channel(2, 0.1, 0.5))
-        assert plan.entries_consulted == obs.r == len(plan.factors)
+        assert plan.entries_consulted == obs.r == len(plan.weights)
 
 
 def _kraus_z_flip(p):
@@ -83,9 +81,7 @@ PLAN_IDS = ["bit_flip", "depolarizing", "dephasing_ptm", "kraus_z_flip",
 
 
 def _plan_bytes(p):
-    return (repr(sorted(p.weights.items())),
-            None if p.factors is None else repr(sorted(p.factors.items())),
-            p.entries_consulted)
+    return repr(sorted(p.weights.items())), p.entries_consulted
 
 
 class TestPlanEntryPoint:
@@ -99,7 +95,6 @@ class TestPlanEntryPoint:
             assert got.entries_consulted == obs.r
         else:
             ref = plan_general(obs, ch.ptm(), m=m)
-            assert got.inverse_adjoint_ptm is ref.inverse_adjoint_ptm
         assert _plan_bytes(got) == _plan_bytes(ref)
 
     @pytest.mark.parametrize("m", [0, 2, 7])
@@ -110,7 +105,6 @@ class TestPlanEntryPoint:
         if path == "diagonal":
             lam = ch.lambdas()
             assert got.weights == {k: c / float(lam[k]) ** m for k, c in obs.items()}
-            assert got.factors == {k: 1.0 / float(lam[k]) ** m for k in obs.terms}
         else:
             ref = np.linalg.matrix_power(np.linalg.inv(ch.ptm().matrix.T), m) @ obs.coefficient_vector()
             w = np.zeros_like(ref)
@@ -122,7 +116,7 @@ class TestPlanEntryPoint:
         if path == "diagonal":
             for k in obs.terms:
                 unit = plan(Observable(ch.n, {k: 1.0}), ch, m)
-                assert reconstruction_factor(ch, k, m) == unit.factors[k]
+                assert reconstruction_factor(ch, k, m) == unit.weights[k] == 1.0 / float(lam[k]) ** m
 
     def test_general_weights_do_not_depend_on_planning_order(self):
         # plans on one PTM start from the latest m-fold image of their
@@ -153,8 +147,9 @@ class TestPlanEntryPoint:
         obs = Observable.from_pairs([("ZZ", 1.0)])
         plan_general(obs, ptm)
         ptm._inverse_adjoint = ptm._inverse_adjoint.view(Counting)
-        for m in range(2, 30):
-            plan_general(obs, ptm, m=m)
+        with pytest.warns(IllConditionedWarning, match="amplify"):  # from about m = 21
+            for m in range(2, 30):
+                plan_general(obs, ptm, m=m)
         assert Counting.products == 28
 
     def test_negative_repetitions_raise(self):
@@ -224,8 +219,9 @@ class TestDeconvolve:
 
 class TestPlanGeneral:
     def test_identity_ptm(self):
-        plan = plan_general(Observable.from_pairs([("Z", 1.0)]), PTM(1, np.eye(4)))
-        assert np.allclose(plan.inverse_adjoint_ptm, np.eye(4))
+        ptm = PTM(1, np.eye(4))
+        plan = plan_general(Observable.from_pairs([("Z", 1.0)]), ptm)
+        assert np.allclose(ptm._inverse_adjoint, np.eye(4))
         assert plan.weights == {3: 1.0}
         assert plan.entries_consulted == 16
 
@@ -236,7 +232,7 @@ class TestPlanGeneral:
         fast = plan_pauli(obs, ch)
         general = plan_general(obs, ch.ptm())
         for k, coeff in obs.items():
-            assert general.weights[k] == pytest.approx(fast.factors[k] * coeff, abs=1e-12)
+            assert general.weights[k] == pytest.approx(fast.weights[k], abs=1e-12)
         assert fast.entries_consulted == obs.r
         assert general.entries_consulted == 16 * 16
 
@@ -276,6 +272,19 @@ class TestPlanGeneral:
         with pytest.warns(IllConditionedWarning):
             plan_general(Observable.from_pairs([("Z", 1.0)]), ptm, cond_warn=100.0)
 
+    def test_amplified_weights_warn(self):
+        # eta 0.3: the one-step condition number is 7.7, but the m-fold
+        # weights' 1-norm passes CONDITION_WARN at m = 12 (3.1e8)
+        ch = correlated_amplitude_damping(0.3, 0.5)
+        obs = Observable.from_pairs([("ZZ", 1.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan(obs, ch, 11)
+        for m in (12, 24):
+            with pytest.warns(IllConditionedWarning, match=f"amplify .* \\(m = {m}\\)"):
+                p = plan(obs, ch, m)
+            assert sum(abs(w) for w in p.weights.values()) > 1e8
+
     def test_general_roundtrip_amplitude_damping(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
@@ -292,8 +301,8 @@ class TestPlanGeneral:
 
 
 class TestInverseShared:
-    """plan_general and plan_composed invert a PTM's transpose once and
-    share the result; the gates still run on every call."""
+    """plan_general inverts a PTM's transpose once and shares the result;
+    the gates still run on every call."""
 
     @pytest.fixture
     def inversions(self, monkeypatch):
@@ -317,12 +326,12 @@ class TestInverseShared:
         a = plan_general(obs_a, ptm)
         b = plan_general(obs_b, ptm)
         assert len(inversions) == 1
-        assert a.inverse_adjoint_ptm is b.inverse_adjoint_ptm
-        assert not a.inverse_adjoint_ptm.flags.writeable
+        assert not ptm._inverse_adjoint.flags.writeable
         for obs, plan in ((obs_a, a), (obs_b, b)):
-            fresh = plan_general(obs, PTM(2, ptm.matrix))
+            fresh_ptm = PTM(2, ptm.matrix)
+            fresh = plan_general(obs, fresh_ptm)
             assert repr(sorted(plan.weights.items())) == repr(sorted(fresh.weights.items()))
-            assert plan.inverse_adjoint_ptm.tobytes() == fresh.inverse_adjoint_ptm.tobytes()
+            assert ptm._inverse_adjoint.tobytes() == fresh_ptm._inverse_adjoint.tobytes()
         assert len(inversions) == 3
 
     def test_warning_on_every_call_against_its_own_threshold(self, inversions):
@@ -342,48 +351,7 @@ class TestInverseShared:
         for _ in range(3):
             with pytest.raises(SingularPTM):
                 plan_general(obs, ptm)
-        with pytest.raises(SingularPTM):
-            plan_composed(obs, bit_flip_channel(1, 0.1), ptm)
         assert inversions == []
-
-    def test_composed_plan_uses_the_same_inverse(self, inversions):
-        rng = np.random.default_rng(6)
-        pauli = dephasing_channel(2, 0.1, 0.5)
-        other = correlated_amplitude_damping(0.6, 0.2).ptm()
-        obs = Observable.from_operator(random_hermitian(2, rng))
-        general = plan_general(obs, other)
-        for pauli_first in (True, False):
-            composed = plan_composed(obs, pauli, other, pauli_first=pauli_first)
-            assert not composed.inverse_adjoint_ptm.flags.writeable
-        assert len(inversions) == 1
-        lam = pauli.lambdas()
-        assert np.array_equal(composed.inverse_adjoint_ptm,
-                              general.inverse_adjoint_ptm / lam[:, None])
-
-
-class TestPlanComposed:
-    @pytest.mark.parametrize("pauli_first", [True, False])
-    def test_matches_full_inversion(self, pauli_first):
-        rng = np.random.default_rng(4)
-        pauli = dephasing_channel(2, 0.1, 0.5)
-        other = correlated_amplitude_damping(0.6, 0.2).ptm()
-        obs = Observable.from_operator(random_hermitian(2, rng))
-        if pauli_first:
-            total = compose(other, pauli.ptm())
-        else:
-            total = compose(pauli.ptm(), other)
-        ref = plan_general(obs, total)
-        got = plan_composed(obs, pauli, other, pauli_first=pauli_first)
-        for j in set(ref.weights) | set(got.weights):
-            assert got.weights.get(j, 0.0) == pytest.approx(ref.weights.get(j, 0.0), abs=1e-12)
-
-    def test_noninvertible_diagonal_factor(self):
-        with pytest.raises(NonInvertibleChannel):
-            plan_composed(
-                Observable.from_pairs([("ZZ", 1.0)]),
-                depolarizing_channel(2, 1.0),
-                correlated_amplitude_damping(0.5, 0.5).ptm(),
-            )
 
 
 class TestReconstructionFactor:
@@ -445,7 +413,7 @@ class TestCharacterizationSource:
         plan = plan_from_characterization(obs, report)
         ref = plan_pauli(obs, ch)
         for k in obs.terms:
-            assert plan.factors[k] == pytest.approx(ref.factors[k], abs=1e-12)
+            assert plan.weights[k] == pytest.approx(ref.weights[k], abs=1e-12)
         assert plan.entries_consulted == obs.r
 
     def test_full_report_feeds_plan(self):

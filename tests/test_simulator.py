@@ -29,7 +29,6 @@ from noisedeconv.simulator import (
     CSV_HEADER,
     ExperimentConfig,
     evolve,
-    expectation_sampled,
     preset_state,
     records_to_csv,
     run_experiment,
@@ -103,17 +102,17 @@ class TestExpectationExact:
 
 class TestExpectationSampled:
     def test_certain_outcome(self):
-        rec = expectation_sampled(preset_state("zeros", 1), 3, shots=100, seed=0)
-        assert rec.value == 1.0 and rec.std_error == 0.0
+        value, err = sample_pauli_expectation(preset_state("zeros", 1), 3, 100, derive_rng(0, 3))
+        assert value == 1.0 and err == 0.0
 
     def test_unbiased_null_expectation(self):
-        rec = expectation_sampled(preset_state("zeros", 1), 1, shots=8192, seed=5)
-        assert abs(rec.value) <= 4.0 / np.sqrt(8192)
+        value, _ = sample_pauli_expectation(preset_state("zeros", 1), 1, 8192, derive_rng(5, 1))
+        assert abs(value) <= 4.0 / np.sqrt(8192)
 
     def test_deterministic_given_seed(self):
         rho = preset_state("plus", 2)
-        a = expectation_sampled(rho, 5, shots=2048, seed=11)
-        b = expectation_sampled(rho, 5, shots=2048, seed=11)
+        a = sample_pauli_expectation(rho, 5, 2048, derive_rng(11, 5))
+        b = sample_pauli_expectation(rho, 5, 2048, derive_rng(11, 5))
         assert a == b
 
     def test_probability_out_of_range(self):
@@ -318,13 +317,13 @@ class TestCoefficientEvolution:
 
     @pytest.mark.parametrize("shots", [0, 100])
     def test_non_hermitian_initial_state_rejected_at_readout(self, shots):
-        # Unit trace, and positive by the PSD gate (which reads one
-        # triangle), but <X> = 0.6i.
+        # Unit trace, but <X> = 0.6i: not Hermitian, so the initial-state
+        # gate refuses it before any readout.
         rho = np.array([[0.5, 0.3j], [0.3j, 0.5]])
         cfg = ExperimentConfig(n=1, channel={"family": "bit_flip", "n": 1, "p": 0.1},
                                observable=Observable.from_pairs([("X", 1.0)]),
                                initial_state=rho, m_max=2, shots=shots)
-        with pytest.raises(InvalidState, match="imaginary residue"):
+        with pytest.raises(InvalidState, match="not positive semidefinite"):
             run_experiment(cfg)
 
     def test_coefficient_readout_and_marginal_draw(self):
