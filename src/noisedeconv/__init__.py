@@ -17,7 +17,6 @@ from .characterization import (
     CharacterizedPTM,
     ProbeState,
     estimate_diagonal_entries,
-    estimate_diagonal_entry,
     estimate_full_ptm,
     is_positive_semidefinite,
     positivity_certificate,

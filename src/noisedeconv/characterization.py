@@ -5,7 +5,10 @@ send it through the channel once and measure P_k: for a unital channel
 that expectation equals the diagonal transfer-matrix entry at k.
 Measuring every P_j over the same output state fills row entries, giving
 the full matrix without process tomography.  The channel is accessed
-purely as a black-box state transformer here.
+purely as a black-box state transformer here.  Both reports come from
+one probe loop that reads each output's Pauli coefficient vector through
+``sampling.read_expectations`` (entry (j, k) from the stream
+(seed, k, j)), so a diagonal entry equals the full report's bit for bit.
 
 The probe's positive semidefiniteness is certified through the
 characteristic-polynomial coefficients S_m, computed by the trace-power
@@ -32,19 +35,12 @@ from .exceptions import (
     ParseError,
 )
 from .pauli import as_index, is_hermitian, num_qubits, pauli_element, vectorize
-from .sampling import (
-    coefficient_expectations,
-    derive_rng,
-    exact_pauli_expectation,
-    sample_marginal,
-    sample_pauli_expectation,
-)
+from .sampling import read_expectations
 
 __all__ = [
     "ProbeState",
     "CharacterizedPTM",
     "probe_state",
-    "estimate_diagonal_entry",
     "estimate_diagonal_entries",
     "estimate_full_ptm",
     "positivity_coefficients",
@@ -168,6 +164,8 @@ class CharacterizedPTM:
                 raise ParseError(f"line {lineno}: malformed row {raw!r}") from None
             if not (math.isfinite(est) and math.isfinite(err)):
                 raise ParseError(f"line {lineno}: non-finite estimate or error in {raw!r}")
+            if (j, k) in entries:
+                raise ParseError(f"line {lineno}: entry ({j}, {k}) repeats an earlier row")
             entries[(j, k)] = (est, err)
         if n is None or mode not in ("diagonal", "full"):
             raise ParseError("report lacks a valid 'n'/'mode' header")
@@ -177,58 +175,43 @@ class CharacterizedPTM:
         return cls(n=n, mode=mode, entries=entries, shots=shots, seed=seed)
 
 
-def estimate_diagonal_entry(ch: Channel, k, shots: int = 0, seed: int = 0) -> tuple[float, float]:
-    """Estimate the diagonal entry at k by probing the channel once.
-
-    ``shots = 0`` means exact readout.  Raises NonUnitalChannel when the
-    channel moves the maximally mixed state, which would bias the
-    probe estimates.
-    """
-    idx = as_index(k, ch.n)
-    return estimate_diagonal_entries(ch, [idx], shots, seed).entries[(idx.k, idx.k)]
+def _probe_report(ch: Channel, mode: str, ks, entries: dict, shots: int, seed: int) -> CharacterizedPTM:
+    """Probe the channel once per k in ``ks`` and add to ``entries`` what
+    its output gives: (k, k) in diagonal mode, every (j, k) with j != 0 in
+    full mode, each read from the stream (seed, k, j).  Every index is
+    validated, then unitality is checked once, before the first probe."""
+    d = 2**ch.n
+    idxs = [as_index(k, ch.n) for k in ks]
+    if any(idx.k == 0 for idx in idxs):
+        raise IdentityProbe("the k=0 entry equals 1 by trace preservation")
+    _check_unital(ch)
+    for idx in idxs:
+        row = vectorize(apply_channel(ch, probe_state(idx).operator)) * d  # entry j is Tr[P_j out]
+        js = range(1, d * d) if mode == "full" else [idx.k]
+        entries.update(zip([(j, idx.k) for j in js], read_expectations(row, js, shots, seed, idx.k)))
+    return CharacterizedPTM(n=ch.n, mode=mode, entries=entries, shots=shots, seed=seed)
 
 
 def estimate_diagonal_entries(ch: Channel, ks, shots: int = 0, seed: int = 0) -> CharacterizedPTM:
-    """Estimate the requested diagonal entries: one probe per entry, and
-    one unitality check per call, before the first probe."""
-    n = ch.n
-    entries: dict[tuple[int, int], tuple[float, float]] = {}
-    for i, k in enumerate(ks):
-        idx = as_index(k, n)
-        if idx.k == 0:
-            raise IdentityProbe("the k=0 entry equals 1 by trace preservation")
-        if i == 0:
-            _check_unital(ch)
-        out = apply_channel(ch, probe_state(idx).operator)
-        entries[(idx.k, idx.k)] = (
-            (exact_pauli_expectation(out, idx), 0.0) if shots == 0
-            else sample_pauli_expectation(out, idx, shots, derive_rng(seed, idx.k, idx.k))
-        )
-    return CharacterizedPTM(n=n, mode="diagonal", entries=entries, shots=shots, seed=seed)
+    """Estimate the diagonal entry at each k in ``ks``, one probe each.
+
+    ``shots = 0`` means exact readout.  Raises NonUnitalChannel when the
+    channel moves the maximally mixed state, which would bias the probe
+    estimates.  Entry (k, k) equals the full report's, byte for byte.
+    """
+    return _probe_report(ch, "diagonal", ks, {}, shots, seed)
 
 
 def estimate_full_ptm(ch: Channel, shots: int = 0, seed: int = 0) -> CharacterizedPTM:
     """Estimate every transfer-matrix entry from 4**n - 1 probes.
 
-    For each k != 0 the channel is applied to one probe and all P_j are
-    read from the output's Pauli coefficient vector (with shots, one
-    marginal draw per entry from the stream (seed, k, j)); the k = 0 row
-    and column are filled from the trace-preservation and unitality
-    identities.
+    Each probe's output gives a column: all P_j are read from its Pauli
+    coefficient vector.  The k = 0 row and column are filled from the
+    trace-preservation and unitality identities.
     """
-    n = ch.n
-    _check_unital(ch)
-    dim = 4**n
-    entries: dict[tuple[int, int], tuple[float, float]] = {(0, 0): (1.0, 0.0)}
-    for q in range(1, dim):
-        entries[(0, q)] = (0.0, 0.0)
-        entries[(q, 0)] = (0.0, 0.0)
-    for k in range(1, dim):
-        out = apply_channel(ch, probe_state(k, n).operator)
-        row = vectorize(out) * (2**n)  # entry j is Tr[P_j out]
-        for j, e in enumerate(coefficient_expectations(row, range(1, dim)), start=1):
-            entries[(j, k)] = (e, 0.0) if shots == 0 else sample_marginal(e, shots, derive_rng(seed, k, j))
-    return CharacterizedPTM(n=n, mode="full", entries=entries, shots=shots, seed=seed)
+    ks = range(1, 4**ch.n)
+    identities = {(0, 0): (1.0, 0.0)} | {jk: (0.0, 0.0) for q in ks for jk in ((0, q), (q, 0))}
+    return _probe_report(ch, "full", ks, identities, shots, seed)
 
 
 def positivity_coefficients(rho: np.ndarray, d: int | None = None) -> list[float]:

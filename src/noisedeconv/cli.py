@@ -89,6 +89,8 @@ def _parse_measurements(text: str) -> tuple[dict[int, float], dict[int, float], 
             n = idx.n
         elif idx.n != n:
             raise ParseError(f"line {lineno}: {fields[0]!r} has {idx.n} qubits, expected {n}")
+        if idx.k in values:
+            raise ParseError(f"line {lineno}: {fields[0]!r} repeats an earlier row")
         values[idx.k] = value
         errors[idx.k] = err
     if n is None:
@@ -150,19 +152,23 @@ def cmd_deconvolve(args) -> int:
     return 0
 
 
+def _parse_index(token: str, n: int) -> int:
+    """A flat basis index, or a Pauli label on exactly n qubits."""
+    try:
+        return int(token)
+    except ValueError:
+        pass
+    try:
+        idx = PauliIndex.from_label(token)
+    except ValueError:
+        raise ConfigError(f"bad index {token!r}; use an index or a Pauli string") from None
+    if idx.n != n:
+        raise ConfigError(f"label {token!r} is for {idx.n} qubits, expected n={n}")
+    return idx.k
+
+
 def _parse_entries(spec: str, n: int) -> list[int]:
-    ks = []
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            ks.append(int(token))
-        except ValueError:
-            try:
-                ks.append(PauliIndex.from_label(token).k)
-            except ValueError:
-                raise ConfigError(f"bad entry {token!r}; use an index or a Pauli string") from None
+    ks = [_parse_index(token, n) for token in map(str.strip, spec.split(",")) if token]
     if not ks:
         raise ConfigError("no entries requested")
     for k in ks:
@@ -239,16 +245,7 @@ def cmd_check_positivity(args) -> int:
                 )
             ks = range(1, 4**n)
         else:
-            try:
-                k_int = int(args.k)
-            except ValueError:
-                try:
-                    idx = PauliIndex.from_label(args.k)
-                except ValueError as exc:
-                    raise ConfigError(str(exc)) from None
-                if idx.n != n:
-                    raise ConfigError(f"label {args.k!r} is for {idx.n} qubits, expected n={n}")
-                k_int = idx.k
+            k_int = _parse_index(args.k, n)
             if not 0 <= k_int < 4**n:
                 raise ConfigError(f"k {k_int} out of range 0..{4**n - 1}")
             ks = [k_int]

@@ -12,17 +12,21 @@ distribution for a single observable.
 
 Every sampler consumes a numpy Generator; ``derive_rng`` builds
 independent deterministic streams from a base seed plus integer tags so
-results do not depend on evaluation order.
+results do not depend on evaluation order.  ``read_expectations`` is the
+one readout the experiments and the probe estimators share: it holds the
+exact/sampled switch and the stream layout, one stream
+(seed, *tags, j) per entry j read.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from .exceptions import InvalidState, ProbabilityOutOfRange
-from .pauli import as_index, num_qubits, pauli_element
+from .pauli import as_index, devectorize, num_qubits, pauli_element
 
 __all__ = [
     "SAMPLING_METHODS",
@@ -31,6 +35,7 @@ __all__ = [
     "coefficient_expectations",
     "sample_marginal",
     "sample_pauli_expectation",
+    "read_expectations",
 ]
 
 SAMPLING_METHODS = ("marginal", "projective")
@@ -139,3 +144,26 @@ def sample_pauli_expectation(
         raise ProbabilityOutOfRange(f"outcome probabilities sum to {total!r}")
     counts = rng.multinomial(shots, probs / total)
     return _estimate(float(counts @ vals) / shots, shots)
+
+
+def read_expectations(
+    coeffs: np.ndarray, ks, shots: int, seed: int, *tags: int, method: str = "marginal"
+) -> list[tuple[float, float]]:
+    """``(value, std_error)`` of Tr[P_j rho] for each j in ``ks``, from
+    rho's scaled Pauli coefficient vector ``coeffs = d * vectorize(rho)``.
+
+    ``shots = 0`` reads the entries exactly (std_error 0).  Otherwise each
+    entry is one draw from the stream ``derive_rng(seed, *tags, j)``:
+    marginal (:func:`sample_marginal`), or projective
+    (:func:`sample_pauli_expectation` on rho, rebuilt once per call).
+    """
+    if method not in SAMPLING_METHODS:
+        raise ValueError(f"unknown sampling method {method!r}")
+    if shots and method == "projective":
+        rho = devectorize(coeffs / math.isqrt(coeffs.size))
+        return [sample_pauli_expectation(rho, j, shots, derive_rng(seed, *tags, j), method)
+                for j in ks]
+    es = coefficient_expectations(coeffs, ks)
+    if not shots:
+        return [(e, 0.0) for e in es]
+    return [sample_marginal(e, shots, derive_rng(seed, *tags, j)) for j, e in zip(ks, es)]

@@ -12,9 +12,9 @@ The experiment evolves the state as its Pauli coefficient vector
 c = d * vectorize(rho), whose entry j is Tr[P_j rho]: one step rescales
 it by the channel's diagonal (c -> lambda * c) for a Pauli channel, or
 multiplies it by the transfer matrix Gamma otherwise, and every
-expectation is read from c.  A dense matrix is rebuilt only for the
-projective sampler.  ``evolve`` is the dense counterpart, one
-``apply_channel`` per step.
+expectation is read from c by ``sampling.read_expectations``, from the
+streams (seed, mu index, strength index, m, j) when sampled.
+``evolve`` is the dense counterpart, one ``apply_channel`` per step.
 
 Records carry the raw and deconvolved estimates together with their
 standard errors; ``records_to_csv`` renders them with shortest
@@ -34,14 +34,8 @@ from .deconvolution import deconvolve, plan, propagated_std_error
 # Unused here; bound only for the benchmark self-test that counts inversions at every binding.
 from .deconvolution import _invert_adjoint  # noqa: F401
 from .exceptions import ConfigError, InvalidState, NotPauliDiagonal
-from .pauli import Observable, devectorize, vectorize
-from .sampling import (
-    SAMPLING_METHODS,
-    coefficient_expectations,
-    derive_rng,
-    sample_marginal,
-    sample_pauli_expectation,
-)
+from .pauli import Observable, is_hermitian, num_qubits, vectorize
+from .sampling import SAMPLING_METHODS, read_expectations
 
 __all__ = [
     "ExperimentConfig",
@@ -186,14 +180,18 @@ def _matrix_from_json(entries) -> np.ndarray:
         return complex(float(x), 0.0)
 
     try:
-        return np.array([[scalar(x) for x in row] for row in entries], dtype=complex)
+        rho = np.array([[scalar(x) for x in row] for row in entries], dtype=complex)
+        num_qubits(rho)  # square, 2**n x 2**n
+        return rho
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad matrix entries: {exc}") from None
+        raise ConfigError(f"bad matrix: {exc}") from None
 
 
 def _validate_initial_state(rho: np.ndarray, n: int) -> None:
     if rho.shape != (2**n, 2**n):
         raise ConfigError(f"initial state shape {rho.shape} does not match n={n}")
+    if not is_hermitian(rho):
+        raise InvalidState("initial state is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-9 or abs(np.trace(rho).imag) > 1e-9:
         raise InvalidState(f"initial state trace is {complex(np.trace(rho))!r}, expected 1")
     if not is_positive_semidefinite(rho):
@@ -228,7 +226,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExpectationRecord]:
     term_ks = sorted(cfg.observable.terms)
     units = {k: Observable(cfg.n, {k: 1.0}) for k in term_ks}
     d = 2**cfg.n
-    projective = cfg.shots > 0 and cfg.sampling == "projective"
     records: list[ExpectationRecord] = []
     for gi, mu in enumerate(mu_values):
         for si, strength in enumerate(s_values):
@@ -249,18 +246,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExpectationRecord]:
                     c = lam * c if gamma is None else gamma @ c
                 plans = [plan(units[k], ch, m) for k in term_ks]
                 needed = sorted({j for p in plans for j in p.weights} | set(term_ks))
-                values, errors = {}, {}
-                if projective:
-                    rho = devectorize(c / d)
-                    for j in needed:
-                        rng = derive_rng(cfg.seed, gi, si, m, j)
-                        values[j], errors[j] = sample_pauli_expectation(rho, j, cfg.shots, rng, "projective")
-                else:
-                    for j, e in zip(needed, coefficient_expectations(c, needed)):
-                        values[j], errors[j] = (
-                            sample_marginal(e, cfg.shots, derive_rng(cfg.seed, gi, si, m, j))
-                            if cfg.shots else (e, 0.0)
-                        )
+                read = read_expectations(c, needed, cfg.shots, cfg.seed, gi, si, m, method=cfg.sampling)
+                values = {j: v for j, (v, _) in zip(needed, read)}
+                errors = {j: e for j, (_, e) in zip(needed, read)}
                 for k, p in zip(term_ks, plans):
                     records.append(
                         ExpectationRecord(

@@ -13,7 +13,6 @@ from noisedeconv.channels import (
 from noisedeconv.characterization import (
     CharacterizedPTM,
     estimate_diagonal_entries,
-    estimate_diagonal_entry,
     estimate_full_ptm,
     is_positive_semidefinite,
     positivity_coefficients,
@@ -56,40 +55,40 @@ class TestEstimateDiagonalEntry:
     def test_identity_channel(self):
         ch = KrausChannel([np.eye(4)])
         for k in (1, 5, 15):
-            value, err = estimate_diagonal_entry(ch, k)
+            value, err = estimate_diagonal_entries(ch, [k]).entries[(k, k)]
             assert value == pytest.approx(1.0, abs=1e-12)
             assert err == 0.0
 
     def test_depolarizing_exact(self):
-        value, _ = estimate_diagonal_entry(depolarizing_channel(1, 0.2), 3)
+        value, _ = estimate_diagonal_entries(depolarizing_channel(1, 0.2), [3]).entries[(3, 3)]
         assert value == pytest.approx(0.8, abs=1e-12)
 
     def test_matches_ptm_from_kraus(self):
         ch = bit_flip_channel(2, 0.2, 0.6)
         k = PauliIndex.from_label("ZZ").k
-        value, _ = estimate_diagonal_entry(ch, k)
+        value, _ = estimate_diagonal_entries(ch, [k]).entries[(k, k)]
         assert value == pytest.approx(ch.ptm().matrix[k, k], abs=1e-12)
 
     def test_non_unital_rejected(self):
         with pytest.raises(NonUnitalChannel):
-            estimate_diagonal_entry(correlated_amplitude_damping(0.5, 0.0), 15)
+            estimate_diagonal_entries(correlated_amplitude_damping(0.5, 0.0), [15])
 
     def test_identity_index_rejected(self):
         with pytest.raises(IdentityProbe):
-            estimate_diagonal_entry(bit_flip_channel(1, 0.1), 0)
+            estimate_diagonal_entries(bit_flip_channel(1, 0.1), [0])
 
     def test_shot_convergence_bound(self):
         ch = depolarizing_channel(1, 0.2)
-        exact, _ = estimate_diagonal_entry(ch, 3)
+        exact, _ = estimate_diagonal_entries(ch, [3]).entries[(3, 3)]
         for shots in (1024, 8192, 65536):
-            value, err = estimate_diagonal_entry(ch, 3, shots=shots, seed=13)
+            value, err = estimate_diagonal_entries(ch, [3], shots=shots, seed=13).entries[(3, 3)]
             assert abs(value - exact) <= 3.0 / np.sqrt(shots)
             assert err <= np.sqrt(1.0 / shots)
 
     def test_sampled_deterministic(self):
         ch = bit_flip_channel(2, 0.1, 0.4)
-        a = estimate_diagonal_entry(ch, 15, shots=4096, seed=7)
-        b = estimate_diagonal_entry(ch, 15, shots=4096, seed=7)
+        a = estimate_diagonal_entries(ch, [15], shots=4096, seed=7).entries[(15, 15)]
+        b = estimate_diagonal_entries(ch, [15], shots=4096, seed=7).entries[(15, 15)]
         assert a == b
 
 
@@ -166,7 +165,7 @@ class TestDiagonalEntries:
         assert len(calls) == len(ks) + 1
         for k in ks:
             calls.clear()
-            assert estimate_diagonal_entry(ch, k) == result.entries[(k, k)]
+            assert estimate_diagonal_entries(ch, [k]).entries[(k, k)] == result.entries[(k, k)]
             assert len(calls) == 2
 
     def test_non_unital_rejected(self):
@@ -195,6 +194,10 @@ class TestReportFormat:
             CharacterizedPTM.from_report_text("n 1\nmode diagonal\n1 1 bad 0.0 0 0\n")
         with pytest.raises(ParseError):
             CharacterizedPTM.from_report_text("")
+
+    def test_repeated_row_rejected(self):
+        with pytest.raises(ParseError, match="line 4"):
+            CharacterizedPTM.from_report_text("n 1\nmode diagonal\n3 3 0.8 0.0 0 0\n3 3 0.2 0.0 0 0\n")
 
     @pytest.mark.parametrize("row", ["4 4 0.9 0.0 0 0", "-1 1 0.9 0.0 0 0", "1 1 nan 0.0 0 0"])
     def test_out_of_range_or_non_finite_row(self, row):

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 import noisedeconv
 from noisedeconv.cli import main
 
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
 
 def write(tmp_path, name, content):
     path = tmp_path / name
@@ -195,6 +197,25 @@ class TestCharacterizeCommand:
         cfg = channel_json(tmp_path, family="amp_damp_corr", eta=0.5, mu=0.0)
         assert main(["characterize", "--config", cfg]) == 3
 
+    def test_label_must_span_every_qubit(self, capsys):
+        cfg = str(CONFIG_DIR / "channels" / "depolarizing_n3_fig2.json")
+        assert main(["characterize", "--config", cfg, "--entries", "ZZ"]) == 2
+        assert "expected n=3" in capsys.readouterr().err
+        assert main(["characterize", "--config", cfg, "--entries", "IZZ"]) == 0
+        assert capsys.readouterr().out.splitlines()[3].startswith("15 15 ")
+
+    @pytest.mark.parametrize("extra", [[], ["--shots", "500", "--seed", "3"]], ids=["exact", "sampled"])
+    @pytest.mark.parametrize("path", sorted((CONFIG_DIR / "channels").glob("*.json")), ids=lambda p: p.stem)
+    def test_diagonal_report_is_the_full_reports_diagonal(self, capsys, path, extra):
+        n = json.loads(path.read_text()).get("n", 2)
+        every_k = ",".join(map(str, range(1, 4**n)))
+        full_rc = main(["characterize", "--config", str(path), "--entries", "full", *extra])
+        full = capsys.readouterr().out.splitlines()
+        assert main(["characterize", "--config", str(path), "--entries", every_k, *extra]) == full_rc
+        diagonal = capsys.readouterr().out.splitlines()
+        if full_rc == 0:  # amp_damp_corr is not unital: both refuse it
+            assert diagonal[3:] == [row for row in full[3:] if row.split()[0] == row.split()[1] != "0"]
+
 
 class TestExperimentCommand:
     def test_exact_mode_deconvolved_is_one(self, tmp_path, capsys):
@@ -368,6 +389,27 @@ class TestArgumentErrors:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("source", ["measurements", "report"])
+    def test_repeated_row_exits_two(self, tmp_path, capsys, source):
+        # the last of two rows used to win: value 0.9, and 0.4 / 0.2 = 2.0 from the report
+        obs = write(tmp_path, "obs.txt", "Z 1.0\n")
+        rows = "Z 0.5 0.01\nZ 0.9 0.01\n" if source == "measurements" else "Z 0.4\n"
+        meas = write(tmp_path, "meas.txt", rows)
+        if source == "measurements":
+            noise = ["--config", channel_json(tmp_path, family="bit_flip", n=1, p=0.0)]
+        else:
+            report = "n 1\nmode diagonal\n3 3 0.8 0.0 0 0\n3 3 0.2 0.0 0 0\n"
+            noise = ["--characterization", write(tmp_path, "report.txt", report)]
+        assert main(["deconvolve", "--observable", obs, *noise, "--measurements", meas]) == 2
+        assert "repeats an earlier row" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("matrix", [[[1, 0], [0, 0], [0, 0]], [[1, 0, 0], [0, 0, 0], [0, 0, 0]]],
+                             ids=["3x2", "3x3"])
+    def test_state_file_of_no_qubit_shape_exits_two(self, tmp_path, capsys, matrix):
+        state = write(tmp_path, "state.json", json.dumps(matrix))
+        assert main(["check-positivity", "--state-file", state]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_report_entry_out_of_range_exits_two(self, tmp_path, capsys):
         report = write(tmp_path, "report.txt", "n 1\nmode full\n1 4 0.9 0.0 0 0\n")
         obs = write(tmp_path, "obs.txt", "Z 1.0\n")
@@ -518,9 +560,6 @@ def test_fuzzed_inputs_keep_the_exit_code_contract(tmp_path_factory, inputs):
                 except ValueError:
                     continue
                 assert math.isfinite(value), (argv, out.getvalue())
-
-
-CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestShippedPresets:

@@ -2,12 +2,14 @@
 
 Each case's exit code and the sha256 of its stdout are compared with a
 table recorded from the program, so a change that claims byte-identical
-output (a deletion, a refactor) is held to it.  The cases are ``ptm`` and
-``characterize --shots 500 --seed 3`` on every channel config,
-``deconvolve --config`` on every channel config with an observable and a
-measurement file written here, and ``experiment`` on every experiment
-config.  Stderr is not compared: a warning may be added without changing
-stdout.
+output (a deletion, a refactor) is held to it.  The cases are ``ptm``,
+``characterize --shots 500 --seed 3`` and ``characterize --shots 0`` (the
+full report, exact) on every channel config, ``deconvolve --config`` on
+every channel config with an observable and a measurement file written
+here, and ``experiment`` on every experiment config, as shipped and with
+``--shots 2048 --seed 1`` under each sampling method (the config copied
+to a temp file with ``"sampling"`` set).  Stderr is not compared: a
+warning may be added without changing stdout.
 """
 
 import contextlib
@@ -20,6 +22,7 @@ import pathlib
 import pytest
 
 from noisedeconv.cli import main
+from noisedeconv.sampling import SAMPLING_METHODS
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 CHANNELS = sorted((CONFIG_DIR / "channels").glob("*.json"))
@@ -45,6 +48,15 @@ GOLDEN = {
     ("characterize", "depolarizing_n1"): (0, "fc70bf5e2d4e224003d462387f48c4fb3951e0e567fe3f2db913bdaf8bb6860c"),
     ("characterize", "depolarizing_n3_fig2"): (0, "f405e73e7b7bcb1f06fa71c0487694189054c3334f0ccaa3a03c19da49f44086"),
     ("characterize", "pauli_custom_n1"): (0, "e28f082f437183c7d60ab8ca96038d0bb5bc191789ae0590834d6fa3abfae076"),
+    ("characterize-exact", "amp_damp_corr"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("characterize-exact", "amp_damp_corr_unital"): (0, "6867a4c68812c5c28e3a50d2c7c69ffd078b06e38c7f1c83c340dd3217afa1bb"),
+    ("characterize-exact", "bit_flip_n1"): (0, "c70124c9864fa3ff9dce2b1a2502341a26aa2a3ab76580a249edace816107e40"),
+    ("characterize-exact", "bit_flip_n2_correlated"): (0, "a1576241e45bc964adfa0021f13c3e954905fbbc3a477636d51a90b5e1a8d709"),
+    ("characterize-exact", "bit_flip_n3_correlated"): (0, "b26531ac11ba23fbcd66a585abf57b4473539ce82bc8fa00b60adbd2811fdcdc"),
+    ("characterize-exact", "dephasing_n2"): (0, "e227abd988b6212af98a715af27fd24c1b8e2a9e1175b246fc053df9f8634c9d"),
+    ("characterize-exact", "depolarizing_n1"): (0, "0680085f5710afafdcf471aab55f937d8d16035ffae9abdacaeb06a22e9ba904"),
+    ("characterize-exact", "depolarizing_n3_fig2"): (0, "f1d8ae5ab4ad1af4852a7d2ce74615f6fa1982c197aff5d6a05c8d94780361ba"),
+    ("characterize-exact", "pauli_custom_n1"): (0, "ef2848ce4a6e68ee2ec70dd8c511860940534b7aa5962336f5b8f17939d95bc0"),
     ("deconvolve", "amp_damp_corr"): (0, "73d3ddd78c43f4e2d64c7a6bdef2a04e4976c52b9f3f21c8dc468cb1c033f058"),
     ("deconvolve", "amp_damp_corr_unital"): (0, "03defe0bb2b64b302e72ee6d53f85720b9bab852a002d2976047f8d831b52af1"),
     ("deconvolve", "bit_flip_n1"): (0, "731f9ea31d0440dc7396573a9031d6629bdec256f336a225e044b024ec1d70fa"),
@@ -58,6 +70,14 @@ GOLDEN = {
     ("experiment", "fig2a_mu_sweep"): (0, "354b5920ad486107904b484bf49128a68a8b50ab41e20ad92fc45701501ea168"),
     ("experiment", "fig2b_deconvolution"): (0, "0434a25da1df24e4c1863e90cd8de859affc292a4114bd2c77a4261e39c0c5e7"),
     ("experiment", "fig2b_exact"): (0, "afe5f475f77e1d6098f0590fc1a5d2d38d997c3252bd107f56b0af47ed47d38c"),
+    ("experiment-marginal", "amp_damp_zz"): (0, "14626b73d4ada86b86b56836307054a39018d05b5d9a3d452a0e72048edce99b"),
+    ("experiment-marginal", "fig2a_mu_sweep"): (0, "7e04819fa1c3dc5cb4939b9ba5cc23866f18b5e8a008a5363b4a6c2b7052208e"),
+    ("experiment-marginal", "fig2b_deconvolution"): (0, "c4dcdadf2f44ecac13bc137cf1bd9b3ed82ce13acc7e558c60ec007ef3631d6f"),
+    ("experiment-marginal", "fig2b_exact"): (0, "c4dcdadf2f44ecac13bc137cf1bd9b3ed82ce13acc7e558c60ec007ef3631d6f"),
+    ("experiment-projective", "amp_damp_zz"): (0, "14626b73d4ada86b86b56836307054a39018d05b5d9a3d452a0e72048edce99b"),
+    ("experiment-projective", "fig2a_mu_sweep"): (0, "8946f80f56c20982ac714e5932c04260e410f5aeb1313f588f470c764e13994f"),
+    ("experiment-projective", "fig2b_deconvolution"): (0, "1b49f7a0ec6564c1a5abe6b4c5ad2224b8603e513f1704f67a1d2ceb514a9fa1"),
+    ("experiment-projective", "fig2b_exact"): (0, "1b49f7a0ec6564c1a5abe6b4c5ad2224b8603e513f1704f67a1d2ceb514a9fa1"),
 }
 
 
@@ -84,16 +104,26 @@ def _n(path):
 CASES = (
     [("ptm", p) for p in CHANNELS]
     + [("characterize", p) for p in CHANNELS]
+    + [("characterize-exact", p) for p in CHANNELS]
     + [("deconvolve", p) for p in CHANNELS]
     + [("experiment", p) for p in EXPERIMENTS]
+    + [(f"experiment-{method}", p) for method in SAMPLING_METHODS for p in EXPERIMENTS]
 )
 
 
 def run_case(command, path, tmp_path):
     """Exit code and sha256 of stdout of one golden case."""
-    argv = [command, "--config", str(path)]
+    if command.startswith("experiment-"):
+        cfg = dict(json.loads(path.read_text()), sampling=command.split("-", 1)[1])
+        path = tmp_path / path.name
+        path.write_text(json.dumps(cfg))
+    argv = [command.split("-", 1)[0], "--config", str(path)]
     if command == "characterize":
         argv += ["--shots", "500", "--seed", "3"]
+    elif command == "characterize-exact":
+        argv += ["--shots", "0"]
+    elif command.startswith("experiment-"):
+        argv += ["--shots", "2048", "--seed", "1"]
     elif command == "deconvolve":
         argv += _deconvolve_inputs(tmp_path, _n(path))
     out = io.StringIO()

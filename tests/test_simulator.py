@@ -17,12 +17,14 @@ from noisedeconv.exceptions import (
     InvalidState,
     ProbabilityOutOfRange,
 )
-from noisedeconv.pauli import Observable, PauliIndex, vectorize
+from noisedeconv.pauli import Observable, PauliIndex, devectorize, vectorize
 from noisedeconv.sampling import (
+    SAMPLING_METHODS,
     coefficient_expectations,
     derive_rng,
     exact_pauli_expectation,
     sample_marginal,
+    read_expectations,
     sample_pauli_expectation,
 )
 from noisedeconv.simulator import (
@@ -129,6 +131,22 @@ class TestExpectationSampled:
                 for s in range(30)
             ]
             assert abs(np.mean(vals) - exact) < 5 * np.sqrt((1 - exact**2) / 4096 / 30)
+
+    @pytest.mark.parametrize("method", SAMPLING_METHODS)
+    def test_read_expectations_is_one_draw_per_entry(self, method):
+        # entry j is the dense sampler's draw from the stream (seed, *tags, j)
+        c = vectorize(random_density(2, np.random.default_rng(6))) * 4
+        ks, tags = [1, 5, 6, 15], (3, 0, 2)
+        assert read_expectations(c, ks, 500, 9, *tags, method=method) == [
+            sample_pauli_expectation(devectorize(c / 4), j, 500, derive_rng(9, *tags, j), method)
+            for j in ks
+        ]
+        exact = read_expectations(c, ks, 0, 9, *tags, method=method)
+        assert exact == [(e, 0.0) for e in coefficient_expectations(c, ks)]
+
+    def test_read_expectations_refuses_an_unknown_method(self):
+        with pytest.raises(ValueError, match="bogus"):
+            read_expectations(vectorize(preset_state("zeros", 1)) * 2, [3], 0, 0, method="bogus")
 
 
 class TestRunExperiment:
@@ -316,14 +334,14 @@ class TestCoefficientEvolution:
         assert calls == []
 
     @pytest.mark.parametrize("shots", [0, 100])
-    def test_non_hermitian_initial_state_rejected_at_readout(self, shots):
+    def test_non_hermitian_initial_state_rejected_at_the_gate(self, shots):
         # Unit trace, but <X> = 0.6i: not Hermitian, so the initial-state
-        # gate refuses it before any readout.
+        # gate refuses it before any readout, and says why.
         rho = np.array([[0.5, 0.3j], [0.3j, 0.5]])
         cfg = ExperimentConfig(n=1, channel={"family": "bit_flip", "n": 1, "p": 0.1},
                                observable=Observable.from_pairs([("X", 1.0)]),
                                initial_state=rho, m_max=2, shots=shots)
-        with pytest.raises(InvalidState, match="not positive semidefinite"):
+        with pytest.raises(InvalidState, match="not Hermitian"):
             run_experiment(cfg)
 
     def test_coefficient_readout_and_marginal_draw(self):
