@@ -2,14 +2,19 @@
 
 Each case's exit code and the sha256 of its stdout are compared with a
 table recorded from the program, so a change that claims byte-identical
-output (a deletion, a refactor) is held to it.  The cases are ``ptm``,
-``characterize --shots 500 --seed 3`` and ``characterize --shots 0`` (the
-full report, exact) on every channel config, ``deconvolve --config`` on
-every channel config with an observable and a measurement file written
-here, and ``experiment`` on every experiment config, as shipped and with
-``--shots 2048 --seed 1`` under each sampling method (the config copied
-to a temp file with ``"sampling"`` set).  Stderr is not compared: a
-warning may be added without changing stdout.
+output (a deletion, a refactor) is held to it.  On every channel config
+the cases are ``ptm`` (full and ``--diagonal-only``, csv and json),
+``characterize --shots 500 --seed 3`` (csv and json), ``characterize
+--shots 0`` (the full report, exact), ``characterize --entries
+1,...,4^n-1`` (every diagonal entry, exact), ``deconvolve --config``
+(csv and json) with an observable and a measurement file written here,
+and ``deconvolve --characterization`` from an exact full report that
+``characterize --out`` writes first.  On every experiment config they are
+``experiment`` as shipped (csv and json) and with ``--shots 2048 --seed
+1`` under each sampling method (the config copied to a temp file with
+``"sampling"`` set).  ``check-positivity`` runs at n = 1..3, on one
+label, and on a passing and a failing ``--state-file``.  Stderr is not
+compared: a warning may be added without changing stdout.
 """
 
 import contextlib
@@ -78,6 +83,79 @@ GOLDEN = {
     ("experiment-projective", "fig2a_mu_sweep"): (0, "8946f80f56c20982ac714e5932c04260e410f5aeb1313f588f470c764e13994f"),
     ("experiment-projective", "fig2b_deconvolution"): (0, "1b49f7a0ec6564c1a5abe6b4c5ad2224b8603e513f1704f67a1d2ceb514a9fa1"),
     ("experiment-projective", "fig2b_exact"): (0, "1b49f7a0ec6564c1a5abe6b4c5ad2224b8603e513f1704f67a1d2ceb514a9fa1"),
+    ("ptm-json", "amp_damp_corr"): (0, "83c0978cda02022decded44207e0af672b10f39c9d4cb4c47c9d5bc4d191be04"),
+    ("ptm-json", "amp_damp_corr_unital"): (0, "ae6eedb9a874d33d58930d6a41614be6891f1a45910d4909ed36fa4aeea329ac"),
+    ("ptm-json", "bit_flip_n1"): (0, "5bac3ec64f3bb40c66366cf009894050a5e0546c52b433f289326ef511bc95df"),
+    ("ptm-json", "bit_flip_n2_correlated"): (0, "111117d2484fef2a46ef9bc2358b7ac156afaf1a1995b8214a590e43f3cdb90a"),
+    ("ptm-json", "bit_flip_n3_correlated"): (0, "4732ac78a3413c5d6be0e8d0e08d7dc574b386a403051b2338062fc218124424"),
+    ("ptm-json", "dephasing_n2"): (0, "b747bba8d09863d8d1b815e1a28b2aed5d5963e69065ca98e59d3109a77de682"),
+    ("ptm-json", "depolarizing_n1"): (0, "ab4fb6da748948e2956ca7d7a8a83a2fc95baab601b316cb22ef7619495f0fc9"),
+    ("ptm-json", "depolarizing_n3_fig2"): (0, "4933abf2b1149431ca626386524f9c1f079720ee6417a5e7868081aa09170be1"),
+    ("ptm-json", "pauli_custom_n1"): (0, "9ca5c78cc6129695efb7423c873b6aac1a0a5679c4f9521b08445eab6600fddb"),
+    ("characterize-json", "amp_damp_corr"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("characterize-json", "amp_damp_corr_unital"): (0, "a8af7188ecc59a5b727c178ad2a86ddf290a0958072c46007f81084f205465c2"),
+    ("characterize-json", "bit_flip_n1"): (0, "38746b67b943ea07e48d64fe54368a45e5957e3b5ee106691c5180ceaa280bdd"),
+    ("characterize-json", "bit_flip_n2_correlated"): (0, "a5c89a82b1d61a62b6d37260a70f024a0576bd0718ee7692878c0b661198980c"),
+    ("characterize-json", "bit_flip_n3_correlated"): (0, "bbe0c425d0c49b4e206dba3c5e6a1e8579169d38f3d18733f45f2e9072f5c46e"),
+    ("characterize-json", "dephasing_n2"): (0, "53f082e98da73ea3e1dfd5756dceb3893f7b66a3dce6e76f4f40a1c6080a7392"),
+    ("characterize-json", "depolarizing_n1"): (0, "def1b4877d1a79372d153d6f439eca0a285925447f2f515b745628d6cb403c2b"),
+    ("characterize-json", "depolarizing_n3_fig2"): (0, "6d2d3c4899b05264024257b8ebd15d318ab04fd527ffb5362d7a04cca3da7524"),
+    ("characterize-json", "pauli_custom_n1"): (0, "ffd20fbdda634a667e9917477f06d3c5fd37c2e23b2c0ccca480adc89642449a"),
+    ("deconvolve-json", "amp_damp_corr"): (0, "0f6e12faf92bb97918259fab1e39ce3e0825ba37c2d371461e3901807c56d24b"),
+    ("deconvolve-json", "amp_damp_corr_unital"): (0, "9df1f7a544283e09c075e727f456e02e5b2d660233c42fe3085f7d3ee955b8fa"),
+    ("deconvolve-json", "bit_flip_n1"): (0, "7cc94ad25e12d48c50accbf6aa345bf99037fe62ac4e11b3b7e354cac254aeed"),
+    ("deconvolve-json", "bit_flip_n2_correlated"): (0, "a0163551bb9272263edd4e838a27a5330a223b2da5daf05e38ca3db5831e22a7"),
+    ("deconvolve-json", "bit_flip_n3_correlated"): (0, "4bd1e00c6a68dfee96bffdc411a13a59124727ec871c68bb986f367242b2da66"),
+    ("deconvolve-json", "dephasing_n2"): (0, "1eeb124c8957ac3906ccad961e1864421a71f115e26be3cd49ed44fda040d82a"),
+    ("deconvolve-json", "depolarizing_n1"): (0, "da9d4beca802cbed094f40c4f19e6b3cb71e96b81ed7240483286be7e7672a34"),
+    ("deconvolve-json", "depolarizing_n3_fig2"): (0, "130e1e8e609e1e8257ed2e8742a0e76d069e617141b77c6ffa16751c55eb86cd"),
+    ("deconvolve-json", "pauli_custom_n1"): (0, "a8ea54d834d17919d70ee2ae844281c73dd11e0bfccb072143c726600d044c82"),
+    ("experiment-json", "amp_damp_zz"): (0, "b82ff9319c0a7995b452f9feaca1aba42ca12c912f822071a0bf2dc1feaa234d"),
+    ("experiment-json", "fig2a_mu_sweep"): (0, "1c519c5ea1f735a35f83847176289c1a711d245e342d444d124b447905741f5f"),
+    ("experiment-json", "fig2b_deconvolution"): (0, "fcd7d6d41a241e5efe1ef484856f4ffeb9217957ff9d8d8c34ace62cbc9b208d"),
+    ("experiment-json", "fig2b_exact"): (0, "814a0e544c0c51c055ae130465efaa9249dae89c557831d4a6be981c7df91e0b"),
+    ("ptm-diagonal", "amp_damp_corr"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("ptm-diagonal", "amp_damp_corr_unital"): (0, "87f9f92ac426d0b6b9ecf759ff8069ccfabef2f8e5a4b98b47778d7eb9e0fcc3"),
+    ("ptm-diagonal", "bit_flip_n1"): (0, "7f89d2845a1cb22195efdba3bb490624014f23e17107f0df564271a207098b33"),
+    ("ptm-diagonal", "bit_flip_n2_correlated"): (0, "a07782c581b95c6b7e316562a1a09e4ff8723e653599a42e085645b20f7389b9"),
+    ("ptm-diagonal", "bit_flip_n3_correlated"): (0, "4e3f14558716722c08a56fadd0de50a02c377892e39dcb49af80de82bb632082"),
+    ("ptm-diagonal", "dephasing_n2"): (0, "da14e1408b919fe9fe57324ce022d436e7e10e95c8ac958fd7b5277047890e62"),
+    ("ptm-diagonal", "depolarizing_n1"): (0, "c1c942c869b45ec7dd648478fce65ba60e23ad7a9ef78f0c7ee97d074889917f"),
+    ("ptm-diagonal", "depolarizing_n3_fig2"): (0, "f859ff9c5895ad42f5afecfc91043a1ed1670829e2cedacc31fc23fc7567df97"),
+    ("ptm-diagonal", "pauli_custom_n1"): (0, "d828f77b18e8a2a55b81c60ded1aea53c8f303a882ed1121962ae68994f48db5"),
+    ("ptm-diagonal-json", "amp_damp_corr"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("ptm-diagonal-json", "amp_damp_corr_unital"): (0, "4d506e4b0cd53a4d6f9ffebdde8b9b1e4678271ed47a7ca769551b0a69bc6376"),
+    ("ptm-diagonal-json", "bit_flip_n1"): (0, "d9dec8ff372d7f7780c333d1293a3ca9375bc98fbb961fdb0b611face9c244e9"),
+    ("ptm-diagonal-json", "bit_flip_n2_correlated"): (0, "51712c57260417e983c8f8eb93fd205ba825af10550e0e7d55b8b27dd04fa109"),
+    ("ptm-diagonal-json", "bit_flip_n3_correlated"): (0, "57c08fbfc0f38e2a04ce7e6f29e5a45669b23481cabfabe1fc8a4bb87758d21f"),
+    ("ptm-diagonal-json", "dephasing_n2"): (0, "3f650dd13e05ebe23d61f7a18706ecae995f5d65a70a28b5c730880f24bc66e7"),
+    ("ptm-diagonal-json", "depolarizing_n1"): (0, "7668fe37a4fd8243db5f825395eeae00a78d9bd6bfd44e199f517391053c728b"),
+    ("ptm-diagonal-json", "depolarizing_n3_fig2"): (0, "0143d141ed7e54db6cb05ec5a510dcda74b344f591952747a03c5816209ff225"),
+    ("ptm-diagonal-json", "pauli_custom_n1"): (0, "a707ed8a6560918e9b4a6aec23e8d18f2313c907c7875813822c44b634967f04"),
+    ("characterize-entries", "amp_damp_corr"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("characterize-entries", "amp_damp_corr_unital"): (0, "c7a9b55d31b8d64f60450f8da555227ebfde5a12461e89d42f451cc06f9e4c9a"),
+    ("characterize-entries", "bit_flip_n1"): (0, "20313847c6d1002c13c6c06e259aba97a5493006fed59705d44819fb5911352e"),
+    ("characterize-entries", "bit_flip_n2_correlated"): (0, "fe600202864683c17e419a5a2aa97261a7af6e19f96f5a29e4ea610f1618063e"),
+    ("characterize-entries", "bit_flip_n3_correlated"): (0, "e3ed738e30c82900b2f430244358863b2d864d67d1ef4b8fd52514efbc9444a8"),
+    ("characterize-entries", "dephasing_n2"): (0, "edeac879bd5551ee14170f634adfbbeccb3f550b96086d7aaeadff7ffb0011f7"),
+    ("characterize-entries", "depolarizing_n1"): (0, "9fef6a883a961da87e38189726b348641f5267049c4fdb98ad0f57adf11f46f1"),
+    ("characterize-entries", "depolarizing_n3_fig2"): (0, "21f3f25fff3c1d8403253b0f314de231cb402696dc0c1c20488fc2f409877100"),
+    ("characterize-entries", "pauli_custom_n1"): (0, "a8bf27cb291e4fe3dfeb5569c9b49df5d7d934c425aa37eb762f2d55a67c8011"),
+    ("deconvolve-characterization", "amp_damp_corr"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("deconvolve-characterization", "amp_damp_corr_unital"): (0, "2f66ee0b044cecd833678d2efa770fcfbf74eae6b48439977483f3fd05ec7202"),
+    ("deconvolve-characterization", "bit_flip_n1"): (0, "530d3f5c2e0c761ca9a5869c329332a7a45b28686be1069bbea4ced428a8ebf8"),
+    ("deconvolve-characterization", "bit_flip_n2_correlated"): (0, "c034f0d272d4f07ed88c55aadb1cf5809b4e552b8f8283200e6e09091215b569"),
+    ("deconvolve-characterization", "bit_flip_n3_correlated"): (0, "7fc092d09a789f2f82347947ff58fd22c842f12c4dc9df22ab31db630b02cd8e"),
+    ("deconvolve-characterization", "dephasing_n2"): (0, "aa90b20413bc99e22c1b51202e869850efc3263d2a9f3908ba43c6b94a9ad7a3"),
+    ("deconvolve-characterization", "depolarizing_n1"): (0, "ebca69d13813a15a0a1a9c6cf5efda53ddea1044d708a413af74e04a0c289c72"),
+    ("deconvolve-characterization", "depolarizing_n3_fig2"): (0, "4b71133e75c369056d2a6751237b74c1804b9d22ed09ed928eac9812ed56f6db"),
+    ("deconvolve-characterization", "pauli_custom_n1"): (0, "b31da6fa1aa35f8c01ea322fc8a28fbdb5c0d1488cfb6fb4c6dcde2478b4ef91"),
+    ("check-positivity", "n1"): (0, "ae19b1c9bdb0a55451136af2ef00b76688ef8c16819d018d8a273fd806b5f603"),
+    ("check-positivity", "n2"): (0, "85fb8602ce2f27d62e09b5f29818515bffc51303f82da7a368caa23a14d1dc69"),
+    ("check-positivity", "n3"): (0, "75dd7a06a5d2b391ba06129afb0cede1da4eb0532562af1e0def4889f8dd59ac"),
+    ("check-positivity", "n2-kZZ"): (0, "27a924ad67e2d628162429796e28f9efdc787545818b28de1d78a590679d9eea"),
+    ("check-positivity", "state-pass"): (0, "5d735b98fceaa200fa5dcdc65812e9f484c4c0aa44a8b19750e58d3938535c3e"),
+    ("check-positivity", "state-fail"): (3, "b9efaab0505034e78ffc4c0483c85d55c9ae97b9ef2f3c3c022ed982116d4417"),
 }
 
 
@@ -108,28 +186,59 @@ CASES = (
     + [("deconvolve", p) for p in CHANNELS]
     + [("experiment", p) for p in EXPERIMENTS]
     + [(f"experiment-{method}", p) for method in SAMPLING_METHODS for p in EXPERIMENTS]
+    + [(f"{c}-json", p) for c in ("ptm", "characterize", "deconvolve") for p in CHANNELS]
+    + [("experiment-json", p) for p in EXPERIMENTS]
+    + [(c, p) for c in ("ptm-diagonal", "ptm-diagonal-json", "characterize-entries",
+                        "deconvolve-characterization") for p in CHANNELS]
 )
+
+# check-positivity case -> arguments; the state files are written by the test
+CHECKS = {
+    "n1": ["--n", "1"],
+    "n2": ["--n", "2"],
+    "n3": ["--n", "3"],
+    "n2-kZZ": ["--n", "2", "--k", "ZZ"],
+    "state-pass": ["--state-file", "pass.json"],
+    "state-fail": ["--state-file", "fail.json"],
+}
+
+
+def _run(*argvs):
+    """Exit code of the last command and sha256 of all their stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        for argv in argvs:
+            rc = main(argv)
+    return rc, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
 def run_case(command, path, tmp_path):
     """Exit code and sha256 of stdout of one golden case."""
-    if command.startswith("experiment-"):
-        cfg = dict(json.loads(path.read_text()), sampling=command.split("-", 1)[1])
+    name, _, variant = command.partition("-")
+    if variant in SAMPLING_METHODS:
+        cfg = dict(json.loads(path.read_text()), sampling=variant)
         path = tmp_path / path.name
         path.write_text(json.dumps(cfg))
-    argv = [command.split("-", 1)[0], "--config", str(path)]
-    if command == "characterize":
+    argv = [name, "--config", str(path)]
+    if variant.endswith("json"):
+        argv += ["--format", "json"]
+    if variant.startswith("diagonal"):
+        argv += ["--diagonal-only"]
+    if command in ("characterize", "characterize-json"):
         argv += ["--shots", "500", "--seed", "3"]
     elif command == "characterize-exact":
         argv += ["--shots", "0"]
-    elif command.startswith("experiment-"):
+    elif command == "characterize-entries":
+        argv += ["--entries", ",".join(map(str, range(1, 4**_n(path))))]
+    elif variant in SAMPLING_METHODS:
         argv += ["--shots", "2048", "--seed", "1"]
-    elif command == "deconvolve":
+    elif command == "deconvolve-characterization":
+        report = str(tmp_path / "report.txt")
+        argv = ["deconvolve", "--characterization", report, *_deconvolve_inputs(tmp_path, _n(path))]
+        return _run(["characterize", "--config", str(path), "--shots", "0", "--out", report], argv)
+    elif name == "deconvolve":
         argv += _deconvolve_inputs(tmp_path, _n(path))
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        rc = main(argv)
-    return rc, hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return _run(argv)
 
 
 @pytest.mark.parametrize("command, path", CASES, ids=[f"{c}-{p.stem}" for c, p in CASES])
@@ -137,8 +246,16 @@ def test_output_matches_the_recorded_table(command, path, tmp_path):
     assert run_case(command, path, tmp_path) == GOLDEN[(command, path.stem)]
 
 
+@pytest.mark.parametrize("case", CHECKS)
+def test_check_positivity_matches_the_recorded_table(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the state-file line echoes the path as given
+    (tmp_path / "pass.json").write_text("[[0.75, 0.25], [0.25, 0.25]]")
+    (tmp_path / "fail.json").write_text("[[1.5, 0.0], [0.0, -0.5]]")
+    assert _run(["check-positivity", *CHECKS[case]]) == GOLDEN[("check-positivity", case)]
+
+
 def test_table_covers_every_case():
-    assert set(GOLDEN) == {(c, p.stem) for c, p in CASES}
+    assert set(GOLDEN) == {(c, p.stem) for c, p in CASES} | {("check-positivity", c) for c in CHECKS}
 
 
 @pytest.mark.parametrize("module", ["channels", "characterization", "deconvolution", "pauli",
