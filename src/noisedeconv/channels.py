@@ -124,6 +124,13 @@ def _config_int(value, what: str) -> int:
     return int(value)
 
 
+def _config_float(value, what: str) -> float:
+    """A real config field: any JSON number.  Bools and strings raise ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a)
     a.setflags(write=False)
@@ -500,15 +507,16 @@ def channel_from_config(cfg: Mapping) -> KrausChannel:
         if family == "amp_damp_corr":
             if _config_int(cfg.get("n", 2), "n") != 2:
                 raise ConfigError("amp_damp_corr is defined for n=2 only")
-            return correlated_amplitude_damping(float(cfg["eta"]), float(cfg.get("mu", 0.0)))
+            return correlated_amplitude_damping(_config_float(cfg["eta"], "eta"),
+                                                _config_float(cfg.get("mu", 0.0), "mu"))
         n = _config_int(cfg["n"], "n")
-        mu = float(cfg.get("mu", 0.0))
+        mu = _config_float(cfg.get("mu", 0.0), "mu")
         if family == "bit_flip":
-            return bit_flip_channel(n, float(cfg["p"]), mu)
+            return bit_flip_channel(n, _config_float(cfg["p"], "p"), mu)
         if family == "dephasing":
-            return dephasing_channel(n, float(cfg["p"]), mu)
+            return dephasing_channel(n, _config_float(cfg["p"], "p"), mu)
         if family == "depolarizing":
-            return depolarizing_channel(n, float(cfg["q"]), mu)
+            return depolarizing_channel(n, _config_float(cfg["q"], "q"), mu)
         # pauli_custom
         if "beta" in cfg:
             _check_qubit_range(n)  # before 4**n weights are allocated
@@ -516,11 +524,11 @@ def channel_from_config(cfg: Mapping) -> KrausChannel:
             if isinstance(beta, Mapping):
                 w = np.zeros(4**n)
                 for label, weight in beta.items():
-                    w[as_index(PauliIndex.from_label(str(label)), n).k] = float(weight)
+                    w[as_index(PauliIndex.from_label(str(label)), n).k] = _config_float(weight, "beta entry")
             else:
-                w = np.asarray(beta, dtype=float)
+                w = np.array([_config_float(v, "beta entry") for v in beta])
             return KrausChannel.from_pauli_weights(n, w)
-        return correlated_pauli_channel(n, cfg["p_vec"], mu)
+        return correlated_pauli_channel(n, [_config_float(v, "p_vec entry") for v in cfg["p_vec"]], mu)
     except KeyError as exc:
         raise ConfigError(f"channel config for {family!r} lacks key {exc}") from None
     except (TypeError, ValueError) as exc:

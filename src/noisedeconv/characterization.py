@@ -214,7 +214,7 @@ def estimate_full_ptm(ch: Channel, shots: int = 0, seed: int = 0) -> Characteriz
     return _probe_report(ch, "full", ks, identities, shots, seed)
 
 
-def positivity_coefficients(rho: np.ndarray, d: int | None = None) -> list[float]:
+def positivity_coefficients(rho: np.ndarray) -> list[float]:
     """Characteristic-polynomial coefficients S_0 ... S_d of rho.
 
     Computed by the trace-power recursion; all nonnegative iff rho is
@@ -222,9 +222,8 @@ def positivity_coefficients(rho: np.ndarray, d: int | None = None) -> list[float
     """
     rho = np.asarray(rho, dtype=complex)
     num_qubits(rho)
-    if d is None:
-        d = rho.shape[0]
-    power = np.eye(rho.shape[0], dtype=complex)
+    d = rho.shape[0]
+    power = np.eye(d, dtype=complex)
     traces = [0.0]  # placeholder so traces[j] = Tr[rho^j]
     for _ in range(d):
         power = power @ rho
@@ -238,19 +237,19 @@ def positivity_coefficients(rho: np.ndarray, d: int | None = None) -> list[float
     return S
 
 
-def positivity_certificate(rho: np.ndarray, tol: float = PSD_TOL) -> tuple[list[float], bool]:
+def positivity_certificate(rho: np.ndarray) -> tuple[list[float], bool]:
     """The coefficients S_0 ... S_d of rho and its PSD verdict.
 
     The verdict requires rho to be Hermitian (``eigvalsh`` reads only one
-    triangle) and its smallest eigenvalue to be >= tol: the high-order S_m
-    are products of many eigenvalues, so past n = 3 a negative eigenvalue
-    can leave every S_m above an absolute tolerance.
+    triangle) and its smallest eigenvalue to be >= PSD_TOL: the high-order
+    S_m are products of many eigenvalues, so past n = 3 a negative
+    eigenvalue can leave every S_m above an absolute tolerance.
     """
     S = positivity_coefficients(rho)
-    ok = is_hermitian(rho) and all(s >= tol for s in S) and float(np.linalg.eigvalsh(rho)[0]) >= tol
+    ok = is_hermitian(rho) and all(s >= PSD_TOL for s in S) and float(np.linalg.eigvalsh(rho)[0]) >= PSD_TOL
     return S, ok
 
 
-def is_positive_semidefinite(rho: np.ndarray, tol: float = PSD_TOL) -> bool:
+def is_positive_semidefinite(rho: np.ndarray) -> bool:
     """PSD verdict of :func:`positivity_certificate`."""
-    return positivity_certificate(rho, tol)[1]
+    return positivity_certificate(rho)[1]

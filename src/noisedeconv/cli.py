@@ -1,11 +1,15 @@
 """Command-line front end.
 
 Commands: ptm, deconvolve, characterize, experiment, check-positivity.
-Outputs are deterministic for fixed (arguments, config, seed).  Exit
-codes: 0 success, 2 config/parse error, 3 mathematical error (including
-a failed positivity check), 4 resource cap exceeded.
+Outputs are deterministic for fixed (arguments, config, seed).  Every
+command hands its result to one writer, ``_write``, which builds only
+the format asked for (``--format json`` or the command's text), sends it
+to stdout or ``--out`` and returns the exit code.  Relative ``--out``
+paths are resolved against $NOISEDECONV_OUT_DIR when set.
 
-Relative --out paths are resolved against $NOISEDECONV_OUT_DIR when set.
+Exit codes: 0 success, 3 on a failed positivity check, and otherwise one
+map from the package's error families (``EXIT_CODES``): 2 config/parse
+error, 3 mathematical error, 4 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import characterization, deconvolution, simulator
 from .channels import _check_qubit_range, channel_from_config
@@ -27,9 +32,13 @@ from .exceptions import (
     ResourceCapExceeded,
 )
 from .pauli import Observable, PauliIndex
+from .sampling import check_shots_and_seed
 from .simulator import ExperimentConfig, _fmt
 
 OUT_DIR_ENV = "NOISEDECONV_OUT_DIR"
+
+# Error family -> exit code; a failed positivity check also exits 3.
+EXIT_CODES = {ConfigError: 2, ResourceCapExceeded: 4, MathematicalError: 3}
 
 # `check-positivity --k all` enumerates 4**n - 1 probes; past this the
 # table stops being a table.
@@ -51,16 +60,19 @@ def _load_json(path: str) -> dict:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        return
-    path = Path(out)
-    base = os.environ.get(OUT_DIR_ENV)
-    if base and not path.is_absolute():
-        path = Path(base) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+def _write(args, text: Callable[[], str], data: Callable[[], object] | None = None,
+           code: int = 0) -> int:
+    """Write a command's result and return its exit code: ``data()`` as
+    indented JSON under ``--format json``, else ``text()``, to stdout or to
+    ``--out``.  Only the requested format is built."""
+    body = json.dumps(data(), indent=2) + "\n" if getattr(args, "format", None) == "json" else text()
+    if args.out is None:
+        sys.stdout.write(body)
+    else:
+        path = Path(os.environ.get(OUT_DIR_ENV, "")) / args.out  # an absolute --out ignores the base
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(body)
+    return code
 
 
 def _parse_measurements(text: str) -> tuple[dict[int, float], dict[int, float], int | None]:
@@ -99,23 +111,14 @@ def _parse_measurements(text: str) -> tuple[dict[int, float], dict[int, float], 
 
 
 def cmd_ptm(args) -> int:
-    cfg = _load_json(args.config)
-    ch = channel_from_config(cfg)
+    ch = channel_from_config(_load_json(args.config))
     if args.diagonal_only:
         lam = ch.lambdas()
-        if args.format == "json":
-            text = json.dumps({"n": ch.n, "diagonal": [float(v) for v in lam]}, indent=2) + "\n"
-        else:
-            lines = ["k,lambda"] + [f"{k},{_fmt(v)}" for k, v in enumerate(lam)]
-            text = "\n".join(lines) + "\n"
-    else:
-        M = ch.ptm().matrix
-        if args.format == "json":
-            text = json.dumps({"n": ch.n, "matrix": [[float(v) for v in row] for row in M]}, indent=2) + "\n"
-        else:
-            text = "\n".join(",".join(_fmt(v) for v in row) for row in M) + "\n"
-    _write_output(text, args.out)
-    return 0
+        return _write(args, lambda: "k,lambda\n" + "".join(f"{k},{_fmt(v)}\n" for k, v in enumerate(lam)),
+                      lambda: {"n": ch.n, "diagonal": lam.tolist()})
+    M = ch.ptm().matrix
+    return _write(args, lambda: "".join(",".join(map(_fmt, row)) + "\n" for row in M),
+                  lambda: {"n": ch.n, "matrix": M.tolist()})
 
 
 def cmd_deconvolve(args) -> int:
@@ -124,9 +127,7 @@ def cmd_deconvolve(args) -> int:
     if n != obs.n:
         raise ConfigError(f"measurements are on {n} qubits, observable on {obs.n}")
     if args.characterization:
-        report = characterization.CharacterizedPTM.from_report_text(
-            _read_text(args.characterization)
-        )
+        report = characterization.CharacterizedPTM.from_report_text(_read_text(args.characterization))
         if report.n != obs.n:
             raise ConfigError(f"report is on {report.n} qubits, observable on {obs.n}")
         plan = deconvolution.plan_from_characterization(obs, report)
@@ -137,19 +138,11 @@ def cmd_deconvolve(args) -> int:
         plan = deconvolution.plan(obs, ch)
     value = deconvolution.deconvolve(plan, values)
     err = deconvolution.propagated_std_error(plan, errors)
-    if args.format == "json":
-        text = json.dumps(
-            {"value": value, "std_error": err, "entries_consulted": plan.entries_consulted},
-            indent=2,
-        ) + "\n"
-    else:
-        text = (
-            f"value {_fmt(value)}\n"
-            f"std_error {_fmt(err)}\n"
-            f"entries_consulted {plan.entries_consulted}\n"
-        )
-    _write_output(text, args.out)
-    return 0
+    return _write(
+        args,
+        lambda: f"value {_fmt(value)}\nstd_error {_fmt(err)}\nentries_consulted {plan.entries_consulted}\n",
+        lambda: {"value": value, "std_error": err, "entries_consulted": plan.entries_consulted},
+    )
 
 
 def _parse_index(token: str, n: int) -> int:
@@ -168,7 +161,8 @@ def _parse_index(token: str, n: int) -> int:
 
 
 def _parse_entries(spec: str, n: int) -> list[int]:
-    ks = [_parse_index(token, n) for token in map(str.strip, spec.split(",")) if token]
+    """Distinct entries in first-seen order, so a repeated one is probed once."""
+    ks = list(dict.fromkeys(_parse_index(token, n) for token in map(str.strip, spec.split(",")) if token))
     if not ks:
         raise ConfigError("no entries requested")
     for k in ks:
@@ -178,30 +172,18 @@ def _parse_entries(spec: str, n: int) -> list[int]:
 
 
 def cmd_characterize(args) -> int:
-    if args.shots < 0 or args.seed < 0:
-        raise ConfigError(f"--shots and --seed must be >= 0, got {args.shots} and {args.seed}")
+    check_shots_and_seed(args.shots, args.seed)
     ch = channel_from_config(_load_json(args.config))
     if args.entries == "full":
         result = characterization.estimate_full_ptm(ch, shots=args.shots, seed=args.seed)
     else:
         ks = _parse_entries(args.entries, ch.n)
-        result = characterization.estimate_diagonal_entries(
-            ch, ks, shots=args.shots, seed=args.seed
-        )
-    if args.format == "json":
-        rows = [
-            {"j": j, "k": k, "estimate": est, "std_error": err}
-            for (j, k), (est, err) in sorted(result.entries.items())
-        ]
-        text = json.dumps(
-            {"n": result.n, "mode": result.mode, "shots": result.shots,
-             "seed": result.seed, "entries": rows},
-            indent=2,
-        ) + "\n"
-    else:
-        text = result.to_report_text()
-    _write_output(text, args.out)
-    return 0
+        result = characterization.estimate_diagonal_entries(ch, ks, shots=args.shots, seed=args.seed)
+    return _write(args, result.to_report_text, lambda: {
+        "n": result.n, "mode": result.mode, "shots": result.shots, "seed": result.seed,
+        "entries": [{"j": j, "k": k, "estimate": est, "std_error": err}
+                    for (j, k), (est, err) in sorted(result.entries.items())],
+    })
 
 
 def cmd_experiment(args) -> int:
@@ -210,23 +192,13 @@ def cmd_experiment(args) -> int:
         raw["shots"] = args.shots
     if args.seed is not None:
         raw["seed"] = args.seed
-    cfg = ExperimentConfig.from_dict(raw)
-    records = simulator.run_experiment(cfg)
-    if args.format == "json":
-        rows = [
-            {
-                "mu": r.mu, "q": r.strength, "m": r.m, "k": r.k,
-                "shots": r.shots, "seed": r.seed,
-                "noisy": r.value, "noisy_stderr": r.std_error,
-                "deconvolved": r.deconvolved, "deconvolved_stderr": r.deconvolved_std_error,
-            }
-            for r in records
-        ]
-        text = json.dumps(rows, indent=2) + "\n"
-    else:
-        text = simulator.records_to_csv(records)
-    _write_output(text, args.out)
-    return 0
+    records = simulator.run_experiment(ExperimentConfig.from_dict(raw))
+    return _write(args, lambda: simulator.records_to_csv(records), lambda: [
+        {"mu": r.mu, "q": r.strength, "m": r.m, "k": r.k, "shots": r.shots, "seed": r.seed,
+         "noisy": r.value, "noisy_stderr": r.std_error,
+         "deconvolved": r.deconvolved, "deconvolved_stderr": r.deconvolved_std_error}
+        for r in records
+    ])
 
 
 def cmd_check_positivity(args) -> int:
@@ -240,9 +212,7 @@ def cmd_check_positivity(args) -> int:
         _check_qubit_range(n)
         if args.k == "all":
             if n > MAX_QUBITS_POSITIVITY_ALL:
-                raise ResourceCapExceeded(
-                    f"--k all is capped at n={MAX_QUBITS_POSITIVITY_ALL}"
-                )
+                raise ResourceCapExceeded(f"--k all is capped at n={MAX_QUBITS_POSITIVITY_ALL}")
             ks = range(1, 4**n)
         else:
             k_int = _parse_index(args.k, n)
@@ -259,8 +229,7 @@ def cmd_check_positivity(args) -> int:
         ok = ok and passed
         lines.append(prefix + "S " + " ".join(_fmt(s) for s in S) + (" PASS" if passed else " FAIL"))
     lines.append("ALL PASS" if ok else "FAILED")
-    _write_output("\n".join(lines) + "\n", args.out)
-    return 0 if ok else 3
+    return _write(args, lambda: "\n".join(lines) + "\n", code=0 if ok else 3)
 
 
 @functools.cache
@@ -273,64 +242,54 @@ def build_parser() -> argparse.ArgumentParser:
         "and recover noiseless expectation values from noisy data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None,
+                     help=f"write to this file instead of stdout (relative to ${OUT_DIR_ENV} when set)")
+    formatted = argparse.ArgumentParser(add_help=False, parents=[out])
+    formatted.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = sub.add_parser("ptm", help="compute a channel's transfer matrix")
+    p = sub.add_parser("ptm", parents=[formatted], help="compute a channel's transfer matrix")
     p.add_argument("--config", required=True, help="channel config JSON")
     p.add_argument("--diagonal-only", action="store_true", help="emit only the diagonal")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_ptm)
 
-    p = sub.add_parser("deconvolve", help="recover a noiseless expectation value")
+    p = sub.add_parser("deconvolve", parents=[formatted], help="recover a noiseless expectation value")
     p.add_argument("--observable", required=True, help="observable text file")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--config", help="channel config JSON")
     group.add_argument("--characterization", help="characterization report file")
     p.add_argument("--measurements", required=True, help="noisy measurement file")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_deconvolve)
 
-    p = sub.add_parser("characterize", help="estimate transfer-matrix entries")
+    p = sub.add_parser("characterize", parents=[formatted], help="estimate transfer-matrix entries")
     p.add_argument("--config", required=True, help="channel config JSON")
     p.add_argument("--entries", default="full", help="'full' or comma list of k / Pauli strings")
     p.add_argument("--shots", type=int, default=0, help="0 = exact readout")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_characterize)
 
-    p = sub.add_parser("experiment", help="run a repeated-noise deconvolution experiment")
+    p = sub.add_parser("experiment", parents=[formatted],
+                       help="run a repeated-noise deconvolution experiment")
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--shots", type=int, default=None, help="override config shots")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("check-positivity", help="probe positivity certificates")
+    p = sub.add_parser("check-positivity", parents=[out], help="probe positivity certificates")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", default="all", help="basis index, Pauli string, or 'all'")
     p.add_argument("--state-file", default=None, help="JSON matrix to check instead")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_check_positivity)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except MathematicalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for family, code in EXIT_CODES.items() if isinstance(exc, family))
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ from .exceptions import (
     NotPauliDiagonal,
     SingularPTM,
 )
-from .pauli import Observable, PauliIndex
+from .pauli import Observable, PauliIndex, as_index
 
 __all__ = [
     "DeconvolutionPlan",
@@ -88,8 +88,9 @@ class DeconvolutionPlan:
         return tuple(sorted(self.weights))
 
 
-def _as_k(key) -> int:
-    return key.k if isinstance(key, PauliIndex) else int(key)
+def _as_k(key, n: int) -> int:
+    """The flat index of an int key, or of a PauliIndex key, which must be on n qubits."""
+    return as_index(key, n).k if isinstance(key, PauliIndex) else int(key)
 
 
 def _finite(x: float, what: str) -> float:
@@ -241,10 +242,12 @@ def plan_from_characterization(obs: Observable, char) -> DeconvolutionPlan:
 def deconvolve(plan: DeconvolutionPlan, noisy) -> float:
     """Combine noisy expectation values into the noiseless one.
 
-    ``noisy`` maps Pauli indices (ints or PauliIndex) to measured values
-    and must cover every index in ``plan.required_indices``.
+    ``noisy`` maps Pauli indices (ints, or PauliIndex on the plan's qubit
+    count) to measured values and must cover every index in
+    ``plan.required_indices``.
     """
-    table = {_as_k(key): float(v) for key, v in noisy.items()}
+    n = plan.n
+    table = {_as_k(key, n): float(v) for key, v in noisy.items()}
     total = 0.0
     for j in sorted(plan.weights):
         if j not in table:
@@ -255,7 +258,8 @@ def deconvolve(plan: DeconvolutionPlan, noisy) -> float:
 
 def propagated_std_error(plan: DeconvolutionPlan, std_errors) -> float:
     """Standard error of the deconvolved value for independent inputs."""
-    table = {_as_k(key): float(v) for key, v in std_errors.items()}
+    n = plan.n
+    table = {_as_k(key, n): float(v) for key, v in std_errors.items()}
     acc = 0.0
     try:
         for j in sorted(plan.weights):
@@ -267,5 +271,5 @@ def propagated_std_error(plan: DeconvolutionPlan, std_errors) -> float:
 
 def reconstruction_factor(ch: Channel, k, m: int = 1) -> float:
     """Rescaling factor lambda_k**(-m) for m applications of a diagonal channel."""
-    k = _as_k(k)
+    k = _as_k(k, ch.n)
     return plan_pauli(Observable(ch.n, {k: 1.0}), ch, m).weights[k]

@@ -166,9 +166,9 @@ def num_qubits(A: np.ndarray) -> int:
     return n
 
 
-def is_hermitian(A: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+def is_hermitian(A: np.ndarray) -> bool:
     A = np.asarray(A)
-    return bool(np.max(np.abs(A - A.conj().T)) <= tol)
+    return bool(np.max(np.abs(A - A.conj().T)) <= HERMITIAN_TOL)
 
 
 def hs_inner(A: np.ndarray, B: np.ndarray) -> complex:

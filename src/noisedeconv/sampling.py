@@ -25,11 +25,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import InvalidState, ProbabilityOutOfRange
+from .exceptions import ConfigError, InvalidState, ProbabilityOutOfRange
 from .pauli import as_index, devectorize, num_qubits, pauli_element
 
 __all__ = [
     "SAMPLING_METHODS",
+    "MAX_SHOTS",
+    "check_shots_and_seed",
     "derive_rng",
     "exact_pauli_expectation",
     "coefficient_expectations",
@@ -39,6 +41,9 @@ __all__ = [
 ]
 
 SAMPLING_METHODS = ("marginal", "projective")
+
+# numpy's binomial and multinomial take counts up to the int64 maximum.
+MAX_SHOTS = 2**63 - 1
 
 _IMAG_TOL = 1e-10
 _RANGE_TOL = 1e-9
@@ -50,6 +55,15 @@ def derive_rng(seed: int, *tags: int) -> np.random.Generator:
     if any(t < 0 for t in entropy):
         raise ValueError(f"seed and stream tags must be nonnegative, got {entropy}")
     return np.random.default_rng(entropy)
+
+
+def check_shots_and_seed(shots: int, seed: int) -> None:
+    """The shot budget and base seed every command accepts: 0 <= shots <=
+    MAX_SHOTS (0 = exact readout) and seed >= 0, else ConfigError."""
+    if not 0 <= shots <= MAX_SHOTS:
+        raise ConfigError(f"shots must be in 0..{MAX_SHOTS} (2**63 - 1), got {shots}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
 def _check_real(val: complex, n: int, k: int) -> None:

@@ -28,14 +28,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .channels import STRENGTH_KEYS, Channel, _config_int, apply_channel, channel_from_config
+from .channels import STRENGTH_KEYS, Channel, _config_float, _config_int, apply_channel, channel_from_config
 from .characterization import is_positive_semidefinite
 from .deconvolution import deconvolve, plan, propagated_std_error
 # Unused here; bound only for the benchmark self-test that counts inversions at every binding.
 from .deconvolution import _invert_adjoint  # noqa: F401
 from .exceptions import ConfigError, InvalidState, NotPauliDiagonal
 from .pauli import Observable, is_hermitian, num_qubits, vectorize
-from .sampling import SAMPLING_METHODS, read_expectations
+from .sampling import SAMPLING_METHODS, check_shots_and_seed, read_expectations
 
 __all__ = [
     "ExperimentConfig",
@@ -121,10 +121,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.m_max < 0:
             raise ConfigError(f"m_max must be >= 0, got {self.m_max}")
-        if self.shots < 0:
-            raise ConfigError(f"shots must be >= 0, got {self.shots}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_shots_and_seed(self.shots, self.seed)
         if self.sampling not in SAMPLING_METHODS:
             raise ConfigError(
                 f"unknown sampling method {self.sampling!r}; expected one of {SAMPLING_METHODS}"
@@ -143,7 +140,8 @@ class ExperimentConfig:
             if isinstance(obs_spec, str):
                 observable = Observable.from_text(obs_spec)
             else:
-                observable = Observable.from_pairs([(str(l), float(c)) for l, c in obs_spec])
+                observable = Observable.from_pairs(
+                    [(str(l), _config_float(c, "observable coefficient")) for l, c in obs_spec])
             state_spec = raw.get("initial_state", "zeros")
             if isinstance(state_spec, str):
                 initial_state = preset_state(state_spec, n)
@@ -152,7 +150,7 @@ class ExperimentConfig:
             grids = {}
             for key in ("mu_grid", "strength_grid"):
                 if raw.get(key) is not None:
-                    grids[key] = [float(v) for v in raw[key]]
+                    grids[key] = [_config_float(v, f"{key} entry") for v in raw[key]]
             return cls(
                 n=n,
                 channel=channel,
@@ -176,8 +174,8 @@ def _matrix_from_json(entries) -> np.ndarray:
         if isinstance(x, (list, tuple)):
             if len(x) != 2:
                 raise ConfigError(f"matrix entry {x!r} is not a number or [re, im] pair")
-            return complex(float(x[0]), float(x[1]))
-        return complex(float(x), 0.0)
+            return complex(_config_float(x[0], "matrix entry"), _config_float(x[1], "matrix entry"))
+        return complex(_config_float(x, "matrix entry"), 0.0)
 
     try:
         rho = np.array([[scalar(x) for x in row] for row in entries], dtype=complex)

@@ -197,6 +197,18 @@ class TestCharacterizeCommand:
         cfg = channel_json(tmp_path, family="amp_damp_corr", eta=0.5, mu=0.0)
         assert main(["characterize", "--config", cfg]) == 3
 
+    def test_repeated_entries_probe_once(self, capsys, monkeypatch):
+        cfg = str(CONFIG_DIR / "channels" / "bit_flip_n1.json")
+        assert main(["characterize", "--config", cfg, "--entries", "3"]) == 0
+        single = capsys.readouterr().out
+        probes = []
+        probe_state = noisedeconv.characterization.probe_state
+        monkeypatch.setattr("noisedeconv.characterization.probe_state",
+                            lambda *args: probes.append(args) or probe_state(*args))
+        assert main(["characterize", "--config", cfg, "--entries", "3,3,Z"]) == 0
+        assert len(probes) == 1
+        assert capsys.readouterr().out == single
+
     def test_label_must_span_every_qubit(self, capsys):
         cfg = str(CONFIG_DIR / "channels" / "depolarizing_n3_fig2.json")
         assert main(["characterize", "--config", cfg, "--entries", "ZZ"]) == 2
@@ -321,6 +333,49 @@ class TestCheckPositivityCommand:
         assert capsys.readouterr().out.endswith("S 1.0 1.0 0.25 FAIL\nFAILED\n")
 
 
+class TestOneWriter:
+    @pytest.mark.parametrize("command", ["ptm", "deconvolve", "characterize", "experiment",
+                                         "check-positivity"])
+    def test_out_holds_the_stdout_bytes(self, tmp_path, capsys, monkeypatch, command):
+        channel = str(CONFIG_DIR / "channels" / "depolarizing_n1.json")
+        argv = {
+            "ptm": ["ptm", "--config", channel, "--format", "json"],
+            "deconvolve": ["deconvolve", "--config", channel, "--observable", write(tmp_path, "obs.txt", "Z 1.0\n"),
+                           "--measurements", write(tmp_path, "meas.txt", "Z 0.4 0.01\n")],
+            "characterize": ["characterize", "--config", channel, "--shots", "50"],
+            "experiment": ["experiment", "--config", str(CONFIG_DIR / "experiments" / "fig2b_exact.json")],
+            "check-positivity": ["check-positivity", "--n", "2"],
+        }[command]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        monkeypatch.setenv("NOISEDECONV_OUT_DIR", str(tmp_path))
+        assert main([*argv, "--out", "sub/result.txt"]) == 0
+        assert capsys.readouterr().out == ""
+        assert (tmp_path / "sub" / "result.txt").read_text() == printed
+
+    def test_json_does_not_build_the_text(self, tmp_path, capsys, monkeypatch):
+        cfg = channel_json(tmp_path, family="bit_flip", n=2, p=0.1)
+
+        def refuse(x):
+            raise AssertionError("text formatted under --format json")
+
+        monkeypatch.setattr("noisedeconv.cli._fmt", refuse)
+        assert main(["ptm", "--config", cfg, "--format", "json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["matrix"]) == 16
+
+
+# Each kind of number a channel config holds, set to a given value.
+CHANNEL_NUMBERS = {
+    "p": lambda v: {"family": "bit_flip", "n": 1, "p": v},
+    "q": lambda v: {"family": "depolarizing", "n": 1, "q": v},
+    "eta": lambda v: {"family": "amp_damp_corr", "eta": v},
+    "mu": lambda v: {"family": "dephasing", "n": 1, "p": 0.1, "mu": v},
+    "p_vec": lambda v: {"family": "pauli_custom", "n": 1, "p_vec": [0.25, 0.25, v, 0.25]},
+    "beta-list": lambda v: {"family": "pauli_custom", "n": 1, "beta": [0.25, v, 0.25, 0.25]},
+    "beta-map": lambda v: {"family": "pauli_custom", "n": 1, "beta": {"I": 0.75, "Z": v}},
+}
+
+
 class TestArgumentErrors:
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as err:
@@ -355,6 +410,26 @@ class TestArgumentErrors:
         cfg = channel_json(tmp_path, family="bit_flip", n=1, p=0.1)
         assert main(["characterize", "--config", cfg, "--shots", "-1"]) == 2
 
+    @pytest.mark.parametrize("command", ["experiment", "characterize"])
+    def test_shots_past_the_int64_maximum_exit_two(self, capsys, command):
+        # numpy's binomial overflowed here: a traceback and exit 1
+        cfg = CONFIG_DIR / ("experiments/fig2b_exact.json" if command == "experiment"
+                            else "channels/bit_flip_n1.json")
+        extra = ["--entries", "3"] if command == "characterize" else []
+        assert main([command, "--config", str(cfg), *extra, "--shots", str(2**63)]) == 2
+        assert f"0..{2**63 - 1}" in capsys.readouterr().err
+
+    def test_shots_at_the_int64_maximum_run(self, capsys):
+        cfg = str(CONFIG_DIR / "channels" / "bit_flip_n1.json")
+        assert main(["characterize", "--config", cfg, "--entries", "3", "--shots", str(2**63 - 1)]) == 0
+
+    def test_config_shots_past_the_maximum_exit_two(self, tmp_path, capsys):
+        cfg = write(tmp_path, "exp.json", json.dumps({
+            "n": 1, "channel": {"family": "bit_flip", "n": 1, "p": 0.05},
+            "observable": [["Z", 1.0]], "m_max": 1, "shots": 1e20,
+        }))
+        assert main(["experiment", "--config", cfg]) == 2
+
     def test_unknown_sampling_exits_two(self, tmp_path, capsys):
         cfg = write(tmp_path, "exp.json", json.dumps({
             "n": 1, "channel": {"family": "bit_flip", "n": 1, "p": 0.05},
@@ -378,6 +453,23 @@ class TestArgumentErrors:
     def test_non_integral_channel_qubit_count_exits_two(self, tmp_path, capsys, cfg):
         assert main(["ptm", "--config", channel_json(tmp_path, **cfg)]) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("value", [True, "0.25"], ids=["bool", "string"])
+    @pytest.mark.parametrize("kind", CHANNEL_NUMBERS)
+    def test_channel_number_given_as_bool_or_string_exits_two(self, tmp_path, capsys, kind, value):
+        # "p": true built a full bit flip and "p": "0.25" was read from the string, both exit 0
+        assert main(["ptm", "--config", channel_json(tmp_path, **CHANNEL_NUMBERS[kind](value))]) == 2
+        assert "must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [True, "0.5"], ids=["bool", "string"])
+    @pytest.mark.parametrize("key", ["mu_grid", "strength_grid", "observable", "initial_state"])
+    def test_experiment_number_given_as_bool_or_string_exits_two(self, tmp_path, capsys, key, value):
+        raw = {"n": 1, "channel": {"family": "bit_flip", "n": 1, "p": 0.05},
+               "observable": [["Z", 1.0]], "m_max": 1}
+        raw[key] = {"mu_grid": [0.0, value], "strength_grid": [value], "observable": [["Z", value]],
+                    "initial_state": [[value, 0.0], [0.0, 0.0]]}[key]
+        assert main(["experiment", "--config", write(tmp_path, "exp.json", json.dumps(raw))]) == 2
+        assert "must be a number" in capsys.readouterr().err
 
     def test_integral_floats_count_as_integers(self, tmp_path, capsys):
         raw = {"n": 1, "channel": {"family": "bit_flip", "n": 1, "p": 0.05},
@@ -409,6 +501,11 @@ class TestArgumentErrors:
         state = write(tmp_path, "state.json", json.dumps(matrix))
         assert main(["check-positivity", "--state-file", state]) == 2
         assert capsys.readouterr().out == ""
+
+    def test_check_positivity_has_no_format(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["check-positivity", "--n", "1", "--format", "json"])
+        assert err.value.code == 2
 
     def test_report_entry_out_of_range_exits_two(self, tmp_path, capsys):
         report = write(tmp_path, "report.txt", "n 1\nmode full\n1 4 0.9 0.0 0 0\n")

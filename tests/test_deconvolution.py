@@ -23,6 +23,7 @@ from noisedeconv.deconvolution import (
     reconstruction_factor,
 )
 from noisedeconv.exceptions import (
+    DimensionMismatch,
     IllConditionedWarning,
     MathematicalError,
     MissingMeasurement,
@@ -205,6 +206,14 @@ class TestDeconvolve:
         plan = plan_pauli(Observable.from_pairs([("Z", 1.0)]), bit_flip_channel(1, 0.25))
         assert deconvolve(plan, {PauliIndex(1, 3): 0.5}) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("combine", [deconvolve, propagated_std_error])
+    def test_pauli_index_key_on_another_qubit_count_raises(self, combine):
+        # the one-qubit Z used to be read as IZ, and deconvolve returned 1.0
+        p = plan(Observable(2, {3: 1.0}), bit_flip_channel(2, 0.1))
+        with pytest.raises(DimensionMismatch):
+            combine(p, {PauliIndex(1, 3): 0.8})
+        assert combine(p, {PauliIndex(2, 3): 0.8}) == combine(p, {3: 0.8})
+
     def test_linear_no_positivity_constraint(self):
         # arbitrary real coefficient vectors deconvolve linearly
         ch = depolarizing_channel(1, 0.2)
@@ -378,6 +387,10 @@ class TestReconstructionFactor:
     def test_non_invertible(self):
         with pytest.raises(NonInvertibleChannel):
             reconstruction_factor(depolarizing_channel(1, 1.0), k_of("Z"))
+
+    def test_pauli_index_on_another_qubit_count_raises(self):
+        with pytest.raises(DimensionMismatch):
+            reconstruction_factor(bit_flip_channel(2, 0.1), PauliIndex(1, 3))
 
     def test_overflow_raises(self):
         with pytest.raises(NonInvertibleChannel):
