@@ -340,7 +340,8 @@ class TestOneWriter:
         channel = str(CONFIG_DIR / "channels" / "depolarizing_n1.json")
         argv = {
             "ptm": ["ptm", "--config", channel, "--format", "json"],
-            "deconvolve": ["deconvolve", "--config", channel, "--observable", write(tmp_path, "obs.txt", "Z 1.0\n"),
+            "deconvolve": ["deconvolve", "--config", channel,
+                           "--observable", write(tmp_path, "obs.txt", "Z 1.0\n"),
                            "--measurements", write(tmp_path, "meas.txt", "Z 0.4 0.01\n")],
             "characterize": ["characterize", "--config", channel, "--shots", "50"],
             "experiment": ["experiment", "--config", str(CONFIG_DIR / "experiments" / "fig2b_exact.json")],
