@@ -15,7 +15,6 @@ from .channels import (
 )
 from .characterization import (
     CharacterizedPTM,
-    ProbeState,
     estimate_diagonal_entries,
     estimate_full_ptm,
     is_positive_semidefinite,

@@ -51,15 +51,14 @@ from .exceptions import (
     InvalidProbability,
     NotPauliDiagonal,
     NotTracePreserving,
-    ResourceCapExceeded,
 )
 from .pauli import (
     _DEVEC_KERNEL,
     _VEC_KERNEL,
-    MAX_QUBITS,
     PauliIndex,
     _transform_per_qubit,
     as_index,
+    check_qubits,
     devectorize,
     num_qubits,
     pauli_element,
@@ -100,18 +99,6 @@ _COMMUTATION_SIGNS = np.array(
     ],
     dtype=float,
 )
-
-
-def _check_qubit_range(n: int) -> None:
-    if not 1 <= n <= MAX_QUBITS:
-        raise ResourceCapExceeded(f"supported qubit range is 1..{MAX_QUBITS}, got {n}")
-
-
-def _check_full_ptm_cap(n: int) -> None:
-    if n > MAX_QUBITS_FULL_PTM:
-        raise ResourceCapExceeded(
-            f"full transfer matrices are capped at n={MAX_QUBITS_FULL_PTM}, got n={n}"
-        )
 
 
 def _config_int(value, what: str) -> int:
@@ -166,7 +153,7 @@ class PTM:
 
     def __init__(self, n: int, matrix):
         self.n = int(n)
-        _check_full_ptm_cap(self.n)
+        check_qubits(self.n, MAX_QUBITS_FULL_PTM)
         M = np.asarray(matrix)
         dim = 4**self.n
         if M.shape != (dim, dim):
@@ -272,7 +259,7 @@ class KrausChannel:
     @classmethod
     def from_pauli_weights(cls, n: int, weights) -> "KrausChannel":
         """Random Pauli map with probability weights[k] on Pauli string k."""
-        _check_qubit_range(n)
+        check_qubits(n)
         w = _validate_probability_vector(weights, 4**n, "Pauli weight vector")
         self = cls.__new__(cls)
         self.n = int(n)
@@ -324,7 +311,7 @@ class KrausChannel:
     def _ptm_locked(self) -> PTM:
         if self._ptm is None:
             if self._weights is not None:
-                _check_full_ptm_cap(self.n)
+                check_qubits(self.n, MAX_QUBITS_FULL_PTM)
                 self._ptm = PTM(self.n, np.diag(self.lambdas()))
             else:
                 self._ptm = _superoperator_ptm(self.kraus_ops, self.n)
@@ -379,7 +366,7 @@ def _superoperator_ptm(kraus_ops: Sequence[np.ndarray], n: int) -> PTM:
     kernel on the output side and the devectorize kernel on the input side
     give Gamma = V S W / d in 2n per-qubit contractions.
     """
-    _check_full_ptm_cap(n)
+    check_qubits(n, MAX_QUBITS_FULL_PTM)
     d = 2**n
     stacked = np.stack(kraus_ops).reshape(len(kraus_ops), d * d)
     # S[(a, c), (b, e)] = sum_i K_i[a, c] conj(K_i[b, e]), for output entry
@@ -407,7 +394,7 @@ def correlated_pauli_weights(n: int, p_vec, mu: float) -> np.ndarray:
 
         w[a_1 ... a_n] = p[a_1] * prod_j ((1 - mu) p[a_j] + mu delta(a_{j-1}, a_j))
     """
-    _check_qubit_range(n)
+    check_qubits(n)
     p = _validate_probability_vector(p_vec, 4, "p_vec")
     mu = float(mu)
     if not 0.0 <= mu <= 1.0:
@@ -519,7 +506,7 @@ def channel_from_config(cfg: Mapping) -> KrausChannel:
             return depolarizing_channel(n, _config_float(cfg["q"], "q"), mu)
         # pauli_custom
         if "beta" in cfg:
-            _check_qubit_range(n)  # before 4**n weights are allocated
+            check_qubits(n)  # before 4**n weights are allocated
             beta = cfg["beta"]
             if isinstance(beta, Mapping):
                 w = np.zeros(4**n)

@@ -1,12 +1,14 @@
 """Transfer-matrix estimation from probe states, and probe positivity.
 
-When the noise parameters are unknown, prepare the probe (1 + P_k)/d,
-send it through the channel once and measure P_k: for a unital channel
-that expectation equals the diagonal transfer-matrix entry at k.
-Measuring every P_j over the same output state fills row entries, giving
-the full matrix without process tomography.  The channel is accessed
-purely as a black-box state transformer here.  Both reports come from
-one probe loop that reads each output's Pauli coefficient vector through
+When the noise parameters are unknown, prepare the probe (1 + P_k)/d
+(``probe_state``, a read-only array), send it through the channel once
+and measure P_k: for a unital channel that expectation equals the
+diagonal transfer-matrix entry at k.  Measuring every P_j over the same
+output state fills row entries, giving the full matrix without process
+tomography; like every full transfer matrix it is capped at
+MAX_QUBITS_FULL_PTM qubits.  The channel is accessed purely as a
+black-box state transformer here.  Both reports come from one probe loop
+that reads each output's Pauli coefficient vector through
 ``sampling.read_expectations`` (entry (j, k) from the stream
 (seed, k, j)), so a diagonal entry equals the full report's bit for bit.
 
@@ -28,17 +30,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import PTM, Channel, _check_full_ptm_cap, _check_qubit_range, apply_channel
+from .channels import MAX_QUBITS_FULL_PTM, PTM, Channel, apply_channel
 from .exceptions import (
     IdentityProbe,
     NonUnitalChannel,
     ParseError,
 )
-from .pauli import as_index, is_hermitian, num_qubits, pauli_element, vectorize
+from .pauli import as_index, check_qubits, is_hermitian, num_qubits, pauli_element, vectorize
 from .sampling import read_expectations
 
 __all__ = [
-    "ProbeState",
     "CharacterizedPTM",
     "probe_state",
     "estimate_diagonal_entries",
@@ -54,24 +55,10 @@ UNITALITY_TOL = 1e-9
 PSD_TOL = -1e-10
 
 
-@dataclass(frozen=True)
-class ProbeState:
-    """Probe (1 + P_k)/d used to read transfer-matrix entries."""
-
-    n: int
-    k: int
-    operator: np.ndarray
-
-    @property
-    def index(self):
-        return as_index(self.k, self.n)
-
-
-def probe_state(k, n: int | None = None) -> ProbeState:
-    """Build the probe for basis element k (k = 0 needs no probe)."""
-    if not hasattr(k, "k") and n is None:
-        raise ValueError("plain integer index requires the qubit count n")
-    idx = k if hasattr(k, "k") else as_index(k, n)
+def probe_state(k, n: int | None = None) -> np.ndarray:
+    """The probe (1 + P_k)/d for basis element k, a read-only array; k is a
+    PauliIndex, or an int with n (k = 0 needs no probe)."""
+    idx = as_index(k, n)
     if idx.k == 0:
         raise IdentityProbe(
             "the k=0 entry equals 1 by trace preservation; no probe is needed"
@@ -79,7 +66,7 @@ def probe_state(k, n: int | None = None) -> ProbeState:
     d = 2**idx.n
     op = (np.eye(d, dtype=complex) + pauli_element(idx)) / d
     op.setflags(write=False)
-    return ProbeState(n=idx.n, k=idx.k, operator=op)
+    return op
 
 
 def _check_unital(ch: Channel) -> None:
@@ -113,7 +100,7 @@ class CharacterizedPTM:
     def to_ptm(self) -> PTM:
         if self.mode != "full":
             raise ValueError("only full-mode reports define a complete transfer matrix")
-        _check_full_ptm_cap(self.n)
+        check_qubits(self.n, MAX_QUBITS_FULL_PTM)
         dim = 4**self.n
         M = np.zeros((dim, dim))
         for (j, k), (est, _) in self.entries.items():
@@ -169,7 +156,7 @@ class CharacterizedPTM:
             entries[(j, k)] = (est, err)
         if n is None or mode not in ("diagonal", "full"):
             raise ParseError("report lacks a valid 'n'/'mode' header")
-        _check_qubit_range(n)
+        check_qubits(n)
         if entries and not (0 <= min(map(min, entries)) and max(map(max, entries)) < 4**n):
             raise ParseError(f"report entries must have j and k in 0..{4**n - 1}")
         return cls(n=n, mode=mode, entries=entries, shots=shots, seed=seed)
@@ -186,7 +173,7 @@ def _probe_report(ch: Channel, mode: str, ks, entries: dict, shots: int, seed: i
         raise IdentityProbe("the k=0 entry equals 1 by trace preservation")
     _check_unital(ch)
     for idx in idxs:
-        row = vectorize(apply_channel(ch, probe_state(idx).operator)) * d  # entry j is Tr[P_j out]
+        row = vectorize(apply_channel(ch, probe_state(idx))) * d  # entry j is Tr[P_j out]
         js = range(1, d * d) if mode == "full" else [idx.k]
         entries.update(zip([(j, idx.k) for j in js], read_expectations(row, js, shots, seed, idx.k)))
     return CharacterizedPTM(n=ch.n, mode=mode, entries=entries, shots=shots, seed=seed)
@@ -207,8 +194,10 @@ def estimate_full_ptm(ch: Channel, shots: int = 0, seed: int = 0) -> Characteriz
 
     Each probe's output gives a column: all P_j are read from its Pauli
     coefficient vector.  The k = 0 row and column are filled from the
-    trace-preservation and unitality identities.
+    trace-preservation and unitality identities.  Past
+    MAX_QUBITS_FULL_PTM qubits it refuses before the first probe.
     """
+    check_qubits(ch.n, MAX_QUBITS_FULL_PTM)
     ks = range(1, 4**ch.n)
     identities = {(0, 0): (1.0, 0.0)} | {jk: (0.0, 0.0) for q in ks for jk in ((0, q), (q, 0))}
     return _probe_report(ch, "full", ks, identities, shots, seed)

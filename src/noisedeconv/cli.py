@@ -24,14 +24,14 @@ from pathlib import Path
 from typing import Callable
 
 from . import characterization, deconvolution, simulator
-from .channels import _check_qubit_range, channel_from_config
+from .channels import channel_from_config
 from .exceptions import (
     ConfigError,
     MathematicalError,
     ParseError,
     ResourceCapExceeded,
 )
-from .pauli import Observable, PauliIndex
+from .pauli import Observable, PauliIndex, check_qubits
 from .sampling import check_shots_and_seed
 from .simulator import ExperimentConfig, _fmt
 
@@ -64,14 +64,18 @@ def _write(args, text: Callable[[], str], data: Callable[[], object] | None = No
            code: int = 0) -> int:
     """Write a command's result and return its exit code: ``data()`` as
     indented JSON under ``--format json``, else ``text()``, to stdout or to
-    ``--out``.  Only the requested format is built."""
+    ``--out``.  Only the requested format is built; a path that cannot be
+    written raises ConfigError."""
     body = json.dumps(data(), indent=2) + "\n" if getattr(args, "format", None) == "json" else text()
     if args.out is None:
         sys.stdout.write(body)
     else:
         path = Path(os.environ.get(OUT_DIR_ENV, "")) / args.out  # an absolute --out ignores the base
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(body)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(body)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from None
     return code
 
 
@@ -188,17 +192,16 @@ def cmd_characterize(args) -> int:
 
 def cmd_experiment(args) -> int:
     raw = _load_json(args.config)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{args.config}: an experiment config must be a JSON object")
     if args.shots is not None:
         raw["shots"] = args.shots
     if args.seed is not None:
         raw["seed"] = args.seed
     records = simulator.run_experiment(ExperimentConfig.from_dict(raw))
-    return _write(args, lambda: simulator.records_to_csv(records), lambda: [
-        {"mu": r.mu, "q": r.strength, "m": r.m, "k": r.k, "shots": r.shots, "seed": r.seed,
-         "noisy": r.value, "noisy_stderr": r.std_error,
-         "deconvolved": r.deconvolved, "deconvolved_stderr": r.deconvolved_std_error}
-        for r in records
-    ])
+    columns = simulator.CSV_HEADER.split(",")
+    return _write(args, lambda: simulator.records_to_csv(records),
+                  lambda: [dict(zip(columns, r)) for r in records])
 
 
 def cmd_check_positivity(args) -> int:
@@ -209,10 +212,9 @@ def cmd_check_positivity(args) -> int:
         if args.n is None:
             raise ConfigError("check-positivity needs --n or --state-file")
         n = args.n
-        _check_qubit_range(n)
+        check_qubits(n)
         if args.k == "all":
-            if n > MAX_QUBITS_POSITIVITY_ALL:
-                raise ResourceCapExceeded(f"--k all is capped at n={MAX_QUBITS_POSITIVITY_ALL}")
+            check_qubits(n, MAX_QUBITS_POSITIVITY_ALL)
             ks = range(1, 4**n)
         else:
             k_int = _parse_index(args.k, n)
@@ -221,7 +223,7 @@ def cmd_check_positivity(args) -> int:
             ks = [k_int]
         d = 2**n
         lines = [f"n {n} d {d} delta {_fmt(1 + d / 2)}"]
-        states = [(f"k {k} {PauliIndex(n, k).label} ", characterization.probe_state(k, n).operator)
+        states = [(f"k {k} {PauliIndex(n, k).label} ", characterization.probe_state(k, n))
                   for k in ks]
     ok = True
     for prefix, rho in states:

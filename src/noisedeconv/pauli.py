@@ -8,7 +8,8 @@ basis is orthonormal, so every operator has a unique real-or-complex
 coefficient vector over it; Hermitian operators have real coefficients.
 
 Dense matrices are materialized lazily per (n, k) and are supported for
-n up to MAX_QUBITS; beyond that, entry points raise ResourceCapExceeded.
+n up to MAX_QUBITS.  ``check_qubits`` holds every qubit cap of the
+package: outside 1..cap it raises ResourceCapExceeded.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .exceptions import (
 
 __all__ = [
     "MAX_QUBITS",
+    "check_qubits",
     "HERMITIAN_TOL",
     "PRUNE_TOL",
     "SIGMAS",
@@ -62,11 +64,10 @@ for _s in SIGMAS:
     _s.setflags(write=False)
 
 
-def _check_dense_cap(n: int) -> None:
-    if n > MAX_QUBITS:
-        raise ResourceCapExceeded(
-            f"dense operators are capped at n={MAX_QUBITS} qubits, got n={n}"
-        )
+def check_qubits(n: int, cap: int = MAX_QUBITS) -> None:
+    """Refuse a qubit count outside 1..cap with ResourceCapExceeded."""
+    if not 1 <= n <= cap:
+        raise ResourceCapExceeded(f"supported qubit range is 1..{cap}, got n={n}")
 
 
 @dataclass(frozen=True)
@@ -122,12 +123,15 @@ class PauliIndex:
         return self.k == 0
 
 
-def as_index(k, n: int) -> PauliIndex:
-    """Normalize an int or PauliIndex to a PauliIndex on n qubits."""
+def as_index(k, n: int | None = None) -> PauliIndex:
+    """Normalize a PauliIndex, or an int with its qubit count n, to a
+    PauliIndex on n qubits."""
     if isinstance(k, PauliIndex):
-        if k.n != n:
+        if n is not None and k.n != n:
             raise DimensionMismatch(f"index is for n={k.n}, expected n={n}")
         return k
+    if n is None:
+        raise ValueError("plain integer index requires the qubit count n")
     return PauliIndex(n, int(k))
 
 
@@ -145,11 +149,8 @@ def pauli_element(idx, n: int | None = None) -> np.ndarray:
 
     ``idx`` may be a PauliIndex, or a plain int combined with ``n``.
     """
-    if not isinstance(idx, PauliIndex):
-        if n is None:
-            raise ValueError("plain integer index requires the qubit count n")
-        idx = PauliIndex(n, int(idx))
-    _check_dense_cap(idx.n)
+    idx = as_index(idx, n)
+    check_qubits(idx.n)
     return _pauli_matrix(idx.n, idx.k)
 
 
@@ -162,7 +163,7 @@ def num_qubits(A: np.ndarray) -> int:
     n = d.bit_length() - 1
     if d < 2 or 2**n != d:
         raise DimensionMismatch(f"matrix dimension {d} is not a power of two >= 2")
-    _check_dense_cap(n)
+    check_qubits(n)
     return n
 
 
@@ -226,7 +227,7 @@ def devectorize(coeffs: np.ndarray) -> np.ndarray:
     n = round(np.log2(v.size)) // 2 if v.size > 1 else 0
     if v.size < 4 or 4**n != v.size:
         raise DimensionMismatch(f"coefficient length {v.size} is not 4**n")
-    _check_dense_cap(n)
+    check_qubits(n)
     t = _transform_per_qubit([_DEVEC_KERNEL] * n, v).reshape((2,) * (2 * n))
     order = [2 * q for q in range(n)] + [2 * q + 1 for q in range(n)]
     return np.ascontiguousarray(t.transpose(order)).reshape(2**n, 2**n)

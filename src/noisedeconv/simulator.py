@@ -24,7 +24,7 @@ round-trip decimals so outputs are byte-stable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .deconvolution import deconvolve, plan, propagated_std_error
 # Unused here; bound only for the benchmark self-test that counts inversions at every binding.
 from .deconvolution import _invert_adjoint  # noqa: F401
 from .exceptions import ConfigError, InvalidState, NotPauliDiagonal
-from .pauli import Observable, is_hermitian, num_qubits, vectorize
+from .pauli import Observable, check_qubits, is_hermitian, num_qubits, vectorize
 from .sampling import SAMPLING_METHODS, check_shots_and_seed, read_expectations
 
 __all__ = [
@@ -76,25 +76,26 @@ def evolve(rho: np.ndarray, ch: Channel, m: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ExpectationRecord:
-    """One estimated Pauli expectation inside an experiment.
+class ExpectationRecord(NamedTuple):
+    """One estimated Pauli expectation inside an experiment: one CSV row,
+    its fields in ``CSV_HEADER`` order.
 
     ``value`` is the noisy estimate of <P_k> after m channel applications,
     ``deconvolved`` the reconstruction of the noiseless <P_k>.  Exact-mode
-    records have zero standard errors.
+    records have zero standard errors; ``strength`` is NaN for a family
+    without a scalar strength.
     """
 
+    mu: float
+    strength: float
     m: int
     k: int
-    value: float
-    std_error: float
     shots: int
     seed: int
-    deconvolved: float | None = None
-    deconvolved_std_error: float | None = None
-    mu: float | None = None
-    strength: float | None = None
+    value: float
+    std_error: float
+    deconvolved: float
+    deconvolved_std_error: float
 
 
 @dataclass
@@ -135,6 +136,7 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         try:
             n = _config_int(raw["n"], "n")
+            check_qubits(n)  # before the 4**n-entry initial state is built
             channel = dict(raw["channel"])
             obs_spec = raw["observable"]
             if isinstance(obs_spec, str):
@@ -248,20 +250,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExpectationRecord]:
                 values = {j: v for j, (v, _) in zip(needed, read)}
                 errors = {j: e for j, (_, e) in zip(needed, read)}
                 for k, p in zip(term_ks, plans):
-                    records.append(
-                        ExpectationRecord(
-                            m=m,
-                            k=k,
-                            value=values[k],
-                            std_error=errors[k],
-                            shots=cfg.shots,
-                            seed=cfg.seed,
-                            deconvolved=deconvolve(p, {j: values[j] for j in p.weights}),
-                            deconvolved_std_error=propagated_std_error(p, {j: errors[j] for j in p.weights}),
-                            mu=mu_out,
-                            strength=strength_out,
-                        )
-                    )
+                    records.append(ExpectationRecord(
+                        mu_out, strength_out, m, k, cfg.shots, cfg.seed, values[k], errors[k],
+                        deconvolve(p, {j: values[j] for j in p.weights}),
+                        propagated_std_error(p, {j: errors[j] for j in p.weights})))
     return records
 
 
@@ -270,23 +262,9 @@ def _fmt(x: float) -> str:
 
 
 def records_to_csv(records: Iterable[ExpectationRecord]) -> str:
-    """Render records under the fixed experiment CSV schema."""
+    """Render records under the fixed experiment CSV schema, one row each."""
     lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.mu if r.mu is not None else float("nan")),
-                    _fmt(r.strength if r.strength is not None else float("nan")),
-                    str(r.m),
-                    str(r.k),
-                    str(r.shots),
-                    str(r.seed),
-                    _fmt(r.value),
-                    _fmt(r.std_error),
-                    _fmt(r.deconvolved if r.deconvolved is not None else float("nan")),
-                    _fmt(r.deconvolved_std_error if r.deconvolved_std_error is not None else float("nan")),
-                ]
-            )
-        )
+    for mu, strength, m, k, shots, seed, value, std_error, deconvolved, deconvolved_std_error in records:
+        lines.append(",".join([_fmt(mu), _fmt(strength), str(m), str(k), str(shots), str(seed),
+                               _fmt(value), _fmt(std_error), _fmt(deconvolved), _fmt(deconvolved_std_error)]))
     return "\n".join(lines) + "\n"

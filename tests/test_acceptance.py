@@ -275,7 +275,7 @@ def test_acceptance_6_probe_positivity():
         d = 2**n
         delta = 1 + d // 2
         for k in range(1, 4**n):
-            S = positivity_coefficients(probe_state(k, n).operator)
+            S = positivity_coefficients(probe_state(k, n))
             assert len(S) == d + 1
             assert all(s > 0 for s in S[:delta]), (n, k)
             assert all(abs(s) < 1e-10 for s in S[delta:]), (n, k)

@@ -26,23 +26,22 @@ from noisedeconv.sampling import derive_rng, sample_pauli_expectation
 class TestProbeState:
     def test_single_qubit_z_probe(self):
         probe = probe_state(3, 1)
-        assert np.allclose(probe.operator, np.diag([1.0, 0.0]))
+        assert np.allclose(probe, np.diag([1.0, 0.0]))
 
     def test_two_qubit_zz_probe(self):
         probe = probe_state(15, 2)
-        assert np.allclose(probe.operator, np.diag([0.5, 0.0, 0.0, 0.5]))
+        assert np.allclose(probe, np.diag([0.5, 0.0, 0.0, 0.5]))
 
     def test_eigenvalues_zero_or_two_over_d(self):
         rng = np.random.default_rng(0)
         for n in (1, 2, 3, 4):
             d = 2**n
             for k in rng.integers(1, 4**n, 5):
-                vals = np.linalg.eigvalsh(probe_state(int(k), n).operator)
+                vals = np.linalg.eigvalsh(probe_state(int(k), n))
                 assert np.all(np.isclose(vals, 0.0) | np.isclose(vals, 2.0 / d))
 
     def test_unit_trace_hermitian(self):
-        probe = probe_state(7, 2)
-        op = probe.operator
+        op = probe_state(7, 2)
         assert abs(np.trace(op) - 1.0) < 1e-12
         assert np.max(np.abs(op - op.conj().T)) == 0
 
@@ -124,7 +123,7 @@ class TestEstimateFullPtm:
         shots, seed = 700, 13
         result = estimate_full_ptm(ch, shots=shots, seed=seed)
         for k in range(1, 4**n):
-            out = apply_channel(ch, probe_state(k, n).operator)
+            out = apply_channel(ch, probe_state(k, n))
             for j in range(1, 4**n):
                 expected = sample_pauli_expectation(out, j, shots, derive_rng(seed, k, j))
                 assert result.entries[(j, k)] == expected
@@ -207,11 +206,11 @@ class TestReportFormat:
 
 class TestPositivityCoefficients:
     def test_single_qubit_probe(self):
-        S = positivity_coefficients(probe_state(3, 1).operator)
+        S = positivity_coefficients(probe_state(3, 1))
         assert np.allclose(S, [1.0, 1.0, 0.0], atol=1e-14)
 
     def test_two_qubit_probe(self):
-        S = positivity_coefficients(probe_state(15, 2).operator)
+        S = positivity_coefficients(probe_state(15, 2))
         assert np.allclose(S, [1.0, 1.0, 0.25, 0.0, 0.0], atol=1e-14)
 
     def test_maximally_mixed(self):
@@ -251,6 +250,6 @@ class TestPositivityCoefficients:
             d = 2**n
             delta = 1 + d // 2
             for k in range(1, 4**n):
-                S = positivity_coefficients(probe_state(k, n).operator)
+                S = positivity_coefficients(probe_state(k, n))
                 assert all(s > 0 for s in S[:delta]), (n, k, S)
                 assert all(abs(s) < 1e-10 for s in S[delta:]), (n, k, S)

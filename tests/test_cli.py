@@ -209,6 +209,18 @@ class TestCharacterizeCommand:
         assert len(probes) == 1
         assert capsys.readouterr().out == single
 
+    def test_full_report_past_the_cap_exits_four_before_any_probe(self, tmp_path, capsys, monkeypatch):
+        cfg = channel_json(tmp_path, family="bit_flip", n=6, p=0.1)
+        probes = []
+        probe_state = noisedeconv.characterization.probe_state
+        monkeypatch.setattr("noisedeconv.characterization.probe_state",
+                            lambda *args: probes.append(args) or probe_state(*args))
+        assert main(["characterize", "--config", cfg, "--entries", "full"]) == 4
+        assert capsys.readouterr().out == "" and probes == []
+        assert main(["characterize", "--config", cfg, "--entries", "4095"]) == 0  # diagonal mode stays allowed
+        assert capsys.readouterr().out.splitlines()[3].startswith("4095 4095 ")
+        assert len(probes) == 1
+
     def test_label_must_span_every_qubit(self, capsys):
         cfg = str(CONFIG_DIR / "channels" / "depolarizing_n3_fig2.json")
         assert main(["characterize", "--config", cfg, "--entries", "ZZ"]) == 2
@@ -272,6 +284,49 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", cfg, "--shots", "128", "--seed", "7"]) == 0
         row = capsys.readouterr().out.strip().split("\n")[1].split(",")
         assert row[4] == "128" and row[5] == "7"
+
+    def test_qubit_cap_is_checked_before_the_state_is_built(self, tmp_path, capsys, monkeypatch):
+        cfg = write(tmp_path, "exp.json", json.dumps({
+            "n": 7,
+            "channel": {"family": "depolarizing", "n": 7, "q": 0.1},
+            "observable": [["ZZZZZZZ", 1.0]],
+            "initial_state": "plus",
+        }))
+        built = []
+        monkeypatch.setattr("noisedeconv.simulator.preset_state", lambda *args: built.append(args))
+        assert main(["experiment", "--config", cfg]) == 4
+        assert capsys.readouterr().out == "" and built == []
+
+    @pytest.mark.parametrize("overrides", [[], ["--shots", "5"], ["--seed", "3"]])
+    @pytest.mark.parametrize("content", [[1, 2], "text", 7])
+    def test_non_object_config_exits_two(self, tmp_path, capsys, content, overrides):
+        cfg = write(tmp_path, "exp.json", json.dumps(content))
+        assert main(["experiment", "--config", cfg, *overrides]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be a JSON object" in captured.err
+
+    def test_overrides_replace_file_values_before_validation(self, tmp_path, capsys):
+        cfg = write(tmp_path, "exp.json", json.dumps({
+            "n": 1,
+            "channel": {"family": "bit_flip", "n": 1, "p": 0.05},
+            "observable": [["Z", 1.0]],
+            "m_max": 1,
+            "shots": -1,
+            "seed": "bad",
+        }))
+        assert main(["experiment", "--config", cfg]) == 2
+        assert main(["experiment", "--config", cfg, "--shots", "16", "--seed", "4"]) == 0
+        row = capsys.readouterr().out.strip().split("\n")[1].split(",")
+        assert row[4] == "16" and row[5] == "4"
+
+    def test_json_rows_are_the_csv_rows(self, capsys):
+        cfg = str(CONFIG_DIR / "experiments" / "fig2a_mu_sweep.json")
+        assert main(["experiment", "--config", cfg, "--shots", "64", "--seed", "2"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert main(["experiment", "--config", cfg, "--shots", "64", "--seed", "2", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert [list(d) for d in data] == [header.split(",")] * len(rows)
+        assert [",".join(repr(v) for v in d.values()) for d in data] == rows
 
     def test_amplified_weights_warn_on_stderr_and_leave_stdout(self, tmp_path):
         cfg = write(tmp_path, "exp.json", json.dumps({
@@ -353,6 +408,16 @@ class TestOneWriter:
         assert main([*argv, "--out", "sub/result.txt"]) == 0
         assert capsys.readouterr().out == ""
         assert (tmp_path / "sub" / "result.txt").read_text() == printed
+
+    @pytest.mark.parametrize("target", ["dir", "dir/sub/result.txt", "file/result.txt"])
+    def test_unwritable_out_exits_two(self, tmp_path, capsys, target):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "dir" / "sub").mkdir()
+        (tmp_path / "dir" / "sub" / "result.txt").mkdir()
+        (tmp_path / "file").write_text("")
+        assert main(["check-positivity", "--n", "1", "--out", str(tmp_path / target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"cannot write {tmp_path / target}" in captured.err
 
     def test_json_does_not_build_the_text(self, tmp_path, capsys, monkeypatch):
         cfg = channel_json(tmp_path, family="bit_flip", n=2, p=0.1)

@@ -10,8 +10,10 @@ from noisedeconv.exceptions import (
     ResourceCapExceeded,
 )
 from noisedeconv.pauli import (
+    MAX_QUBITS,
     Observable,
     PauliIndex,
+    check_qubits,
     devectorize,
     hs_inner,
     pauli_element,
@@ -72,6 +74,22 @@ class TestPauliElement:
     def test_qubit_cap(self):
         with pytest.raises(ResourceCapExceeded):
             pauli_element(0, 7)
+
+
+class TestCheckQubits:
+    @pytest.mark.parametrize("n, cap", [(1, 6), (6, 6), (4, 4), (5, 5)])
+    def test_inside_the_range_passes(self, n, cap):
+        assert check_qubits(n, cap) is None
+
+    @pytest.mark.parametrize("n, cap", [(0, 6), (-1, 6), (7, 6), (5, 4), (6, 5)])
+    def test_outside_the_range_is_a_cap(self, n, cap):
+        with pytest.raises(ResourceCapExceeded, match=rf"1\.\.{cap}, got n={n}"):
+            check_qubits(n, cap)
+
+    def test_default_cap_is_max_qubits(self):
+        check_qubits(MAX_QUBITS)
+        with pytest.raises(ResourceCapExceeded):
+            check_qubits(MAX_QUBITS + 1)
 
 
 class TestHsInner:
