@@ -19,7 +19,8 @@ kernels on both sides, with no loop over the 4**n basis strings.
 
 A PTM's entries are fixed for its lifetime (``matrix`` is a read-only
 property), so the general deconvolution path inverts the transposed
-matrix once per PTM: the condition number and the inverse are kept on
+matrix once per PTM: the inverse and the condition bound
+sqrt(kappa_1 * kappa_inf) >= kappa_2 taken from it (no SVD) are kept on
 the PTM and shared, read-only, by every plan built on it.
 
 Channel families:
@@ -146,9 +147,9 @@ class PTM:
     the first row must equal (1, 0, ..., 0).
 
     ``matrix`` is read-only and fixed for the instance's lifetime, so the
-    2-norm condition number, the diagonal verdict of ``lambdas()`` and the
-    inverse of the transpose (filled in by the general deconvolution path)
-    are computed once and kept.
+    diagonal verdict of ``lambdas()``, the inverse of the transpose and the
+    condition bound taken from that inverse (both filled in by the general
+    deconvolution path) are computed once and kept.
     """
 
     def __init__(self, n: int, matrix):
@@ -170,9 +171,11 @@ class PTM:
         if np.max(np.abs(M[0] - first)) > 1e-9:
             raise NotTracePreserving("first row of the transfer matrix is not (1, 0, ..., 0)")
         self._matrix = _readonly(np.asarray(M, dtype=float))
-        self._condition_number: float | None = None
-        # inv(matrix.T), set by deconvolution and shared read-only by its plans.
+        # inv(matrix.T) and its condition bound (inf, with no inverse, when the
+        # inversion refused the matrix), set by deconvolution on first use;
+        # the inverse is shared read-only by its plans.
         self._inverse_adjoint: np.ndarray | None = None
+        self._condition_number: float | None = None
         # observable terms -> (m, inverse applied m times to its coefficients),
         # the latest image per observable, kept by the general deconvolution path.
         self._inverse_images: dict[tuple, tuple[int, np.ndarray]] = {}
@@ -186,12 +189,12 @@ class PTM:
 
     @property
     def condition_number(self) -> float:
-        """2-norm condition number of the matrix (ratio of its extreme
-        singular values), from one SVD on first use."""
-        with self._lock:
-            if self._condition_number is None:
-                self._condition_number = float(np.linalg.cond(self._matrix.T))
-        return self._condition_number
+        """Condition bound sqrt(kappa_1 * kappa_inf) of the transposed matrix,
+        from the inverse the general deconvolution path keeps (inverted here on
+        first use): never below the 2-norm condition number, equal to it for a
+        diagonal matrix, and inf for a matrix the inversion refuses as singular."""
+        from .deconvolution import _kept_inverse_adjoint  # deconvolution imports this module
+        return _kept_inverse_adjoint(self)[1]
 
     @property
     def d(self) -> int:

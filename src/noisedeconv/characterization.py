@@ -159,6 +159,11 @@ class CharacterizedPTM:
         check_qubits(n)
         if entries and not (0 <= min(map(min, entries)) and max(map(max, entries)) < 4**n):
             raise ParseError(f"report entries must have j and k in 0..{4**n - 1}")
+        if mode == "full":
+            check_qubits(n, MAX_QUBITS_FULL_PTM)
+            missing = 16**n - len(entries)
+            if missing:
+                raise ParseError(f"full report lacks {missing} of its {16**n} entries (j, k)")
         return cls(n=n, mode=mode, entries=entries, shots=shots, seed=seed)
 
 

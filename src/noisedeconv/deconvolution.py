@@ -148,32 +148,53 @@ def _check_condition(cond: float, cond_warn: float) -> None:
         )
 
 
-def _invert_adjoint(matrix: np.ndarray, cond_warn: float, cond: float | None = None) -> np.ndarray:
+def _condition_bound(adj: np.ndarray, inv: np.ndarray) -> float:
+    """sqrt(kappa_1 * kappa_inf) of ``adj`` from its inverse ``inv``: exact
+    once the inverse exists, never below the 2-norm condition number
+    kappa_2 (||A||_2**2 <= ||A||_1 * ||A||_inf) and equal to it for a
+    diagonal matrix.  inf or nan when the inverse overflowed."""
+    return math.sqrt(np.linalg.norm(adj, 1) * np.linalg.norm(inv, 1)
+                     * np.linalg.norm(adj, np.inf) * np.linalg.norm(inv, np.inf))
+
+
+def _invert_adjoint(matrix: np.ndarray, cond_warn: float) -> np.ndarray:
     """inv(matrix.T) behind the singularity gate and the conditioning
-    warning; every inversion on the general path runs here.  ``cond`` is
-    the 2-norm condition number when the caller already has it, else one
-    SVD computes it."""
+    warning, both read from the bound sqrt(kappa_1 * kappa_inf) >= kappa_2
+    of the inverse just made; every inversion on the general path runs here."""
     adj = matrix.T
-    _check_condition(np.linalg.cond(adj) if cond is None else cond, cond_warn)
     try:
-        return np.linalg.inv(adj)
+        inv = np.linalg.inv(adj)
     except np.linalg.LinAlgError as exc:
         raise SingularPTM(str(exc)) from None
+    _check_condition(_condition_bound(adj, inv), cond_warn)
+    return inv
+
+
+def _kept_inverse_adjoint(ptm: PTM) -> tuple[np.ndarray | None, float]:
+    """inv(Gamma^T) of ``ptm`` and its condition bound, from one inversion on
+    first use and kept on the PTM; (None, inf) once the inversion refused
+    the matrix as singular, so no later call inverts it again."""
+    with ptm._lock:
+        if ptm._condition_number is None:
+            try:
+                inv = _invert_adjoint(ptm.matrix, math.inf)
+            except SingularPTM:
+                ptm._condition_number = math.inf
+            else:
+                inv.setflags(write=False)
+                ptm._inverse_adjoint = inv
+                ptm._condition_number = _condition_bound(ptm.matrix.T, inv)
+        return ptm._inverse_adjoint, ptm._condition_number
 
 
 def _shared_inverse_adjoint(ptm: PTM, cond_warn: float) -> np.ndarray:
-    """inv(Gamma^T) of ``ptm``, inverted on first use and kept on the PTM;
-    every later plan on it shares that read-only array.  The singularity
-    gate and the conditioning warning apply on every call, against this
+    """The kept inv(Gamma^T) of ``ptm``, shared read-only by every plan on it.
+    The singularity gate and the conditioning warning apply on every call,
+    to the kept bound sqrt(kappa_1 * kappa_inf) >= kappa_2 and against this
     call's ``cond_warn``."""
-    with ptm._lock:
-        cond = ptm.condition_number
-        _check_condition(cond, cond_warn)
-        if ptm._inverse_adjoint is None:
-            inv = _invert_adjoint(ptm.matrix, math.inf, cond)
-            inv.setflags(write=False)
-            ptm._inverse_adjoint = inv
-        return ptm._inverse_adjoint
+    inv, cond = _kept_inverse_adjoint(ptm)
+    _check_condition(cond, cond_warn)
+    return inv
 
 
 def _pruned_weights(w: np.ndarray) -> dict[int, float]:

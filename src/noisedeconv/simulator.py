@@ -24,7 +24,7 @@ round-trip decimals so outputs are byte-stable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -133,7 +133,9 @@ class ExperimentConfig:
             )
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
+    def from_dict(cls, raw: Mapping) -> "ExperimentConfig":
+        if not isinstance(raw, Mapping):
+            raise ConfigError("an experiment config must be a JSON object")
         try:
             n = _config_int(raw["n"], "n")
             check_qubits(n)  # before the 4**n-entry initial state is built

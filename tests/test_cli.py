@@ -580,6 +580,20 @@ class TestArgumentErrors:
         assert main(["deconvolve", "--observable", obs, "--characterization", report,
                      "--measurements", meas]) == 2
 
+    @pytest.mark.parametrize("n, rows, missing", [
+        (1, "0 0 1.0 0.0 0 0\n1 1 0.9 0.0 0 0\n2 2 0.8 0.0 0 0\n3 3 0.7 0.0 0 0\n", 12),
+        (5, "1 1 0.9 0.0 0 0\n", 4**10 - 1),
+    ], ids=["n1_diagonal_rows_only", "n5_one_row"])
+    def test_truncated_full_report_exits_two(self, tmp_path, capsys, n, rows, missing):
+        report = write(tmp_path, "report.txt", f"n {n}\nmode full\n{rows}")
+        obs = write(tmp_path, "obs.txt", "Z" * n + " 1.0\n")
+        meas = write(tmp_path, "meas.txt", "Z" * n + " 0.5\n")
+        assert main(["deconvolve", "--observable", obs, "--characterization", report,
+                     "--measurements", meas]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"lacks {missing} of its {16**n} entries" in captured.err
+
 
 class TestNonFiniteInputs:
     def test_nan_strength_exits_three(self, tmp_path, capsys):

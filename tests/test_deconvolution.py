@@ -360,7 +360,69 @@ class TestInverseShared:
         for _ in range(3):
             with pytest.raises(SingularPTM):
                 plan_general(obs, ptm)
-        assert inversions == []
+        assert len(inversions) == 1
+
+
+class TestConditionBound:
+    """PTM.condition_number is sqrt(kappa_1 * kappa_inf) from the kept inverse:
+    an upper bound on the 2-norm condition number (the SVD oracle here), equal
+    to it for a diagonal matrix, and no SVD runs on the general path."""
+
+    @staticmethod
+    def _random_kraus_ptm(n, rng):
+        d, r = 2**n, 3
+        A = rng.normal(size=(r * d, d)) + 1j * rng.normal(size=(r * d, d))
+        V = np.linalg.qr(A)[0]
+        return KrausChannel([V[i * d:(i + 1) * d] for i in range(r)]).ptm()
+
+    def test_bounds_the_two_norm_condition_number(self):
+        rng = np.random.default_rng(11)
+        ptms = [correlated_amplitude_damping(rng.uniform(0.2, 1.0), rng.uniform(0.0, 1.0)).ptm()
+                for _ in range(5)]
+        ptms += [self._random_kraus_ptm(n, rng) for n in (1, 2, 3) for _ in range(3)]
+        for ptm in ptms:
+            assert ptm.condition_number >= np.linalg.cond(ptm.matrix.T) * (1 - 1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_the_two_norm_condition_number_on_diagonal_matrices(self, n):
+        rng = np.random.default_rng(n)
+        for build in (bit_flip_channel, depolarizing_channel, dephasing_channel):
+            ptm = build(n, rng.uniform(0.01, 0.4), rng.uniform(0.0, 1.0)).ptm()
+            assert ptm.condition_number == pytest.approx(np.linalg.cond(ptm.matrix.T), rel=1e-12)
+
+    @pytest.mark.parametrize("matrix", [
+        np.diag([1.0, 1.0, 1.0, 1e-17]),
+        np.block([[np.eye(1), np.zeros((1, 3))],
+                  [np.zeros((3, 1)), np.arange(1.0, 10.0).reshape(3, 3).T / 10]]),
+    ], ids=["tiny_diagonal_entry", "rank_deficient_block"])
+    def test_finite_inverse_of_a_nearly_singular_matrix_is_refused(self, matrix):
+        assert np.all(np.isfinite(np.linalg.inv(matrix.T)))  # inv does not raise here
+        ptm = PTM(1, matrix)
+        with pytest.raises(SingularPTM):
+            plan_general(Observable.from_pairs([("Z", 1.0)]), ptm)
+        assert ptm.condition_number == np.inf
+
+    def test_warning_points_at_the_caller_of_plan_general(self):
+        ptm = depolarizing_channel(1, 0.999).ptm()
+        for _ in range(2):  # the inverting call and one that reads the kept bound
+            with pytest.warns(IllConditionedWarning) as record:
+                plan_general(Observable.from_pairs([("Z", 1.0)]), ptm, cond_warn=100.0)
+            assert record[0].filename == __file__
+
+    def test_general_path_runs_no_svd(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        matrix = np.eye(4**5) + 1e-3 * rng.normal(size=(4**5, 4**5))
+        matrix[0] = np.eye(4**5)[0]
+        ptm = PTM(5, matrix)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("no SVD on the general path")
+
+        monkeypatch.setattr(np.linalg, "cond", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        plan = plan_general(Observable(5, {1: 1.0, 700: -0.5}), ptm)
+        assert plan.entries_consulted == 4**10
+        assert 1.0 < ptm.condition_number < 10.0
 
 
 class TestReconstructionFactor:

@@ -237,6 +237,11 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             fig2_config(observable=[["ZZ", 1.0]])  # wrong qubit count
 
+    @pytest.mark.parametrize("raw", [[1, 2], "n", 3, None], ids=["list", "str", "int", "null"])
+    def test_non_object_config_is_named(self, raw):
+        with pytest.raises(ConfigError, match="^an experiment config must be a JSON object$"):
+            ExperimentConfig.from_dict(raw)
+
 
 # Channel configs per qubit count; each family's strength is swept.
 EVOLUTION_CHANNELS = [
