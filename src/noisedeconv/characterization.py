@@ -101,6 +101,9 @@ class CharacterizedPTM:
         if self.mode != "full":
             raise ValueError("only full-mode reports define a complete transfer matrix")
         check_qubits(self.n, MAX_QUBITS_FULL_PTM)
+        missing = 16**self.n - len(self.entries)
+        if missing:
+            raise ParseError(f"full report lacks {missing} of its {16**self.n} entries (j, k)")
         dim = 4**self.n
         M = np.zeros((dim, dim))
         for (j, k), (est, _) in self.entries.items():
@@ -159,11 +162,6 @@ class CharacterizedPTM:
         check_qubits(n)
         if entries and not (0 <= min(map(min, entries)) and max(map(max, entries)) < 4**n):
             raise ParseError(f"report entries must have j and k in 0..{4**n - 1}")
-        if mode == "full":
-            check_qubits(n, MAX_QUBITS_FULL_PTM)
-            missing = 16**n - len(entries)
-            if missing:
-                raise ParseError(f"full report lacks {missing} of its {16**n} entries (j, k)")
         return cls(n=n, mode=mode, entries=entries, shots=shots, seed=seed)
 
 

@@ -674,8 +674,9 @@ def experiment_configs(draw, channel):
 @st.composite
 def report_inputs(draw):
     """A characterization report with observable and measurement text on
-    its qubit count.  Full reports start from the identity, so some
-    invert; in every other draw the header is out of range or malformed."""
+    its qubit count.  Full reports start from every entry of the identity,
+    with drawn rows replacing entries, so some invert; in every other draw
+    the header is out of range or malformed."""
     n = draw(st.integers(1, 2))
     D = 4**n
     terms = draw(st.lists(st.integers(0, D - 1), min_size=1, max_size=3, unique=True))
@@ -685,13 +686,13 @@ def report_inputs(draw):
     mode = draw(st.sampled_from(["diagonal", "full"]))
     pairs = st.one_of(st.sampled_from(terms).map(lambda k: (k, k)),
                       st.tuples(st.integers(-1, D), st.integers(-1, D)))
-    rows = [(k, k, "1.0") for k in range(D)] if mode == "full" else []
-    rows += [(j, k, est) for (j, k), est in draw(st.lists(st.tuples(pairs, NUMBERS), max_size=6))]
+    rows = {(j, k): "1.0" if j == k else "0.0" for j in range(D) for k in range(D)} if mode == "full" else {}
+    rows.update(draw(st.lists(st.tuples(pairs, NUMBERS), max_size=6)))
     header = f"n {n}\nmode {mode}\n"
     if draw(st.booleans()):
         header = draw(st.sampled_from(["n 0\nmode full\n", "n 7\nmode diagonal\n", "n 10\nmode full\n",
                                        f"n {n}\nmode bogus\n", f"n {n}\n", "n x\nmode full\n"]))
-    report = header + _text([(str(j), str(k), est, "0.0", "0", "0") for j, k, est in rows])
+    report = header + _text([(str(j), str(k), est, "0.0", "0", "0") for (j, k), est in rows.items()])
     return report, obs, meas
 
 

@@ -14,6 +14,7 @@ from noisedeconv.channels import (
     depolarizing_channel,
 )
 from noisedeconv.deconvolution import (
+    CONDITION_WARN,
     deconvolve,
     plan,
     plan_from_characterization,
@@ -408,6 +409,31 @@ class TestConditionBound:
             with pytest.warns(IllConditionedWarning) as record:
                 plan_general(Observable.from_pairs([("Z", 1.0)]), ptm, cond_warn=100.0)
             assert record[0].filename == __file__
+
+    @staticmethod
+    def _scaled_hadamard(s):
+        """A 3-qubit transfer matrix: the identity with rows and columns 1..16
+        replaced by the orthogonal 16x16 Hadamard matrix / 4, its last column
+        scaled by ``s``.  kappa_2 = 1/s, the bound sqrt(15)/s, exact in floats."""
+        H = np.ones((1, 1))
+        for _ in range(4):
+            H = np.kron(H, [[1.0, 1.0], [1.0, -1.0]])
+        matrix = np.eye(64)
+        matrix[1:17, 1:17] = H / 4 @ np.diag([1.0] * 15 + [s])
+        return PTM(3, matrix)
+
+    def test_bound_above_the_threshold_warns_where_kappa_2_is_below(self):
+        ptm = self._scaled_hadamard(2.0**-26)
+        assert np.linalg.cond(ptm.matrix.T) < CONDITION_WARN < ptm.condition_number
+        with pytest.warns(IllConditionedWarning, match="condition number"):
+            plan_general(Observable(3, {1: 1.0}), ptm)
+
+    def test_bound_above_the_singularity_gate_refuses_where_kappa_2_is_below(self):
+        ptm = self._scaled_hadamard(2.0**-51)
+        assert np.linalg.cond(ptm.matrix.T) < 1 / np.finfo(float).eps
+        with pytest.raises(SingularPTM):
+            plan_general(Observable(3, {1: 1.0}), ptm)
+        assert ptm.condition_number == np.inf
 
     def test_general_path_runs_no_svd(self, monkeypatch):
         rng = np.random.default_rng(4)
