@@ -8,9 +8,9 @@ output state fills row entries, giving the full matrix without process
 tomography; like every full transfer matrix it is capped at
 MAX_QUBITS_FULL_PTM qubits.  The channel is accessed purely as a
 black-box state transformer here.  Both reports come from one probe loop
-that reads each output's Pauli coefficient vector through
-``sampling.read_expectations`` (entry (j, k) from the stream
-(seed, k, j)), so a diagonal entry equals the full report's bit for bit.
+whose outputs' Pauli coefficient vectors go through one
+``sampling.read_batch`` (entry (j, k) from the stream (seed, k, j)), so
+a diagonal entry equals the full report's bit for bit.
 
 The probe's positive semidefiniteness is certified through the
 characteristic-polynomial coefficients S_m, computed by the trace-power
@@ -37,7 +37,7 @@ from .exceptions import (
     ParseError,
 )
 from .pauli import as_index, check_qubits, is_hermitian, num_qubits, pauli_element, vectorize
-from .sampling import read_expectations
+from .sampling import read_batch
 
 __all__ = [
     "CharacterizedPTM",
@@ -168,17 +168,19 @@ class CharacterizedPTM:
 def _probe_report(ch: Channel, mode: str, ks, entries: dict, shots: int, seed: int) -> CharacterizedPTM:
     """Probe the channel once per k in ``ks`` and add to ``entries`` what
     its output gives: (k, k) in diagonal mode, every (j, k) with j != 0 in
-    full mode, each read from the stream (seed, k, j).  Every index is
-    validated, then unitality is checked once, before the first probe."""
+    full mode, each read from the stream (seed, k, j) by one readout of
+    the whole report.  Every index is validated, then unitality is checked
+    once, before the first probe."""
     d = 2**ch.n
     idxs = [as_index(k, ch.n) for k in ks]
     if any(idx.k == 0 for idx in idxs):
         raise IdentityProbe("the k=0 entry equals 1 by trace preservation")
     _check_unital(ch)
-    for idx in idxs:
-        row = vectorize(apply_channel(ch, probe_state(idx))) * d  # entry j is Tr[P_j out]
-        js = range(1, d * d) if mode == "full" else [idx.k]
-        entries.update(zip([(j, idx.k) for j in js], read_expectations(row, js, shots, seed, idx.k)))
+    reads = [(range(1, d * d) if mode == "full" else [idx.k], (idx.k,)) for idx in idxs]
+    # entry j of a probe's output vector is Tr[P_j out]; one output is held at a time
+    outputs = (vectorize(apply_channel(ch, probe_state(idx))) * d for idx in idxs)
+    for (js, (k,)), values in zip(reads, read_batch(outputs, reads, shots, seed)):
+        entries.update(zip([(j, k) for j in js], values))
     return CharacterizedPTM(n=ch.n, mode=mode, entries=entries, shots=shots, seed=seed)
 
 

@@ -152,9 +152,12 @@ def _condition_bound(adj: np.ndarray, inv: np.ndarray) -> float:
     """sqrt(kappa_1 * kappa_inf) of ``adj`` from its inverse ``inv``: exact
     once the inverse exists, never below the 2-norm condition number
     kappa_2 (||A||_2**2 <= ||A||_1 * ||A||_inf) and equal to it for a
-    diagonal matrix.  inf or nan when the inverse overflowed."""
-    return math.sqrt(np.linalg.norm(adj, 1) * np.linalg.norm(inv, 1)
-                     * np.linalg.norm(adj, np.inf) * np.linalg.norm(inv, np.inf))
+    diagonal matrix.  inf or nan when the inverse overflowed.  Taken as
+    sqrt(kappa_1) * sqrt(kappa_inf) in Python floats, so that a bound past
+    sqrt(float max), such as 1e160, neither overflows nor warns."""
+    kappa_1 = float(np.linalg.norm(adj, 1)) * float(np.linalg.norm(inv, 1))
+    kappa_inf = float(np.linalg.norm(adj, np.inf)) * float(np.linalg.norm(inv, np.inf))
+    return math.sqrt(kappa_1) * math.sqrt(kappa_inf)
 
 
 def _invert_adjoint(matrix: np.ndarray, cond_warn: float) -> np.ndarray:

@@ -12,16 +12,27 @@ distribution for a single observable.
 
 Every sampler consumes a numpy Generator; ``derive_rng`` builds
 independent deterministic streams from a base seed plus integer tags so
-results do not depend on evaluation order.  ``read_expectations`` is the
-one readout the experiments and the probe estimators share: it holds the
-exact/sampled switch and the stream layout, one stream
-(seed, *tags, j) per entry j read.
+results do not depend on evaluation order.  ``read_batch`` is the one
+readout the experiments and the probe estimators share (``read_expectations``
+reads a single vector): it holds the exact/sampled switch and the stream
+layout, one stream (seed, *tags, j) per entry j read.
+
+A sampled batch derives the streams of all its entries at once.  Building
+a generator per stream (``SeedSequence`` hashing plus ``PCG64`` seeding)
+costs many times the binomial draw it serves, so ``_stream_states``
+copies that seeding in numpy over every row of the batch and each draw
+resets one reused ``PCG64`` to its row's state.  The
+streams, and so every sampled byte, are those of ``derive_rng``;
+``tests/test_sampling.py::TestStreamStates`` pins the copy to it, so a
+numpy release that changed its seeding fails there first.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import chain, islice
+from typing import Iterator
 
 import numpy as np
 
@@ -38,6 +49,7 @@ __all__ = [
     "sample_marginal",
     "sample_pauli_expectation",
     "read_expectations",
+    "read_batch",
 ]
 
 SAMPLING_METHODS = ("marginal", "projective")
@@ -45,8 +57,22 @@ SAMPLING_METHODS = ("marginal", "projective")
 # numpy's binomial and multinomial take counts up to the int64 maximum.
 MAX_SHOTS = 2**63 - 1
 
+# Most stream states one ``_stream_states`` call derives and holds.
+BATCH_ROWS = 4096
+
 _IMAG_TOL = 1e-10
 _RANGE_TOL = 1e-9
+
+# numpy's SeedSequence (pool of four 32-bit words) and PCG64 seeding
+# constants, from numpy/random/bit_generator.pyx and pcg64.h.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_U1, _U32, _U63 = np.uint64(1), np.uint64(32), np.uint64(63)
 
 
 def derive_rng(seed: int, *tags: int) -> np.random.Generator:
@@ -55,6 +81,98 @@ def derive_rng(seed: int, *tags: int) -> np.random.Generator:
     if any(t < 0 for t in entropy):
         raise ValueError(f"seed and stream tags must be nonnegative, got {entropy}")
     return np.random.default_rng(entropy)
+
+
+def _words(x: int) -> list[int]:
+    """The little-endian 32-bit words SeedSequence reads from one entropy int."""
+    words = [x & _MASK32]
+    while x > _MASK32:
+        x >>= 32
+        words.append(x & _MASK32)
+    return words
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """(xor, multiplier) of each of ``calls`` successive SeedSequence hash
+    steps from the hash constant ``init``: the sequence is data-independent."""
+    out, hc = np.empty((calls, 2, 1), dtype=np.uint32), init
+    for i in range(calls):
+        out[i, 0], hc = hc, hc * mult & _MASK32
+        out[i, 1] = hc
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=16)
+def _mix_constants(length: int) -> np.ndarray:
+    """The hash steps SeedSequence's pool mixing takes on an entropy of
+    ``length`` words: four to fill the pool, twelve to cross-mix it, four
+    per word past the fourth."""
+    return _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * max(0, length - _POOL))
+
+
+# generate_state(4, uint64) emits eight words, cycling the pool twice.
+_STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 8)
+_STATE_CYCLE = [i % _POOL for i in range(8)]
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    value = (value ^ consts[:, 0]) * consts[:, 1]
+    return value ^ (value >> _SHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_L * x - _MIX_R * y
+    return out ^ (out >> _SHIFT)
+
+
+def _stream_states(seed: int, rows) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) that ``derive_rng(seed, *row)`` builds, for
+    every row of tags in ``rows`` (N rows of t tags), in one numpy pass.
+
+    A copy of numpy's seeding: SeedSequence hashes the entropy words (the
+    seed's words, then one word per tag) into a pool of four and draws
+    eight words from it, read as uint64 (s_hi, s_lo, seq_hi, seq_lo); PCG64
+    then sets inc = 2 * seq + 1 and state = ((inc + s) * M + inc) mod 2**128.
+    Every tag must lie in 0..2**32 - 1 (ValueError otherwise), so that it
+    is one entropy word, as in ``derive_rng``."""
+    if len(rows) == 0:
+        return []
+    try:
+        tags = np.asarray(rows, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("stream tags must lie in 0..2**32 - 1") from None
+    if tags.ndim != 2 or tags.min() < 0 or tags.max() > _MASK32:
+        raise ValueError(f"stream tags must be N rows of t tags in 0..2**32 - 1, got shape "
+                         f"{tags.shape} in {tags.min()}..{tags.max()}")
+    if seed < 0:
+        raise ValueError(f"seed and stream tags must be nonnegative, got seed {seed}")
+    seed_words = _words(int(seed))
+    entropy = np.empty((len(seed_words) + tags.shape[1], len(tags)), dtype=np.uint32)
+    entropy[:len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    entropy[len(seed_words):] = tags.T
+    consts = _mix_constants(len(entropy))
+    # SeedSequence.mix_entropy: hash the first four words (zeros past the
+    # end), cross-mix the pool, then fold in each word past the fourth.
+    pool = np.zeros((_POOL, len(tags)), dtype=np.uint32)
+    pool[:min(_POOL, len(entropy))] = entropy[:_POOL]
+    pool = _hashmix(pool, consts[:_POOL])
+    c = _POOL
+    for src in range(_POOL):
+        dst = [i for i in range(_POOL) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[c:c + _POOL - 1]))
+        c += _POOL - 1
+    for word in entropy[_POOL:]:
+        pool = _mix(pool, _hashmix(word, consts[c:c + _POOL]))
+        c += _POOL
+    w = _hashmix(pool[_STATE_CYCLE], _STATE_CONSTANTS).astype(np.uint64)
+    s_hi, s_lo, seq_hi, seq_lo = (w[1::2] << _U32) | w[0::2]
+    inc_hi, inc_lo = (seq_hi << _U1) | (seq_lo >> _U63), (seq_lo << _U1) | _U1
+    lo = s_lo + inc_lo
+    hi = s_hi + inc_hi + (lo < inc_lo)  # carry of the low half
+    incs = [(ih << 64) | il for ih, il in zip(inc_hi.tolist(), inc_lo.tolist())]
+    return [(((h << 64 | l) * _PCG_MULT + inc) & _MASK128, inc)
+            for h, l, inc in zip(hi.tolist(), lo.tolist(), incs)]
 
 
 def check_shots_and_seed(shots: int, seed: int) -> None:
@@ -114,7 +232,7 @@ def _check_draw(e: float, shots: int) -> None:
 
 
 def _estimate(value: float, shots: int) -> tuple[float, float]:
-    return value, float(np.sqrt(max(0.0, 1.0 - value * value) / shots))
+    return value, math.sqrt(max(0.0, 1.0 - value * value) / shots)
 
 
 def sample_marginal(e: float, shots: int, rng: np.random.Generator) -> tuple[float, float]:
@@ -164,20 +282,54 @@ def read_expectations(
     coeffs: np.ndarray, ks, shots: int, seed: int, *tags: int, method: str = "marginal"
 ) -> list[tuple[float, float]]:
     """``(value, std_error)`` of Tr[P_j rho] for each j in ``ks``, from
-    rho's scaled Pauli coefficient vector ``coeffs = d * vectorize(rho)``.
+    rho's scaled Pauli coefficient vector ``coeffs = d * vectorize(rho)``:
+    :func:`read_batch` of the one read (ks, tags)."""
+    return read_batch([coeffs], [(ks, tags)], shots, seed, method)[0]
 
-    ``shots = 0`` reads the entries exactly (std_error 0).  Otherwise each
-    entry is one draw from the stream ``derive_rng(seed, *tags, j)``:
-    marginal (:func:`sample_marginal`), or projective
-    (:func:`sample_pauli_expectation` on rho, rebuilt once per call).
+
+def _batch_states(seed: int, reads) -> Iterator[list[tuple[int, int]]]:
+    """PCG64 states of the streams (seed, *tags, j), j in ks, of every
+    ``(ks, tags)`` in ``reads`` in order, in lists of at most BATCH_ROWS:
+    the one statement of the stream layout."""
+    rows = ((*tags, j) for ks, tags in reads for j in ks)
+    while chunk := list(islice(rows, BATCH_ROWS)):
+        yield _stream_states(seed, chunk)
+
+
+def read_batch(
+    coeffs, reads, shots: int, seed: int, method: str = "marginal"
+) -> list[list[tuple[float, float]]]:
+    """``(value, std_error)`` of Tr[P_j rho] for each j in ks, for each
+    ``(ks, tags)`` in the sequence ``reads``, from the vector
+    ``d * vectorize(rho)`` at the same place in the iterable ``coeffs``
+    (consumed one vector at a time); every ``tags`` has the same length.
+
+    ``shots = 0`` reads the entries exactly (std_error 0) and derives no
+    stream.  Otherwise entry j is one draw from the stream
+    ``derive_rng(seed, *tags, j)``: marginal (:func:`sample_marginal`), or
+    projective (:func:`sample_pauli_expectation` on rho, rebuilt once per
+    vector).  The streams are derived together, one ``_stream_states``
+    call per BATCH_ROWS entries, and each draw resets one reused ``PCG64``.
     """
     if method not in SAMPLING_METHODS:
         raise ValueError(f"unknown sampling method {method!r}")
-    if shots and method == "projective":
-        rho = devectorize(coeffs / math.isqrt(coeffs.size))
-        return [sample_pauli_expectation(rho, j, shots, derive_rng(seed, *tags, j), method)
-                for j in ks]
-    es = coefficient_expectations(coeffs, ks)
     if not shots:
-        return [(e, 0.0) for e in es]
-    return [sample_marginal(e, shots, derive_rng(seed, *tags, j)) for j, e in zip(ks, es)]
+        return [[(e, 0.0) for e in coefficient_expectations(c, ks)] for (ks, _), c in zip(reads, coeffs)]
+    states = chain.from_iterable(_batch_states(seed, reads))
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+
+    def stream() -> np.random.Generator:
+        state, inc = next(states)
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        return rng
+
+    out = []
+    for (ks, _), c in zip(reads, coeffs):
+        if method == "projective":
+            rho = devectorize(c / math.isqrt(c.size))
+            out.append([sample_pauli_expectation(rho, j, shots, stream(), method) for j in ks])
+        else:
+            out.append([sample_marginal(e, shots, stream()) for e in coefficient_expectations(c, ks)])
+    return out

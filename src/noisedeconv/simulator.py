@@ -11,9 +11,10 @@ identical channel independently at each step.
 The experiment evolves the state as its Pauli coefficient vector
 c = d * vectorize(rho), whose entry j is Tr[P_j rho]: one step rescales
 it by the channel's diagonal (c -> lambda * c) for a Pauli channel, or
-multiplies it by the transfer matrix Gamma otherwise, and every
-expectation is read from c by ``sampling.read_expectations``, from the
-streams (seed, mu index, strength index, m, j) when sampled.
+multiplies it by the transfer matrix Gamma otherwise.  The plans for
+every m come first; then one ``sampling.read_batch`` per grid point reads
+every expectation from c as it evolves, from the streams (seed, mu index,
+strength index, m, j) when sampled.
 ``evolve`` is the dense counterpart, one ``apply_channel`` per step.
 
 Records carry the raw and deconvolved estimates together with their
@@ -24,7 +25,7 @@ round-trip decimals so outputs are byte-stable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .deconvolution import deconvolve, plan, propagated_std_error
 from .deconvolution import _invert_adjoint  # noqa: F401
 from .exceptions import ConfigError, InvalidState, NotPauliDiagonal
 from .pauli import Observable, check_qubits, is_hermitian, num_qubits, vectorize
-from .sampling import SAMPLING_METHODS, check_shots_and_seed, read_expectations
+from .sampling import SAMPLING_METHODS, check_shots_and_seed, read_batch
 
 __all__ = [
     "ExperimentConfig",
@@ -214,6 +215,15 @@ def _grid_channel(base: dict, mu: float | None, strength: float | None) -> dict:
     return cfg
 
 
+def _evolved(c: np.ndarray, lam, gamma, m_max: int) -> Iterator[np.ndarray]:
+    """The coefficient vector ``c`` after m = 0..m_max channel uses, one at
+    a time: c -> lam * c for a Pauli channel, else c -> gamma @ c."""
+    yield c
+    for _ in range(m_max):
+        c = lam * c if gamma is None else gamma @ c
+        yield c
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[ExpectationRecord]:
     """Execute the configured sweep and return records in canonical order.
 
@@ -242,16 +252,15 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExpectationRecord]:
                 lam, gamma = ch.lambdas(), None
             except NotPauliDiagonal:
                 lam, gamma = None, ch.ptm().matrix
+            plans = [[plan(units[k], ch, m) for k in term_ks] for m in range(cfg.m_max + 1)]
+            reads = [(sorted({j for p in ps for j in p.weights} | set(term_ks)), (gi, si, m))
+                     for m, ps in enumerate(plans)]
             c = vectorize(cfg.initial_state) * d  # entry j is Tr[P_j rho]
-            for m in range(cfg.m_max + 1):
-                if m > 0:
-                    c = lam * c if gamma is None else gamma @ c
-                plans = [plan(units[k], ch, m) for k in term_ks]
-                needed = sorted({j for p in plans for j in p.weights} | set(term_ks))
-                read = read_expectations(c, needed, cfg.shots, cfg.seed, gi, si, m, method=cfg.sampling)
-                values = {j: v for j, (v, _) in zip(needed, read)}
-                errors = {j: e for j, (_, e) in zip(needed, read)}
-                for k, p in zip(term_ks, plans):
+            read = read_batch(_evolved(c, lam, gamma, cfg.m_max), reads, cfg.shots, cfg.seed, cfg.sampling)
+            for m, (ps, (needed, _), got) in enumerate(zip(plans, reads, read)):
+                values = {j: v for j, (v, _) in zip(needed, got)}
+                errors = {j: e for j, (_, e) in zip(needed, got)}
+                for k, p in zip(term_ks, ps):
                     records.append(ExpectationRecord(
                         mu_out, strength_out, m, k, cfg.shots, cfg.seed, values[k], errors[k],
                         deconvolve(p, {j: values[j] for j in p.weights}),

@@ -13,8 +13,10 @@ from noisedeconv.channels import (
     dephasing_channel,
     depolarizing_channel,
 )
+from noisedeconv.cli import main
 from noisedeconv.deconvolution import (
     CONDITION_WARN,
+    _condition_bound,
     deconvolve,
     plan,
     plan_from_characterization,
@@ -409,6 +411,28 @@ class TestConditionBound:
             with pytest.warns(IllConditionedWarning) as record:
                 plan_general(Observable.from_pairs([("Z", 1.0)]), ptm, cond_warn=100.0)
             assert record[0].filename == __file__
+
+    def test_bound_past_sqrt_float_max_neither_overflows_nor_warns(self, tmp_path, capsys):
+        # kappa_1 * kappa_inf = 1e320 overflows a float; the bound is 1e160
+        matrix = np.diag([1.0, 1e-160, 1.0, 1.0])
+        matrix[2, 3] = 0.5  # not Pauli-diagonal, so plan() takes the general path
+        rows = "".join(f"{j} {k} {float(matrix[j, k])!r} 0.0 0 0\n" for j in range(4) for k in range(4))
+        report, obs, meas = (tmp_path / name for name in ("report.txt", "obs.txt", "meas.txt"))
+        report.write_text("n 1\nmode full\n" + rows)
+        obs.write_text("Z 1.0\n")
+        meas.write_text("Z 0.5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inv = np.linalg.inv(matrix.T)
+            assert _condition_bound(matrix.T, inv) == pytest.approx(1.5e160, rel=1e-12)
+            ptm = PTM(1, matrix)
+            with pytest.raises(SingularPTM):
+                plan_general(Observable.from_pairs([("Z", 1.0)]), ptm)
+            assert ptm.condition_number == np.inf  # a refused matrix keeps no bound
+            assert main(["deconvolve", "--observable", str(obs), "--characterization", str(report),
+                         "--measurements", str(meas)]) == 3
+        err = capsys.readouterr().err
+        assert "numerically singular" in err and "RuntimeWarning" not in err
 
     @staticmethod
     def _scaled_hadamard(s):
