@@ -26,11 +26,9 @@ from .deconvolution import (
     DeconvolutionPlan,
     deconvolve,
     plan,
-    plan_from_characterization,
     plan_general,
     plan_pauli,
     propagated_std_error,
-    reconstruction_factor,
 )
 from .pauli import (
     MAX_QUBITS,

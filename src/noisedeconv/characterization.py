@@ -12,6 +12,10 @@ whose outputs' Pauli coefficient vectors go through one
 ``sampling.read_batch`` (entry (j, k) from the stream (seed, k, j)), so
 a diagonal entry equals the full report's bit for bit.
 
+A report is a lambda source for ``deconvolution.plan``: a diagonal
+report gives its rows as the lambdas, and a full report gives its
+transfer matrix (``ptm()``) to the general path.
+
 The probe's positive semidefiniteness is certified through the
 characteristic-polynomial coefficients S_m, computed by the trace-power
 recursion (S_0 = 1):
@@ -34,6 +38,7 @@ from .channels import MAX_QUBITS_FULL_PTM, PTM, Channel, apply_channel
 from .exceptions import (
     IdentityProbe,
     NonUnitalChannel,
+    NotPauliDiagonal,
     ParseError,
 )
 from .pauli import as_index, check_qubits, is_hermitian, num_qubits, pauli_element, vectorize
@@ -83,12 +88,13 @@ def _check_unital(ch: Channel) -> None:
 
 @dataclass(frozen=True)
 class CharacterizedPTM:
-    """Estimated transfer-matrix entries with their standard errors.
+    """Estimated transfer-matrix entries with their standard errors, planned
+    like a channel (``n``, ``lambdas()``, ``ptm()``).
 
     ``entries`` maps (j, k) to (estimate, std_error).  Diagonal-only mode
-    stores just the requested (k, k) pairs; full mode stores the whole
-    matrix, with the k = 0 row and column filled from trace preservation
-    and unitality rather than measurement.
+    stores just the requested (k, k) pairs, k >= 1; full mode stores the
+    whole matrix, with the k = 0 row and column filled from trace
+    preservation and unitality rather than measurement.
     """
 
     n: int
@@ -97,7 +103,14 @@ class CharacterizedPTM:
     shots: int
     seed: int
 
-    def to_ptm(self) -> PTM:
+    def lambdas(self) -> dict[int, float]:
+        """A diagonal report's rows, with lambda_0 = 1 from trace preservation;
+        a full report raises NotPauliDiagonal and is planned from ``ptm()``."""
+        if self.mode == "full":
+            raise NotPauliDiagonal("a full report is planned from its transfer matrix")
+        return {0: 1.0} | {k: est for (_, k), (est, _) in self.entries.items()}
+
+    def ptm(self) -> PTM:
         if self.mode != "full":
             raise ValueError("only full-mode reports define a complete transfer matrix")
         check_qubits(self.n, MAX_QUBITS_FULL_PTM)
@@ -162,6 +175,8 @@ class CharacterizedPTM:
         check_qubits(n)
         if entries and not (0 <= min(map(min, entries)) and max(map(max, entries)) < 4**n):
             raise ParseError(f"report entries must have j and k in 0..{4**n - 1}")
+        if mode == "diagonal" and not all(j == k > 0 for j, k in entries):
+            raise ParseError("a diagonal report holds only (k, k) rows with k >= 1")
         return cls(n=n, mode=mode, entries=entries, shots=shots, seed=seed)
 
 

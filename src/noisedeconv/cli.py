@@ -48,7 +48,7 @@ MAX_QUBITS_POSITIVITY_ALL = 4
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
 
 
@@ -131,15 +131,13 @@ def cmd_deconvolve(args) -> int:
     if n != obs.n:
         raise ConfigError(f"measurements are on {n} qubits, observable on {obs.n}")
     if args.characterization:
-        report = characterization.CharacterizedPTM.from_report_text(_read_text(args.characterization))
-        if report.n != obs.n:
-            raise ConfigError(f"report is on {report.n} qubits, observable on {obs.n}")
-        plan = deconvolution.plan_from_characterization(obs, report)
+        source = characterization.CharacterizedPTM.from_report_text(_read_text(args.characterization))
     else:
-        ch = channel_from_config(_load_json(args.config))
-        if ch.n != obs.n:
-            raise ConfigError(f"channel is on {ch.n} qubits, observable on {obs.n}")
-        plan = deconvolution.plan(obs, ch)
+        source = channel_from_config(_load_json(args.config))
+    if source.n != obs.n:
+        what = "report" if args.characterization else "channel"
+        raise ConfigError(f"{what} is on {source.n} qubits, observable on {obs.n}")
+    plan = deconvolution.plan(obs, source)
     value = deconvolution.deconvolve(plan, values)
     err = deconvolution.propagated_std_error(plan, errors)
     return _write(

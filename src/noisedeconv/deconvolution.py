@@ -17,6 +17,10 @@ product each.  A general-path plan warns when its weights amplify the
 observable's coefficients (sum_j |w_j| / sum_k |c_k|) beyond
 CONDITION_WARN: rounding in the data is then amplified as much.
 
+A characterization report is a lambda source like any channel: a
+diagonal report gives its rows (a term it lacks raises
+MissingMeasurement), and a full report gives its transfer matrix.
+
 Plans are immutable; ``deconvolve`` is a pure function of the plan and
 the supplied noisy expectation values, summed in ascending index order
 so results do not depend on scheduling.
@@ -47,10 +51,8 @@ __all__ = [
     "plan",
     "plan_pauli",
     "plan_general",
-    "plan_from_characterization",
     "deconvolve",
     "propagated_std_error",
-    "reconstruction_factor",
     "INVERTIBILITY_TOL",
     "CONDITION_WARN",
 ]
@@ -99,12 +101,32 @@ def _finite(x: float, what: str) -> float:
     return x
 
 
-def _rescaling_plan(obs: Observable, lam, m: int = 1) -> DeconvolutionPlan:
-    """Diagonal-path plan: divide each term k by lam[k]**m.  Refuses
-    |lam[k]| <= INVERTIBILITY_TOL and an overflowing lam[k]**(-m)."""
+def plan(obs: Observable, ch: Channel, m: int = 1) -> DeconvolutionPlan:
+    """Plan the recovery of ``obs`` after m applications of ``ch`` (a channel or a
+    characterization report): the diagonal path when ``ch.lambdas()`` gives the
+    diagonal, the general one on ``ch.ptm()`` when it raises NotPauliDiagonal."""
+    try:
+        ch.lambdas()
+    except NotPauliDiagonal:
+        return plan_general(obs, ch.ptm(), m=m)
+    return plan_pauli(obs, ch, m=m)
+
+
+def plan_pauli(obs: Observable, ch: Channel, m: int = 1) -> DeconvolutionPlan:
+    """Diagonal-path plan: divide each term k by lambda_k**m (m applications of the
+    channel).  Refuses |lambda_k| <= INVERTIBILITY_TOL, an overflowing
+    lambda_k**(-m), and a report that lacks lambda_k."""
+    if m < 0:
+        raise ValueError(f"repetition count must be >= 0, got {m}")
+    if ch.n != obs.n:
+        raise DimensionMismatch(f"observable is on n={obs.n}, channel on n={ch.n}")
+    lam = ch.lambdas()
     weights: dict[int, float] = {}
     for k, coeff in obs.items():
-        lam_k = float(lam[k])
+        try:
+            lam_k = float(lam[k])
+        except KeyError:
+            raise MissingMeasurement(f"characterization report lacks the diagonal entry k={k}") from None
         if abs(lam_k) <= INVERTIBILITY_TOL:
             raise NonInvertibleChannel(
                 f"diagonal entry {lam_k!r} at k={k} is not invertible (tol {INVERTIBILITY_TOL})"
@@ -114,25 +136,6 @@ def _rescaling_plan(obs: Observable, lam, m: int = 1) -> DeconvolutionPlan:
             raise NonInvertibleChannel(f"lambda_k**(-m) overflows at k={k}, m={m}")
         weights[k] = coeff / power
     return DeconvolutionPlan(observable=obs, entries_consulted=len(weights), weights=weights)
-
-
-def plan(obs: Observable, ch: Channel, m: int = 1) -> DeconvolutionPlan:
-    """Plan the recovery of ``obs`` after m applications of ``ch``: the diagonal
-    path when the channel's transfer matrix is diagonal, the general one otherwise."""
-    try:
-        ch.lambdas()
-    except NotPauliDiagonal:
-        return plan_general(obs, ch.ptm(), m=m)
-    return plan_pauli(obs, ch, m=m)
-
-
-def plan_pauli(obs: Observable, ch: Channel, m: int = 1) -> DeconvolutionPlan:
-    """Diagonal-path plan: divide each term k by lambda_k**m (m applications of the channel)."""
-    if m < 0:
-        raise ValueError(f"repetition count must be >= 0, got {m}")
-    if ch.n != obs.n:
-        raise DimensionMismatch(f"observable is on n={obs.n}, channel on n={ch.n}")
-    return _rescaling_plan(obs, ch.lambdas(), m)
 
 
 def _check_condition(cond: float, cond_warn: float) -> None:
@@ -245,24 +248,6 @@ def plan_general(obs: Observable, ptm: PTM, cond_warn: float = CONDITION_WARN,
     return DeconvolutionPlan(observable=obs, entries_consulted=inv.size, weights=_pruned_weights(w))
 
 
-def plan_from_characterization(obs: Observable, char) -> DeconvolutionPlan:
-    """Plan built from estimated transfer-matrix entries.
-
-    ``char`` is a CharacterizedPTM: diagonal-only reports supply the
-    diagonal entries of the rescaling directly, full reports go through
-    the general inversion path.
-    """
-    if char.mode == "full":
-        return plan_general(obs, char.to_ptm())
-    lam: dict[int, float] = {}
-    for k in obs.terms:
-        entry = char.entries.get((k, k), (1.0, 0.0) if k == 0 else None)
-        if entry is None:
-            raise MissingMeasurement(f"characterization report lacks the diagonal entry k={k}")
-        lam[k] = entry[0]
-    return _rescaling_plan(obs, lam)
-
-
 def deconvolve(plan: DeconvolutionPlan, noisy) -> float:
     """Combine noisy expectation values into the noiseless one.
 
@@ -292,8 +277,3 @@ def propagated_std_error(plan: DeconvolutionPlan, std_errors) -> float:
         acc = float("inf")
     return _finite(math.sqrt(acc), "propagated standard error")
 
-
-def reconstruction_factor(ch: Channel, k, m: int = 1) -> float:
-    """Rescaling factor lambda_k**(-m) for m applications of a diagonal channel."""
-    k = _as_k(k, ch.n)
-    return plan_pauli(Observable(ch.n, {k: 1.0}), ch, m).weights[k]

@@ -94,17 +94,17 @@ class TestEstimateDiagonalEntry:
 class TestEstimateFullPtm:
     def test_identity_channel(self):
         result = estimate_full_ptm(KrausChannel([np.eye(2)]))
-        assert np.allclose(result.to_ptm().matrix, np.eye(4))
+        assert np.allclose(result.ptm().matrix, np.eye(4))
 
     def test_unital_amp_damp_edge(self):
         result = estimate_full_ptm(correlated_amplitude_damping(1.0, 0.4))
-        assert np.allclose(result.to_ptm().matrix, np.eye(16))
+        assert np.allclose(result.ptm().matrix, np.eye(16))
 
     def test_pauli_channel_matches_kraus_route(self):
         rng = np.random.default_rng(1)
         for n in (1, 2, 3):
             ch = KrausChannel.from_pauli_weights(n, rng.dirichlet(np.ones(4**n)))
-            est = estimate_full_ptm(ch).to_ptm().matrix
+            est = estimate_full_ptm(ch).ptm().matrix
             assert np.max(np.abs(est - ch.ptm().matrix)) < 1e-12
 
     def test_non_unital_rejected(self):
@@ -113,7 +113,7 @@ class TestEstimateFullPtm:
 
     def test_identity_row_column_filled(self):
         result = estimate_full_ptm(bit_flip_channel(1, 0.2))
-        M = result.to_ptm().matrix
+        M = result.ptm().matrix
         assert np.array_equal(M[0], [1, 0, 0, 0])
         assert np.array_equal(M[:, 0], [1, 0, 0, 0])
 
@@ -184,7 +184,7 @@ class TestReportFormat:
     def test_full_roundtrip(self):
         result = estimate_full_ptm(dephasing_channel(1, 0.2))
         again = CharacterizedPTM.from_report_text(result.to_report_text())
-        assert np.allclose(again.to_ptm().matrix, result.to_ptm().matrix)
+        assert np.allclose(again.ptm().matrix, result.ptm().matrix)
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):
@@ -198,7 +198,8 @@ class TestReportFormat:
         with pytest.raises(ParseError, match="line 4"):
             CharacterizedPTM.from_report_text("n 1\nmode diagonal\n3 3 0.8 0.0 0 0\n3 3 0.2 0.0 0 0\n")
 
-    @pytest.mark.parametrize("row", ["4 4 0.9 0.0 0 0", "-1 1 0.9 0.0 0 0", "1 1 nan 0.0 0 0"])
+    @pytest.mark.parametrize("row", ["4 4 0.9 0.0 0 0", "-1 1 0.9 0.0 0 0", "1 1 nan 0.0 0 0",
+                                     "0 0 0.5 0.0 0 0", "1 3 0.5 0.0 0 0"])
     def test_out_of_range_or_non_finite_row(self, row):
         with pytest.raises(ParseError):
             CharacterizedPTM.from_report_text(f"n 1\nmode diagonal\n{row}\n")

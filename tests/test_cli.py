@@ -580,6 +580,38 @@ class TestArgumentErrors:
         assert main(["deconvolve", "--observable", obs, "--characterization", report,
                      "--measurements", meas]) == 2
 
+    @pytest.mark.parametrize("row", ["0 0 0.5 0.0 0 0", "1 3 0.5 0.0 0 0"], ids=["k0", "off_diagonal"])
+    def test_diagonal_report_row_off_the_probed_diagonal_exits_two(self, tmp_path, capsys, row):
+        # the (0, 0) row set lambda_0 = 0.5 and printed value 3.0; the (1, 3) row was dropped; both exit 0
+        report = write(tmp_path, "report.txt", f"n 1\nmode diagonal\n{row}\n3 3 0.8 0.0 0 0\n")
+        obs = write(tmp_path, "obs.txt", "I 1.0\nZ 1.0\n")
+        meas = write(tmp_path, "meas.txt", "I 1.0\nZ 0.8\n")
+        assert main(["deconvolve", "--observable", obs, "--characterization", report,
+                     "--measurements", meas]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("flag", ["--config", "--observable", "--measurements", "--characterization",
+                                      "--state-file"])
+    def test_undecodable_input_file_exits_two(self, tmp_path, capsys, flag):
+        # the read raised UnicodeDecodeError: a traceback and exit 1
+        bad = write(tmp_path, "bad.txt", "")
+        pathlib.Path(bad).write_bytes(b"\xff\xfe")
+        obs = write(tmp_path, "obs.txt", "Z 1.0\n")
+        meas = write(tmp_path, "meas.txt", "Z 0.5\n")
+        cfg = channel_json(tmp_path, family="bit_flip", n=1, p=0.1)
+        argv = {
+            "--config": ["ptm", "--config", bad],
+            "--observable": ["deconvolve", "--observable", bad, "--config", cfg, "--measurements", meas],
+            "--measurements": ["deconvolve", "--observable", obs, "--config", cfg, "--measurements", bad],
+            "--characterization": ["deconvolve", "--observable", obs, "--characterization", bad,
+                                   "--measurements", meas],
+            "--state-file": ["check-positivity", "--state-file", bad],
+        }[flag]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cannot read {bad}" in captured.err
+
     @pytest.mark.parametrize("n, rows, missing", [
         (1, "0 0 1.0 0.0 0 0\n1 1 0.9 0.0 0 0\n2 2 0.8 0.0 0 0\n3 3 0.7 0.0 0 0\n", 12),
         (5, "1 1 0.9 0.0 0 0\n", 4**10 - 1),

@@ -8,13 +8,15 @@ the cases are ``ptm`` (full and ``--diagonal-only``, csv and json),
 --shots 0`` (the full report, exact), ``characterize --entries
 1,...,4^n-1`` (every diagonal entry, exact), ``deconvolve --config``
 (csv and json) with an observable and a measurement file written here,
-and ``deconvolve --characterization`` from an exact full report that
-``characterize --out`` writes first.  On every experiment config they are
-``experiment`` as shipped (csv and json) and with ``--shots 2048 --seed
-1`` under each sampling method (the config copied to a temp file with
-``"sampling"`` set).  ``check-positivity`` runs at n = 1..3, on one
-label, and on a passing and a failing ``--state-file``.  Stderr is not
-compared: a warning may be added without changing stdout.
+and ``deconvolve --characterization`` from the exact full report that
+``characterize --out`` writes first and from the exact diagonal report
+that ``characterize --entries 1,...,4^n-1 --out`` writes.  On every
+experiment config they are ``experiment`` as shipped (csv and json) and
+with ``--shots 2048 --seed 1`` under each sampling method (the config
+copied to a temp file with ``"sampling"`` set).  ``check-positivity``
+runs at n = 1..3, on one label, and on a passing and a failing
+``--state-file``.  Stderr is not compared: a warning may be added
+without changing stdout.
 """
 
 import contextlib
@@ -150,6 +152,15 @@ GOLDEN = {
     ("deconvolve-characterization", "depolarizing_n1"): (0, "ebca69d13813a15a0a1a9c6cf5efda53ddea1044d708a413af74e04a0c289c72"),
     ("deconvolve-characterization", "depolarizing_n3_fig2"): (0, "4b71133e75c369056d2a6751237b74c1804b9d22ed09ed928eac9812ed56f6db"),
     ("deconvolve-characterization", "pauli_custom_n1"): (0, "b31da6fa1aa35f8c01ea322fc8a28fbdb5c0d1488cfb6fb4c6dcde2478b4ef91"),
+    ("deconvolve-characterization-diagonal", "amp_damp_corr"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("deconvolve-characterization-diagonal", "amp_damp_corr_unital"): (0, "03defe0bb2b64b302e72ee6d53f85720b9bab852a002d2976047f8d831b52af1"),
+    ("deconvolve-characterization-diagonal", "bit_flip_n1"): (0, "1319b54f971269dd6cf79de850cd04cf33e978389df41a14f1a7f4dda8667aac"),
+    ("deconvolve-characterization-diagonal", "bit_flip_n2_correlated"): (0, "8ae875c15fcf18c98b81117ca03cc54839fc3a6d68c350e8db32c15c9c63bb6c"),
+    ("deconvolve-characterization-diagonal", "bit_flip_n3_correlated"): (0, "f8e8b09ee3e1aed56b6757c1684891b5fa4ea156ad9a064f29226922db6615b7"),
+    ("deconvolve-characterization-diagonal", "dephasing_n2"): (0, "fb13e91345cdd296929714c2648927184ddda93c52228480b26e742ec6db60dc"),
+    ("deconvolve-characterization-diagonal", "depolarizing_n1"): (0, "d3aa5bafa0fe96634652d8328b921e0a427bcd526db6ffbc809917b56ff71fbd"),
+    ("deconvolve-characterization-diagonal", "depolarizing_n3_fig2"): (0, "a161d0469060decfa13c803950d968f850817d710fbcd74c350aa0294f202db4"),
+    ("deconvolve-characterization-diagonal", "pauli_custom_n1"): (0, "d97213fc67192832248bdfbe9e749d5b0e25919132125032d96ed7297a49e455"),
     ("check-positivity", "n1"): (0, "ae19b1c9bdb0a55451136af2ef00b76688ef8c16819d018d8a273fd806b5f603"),
     ("check-positivity", "n2"): (0, "85fb8602ce2f27d62e09b5f29818515bffc51303f82da7a368caa23a14d1dc69"),
     ("check-positivity", "n3"): (0, "75dd7a06a5d2b391ba06129afb0cede1da4eb0532562af1e0def4889f8dd59ac"),
@@ -189,7 +200,8 @@ CASES = (
     + [(f"{c}-json", p) for c in ("ptm", "characterize", "deconvolve") for p in CHANNELS]
     + [("experiment-json", p) for p in EXPERIMENTS]
     + [(c, p) for c in ("ptm-diagonal", "ptm-diagonal-json", "characterize-entries",
-                        "deconvolve-characterization") for p in CHANNELS]
+                        "deconvolve-characterization", "deconvolve-characterization-diagonal")
+       for p in CHANNELS]
 )
 
 # check-positivity case -> arguments; the state files are written by the test
@@ -232,10 +244,13 @@ def run_case(command, path, tmp_path):
         argv += ["--entries", ",".join(map(str, range(1, 4**_n(path))))]
     elif variant in SAMPLING_METHODS:
         argv += ["--shots", "2048", "--seed", "1"]
-    elif command == "deconvolve-characterization":
+    elif command.startswith("deconvolve-characterization"):
         report = str(tmp_path / "report.txt")
+        characterize = ["characterize", "--config", str(path), "--shots", "0", "--out", report]
+        if command.endswith("diagonal"):
+            characterize += ["--entries", ",".join(map(str, range(1, 4**_n(path))))]
         argv = ["deconvolve", "--characterization", report, *_deconvolve_inputs(tmp_path, _n(path))]
-        return _run(["characterize", "--config", str(path), "--shots", "0", "--out", report], argv)
+        return _run(characterize, argv)
     elif name == "deconvolve":
         argv += _deconvolve_inputs(tmp_path, _n(path))
     return _run(argv)
