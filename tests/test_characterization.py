@@ -18,7 +18,7 @@ from noisedeconv.characterization import (
     positivity_coefficients,
     probe_state,
 )
-from noisedeconv.exceptions import IdentityProbe, NonUnitalChannel, ParseError
+from noisedeconv.exceptions import IdentityProbe, NonUnitalChannel, ParseError, ResourceCapExceeded
 from noisedeconv.pauli import PauliIndex
 from noisedeconv.sampling import derive_rng, sample_pauli_expectation
 
@@ -147,29 +147,45 @@ class TestDiagonalEntries:
         assert set(result.entries) == {(k, k) for k in ks}
         assert len(result.entries) == len(ks)
 
-    def test_unitality_checked_once_per_call(self, monkeypatch):
+    @pytest.mark.parametrize("ch", [depolarizing_channel(2, 0.1, 0.3), correlated_amplitude_damping(1.0, 0.4)],
+                             ids=["pauli", "kraus"])
+    def test_unitality_checked_once_per_call(self, monkeypatch, ch):
         from noisedeconv import characterization
 
-        calls = []
-        original = characterization.apply_channel
+        reads, probes = [], []
+        original = characterization._probe_outputs
 
-        def counting(ch, rho, *args, **kwargs):
-            calls.append(1)
-            return original(ch, rho, *args, **kwargs)
+        def counting(channel):
+            reads.append(channel)
+            output = original(channel)
+            return lambda k: probes.append(k) or output(k)
 
-        monkeypatch.setattr(characterization, "apply_channel", counting)
-        ch = depolarizing_channel(2, 0.1, 0.3)
+        monkeypatch.setattr(characterization, "_probe_outputs", counting)
         ks = [1, 3, 5, 12, 15]
         result = estimate_diagonal_entries(ch, ks)
-        assert len(calls) == len(ks) + 1
+        assert reads == [ch] and probes == ks
         for k in ks:
-            calls.clear()
+            reads.clear(), probes.clear()
             assert estimate_diagonal_entries(ch, [k]).entries[(k, k)] == result.entries[(k, k)]
-            assert len(calls) == 2
+            assert reads == [ch] and probes == [k]
 
     def test_non_unital_rejected(self):
         with pytest.raises(NonUnitalChannel):
             estimate_diagonal_entries(correlated_amplitude_damping(0.5, 0.3), [3, 12])
+
+    def test_kraus_channel_past_the_full_cap_refused(self):
+        # Probe outputs come from the transfer matrix, so a non-Pauli channel
+        # is capped as plan() and run_experiment cap it; a Pauli one is not.
+        hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        h6 = np.ones((1, 1))
+        for _ in range(6):
+            h6 = np.kron(h6, hadamard)
+        ch = KrausChannel([np.sqrt(0.9) * np.eye(64), np.sqrt(0.1) * h6])
+        assert not ch.is_pauli
+        with pytest.raises(ResourceCapExceeded, match="1..5"):
+            estimate_diagonal_entries(ch, [4095])
+        pauli = bit_flip_channel(6, 0.1)
+        assert estimate_diagonal_entries(pauli, [4095]).entries[(4095, 4095)] == (pauli.lambdas()[4095], 0.0)
 
 
 class TestReportFormat:
@@ -199,7 +215,8 @@ class TestReportFormat:
             CharacterizedPTM.from_report_text("n 1\nmode diagonal\n3 3 0.8 0.0 0 0\n3 3 0.2 0.0 0 0\n")
 
     @pytest.mark.parametrize("row", ["4 4 0.9 0.0 0 0", "-1 1 0.9 0.0 0 0", "1 1 nan 0.0 0 0",
-                                     "0 0 0.5 0.0 0 0", "1 3 0.5 0.0 0 0"])
+                                     "0 0 0.5 0.0 0 0", "1 3 0.5 0.0 0 0", "3 3 0.8 -0.1 0 0",
+                                     "3 3 0.8 0.1 -5 0", "3 3 0.8 0.1 5 -7"])
     def test_out_of_range_or_non_finite_row(self, row):
         with pytest.raises(ParseError):
             CharacterizedPTM.from_report_text(f"n 1\nmode diagonal\n{row}\n")

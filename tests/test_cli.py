@@ -31,6 +31,19 @@ def channel_json(tmp_path, name="ch.json", **cfg):
     return write(tmp_path, name, json.dumps(cfg))
 
 
+def count_probes(monkeypatch):
+    """The k of every probe output characterization reads, in order."""
+    probes = []
+    original = noisedeconv.characterization._probe_outputs
+
+    def counting(ch):
+        output = original(ch)
+        return lambda k: probes.append(k) or output(k)
+
+    monkeypatch.setattr("noisedeconv.characterization._probe_outputs", counting)
+    return probes
+
+
 class TestPtmCommand:
     def test_bit_flip_diagonal(self, tmp_path, capsys):
         cfg = channel_json(tmp_path, family="bit_flip", n=1, p=0.1)
@@ -201,20 +214,14 @@ class TestCharacterizeCommand:
         cfg = str(CONFIG_DIR / "channels" / "bit_flip_n1.json")
         assert main(["characterize", "--config", cfg, "--entries", "3"]) == 0
         single = capsys.readouterr().out
-        probes = []
-        probe_state = noisedeconv.characterization.probe_state
-        monkeypatch.setattr("noisedeconv.characterization.probe_state",
-                            lambda *args: probes.append(args) or probe_state(*args))
+        probes = count_probes(monkeypatch)
         assert main(["characterize", "--config", cfg, "--entries", "3,3,Z"]) == 0
         assert len(probes) == 1
         assert capsys.readouterr().out == single
 
     def test_full_report_past_the_cap_exits_four_before_any_probe(self, tmp_path, capsys, monkeypatch):
         cfg = channel_json(tmp_path, family="bit_flip", n=6, p=0.1)
-        probes = []
-        probe_state = noisedeconv.characterization.probe_state
-        monkeypatch.setattr("noisedeconv.characterization.probe_state",
-                            lambda *args: probes.append(args) or probe_state(*args))
+        probes = count_probes(monkeypatch)
         assert main(["characterize", "--config", cfg, "--entries", "full"]) == 4
         assert capsys.readouterr().out == "" and probes == []
         assert main(["characterize", "--config", cfg, "--entries", "4095"]) == 0  # diagonal mode stays allowed
@@ -239,6 +246,34 @@ class TestCharacterizeCommand:
         diagonal = capsys.readouterr().out.splitlines()
         if full_rc == 0:  # amp_damp_corr is not unital: both refuse it
             assert diagonal[3:] == [row for row in full[3:] if row.split()[0] == row.split()[1] != "0"]
+
+    @pytest.mark.parametrize("path", [p for p in sorted((CONFIG_DIR / "channels").glob("*.json"))
+                                      if json.loads(p.read_text())["family"] != "amp_damp_corr"],
+                             ids=lambda p: p.stem)
+    def test_exact_diagonal_report_is_the_channels_lambdas(self, tmp_path, capsys, path):
+        ch = noisedeconv.channel_from_config(json.loads(path.read_text()))
+        every_k = ",".join(map(str, range(1, 4**ch.n)))
+        assert main(["characterize", "--config", str(path), "--entries", every_k]) == 0
+        report = noisedeconv.CharacterizedPTM.from_report_text(capsys.readouterr().out)
+        # lambda_0 = 1 comes from trace preservation, not from a probe
+        assert list(report.lambdas().values())[1:] == ch.lambdas().tolist()[1:]
+        # so a deconvolution from the report is the one from the channel, byte for byte
+        report_path = write(tmp_path, "report.txt", report.to_report_text())
+        obs = write(tmp_path, "obs.txt", f"{'Z' * ch.n} 1.0\n{'X' * ch.n} 0.5\n")
+        meas = write(tmp_path, "meas.txt", f"{'Z' * ch.n} 0.7 0.01\n{'X' * ch.n} 0.6 0.02\n")
+        outputs = []
+        for source in (["--config", str(path)], ["--characterization", report_path]):
+            assert main(["deconvolve", "--observable", obs, "--measurements", meas, *source]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_exact_full_report_of_a_unital_kraus_channel_is_its_ptm(self, capsys):
+        path = CONFIG_DIR / "channels" / "amp_damp_corr_unital.json"
+        ch = noisedeconv.channel_from_config(json.loads(path.read_text()))
+        assert main(["characterize", "--config", str(path), "--entries", "full"]) == 0
+        report = noisedeconv.CharacterizedPTM.from_report_text(capsys.readouterr().out)
+        # the k = 0 row and column come from the identities, not from a probe
+        assert np.array_equal(report.ptm().matrix[1:, 1:], ch.ptm().matrix[1:, 1:])
 
 
 class TestExperimentCommand:
@@ -646,6 +681,28 @@ class TestNonFiniteInputs:
         assert main(["deconvolve", "--observable", obs, "--config", cfg,
                      "--measurements", meas]) == 2
         assert capsys.readouterr().out == ""
+
+
+class TestNegativeInputs:
+    def test_negative_std_error_in_measurements_exits_two(self, tmp_path, capsys):
+        cfg = channel_json(tmp_path, family="bit_flip", n=1, p=0.1)
+        obs = write(tmp_path, "obs.txt", "Z 1.0\n")
+        meas = write(tmp_path, "meas.txt", "X 0.5 0.1\nZ 0.5 -1\n")
+        assert main(["deconvolve", "--observable", obs, "--config", cfg,
+                     "--measurements", meas]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "line 2" in captured.err
+
+    @pytest.mark.parametrize("row", ["3 3 0.8 -0.1 0 0", "3 3 0.8 0.1 -5 0", "3 3 0.8 0.1 5 -7",
+                                     "3 3 0.8 -0.1 -5 -7"])
+    def test_negative_report_fields_exit_two(self, tmp_path, capsys, row):
+        report = write(tmp_path, "report.txt", f"n 1\nmode diagonal\n{row}\n")
+        obs = write(tmp_path, "obs.txt", "Z 1.0\n")
+        meas = write(tmp_path, "meas.txt", "Z 0.5\n")
+        assert main(["deconvolve", "--observable", obs, "--characterization", report,
+                     "--measurements", meas]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "line 3" in captured.err
 
 
 # Channel parameters: mostly valid values, plus NaN, +-inf, negatives and

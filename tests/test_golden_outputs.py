@@ -57,13 +57,13 @@ GOLDEN = {
     ("characterize", "pauli_custom_n1"): (0, "e28f082f437183c7d60ab8ca96038d0bb5bc191789ae0590834d6fa3abfae076"),
     ("characterize-exact", "amp_damp_corr"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("characterize-exact", "amp_damp_corr_unital"): (0, "6867a4c68812c5c28e3a50d2c7c69ffd078b06e38c7f1c83c340dd3217afa1bb"),
-    ("characterize-exact", "bit_flip_n1"): (0, "c70124c9864fa3ff9dce2b1a2502341a26aa2a3ab76580a249edace816107e40"),
-    ("characterize-exact", "bit_flip_n2_correlated"): (0, "a1576241e45bc964adfa0021f13c3e954905fbbc3a477636d51a90b5e1a8d709"),
-    ("characterize-exact", "bit_flip_n3_correlated"): (0, "b26531ac11ba23fbcd66a585abf57b4473539ce82bc8fa00b60adbd2811fdcdc"),
-    ("characterize-exact", "dephasing_n2"): (0, "e227abd988b6212af98a715af27fd24c1b8e2a9e1175b246fc053df9f8634c9d"),
-    ("characterize-exact", "depolarizing_n1"): (0, "0680085f5710afafdcf471aab55f937d8d16035ffae9abdacaeb06a22e9ba904"),
-    ("characterize-exact", "depolarizing_n3_fig2"): (0, "f1d8ae5ab4ad1af4852a7d2ce74615f6fa1982c197aff5d6a05c8d94780361ba"),
-    ("characterize-exact", "pauli_custom_n1"): (0, "ef2848ce4a6e68ee2ec70dd8c511860940534b7aa5962336f5b8f17939d95bc0"),
+    ("characterize-exact", "bit_flip_n1"): (0, "28ad8a86c34adc5c7dd2c1b2ac9cfb5fdf9dab1f810052aa8fdef1c54c48d544"),
+    ("characterize-exact", "bit_flip_n2_correlated"): (0, "ddd3653cbf8c03f8515bbac116c149c82c73472c40f542b1dc81924f1211a966"),
+    ("characterize-exact", "bit_flip_n3_correlated"): (0, "ebe2de251f9f047ddcdc00c146e19003d66859795090ac2f32e3a2247be28c1a"),
+    ("characterize-exact", "dephasing_n2"): (0, "cfaf87b43ee9cd4225ab2245bf74985a6fed90d0e5db1ed442e7cf72cc3e1bc3"),
+    ("characterize-exact", "depolarizing_n1"): (0, "184a1b5b48ad660a1756783de5043979d4e26f3d4a35a90e36ffb86921c90b32"),
+    ("characterize-exact", "depolarizing_n3_fig2"): (0, "371ef31cf3cdbac6677ced8221bd0271eed2fce9a0286a66822e84db316d6826"),
+    ("characterize-exact", "pauli_custom_n1"): (0, "3374c5100067ee7d4b3c5211e62661b7c8e2904d2b65c710622b136a8cc2117f"),
     ("deconvolve", "amp_damp_corr"): (0, "73d3ddd78c43f4e2d64c7a6bdef2a04e4976c52b9f3f21c8dc468cb1c033f058"),
     ("deconvolve", "amp_damp_corr_unital"): (0, "03defe0bb2b64b302e72ee6d53f85720b9bab852a002d2976047f8d831b52af1"),
     ("deconvolve", "bit_flip_n1"): (0, "731f9ea31d0440dc7396573a9031d6629bdec256f336a225e044b024ec1d70fa"),
@@ -136,31 +136,31 @@ GOLDEN = {
     ("ptm-diagonal-json", "pauli_custom_n1"): (0, "a707ed8a6560918e9b4a6aec23e8d18f2313c907c7875813822c44b634967f04"),
     ("characterize-entries", "amp_damp_corr"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("characterize-entries", "amp_damp_corr_unital"): (0, "c7a9b55d31b8d64f60450f8da555227ebfde5a12461e89d42f451cc06f9e4c9a"),
-    ("characterize-entries", "bit_flip_n1"): (0, "20313847c6d1002c13c6c06e259aba97a5493006fed59705d44819fb5911352e"),
-    ("characterize-entries", "bit_flip_n2_correlated"): (0, "fe600202864683c17e419a5a2aa97261a7af6e19f96f5a29e4ea610f1618063e"),
-    ("characterize-entries", "bit_flip_n3_correlated"): (0, "e3ed738e30c82900b2f430244358863b2d864d67d1ef4b8fd52514efbc9444a8"),
-    ("characterize-entries", "dephasing_n2"): (0, "edeac879bd5551ee14170f634adfbbeccb3f550b96086d7aaeadff7ffb0011f7"),
-    ("characterize-entries", "depolarizing_n1"): (0, "9fef6a883a961da87e38189726b348641f5267049c4fdb98ad0f57adf11f46f1"),
-    ("characterize-entries", "depolarizing_n3_fig2"): (0, "21f3f25fff3c1d8403253b0f314de231cb402696dc0c1c20488fc2f409877100"),
-    ("characterize-entries", "pauli_custom_n1"): (0, "a8bf27cb291e4fe3dfeb5569c9b49df5d7d934c425aa37eb762f2d55a67c8011"),
+    ("characterize-entries", "bit_flip_n1"): (0, "467d75c664e2340c06ea325641c1a4c3bdaa96987010ee5b6c9582e3c9e261a2"),
+    ("characterize-entries", "bit_flip_n2_correlated"): (0, "10ba9e41107dce7a83bc840cc5a8d33aec5ddcfa3e25764ab2b31f0e9db4d426"),
+    ("characterize-entries", "bit_flip_n3_correlated"): (0, "d746f6ef541db245cb9df99bac9b3d0981cf56d021e7d83749d2ae3abb2c8acd"),
+    ("characterize-entries", "dephasing_n2"): (0, "78b6d0cefb64cfecbdf99ad7f1a93dcd23404ea12411815c11da09a82832e506"),
+    ("characterize-entries", "depolarizing_n1"): (0, "b42820bb31626eb655940b1238fdf69974b715fbf2c64feb15c1ef3de5b1c372"),
+    ("characterize-entries", "depolarizing_n3_fig2"): (0, "d4b58a8c62b7e571293fbdf939986654106d54e8ddbc1722707ac29018643bb8"),
+    ("characterize-entries", "pauli_custom_n1"): (0, "aa88d1b934a872c8bea40373735abbebe214e3bff3b0a5f5c58d02d44e21dd95"),
     ("deconvolve-characterization", "amp_damp_corr"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("deconvolve-characterization", "amp_damp_corr_unital"): (0, "2f66ee0b044cecd833678d2efa770fcfbf74eae6b48439977483f3fd05ec7202"),
-    ("deconvolve-characterization", "bit_flip_n1"): (0, "530d3f5c2e0c761ca9a5869c329332a7a45b28686be1069bbea4ced428a8ebf8"),
+    ("deconvolve-characterization", "bit_flip_n1"): (0, "f01e798446b95452dfd0881ef325180c22b43e8ffa8e97d5fd623cee56286a22"),
     ("deconvolve-characterization", "bit_flip_n2_correlated"): (0, "c034f0d272d4f07ed88c55aadb1cf5809b4e552b8f8283200e6e09091215b569"),
-    ("deconvolve-characterization", "bit_flip_n3_correlated"): (0, "7fc092d09a789f2f82347947ff58fd22c842f12c4dc9df22ab31db630b02cd8e"),
-    ("deconvolve-characterization", "dephasing_n2"): (0, "aa90b20413bc99e22c1b51202e869850efc3263d2a9f3908ba43c6b94a9ad7a3"),
-    ("deconvolve-characterization", "depolarizing_n1"): (0, "ebca69d13813a15a0a1a9c6cf5efda53ddea1044d708a413af74e04a0c289c72"),
-    ("deconvolve-characterization", "depolarizing_n3_fig2"): (0, "4b71133e75c369056d2a6751237b74c1804b9d22ed09ed928eac9812ed56f6db"),
-    ("deconvolve-characterization", "pauli_custom_n1"): (0, "b31da6fa1aa35f8c01ea322fc8a28fbdb5c0d1488cfb6fb4c6dcde2478b4ef91"),
+    ("deconvolve-characterization", "bit_flip_n3_correlated"): (0, "39ef168544821acceb528b11ba4b13e8fd4059e1d810da8460503e5d637037d7"),
+    ("deconvolve-characterization", "dephasing_n2"): (0, "e2b6e8e8b47509d58626dcd56d0e283b89d6218b6941e500bf2d7355ed30387b"),
+    ("deconvolve-characterization", "depolarizing_n1"): (0, "a2b9a33f6cdd9527a1c9930ffe032a474986e14e15ef7049e0735f809626550d"),
+    ("deconvolve-characterization", "depolarizing_n3_fig2"): (0, "96ce638f279267ee3005a976f62b40648a2f2a49a3a21d724b1a2296fa7e384f"),
+    ("deconvolve-characterization", "pauli_custom_n1"): (0, "da75addb44a7a76e8bd2ea8749c31728bb450113e5200da0b00f3ce3234bafac"),
     ("deconvolve-characterization-diagonal", "amp_damp_corr"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("deconvolve-characterization-diagonal", "amp_damp_corr_unital"): (0, "03defe0bb2b64b302e72ee6d53f85720b9bab852a002d2976047f8d831b52af1"),
-    ("deconvolve-characterization-diagonal", "bit_flip_n1"): (0, "1319b54f971269dd6cf79de850cd04cf33e978389df41a14f1a7f4dda8667aac"),
+    ("deconvolve-characterization-diagonal", "bit_flip_n1"): (0, "731f9ea31d0440dc7396573a9031d6629bdec256f336a225e044b024ec1d70fa"),
     ("deconvolve-characterization-diagonal", "bit_flip_n2_correlated"): (0, "8ae875c15fcf18c98b81117ca03cc54839fc3a6d68c350e8db32c15c9c63bb6c"),
-    ("deconvolve-characterization-diagonal", "bit_flip_n3_correlated"): (0, "f8e8b09ee3e1aed56b6757c1684891b5fa4ea156ad9a064f29226922db6615b7"),
-    ("deconvolve-characterization-diagonal", "dephasing_n2"): (0, "fb13e91345cdd296929714c2648927184ddda93c52228480b26e742ec6db60dc"),
-    ("deconvolve-characterization-diagonal", "depolarizing_n1"): (0, "d3aa5bafa0fe96634652d8328b921e0a427bcd526db6ffbc809917b56ff71fbd"),
-    ("deconvolve-characterization-diagonal", "depolarizing_n3_fig2"): (0, "a161d0469060decfa13c803950d968f850817d710fbcd74c350aa0294f202db4"),
-    ("deconvolve-characterization-diagonal", "pauli_custom_n1"): (0, "d97213fc67192832248bdfbe9e749d5b0e25919132125032d96ed7297a49e455"),
+    ("deconvolve-characterization-diagonal", "bit_flip_n3_correlated"): (0, "1ca07d1ee89cf557cd63e5c0fc0cf5d74d26c8160ad8d1ffe45e9a771c765aca"),
+    ("deconvolve-characterization-diagonal", "dephasing_n2"): (0, "872c9e356cc90dd556705617399dad7ffd3aebd649575f39633402d138497954"),
+    ("deconvolve-characterization-diagonal", "depolarizing_n1"): (0, "99524132c2fea33140c5a41076716e7de2cc67a77f1ede073ee471f391589fdb"),
+    ("deconvolve-characterization-diagonal", "depolarizing_n3_fig2"): (0, "38e0b229eb58c08de6269a335bcfd8782a1420ccb7ee9dd8d7c6d4aff4240f61"),
+    ("deconvolve-characterization-diagonal", "pauli_custom_n1"): (0, "17b108414c99ecdb2435400287b3405ad3dfa7d88cf582a0dabe56c7ac82ec26"),
     ("check-positivity", "n1"): (0, "ae19b1c9bdb0a55451136af2ef00b76688ef8c16819d018d8a273fd806b5f603"),
     ("check-positivity", "n2"): (0, "85fb8602ce2f27d62e09b5f29818515bffc51303f82da7a368caa23a14d1dc69"),
     ("check-positivity", "n3"): (0, "75dd7a06a5d2b391ba06129afb0cede1da4eb0532562af1e0def4889f8dd59ac"),
