@@ -134,8 +134,8 @@ def _validate_probability_vector(p, size: int, what: str) -> np.ndarray:
         raise InvalidProbability(f"{what} must have length {size}, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
         raise InvalidProbability(f"{what} has non-finite entries")
-    if np.min(p) < -1e-12:
-        raise InvalidProbability(f"{what} has negative entries (min {float(np.min(p))!r})")
+    if not (np.min(p) >= -1e-12 and np.max(p) <= 1.0 + 1e-9):  # so the sum cannot overflow
+        raise InvalidProbability(f"{what} has entries outside [0, 1] ({float(np.min(p))!r}..{float(np.max(p))!r})")
     if abs(p.sum() - 1.0) > 1e-9:
         raise InvalidProbability(f"{what} must sum to 1, got {float(p.sum())!r}")
     p = np.clip(p, 0.0, None)
@@ -299,13 +299,14 @@ class KrausChannel:
     def lambdas(self) -> np.ndarray:
         """Diagonal transfer-matrix entries.  A Pauli map gets them from its
         weights through the per-qubit commutation signs, once, without the
-        full matrix (so up to n = MAX_QUBITS)."""
+        full matrix (so up to n = MAX_QUBITS), with lambda_0 = 1 exactly."""
         if self._lambdas is not None:  # set once, so read without the lock
             return self._lambdas
         with self._lock:
             if self._lambdas is None:
                 if self._weights is not None:
                     lam = _transform_per_qubit([_COMMUTATION_SIGNS] * self.n, self._weights)
+                    lam[0] = 1.0  # trace preservation; the transform gives sum(w), off by rounding
                     self._lambdas = _readonly(lam)
                 else:
                     self._lambdas = self._ptm_locked().lambdas()

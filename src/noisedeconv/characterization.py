@@ -17,8 +17,9 @@ a diagonal entry equals the full report's bit for bit, and an exact one
 equals the channel's lambda_k.
 
 A report is a lambda source for ``deconvolution.plan``: a diagonal
-report gives its rows as the lambdas, and a full report gives its
-transfer matrix (``ptm()``) to the general path.
+report gives its rows as the lambdas, and a full report answers as its
+transfer matrix (``ptm()``) does, so an exactly diagonal one takes the
+diagonal path and any other the general path.
 
 The probe's positive semidefiniteness is certified through the
 characteristic-polynomial coefficients S_m, computed by the trace-power
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +48,7 @@ from .exceptions import (
     NotPauliDiagonal,
     ParseError,
 )
-from .pauli import as_index, check_qubits, is_hermitian, num_qubits, pauli_element
+from .pauli import as_index, check_qubits, is_hermitian, num_qubits, pauli_element, text_rows
 from .sampling import read_batch
 
 __all__ = [
@@ -108,7 +110,8 @@ class CharacterizedPTM:
     ``entries`` maps (j, k) to (estimate, std_error).  Diagonal-only mode
     stores just the requested (k, k) pairs, k >= 1; full mode stores the
     whole matrix, with the k = 0 row and column filled from trace
-    preservation and unitality rather than measurement.
+    preservation and unitality rather than measurement, and builds its
+    ``ptm()`` once.  Every entry shares one ``shots`` and ``seed``.
     """
 
     n: int
@@ -117,16 +120,21 @@ class CharacterizedPTM:
     shots: int
     seed: int
 
-    def lambdas(self) -> dict[int, float]:
-        """A diagonal report's rows, with lambda_0 = 1 from trace preservation;
-        a full report raises NotPauliDiagonal and is planned from ``ptm()``."""
+    def lambdas(self) -> dict[int, float] | np.ndarray:
+        """A diagonal report's rows, with lambda_0 = 1 from trace preservation.
+        A full report answers as its matrix does (``PTM.lambdas``): its diagonal
+        within DIAGONAL_TOL, else NotPauliDiagonal, planned from ``ptm()``."""
         if self.mode == "full":
-            raise NotPauliDiagonal("a full report is planned from its transfer matrix")
+            return self.ptm().lambdas()
         return {0: 1.0} | {k: est for (_, k), (est, _) in self.entries.items()}
 
     def ptm(self) -> PTM:
         if self.mode != "full":
             raise ValueError("only full-mode reports define a complete transfer matrix")
+        return self._ptm
+
+    @cached_property
+    def _ptm(self) -> PTM:
         check_qubits(self.n, MAX_QUBITS_FULL_PTM)
         missing = 16**self.n - len(self.entries)
         if missing:
@@ -152,14 +160,9 @@ class CharacterizedPTM:
     def from_report_text(cls, text: str) -> "CharacterizedPTM":
         n = None
         mode = None
-        shots = 0
-        seed = 0
+        run = None  # (shots, seed) of the first row, shared by every row
         entries: dict[tuple[int, int], tuple[float, float]] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
+        for lineno, line, fields in text_rows(text):
             if len(fields) == 2:
                 key, value = fields
                 if key == "n" and value.isdigit():
@@ -167,7 +170,7 @@ class CharacterizedPTM:
                 elif key == "mode":
                     mode = value
                 else:
-                    raise ParseError(f"line {lineno}: bad header line {raw!r}")
+                    raise ParseError(f"line {lineno}: bad header line {line!r}")
                 continue
             if len(fields) != 6:
                 raise ParseError(
@@ -178,11 +181,15 @@ class CharacterizedPTM:
                 est, err = float(fields[2]), float(fields[3])
                 shots, seed = int(fields[4]), int(fields[5])
             except ValueError:
-                raise ParseError(f"line {lineno}: malformed row {raw!r}") from None
+                raise ParseError(f"line {lineno}: malformed row {line!r}") from None
             if not (math.isfinite(est) and math.isfinite(err)):
-                raise ParseError(f"line {lineno}: non-finite estimate or error in {raw!r}")
+                raise ParseError(f"line {lineno}: non-finite estimate or error in {line!r}")
             if err < 0 or shots < 0 or seed < 0:
-                raise ParseError(f"line {lineno}: std_error, shots and seed must be >= 0 in {raw!r}")
+                raise ParseError(f"line {lineno}: std_error, shots and seed must be >= 0 in {line!r}")
+            if run is None:
+                run = shots, seed
+            elif shots != run[0] or seed != run[1]:
+                raise ParseError(f"line {lineno}: shots {shots} and seed {seed} differ from the first row's {run}")
             if (j, k) in entries:
                 raise ParseError(f"line {lineno}: entry ({j}, {k}) repeats an earlier row")
             entries[(j, k)] = (est, err)
@@ -193,7 +200,7 @@ class CharacterizedPTM:
             raise ParseError(f"report entries must have j and k in 0..{4**n - 1}")
         if mode == "diagonal" and not all(j == k > 0 for j, k in entries):
             raise ParseError("a diagonal report holds only (k, k) rows with k >= 1")
-        return cls(n=n, mode=mode, entries=entries, shots=shots, seed=seed)
+        return cls(n, mode, entries, *(run or (0, 0)))
 
 
 def _probe_report(ch: Channel, mode: str, ks, entries: dict, shots: int, seed: int) -> CharacterizedPTM:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -31,7 +30,7 @@ from .exceptions import (
     ParseError,
     ResourceCapExceeded,
 )
-from .pauli import Observable, PauliIndex, check_qubits
+from .pauli import Observable, PauliIndex, check_qubits, labelled_rows
 from .sampling import check_shots_and_seed
 from .simulator import ExperimentConfig, _fmt
 
@@ -79,40 +78,20 @@ def _write(args, text: Callable[[], str], data: Callable[[], object] | None = No
     return code
 
 
-def _parse_measurements(text: str) -> tuple[dict[int, float], dict[int, float], int | None]:
-    """Lines of ``<pauli-string> <value> [std_error]``."""
+def _parse_measurements(text: str) -> tuple[dict[int, float], dict[int, float], int]:
+    """Lines of ``<pauli-string> <value> [std_error]``; a repeated string or a
+    negative std_error raises ParseError naming the line."""
+    n, rows = labelled_rows(text, "<pauli-string> <value> [std_error]", (2, 3))
     values: dict[int, float] = {}
     errors: dict[int, float] = {}
-    n = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) not in (2, 3):
-            raise ParseError(
-                f"line {lineno}: expected '<pauli-string> <value> [std_error]', got {raw!r}"
-            )
-        try:
-            idx = PauliIndex.from_label(fields[0])
-            value = float(fields[1])
-            err = float(fields[2]) if len(fields) == 3 else 0.0
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-        if not (math.isfinite(value) and math.isfinite(err)):
-            raise ParseError(f"line {lineno}: value and std_error must be finite, got {raw!r}")
+    for lineno, idx, (value, *err) in rows:
+        err = err[0] if err else 0.0
         if err < 0:
-            raise ParseError(f"line {lineno}: std_error must be >= 0, got {raw!r}")
-        if n is None:
-            n = idx.n
-        elif idx.n != n:
-            raise ParseError(f"line {lineno}: {fields[0]!r} has {idx.n} qubits, expected {n}")
+            raise ParseError(f"line {lineno}: std_error must be >= 0, got {err!r}")
         if idx.k in values:
-            raise ParseError(f"line {lineno}: {fields[0]!r} repeats an earlier row")
+            raise ParseError(f"line {lineno}: {idx.label!r} repeats an earlier row")
         values[idx.k] = value
         errors[idx.k] = err
-    if n is None:
-        raise ParseError("measurements file contains no rows")
     return values, errors, n
 
 

@@ -19,7 +19,8 @@ CONDITION_WARN: rounding in the data is then amplified as much.
 
 A characterization report is a lambda source like any channel: a
 diagonal report gives its rows (a term it lacks raises
-MissingMeasurement), and a full report gives its transfer matrix.
+MissingMeasurement), and a full report answers as its transfer matrix
+does: an exact report of Pauli noise consults r entries.
 
 Plans are immutable; ``deconvolve`` is a pure function of the plan and
 the supplied noisy expectation values, summed in ascending index order

@@ -53,6 +53,7 @@ HERMITIAN_TOL = 1e-10
 PRUNE_TOL = 1e-14
 
 PAULI_LABELS = "IXYZ"
+_LABEL_DIGITS = str.maketrans(PAULI_LABELS, "0123")
 
 SIGMAS = (
     np.eye(2, dtype=complex),
@@ -89,21 +90,12 @@ class PauliIndex:
             raise ValueError(f"index {self.k} out of range for n={self.n}")
 
     @classmethod
-    def from_digits(cls, digits: Iterable[int]) -> "PauliIndex":
-        digits = tuple(digits)
-        if not digits or any(d not in (0, 1, 2, 3) for d in digits):
-            raise ValueError(f"digits must be a nonempty sequence over 0..3: {digits!r}")
-        k = 0
-        for d in digits:
-            k = 4 * k + d
-        return cls(len(digits), k)
-
-    @classmethod
     def from_label(cls, label: str) -> "PauliIndex":
-        try:
-            return cls.from_digits(PAULI_LABELS.index(c) for c in label.upper())
-        except ValueError:
-            raise ValueError(f"invalid Pauli label {label!r}") from None
+        """I, X, Y, Z in either case, first qubit first, read as base-4 digits."""
+        upper = label.upper()
+        if not upper or upper.strip(PAULI_LABELS):
+            raise ValueError(f"invalid Pauli label {label!r}")
+        return cls(len(upper), int(upper.translate(_LABEL_DIGITS), 4))
 
     @property
     def digits(self) -> tuple[int, ...]:
@@ -233,6 +225,40 @@ def devectorize(coeffs: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(t.transpose(order)).reshape(2**n, 2**n)
 
 
+def text_rows(text: str):
+    """(line number, line, fields) of each line of ``text`` that holds data: the
+    one grammar of observable, measurement and report text, where ``#`` starts
+    a comment and fields are separated by whitespace."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.split("#", 1)[0].split()
+        if fields:
+            yield lineno, line, fields
+
+
+def labelled_rows(text: str, form: str, widths: tuple[int, ...]) -> tuple[int, list]:
+    """The qubit count and rows (line number, PauliIndex, numbers) of ``form``
+    lines, ``<pauli-string> <number>...`` with a field count in ``widths``.  A
+    line with another field count, a bad string or number, a non-finite number
+    or another qubit count raises ParseError naming it; so does no row."""
+    rows = []
+    for lineno, line, fields in text_rows(text):
+        if len(fields) not in widths:
+            raise ParseError(f"line {lineno}: expected '{form}', got {line!r}")
+        try:
+            idx = PauliIndex.from_label(fields[0])
+            numbers = [float(x) for x in fields[1:]]
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        if not all(map(math.isfinite, numbers)):
+            raise ParseError(f"line {lineno}: numbers must be finite, got {line!r}")
+        if rows and idx.n != rows[0][1].n:
+            raise ParseError(f"line {lineno}: {fields[0]!r} has {idx.n} qubits, expected {rows[0][1].n}")
+        rows.append((lineno, idx, numbers))
+    if not rows:
+        raise ParseError(f"expected '{form}' lines, found none")
+    return rows[0][1].n, rows
+
+
 class Observable:
     """Sparse real-coefficient expansion of an operator over the Pauli basis.
 
@@ -302,28 +328,13 @@ class Observable:
 
     @classmethod
     def from_text(cls, text: str) -> "Observable":
-        """Parse the line format ``<pauli-string> <coefficient>``."""
-        pairs = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) != 2:
-                raise ParseError(f"line {lineno}: expected '<pauli-string> <coefficient>', got {raw!r}")
-            label, coeff = fields
-            if any(c not in PAULI_LABELS for c in label.upper()):
-                raise ParseError(f"line {lineno}: invalid Pauli string {label!r}")
-            try:
-                pairs.append((label, float(coeff)))
-            except ValueError:
-                raise ParseError(f"line {lineno}: invalid coefficient {coeff!r}") from None
-        if not pairs:
-            raise ParseError("observable text contains no terms")
-        try:
-            return cls.from_pairs(pairs)
-        except ValueError as exc:  # labels on different qubit counts
-            raise ParseError(str(exc)) from None
+        """Parse the line format ``<pauli-string> <coefficient>``; a repeated
+        string adds its coefficients."""
+        n, rows = labelled_rows(text, "<pauli-string> <coefficient>", (2,))
+        terms: dict[int, float] = {}
+        for _, idx, (coeff,) in rows:
+            terms[idx.k] = terms.get(idx.k, 0.0) + coeff
+        return cls(n, terms)
 
     def to_text(self) -> str:
         lines = [

@@ -295,6 +295,9 @@ class TestPTMLambdas:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(InvalidProbability):
                 KrausChannel.from_pauli_weights(1, [bad, 0.0, 0.0, 0.0])
+        # the sum of these overflowed with a RuntimeWarning before the refusal
+        with pytest.raises(InvalidProbability, match=r"outside \[0, 1\]"):
+            KrausChannel.from_pauli_weights(1, [0.0, 0.0, 9e307, 9e307])
 
     def test_off_diagonal_and_out_of_range_rejected(self):
         with pytest.raises(NotPauliDiagonal):

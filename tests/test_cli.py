@@ -17,8 +17,11 @@ from hypothesis import strategies as st
 
 import noisedeconv
 from noisedeconv.cli import main
+from noisedeconv.exceptions import IllConditionedWarning
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
+PAULI_CHANNELS = [p for p in sorted((CONFIG_DIR / "channels").glob("*.json"))
+                  if json.loads(p.read_text())["family"] != "amp_damp_corr"]
 
 
 def write(tmp_path, name, content):
@@ -247,16 +250,15 @@ class TestCharacterizeCommand:
         if full_rc == 0:  # amp_damp_corr is not unital: both refuse it
             assert diagonal[3:] == [row for row in full[3:] if row.split()[0] == row.split()[1] != "0"]
 
-    @pytest.mark.parametrize("path", [p for p in sorted((CONFIG_DIR / "channels").glob("*.json"))
-                                      if json.loads(p.read_text())["family"] != "amp_damp_corr"],
-                             ids=lambda p: p.stem)
+    @pytest.mark.parametrize("path", PAULI_CHANNELS, ids=lambda p: p.stem)
     def test_exact_diagonal_report_is_the_channels_lambdas(self, tmp_path, capsys, path):
         ch = noisedeconv.channel_from_config(json.loads(path.read_text()))
         every_k = ",".join(map(str, range(1, 4**ch.n)))
         assert main(["characterize", "--config", str(path), "--entries", every_k]) == 0
         report = noisedeconv.CharacterizedPTM.from_report_text(capsys.readouterr().out)
-        # lambda_0 = 1 comes from trace preservation, not from a probe
-        assert list(report.lambdas().values())[1:] == ch.lambdas().tolist()[1:]
+        # lambda_0 = 1 comes from trace preservation, in the report and in the channel
+        assert report.lambdas()[0] == ch.lambdas()[0] == 1.0
+        assert list(report.lambdas().values()) == ch.lambdas().tolist()
         # so a deconvolution from the report is the one from the channel, byte for byte
         report_path = write(tmp_path, "report.txt", report.to_report_text())
         obs = write(tmp_path, "obs.txt", f"{'Z' * ch.n} 1.0\n{'X' * ch.n} 0.5\n")
@@ -266,6 +268,22 @@ class TestCharacterizeCommand:
             assert main(["deconvolve", "--observable", obs, "--measurements", meas, *source]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("path", PAULI_CHANNELS, ids=lambda p: p.stem)
+    def test_exact_full_report_of_pauli_noise_plans_on_the_diagonal(self, tmp_path, capsys, path):
+        # a full report took the general path (entries_consulted 16**n), and the
+        # I...I weight from the channel's lambda_0 = sum(w) differed in the last bit
+        n = json.loads(path.read_text())["n"]
+        report = str(tmp_path / "report.txt")
+        assert main(["characterize", "--config", str(path), "--entries", "full", "--out", report]) == 0
+        obs = write(tmp_path, "obs.txt", f"{'I' * n} 0.5\n{'Z' * n} 1.0\n")
+        meas = write(tmp_path, "meas.txt", f"{'I' * n} 1.0\n{'Z' * n} 0.7 0.01\n")
+        outputs = []
+        for source in (["--config", str(path)], ["--characterization", report]):
+            assert main(["deconvolve", "--observable", obs, "--measurements", meas, *source]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[1].endswith("entries_consulted 2\n")
 
     def test_exact_full_report_of_a_unital_kraus_channel_is_its_ptm(self, capsys):
         path = CONFIG_DIR / "channels" / "amp_damp_corr_unital.json"
@@ -662,6 +680,47 @@ class TestArgumentErrors:
         assert f"lacks {missing} of its {16**n} entries" in captured.err
 
 
+class TestLineGrammar:
+    """Observable, measurement and report text share one line grammar, and a
+    refusal of a single line names that line."""
+
+    @staticmethod
+    def _deconvolve(tmp_path, files):
+        """``deconvolve`` with each flag's text written to a file of its own."""
+        return main(["deconvolve"] + [arg for flag, text in files.items()
+                                      for arg in (flag, write(tmp_path, flag[2:], text))])
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--observable", "Z 1.0\nZ inf\n"),
+        ("--observable", "Z 1.0\nZZ 1.0\n"),
+        ("--observable", "Z 1.0\nQ 1.0\n"),
+        ("--observable", "Z 1.0\nZ 1.0 0.1\n"),
+        ("--measurements", "Z 0.5\nZZ 0.5\n"),
+        ("--measurements", "Z 0.5\nX 0.5 nan\n"),
+        ("--measurements", "Z 0.5\nX half\n"),
+        ("--characterization", "n 1\nmode diagonal\n3 3 0.8 0.1 5 7\n1 1 0.6 0.1 9 2\n"),
+        ("--characterization", "n 1\nmode diagonal\n3 3 0.8 0.1 5 7\n1 1 0.6 0.1 5 8\n"),
+    ], ids=["obs_inf", "obs_qubit_count", "obs_label", "obs_fields", "meas_qubit_count", "meas_nan",
+            "meas_number", "report_shots_and_seed", "report_seed"])
+    def test_refused_line_exits_two_naming_it(self, tmp_path, capsys, flag, text):
+        # an infinite coefficient and a second qubit count in an observable exited 2
+        # without naming the line; report rows with another shots/seed exited 0
+        files = {"--observable": "Z 1.0\n", "--measurements": "Z 0.5\nX 0.5\n",
+                 "--characterization": "n 1\nmode diagonal\n1 1 0.8 0.1 5 7\n3 3 0.8 0.1 5 7\n"}
+        files[flag] = text
+        assert self._deconvolve(tmp_path, files) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("line 4" if flag == "--characterization" else "line 2") in captured.err
+
+    def test_comments_blank_lines_and_case_are_one_grammar(self, tmp_path, capsys):
+        files = {"--observable": "# observable\n\nz 1.0  # a term\n",
+                 "--measurements": "  Z\t0.5 0.01\n# no data\n",
+                 "--characterization": "n 1 # header\n\nmode diagonal\n3 3 0.8 0.0 5 7\n"}
+        assert self._deconvolve(tmp_path, files) == 0
+        assert capsys.readouterr().out == "value 0.625\nstd_error 0.0125\nentries_consulted 1\n"
+
+
 class TestNonFiniteInputs:
     def test_nan_strength_exits_three(self, tmp_path, capsys):
         cfg = channel_json(tmp_path, family="bit_flip", n=1, p=float("nan"))
@@ -814,7 +873,10 @@ def test_fuzzed_inputs_keep_the_exit_code_contract(tmp_path_factory, inputs):
                  ["deconvolve", "--characterization", report, "--observable", report_obs,
                   "--measurements", report_meas]):
         out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            # an ill-conditioned inversion warns on stderr and keeps its exit code
+            warnings.simplefilter("ignore", IllConditionedWarning)
             rc = main(argv)
         assert rc in (0, 2, 3, 4), argv
         if rc == 0:

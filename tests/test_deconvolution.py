@@ -546,6 +546,15 @@ class TestCharacterizationSource:
         report = estimate_full_ptm(ch)
         assert plan(obs, report).weights[k_of("XX")] == pytest.approx(1.0, abs=1e-12)
 
+    def test_full_report_plans_by_its_matrix_diagonal(self):
+        ch = bit_flip_channel(2, 0.15, 0.3)
+        obs = Observable.from_pairs([("ZZ", 1.0), ("XI", 0.5)])
+        exact = estimate_full_ptm(ch)
+        assert exact.ptm() is exact.ptm()  # one matrix per report, shared by lambdas() and plan()
+        assert plan(obs, exact) == plan_pauli(obs, ch)
+        # a sampled report's off-diagonal estimates are not exactly zero
+        assert plan(obs, estimate_full_ptm(ch, shots=1000, seed=1)).entries_consulted == 16 * 16
+
     def test_missing_entry(self):
         ch = bit_flip_channel(1, 0.1)
         report = estimate_diagonal_entries(ch, [3])

@@ -26,10 +26,10 @@ class TestPauliIndex:
         for n in range(1, 7):
             for k in range(4**n):
                 idx = PauliIndex(n, k)
-                assert PauliIndex.from_digits(idx.digits).k == k
+                assert PauliIndex.from_label(idx.label) == idx
 
     def test_first_qubit_most_significant(self):
-        assert PauliIndex.from_digits([1, 2]).k == 6
+        assert PauliIndex.from_label("xy").k == 6
         assert PauliIndex(2, 6).digits == (1, 2)
         assert PauliIndex.from_label("XY").k == 6
         assert PauliIndex(3, 63).label == "ZZZ"
@@ -43,8 +43,9 @@ class TestPauliIndex:
             PauliIndex(1, 4)
         with pytest.raises(ValueError):
             PauliIndex(0, 0)
-        with pytest.raises(ValueError):
-            PauliIndex.from_label("XQ")
+        for label in ("XQ", "", "X1", "X Y", "-Z"):
+            with pytest.raises(ValueError, match="invalid Pauli label"):
+                PauliIndex.from_label(label)
 
 
 class TestPauliElement:
