@@ -219,6 +219,8 @@ class PTM:
             return None, NotPauliDiagonal("transfer matrix is not diagonal")
         if np.max(np.abs(lam)) > 1.0 + 1e-9:
             return None, NotPauliDiagonal("lambda entries must lie in [-1, 1]")
+        lam = np.array(lam)
+        lam[0] = 1.0  # trace preservation; the first-row check bounds M[0, 0] within 1e-9
         return _readonly(lam), None
 
     def ptm(self) -> "PTM":

@@ -8,13 +8,13 @@ output state fills row entries, giving the full matrix without process
 tomography; like every full transfer matrix it is capped at
 MAX_QUBITS_FULL_PTM qubits.  A probe's output is read in coefficient
 space, from the channel's transfer matrix: the probe's Pauli coefficient
-vector is e_0 + e_k, so the output's is Gamma[:, 0] + Gamma[:, k], which
-is e_0 + lambda_k e_k for a Pauli channel (from ``lambdas()``, at any n;
-any other channel is read from ``ptm()`` and capped with it).  Both
-reports come from one probe loop whose output vectors go through one
-``sampling.read_batch`` (entry (j, k) from the stream (seed, k, j)), so
-a diagonal entry equals the full report's bit for bit, and an exact one
-equals the channel's lambda_k.
+vector is e_0 + e_k, so the output's entry j is Gamma[j, 0] + Gamma[j, k],
+which is lambda_k at j = k and 0 elsewhere for a Pauli channel (from
+``lambdas()``, at any n; any other channel is read from ``ptm()`` and
+capped with it).  Both reports come from one probe loop whose entries go
+through one ``sampling.read_batch`` (entry (j, k) from the stream
+(seed, k, j)), so a diagonal entry equals the full report's bit for bit,
+and an exact one equals the channel's lambda_k.
 
 A report is a lambda source for ``deconvolution.plan``: a diagonal
 report gives its rows as the lambdas, and a full report answers as its
@@ -82,9 +82,10 @@ def probe_state(k, n: int | None = None) -> np.ndarray:
 
 
 def _probe_outputs(ch: Channel):
-    """The map k -> coefficient vector of the channel's output on the probe
-    (1 + P_k)/d, Gamma[:, 0] + Gamma[:, k].  A non-Pauli channel is checked
-    for unitality here, once: Gamma[:, 0] != e_0 would bias every estimate."""
+    """The map (k, js) -> entries js of the coefficient vector of the
+    channel's output on the probe (1 + P_k)/d, Gamma[js, 0] + Gamma[js, k],
+    as floats.  A non-Pauli channel is checked for unitality here, once:
+    Gamma[:, 0] != e_0 would bias every estimate."""
     try:
         lam = ch.lambdas()
     except NotPauliDiagonal:
@@ -92,14 +93,8 @@ def _probe_outputs(ch: Channel):
         resid = float(np.max(np.abs(gamma[:, 0] - (np.arange(len(gamma)) == 0))))
         if resid > UNITALITY_TOL:
             raise NonUnitalChannel(f"channel is not unital: identity-column residual {resid:.3e}") from None
-        return lambda k: gamma[:, 0] + gamma[:, k]
-
-    def pauli_output(k: int) -> np.ndarray:
-        out = np.zeros(lam.size)
-        out[0], out[k] = 1.0, lam[k]
-        return out
-
-    return pauli_output
+        return lambda k, js: (gamma[js, 0] + gamma[js, k]).tolist()
+    return lambda k, js: np.where(np.asarray(js) == k, lam[k], 0.0).tolist()
 
 
 @dataclass(frozen=True)
@@ -214,8 +209,8 @@ def _probe_report(ch: Channel, mode: str, ks, entries: dict, shots: int, seed: i
         raise IdentityProbe("the k=0 entry equals 1 by trace preservation")
     output = _probe_outputs(ch)
     reads = [(range(1, 4**ch.n) if mode == "full" else [idx.k], (idx.k,)) for idx in idxs]
-    outputs = (output(k) for _, (k,) in reads)
-    for (js, (k,)), values in zip(reads, read_batch(outputs, reads, shots, seed)):
+    exact = (output(k, js) for js, (k,) in reads)
+    for (js, (k,)), values in zip(reads, read_batch(exact, reads, shots, seed)):
         entries.update(zip([(j, k) for j in js], values))
     return CharacterizedPTM(n=ch.n, mode=mode, entries=entries, shots=shots, seed=seed)
 

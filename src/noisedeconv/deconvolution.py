@@ -231,11 +231,14 @@ def plan_general(obs: Observable, ptm: PTM, cond_warn: float = CONDITION_WARN,
                  m: int = 1) -> DeconvolutionPlan:
     """General-path plan: the inverse of the transposed transfer matrix, which ``ptm``
     computes once and shares with every plan on it, applied m times to the coefficients.
-    Warns when the weights' 1-norm exceeds ``cond_warn`` times the coefficients'."""
+    Warns when the weights' 1-norm exceeds ``cond_warn`` times the coefficients'.  An
+    observable with no terms plans no weights and consults no entry, as on the diagonal path."""
     if m < 0:
         raise ValueError(f"repetition count must be >= 0, got {m}")
     if ptm.n != obs.n:
         raise DimensionMismatch(f"observable is on n={obs.n}, transfer matrix on n={ptm.n}")
+    if not obs.terms:
+        return DeconvolutionPlan(observable=obs, entries_consulted=0, weights={})
     inv = _shared_inverse_adjoint(ptm, cond_warn)
     w = _inverse_image(ptm, inv, obs, m)
     amplification = float(np.sum(np.abs(w)))

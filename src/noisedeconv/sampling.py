@@ -2,20 +2,21 @@
 
 A Pauli string has a +/-1 spectrum, so a finite-shot measurement is a
 Bernoulli experiment with success probability (1 + e)/2 where e is the
-exact expectation value.  The default sampler draws from that marginal
-directly, and ``sample_marginal`` is the one copy of that draw: it takes
-e, so a caller holding the state's Pauli coefficient vector reads e from
-it (``coefficient_expectations``) with no dense matrix.  A projective
-sampler that draws from the full eigenbasis distribution of a density
-matrix is available for cross-validation and is equivalent in
-distribution for a single observable.
+exact expectation value.  A measurement in the string's full eigenbasis
+resolves more outcomes, but each has eigenvalue +1 or -1 and the +1
+outcomes' probabilities sum to (1 + e)/2, so its +1 count is
+Binomial(shots, (1 + e)/2) too: the marginal draw has that measurement's
+distribution and needs only e.
+``sample_marginal`` is the one copy of that draw, and
+``sample_pauli_expectation`` its dense reference, which reads e from a
+density matrix.
 
 Every sampler consumes a numpy Generator; ``derive_rng`` builds
 independent deterministic streams from a base seed plus integer tags so
 results do not depend on evaluation order.  ``read_batch`` is the one
-readout the experiments and the probe estimators share (``read_expectations``
-reads a single vector): it holds the exact/sampled switch and the stream
-layout, one stream (seed, *tags, j) per entry j read.
+readout the experiments and the probe estimators share: it takes the
+exact expectations it reads, holds the exact/sampled switch and the
+stream layout, one stream (seed, *tags, j) per entry j read.
 
 A sampled batch derives the streams of all its entries at once.  Building
 a generator per stream (``SeedSequence`` hashing plus ``PCG64`` seeding)
@@ -37,10 +38,9 @@ from typing import Iterator
 import numpy as np
 
 from .exceptions import ConfigError, InvalidState, ProbabilityOutOfRange
-from .pauli import as_index, devectorize, num_qubits, pauli_element
+from .pauli import as_index, num_qubits, pauli_element
 
 __all__ = [
-    "SAMPLING_METHODS",
     "MAX_SHOTS",
     "check_shots_and_seed",
     "derive_rng",
@@ -48,13 +48,10 @@ __all__ = [
     "coefficient_expectations",
     "sample_marginal",
     "sample_pauli_expectation",
-    "read_expectations",
     "read_batch",
 ]
 
-SAMPLING_METHODS = ("marginal", "projective")
-
-# numpy's binomial and multinomial take counts up to the int64 maximum.
+# numpy's binomial takes counts up to the int64 maximum.
 MAX_SHOTS = 2**63 - 1
 
 # Most stream states one ``_stream_states`` call derives and holds.
@@ -213,78 +210,27 @@ def coefficient_expectations(coeffs: np.ndarray, ks) -> list[float]:
     return vals.real.tolist()
 
 
-@lru_cache(maxsize=256)
-def _pauli_eigensystem(n: int, k: int):
-    vals, vecs = np.linalg.eigh(np.asarray(pauli_element(k, n)))
-    vals = np.round(vals).astype(float)  # spectrum is exactly +/-1
-    vals.setflags(write=False)
-    vecs.setflags(write=False)
-    return vals, vecs
-
-
-def _check_draw(e: float, shots: int) -> None:
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    if abs(e) > 1.0 + _RANGE_TOL:
-        raise ProbabilityOutOfRange(
-            f"expectation value {e!r} lies outside [-1, 1]; upstream state is corrupted"
-        )
-
-
-def _estimate(value: float, shots: int) -> tuple[float, float]:
-    return value, math.sqrt(max(0.0, 1.0 - value * value) / shots)
-
-
 def sample_marginal(e: float, shots: int, rng: np.random.Generator) -> tuple[float, float]:
     """Finite-shot estimate of a +/-1-valued observable whose exact
     expectation is ``e``: one binomial draw of the +1 count.
 
     Returns ``(value, std_error)`` with std_error = sqrt((1 - value^2)/shots).
     """
-    _check_draw(e, shots)
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    if abs(e) > 1.0 + _RANGE_TOL:
+        raise ProbabilityOutOfRange(
+            f"expectation value {e!r} lies outside [-1, 1]; upstream state is corrupted"
+        )
     p_plus = min(1.0, max(0.0, 0.5 * (1.0 + e)))
-    plus = int(rng.binomial(shots, p_plus))
-    return _estimate(2.0 * plus / shots - 1.0, shots)
+    value = 2.0 * int(rng.binomial(shots, p_plus)) / shots - 1.0
+    return value, math.sqrt(max(0.0, 1.0 - value * value) / shots)
 
 
-def sample_pauli_expectation(
-    rho: np.ndarray,
-    k,
-    shots: int,
-    rng: np.random.Generator,
-    method: str = "marginal",
-) -> tuple[float, float]:
-    """Finite-shot estimate of Tr[P_k rho].
-
-    Returns ``(value, std_error)`` with std_error = sqrt((1 - value^2)/shots).
-    ``method`` is ``"marginal"`` (single Bernoulli draw on the +/-1
-    outcome, :func:`sample_marginal`) or ``"projective"`` (multinomial
-    over the full eigenbasis).
-    """
-    e = exact_pauli_expectation(rho, k)
-    if method == "marginal":
-        return sample_marginal(e, shots, rng)
-    _check_draw(e, shots)
-    if method != "projective":
-        raise ValueError(f"unknown sampling method {method!r}")
-    idx = as_index(k, num_qubits(rho))
-    vals, vecs = _pauli_eigensystem(idx.n, idx.k)
-    probs = np.einsum("ij,jk,ki->i", vecs.conj().T, np.asarray(rho, complex), vecs).real
-    probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
-    if not 0.0 < total <= 1.0 + _RANGE_TOL:
-        raise ProbabilityOutOfRange(f"outcome probabilities sum to {total!r}")
-    counts = rng.multinomial(shots, probs / total)
-    return _estimate(float(counts @ vals) / shots, shots)
-
-
-def read_expectations(
-    coeffs: np.ndarray, ks, shots: int, seed: int, *tags: int, method: str = "marginal"
-) -> list[tuple[float, float]]:
-    """``(value, std_error)`` of Tr[P_j rho] for each j in ``ks``, from
-    rho's scaled Pauli coefficient vector ``coeffs = d * vectorize(rho)``:
-    :func:`read_batch` of the one read (ks, tags)."""
-    return read_batch([coeffs], [(ks, tags)], shots, seed, method)[0]
+def sample_pauli_expectation(rho: np.ndarray, k, shots: int, rng: np.random.Generator) -> tuple[float, float]:
+    """Finite-shot estimate of Tr[P_k rho] for a dense rho, the reference for
+    the readout: :func:`sample_marginal` of :func:`exact_pauli_expectation`."""
+    return sample_marginal(exact_pauli_expectation(rho, k), shots, rng)
 
 
 def _batch_states(seed: int, reads) -> Iterator[list[tuple[int, int]]]:
@@ -296,40 +242,29 @@ def _batch_states(seed: int, reads) -> Iterator[list[tuple[int, int]]]:
         yield _stream_states(seed, chunk)
 
 
-def read_batch(
-    coeffs, reads, shots: int, seed: int, method: str = "marginal"
-) -> list[list[tuple[float, float]]]:
-    """``(value, std_error)`` of Tr[P_j rho] for each j in ks, for each
-    ``(ks, tags)`` in the sequence ``reads``, from the vector
-    ``d * vectorize(rho)`` at the same place in the iterable ``coeffs``
-    (consumed one vector at a time); every ``tags`` has the same length.
+def read_batch(values, reads, shots: int, seed: int) -> list[list[tuple[float, float]]]:
+    """``(value, std_error)`` of each entry j in ks, for each ``(ks, tags)``
+    in the sequence ``reads``, from the exact expectations at the same place
+    in the iterable ``values`` (consumed one item at a time): the item of a
+    read is a list of floats, the exact expectation of each j in its ks in
+    order.  Every ``tags`` has the same length.
 
-    ``shots = 0`` reads the entries exactly (std_error 0) and derives no
-    stream.  Otherwise entry j is one draw from the stream
-    ``derive_rng(seed, *tags, j)``: marginal (:func:`sample_marginal`), or
-    projective (:func:`sample_pauli_expectation` on rho, rebuilt once per
-    vector).  The streams are derived together, one ``_stream_states``
-    call per BATCH_ROWS entries, and each draw resets one reused ``PCG64``.
+    ``shots = 0`` returns the exact values (std_error 0) and derives no
+    stream.  Otherwise entry j is one :func:`sample_marginal` draw from the
+    stream ``derive_rng(seed, *tags, j)``.  The streams are derived
+    together, one ``_stream_states`` call per BATCH_ROWS entries, and each
+    draw resets one reused ``PCG64``.
     """
-    if method not in SAMPLING_METHODS:
-        raise ValueError(f"unknown sampling method {method!r}")
     if not shots:
-        return [[(e, 0.0) for e in coefficient_expectations(c, ks)] for (ks, _), c in zip(reads, coeffs)]
+        return [[(e, 0.0) for e in exact] for _, exact in zip(reads, values)]
     states = chain.from_iterable(_batch_states(seed, reads))
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
 
-    def stream() -> np.random.Generator:
+    def draw(e: float) -> tuple[float, float]:
         state, inc = next(states)
         bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                         "has_uint32": 0, "uinteger": 0}
-        return rng
+        return sample_marginal(e, shots, rng)
 
-    out = []
-    for (ks, _), c in zip(reads, coeffs):
-        if method == "projective":
-            rho = devectorize(c / math.isqrt(c.size))
-            out.append([sample_pauli_expectation(rho, j, shots, stream(), method) for j in ks])
-        else:
-            out.append([sample_marginal(e, shots, stream()) for e in coefficient_expectations(c, ks)])
-    return out
+    return [[draw(e) for e in exact] for _, exact in zip(reads, values)]

@@ -61,3 +61,13 @@ def random_hermitian(n, rng, scale=1.0):
     d = 2**n
     A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return scale * (A + A.conj().T) / 2
+
+
+def projective_sample_bruteforce(rho, P, shots, rng):
+    """Finite-shot <P> from a projective measurement in the full eigenbasis
+    of the +/-1-valued matrix P: eigh, a multinomial over the outcome
+    probabilities <v|rho|v>, then the eigenvalue-weighted mean of the counts."""
+    vals, vecs = np.linalg.eigh(P)
+    probs = np.clip(np.einsum("ji,jk,ki->i", vecs.conj(), rho, vecs).real, 0.0, None)
+    counts = rng.multinomial(shots, probs / probs.sum())
+    return float(counts @ np.round(vals)) / shots

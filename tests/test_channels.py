@@ -305,6 +305,12 @@ class TestPTMLambdas:
         with pytest.raises(NotPauliDiagonal):
             PTM(1, np.diag([1.0, 1.5, 1, 1])).lambdas()
 
+    def test_lambda_zero_is_exactly_one(self):
+        # trace preservation fixes lambda_0 = 1; the first-row check admits 1e-9
+        assert PTM(1, np.diag([1.0 - 2.0**-53, 0.5, 0.5, 0.25])).lambdas().tolist() == [1.0, 0.5, 0.5, 0.25]
+        unital = correlated_amplitude_damping(1.0, 0.25)  # the identity map, as Kraus operators
+        assert unital.ptm().matrix[0, 0] != 1.0 and unital.lambdas()[0] == 1.0
+
     def test_verdict_kept_per_ptm(self):
         ptm = PTM(2, bit_flip_channel(2, 0.1, 0.3).ptm().matrix)
         lam = ptm.lambdas()

@@ -158,7 +158,7 @@ class TestDiagonalEntries:
         def counting(channel):
             reads.append(channel)
             output = original(channel)
-            return lambda k: probes.append(k) or output(k)
+            return lambda k, js: probes.append(k) or output(k, js)
 
         monkeypatch.setattr(characterization, "_probe_outputs", counting)
         ks = [1, 3, 5, 12, 15]

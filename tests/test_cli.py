@@ -41,7 +41,7 @@ def count_probes(monkeypatch):
 
     def counting(ch):
         output = original(ch)
-        return lambda k: probes.append(k) or output(k)
+        return lambda k, js: probes.append(k) or output(k, js)
 
     monkeypatch.setattr("noisedeconv.characterization._probe_outputs", counting)
     return probes
@@ -182,6 +182,28 @@ class TestDeconvolveCommand:
         assert main(["deconvolve", "--observable", obs, "--config", cfg,
                      "--measurements", meas]) == 0
         assert f"entries_consulted {entries}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cfg", [{"family": "amp_damp_corr", "eta": 5.960464477539063e-08, "mu": 0.0},
+                                     {"family": "bit_flip", "n": 2, "p": 0.1}], ids=["general", "diagonal"])
+    def test_empty_observable_consults_nothing(self, tmp_path, capsys, cfg):
+        # eta near 0 makes the transfer matrix near-singular (condition bound
+        # about 1e15): inverting it would warn, and no term needs the inverse
+        cfg = channel_json(tmp_path, **cfg)
+        obs = write(tmp_path, "obs.txt", "II 0.0\n")
+        meas = write(tmp_path, "meas.txt", "II 1.0\n")
+        assert main(["deconvolve", "--observable", obs, "--config", cfg,
+                     "--measurements", meas]) == 0
+        assert capsys.readouterr() == ("value 0.0\nstd_error 0.0\nentries_consulted 0\n", "")
+
+    def test_trace_is_deconvolved_exactly_through_kraus_operators(self, tmp_path, capsys):
+        cfg = str(CONFIG_DIR / "channels" / "amp_damp_corr_unital.json")
+        assert main(["ptm", "--config", cfg, "--diagonal-only"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "0,1.0"
+        obs = write(tmp_path, "obs.txt", "II 1.0\n")
+        meas = write(tmp_path, "meas.txt", "II 1.0\n")
+        assert main(["deconvolve", "--observable", obs, "--config", cfg,
+                     "--measurements", meas]) == 0
+        assert capsys.readouterr().out == "value 1.0\nstd_error 0.0\nentries_consulted 1\n"
 
     @pytest.mark.parametrize("n, mode", [(10, "full"), (10, "diagonal"), (6, "full")])
     def test_report_past_the_cap_exits_four(self, tmp_path, capsys, n, mode):
@@ -549,6 +571,14 @@ class TestArgumentErrors:
         }))
         assert main(["experiment", "--config", cfg]) == 2
 
+    def test_projective_sampling_exits_two_and_names_the_key(self, tmp_path, capsys):
+        raw = {"n": 1, "channel": {"family": "bit_flip", "n": 1, "p": 0.05},
+               "observable": [["Z", 1.0]], "m_max": 1, "shots": 16, "sampling": "projective"}
+        assert main(["experiment", "--config", write(tmp_path, "exp.json", json.dumps(raw))]) == 2
+        assert "sampling must be 'marginal', got 'projective'" in capsys.readouterr().err
+        raw["sampling"] = "marginal"  # what configs written for the default say
+        assert main(["experiment", "--config", write(tmp_path, "exp.json", json.dumps(raw))]) == 0
+
     def test_unknown_sampling_exits_two(self, tmp_path, capsys):
         cfg = write(tmp_path, "exp.json", json.dumps({
             "n": 1, "channel": {"family": "bit_flip", "n": 1, "p": 0.05},
@@ -803,8 +833,9 @@ def experiment_configs(draw, channel):
         "m_max": draw(st.integers(0, 6)),
         "shots": draw(st.sampled_from([0, 1, 64])),
         "seed": draw(st.integers(0, 3)),
-        "sampling": draw(st.sampled_from(["marginal", "projective"])),
     }
+    if draw(st.booleans()):
+        raw["sampling"] = "marginal"
     for key in ("mu_grid", "strength_grid"):
         grid = draw(st.one_of(st.none(), st.lists(PARAMS, min_size=1, max_size=2)))
         if grid is not None:
@@ -812,7 +843,7 @@ def experiment_configs(draw, channel):
     if draw(st.booleans()):
         key, value = draw(st.sampled_from([
             ("n", 3), ("m_max", -1), ("shots", -1), ("seed", -1), ("initial_state", "bogus"),
-            ("sampling", "bogus"), ("observable", [["Z" * n, float("inf")]]),
+            ("sampling", "bogus"), ("sampling", "projective"), ("observable", [["Z" * n, float("inf")]]),
             ("n", 1.5), ("m_max", 2.5), ("shots", True),
         ]))
         raw[key] = value

@@ -167,6 +167,22 @@ class TestPlanEntryPoint:
             with pytest.raises(ValueError, match="repetition count"):
                 call()
 
+    def test_empty_observable_plans_nothing_on_either_path(self):
+        # a near-singular transfer matrix (condition bound about 1e15) would
+        # warn if inverted; an observable with no terms needs no inverse
+        pauli, general = bit_flip_channel(2, 0.1), correlated_amplitude_damping(2.0**-24, 0.0)
+        empty = Observable.from_pairs([("II", 0.0)])
+        assert empty.terms == {}
+        for ch in (pauli, general):
+            got = plan(empty, ch, 3)
+            assert (got.entries_consulted, got.weights) == (0, {})
+            assert deconvolve(got, {}) == 0.0 and propagated_std_error(got, {}) == 0.0
+            with pytest.raises(ValueError, match="repetition count"):
+                plan(empty, ch, -1)
+            with pytest.raises(DimensionMismatch):
+                plan(Observable.from_pairs([("I", 0.0)]), ch, 1)
+        assert general.ptm()._inverse_adjoint is None and general.ptm()._condition_number is None
+
     def test_non_invertible_and_overflow_refused_at_every_m(self):
         obs = Observable.from_pairs([("Z", 1.0)])
         for m in (0, 1, 4):

@@ -12,10 +12,10 @@ and ``deconvolve --characterization`` from the exact full report that
 ``characterize --out`` writes first and from the exact diagonal report
 that ``characterize --entries 1,...,4^n-1 --out`` writes.  On every
 experiment config they are ``experiment`` as shipped (csv and json) and
-with ``--shots 2048 --seed 1`` under each sampling method (the config
-copied to a temp file with ``"sampling"`` set).  ``check-positivity``
-runs at n = 1..3, on one label, and on a passing and a failing
-``--state-file``.  Stderr is not compared: a warning may be added
+with ``--shots 2048 --seed 1`` and ``"sampling": "marginal"`` (the config
+copied to a temp file with the key set, as older configs say it).
+``check-positivity`` runs at n = 1..3, on one label, and on a passing and
+a failing ``--state-file``.  Stderr is not compared: a warning may be added
 without changing stdout.
 """
 
@@ -29,7 +29,6 @@ import pathlib
 import pytest
 
 from noisedeconv.cli import main
-from noisedeconv.sampling import SAMPLING_METHODS
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 CHANNELS = sorted((CONFIG_DIR / "channels").glob("*.json"))
@@ -81,10 +80,6 @@ GOLDEN = {
     ("experiment-marginal", "fig2a_mu_sweep"): (0, "7e04819fa1c3dc5cb4939b9ba5cc23866f18b5e8a008a5363b4a6c2b7052208e"),
     ("experiment-marginal", "fig2b_deconvolution"): (0, "c4dcdadf2f44ecac13bc137cf1bd9b3ed82ce13acc7e558c60ec007ef3631d6f"),
     ("experiment-marginal", "fig2b_exact"): (0, "c4dcdadf2f44ecac13bc137cf1bd9b3ed82ce13acc7e558c60ec007ef3631d6f"),
-    ("experiment-projective", "amp_damp_zz"): (0, "14626b73d4ada86b86b56836307054a39018d05b5d9a3d452a0e72048edce99b"),
-    ("experiment-projective", "fig2a_mu_sweep"): (0, "8946f80f56c20982ac714e5932c04260e410f5aeb1313f588f470c764e13994f"),
-    ("experiment-projective", "fig2b_deconvolution"): (0, "1b49f7a0ec6564c1a5abe6b4c5ad2224b8603e513f1704f67a1d2ceb514a9fa1"),
-    ("experiment-projective", "fig2b_exact"): (0, "1b49f7a0ec6564c1a5abe6b4c5ad2224b8603e513f1704f67a1d2ceb514a9fa1"),
     ("ptm-json", "amp_damp_corr"): (0, "83c0978cda02022decded44207e0af672b10f39c9d4cb4c47c9d5bc4d191be04"),
     ("ptm-json", "amp_damp_corr_unital"): (0, "ae6eedb9a874d33d58930d6a41614be6891f1a45910d4909ed36fa4aeea329ac"),
     ("ptm-json", "bit_flip_n1"): (0, "5bac3ec64f3bb40c66366cf009894050a5e0546c52b433f289326ef511bc95df"),
@@ -117,7 +112,7 @@ GOLDEN = {
     ("experiment-json", "fig2b_deconvolution"): (0, "fcd7d6d41a241e5efe1ef484856f4ffeb9217957ff9d8d8c34ace62cbc9b208d"),
     ("experiment-json", "fig2b_exact"): (0, "814a0e544c0c51c055ae130465efaa9249dae89c557831d4a6be981c7df91e0b"),
     ("ptm-diagonal", "amp_damp_corr"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("ptm-diagonal", "amp_damp_corr_unital"): (0, "87f9f92ac426d0b6b9ecf759ff8069ccfabef2f8e5a4b98b47778d7eb9e0fcc3"),
+    ("ptm-diagonal", "amp_damp_corr_unital"): (0, "b3dce4a1e37470e211e859777f67ea2a1a31004451c1ef780d113aed83d80fef"),
     ("ptm-diagonal", "bit_flip_n1"): (0, "7f89d2845a1cb22195efdba3bb490624014f23e17107f0df564271a207098b33"),
     ("ptm-diagonal", "bit_flip_n2_correlated"): (0, "a07782c581b95c6b7e316562a1a09e4ff8723e653599a42e085645b20f7389b9"),
     ("ptm-diagonal", "bit_flip_n3_correlated"): (0, "4e3f14558716722c08a56fadd0de50a02c377892e39dcb49af80de82bb632082"),
@@ -126,7 +121,7 @@ GOLDEN = {
     ("ptm-diagonal", "depolarizing_n3_fig2"): (0, "b1af23485086fe9ed51f5a88088f4b1278e06321948c253c8c5943fcaf26433f"),
     ("ptm-diagonal", "pauli_custom_n1"): (0, "d828f77b18e8a2a55b81c60ded1aea53c8f303a882ed1121962ae68994f48db5"),
     ("ptm-diagonal-json", "amp_damp_corr"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("ptm-diagonal-json", "amp_damp_corr_unital"): (0, "4d506e4b0cd53a4d6f9ffebdde8b9b1e4678271ed47a7ca769551b0a69bc6376"),
+    ("ptm-diagonal-json", "amp_damp_corr_unital"): (0, "27f548b7fa801a60f610e9f61fc79009eccc58e3f03bb5a7984dc00305ce3925"),
     ("ptm-diagonal-json", "bit_flip_n1"): (0, "d9dec8ff372d7f7780c333d1293a3ca9375bc98fbb961fdb0b611face9c244e9"),
     ("ptm-diagonal-json", "bit_flip_n2_correlated"): (0, "51712c57260417e983c8f8eb93fd205ba825af10550e0e7d55b8b27dd04fa109"),
     ("ptm-diagonal-json", "bit_flip_n3_correlated"): (0, "57c08fbfc0f38e2a04ce7e6f29e5a45669b23481cabfabe1fc8a4bb87758d21f"),
@@ -196,7 +191,7 @@ CASES = (
     + [("characterize-exact", p) for p in CHANNELS]
     + [("deconvolve", p) for p in CHANNELS]
     + [("experiment", p) for p in EXPERIMENTS]
-    + [(f"experiment-{method}", p) for method in SAMPLING_METHODS for p in EXPERIMENTS]
+    + [("experiment-marginal", p) for p in EXPERIMENTS]
     + [(f"{c}-json", p) for c in ("ptm", "characterize", "deconvolve") for p in CHANNELS]
     + [("experiment-json", p) for p in EXPERIMENTS]
     + [(c, p) for c in ("ptm-diagonal", "ptm-diagonal-json", "characterize-entries",
@@ -227,7 +222,7 @@ def _run(*argvs):
 def run_case(command, path, tmp_path):
     """Exit code and sha256 of stdout of one golden case."""
     name, _, variant = command.partition("-")
-    if variant in SAMPLING_METHODS:
+    if variant == "marginal":
         cfg = dict(json.loads(path.read_text()), sampling=variant)
         path = tmp_path / path.name
         path.write_text(json.dumps(cfg))
@@ -242,7 +237,7 @@ def run_case(command, path, tmp_path):
         argv += ["--shots", "0"]
     elif command == "characterize-entries":
         argv += ["--entries", ",".join(map(str, range(1, 4**_n(path))))]
-    elif variant in SAMPLING_METHODS:
+    elif variant == "marginal":
         argv += ["--shots", "2048", "--seed", "1"]
     elif command.startswith("deconvolve-characterization"):
         report = str(tmp_path / "report.txt")

@@ -13,13 +13,7 @@ import pytest
 from noisedeconv import sampling
 from noisedeconv.channels import depolarizing_channel
 from noisedeconv.characterization import estimate_diagonal_entries, estimate_full_ptm
-from noisedeconv.sampling import (
-    SAMPLING_METHODS,
-    _stream_states,
-    derive_rng,
-    read_expectations,
-    sample_marginal,
-)
+from noisedeconv.sampling import _stream_states, derive_rng, read_batch, sample_marginal
 from noisedeconv.simulator import ExperimentConfig, run_experiment
 
 # 2**64 + 3 is a three-word seed: with four tags its entropy runs past the
@@ -65,12 +59,11 @@ class TestStreamStates:
         # shots * min(p, 1 - p) below 30 takes numpy's inversion sampler,
         # above it BTPE; shots = 1000 exercises both across the p below.
         seed, tags = 2**64 + 3, (4, 1, 9)
-        es = np.linspace(-0.999, 0.999, 41)
-        coeffs = np.concatenate([[1.0], es]).astype(complex)
-        ks = range(1, len(coeffs))
-        assert read_expectations(coeffs, ks, shots, seed, *tags) == [
-            sample_marginal(float(coeffs[j].real), shots, derive_rng(seed, *tags, j)) for j in ks
-        ]
+        es = np.linspace(-0.999, 0.999, 41).tolist()
+        ks = range(1, len(es) + 1)
+        assert read_batch([es], [(ks, tags)], shots, seed) == [[
+            sample_marginal(e, shots, derive_rng(seed, *tags, j)) for j, e in zip(ks, es)
+        ]]
 
 
 class TestOneDerivationPerBatch:
@@ -99,12 +92,11 @@ class TestOneDerivationPerBatch:
         assert estimate_full_ptm(ch, shots=500, seed=4) == whole
         assert derivations == [225, 100, 100, 25]
 
-    @pytest.mark.parametrize("method", SAMPLING_METHODS)
-    def test_experiment_derives_once_per_grid_point(self, derivations, method):
+    def test_experiment_derives_once_per_grid_point(self, derivations):
         cfg = ExperimentConfig.from_dict({
             "n": 2, "channel": {"family": "dephasing", "n": 2, "p": 0.1, "mu": 0.3},
             "observable": [["ZZ", 1.0], ["XI", 0.5]], "initial_state": "plus",
-            "m_max": 5, "shots": 800, "seed": 3, "sampling": method,
+            "m_max": 5, "shots": 800, "seed": 3,
             "mu_grid": [0.0, 0.6], "strength_grid": [0.05, 0.2],
         })
         run_experiment(cfg)
@@ -114,12 +106,11 @@ class TestOneDerivationPerBatch:
         ch = depolarizing_channel(2, 0.2, 0.4)
         estimate_full_ptm(ch)
         estimate_diagonal_entries(ch, [3, 5])
-        for method in SAMPLING_METHODS:
-            run_experiment(ExperimentConfig.from_dict({
-                "n": 1, "channel": {"family": "bit_flip", "n": 1, "p": 0.1},
-                "observable": [["Z", 1.0]], "m_max": 3, "sampling": method,
-                "mu_grid": [0.0, 0.5], "strength_grid": [0.1, 0.2],
-            }))
+        run_experiment(ExperimentConfig.from_dict({
+            "n": 1, "channel": {"family": "bit_flip", "n": 1, "p": 0.1},
+            "observable": [["Z", 1.0]], "m_max": 3,
+            "mu_grid": [0.0, 0.5], "strength_grid": [0.1, 0.2],
+        }))
         assert derivations == []
 
 

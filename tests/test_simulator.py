@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import random_density
+from conftest import pauli_basis_bruteforce, projective_sample_bruteforce, random_density
 
 from noisedeconv import channels, deconvolution, simulator
 from noisedeconv.channels import (
@@ -19,12 +19,11 @@ from noisedeconv.exceptions import (
 )
 from noisedeconv.pauli import Observable, PauliIndex, devectorize, vectorize
 from noisedeconv.sampling import (
-    SAMPLING_METHODS,
     coefficient_expectations,
     derive_rng,
     exact_pauli_expectation,
+    read_batch,
     sample_marginal,
-    read_expectations,
     sample_pauli_expectation,
 )
 from noisedeconv.simulator import (
@@ -123,30 +122,25 @@ class TestExpectationSampled:
             sample_pauli_expectation(rho, PauliIndex(1, 3), 100, derive_rng(0))
 
     def test_projective_sampler_agrees_statistically(self):
+        # the marginal draw and a projective one over the full eigenbasis of
+        # ZZ (the conftest oracle) both centre on the exact value
         rho = np.asarray(evolve(preset_state("zeros", 2), bit_flip_channel(2, 0.2, 0.3), 2))
         exact = exact_pauli_expectation(rho, PauliIndex(2, 15))
-        for method in ("marginal", "projective"):
-            vals = [
-                sample_pauli_expectation(rho, PauliIndex(2, 15), 4096, derive_rng(s), method)[0]
-                for s in range(30)
-            ]
+        zz = pauli_basis_bruteforce(2)[15]
+        for draw in (lambda rng: sample_pauli_expectation(rho, PauliIndex(2, 15), 4096, rng)[0],
+                     lambda rng: projective_sample_bruteforce(rho, zz, 4096, rng)):
+            vals = [draw(derive_rng(s)) for s in range(30)]
             assert abs(np.mean(vals) - exact) < 5 * np.sqrt((1 - exact**2) / 4096 / 30)
 
-    @pytest.mark.parametrize("method", SAMPLING_METHODS)
-    def test_read_expectations_is_one_draw_per_entry(self, method):
+    def test_read_batch_is_one_draw_per_entry(self):
         # entry j is the dense sampler's draw from the stream (seed, *tags, j)
         c = vectorize(random_density(2, np.random.default_rng(6))) * 4
         ks, tags = [1, 5, 6, 15], (3, 0, 2)
-        assert read_expectations(c, ks, 500, 9, *tags, method=method) == [
-            sample_pauli_expectation(devectorize(c / 4), j, 500, derive_rng(9, *tags, j), method)
-            for j in ks
-        ]
-        exact = read_expectations(c, ks, 0, 9, *tags, method=method)
-        assert exact == [(e, 0.0) for e in coefficient_expectations(c, ks)]
-
-    def test_read_expectations_refuses_an_unknown_method(self):
-        with pytest.raises(ValueError, match="bogus"):
-            read_expectations(vectorize(preset_state("zeros", 1)) * 2, [3], 0, 0, method="bogus")
+        exact = coefficient_expectations(c, ks)
+        assert read_batch([exact], [(ks, tags)], 500, 9) == [[
+            sample_pauli_expectation(devectorize(c / 4), j, 500, derive_rng(9, *tags, j)) for j in ks
+        ]]
+        assert read_batch([exact], [(ks, tags)], 0, 9) == [[(e, 0.0) for e in exact]]
 
 
 class TestRunExperiment:
@@ -237,6 +231,13 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             fig2_config(observable=[["ZZ", 1.0]])  # wrong qubit count
 
+    def test_sampling_key_takes_only_marginal(self):
+        said = fig2_config(sampling="marginal", m_max=2, shots=64)
+        assert run_experiment(said) == run_experiment(fig2_config(m_max=2, shots=64))
+        for value in ("projective", "bogus", None):
+            with pytest.raises(ConfigError, match="^sampling must be 'marginal'"):
+                fig2_config(sampling=value)
+
     @pytest.mark.parametrize("raw", [[1, 2], "n", 3, None], ids=["list", "str", "int", "null"])
     def test_non_object_config_is_named(self, raw):
         with pytest.raises(ConfigError, match="^an experiment config must be a JSON object$"):
@@ -303,13 +304,12 @@ class TestCoefficientEvolution:
                     assert abs(r.deconvolved - ideal[k]) < 1e-10
         assert next(records, None) is None
 
-    @pytest.mark.parametrize("method", ["marginal", "projective"])
     @pytest.mark.parametrize("channel, strengths", [(EVOLUTION_CHANNELS[1], [0.05, 0.2]),
                                                     (EVOLUTION_CHANNELS[4], [0.8, 0.95])],
                              ids=["dephasing", "amp_damp_corr"])
-    def test_sampled_records_match_dense_sampler(self, channel, strengths, method):
+    def test_sampled_records_match_dense_sampler(self, channel, strengths):
         cfg = evolution_config(channel, "plus", shots=900, seed=21, m_max=3,
-                               strength_grid=strengths, sampling=method)
+                               strength_grid=strengths)
         records = iter(run_experiment(cfg))
         for gi, si, ch in grid_channels(cfg):
             for m in range(cfg.m_max + 1):
@@ -317,7 +317,7 @@ class TestCoefficientEvolution:
                 for k in cfg.observable.terms:
                     r = next(records)
                     expected = sample_pauli_expectation(
-                        rho, k, cfg.shots, derive_rng(cfg.seed, gi, si, m, k), method
+                        rho, k, cfg.shots, derive_rng(cfg.seed, gi, si, m, k)
                     )
                     assert (r.value, r.std_error) == expected
 
@@ -334,7 +334,7 @@ class TestCoefficientEvolution:
                             (channels.KrausChannel, "apply"), (channels.PTM, "apply")):
             monkeypatch.setattr(owner, name, counting(getattr(owner, name)))
         for channel in EVOLUTION_CHANNELS:
-            for overrides in ({}, {"shots": 64}, {"shots": 64, "sampling": "projective"}):
+            for overrides in ({}, {"shots": 64}):
                 run_experiment(evolution_config(channel, "plus", m_max=3, **overrides))
         assert calls == []
 
