@@ -119,6 +119,14 @@ def _config_float(value, what: str) -> float:
     return float(value)
 
 
+def _config_keys(cfg: Mapping, allowed, what: str) -> None:
+    """Refuse a key of ``cfg`` outside ``allowed`` with ConfigError naming
+    it: a misspelt optional key would otherwise leave its default in force."""
+    unknown = sorted(map(str, set(cfg) - set(allowed)))
+    if unknown:
+        raise ConfigError(f"{what} has unknown key {unknown[0]!r}; expected keys among {sorted(allowed)}")
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a)
     a.setflags(write=False)
@@ -466,7 +474,15 @@ def correlated_amplitude_damping(eta: float, mu: float) -> KrausChannel:
     return KrausChannel(ops)
 
 
-CHANNEL_FAMILIES = ("bit_flip", "depolarizing", "dephasing", "pauli_custom", "amp_damp_corr")
+# The keys each family's config may hold.
+_FAMILY_KEYS = {
+    "bit_flip": ("family", "n", "p", "mu"),
+    "depolarizing": ("family", "n", "q", "mu"),
+    "dephasing": ("family", "n", "p", "mu"),
+    "pauli_custom": ("family", "n", "p_vec", "mu", "beta"),
+    "amp_damp_corr": ("family", "n", "eta", "mu"),
+}
+CHANNEL_FAMILIES = tuple(_FAMILY_KEYS)
 
 # Key under which each family stores its scalar strength in a config.
 STRENGTH_KEYS = {
@@ -487,6 +503,8 @@ def channel_from_config(cfg: Mapping) -> KrausChannel:
     * ``pauli_custom``: ``n`` plus either ``p_vec`` (+ optional ``mu``)
       or ``beta`` (list of length 4**n, or {pauli-string: weight})
     * ``amp_damp_corr``: ``eta``, ``mu`` (n is fixed at 2)
+
+    Any other key, ``beta`` with ``p_vec`` or ``mu``, raises ConfigError.
     """
     try:
         family = cfg["family"]
@@ -496,6 +514,10 @@ def channel_from_config(cfg: Mapping) -> KrausChannel:
         raise ConfigError(
             f"unknown channel family {family!r}; expected one of {CHANNEL_FAMILIES}"
         )
+    _config_keys(cfg, _FAMILY_KEYS[family], f"channel config for {family!r}")
+    if "beta" in cfg and ("p_vec" in cfg or "mu" in cfg):
+        raise ConfigError("pauli_custom takes 'beta' alone, or 'p_vec' with optional 'mu'; "
+                          f"got 'beta' with {'p_vec' if 'p_vec' in cfg else 'mu'!r}")
     try:
         if family == "amp_damp_corr":
             if _config_int(cfg.get("n", 2), "n") != 2:

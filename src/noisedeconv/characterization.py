@@ -12,9 +12,13 @@ vector is e_0 + e_k, so the output's entry j is Gamma[j, 0] + Gamma[j, k],
 which is lambda_k at j = k and 0 elsewhere for a Pauli channel (from
 ``lambdas()``, at any n; any other channel is read from ``ptm()`` and
 capped with it).  Both reports come from one probe loop whose entries go
-through one ``sampling.read_batch`` (entry (j, k) from the stream
-(seed, k, j)), so a diagonal entry equals the full report's bit for bit,
-and an exact one equals the channel's lambda_k.
+through one ``sampling.read_batch``: probe k is one read from the stream
+(seed, k), its entries drawn in turn with (k, k) first, so a diagonal
+entry equals the full report's bit for bit whatever other probes a report
+holds, and an exact one equals the channel's lambda_k.  This layout
+replaced one stream (seed, k, j) per entry, so sampled reports differ
+from those of earlier versions; the report text is unchanged and those
+reports still parse.
 
 A report is a lambda source for ``deconvolution.plan``: a diagonal
 report gives its rows as the lambdas, and a full report answers as its
@@ -201,14 +205,16 @@ class CharacterizedPTM:
 def _probe_report(ch: Channel, mode: str, ks, entries: dict, shots: int, seed: int) -> CharacterizedPTM:
     """Probe the channel once per k in ``ks`` and add to ``entries`` what
     its output gives: (k, k) in diagonal mode, every (j, k) with j != 0 in
-    full mode, each read from the stream (seed, k, j) by one readout of
-    the whole report.  Every index is validated, then unitality is checked
-    once, before the first probe."""
+    full mode, j = k first, all read from the probe's stream (seed, k) by
+    one readout of the whole report.  Every index is validated, then
+    unitality is checked once, before the first probe."""
     idxs = [as_index(k, ch.n) for k in ks]
     if any(idx.k == 0 for idx in idxs):
         raise IdentityProbe("the k=0 entry equals 1 by trace preservation")
     output = _probe_outputs(ch)
-    reads = [(range(1, 4**ch.n) if mode == "full" else [idx.k], (idx.k,)) for idx in idxs]
+    D = 4**ch.n
+    reads = [([k, *range(1, k), *range(k + 1, D)] if mode == "full" else [k], (k,))
+             for k in (idx.k for idx in idxs)]
     exact = (output(k, js) for js, (k,) in reads)
     for (js, (k,)), values in zip(reads, read_batch(exact, reads, shots, seed)):
         entries.update(zip([(j, k) for j in js], values))

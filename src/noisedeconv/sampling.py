@@ -15,24 +15,33 @@ Every sampler consumes a numpy Generator; ``derive_rng`` builds
 independent deterministic streams from a base seed plus integer tags so
 results do not depend on evaluation order.  ``read_batch`` is the one
 readout the experiments and the probe estimators share: it takes the
-exact expectations it reads, holds the exact/sampled switch and the
-stream layout, one stream (seed, *tags, j) per entry j read.
+exact expectations it reads and holds the exact/sampled switch and the
+stream layout.  Each read ``(ks, tags)`` has one stream (seed, *tags)
+and draws its entries from it in turn, with one ``Generator.binomial``
+call over the read's (1 + e)/2 (a scalar call for a one-entry read).
+numpy's vector draw equals the same draws made one at a time, so entry
+i of a read is the i-th ``sample_marginal`` draw from ``derive_rng(seed,
+*tags)``; ``tests/test_sampling.py::TestVectorDraw`` pins that.  This
+layout replaced one stream (seed, *tags, j) per entry j, which cost a
+generator reset per entry, so sampled outputs differ from earlier
+versions' while exact outputs, and the report and CSV formats, are
+unchanged.
 
-A sampled batch derives the streams of all its entries at once.  Building
+A sampled batch derives the streams of all its reads at once.  Building
 a generator per stream (``SeedSequence`` hashing plus ``PCG64`` seeding)
-costs many times the binomial draw it serves, so ``_stream_states``
-copies that seeding in numpy over every row of the batch and each draw
-resets one reused ``PCG64`` to its row's state.  The
-streams, and so every sampled byte, are those of ``derive_rng``;
-``tests/test_sampling.py::TestStreamStates`` pins the copy to it, so a
-numpy release that changed its seeding fails there first.
+costs many times a binomial draw, so ``_stream_states`` copies that
+seeding in numpy over every row of the batch and each read resets one
+reused ``PCG64`` to its row's state.  The streams are those of
+``derive_rng``; ``tests/test_sampling.py::TestStreamStates`` pins the
+copy to it, so a numpy release that changed its seeding fails there
+first.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from typing import Iterator
 
 import numpy as np
@@ -218,7 +227,7 @@ def sample_marginal(e: float, shots: int, rng: np.random.Generator) -> tuple[flo
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    if abs(e) > 1.0 + _RANGE_TOL:
+    if not abs(e) <= 1.0 + _RANGE_TOL:  # NaN too
         raise ProbabilityOutOfRange(
             f"expectation value {e!r} lies outside [-1, 1]; upstream state is corrupted"
         )
@@ -233,13 +242,30 @@ def sample_pauli_expectation(rho: np.ndarray, k, shots: int, rng: np.random.Gene
     return sample_marginal(exact_pauli_expectation(rho, k), shots, rng)
 
 
-def _batch_states(seed: int, reads) -> Iterator[list[tuple[int, int]]]:
-    """PCG64 states of the streams (seed, *tags, j), j in ks, of every
-    ``(ks, tags)`` in ``reads`` in order, in lists of at most BATCH_ROWS:
-    the one statement of the stream layout."""
-    rows = ((*tags, j) for ks, tags in reads for j in ks)
-    while chunk := list(islice(rows, BATCH_ROWS)):
-        yield _stream_states(seed, chunk)
+def _plus_probabilities(es: np.ndarray) -> np.ndarray:
+    """(1 + e)/2 clipped to [0, 1] for each exact expectation e, after the
+    range check of :func:`sample_marginal`, over a whole batch."""
+    bad = ~(np.abs(es) <= 1.0 + _RANGE_TOL)
+    if bad.any():
+        raise ProbabilityOutOfRange(
+            f"expectation value {float(es[np.argmax(bad)])!r} lies outside [-1, 1]; upstream state is corrupted"
+        )
+    return np.clip(0.5 * (1.0 + es), 0.0, 1.0)
+
+
+def _chunks(reads) -> Iterator[list]:
+    """The ``(ks, tags)`` of ``reads`` in order, in runs of at most
+    BATCH_ROWS entries; a read is never split, so a larger one is a run of
+    its own."""
+    chunk, size = [], 0
+    for read in reads:
+        if chunk and size + len(read[0]) > BATCH_ROWS:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append(read)
+        size += len(read[0])
+    if chunk:
+        yield chunk
 
 
 def read_batch(values, reads, shots: int, seed: int) -> list[list[tuple[float, float]]]:
@@ -250,21 +276,34 @@ def read_batch(values, reads, shots: int, seed: int) -> list[list[tuple[float, f
     order.  Every ``tags`` has the same length.
 
     ``shots = 0`` returns the exact values (std_error 0) and derives no
-    stream.  Otherwise entry j is one :func:`sample_marginal` draw from the
-    stream ``derive_rng(seed, *tags, j)``.  The streams are derived
-    together, one ``_stream_states`` call per BATCH_ROWS entries, and each
-    draw resets one reused ``PCG64``.
+    stream.  Otherwise each read draws its entries, in order, from its one
+    stream ``derive_rng(seed, *tags)``: one binomial call over the read's
+    (1 + e)/2, whose counts equal one :func:`sample_marginal` draw per entry
+    made in turn from that stream.  Reads go in runs of at most BATCH_ROWS
+    entries: a run derives its streams in one ``_stream_states`` call,
+    resets one reused ``PCG64`` once per read, and does the range check and
+    the count -> (value, std_error) arithmetic over the whole run.
     """
     if not shots:
         return [[(e, 0.0) for e in exact] for _, exact in zip(reads, values)]
-    states = chain.from_iterable(_batch_states(seed, reads))
+    values = iter(values)
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
-
-    def draw(e: float) -> tuple[float, float]:
-        state, inc = next(states)
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
-        return sample_marginal(e, shots, rng)
-
-    return [[draw(e) for e in exact] for _, exact in zip(reads, values)]
+    out: list[list[tuple[float, float]]] = []
+    for chunk in _chunks(reads):
+        exact = list(islice(values, len(chunk)))
+        ends = list(accumulate(map(len, exact)))
+        p = _plus_probabilities(np.fromiter(chain.from_iterable(exact), dtype=float, count=ends[-1]))
+        counts = np.empty(len(p), dtype=np.int64)
+        starts = [0, *ends[:-1]]
+        for (state, inc), a, b in zip(_stream_states(seed, [tags for _, tags in chunk]), starts, ends):
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            if b - a == 1:  # a scalar draw costs a fraction of an array call's set-up
+                counts[a] = rng.binomial(shots, p[a])
+            elif b > a:
+                counts[a:b] = rng.binomial(shots, p[a:b])
+        value = 2.0 * counts / shots - 1.0
+        pairs = list(zip(value.tolist(), np.sqrt(np.maximum(0.0, 1.0 - value * value) / shots).tolist()))
+        out.extend(pairs[a:b] for a, b in zip(starts, ends))
+    return out

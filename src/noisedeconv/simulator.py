@@ -13,8 +13,12 @@ c = d * vectorize(rho), whose entry j is Tr[P_j rho]: one step rescales
 it by the channel's diagonal (c -> lambda * c) for a Pauli channel, or
 multiplies it by the transfer matrix Gamma otherwise.  The plans for
 every m come first; then one ``sampling.read_batch`` per grid point reads
-the expectations each m needs from c as it evolves, from the streams
-(seed, mu index, strength index, m, j) when sampled.
+the expectations each m needs from c as it evolves.  When sampled, the
+grid point is one read from the one stream (seed, mu index, strength
+index), its entries drawn in turn m-major, then j ascending.  This layout
+replaced one stream (seed, mu index, strength index, m, j) per entry, so
+sampled records differ from those of earlier versions; the CSV schema is
+unchanged.
 ``evolve`` is the dense counterpart, one ``apply_channel`` per step.
 
 Records carry the raw and deconvolved estimates together with their
@@ -24,12 +28,20 @@ round-trip decimals so outputs are byte-stable across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .channels import STRENGTH_KEYS, Channel, _config_float, _config_int, apply_channel, channel_from_config
+from .channels import (
+    STRENGTH_KEYS,
+    Channel,
+    _config_float,
+    _config_int,
+    _config_keys,
+    apply_channel,
+    channel_from_config,
+)
 from .characterization import is_positive_semidefinite
 from .deconvolution import deconvolve, plan, propagated_std_error
 # Unused here; bound only for the benchmark self-test that counts inversions at every binding.
@@ -132,6 +144,7 @@ class ExperimentConfig:
     def from_dict(cls, raw: Mapping) -> "ExperimentConfig":
         if not isinstance(raw, Mapping):
             raise ConfigError("an experiment config must be a JSON object")
+        _config_keys(raw, [f.name for f in fields(cls)] + ["sampling"], "experiment config")
         if raw.get("sampling", "marginal") != "marginal":  # older configs name the one readout
             raise ConfigError(f"sampling must be 'marginal', got {raw['sampling']!r}")
         try:
@@ -224,9 +237,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExpectationRecord]:
     """Execute the configured sweep and return records in canonical order.
 
     Ordering: mu grid point, then strength grid point, then m ascending,
-    then observable term index ascending.  Sampled estimates draw from
-    streams derived from (seed, grid indices, m, j), so the output is
-    reproducible regardless of evaluation order.
+    then observable term index ascending.  Sampled estimates of a grid
+    point draw from the stream derived from (seed, grid indices), so the
+    output is reproducible regardless of evaluation order.
     """
     _validate_initial_state(cfg.initial_state, cfg.n)
     mu_values: list[float | None] = list(cfg.mu_grid) if cfg.mu_grid else [None]
@@ -249,20 +262,19 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExpectationRecord]:
             except NotPauliDiagonal:
                 lam, gamma = None, ch.ptm().matrix
             plans = [[plan(units[k], ch, m) for k in term_ks] for m in range(cfg.m_max + 1)]
-            reads = [(sorted({j for p in ps for j in p.weights} | set(term_ks)), (gi, si, m))
-                     for m, ps in enumerate(plans)]
+            needed = [sorted({j for p in ps for j in p.weights} | set(term_ks)) for ps in plans]
             c = vectorize(cfg.initial_state) * d  # entry j is Tr[P_j rho]
-            exact = (coefficient_expectations(v, needed)
-                     for v, (needed, _) in zip(_evolved(c, lam, gamma, cfg.m_max), reads))
-            read = read_batch(exact, reads, cfg.shots, cfg.seed)
-            for m, (ps, (needed, _), got) in enumerate(zip(plans, reads, read)):
-                values = {j: v for j, (v, _) in zip(needed, got)}
-                errors = {j: e for j, (_, e) in zip(needed, got)}
+            exact = [e for v, js in zip(_evolved(c, lam, gamma, cfg.m_max), needed)
+                     for e in coefficient_expectations(v, js)]
+            read = [([j for js in needed for j in js], (gi, si))]  # m-major, then j ascending
+            got = iter(read_batch([exact], read, cfg.shots, cfg.seed)[0])
+            for m, (ps, js) in enumerate(zip(plans, needed)):
+                step = dict(zip(js, got))  # j -> (value, std_error) after m uses
                 for k, p in zip(term_ks, ps):
                     records.append(ExpectationRecord(
-                        mu_out, strength_out, m, k, cfg.shots, cfg.seed, values[k], errors[k],
-                        deconvolve(p, {j: values[j] for j in p.weights}),
-                        propagated_std_error(p, {j: errors[j] for j in p.weights})))
+                        mu_out, strength_out, m, k, cfg.shots, cfg.seed, *step[k],
+                        deconvolve(p, {j: step[j][0] for j in p.weights}),
+                        propagated_std_error(p, {j: step[j][1] for j in p.weights})))
     return records
 
 

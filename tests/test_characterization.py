@@ -123,10 +123,10 @@ class TestEstimateFullPtm:
         shots, seed = 700, 13
         result = estimate_full_ptm(ch, shots=shots, seed=seed)
         for k in range(1, 4**n):
-            out = apply_channel(ch, probe_state(k, n))
-            for j in range(1, 4**n):
-                expected = sample_pauli_expectation(out, j, shots, derive_rng(seed, k, j))
-                assert result.entries[(j, k)] == expected
+            # probe k is one stream (seed, k), read with j = k first
+            out, rng = apply_channel(ch, probe_state(k, n)), derive_rng(seed, k)
+            for j in [k, *(j for j in range(1, 4**n) if j != k)]:
+                assert result.entries[(j, k)] == sample_pauli_expectation(out, j, shots, rng)
 
     def test_sampled_within_four_sigma(self):
         ch = bit_flip_channel(1, 0.1)
@@ -172,6 +172,19 @@ class TestDiagonalEntries:
     def test_non_unital_rejected(self):
         with pytest.raises(NonUnitalChannel):
             estimate_diagonal_entries(correlated_amplitude_damping(0.5, 0.3), [3, 12])
+
+    @pytest.mark.parametrize("ch", [depolarizing_channel(2, 0.1, 0.3), correlated_amplitude_damping(1.0, 0.4)],
+                             ids=["pauli", "kraus"])
+    def test_each_entry_is_the_full_reports(self, ch):
+        full = estimate_full_ptm(ch, shots=300, seed=8).entries
+        for k in range(1, 16):
+            assert estimate_diagonal_entries(ch, [k], shots=300, seed=8).entries == {(k, k): full[(k, k)]}
+
+    def test_entry_does_not_depend_on_the_other_probes(self):
+        ch = bit_flip_channel(2, 0.15, 0.25)
+        alone = estimate_diagonal_entries(ch, [3], shots=700, seed=2).entries[(3, 3)]
+        assert estimate_diagonal_entries(ch, [5, 3], shots=700, seed=2).entries[(3, 3)] == alone
+        assert estimate_diagonal_entries(ch, [3, 15, 5], shots=700, seed=2).entries[(3, 3)] == alone
 
     def test_kraus_channel_past_the_full_cap_refused(self):
         # Probe outputs come from the transfer matrix, so a non-Pauli channel

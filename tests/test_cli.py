@@ -579,6 +579,29 @@ class TestArgumentErrors:
         raw["sampling"] = "marginal"  # what configs written for the default say
         assert main(["experiment", "--config", write(tmp_path, "exp.json", json.dumps(raw))]) == 0
 
+    @pytest.mark.parametrize("command, raw, key", [
+        ("experiment", {"n": 1, "channel": {"family": "bit_flip", "n": 1, "p": 0.05},
+                        "observable": [["Z", 1.0]], "m_max": 1, "shot": 100, "sed": 4}, "'sed'"),
+        ("experiment", {"n": 1, "channel": {"family": "bit_flip", "n": 1, "p": 0.05, "muu": 0.5},
+                        "observable": [["Z", 1.0]], "m_max": 1}, "'muu'"),
+        ("ptm", {"family": "bit_flip", "n": 1, "p": 0.3, "muu": 0.5}, "'muu'"),
+        ("ptm", {"family": "amp_damp_corr", "eta": 0.5, "p": 0.1}, "'p'"),
+        ("ptm", {"family": "pauli_custom", "n": 1, "beta": [0.9, 0.1, 0.0, 0.0], "mu": 0.5}, "'mu'"),
+        ("ptm", {"family": "pauli_custom", "n": 1, "beta": [0.9, 0.1, 0.0, 0.0],
+                 "p_vec": [0.9, 0.1, 0.0, 0.0]}, "'p_vec'"),
+    ], ids=["experiment-key", "channel-key", "ptm-key", "amp-damp-key", "beta-with-mu", "beta-with-p_vec"])
+    def test_unknown_config_key_exits_two_and_names_it(self, tmp_path, capsys, command, raw, key):
+        assert main([command, "--config", write(tmp_path, "cfg.json", json.dumps(raw))]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_mu_sweep_of_a_beta_channel_exits_two(self, tmp_path, capsys):
+        raw = {"n": 1, "channel": {"family": "pauli_custom", "n": 1, "beta": [0.9, 0.1, 0.0, 0.0]},
+               "observable": [["Z", 1.0]], "m_max": 1, "mu_grid": [0.0, 0.5]}
+        assert main(["experiment", "--config", write(tmp_path, "exp.json", json.dumps(raw))]) == 2
+        assert "'beta' with 'mu'" in capsys.readouterr().err
+        del raw["mu_grid"]
+        assert main(["experiment", "--config", write(tmp_path, "exp.json", json.dumps(raw))]) == 0
+
     def test_unknown_sampling_exits_two(self, tmp_path, capsys):
         cfg = write(tmp_path, "exp.json", json.dumps({
             "n": 1, "channel": {"family": "bit_flip", "n": 1, "p": 0.05},
@@ -844,7 +867,8 @@ def experiment_configs(draw, channel):
         key, value = draw(st.sampled_from([
             ("n", 3), ("m_max", -1), ("shots", -1), ("seed", -1), ("initial_state", "bogus"),
             ("sampling", "bogus"), ("sampling", "projective"), ("observable", [["Z" * n, float("inf")]]),
-            ("n", 1.5), ("m_max", 2.5), ("shots", True),
+            ("n", 1.5), ("m_max", 2.5), ("shots", True), ("shot", 100), ("sed", 4),
+            ("channel", {**channel, "muu": 0.5}),
         ]))
         raw[key] = value
     return raw

@@ -46,14 +46,14 @@ GOLDEN = {
     ("ptm", "depolarizing_n3_fig2"): (0, "38da1b60c6b0c93ac7d8cffa8405cac2a1c6f76be4e8bb96d767157f4c7ab81b"),
     ("ptm", "pauli_custom_n1"): (0, "002ebaf1a6be75cfaccdc9fbc45b149e78c6d16d71d678acbd946680f7bf3843"),
     ("characterize", "amp_damp_corr"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("characterize", "amp_damp_corr_unital"): (0, "181b9ad6f84be8c61374074685be6622bad0bf39e9db22544d6ff9d1f0e3b69a"),
-    ("characterize", "bit_flip_n1"): (0, "25d700af22b19832abda32564dfd07b711f682730ca0b6ba719761aa606b526a"),
-    ("characterize", "bit_flip_n2_correlated"): (0, "cbfcfa5435b758247795f08415fb8b7e07a81e1c2ea346b5edeee374458eea00"),
-    ("characterize", "bit_flip_n3_correlated"): (0, "47ca718290acf604977ad15a6833b1857b0a54fdf50778127067a15cf1d5f6a1"),
-    ("characterize", "dephasing_n2"): (0, "a175ab2872d1fc97644d5e2f28a2c8f3e531cf09b60a6028cc8672d835d23ca7"),
-    ("characterize", "depolarizing_n1"): (0, "fc70bf5e2d4e224003d462387f48c4fb3951e0e567fe3f2db913bdaf8bb6860c"),
-    ("characterize", "depolarizing_n3_fig2"): (0, "f405e73e7b7bcb1f06fa71c0487694189054c3334f0ccaa3a03c19da49f44086"),
-    ("characterize", "pauli_custom_n1"): (0, "e28f082f437183c7d60ab8ca96038d0bb5bc191789ae0590834d6fa3abfae076"),
+    ("characterize", "amp_damp_corr_unital"): (0, "aacb0552ee2824056659b673db8e5d5ee0ab52161745b305fadc03732dfe17c3"),
+    ("characterize", "bit_flip_n1"): (0, "4800038ad36df6a9e62fa1ee8de9d76fc31edcfa11d2c4ec73818c67978c3556"),
+    ("characterize", "bit_flip_n2_correlated"): (0, "bf8baad3b6a2cb2d9d485634ff6a9570e5c00ee4cb6f9bf01c4a14f74ab7e926"),
+    ("characterize", "bit_flip_n3_correlated"): (0, "588bb38a6f864a3319d304165ca3401b7beb8f7b3e25d743b344aaa4af1f8d1c"),
+    ("characterize", "dephasing_n2"): (0, "5a1ac6fd45dda2834735b464c04f2df00da59a1b870efbe48f94caa5f37dbab2"),
+    ("characterize", "depolarizing_n1"): (0, "a28021ee4dd8fdfbc3faaca8924d983ff75cc3c9726feb44c42231b8a106a584"),
+    ("characterize", "depolarizing_n3_fig2"): (0, "8c719e5158bf782b48be0dfb0a25883ec9a7946e60174d364390bc957aaf092c"),
+    ("characterize", "pauli_custom_n1"): (0, "aa1802d5cbf8b42ba170ff9f5607686334493ec2e1fd847715f404b41d603eca"),
     ("characterize-exact", "amp_damp_corr"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("characterize-exact", "amp_damp_corr_unital"): (0, "6867a4c68812c5c28e3a50d2c7c69ffd078b06e38c7f1c83c340dd3217afa1bb"),
     ("characterize-exact", "bit_flip_n1"): (0, "28ad8a86c34adc5c7dd2c1b2ac9cfb5fdf9dab1f810052aa8fdef1c54c48d544"),
@@ -73,13 +73,13 @@ GOLDEN = {
     ("deconvolve", "depolarizing_n3_fig2"): (0, "38e0b229eb58c08de6269a335bcfd8782a1420ccb7ee9dd8d7c6d4aff4240f61"),
     ("deconvolve", "pauli_custom_n1"): (0, "17b108414c99ecdb2435400287b3405ad3dfa7d88cf582a0dabe56c7ac82ec26"),
     ("experiment", "amp_damp_zz"): (0, "394c652753eb7560d1c6a4f23f307eb615e094f673104304e10da19d35dc258d"),
-    ("experiment", "fig2a_mu_sweep"): (0, "354b5920ad486107904b484bf49128a68a8b50ab41e20ad92fc45701501ea168"),
-    ("experiment", "fig2b_deconvolution"): (0, "0434a25da1df24e4c1863e90cd8de859affc292a4114bd2c77a4261e39c0c5e7"),
+    ("experiment", "fig2a_mu_sweep"): (0, "244e54ae949a32475ab13eb5e0fefd39ed1d082842537ea6db87b47a3476ce50"),
+    ("experiment", "fig2b_deconvolution"): (0, "d9c3358bf885426db99956962eef9fb389b900fab66deb480428abb2fa820312"),
     ("experiment", "fig2b_exact"): (0, "afe5f475f77e1d6098f0590fc1a5d2d38d997c3252bd107f56b0af47ed47d38c"),
     ("experiment-marginal", "amp_damp_zz"): (0, "14626b73d4ada86b86b56836307054a39018d05b5d9a3d452a0e72048edce99b"),
-    ("experiment-marginal", "fig2a_mu_sweep"): (0, "7e04819fa1c3dc5cb4939b9ba5cc23866f18b5e8a008a5363b4a6c2b7052208e"),
-    ("experiment-marginal", "fig2b_deconvolution"): (0, "c4dcdadf2f44ecac13bc137cf1bd9b3ed82ce13acc7e558c60ec007ef3631d6f"),
-    ("experiment-marginal", "fig2b_exact"): (0, "c4dcdadf2f44ecac13bc137cf1bd9b3ed82ce13acc7e558c60ec007ef3631d6f"),
+    ("experiment-marginal", "fig2a_mu_sweep"): (0, "62bb5a59b1c283d9f5cf01d791335f5933e58335bd8c216b3493a6a2f3b48ee3"),
+    ("experiment-marginal", "fig2b_deconvolution"): (0, "f80ac478d27a7e0c889b93de4f7155553206f2970ecbd2a70e6186faeee3f8b2"),
+    ("experiment-marginal", "fig2b_exact"): (0, "f80ac478d27a7e0c889b93de4f7155553206f2970ecbd2a70e6186faeee3f8b2"),
     ("ptm-json", "amp_damp_corr"): (0, "83c0978cda02022decded44207e0af672b10f39c9d4cb4c47c9d5bc4d191be04"),
     ("ptm-json", "amp_damp_corr_unital"): (0, "ae6eedb9a874d33d58930d6a41614be6891f1a45910d4909ed36fa4aeea329ac"),
     ("ptm-json", "bit_flip_n1"): (0, "5bac3ec64f3bb40c66366cf009894050a5e0546c52b433f289326ef511bc95df"),
@@ -90,14 +90,14 @@ GOLDEN = {
     ("ptm-json", "depolarizing_n3_fig2"): (0, "dbea411f66887c59ca67f5da1d764bd41c58518f63df1b6009ad49388255c6d4"),
     ("ptm-json", "pauli_custom_n1"): (0, "9ca5c78cc6129695efb7423c873b6aac1a0a5679c4f9521b08445eab6600fddb"),
     ("characterize-json", "amp_damp_corr"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("characterize-json", "amp_damp_corr_unital"): (0, "a8af7188ecc59a5b727c178ad2a86ddf290a0958072c46007f81084f205465c2"),
-    ("characterize-json", "bit_flip_n1"): (0, "38746b67b943ea07e48d64fe54368a45e5957e3b5ee106691c5180ceaa280bdd"),
-    ("characterize-json", "bit_flip_n2_correlated"): (0, "a5c89a82b1d61a62b6d37260a70f024a0576bd0718ee7692878c0b661198980c"),
-    ("characterize-json", "bit_flip_n3_correlated"): (0, "bbe0c425d0c49b4e206dba3c5e6a1e8579169d38f3d18733f45f2e9072f5c46e"),
-    ("characterize-json", "dephasing_n2"): (0, "53f082e98da73ea3e1dfd5756dceb3893f7b66a3dce6e76f4f40a1c6080a7392"),
-    ("characterize-json", "depolarizing_n1"): (0, "def1b4877d1a79372d153d6f439eca0a285925447f2f515b745628d6cb403c2b"),
-    ("characterize-json", "depolarizing_n3_fig2"): (0, "6d2d3c4899b05264024257b8ebd15d318ab04fd527ffb5362d7a04cca3da7524"),
-    ("characterize-json", "pauli_custom_n1"): (0, "ffd20fbdda634a667e9917477f06d3c5fd37c2e23b2c0ccca480adc89642449a"),
+    ("characterize-json", "amp_damp_corr_unital"): (0, "c1102f3efca7c0fa058fc08732cd7e1498d1f050b9a0449bfed1dce19bbb2a20"),
+    ("characterize-json", "bit_flip_n1"): (0, "a03ac559bc689a6ae382e4bf8e6c0ad929811932dd591647e8254915220ae96d"),
+    ("characterize-json", "bit_flip_n2_correlated"): (0, "7372b2b6ec2dba75c84d368d6ab8b72d7beff8a5e3ed06d58c02a5bb42109f38"),
+    ("characterize-json", "bit_flip_n3_correlated"): (0, "7c635afe9f9791fadbbc454d4e96bdd54fd531b99510a7affabe611539d25e80"),
+    ("characterize-json", "dephasing_n2"): (0, "2cf9d1139d754c953a51e84ed3e1b231245589ccfe9579fe6ec43b2f7cdda709"),
+    ("characterize-json", "depolarizing_n1"): (0, "c4cbdc2826dffe32859cdcc66fb28034a205bb5c84a2733e8c60c873c550e014"),
+    ("characterize-json", "depolarizing_n3_fig2"): (0, "50097795efec7e3e0ccacfe2d7e5c0548be4624ae016b1c95dfc84f10a79d52b"),
+    ("characterize-json", "pauli_custom_n1"): (0, "b8a2a6dc7be87579e0d9121afc185ebca796b8734741d36d396c272755bc0484"),
     ("deconvolve-json", "amp_damp_corr"): (0, "0f6e12faf92bb97918259fab1e39ce3e0825ba37c2d371461e3901807c56d24b"),
     ("deconvolve-json", "amp_damp_corr_unital"): (0, "9df1f7a544283e09c075e727f456e02e5b2d660233c42fe3085f7d3ee955b8fa"),
     ("deconvolve-json", "bit_flip_n1"): (0, "7cc94ad25e12d48c50accbf6aa345bf99037fe62ac4e11b3b7e354cac254aeed"),
@@ -108,8 +108,8 @@ GOLDEN = {
     ("deconvolve-json", "depolarizing_n3_fig2"): (0, "130e1e8e609e1e8257ed2e8742a0e76d069e617141b77c6ffa16751c55eb86cd"),
     ("deconvolve-json", "pauli_custom_n1"): (0, "a8ea54d834d17919d70ee2ae844281c73dd11e0bfccb072143c726600d044c82"),
     ("experiment-json", "amp_damp_zz"): (0, "b82ff9319c0a7995b452f9feaca1aba42ca12c912f822071a0bf2dc1feaa234d"),
-    ("experiment-json", "fig2a_mu_sweep"): (0, "1c519c5ea1f735a35f83847176289c1a711d245e342d444d124b447905741f5f"),
-    ("experiment-json", "fig2b_deconvolution"): (0, "fcd7d6d41a241e5efe1ef484856f4ffeb9217957ff9d8d8c34ace62cbc9b208d"),
+    ("experiment-json", "fig2a_mu_sweep"): (0, "52ff16d955d297a66b28628d4c4fec9e3eea3662e27307472d389bf88ab11d57"),
+    ("experiment-json", "fig2b_deconvolution"): (0, "990d83eac8d33a1a0e0adb35c8d4346eccd10a763ca028d67f49cc18b68fdea3"),
     ("experiment-json", "fig2b_exact"): (0, "814a0e544c0c51c055ae130465efaa9249dae89c557831d4a6be981c7df91e0b"),
     ("ptm-diagonal", "amp_damp_corr"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("ptm-diagonal", "amp_damp_corr_unital"): (0, "b3dce4a1e37470e211e859777f67ea2a1a31004451c1ef780d113aed83d80fef"),

@@ -1,10 +1,12 @@
-"""The batched stream derivation, pinned to ``derive_rng``.
+"""The batched stream derivation and the vector draw, pinned to numpy.
 
 ``sampling._stream_states`` copies numpy's SeedSequence -> PCG64 seeding
 so that a readout derives the streams of a whole batch in one pass; every
 test here compares it with the public definition of a stream,
 ``derive_rng(seed, *tags)``.  A numpy release that changed its seeding
-fails ``TestStreamStates`` first.
+fails ``TestStreamStates`` first.  A read draws all its entries with one
+vector binomial call on its stream; ``TestVectorDraw`` pins that call to
+the same draws made one at a time.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 from noisedeconv import sampling
 from noisedeconv.channels import depolarizing_channel
 from noisedeconv.characterization import estimate_diagonal_entries, estimate_full_ptm
+from noisedeconv.exceptions import ProbabilityOutOfRange
 from noisedeconv.sampling import _stream_states, derive_rng, read_batch, sample_marginal
 from noisedeconv.simulator import ExperimentConfig, run_experiment
 
@@ -56,14 +59,35 @@ class TestStreamStates:
 
     @pytest.mark.parametrize("shots", [1, 1000, 2**40])
     def test_draws_equal_derive_rng_draws(self, shots):
-        # shots * min(p, 1 - p) below 30 takes numpy's inversion sampler,
-        # above it BTPE; shots = 1000 exercises both across the p below.
-        seed, tags = 2**64 + 3, (4, 1, 9)
+        # each read's entries are drawn in turn from its one stream
+        # derive_rng(seed, *tags); reads of one entry, of none and of many mix
+        seed = 2**64 + 3
         es = np.linspace(-0.999, 0.999, 41).tolist()
-        ks = range(1, len(es) + 1)
-        assert read_batch([es], [(ks, tags)], shots, seed) == [[
-            sample_marginal(e, shots, derive_rng(seed, *tags, j)) for j, e in zip(ks, es)
-        ]]
+        reads = [(range(1, 42), (4, 1)), ([7], (4, 2)), ([], (5, 0)), ([2, 3], (0, 2**32 - 1))]
+        values = [es, [0.3], [], [-0.2, 0.9]]
+        expected = []
+        for vals, (_, tags) in zip(values, reads):
+            rng = derive_rng(seed, *tags)
+            expected.append([sample_marginal(e, shots, rng) for e in vals])
+        assert read_batch(values, reads, shots, seed) == expected
+
+
+class TestVectorDraw:
+    """numpy's vector binomial equals the same draws made one at a time from
+    one generator: what makes a read's one call equal to a per-entry
+    ``sample_marginal`` loop over its stream."""
+
+    @pytest.mark.parametrize("shots", [1, 1000, 2**40])
+    def test_equals_sequential_scalar_draws(self, shots):
+        # shots * min(p, 1 - p) below 30 takes numpy's inversion sampler,
+        # above it BTPE: every shots value meets inversion at the ends of p,
+        # and all but shots = 1 meet BTPE in the middle
+        p = np.concatenate([np.linspace(0.0, 1.0, 41), [1e-12, 0.01, 0.02, 0.97, 1 - 1e-12]])
+        regime = shots * np.minimum(p, 1 - p) > 30
+        assert not regime.all() and (regime.any() or shots == 1)
+        one = np.random.default_rng([9, 4])
+        assert np.random.default_rng([9, 4]).binomial(shots, p).tolist() == [
+            int(one.binomial(shots, q)) for q in p]
 
 
 class TestOneDerivationPerBatch:
@@ -79,18 +103,23 @@ class TestOneDerivationPerBatch:
         return calls
 
     def test_full_report_derives_once(self, derivations):
+        # one stream per probe
         ch = depolarizing_channel(2, 0.2, 0.4)
         estimate_full_ptm(ch, shots=500, seed=4)
-        assert derivations == [15 * 15]
+        assert derivations == [15]
         estimate_diagonal_entries(ch, range(1, 16), shots=500, seed=4)
-        assert derivations == [15 * 15, 15]
+        assert derivations == [15, 15]
 
     def test_report_is_derived_in_chunks_of_batch_rows(self, derivations, monkeypatch):
+        # 15 reads of 15 entries: runs of six reads under 100 entries, and a
+        # read larger than BATCH_ROWS is never split
         ch = depolarizing_channel(2, 0.2, 0.4)
         whole = estimate_full_ptm(ch, shots=500, seed=4)
         monkeypatch.setattr(sampling, "BATCH_ROWS", 100)
         assert estimate_full_ptm(ch, shots=500, seed=4) == whole
-        assert derivations == [225, 100, 100, 25]
+        monkeypatch.setattr(sampling, "BATCH_ROWS", 10)
+        assert estimate_full_ptm(ch, shots=500, seed=4) == whole
+        assert derivations == [15, 6, 6, 3] + [1] * 15
 
     def test_experiment_derives_once_per_grid_point(self, derivations):
         cfg = ExperimentConfig.from_dict({
@@ -100,7 +129,7 @@ class TestOneDerivationPerBatch:
             "mu_grid": [0.0, 0.6], "strength_grid": [0.05, 0.2],
         })
         run_experiment(cfg)
-        assert len(derivations) == 4
+        assert derivations == [1, 1, 1, 1]
 
     def test_exact_readouts_derive_nothing(self, derivations):
         ch = depolarizing_channel(2, 0.2, 0.4)
@@ -114,14 +143,25 @@ class TestOneDerivationPerBatch:
         assert derivations == []
 
 
+@pytest.mark.parametrize("bad", [1.5, -1.0 - 1e-6, float("nan")])
+def test_read_batch_refuses_an_expectation_outside_the_unit_interval(bad):
+    with pytest.raises(ProbabilityOutOfRange):
+        read_batch([[0.2], [0.1, bad]], [([1], (1,)), ([1, 2], (2,))], 100, 0)
+    with pytest.raises(ProbabilityOutOfRange):
+        sample_marginal(bad, 100, derive_rng(0))
+
+
 def test_sampled_full_report_is_one_marginal_draw_per_entry():
+    # probe k's entries come from its one stream (seed, k), (k, k) first,
+    # then j ascending
     ch = depolarizing_channel(2, 0.15, 0.5)
     shots, seed = 900, 2**32 + 5
     exact = estimate_full_ptm(ch).entries
     sampled = estimate_full_ptm(ch, shots=shots, seed=seed).entries
+    for k in range(1, 16):
+        rng = derive_rng(seed, k)
+        for j in [k, *(j for j in range(1, 16) if j != k)]:
+            assert sampled[(j, k)] == sample_marginal(exact[(j, k)][0], shots, rng)
     for (j, k), (e, _) in exact.items():
-        if j and k:
-            assert sampled[(j, k)] == sample_marginal(e, shots, derive_rng(seed, k, j))
-        else:
+        if not (j and k):
             assert sampled[(j, k)] == (e, 0.0)
-

@@ -133,12 +133,14 @@ class TestExpectationSampled:
             assert abs(np.mean(vals) - exact) < 5 * np.sqrt((1 - exact**2) / 4096 / 30)
 
     def test_read_batch_is_one_draw_per_entry(self):
-        # entry j is the dense sampler's draw from the stream (seed, *tags, j)
+        # the read's entries are the dense sampler's draws, in turn, from its
+        # one stream (seed, *tags)
         c = vectorize(random_density(2, np.random.default_rng(6))) * 4
         ks, tags = [1, 5, 6, 15], (3, 0, 2)
         exact = coefficient_expectations(c, ks)
+        rng = derive_rng(9, *tags)
         assert read_batch([exact], [(ks, tags)], 500, 9) == [[
-            sample_pauli_expectation(devectorize(c / 4), j, 500, derive_rng(9, *tags, j)) for j in ks
+            sample_pauli_expectation(devectorize(c / 4), j, 500, rng) for j in ks
         ]]
         assert read_batch([exact], [(ks, tags)], 0, 9) == [[(e, 0.0) for e in exact]]
 
@@ -310,16 +312,23 @@ class TestCoefficientEvolution:
     def test_sampled_records_match_dense_sampler(self, channel, strengths):
         cfg = evolution_config(channel, "plus", shots=900, seed=21, m_max=3,
                                strength_grid=strengths)
+        # a grid point is one stream (seed, gi, si): after m uses, every entry
+        # the plans read is drawn in turn, j ascending, before those of m + 1
+        terms = sorted(cfg.observable.terms)
         records = iter(run_experiment(cfg))
         for gi, si, ch in grid_channels(cfg):
+            rng = derive_rng(cfg.seed, gi, si)
             for m in range(cfg.m_max + 1):
                 rho = evolve(cfg.initial_state, ch, m)
-                for k in cfg.observable.terms:
+                plans = {k: plan(Observable(cfg.n, {k: 1.0}), ch, m) for k in terms}
+                needed = sorted(set(terms).union(*(p.weights for p in plans.values())))
+                drawn = {j: sample_pauli_expectation(rho, j, cfg.shots, rng) for j in needed}
+                for k in terms:
                     r = next(records)
-                    expected = sample_pauli_expectation(
-                        rho, k, cfg.shots, derive_rng(cfg.seed, gi, si, m, k)
-                    )
-                    assert (r.value, r.std_error) == expected
+                    assert (r.m, r.k) == (m, k)
+                    assert (r.value, r.std_error) == drawn[k]
+                    assert r.deconvolved == deconvolve(plans[k], {j: drawn[j][0] for j in plans[k].weights})
+        assert next(records, None) is None
 
     def test_no_channel_application(self, monkeypatch):
         calls = []
