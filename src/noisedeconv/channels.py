@@ -374,13 +374,24 @@ def _apply_transfer(ch: Channel, rho: np.ndarray, method: str) -> np.ndarray:
 def _superoperator_ptm(kraus_ops: Sequence[np.ndarray], n: int) -> PTM:
     """Transfer matrix of rho -> sum_i K_i rho K_i^dag in one basis change.
 
-    S = sum_i K_i (x) conj(K_i) maps the row-major entries of rho to those
-    of its image; one product over the stacked operators forms it.  With
-    each qubit's (row, column) entry axes made adjacent, the vectorize
-    kernel on the output side and the devectorize kernel on the input side
-    give Gamma = V S W / d in 2n per-qubit contractions.
+    With each qubit's (row, column) entry axes of the superoperator made
+    adjacent, the vectorize kernel on the output side and the devectorize
+    kernel on the input side give Gamma = V S W / d in 2n per-qubit
+    contractions.  The superoperator is passed without a name kept here,
+    so at most two D x D complex work arrays are alive at once.
     """
     check_qubits(n, MAX_QUBITS_FULL_PTM)
+    d = 2**n
+    gamma = _transform_per_qubit([_VEC_KERNEL] * n + [_DEVEC_KERNEL.T] * n, _superoperator(kraus_ops, n))
+    gamma /= d
+    return PTM(n, gamma.reshape(d * d, d * d))
+
+
+def _superoperator(kraus_ops: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """S = sum_i K_i (x) conj(K_i), which maps the row-major entries of rho to
+    those of its image, formed by one product over the stacked operators and
+    returned with its axes in qubit order: output (row, column) bits of each
+    qubit, then input (row, column) bits of each qubit."""
     d = 2**n
     stacked = np.stack(kraus_ops).reshape(len(kraus_ops), d * d)
     # S[(a, c), (b, e)] = sum_i K_i[a, c] conj(K_i[b, e]), for output entry
@@ -388,10 +399,7 @@ def _superoperator_ptm(kraus_ops: Sequence[np.ndarray], n: int) -> PTM:
     S = (stacked.T @ stacked.conj()).reshape((2,) * (4 * n))
     a, c, b, e = (range(i * n, (i + 1) * n) for i in range(4))
     order = [ax for q in range(n) for ax in (a[q], b[q])] + [ax for q in range(n) for ax in (c[q], e[q])]
-    S = np.ascontiguousarray(S.transpose(order))
-    gamma = _transform_per_qubit([_VEC_KERNEL] * n + [_DEVEC_KERNEL.T] * n, S)
-    gamma /= d
-    return PTM(n, gamma.reshape(d * d, d * d))
+    return np.ascontiguousarray(S.transpose(order))
 
 
 def apply_channel(ch: Channel, rho: np.ndarray, method: str = "auto") -> np.ndarray:

@@ -25,6 +25,20 @@ report gives its rows as the lambdas, and a full report answers as its
 transfer matrix (``ptm()``) does, so an exactly diagonal one takes the
 diagonal path and any other the general path.
 
+Report text is read and written through memos that live for one call.  A
+sampled estimate is 2c/shots - 1 for a count c, and its std_error is a
+function of the same count, so a column holds at most shots + 1 distinct
+values (about 150 in a 4096-row report at 1000 shots), and every row
+shares one shots/seed pair.  int, float and repr are pure functions of
+their argument, so converting each distinct token once, and formatting
+each distinct (estimate, std_error) pair once, gives the same entries and
+the same bytes as a call per field.  A pair that holds a zero bypasses the
+writer's memo, since -0.0 == 0.0 but the two print differently, and a
+memo stops growing at MEMO_SIZE values.  Text is split CHUNK_LINES lines
+at a time (``pauli.text_chunks``) and each chunk is checked column by
+column; a chunk that fails a check is read again row by row, which names
+the first bad line.
+
 The probe's positive semidefiniteness is certified through the
 characteristic-polynomial coefficients S_m, computed by the trace-power
 recursion (S_0 = 1):
@@ -47,13 +61,14 @@ import numpy as np
 from .channels import MAX_QUBITS_FULL_PTM, PTM, Channel
 from .channels import apply_channel  # noqa: F401  (unused; the benchmark self-test counts this binding)
 from .exceptions import (
+    ConfigError,
     IdentityProbe,
     NonUnitalChannel,
     NotPauliDiagonal,
     ParseError,
 )
-from .pauli import as_index, check_qubits, is_hermitian, num_qubits, pauli_element, text_rows
-from .sampling import read_batch
+from .pauli import as_index, check_qubits, is_hermitian, num_qubits, pauli_element, text_chunks
+from .sampling import check_shots_and_seed, read_batch
 
 __all__ = [
     "CharacterizedPTM",
@@ -69,6 +84,11 @@ __all__ = [
 
 UNITALITY_TOL = 1e-9
 PSD_TOL = -1e-10
+
+# Values a report-text memo keeps: past this many distinct values (an exact
+# report of non-Pauli noise has a new one on every row) it only costs time
+# and memory.
+MEMO_SIZE = 4096
 
 
 def probe_state(k, n: int | None = None) -> np.ndarray:
@@ -145,61 +165,188 @@ class CharacterizedPTM:
         return PTM(self.n, M)
 
     def to_report_text(self) -> str:
-        lines = [
-            "# transfer-matrix characterization report",
-            f"n {self.n}",
-            f"mode {self.mode}",
-        ]
-        for (j, k) in sorted(self.entries):
-            est, err = self.entries[(j, k)]
-            lines.append(f"{j} {k} {float(est)!r} {float(err)!r} {self.shots} {self.seed}")
+        """The report text, rows in (j, k) order.  Each distinct (estimate,
+        std_error) pair is formatted once per call, unless it holds a zero:
+        -0.0 == 0.0, but the two print differently."""
+        cells: dict[tuple[float, float], str] = {}
+        tail = f" {self.shots} {self.seed}"
+        lines = ["# transfer-matrix characterization report", f"n {self.n}", f"mode {self.mode}"]
+        for jk in sorted(self.entries):
+            est, err = self.entries[jk]
+            key = (est, err) if est and err else None
+            cell = cells.get(key)
+            if cell is None:
+                cell = f"{float(est)!r} {float(err)!r}{tail}"
+                if key and len(cells) < MEMO_SIZE:
+                    cells[key] = cell
+            lines.append(f"{jk[0]} {jk[1]} {cell}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_report_text(cls, text: str) -> "CharacterizedPTM":
-        n = None
-        mode = None
-        run = None  # (shots, seed) of the first row, shared by every row
-        entries: dict[tuple[int, int], tuple[float, float]] = {}
-        for lineno, line, fields in text_rows(text):
-            if len(fields) == 2:
-                key, value = fields
-                if key == "n" and value.isdigit():
-                    n = int(value)
-                elif key == "mode":
-                    mode = value
-                else:
-                    raise ParseError(f"line {lineno}: bad header line {line!r}")
-                continue
-            if len(fields) != 6:
-                raise ParseError(
-                    f"line {lineno}: expected 'j k estimate std_error shots seed'"
-                )
+        """Parse report text: ``n`` and ``mode`` header lines, each once, and
+        rows ``j k estimate std_error shots seed`` sharing one shots/seed
+        pair, which must pass ``check_shots_and_seed``.  A bad line raises
+        ParseError naming it."""
+        reader = _ReportReader()
+        for chunk in text_chunks(text):
+            reader.read(*chunk)
+        return cls(*reader.result())
+
+
+class _Memo(dict):
+    """token -> convert(token), so each distinct token is converted once."""
+
+    __slots__ = ("convert",)
+
+    def __init__(self, convert):
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, token):
+        value = self.convert(token)
+        if len(self) < MEMO_SIZE:
+            self[token] = value
+        return value
+
+
+def _finite(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite {token!r}")
+    return value
+
+
+def _std_error(token: str) -> float:
+    value = _finite(token)
+    if value < 0:
+        raise ValueError(f"negative {token!r}")
+    return value
+
+
+def _header(row: list[str]) -> tuple[str, int | str] | None:
+    """(key, value) of a valid two-field header line, else None."""
+    key, value = row
+    if key == "n" and value.isdecimal():
+        return key, int(value)
+    return (key, value) if key == "mode" else None
+
+
+class _ReportReader:
+    """The state of one parse of report text.
+
+    A chunk is read column by column (``_read_columns``): each column goes
+    through one memo of this parse, and every check runs on whole columns.
+    A chunk that fails any check changes nothing and is read again row by
+    row (``_read_row``), which raises the first bad line's error.  The j/k
+    range and the diagonal-mode rule need the header, which may come last,
+    so they are checked in ``result`` from the extent of the int columns.
+    """
+
+    def __init__(self):
+        self.header: dict[str, tuple] = {}  # "n" / "mode" -> (value, line number)
+        self.run: tuple[int, int] | None = None  # (shots, seed) of the first row
+        self.entries: dict[tuple[int, int], tuple[float, float]] = {}
+        self.lo, self.hi = math.inf, -math.inf  # least and greatest j or k
+        self.diagonal = True  # j == k on every row
+        self.ints, self.ests, self.errs = _Memo(int), _Memo(_finite), _Memo(_std_error)
+
+    def read(self, first: int, lines: list[str], fields: list[list[str]]) -> None:
+        """Take one chunk of ``pauli.text_chunks``, or raise ParseError
+        naming its first bad line."""
+        if not self._read_columns(first, fields):
+            for lineno, line, row in zip(range(first, first + len(lines)), lines, fields):
+                if row:
+                    self._read_row(lineno, line, row)
+
+    def _read_columns(self, first: int, fields: list[list[str]]) -> bool:
+        """Take a chunk's header lines and rows if every check passes."""
+        rows = [row for row in fields if len(row) == 6]
+        header = {}
+        if len(rows) < len(fields):
+            for lineno, row in zip(range(first, first + len(fields)), fields):
+                if row and len(row) != 6:
+                    item = _header(row) if len(row) == 2 else None
+                    if item is None or item[0] in self.header or item[0] in header:
+                        return False
+                    header[item[0]] = (item[1], lineno)
+        if rows:
+            ints = self.ints.__getitem__
             try:
-                j, k = int(fields[0]), int(fields[1])
-                est, err = float(fields[2]), float(fields[3])
-                shots, seed = int(fields[4]), int(fields[5])
+                js, ks, ests, errs, shots, seeds = zip(*rows)
+                js, ks = list(map(ints, js)), list(map(ints, ks))
+                chunk = dict(zip(zip(js, ks), zip(map(self.ests.__getitem__, ests),
+                                                   map(self.errs.__getitem__, errs))))
+                runs = set(zip(map(ints, shots), map(ints, seeds)))
             except ValueError:
-                raise ParseError(f"line {lineno}: malformed row {line!r}") from None
-            if not (math.isfinite(est) and math.isfinite(err)):
-                raise ParseError(f"line {lineno}: non-finite estimate or error in {line!r}")
-            if err < 0 or shots < 0 or seed < 0:
-                raise ParseError(f"line {lineno}: std_error, shots and seed must be >= 0 in {line!r}")
-            if run is None:
-                run = shots, seed
-            elif shots != run[0] or seed != run[1]:
-                raise ParseError(f"line {lineno}: shots {shots} and seed {seed} differ from the first row's {run}")
-            if (j, k) in entries:
-                raise ParseError(f"line {lineno}: entry ({j}, {k}) repeats an earlier row")
-            entries[(j, k)] = (est, err)
+                return False
+            run = self.run or next(iter(runs))
+            if runs != {run} or len(chunk) < len(rows) or not self.entries.keys().isdisjoint(chunk):
+                return False
+            if self.run is None:
+                try:
+                    check_shots_and_seed(*run)
+                except ConfigError:
+                    return False
+            self.run = run
+            self.entries.update(chunk)
+            self._extend(js, ks)
+        self.header.update(header)
+        return True
+
+    def _read_row(self, lineno: int, line: str, row: list[str]) -> None:
+        """Take one data line, or raise ParseError naming it."""
+        if len(row) == 2:
+            item = _header(row)
+            if item is None:
+                raise ParseError(f"line {lineno}: bad header line {line!r}")
+            key, value = item
+            if key in self.header:
+                raise ParseError(f"line {lineno}: header {key!r} repeats line {self.header[key][1]}")
+            self.header[key] = (value, lineno)
+            return
+        if len(row) != 6:
+            raise ParseError(f"line {lineno}: expected 'j k estimate std_error shots seed'")
+        try:
+            j, k = int(row[0]), int(row[1])
+            est, err = float(row[2]), float(row[3])
+            shots, seed = int(row[4]), int(row[5])
+        except ValueError:
+            raise ParseError(f"line {lineno}: malformed row {line!r}") from None
+        if not (math.isfinite(est) and math.isfinite(err)):
+            raise ParseError(f"line {lineno}: non-finite estimate or error in {line!r}")
+        if err < 0 or shots < 0 or seed < 0:
+            raise ParseError(f"line {lineno}: std_error, shots and seed must be >= 0 in {line!r}")
+        if self.run is None:
+            try:
+                check_shots_and_seed(shots, seed)
+            except ConfigError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
+            self.run = shots, seed
+        elif shots != self.run[0] or seed != self.run[1]:
+            raise ParseError(f"line {lineno}: shots {shots} and seed {seed} differ from the first row's {self.run}")
+        if (j, k) in self.entries:
+            raise ParseError(f"line {lineno}: entry ({j}, {k}) repeats an earlier row")
+        self.entries[j, k] = (est, err)
+        self._extend([j], [k])
+
+    def _extend(self, js: list[int], ks: list[int]) -> None:
+        self.lo = min(self.lo, min(js), min(ks))
+        self.hi = max(self.hi, max(js), max(ks))
+        self.diagonal = self.diagonal and js == ks
+
+    def result(self) -> tuple:
+        """(n, mode, entries, shots, seed) once every chunk is read."""
+        n = self.header.get("n", (None,))[0]
+        mode = self.header.get("mode", (None,))[0]
         if n is None or mode not in ("diagonal", "full"):
             raise ParseError("report lacks a valid 'n'/'mode' header")
         check_qubits(n)
-        if entries and not (0 <= min(map(min, entries)) and max(map(max, entries)) < 4**n):
+        if not (0 <= self.lo and self.hi < 4**n):
             raise ParseError(f"report entries must have j and k in 0..{4**n - 1}")
-        if mode == "diagonal" and not all(j == k > 0 for j, k in entries):
+        if mode == "diagonal" and not (self.diagonal and self.lo > 0):
             raise ParseError("a diagonal report holds only (k, k) rows with k >= 1")
-        return cls(n, mode, entries, *(run or (0, 0)))
+        return (n, mode, self.entries, *(self.run or (0, 0)))
 
 
 def _probe_report(ch: Channel, mode: str, ks, entries: dict, shots: int, seed: int) -> CharacterizedPTM:

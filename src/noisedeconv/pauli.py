@@ -52,6 +52,10 @@ MAX_QUBITS = 6
 HERMITIAN_TOL = 1e-10
 PRUNE_TOL = 1e-14
 
+# Lines of text split at a time: a whole report's fields at once would hold
+# every field string of the text alive together.
+CHUNK_LINES = 256
+
 PAULI_LABELS = "IXYZ"
 _LABEL_DIGITS = str.maketrans(PAULI_LABELS, "0123")
 
@@ -193,8 +197,11 @@ def _transform_per_qubit(kernels: Sequence[np.ndarray], flat: np.ndarray) -> np.
     Each step contracts the leading axis and appends its image as the last
     axis, so a step is one matrix product over a transposed view, with no
     copy, and the previous step's array is freed as soon as it is used.
+    That includes ``flat`` itself when the caller passes its only reference:
+    at most two arrays of its size are alive at once.
     """
     t = flat.reshape(-1)
+    del flat
     for kernel in kernels:
         t = np.dot(t.reshape(4, -1).T, kernel.T)
     return t.reshape(-1)
@@ -225,14 +232,25 @@ def devectorize(coeffs: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(t.transpose(order)).reshape(2**n, 2**n)
 
 
+def text_chunks(text: str):
+    """(first line number, lines, fields of each line) of each run of
+    CHUNK_LINES lines of ``text``: the one grammar of observable, measurement
+    and report text, where ``#`` starts a comment and fields are separated by
+    whitespace.  A line without data has no fields."""
+    lines = text.splitlines()
+    for start in range(0, len(lines), CHUNK_LINES):
+        chunk = lines[start:start + CHUNK_LINES]
+        yield start + 1, chunk, [line.split("#", 1)[0].split() if "#" in line else line.split()
+                                 for line in chunk]
+
+
 def text_rows(text: str):
-    """(line number, line, fields) of each line of ``text`` that holds data: the
-    one grammar of observable, measurement and report text, where ``#`` starts
-    a comment and fields are separated by whitespace."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        fields = line.split("#", 1)[0].split()
-        if fields:
-            yield lineno, line, fields
+    """(line number, line, fields) of each line of ``text`` that holds data,
+    in the grammar of ``text_chunks``."""
+    for first, lines, fields in text_chunks(text):
+        for lineno, line, row in zip(range(first, first + len(lines)), lines, fields):
+            if row:
+                yield lineno, line, row
 
 
 def labelled_rows(text: str, form: str, widths: tuple[int, ...]) -> tuple[int, list]:

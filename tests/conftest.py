@@ -4,11 +4,16 @@ The oracles here deliberately avoid the library's fast paths: Pauli
 matrices are built by explicit Kronecker products over itertools.product
 orderings, coefficients by explicit traces, and transfer matrices by
 column-wise trace formulas, so tests compare two independent routes.
+The reference report parser reads one line at a time, with no memo.
 """
 
+import math
 from itertools import product
 
 import numpy as np
+
+from noisedeconv.exceptions import ParseError
+from noisedeconv.pauli import check_qubits
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -71,3 +76,55 @@ def projective_sample_bruteforce(rho, P, shots, rng):
     probs = np.clip(np.einsum("ji,jk,ki->i", vecs.conj(), rho, vecs).real, 0.0, None)
     counts = rng.multinomial(shots, probs / probs.sum())
     return float(counts @ np.round(vals)) / shots
+
+
+def report_from_text_reference(text):
+    """(n, mode, entries, shots, seed) of report text, read one row at a time:
+    the parser before reports were read in chunks, kept as the oracle.  It
+    lets a repeated 'n' or 'mode' line win, takes any shot count, and an
+    'n' value that isdigit() but is no decimal (such as a superscript)
+    raises ValueError."""
+    n = None
+    mode = None
+    run = None  # (shots, seed) of the first row, shared by every row
+    entries = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.split("#", 1)[0].split()
+        if not fields:
+            continue
+        if len(fields) == 2:
+            key, value = fields
+            if key == "n" and value.isdigit():
+                n = int(value)
+            elif key == "mode":
+                mode = value
+            else:
+                raise ParseError(f"line {lineno}: bad header line {line!r}")
+            continue
+        if len(fields) != 6:
+            raise ParseError(f"line {lineno}: expected 'j k estimate std_error shots seed'")
+        try:
+            j, k = int(fields[0]), int(fields[1])
+            est, err = float(fields[2]), float(fields[3])
+            shots, seed = int(fields[4]), int(fields[5])
+        except ValueError:
+            raise ParseError(f"line {lineno}: malformed row {line!r}") from None
+        if not (math.isfinite(est) and math.isfinite(err)):
+            raise ParseError(f"line {lineno}: non-finite estimate or error in {line!r}")
+        if err < 0 or shots < 0 or seed < 0:
+            raise ParseError(f"line {lineno}: std_error, shots and seed must be >= 0 in {line!r}")
+        if run is None:
+            run = shots, seed
+        elif shots != run[0] or seed != run[1]:
+            raise ParseError(f"line {lineno}: shots {shots} and seed {seed} differ from the first row's {run}")
+        if (j, k) in entries:
+            raise ParseError(f"line {lineno}: entry ({j}, {k}) repeats an earlier row")
+        entries[(j, k)] = (est, err)
+    if n is None or mode not in ("diagonal", "full"):
+        raise ParseError("report lacks a valid 'n'/'mode' header")
+    check_qubits(n)
+    if entries and not (0 <= min(map(min, entries)) and max(map(max, entries)) < 4**n):
+        raise ParseError(f"report entries must have j and k in 0..{4**n - 1}")
+    if mode == "diagonal" and not all(j == k > 0 for j, k in entries):
+        raise ParseError("a diagonal report holds only (k, k) rows with k >= 1")
+    return (n, mode, entries, *(run or (0, 0)))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import ptm_bruteforce, random_density
@@ -92,6 +94,24 @@ class TestPtmFromKraus:
         ops = [0.5 * np.eye(4), 0.5 * np.kron(pauli_element(1, 1), np.eye(2))]
         with pytest.raises(NotTracePreserving, match="first row"):
             channels._superoperator_ptm(ops, 2)
+
+    def test_superoperator_ptm_holds_two_work_arrays(self):
+        # each per-qubit step frees its input, the superoperator included: the
+        # input used to stay alive through all 2n steps, three 16 D^2-byte arrays
+        n = 4
+        D = 4**n
+        rng = np.random.default_rng(2)
+        d = 2**n
+        unitary = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+        ops = [np.sqrt(0.9) * np.eye(d), np.sqrt(0.1) * unitary]
+        tracemalloc.start()
+        try:
+            ptm = channels._superoperator_ptm(ops, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ptm.matrix.nbytes == 8 * D * D
+        assert peak <= 2 * 16 * D * D + ptm.matrix.nbytes + 64 * 1024
 
     def test_matrix_is_a_read_only_property(self):
         ptm = bit_flip_channel(1, 0.1).ptm()

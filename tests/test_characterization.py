@@ -1,6 +1,14 @@
+import math
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
-from conftest import random_density
+from conftest import random_density, report_from_text_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from noisedeconv import characterization, pauli
 
 from noisedeconv.channels import (
     KrausChannel,
@@ -11,6 +19,7 @@ from noisedeconv.channels import (
     depolarizing_channel,
 )
 from noisedeconv.characterization import (
+    MEMO_SIZE,
     CharacterizedPTM,
     estimate_diagonal_entries,
     estimate_full_ptm,
@@ -20,7 +29,7 @@ from noisedeconv.characterization import (
 )
 from noisedeconv.exceptions import IdentityProbe, NonUnitalChannel, ParseError, ResourceCapExceeded
 from noisedeconv.pauli import PauliIndex
-from noisedeconv.sampling import derive_rng, sample_pauli_expectation
+from noisedeconv.sampling import MAX_SHOTS, derive_rng, sample_pauli_expectation
 
 
 class TestProbeState:
@@ -233,6 +242,235 @@ class TestReportFormat:
     def test_out_of_range_or_non_finite_row(self, row):
         with pytest.raises(ParseError):
             CharacterizedPTM.from_report_text(f"n 1\nmode diagonal\n{row}\n")
+
+
+class TestReportRefusals:
+    @pytest.mark.parametrize("text, line, key", [
+        ("n 1\nn 2\nmode diagonal\n3 3 0.5 0.1 10 1\n", 2, "n"),
+        ("n 1\nmode diagonal\n3 3 0.5 0.1 10 1\nmode full\n", 4, "mode"),
+        ("mode bogus\nn 1\nmode diagonal\n", 3, "mode"),
+        ("n 1\nmode full\n# comment\n\nn 1\n", 5, "n"),
+    ])
+    def test_repeated_header_line_is_refused(self, text, line, key):
+        # the last 'n' or 'mode' line used to win: the first text parsed with n = 2
+        with pytest.raises(ParseError, match=f"^line {line}: header '{key}' repeats line"):
+            CharacterizedPTM.from_report_text(text)
+
+    @pytest.mark.parametrize("shots", [MAX_SHOTS + 1, 99999999999999999999999])
+    def test_shots_past_the_limit_are_refused_at_the_first_row(self, shots):
+        # such a report parsed, and was written back with its shot count
+        text = f"n 1\nmode diagonal\n1 1 0.5 0.1 {shots} 1\n3 3 0.5 0.1 {shots} 1\n"
+        with pytest.raises(ParseError, match=f"^line 3: shots must be in 0..{MAX_SHOTS}"):
+            CharacterizedPTM.from_report_text(text)
+
+    def test_shots_at_the_limit_parse(self):
+        text = f"n 1\nmode diagonal\n3 3 0.5 0.1 {MAX_SHOTS} 1\n"
+        assert CharacterizedPTM.from_report_text(text).shots == MAX_SHOTS
+
+    def test_a_digit_that_is_no_decimal_is_a_bad_header(self):
+        # 'n \u00b2' passed isdigit() and then raised a bare ValueError (exit 1)
+        with pytest.raises(ParseError, match="^line 1: bad header line"):
+            CharacterizedPTM.from_report_text("n \u00b2\nmode diagonal\n")
+
+
+class TestReportRoundTrip:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("shots", [0, 1000])
+    @pytest.mark.parametrize("memo", [1, MEMO_SIZE])
+    def test_full_report_text_is_byte_exact(self, n, shots, memo, monkeypatch):
+        monkeypatch.setattr(characterization, "MEMO_SIZE", memo)
+        report = estimate_full_ptm(depolarizing_channel(n, 0.05, 0.3), shots, seed=5)
+        text = report.to_report_text()
+        again = CharacterizedPTM.from_report_text(text)
+        assert again == report
+        assert list(again.entries) == sorted(report.entries)  # the text's row order
+        assert again.to_report_text() == text
+
+    def test_negative_zero_keeps_its_sign(self):
+        report = CharacterizedPTM(1, "diagonal", {(1, 1): (0.0, 0.0), (2, 2): (-0.0, 0.0),
+                                                  (3, 3): (0.0, -0.0)}, 0, 0)
+        text = report.to_report_text()
+        assert text.splitlines()[3:] == ["1 1 0.0 0.0 0 0", "2 2 -0.0 0.0 0 0", "3 3 0.0 -0.0 0 0"]
+        again = CharacterizedPTM.from_report_text(text)
+        assert [tuple(map(math.copysign, (1.0, 1.0), v)) for v in again.entries.values()] == \
+            [(1.0, 1.0), (-1.0, 1.0), (1.0, -1.0)]
+        assert again.to_report_text() == text
+
+
+def _arabic(value):
+    return str(value).translate(str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                                            "\u0665\u0666\u0667\u0668\u0669"))
+
+
+# Each mutation edits the line list at a drawn position; row edits pick the
+# data row at or after it (or the last one).
+MUTATIONS = ["blank", "comment", "trailing_comment", "header", "int_form", "repeat_row", "non_finite",
+             "negative_error", "run", "out_of_range", "off_diagonal", "field_count", "malformed",
+             "huge_shots", "huge_shots_everywhere", "drop_header", "whitespace", "negative_zero"]
+
+
+@st.composite
+def report_texts(draw):
+    """Report text written as ``to_report_text`` writes it, then mutated."""
+    n = draw(st.integers(1, 3))
+    D = 4**n
+    mode = draw(st.sampled_from(["full", "diagonal"]))
+    shots, seed = draw(st.sampled_from([(0, 0), (1000, 7), (5, 3)]))
+    rnd = draw(st.randoms(use_true_random=False))
+    if mode == "full":
+        pairs = [(j, k) for j in range(D) for k in range(D)][:rnd.choice([D * D, rnd.randint(0, D * D)])]
+    else:
+        pairs = sorted((k, k) for k in rnd.sample(range(1, D), rnd.randint(0, D - 1)))
+    lines = ["# transfer-matrix characterization report", f"n {n}", f"mode {mode}"]
+    for j, k in pairs:
+        c = rnd.randint(0, max(shots, 1))
+        est = 2 * c / shots - 1 if shots else rnd.uniform(-1, 1)
+        err = math.sqrt(max(0.0, 1 - est * est) / shots) if shots else 0.0
+        lines.append(f"{j} {k} {est!r} {err!r} {shots} {seed}")
+    for kind, at in draw(st.lists(st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 2**16)), max_size=4)):
+        pos = at % (len(lines) + 1) if at % 3 else max(0, len(lines) - 1 - at % 7)  # often near the end
+        rows = [i for i, line in enumerate(lines) if len(_data(line)) == 6]
+        if kind == "blank":
+            lines.insert(pos, rnd.choice(["", "   ", "\t"]))
+        elif kind == "comment":
+            lines.insert(pos, "# note 1 2 3 4 5 6")
+        elif kind == "header":
+            lines.insert(pos, rnd.choice([f"n {n}", f"n {n + 1}", "n x", "n 03", f"n {_arabic(n)}",
+                                          "n \u00b2", "mode full", "mode diagonal", "mode bogus", "q 1"]))
+        elif kind == "drop_header":
+            lines = [line for line in lines if line != rnd.choice([f"n {n}", f"mode {mode}"])]
+        elif kind == "huge_shots_everywhere":  # so only the range rule refuses it
+            big = rnd.choice([str(MAX_SHOTS + 1), "99999999999999999999999", str(MAX_SHOTS)])
+            lines = [" ".join(_data(line)[:4] + [big] + _data(line)[5:]) if i in rows else line
+                     for i, line in enumerate(lines)]
+        elif rows:
+            row = next((i for i in rows if i >= pos), rows[-1])
+            lines[row:row + 1] = _edit_row(kind, _data(lines[row]), lines[row], D, rnd)
+    return "\n".join(lines) + rnd.choice(["\n", ""])
+
+
+def _data(line):
+    return line.split("#", 1)[0].split()
+
+
+def _edit_row(kind, fields, line, D, rnd):
+    """The lines that replace the data row ``line`` (with data ``fields``)."""
+    if kind == "trailing_comment":
+        return [line + rnd.choice([" # checked", "#", "# 1 2"])]
+    if kind == "repeat_row":
+        return [line, line] if rnd.random() < 0.5 else [line, "# between", line]
+    if kind == "whitespace":
+        return ["\t" + "  \t ".join(fields) + "  "]
+    if kind == "int_form":
+        i = rnd.choice([0, 1, 4, 5])
+        fields[i] = rnd.choice([f"+{fields[i]}", f"0{fields[i]}", _arabic(fields[i]), f"{fields[i]}.0"])
+    elif kind == "non_finite":
+        fields[rnd.choice([2, 3])] = rnd.choice(["nan", "inf", "-inf", "1e999"])
+    elif kind == "negative_error":
+        fields[3] = rnd.choice(["-0.1", "-0.0", "-1e-300"])
+    elif kind == "negative_zero":
+        fields[2] = "-0.0"
+    elif kind == "run":
+        fields[rnd.choice([4, 5])] = rnd.choice(["1", "6", "-1", "1000"])
+    elif kind == "huge_shots":
+        fields[4] = rnd.choice([str(MAX_SHOTS + 1), "99999999999999999999999", str(MAX_SHOTS)])
+    elif kind == "out_of_range":
+        fields[rnd.choice([0, 1])] = rnd.choice([str(D), "-1"])
+    elif kind == "off_diagonal":
+        fields[1] = str(rnd.randrange(D))
+    elif kind == "field_count":
+        fields = fields[:-1] if rnd.random() < 0.5 else fields + ["0"]
+    elif kind == "malformed":
+        fields[rnd.randrange(6)] = rnd.choice(["x", "0x10", "1.5", "1_0", "--1"])
+    return [" ".join(fields)]
+
+
+def _declared_refusal(text):
+    """(line, message start) of the first line the chunked parser refuses
+    and the reference does not: a second valid 'n' or 'mode' line, the
+    first row's shots past MAX_SHOTS, or an 'n' value that isdigit() but is
+    no decimal."""
+    seen, first_row = set(), True
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.split("#", 1)[0].split()
+        if len(fields) == 2:
+            key, value = fields
+            if key == "n" and value.isdigit() and not value.isdecimal():
+                return lineno, f"line {lineno}: bad header line"
+            if key == "mode" or key == "n" and value.isdecimal():
+                if key in seen:
+                    return lineno, f"line {lineno}: header '{key}' repeats line"
+                seen.add(key)
+        elif len(fields) == 6 and first_row:
+            first_row = False
+            try:
+                if int(fields[4]) > MAX_SHOTS:
+                    return lineno, f"line {lineno}: shots must be in 0..{MAX_SHOTS}"
+            except ValueError:
+                pass
+    return None
+
+
+def _outcome(parse, text):
+    try:
+        n, mode, entries, shots, seed = parse(text)
+    except Exception as exc:  # the exception is the outcome compared
+        return type(exc), str(exc)
+    return n, mode, repr(list(entries.items())), shots, seed
+
+
+def _parse(text):
+    report = CharacterizedPTM.from_report_text(text)
+    return report.n, report.mode, report.entries, report.shots, report.seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=report_texts(), chunk=st.sampled_from([1, 3, 256]), memo=st.sampled_from([1, MEMO_SIZE]))
+def test_chunked_parser_agrees_with_the_row_by_row_reference(text, chunk, memo):
+    with mock.patch.object(pauli, "CHUNK_LINES", chunk), mock.patch.object(characterization, "MEMO_SIZE", memo):
+        got = _outcome(_parse, text)
+    expected = _outcome(report_from_text_reference, text)
+    declared = _declared_refusal(text)
+    failed_at = re.match(r"line (\d+):", expected[1]) if expected[0] is ParseError else None
+    if declared is None or failed_at and int(failed_at.group(1)) <= declared[0]:
+        assert got == expected
+    else:
+        assert got[0] is ParseError and got[1].startswith(declared[1]), (got, expected)
+
+
+def _full_text(n, edit=None):
+    """An exact full report of the identity on n qubits, with row ``edit[0]``
+    (counted from the last row when negative) replaced by ``edit[1]``."""
+    D = 4**n
+    rows = [f"{j} {k} {float(j == k)!r} 0.0 0 0" for j in range(D) for k in range(D)]
+    if edit:
+        rows[edit[0]] = edit[1]
+    return "\n".join([f"n {n}", "mode full", *rows]) + "\n"
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 256])
+@pytest.mark.parametrize("text", [
+    _full_text(2, (-1, "16 15 0.0 0.0 0 0")),
+    _full_text(2, (-1, "15 -1 0.0 0.0 0 0")),
+    _full_text(2, (0, "-1 0 1.0 0.0 0 0")),
+    _full_text(2, (200, "3 16 0.0 0.0 0 0")),
+    _full_text(2, (-1, "15 14 0.0 0.0 0 0")),
+    _full_text(2, (-2, "15 15 1.0 0.0 0 0")),
+    _full_text(2, (-1, "15 15 1.0 0.0 0 1")),
+    _full_text(2, (-1, "15 15 inf 0.0 0 0")),
+    _full_text(2, (-1, "15 15 1.0 -0.5 0 0")),
+    _full_text(2, (-1, "15 15 1.0 0.0 0")),
+    _full_text(3, (-1, "63 63 1.0 0.0 0 0 # last")),
+    "n 1\nmode diagonal\n1 1 0.5 0.0 0 0\n2 2 0.5 0.0 0 0\n3 2 0.5 0.0 0 0\n",
+    "n 1\nmode diagonal\n1 1 0.5 0.0 0 0\n2 2 0.5 0.0 0 0\n0 0 1.0 0.0 0 0\n",
+    "mode diagonal\n1 1 0.5 0.0 0 0\n2 2 0.5 0.0 0 0\n3 3 0.5 0.0 0 0\nn 1\n",
+], ids=["j_past_the_end", "negative_k_last", "negative_j_first", "k_past_the_end", "repeat_last",
+        "repeat_next_to_last", "seed_last", "inf_last", "negative_error_last", "five_fields_last",
+        "comment_last", "off_diagonal_last", "zero_last", "header_last"])
+def test_checks_hold_on_every_chunk_of_a_report(text, chunk):
+    with mock.patch.object(pauli, "CHUNK_LINES", chunk):
+        got = _outcome(_parse, text)
+    assert got == _outcome(report_from_text_reference, text)
 
 
 class TestPositivityCoefficients:

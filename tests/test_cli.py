@@ -753,11 +753,15 @@ class TestLineGrammar:
         ("--measurements", "Z 0.5\nX half\n"),
         ("--characterization", "n 1\nmode diagonal\n3 3 0.8 0.1 5 7\n1 1 0.6 0.1 9 2\n"),
         ("--characterization", "n 1\nmode diagonal\n3 3 0.8 0.1 5 7\n1 1 0.6 0.1 5 8\n"),
+        ("--characterization", "n 1\nmode diagonal\n3 3 0.8 0.1 5 7\nmode full\n"),
+        ("--characterization", "n 1\nmode diagonal\n# rows\n3 3 0.8 0.1 99999999999999999999999 7\n"),
     ], ids=["obs_inf", "obs_qubit_count", "obs_label", "obs_fields", "meas_qubit_count", "meas_nan",
-            "meas_number", "report_shots_and_seed", "report_seed"])
+            "meas_number", "report_shots_and_seed", "report_seed", "report_header_twice",
+            "report_shots_past_the_limit"])
     def test_refused_line_exits_two_naming_it(self, tmp_path, capsys, flag, text):
         # an infinite coefficient and a second qubit count in an observable exited 2
-        # without naming the line; report rows with another shots/seed exited 0
+        # without naming the line; report rows with another shots/seed, a second
+        # header line and a shot count past 2**63 - 1 exited 0
         files = {"--observable": "Z 1.0\n", "--measurements": "Z 0.5\nX 0.5\n",
                  "--characterization": "n 1\nmode diagonal\n1 1 0.8 0.1 5 7\n3 3 0.8 0.1 5 7\n"}
         files[flag] = text

@@ -14,6 +14,10 @@ that ``characterize --entries 1,...,4^n-1 --out`` writes.  On every
 experiment config they are ``experiment`` as shipped (csv and json) and
 with ``--shots 2048 --seed 1`` and ``"sampling": "marginal"`` (the config
 copied to a temp file with the key set, as older configs say it).
+``experiment-plus`` runs ``amp_damp_zz`` from ``initial_state`` ``plus``
+with ``--shots 2048 --seed 1``: from ``zeros`` every entry its plans read
+is +-1, so the sampled case above draws only p = 0 or 1 and cannot see a
+change to the sampler.
 ``check-positivity`` runs at n = 1..3, on one label, and on a passing and
 a failing ``--state-file``.  Stderr is not compared: a warning may be added
 without changing stdout.
@@ -108,6 +112,7 @@ GOLDEN = {
     ("deconvolve-json", "depolarizing_n3_fig2"): (0, "130e1e8e609e1e8257ed2e8742a0e76d069e617141b77c6ffa16751c55eb86cd"),
     ("deconvolve-json", "pauli_custom_n1"): (0, "a8ea54d834d17919d70ee2ae844281c73dd11e0bfccb072143c726600d044c82"),
     ("experiment-json", "amp_damp_zz"): (0, "b82ff9319c0a7995b452f9feaca1aba42ca12c912f822071a0bf2dc1feaa234d"),
+    ("experiment-plus", "amp_damp_zz"): (0, "5c039dd1116e177eb165735a00def762363f87175886d52a6ab167b7594fcb0d"),
     ("experiment-json", "fig2a_mu_sweep"): (0, "52ff16d955d297a66b28628d4c4fec9e3eea3662e27307472d389bf88ab11d57"),
     ("experiment-json", "fig2b_deconvolution"): (0, "990d83eac8d33a1a0e0adb35c8d4346eccd10a763ca028d67f49cc18b68fdea3"),
     ("experiment-json", "fig2b_exact"): (0, "814a0e544c0c51c055ae130465efaa9249dae89c557831d4a6be981c7df91e0b"),
@@ -194,6 +199,7 @@ CASES = (
     + [("experiment-marginal", p) for p in EXPERIMENTS]
     + [(f"{c}-json", p) for c in ("ptm", "characterize", "deconvolve") for p in CHANNELS]
     + [("experiment-json", p) for p in EXPERIMENTS]
+    + [("experiment-plus", CONFIG_DIR / "experiments" / "amp_damp_zz.json")]
     + [(c, p) for c in ("ptm-diagonal", "ptm-diagonal-json", "characterize-entries",
                         "deconvolve-characterization", "deconvolve-characterization-diagonal")
        for p in CHANNELS]
@@ -222,8 +228,9 @@ def _run(*argvs):
 def run_case(command, path, tmp_path):
     """Exit code and sha256 of stdout of one golden case."""
     name, _, variant = command.partition("-")
-    if variant == "marginal":
-        cfg = dict(json.loads(path.read_text()), sampling=variant)
+    if variant in ("marginal", "plus"):
+        key = "sampling" if variant == "marginal" else "initial_state"
+        cfg = dict(json.loads(path.read_text()), **{key: variant})
         path = tmp_path / path.name
         path.write_text(json.dumps(cfg))
     argv = [name, "--config", str(path)]
@@ -237,7 +244,7 @@ def run_case(command, path, tmp_path):
         argv += ["--shots", "0"]
     elif command == "characterize-entries":
         argv += ["--entries", ",".join(map(str, range(1, 4**_n(path))))]
-    elif variant == "marginal":
+    elif variant in ("marginal", "plus"):
         argv += ["--shots", "2048", "--seed", "1"]
     elif command.startswith("deconvolve-characterization"):
         report = str(tmp_path / "report.txt")
