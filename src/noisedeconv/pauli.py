@@ -235,9 +235,11 @@ def devectorize(coeffs: np.ndarray) -> np.ndarray:
 def text_chunks(text: str):
     """(first line number, lines, fields of each line) of each run of
     CHUNK_LINES lines of ``text``: the one grammar of observable, measurement
-    and report text, where ``#`` starts a comment and fields are separated by
-    whitespace.  A line without data has no fields."""
-    lines = text.splitlines()
+    and report text, where only a newline ends a line, ``#`` starts a
+    comment and fields are separated by whitespace (a carriage return, form
+    feed or other break ``str.splitlines`` would end a line at is whitespace
+    here).  A line without data has no fields."""
+    lines = text.split("\n")
     for start in range(0, len(lines), CHUNK_LINES):
         chunk = lines[start:start + CHUNK_LINES]
         yield start + 1, chunk, [line.split("#", 1)[0].split() if "#" in line else line.split()

@@ -151,12 +151,7 @@ class ExperimentConfig:
             n = _config_int(raw["n"], "n")
             check_qubits(n)  # before the 4**n-entry initial state is built
             channel = dict(raw["channel"])
-            obs_spec = raw["observable"]
-            if isinstance(obs_spec, str):
-                observable = Observable.from_text(obs_spec)
-            else:
-                observable = Observable.from_pairs(
-                    [(str(l), _config_float(c, "observable coefficient")) for l, c in obs_spec])
+            observable = _observable_from_json(raw["observable"])
             state_spec = raw.get("initial_state", "zeros")
             if isinstance(state_spec, str):
                 initial_state = preset_state(state_spec, n)
@@ -180,6 +175,20 @@ class ExperimentConfig:
             raise ConfigError(f"experiment config lacks key {exc}") from None
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad experiment config value: {exc}") from None
+
+
+def _observable_from_json(spec) -> Observable:
+    """An observable from its text block or its list of [pauli-string,
+    coefficient] pairs; anything else raises ConfigError naming it."""
+    if isinstance(spec, str):
+        return Observable.from_text(spec)
+    form = "a list of [pauli-string, coefficient] pairs or an observable-format text block"
+    if not isinstance(spec, (list, tuple)):
+        raise ConfigError(f"observable must be {form}, got {spec!r}")
+    for entry in spec:
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+            raise ConfigError(f"observable entry {entry!r} is not a [pauli-string, coefficient] pair")
+    return Observable.from_pairs([(str(l), _config_float(c, "observable coefficient")) for l, c in spec])
 
 
 def _matrix_from_json(entries) -> np.ndarray:

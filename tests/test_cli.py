@@ -643,6 +643,20 @@ class TestArgumentErrors:
         assert main(["experiment", "--config", write(tmp_path, "exp.json", json.dumps(raw))]) == 2
         assert "must be a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("observable, message", [
+        ({"ZZ": 1.0}, "observable must be a list of [pauli-string, coefficient] pairs or an "
+                      "observable-format text block, got {'ZZ': 1.0}"),
+        ([5], "observable entry 5 is not a [pauli-string, coefficient] pair"),
+    ], ids=["mapping", "bare_number"])
+    def test_malformed_observable_exits_two_naming_it(self, tmp_path, capsys, observable, message):
+        # the mapping's key "ZZ" was unpacked into two letters ("coefficient must be a
+        # number, got 'Z'") and [5] gave "cannot unpack non-iterable int object"
+        raw = {"n": 2, "channel": {"family": "bit_flip", "n": 2, "p": 0.05},
+               "observable": observable, "m_max": 1}
+        assert main(["experiment", "--config", write(tmp_path, "exp.json", json.dumps(raw))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
     def test_integral_floats_count_as_integers(self, tmp_path, capsys):
         raw = {"n": 1, "channel": {"family": "bit_flip", "n": 1, "p": 0.05},
                "observable": [["Z", 1.0]], "m_max": 2, "shots": 64, "seed": 3}
@@ -776,6 +790,22 @@ class TestLineGrammar:
                  "--characterization": "n 1 # header\n\nmode diagonal\n3 3 0.8 0.0 5 7\n"}
         assert self._deconvolve(tmp_path, files) == 0
         assert capsys.readouterr().out == "value 0.625\nstd_error 0.0125\nentries_consulted 1\n"
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--observable", "# one\x0ctwo\nZ 1.0\x0b\nQ 1.0\n"),
+        ("--measurements", "# one\x1ctwo\nZ 0.5\x1e\nZZ 0.5\n"),
+        ("--characterization", "n 1\nmode diagonal\x0c# note\n3 3 0.8 0.1 5 7\n3 3 0.8 0.1 5 7\n"),
+    ], ids=["observable", "measurements", "report"])
+    def test_only_a_newline_ends_a_line(self, tmp_path, capsys, flag, text):
+        # str.splitlines also breaks at \x0b, \x0c and \x1c-\x1e, which named
+        # a later line or refused a comment's tail; here they are whitespace
+        files = {"--observable": "Z\x0c1.0\n", "--measurements": "Z\x0b0.5\x0c0.01\n",
+                 "--characterization": "n 1\nmode diagonal\n3 3\x0c0.8 0.0 5 7\n"}
+        assert self._deconvolve(tmp_path, files) == 0
+        assert capsys.readouterr().out == "value 0.625\nstd_error 0.0125\nentries_consulted 1\n"
+        files[flag] = text
+        assert self._deconvolve(tmp_path, files) == 2
+        assert ("line 4" if flag == "--characterization" else "line 3") in capsys.readouterr().err
 
 
 class TestNonFiniteInputs:

@@ -1,12 +1,11 @@
-"""The batched stream derivation and the vector draw, pinned to numpy.
+"""The readout's streams and its vector draw, pinned to numpy.
 
-``sampling._stream_states`` copies numpy's SeedSequence -> PCG64 seeding
-so that a readout derives the streams of a whole batch in one pass; every
-test here compares it with the public definition of a stream,
-``derive_rng(seed, *tags)``.  A numpy release that changed its seeding
-fails ``TestStreamStates`` first.  A read draws all its entries with one
-vector binomial call on its stream; ``TestVectorDraw`` pins that call to
-the same draws made one at a time.
+``sampling.read_batch`` derives one stream per read with the public
+definition of a stream, ``derive_rng(seed, *tags)``, and draws all the
+read's entries with one vector binomial call on it.  ``TestVectorDraw``
+pins that call to the same draws made one at a time, so a numpy release
+that changed its binomial sampler fails there first; the counters below
+pin one derivation per read, and none for an exact readout.
 """
 
 import numpy as np
@@ -16,46 +15,22 @@ from noisedeconv import sampling
 from noisedeconv.channels import depolarizing_channel
 from noisedeconv.characterization import estimate_diagonal_entries, estimate_full_ptm
 from noisedeconv.exceptions import ProbabilityOutOfRange
-from noisedeconv.sampling import _stream_states, derive_rng, read_batch, sample_marginal
+from noisedeconv.sampling import derive_rng, read_batch, sample_marginal
 from noisedeconv.simulator import ExperimentConfig, run_experiment
 
-# 2**64 + 3 is a three-word seed: with four tags its entropy runs past the
-# four-word pool, as does any seed with a five-tag row.
-SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 3]
 
-
-def pcg_state(rng):
-    state = rng.bit_generator.state
-    assert state["bit_generator"] == "PCG64" and state["has_uint32"] == 0
-    return state["state"]["state"], state["state"]["inc"]
-
-
-class TestStreamStates:
-    @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
-    def test_equals_derive_rng(self, seed, width):
-        rows = np.random.default_rng(width).integers(0, 2**32, size=(20, width))
-        rows[0], rows[1] = 0, 2**32 - 1
-        rows[2, :] = [0, 2**32 - 1, 1, 2**31, 7][:width]
-        got = _stream_states(seed, rows)
-        assert got == [pcg_state(derive_rng(seed, *row)) for row in rows]
-        assert got == _stream_states(seed, rows.tolist())
-
-    def test_empty_batch(self):
-        assert _stream_states(3, []) == []
-        assert _stream_states(3, np.zeros((0, 2), dtype=np.int64)) == []
-
-    @pytest.mark.parametrize("tag", [-1, 2**32, 2**64])
-    def test_refuses_a_tag_outside_one_word(self, tag):
-        with pytest.raises(ValueError):
-            _stream_states(0, [(1, 2), (3, tag)])
-
+class TestStreams:
     def test_refuses_what_derive_rng_refuses(self):
         for seed, tags in [(0, (-1,)), (-1, (2,))]:
             with pytest.raises(ValueError):
                 derive_rng(seed, *tags)
             with pytest.raises(ValueError):
-                _stream_states(seed, [tags])
+                read_batch([[0.5]], [([1], tags)], 100, seed)
+
+    def test_a_tag_past_one_word_is_a_stream_of_derive_rng(self):
+        rng = derive_rng(7, 2**32 + 1)
+        expected = [sample_marginal(e, 1000, rng) for e in (0.1, -0.4, 0.8)]
+        assert read_batch([[0.1, -0.4, 0.8]], [([1, 2, 3], (2**32 + 1,))], 1000, 7) == [expected]
 
     @pytest.mark.parametrize("shots", [1, 1000, 2**40])
     def test_draws_equal_derive_rng_draws(self, shots):
@@ -90,36 +65,24 @@ class TestVectorDraw:
             int(one.binomial(shots, q)) for q in p]
 
 
-class TestOneDerivationPerBatch:
+class TestOneDerivationPerRead:
     @pytest.fixture
     def derivations(self, monkeypatch):
         calls = []
 
-        def counting(seed, rows):
-            calls.append(len(rows))
-            return _stream_states(seed, rows)
+        def counting(seed, *tags):
+            calls.append(tags)
+            return derive_rng(seed, *tags)
 
-        monkeypatch.setattr(sampling, "_stream_states", counting)
+        monkeypatch.setattr(sampling, "derive_rng", counting)
         return calls
 
-    def test_full_report_derives_once(self, derivations):
-        # one stream per probe
+    def test_report_derives_once_per_probe(self, derivations):
         ch = depolarizing_channel(2, 0.2, 0.4)
         estimate_full_ptm(ch, shots=500, seed=4)
-        assert derivations == [15]
+        assert derivations == [(k,) for k in range(1, 16)]
         estimate_diagonal_entries(ch, range(1, 16), shots=500, seed=4)
-        assert derivations == [15, 15]
-
-    def test_report_is_derived_in_chunks_of_batch_rows(self, derivations, monkeypatch):
-        # 15 reads of 15 entries: runs of six reads under 100 entries, and a
-        # read larger than BATCH_ROWS is never split
-        ch = depolarizing_channel(2, 0.2, 0.4)
-        whole = estimate_full_ptm(ch, shots=500, seed=4)
-        monkeypatch.setattr(sampling, "BATCH_ROWS", 100)
-        assert estimate_full_ptm(ch, shots=500, seed=4) == whole
-        monkeypatch.setattr(sampling, "BATCH_ROWS", 10)
-        assert estimate_full_ptm(ch, shots=500, seed=4) == whole
-        assert derivations == [15, 6, 6, 3] + [1] * 15
+        assert len(derivations) == 30
 
     def test_experiment_derives_once_per_grid_point(self, derivations):
         cfg = ExperimentConfig.from_dict({
@@ -129,7 +92,7 @@ class TestOneDerivationPerBatch:
             "mu_grid": [0.0, 0.6], "strength_grid": [0.05, 0.2],
         })
         run_experiment(cfg)
-        assert derivations == [1, 1, 1, 1]
+        assert derivations == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_exact_readouts_derive_nothing(self, derivations):
         ch = depolarizing_channel(2, 0.2, 0.4)
