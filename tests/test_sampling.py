@@ -2,7 +2,8 @@
 
 ``sampling.read_batch`` derives one stream per read with the public
 definition of a stream, ``derive_rng(seed, *tags)``, and draws all the
-read's entries with one vector binomial call on it.  ``TestVectorDraw``
+read's entries with one vector binomial call on it.  ``TestStreamStates``
+pins each read's draws to those of ``derive_rng`` of its tags; ``TestVectorDraw``
 pins that call to the same draws made one at a time, so a numpy release
 that changed its binomial sampler fails there first; the counters below
 pin one derivation per read, and none for an exact readout.
@@ -11,7 +12,7 @@ pin one derivation per read, and none for an exact readout.
 import numpy as np
 import pytest
 
-from noisedeconv import sampling
+from noisedeconv import characterization, sampling
 from noisedeconv.channels import depolarizing_channel
 from noisedeconv.characterization import estimate_diagonal_entries, estimate_full_ptm
 from noisedeconv.exceptions import ProbabilityOutOfRange
@@ -19,7 +20,36 @@ from noisedeconv.sampling import derive_rng, read_batch, sample_marginal
 from noisedeconv.simulator import ExperimentConfig, run_experiment
 
 
-class TestStreams:
+# 2**64 + 3 is a three-word seed; tags of one to five words mix 0 and
+# 2**32 - 1 with random words.
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 3]
+
+
+class TestStreamStates:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+    def test_equals_derive_rng(self, seed, width):
+        # every read of a batch draws from the stream derive_rng(seed, *row)
+        # of its own tags, whether the tags come as an array or as lists
+        rows = np.random.default_rng(width).integers(0, 2**32, size=(20, width))
+        rows[0], rows[1] = 0, 2**32 - 1
+        rows[2, :] = [0, 2**32 - 1, 1, 2**31, 7][:width]
+        values = [[0.1, -0.6, 0.35]] * len(rows)
+        expected = []
+        for row in rows:
+            rng = derive_rng(seed, *row)
+            expected.append([sample_marginal(e, 2**40, rng) for e in values[0]])
+        got = read_batch(values, [([1, 2, 3], row) for row in rows], 2**40, seed)
+        assert got == expected
+        assert got == read_batch(values, [([1, 2, 3], row) for row in rows.tolist()], 2**40, seed)
+
+    def test_empty_batch(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sampling, "derive_rng", lambda *a: calls.append(a))
+        assert read_batch([], [], 100, 3) == []
+        assert read_batch(iter([]), (), 100, 3) == []
+        assert calls == []
+
     def test_refuses_what_derive_rng_refuses(self):
         for seed, tags in [(0, (-1,)), (-1, (2,))]:
             with pytest.raises(ValueError):
@@ -65,7 +95,10 @@ class TestVectorDraw:
             int(one.binomial(shots, q)) for q in p]
 
 
-class TestOneDerivationPerRead:
+class TestOneDerivationPerBatch:
+    """One ``read_batch`` call per report or experiment grid point, and
+    within it one ``derive_rng`` per read."""
+
     @pytest.fixture
     def derivations(self, monkeypatch):
         calls = []
@@ -76,6 +109,21 @@ class TestOneDerivationPerRead:
 
         monkeypatch.setattr(sampling, "derive_rng", counting)
         return calls
+
+    def test_full_report_derives_once(self, monkeypatch):
+        # a report, full or diagonal, is one batch of reads
+        batches = []
+
+        def counting(values, reads, shots, seed):
+            batches.append(len(reads))
+            return read_batch(values, reads, shots, seed)
+
+        monkeypatch.setattr(characterization, "read_batch", counting)
+        ch = depolarizing_channel(2, 0.2, 0.4)
+        estimate_full_ptm(ch, shots=500, seed=4)
+        assert batches == [15]
+        estimate_diagonal_entries(ch, range(1, 16), shots=500, seed=4)
+        assert batches == [15, 15]
 
     def test_report_derives_once_per_probe(self, derivations):
         ch = depolarizing_channel(2, 0.2, 0.4)
