@@ -19,6 +19,7 @@ from .characterization import (
     estimate_full_ptm,
     is_positive_semidefinite,
     positivity_certificate,
+    positivity_certificates,
     positivity_coefficients,
     probe_state,
 )

@@ -45,9 +45,11 @@ recursion (S_0 = 1):
 
     S_m = (1/m) * sum_{j=1..m} (-1)**(j-1) Tr[rho^j] S_{m-j}
 
-A Hermitian unit-trace operator is positive semidefinite iff every S_m
-is nonnegative; for the probes, S_m > 0 for m < 1 + d/2 and S_m = 0
-beyond, independent of k.
+In exact arithmetic a Hermitian unit-trace operator is positive
+semidefinite iff every S_m is nonnegative; for the probes, S_m > 0 for
+m < 1 + d/2 and S_m = 0 beyond, independent of k.  A stack of states is
+certified in one pass, each certificate equal to the state's alone, bit
+for bit (``positivity_certificates``).
 """
 
 from __future__ import annotations
@@ -62,12 +64,13 @@ from .channels import MAX_QUBITS_FULL_PTM, PTM, Channel
 from .channels import apply_channel  # noqa: F401  (unused; the benchmark self-test counts this binding)
 from .exceptions import (
     ConfigError,
+    DimensionMismatch,
     IdentityProbe,
     NonUnitalChannel,
     NotPauliDiagonal,
     ParseError,
 )
-from .pauli import as_index, check_qubits, is_hermitian, num_qubits, pauli_element, text_chunks
+from .pauli import HERMITIAN_TOL, as_index, check_qubits, num_qubits, pauli_element, text_chunks
 from .sampling import check_shots_and_seed, read_batch
 
 __all__ = [
@@ -78,6 +81,7 @@ __all__ = [
     "positivity_coefficients",
     "is_positive_semidefinite",
     "positivity_certificate",
+    "positivity_certificates",
     "UNITALITY_TOL",
     "PSD_TOL",
 ]
@@ -277,11 +281,14 @@ class _ReportReader:
                 js, ks = list(map(ints, js)), list(map(ints, ks))
                 chunk = dict(zip(zip(js, ks), zip(map(self.ests.__getitem__, ests),
                                                    map(self.errs.__getitem__, errs))))
-                runs = set(zip(map(ints, shots), map(ints, seeds)))
+                # each column's distinct values: one shots/seed pair iff one value in each
+                shots, seeds = set(map(ints, set(shots))), set(map(ints, set(seeds)))
             except ValueError:
                 return False
-            run = self.run or next(iter(runs))
-            if runs != {run} or len(chunk) < len(rows) or not self.entries.keys().isdisjoint(chunk):
+            if len(shots) != 1 or len(seeds) != 1:
+                return False
+            run = (*shots, *seeds)
+            if run != (self.run or run) or len(chunk) < len(rows) or not self.entries.keys().isdisjoint(chunk):
                 return False
             if self.run is None:
                 try:
@@ -394,40 +401,86 @@ def estimate_full_ptm(ch: Channel, shots: int = 0, seed: int = 0) -> Characteriz
     return _probe_report(ch, "full", ks, identities, shots, seed)
 
 
-def positivity_coefficients(rho: np.ndarray) -> list[float]:
-    """Characteristic-polynomial coefficients S_0 ... S_d of rho.
+def _trace_powers(states: np.ndarray) -> list[list[float]]:
+    """Tr[rho^j], j = 1..d, of each state of a (count, d, d) stack: the
+    products and the sums of one state alone, rho^j = ((1 @ rho) @ rho)...
+    and each trace summed along its diagonal as ``np.trace`` sums it."""
+    count, d, _ = states.shape
+    diagonals = np.empty((count, d, d), dtype=complex)  # [state, j - 1, i]
+    power, spare = np.eye(d, dtype=complex) @ states, np.empty_like(states)
+    diagonals[:, 0] = power.diagonal(axis1=1, axis2=2)
+    for j in range(1, d):
+        power, spare = np.matmul(power, states, out=spare), power
+        diagonals[:, j] = power.diagonal(axis1=1, axis2=2)
+    return diagonals.sum(axis=2).real.tolist()
 
-    Computed by the trace-power recursion; all nonnegative iff rho is
-    positive semidefinite (given Hermitian unit trace).
-    """
-    rho = np.asarray(rho, dtype=complex)
-    num_qubits(rho)
-    d = rho.shape[0]
-    power = np.eye(d, dtype=complex)
-    traces = [0.0]  # placeholder so traces[j] = Tr[rho^j]
-    for _ in range(d):
-        power = power @ rho
-        traces.append(float(np.trace(power).real))
+
+def _newton(traces: list[float]) -> list[float]:
+    """S_0 ... S_d from traces[j - 1] = Tr[rho^j] by the trace-power
+    recursion, in Python floats, summed in ascending j."""
+    signed = [-t if j % 2 else t for j, t in enumerate(traces)]  # (-1)**(j-1) Tr[rho^j]
     S = [1.0]
-    for m in range(1, d + 1):
+    for m in range(1, len(traces) + 1):
         acc = 0.0
-        for j in range(1, m + 1):
-            acc += (-1.0) ** (j - 1) * traces[j] * S[m - j]
+        for t, s in zip(signed, reversed(S)):  # S[m - 1], ..., S[0]
+            acc += t * s
         S.append(acc / m)
     return S
 
 
-def positivity_certificate(rho: np.ndarray) -> tuple[list[float], bool]:
-    """The coefficients S_0 ... S_d of rho and its PSD verdict.
+def positivity_coefficients(rho: np.ndarray) -> list[float]:
+    """Characteristic-polynomial coefficients S_0 ... S_d of rho.
 
-    The verdict requires rho to be Hermitian (``eigvalsh`` reads only one
-    triangle) and its smallest eigenvalue to be >= PSD_TOL: the high-order
-    S_m are products of many eigenvalues, so past n = 3 a negative
-    eigenvalue can leave every S_m above an absolute tolerance.
+    Computed by the trace-power recursion.  In exact arithmetic a Hermitian
+    unit-trace rho is positive semidefinite iff every S_m is nonnegative; in
+    floating point a small negative eigenvalue can leave every S_m above any
+    absolute tolerance, so the verdict is ``positivity_certificate``'s, which
+    also reads the smallest eigenvalue.
     """
-    S = positivity_coefficients(rho)
-    ok = is_hermitian(rho) and all(s >= PSD_TOL for s in S) and float(np.linalg.eigvalsh(rho)[0]) >= PSD_TOL
-    return S, ok
+    rho = np.asarray(rho, dtype=complex)
+    num_qubits(rho)
+    return _newton(_trace_powers(rho[None])[0])
+
+
+def positivity_certificates(states) -> list[tuple[list[float], bool]]:
+    """(S_0 ... S_d, PSD verdict) of each state of a stack of 2**n x 2**n
+    matrices (an array or a sequence), in one pass over the stack.
+
+    A verdict requires the state to be Hermitian (``eigvalsh`` reads only
+    one triangle), every S_m to be >= PSD_TOL, and the smallest eigenvalue
+    to be >= PSD_TOL: the high-order S_m are products of many eigenvalues,
+    so past n = 3 a negative eigenvalue can leave every S_m above an
+    absolute tolerance.  Eigenvalues are taken only of the states that
+    pass the first two checks.  The recursion runs once per distinct row
+    of traces; all 4**n - 1 probes share one.
+    """
+    states = np.asarray(states, dtype=complex)
+    if states.ndim != 3:
+        raise DimensionMismatch(f"expected a stack of square matrices, got shape {states.shape}")
+    if len(states):
+        num_qubits(states[0])
+    memo = {}  # traces -> (S, every S_m >= PSD_TOL)
+    rows = []
+    for traces in _trace_powers(states):
+        key = tuple(traces)
+        if key not in memo:
+            S = _newton(traces)
+            memo[key] = S, all(s >= PSD_TOL for s in S)
+        rows.append(memo[key])
+    # pauli.is_hermitian, state by state
+    hermitian = np.abs(states - states.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= HERMITIAN_TOL
+    ok = [h and nonnegative for h, (_, nonnegative) in zip(hermitian.tolist(), rows)]
+    todo = [i for i, passed in enumerate(ok) if passed]
+    if todo:
+        for i, smallest in zip(todo, np.linalg.eigvalsh(states[todo])[:, 0].tolist()):
+            ok[i] = smallest >= PSD_TOL
+    return [(S[:], passed) for (S, _), passed in zip(rows, ok)]
+
+
+def positivity_certificate(rho: np.ndarray) -> tuple[list[float], bool]:
+    """The coefficients S_0 ... S_d of rho and its PSD verdict: the
+    certificate of ``positivity_certificates`` for a stack of one."""
+    return positivity_certificates(np.asarray(rho, dtype=complex)[None])[0]
 
 
 def is_positive_semidefinite(rho: np.ndarray) -> bool:

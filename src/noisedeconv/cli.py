@@ -186,7 +186,8 @@ def cmd_experiment(args) -> int:
 def cmd_check_positivity(args) -> int:
     if args.state_file:
         lines = [f"state-file {args.state_file}"]
-        states = [("", simulator._matrix_from_json(_load_json(args.state_file)))]
+        prefixes = [""]
+        states = [simulator._matrix_from_json(_load_json(args.state_file))]
     else:
         if args.n is None:
             raise ConfigError("check-positivity needs --n or --state-file")
@@ -202,11 +203,10 @@ def cmd_check_positivity(args) -> int:
             ks = [k_int]
         d = 2**n
         lines = [f"n {n} d {d} delta {_fmt(1 + d / 2)}"]
-        states = [(f"k {k} {PauliIndex(n, k).label} ", characterization.probe_state(k, n))
-                  for k in ks]
+        prefixes = [f"k {k} {PauliIndex(n, k).label} " for k in ks]
+        states = [characterization.probe_state(k, n) for k in ks]
     ok = True
-    for prefix, rho in states:
-        S, passed = characterization.positivity_certificate(rho)
+    for prefix, (S, passed) in zip(prefixes, characterization.positivity_certificates(states)):
         ok = ok and passed
         lines.append(prefix + "S " + " ".join(_fmt(s) for s in S) + (" PASS" if passed else " FAIL"))
     lines.append("ALL PASS" if ok else "FAILED")

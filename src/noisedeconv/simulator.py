@@ -192,7 +192,8 @@ def _observable_from_json(spec) -> Observable:
 
 
 def _matrix_from_json(entries) -> np.ndarray:
-    """Dense matrix from nested lists; entries are numbers or [re, im] pairs."""
+    """Dense matrix from nested lists; entries are finite numbers or [re, im]
+    pairs (JSON's NaN and Infinity raise ConfigError naming the entry)."""
     def scalar(x):
         if isinstance(x, (list, tuple)):
             if len(x) != 2:
@@ -203,9 +204,12 @@ def _matrix_from_json(entries) -> np.ndarray:
     try:
         rho = np.array([[scalar(x) for x in row] for row in entries], dtype=complex)
         num_qubits(rho)  # square, 2**n x 2**n
-        return rho
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad matrix: {exc}") from None
+    if not np.isfinite(rho).all():
+        i, j = np.argwhere(~np.isfinite(rho))[0]
+        raise ConfigError(f"matrix entry ({i}, {j}) is {entries[i][j]!r}; entries must be finite")
+    return rho
 
 
 def _validate_initial_state(rho: np.ndarray, n: int) -> None:
@@ -255,7 +259,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExpectationRecord]:
     s_values: list[float | None] = list(cfg.strength_grid) if cfg.strength_grid else [None]
     term_ks = sorted(cfg.observable.terms)
     units = {k: Observable(cfg.n, {k: 1.0}) for k in term_ks}
-    d = 2**cfg.n
+    c = vectorize(cfg.initial_state) * 2**cfg.n  # entry j is Tr[P_j rho]
     records: list[ExpectationRecord] = []
     for gi, mu in enumerate(mu_values):
         for si, strength in enumerate(s_values):
@@ -272,7 +276,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExpectationRecord]:
                 lam, gamma = None, ch.ptm().matrix
             plans = [[plan(units[k], ch, m) for k in term_ks] for m in range(cfg.m_max + 1)]
             needed = [sorted({j for p in ps for j in p.weights} | set(term_ks)) for ps in plans]
-            c = vectorize(cfg.initial_state) * d  # entry j is Tr[P_j rho]
             exact = [e for v, js in zip(_evolved(c, lam, gamma, cfg.m_max), needed)
                      for e in coefficient_expectations(v, js)]
             read = [([j for js in needed for j in js], (gi, si))]  # m-major, then j ascending

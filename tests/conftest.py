@@ -5,6 +5,10 @@ matrices are built by explicit Kronecker products over itertools.product
 orderings, coefficients by explicit traces, and transfer matrices by
 column-wise trace formulas, so tests compare two independent routes.
 The reference report parser reads one line at a time, with no memo.
+The reference positivity certificate takes one state at a time: its
+powers, each trace by ``np.trace``, the recursion with an explicit
+(-1)**(j-1), then the Hermiticity check and ``eigvalsh`` only when the
+earlier checks pass.
 """
 
 import math
@@ -60,6 +64,26 @@ def random_density(n, rng):
     A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = A @ A.conj().T
     return rho / np.trace(rho)
+
+
+def positivity_certificate_reference(rho, psd_tol, hermitian_tol):
+    """(S_0 ... S_d, PSD verdict) of one state, by the trace-power recursion."""
+    rho = np.asarray(rho, dtype=complex)
+    d = rho.shape[0]
+    power = np.eye(d, dtype=complex)
+    traces = [0.0]  # traces[j] = Tr[rho^j]
+    for _ in range(d):
+        power = power @ rho
+        traces.append(float(np.trace(power).real))
+    S = [1.0]
+    for m in range(1, d + 1):
+        acc = 0.0
+        for j in range(1, m + 1):
+            acc += (-1.0) ** (j - 1) * traces[j] * S[m - j]
+        S.append(acc / m)
+    hermitian = bool(np.max(np.abs(rho - rho.conj().T)) <= hermitian_tol)
+    ok = hermitian and all(s >= psd_tol for s in S) and float(np.linalg.eigvalsh(rho)[0]) >= psd_tol
+    return S, ok
 
 
 def random_hermitian(n, rng, scale=1.0):

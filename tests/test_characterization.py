@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import random_density, report_from_text_reference
+from conftest import positivity_certificate_reference, random_density, report_from_text_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,12 +23,21 @@ from noisedeconv.characterization import (
     CharacterizedPTM,
     estimate_diagonal_entries,
     estimate_full_ptm,
+    PSD_TOL,
     is_positive_semidefinite,
+    positivity_certificate,
+    positivity_certificates,
     positivity_coefficients,
     probe_state,
 )
-from noisedeconv.exceptions import IdentityProbe, NonUnitalChannel, ParseError, ResourceCapExceeded
-from noisedeconv.pauli import PauliIndex
+from noisedeconv.exceptions import (
+    DimensionMismatch,
+    IdentityProbe,
+    NonUnitalChannel,
+    ParseError,
+    ResourceCapExceeded,
+)
+from noisedeconv.pauli import HERMITIAN_TOL, PauliIndex
 from noisedeconv.sampling import MAX_SHOTS, derive_rng, sample_pauli_expectation
 
 
@@ -522,3 +531,75 @@ class TestPositivityCoefficients:
                 S = positivity_coefficients(probe_state(k, n))
                 assert all(s > 0 for s in S[:delta]), (n, k, S)
                 assert all(abs(s) < 1e-10 for s in S[delta:]), (n, k, S)
+
+
+def _mixed_stack(n, seed, count=40):
+    """Seeded states of four kinds in turn: PSD, Hermitian but not PSD, not
+    Hermitian, and PSD shifted by up to -0.02 (some just below zero)."""
+    rng = np.random.default_rng(seed)
+    d = 2**n
+    states = []
+    for i in range(count):
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho = [g @ g.conj().T, g + g.conj().T, g, g @ g.conj().T][i % 4]
+        if i % 4 == 3:
+            rho = rho / np.trace(rho).real - rng.uniform(0, 0.02) * np.eye(d)
+        states.append(rho / np.trace(rho).real)
+    return np.array(states)
+
+
+def _reference(states):
+    return [positivity_certificate_reference(rho, PSD_TOL, HERMITIAN_TOL) for rho in states]
+
+
+class TestStackedCertificates:
+    """A stack's certificates equal those of its states one at a time, bit
+    for bit: every S_m and every verdict, compared with ==."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_probe_stack_matches_the_per_state_reference(self, n):
+        probes = [probe_state(k, n) for k in range(1, 4**n)]
+        got = positivity_certificates(probes)
+        assert got == _reference(probes)
+        assert all(ok for _, ok in got)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_stack_matches_the_per_state_reference(self, n, seed):
+        states = _mixed_stack(n, seed)
+        want = _reference(states)
+        assert positivity_certificates(states) == want
+        assert {ok for _, ok in want} == {True, False}
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_stack_of_one_matches_the_per_state_reference(self, n):
+        for rho in _mixed_stack(n, 2, count=8):
+            want = positivity_certificate_reference(rho, PSD_TOL, HERMITIAN_TOL)
+            assert positivity_certificates(rho[None]) == [want]
+            assert positivity_certificate(rho) == want
+            assert is_positive_semidefinite(rho) == want[1]
+            assert positivity_coefficients(rho) == want[0]
+
+    def test_a_non_finite_state_fails_alone(self):
+        # eigvalsh runs only on the states that pass the Hermiticity and S_m checks
+        states = _mixed_stack(2, 3, count=8)
+        states[1, 0, 1] = np.nan
+        states[6, 2, 2] = np.inf
+        with np.errstate(invalid="ignore"):  # NaN and inf flow through the products, as one state alone
+            got, want = positivity_certificates(states), _reference(states)
+        assert not got[1][1] and not got[6][1]
+        assert repr(got) == repr(want)
+
+    def test_results_do_not_share_coefficient_lists(self):
+        # the probes share one row of traces, so one recursion
+        got = positivity_certificates([probe_state(k, 2) for k in range(1, 16)])
+        got[0][0][1] = 7.0
+        assert got[1][0][1] == 1.0
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 3, 3), (1, 2, 3)])
+    def test_refuses_what_is_not_a_stack_of_qubit_matrices(self, shape):
+        with pytest.raises(DimensionMismatch):
+            positivity_certificates(np.zeros(shape))
+
+    def test_empty_stack(self):
+        assert positivity_certificates(np.zeros((0, 4, 4))) == []

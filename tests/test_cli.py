@@ -828,6 +828,23 @@ class TestNonFiniteInputs:
                      "--measurements", meas]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("entry, shown", [("NaN", "nan"), ("-Infinity", "-inf"), ("[0.5, Infinity]", "[0.5, inf]")],
+                             ids=["nan", "minus_inf", "inf_imaginary_part"])
+    def test_non_finite_state_file_entry_exits_two_naming_it(self, tmp_path, capsys, entry, shown):
+        # [[1,0],[0,NaN]] printed "S 1.0 nan nan FAIL" and exited 3
+        state = write(tmp_path, "state.json", f"[[1, 0], [0, {entry}]]")
+        assert main(["check-positivity", "--state-file", state]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"matrix entry (1, 1) is {shown}; entries must be finite" in captured.err
+
+    def test_non_finite_initial_state_entry_exits_two_naming_it(self, tmp_path, capsys):
+        # exited 3 with "initial state is not Hermitian"
+        raw = {"n": 1, "channel": {"family": "bit_flip", "n": 1, "p": 0.05},
+               "observable": [["Z", 1.0]], "initial_state": [[1.0, 0.0], [0.0, float("nan")]], "m_max": 1}
+        assert main(["experiment", "--config", write(tmp_path, "exp.json", json.dumps(raw))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "matrix entry (1, 1) is nan; entries must be finite" in captured.err
+
 
 class TestNegativeInputs:
     def test_negative_std_error_in_measurements_exits_two(self, tmp_path, capsys):

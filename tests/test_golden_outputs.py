@@ -18,7 +18,7 @@ copied to a temp file with the key set, as older configs say it).
 with ``--shots 2048 --seed 1``: from ``zeros`` every entry its plans read
 is +-1, so the sampled case above draws only p = 0 or 1 and cannot see a
 change to the sampler.
-``check-positivity`` runs at n = 1..3, on one label, and on a passing and
+``check-positivity`` runs at n = 1..4, on one label, and on a passing and
 a failing ``--state-file``.  Stderr is not compared: a warning may be added
 without changing stdout.
 """
@@ -164,6 +164,7 @@ GOLDEN = {
     ("check-positivity", "n1"): (0, "ae19b1c9bdb0a55451136af2ef00b76688ef8c16819d018d8a273fd806b5f603"),
     ("check-positivity", "n2"): (0, "85fb8602ce2f27d62e09b5f29818515bffc51303f82da7a368caa23a14d1dc69"),
     ("check-positivity", "n3"): (0, "75dd7a06a5d2b391ba06129afb0cede1da4eb0532562af1e0def4889f8dd59ac"),
+    ("check-positivity", "n4"): (0, "635f8140b6788914f24955e1123a683c0ec60d97649ced7d627c2c773a2a1789"),
     ("check-positivity", "n2-kZZ"): (0, "27a924ad67e2d628162429796e28f9efdc787545818b28de1d78a590679d9eea"),
     ("check-positivity", "state-pass"): (0, "5d735b98fceaa200fa5dcdc65812e9f484c4c0aa44a8b19750e58d3938535c3e"),
     ("check-positivity", "state-fail"): (3, "b9efaab0505034e78ffc4c0483c85d55c9ae97b9ef2f3c3c022ed982116d4417"),
@@ -210,6 +211,7 @@ CHECKS = {
     "n1": ["--n", "1"],
     "n2": ["--n", "2"],
     "n3": ["--n", "3"],
+    "n4": ["--n", "4"],
     "n2-kZZ": ["--n", "2", "--k", "ZZ"],
     "state-pass": ["--state-file", "pass.json"],
     "state-fail": ["--state-file", "fail.json"],
