@@ -1,18 +1,23 @@
 """Quantum channels: Kraus sets and Pauli transfer matrices.
 
-Two representations share one interface (``n``, ``d``, ``lambdas()``,
+Two representations share one interface (``n``, ``d``, ``lambdas(ks=None)``,
 ``ptm()`` and ``apply(rho, method)``):
 
-* :class:`KrausChannel` -- explicit operator-sum form; also carries the
-  probability vector over Pauli strings when the channel is a random
-  Pauli map, which unlocks the fast diagonal paths below.
+* :class:`KrausChannel` -- explicit operator-sum form; a random Pauli map
+  carries instead its probability vector over Pauli strings, or, for the
+  Markov-correlated families, its marginal p and correlation mu, which
+  unlock the fast diagonal paths below.
 * :class:`PTM` -- the full d^2 x d^2 real transfer matrix with entries
   Tr[P_j Phi(P_q)]/d.
 
-Conversions are explicit and cached per instance.  Diagonal entries of a
-Pauli channel are computed from the commutation signs between Pauli
-strings (lambda_j = sum_m beta_m * s(m, j)) instead of matrix traces,
-which keeps the cost per entry linear in the number of weights.  A
+``lambdas()`` gives every diagonal entry, and ``lambdas(ks)`` a lookup by
+flat index that holds those at ks: the full vector where it exists.
+Conversions are explicit and cached per instance.
+Diagonal entries of a Pauli map given by its weights are computed from
+the commutation signs between Pauli strings (lambda_j = sum_m beta_m *
+s(m, j)) instead of matrix traces.  Those of a Markov-correlated map are
+a product of n 4x4 factors per entry (``_markov_lambdas``), so
+``lambdas(ks)`` costs O(len(ks) * n) with no 4**n array.  A
 general Kraus set gets its transfer matrix from the superoperator
 sum_i K_i (x) conj(K_i), taken to the Pauli basis by per-qubit 4x4
 kernels on both sides, with no loop over the 4**n basis strings.
@@ -34,7 +39,9 @@ Channel families:
   independent per-qubit damping with a collective damping term.
 
 Dense full transfer matrices are capped at MAX_QUBITS_FULL_PTM qubits;
-diagonal-only computations extend to pauli.MAX_QUBITS.
+the full diagonal, the weight vector and the Kraus operators at
+pauli.MAX_QUBITS.  A Markov-correlated channel is built up to
+MAX_QUBITS_SPARSE qubits, where only ``lambdas(ks)`` is within its caps.
 """
 
 from __future__ import annotations
@@ -68,6 +75,7 @@ from .pauli import (
 
 __all__ = [
     "MAX_QUBITS_FULL_PTM",
+    "MAX_QUBITS_SPARSE",
     "KrausChannel",
     "PTM",
     "Channel",
@@ -84,6 +92,10 @@ __all__ = [
 
 # Full d^2 x d^2 transfer matrices above this cap are memory-prohibitive.
 MAX_QUBITS_FULL_PTM = 5
+
+# Markov-correlated channels answer lambdas(ks) up to this cap, where every
+# flat index 4**n - 1 still fits an int64.
+MAX_QUBITS_SPARSE = 31
 
 TP_TOL = 1e-10
 DIAGONAL_TOL = 1e-12
@@ -208,10 +220,11 @@ class PTM:
     def d(self) -> int:
         return 2**self.n
 
-    def lambdas(self) -> np.ndarray:
-        """Diagonal entries of a Pauli-diagonal map: lambda_0 = 1 (the
-        first-row check) and every |lambda_k| <= 1.  The verdict is reached
-        once per PTM; a refusal raises again on every call."""
+    def lambdas(self, ks=None) -> np.ndarray:
+        """Diagonal entries of a Pauli-diagonal map, the whole vector for any
+        ``ks``: lambda_0 = 1 (the first-row check) and every |lambda_k| <= 1.
+        The verdict is reached once per PTM; a refusal raises again on every
+        call."""
         with self._lock:
             if self._diagonal is None:
                 self._diagonal = self._diagonal_verdict()
@@ -245,26 +258,34 @@ class PTM:
 class KrausChannel:
     """Channel in operator-sum form: rho -> sum_i K_i rho K_i^dag.
 
-    When the channel is a random Pauli map, construct it through
-    :meth:`from_pauli_weights` (or the family helpers); the weight vector
-    is then available as ``pauli_weights`` and the Kraus operators
-    sqrt(w_k) P_k are materialized lazily on first access.  Operators given
-    directly must satisfy sum K^dag K = 1 to within TP_TOL.
+    A random Pauli map is built from its weight vector
+    (:meth:`from_pauli_weights`) or, for the Markov-correlated families,
+    from its marginal p and correlation mu (``correlated_pauli_channel``).
+    Its weights (``pauli_weights``), its Kraus operators sqrt(w_k) P_k, its
+    full diagonal and its transfer matrix are built on first access, each
+    under its own cap; a Markov-correlated map answers ``lambdas(ks)`` at
+    any n up to MAX_QUBITS_SPARSE without them.  Operators given directly
+    must satisfy sum K^dag K = 1 to within TP_TOL.
     """
 
     def __init__(self, kraus_ops: Sequence[np.ndarray]):
         ops = [np.asarray(K, dtype=complex) for K in kraus_ops]
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
-        self.n = num_qubits(ops[0])
+        n = num_qubits(ops[0])
         for K in ops:
             if K.shape != ops[0].shape:
                 raise DimensionMismatch("Kraus operators must share one shape")
         acc = sum(K.conj().T @ K for K in ops)
-        if np.max(np.abs(acc - np.eye(self.d))) > TP_TOL:
+        if np.max(np.abs(acc - np.eye(2**n))) > TP_TOL:
             raise NotTracePreserving(f"sum K^dag K deviates from identity beyond {TP_TOL}")
-        self._kraus: list[np.ndarray] | None = [_readonly(K) for K in ops]
-        self._weights: np.ndarray | None = None
+        self._setup(n, [_readonly(K) for K in ops])
+
+    def _setup(self, n: int, kraus=None, weights=None, markov=None) -> None:
+        self.n = int(n)
+        self._kraus: list[np.ndarray] | None = kraus
+        self._weights: np.ndarray | None = weights
+        self._markov: tuple[np.ndarray, float] | None = markov  # (p, mu)
         self._lambdas: np.ndarray | None = None
         self._ptm: PTM | None = None
         self._lock = threading.RLock()
@@ -273,14 +294,8 @@ class KrausChannel:
     def from_pauli_weights(cls, n: int, weights) -> "KrausChannel":
         """Random Pauli map with probability weights[k] on Pauli string k."""
         check_qubits(n)
-        w = _validate_probability_vector(weights, 4**n, "Pauli weight vector")
         self = cls.__new__(cls)
-        self.n = int(n)
-        self._kraus = None
-        self._weights = _readonly(w)
-        self._lambdas = None
-        self._ptm = None
-        self._lock = threading.RLock()
+        self._setup(n, weights=_readonly(_validate_probability_vector(weights, 4**n, "Pauli weight vector")))
         return self
 
     @property
@@ -289,42 +304,61 @@ class KrausChannel:
 
     @property
     def pauli_weights(self) -> np.ndarray | None:
+        """The weight vector of a Pauli map (built from p and mu on first use,
+        up to pauli.MAX_QUBITS), else None."""
+        if self._weights is None and self._markov is not None:
+            with self._lock:
+                if self._weights is None:
+                    w = correlated_pauli_weights(self.n, *self._markov)
+                    self._weights = _readonly(_validate_probability_vector(w, 4**self.n, "Pauli weight vector"))
         return self._weights
 
     @property
     def is_pauli(self) -> bool:
-        return self._weights is not None
+        return self._weights is not None or self._markov is not None
 
     @property
     def kraus_ops(self) -> list[np.ndarray]:
         with self._lock:
             if self._kraus is None:
-                ops = []
-                for k in np.nonzero(self._weights)[0]:
-                    K = np.sqrt(self._weights[k]) * pauli_element(int(k), self.n)
-                    ops.append(_readonly(K))
-                self._kraus = ops
+                w = self.pauli_weights
+                self._kraus = [_readonly(np.sqrt(w[k]) * pauli_element(int(k), self.n)) for k in np.nonzero(w)[0]]
         return self._kraus
 
-    def lambdas(self) -> np.ndarray:
-        """Diagonal transfer-matrix entries.  A Pauli map gets them from its
-        weights through the per-qubit commutation signs, once, without the
-        full matrix (so up to n = MAX_QUBITS), with lambda_0 = 1 exactly."""
-        if self._lambdas is not None:  # set once, so read without the lock
-            return self._lambdas
-        with self._lock:
-            if self._lambdas is None:
-                if self._weights is not None:
-                    lam = _transform_per_qubit([_COMMUTATION_SIGNS] * self.n, self._weights)
-                    lam[0] = 1.0  # trace preservation; the transform gives sum(w), off by rounding
-                    self._lambdas = _readonly(lam)
-                else:
-                    self._lambdas = self._ptm_locked().lambdas()
-        return self._lambdas
+    def lambdas(self, ks=None) -> np.ndarray | dict[int, float]:
+        """Diagonal transfer-matrix entries, with lambda_0 = 1 exactly: a
+        lookup by flat index k that holds every k in ``ks``, or all of them.
+        The full vector answers for any ``ks`` once it exists; it is built
+        once, without the full matrix (so up to n = MAX_QUBITS): from a
+        Markov-correlated map's p and mu, from a Pauli map's weights through
+        the per-qubit commutation signs, else from ``ptm()``.  Before it
+        exists, a Markov-correlated map answers ``ks`` with the dict
+        {k: lambda_k} of those entries alone (``_markov_lambdas``), bit for
+        bit as the full vector holds them."""
+        lam = self._lambdas  # set once, so read without the lock
+        if lam is None:
+            if ks is not None and self._markov is not None:
+                ks = list(ks)
+                return dict(zip(ks, _markov_lambdas(self.n, *self._markov, ks).tolist()))
+            with self._lock:
+                if self._lambdas is None:
+                    self._lambdas = self._full_lambdas()
+            lam = self._lambdas
+        return lam
+
+    def _full_lambdas(self) -> np.ndarray:
+        if self._markov is not None:
+            check_qubits(self.n)
+            return _readonly(_markov_lambdas(self.n, *self._markov))
+        if self._weights is not None:
+            lam = _transform_per_qubit([_COMMUTATION_SIGNS] * self.n, self._weights)
+            lam[0] = 1.0  # trace preservation; the transform gives sum(w), off by rounding
+            return _readonly(lam)
+        return self._ptm_locked().lambdas()
 
     def _ptm_locked(self) -> PTM:
         if self._ptm is None:
-            if self._weights is not None:
+            if self.is_pauli:
                 check_qubits(self.n, MAX_QUBITS_FULL_PTM)
                 self._ptm = PTM(self.n, np.diag(self.lambdas()))
             else:
@@ -407,6 +441,15 @@ def apply_channel(ch: Channel, rho: np.ndarray, method: str = "auto") -> np.ndar
     return ch.apply(rho, method=method)
 
 
+def _markov_parameters(p_vec, mu) -> tuple[np.ndarray, float]:
+    """The validated marginal p and correlation mu of the Markov-correlated family."""
+    p = _validate_probability_vector(p_vec, 4, "p_vec")
+    mu = float(mu)
+    if not 0.0 <= mu <= 1.0:
+        raise InvalidCorrelation(f"correlation parameter must be in [0, 1], got {mu}")
+    return p, mu
+
+
 def correlated_pauli_weights(n: int, p_vec, mu: float) -> np.ndarray:
     """Pauli-string probabilities of the Markov-correlated family.
 
@@ -417,10 +460,7 @@ def correlated_pauli_weights(n: int, p_vec, mu: float) -> np.ndarray:
         w[a_1 ... a_n] = p[a_1] * prod_j ((1 - mu) p[a_j] + mu delta(a_{j-1}, a_j))
     """
     check_qubits(n)
-    p = _validate_probability_vector(p_vec, 4, "p_vec")
-    mu = float(mu)
-    if not 0.0 <= mu <= 1.0:
-        raise InvalidCorrelation(f"correlation parameter must be in [0, 1], got {mu}")
+    p, mu = _markov_parameters(p_vec, mu)
     cond = (1.0 - mu) * np.tile(p, (4, 1)) + mu * np.eye(4)
     w = p
     for _ in range(n - 1):
@@ -431,9 +471,62 @@ def correlated_pauli_weights(n: int, p_vec, mu: float) -> np.ndarray:
     return w
 
 
+def _markov_lambdas(n: int, p: np.ndarray, mu: float, ks=None) -> np.ndarray:
+    """Diagonal entries of the Markov-correlated map with marginal p and
+    correlation mu, every one in index order (``ks`` None) or those at the
+    flat indices ``ks``, with lambda_0 = 1 exactly.
+
+    In its hidden-Markov form (Macchiavello & Palma, PRA 65, 050301, 2002)
+    an entry is a product over the digits a_1 ... a_n of k:
+
+        lambda_k = (p o s_{a_1})^T . prod_{j >= 2} (C diag(s_{a_j})) . 1,  C = (1 - mu) 1 p^T + mu I,
+
+    with s_a column a of the commutation signs.  As v C = (1 - mu) (v . 1) p
+    + mu v, one factor takes the row vector v of the first j - 1 digits to
+    ((1 - mu) (v . 1) p + mu v) o s_{a_j} in a few elementwise operations.
+    v is held for each k's own prefix, or for all 4**j prefixes of j digits
+    when every entry is asked for, as the columns of a (4, count) array; a
+    factor is the same operations on either, so both give the same bits, in
+    O(count * n), with no 4**n array for the entries alone.
+    """
+    signs = _COMMUTATION_SIGNS.T  # symmetric; column a is s_a
+    q = ((1.0 - mu) * p)[:, None]
+    p = p[:, None]
+    if ks is None:
+        # The columns are the prefixes with the last digit most significant, so
+        # that every broadcast runs along the long axis; the entries are put in
+        # index order at the end.
+        v = signs * p  # column a: p o s_a, the prefix a
+        for _ in range(n - 1):
+            w = q * _column_sums(v) + mu * v
+            v = (signs[:, :, None] * w[:, None, :]).reshape(4, -1)
+        lam = _column_sums(v).reshape((4,) * n).transpose(range(n - 1, -1, -1)).reshape(-1)
+        lam[0] = 1.0
+        return lam
+    ks = np.asarray(ks, dtype=np.int64)
+    if ks.size and not (0 <= ks.min() and ks.max() < 4**n):
+        raise IndexError(f"flat indices must lie in 0..{4**n - 1}")
+    s = signs[:, (ks >> 2 * np.arange(n - 1, -1, -1)[:, None]) & 3]  # [b, j, entry] = s_{a_j}[b]
+    v = s[:, 0] * p
+    for j in range(1, n):
+        v = (q * _column_sums(v) + mu * v) * s[:, j]
+    lam = _column_sums(v)
+    lam[ks == 0] = 1.0
+    return lam
+
+
+def _column_sums(v: np.ndarray) -> np.ndarray:
+    """v[0] + v[1] + v[2] + v[3], in that order, whatever the column count."""
+    return v[0] + v[1] + v[2] + v[3]
+
+
 def correlated_pauli_channel(n: int, p_vec, mu: float) -> KrausChannel:
-    """Markov-correlated random Pauli channel on n qubits."""
-    return KrausChannel.from_pauli_weights(n, correlated_pauli_weights(n, p_vec, mu))
+    """Markov-correlated random Pauli channel on n qubits, kept as its
+    marginal and correlation: up to MAX_QUBITS_SPARSE qubits."""
+    check_qubits(n, MAX_QUBITS_SPARSE)
+    ch = KrausChannel.__new__(KrausChannel)
+    ch._setup(n, markov=_markov_parameters(p_vec, mu))
+    return ch
 
 
 def bit_flip_channel(n: int, p: float, mu: float = 0.0) -> KrausChannel:

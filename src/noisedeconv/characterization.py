@@ -143,10 +143,11 @@ class CharacterizedPTM:
     shots: int
     seed: int
 
-    def lambdas(self) -> dict[int, float] | np.ndarray:
-        """A diagonal report's rows, with lambda_0 = 1 from trace preservation.
-        A full report answers as its matrix does (``PTM.lambdas``): its diagonal
-        within DIAGONAL_TOL, else NotPauliDiagonal, planned from ``ptm()``."""
+    def lambdas(self, ks=None) -> dict[int, float] | np.ndarray:
+        """A diagonal report's rows, with lambda_0 = 1 from trace preservation,
+        for any ``ks``: a k it lacks is missing from the dict.  A full report
+        answers as its matrix does (``PTM.lambdas``): its diagonal within
+        DIAGONAL_TOL, else NotPauliDiagonal, planned from ``ptm()``."""
         if self.mode == "full":
             return self.ptm().lambdas()
         return {0: 1.0} | {k: est for (_, k), (est, _) in self.entries.items()}

@@ -84,14 +84,14 @@ def _parse_measurements(text: str) -> tuple[dict[int, float], dict[int, float], 
     n, rows = labelled_rows(text, "<pauli-string> <value> [std_error]", (2, 3))
     values: dict[int, float] = {}
     errors: dict[int, float] = {}
-    for lineno, idx, (value, *err) in rows:
+    for lineno, k, (value, *err) in rows:
         err = err[0] if err else 0.0
         if err < 0:
             raise ParseError(f"line {lineno}: std_error must be >= 0, got {err!r}")
-        if idx.k in values:
-            raise ParseError(f"line {lineno}: {idx.label!r} repeats an earlier row")
-        values[idx.k] = value
-        errors[idx.k] = err
+        if k in values:
+            raise ParseError(f"line {lineno}: {PauliIndex(n, k).label!r} repeats an earlier row")
+        values[k] = value
+        errors[k] = err
     return values, errors, n
 
 

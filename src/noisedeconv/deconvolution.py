@@ -17,10 +17,15 @@ product each.  A general-path plan warns when its weights amplify the
 observable's coefficients (sum_j |w_j| / sum_k |c_k|) beyond
 CONDITION_WARN: rounding in the data is then amplified as much.
 
-A characterization report is a lambda source like any channel: a
-diagonal report gives its rows (a term it lacks raises
-MissingMeasurement), and a full report answers as its transfer matrix
-does: an exact report of Pauli noise consults r entries.
+Every source answers ``lambdas(ks)`` with a lookup by index that holds
+the diagonal entries at the observable's indices, and ``plan`` asks
+once: a full vector answers as it is, and a Markov-correlated channel
+computes just those r entries, so the diagonal path costs O(r * n) at
+any n up to channels.MAX_QUBITS_SPARSE.  A characterization
+report is a lambda source like any channel: a diagonal report gives its
+rows (a term it lacks raises MissingMeasurement), and a full report
+answers as its transfer matrix does: an exact report of Pauli noise
+consults r entries.
 
 Plans are immutable; ``deconvolve`` is a pure function of the plan and
 the supplied noisy expectation values, summed in ascending index order
@@ -104,24 +109,27 @@ def _finite(x: float, what: str) -> float:
 
 def plan(obs: Observable, ch: Channel, m: int = 1) -> DeconvolutionPlan:
     """Plan the recovery of ``obs`` after m applications of ``ch`` (a channel or a
-    characterization report): the diagonal path when ``ch.lambdas()`` gives the
-    diagonal, the general one on ``ch.ptm()`` when it raises NotPauliDiagonal."""
+    characterization report): the diagonal path when ``ch.lambdas(ks)`` answers for
+    the observable's indices, an answer the rescaling then reads, and the general
+    one on ``ch.ptm()`` when it raises NotPauliDiagonal."""
     try:
-        ch.lambdas()
+        lam = ch.lambdas(obs.terms if obs.n == ch.n else ())  # a mismatch is refused by either path
     except NotPauliDiagonal:
         return plan_general(obs, ch.ptm(), m=m)
-    return plan_pauli(obs, ch, m=m)
+    return plan_pauli(obs, ch, m, lam)
 
 
-def plan_pauli(obs: Observable, ch: Channel, m: int = 1) -> DeconvolutionPlan:
+def plan_pauli(obs: Observable, ch: Channel, m: int = 1, lam=None) -> DeconvolutionPlan:
     """Diagonal-path plan: divide each term k by lambda_k**m (m applications of the
-    channel).  Refuses |lambda_k| <= INVERTIBILITY_TOL, an overflowing
-    lambda_k**(-m), and a report that lacks lambda_k."""
+    channel).  ``lam`` is ``ch.lambdas(ks)`` for the observable's indices, a lookup
+    by k, asked of ``ch`` when not given.  Refuses |lambda_k| <= INVERTIBILITY_TOL,
+    an overflowing lambda_k**(-m), and a report that lacks lambda_k."""
     if m < 0:
         raise ValueError(f"repetition count must be >= 0, got {m}")
     if ch.n != obs.n:
         raise DimensionMismatch(f"observable is on n={obs.n}, channel on n={ch.n}")
-    lam = ch.lambdas()
+    if lam is None:
+        lam = ch.lambdas(obs.terms)
     weights: dict[int, float] = {}
     for k, coeff in obs.items():
         try:

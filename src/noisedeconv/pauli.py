@@ -96,10 +96,7 @@ class PauliIndex:
     @classmethod
     def from_label(cls, label: str) -> "PauliIndex":
         """I, X, Y, Z in either case, first qubit first, read as base-4 digits."""
-        upper = label.upper()
-        if not upper or upper.strip(PAULI_LABELS):
-            raise ValueError(f"invalid Pauli label {label!r}")
-        return cls(len(upper), int(upper.translate(_LABEL_DIGITS), 4))
+        return cls(*_label_index(label))
 
     @property
     def digits(self) -> tuple[int, ...]:
@@ -117,6 +114,15 @@ class PauliIndex:
     @property
     def is_identity(self) -> bool:
         return self.k == 0
+
+
+def _label_index(label: str) -> tuple[int, int]:
+    """(qubit count, flat index) of a Pauli label: I, X, Y, Z in either case,
+    first qubit first, read as base-4 digits; anything else raises ValueError."""
+    upper = label.upper()
+    if not upper or upper.strip(PAULI_LABELS):
+        raise ValueError(f"invalid Pauli label {label!r}")
+    return len(upper), int(upper.translate(_LABEL_DIGITS), 4)
 
 
 def as_index(k, n: int | None = None) -> PauliIndex:
@@ -256,27 +262,31 @@ def text_rows(text: str):
 
 
 def labelled_rows(text: str, form: str, widths: tuple[int, ...]) -> tuple[int, list]:
-    """The qubit count and rows (line number, PauliIndex, numbers) of ``form``
-    lines, ``<pauli-string> <number>...`` with a field count in ``widths``.  A
-    line with another field count, a bad string or number, a non-finite number
-    or another qubit count raises ParseError naming it; so does no row."""
+    """The qubit count and rows (line number, flat index k, numbers) of ``form``
+    lines, ``<pauli-string> <number>...`` with a field count in ``widths``; k and
+    the qubit count are read from the label itself.  A line with another field
+    count, a bad string or number, a non-finite number or another qubit count
+    raises ParseError naming it; so does no row."""
     rows = []
+    n = None
     for lineno, line, fields in text_rows(text):
         if len(fields) not in widths:
             raise ParseError(f"line {lineno}: expected '{form}', got {line!r}")
         try:
-            idx = PauliIndex.from_label(fields[0])
+            n_row, k = _label_index(fields[0])
             numbers = [float(x) for x in fields[1:]]
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
         if not all(map(math.isfinite, numbers)):
             raise ParseError(f"line {lineno}: numbers must be finite, got {line!r}")
-        if rows and idx.n != rows[0][1].n:
-            raise ParseError(f"line {lineno}: {fields[0]!r} has {idx.n} qubits, expected {rows[0][1].n}")
-        rows.append((lineno, idx, numbers))
+        if n is None:
+            n = n_row
+        elif n_row != n:
+            raise ParseError(f"line {lineno}: {fields[0]!r} has {n_row} qubits, expected {n}")
+        rows.append((lineno, k, numbers))
     if not rows:
         raise ParseError(f"expected '{form}' lines, found none")
-    return rows[0][1].n, rows
+    return n, rows
 
 
 class Observable:
@@ -291,14 +301,16 @@ class Observable:
         if n < 1:
             raise ValueError(f"qubit count must be >= 1, got {n}")
         self.n = int(n)
+        size = 4**self.n
         cleaned: dict[int, float] = {}
         for key, coeff in terms.items():
-            idx = as_index(key, self.n)
+            # an int key in range is its own flat index; as_index checks any other
+            k = key if type(key) is int and 0 <= key < size else as_index(key, self.n).k
             coeff = float(coeff)
             if not math.isfinite(coeff):
-                raise ConfigError(f"coefficient of {idx.label} is not finite: {coeff!r}")
+                raise ConfigError(f"coefficient of {PauliIndex(self.n, k).label} is not finite: {coeff!r}")
             if abs(coeff) > PRUNE_TOL:
-                cleaned[idx.k] = cleaned.get(idx.k, 0.0) + coeff
+                cleaned[k] = cleaned.get(k, 0.0) + coeff
         self.terms: dict[int, float] = dict(sorted(cleaned.items()))
 
     @property
@@ -352,8 +364,8 @@ class Observable:
         string adds its coefficients."""
         n, rows = labelled_rows(text, "<pauli-string> <coefficient>", (2,))
         terms: dict[int, float] = {}
-        for _, idx, (coeff,) in rows:
-            terms[idx.k] = terms.get(idx.k, 0.0) + coeff
+        for _, k, (coeff,) in rows:
+            terms[k] = terms.get(k, 0.0) + coeff
         return cls(n, terms)
 
     def to_text(self) -> str:

@@ -4,7 +4,9 @@ The oracles here deliberately avoid the library's fast paths: Pauli
 matrices are built by explicit Kronecker products over itertools.product
 orderings, coefficients by explicit traces, and transfer matrices by
 column-wise trace formulas, so tests compare two independent routes.
-The reference report parser reads one line at a time, with no memo.
+The Markov-correlated entries are evaluated in exact rationals, one
+4x4 product per entry.  The reference report parser reads one line at a
+time, with no memo.
 The reference positivity certificate takes one state at a time: its
 powers, each trace by ``np.trace``, the recursion with an explicit
 (-1)**(j-1), then the Hermiticity check and ``eigvalsh`` only when the
@@ -12,6 +14,7 @@ earlier checks pass.
 """
 
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -57,6 +60,25 @@ def ptm_bruteforce(kraus_ops, n):
             M[j, q] = np.trace(basis[j] @ out) / d
     assert np.max(np.abs(M.imag)) < 1e-10
     return M.real
+
+
+# Exact commutation signs between single-qubit Pauli indices.
+SIGNS = ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
+
+
+def markov_lambda_exact(k, n, p_vec, mu):
+    """Diagonal entry k of the Markov-correlated Pauli channel as a Fraction:
+    (p o s_{a_1})^T . prod_{j >= 2} (C diag(s_{a_j})) . 1 with the matrix
+    C = (1 - mu) 1 p^T + mu I written out entry by entry and every product
+    taken in exact rationals (floats enter exactly through Fraction)."""
+    p = [Fraction(x) for x in p_vec]
+    mu = Fraction(mu)
+    C = [[(1 - mu) * p[b] + (mu if a == b else 0) for b in range(4)] for a in range(4)]
+    digits = [(k >> 2 * (n - 1 - q)) & 3 for q in range(n)]
+    v = [p[b] * SIGNS[digits[0]][b] for b in range(4)]
+    for a in digits[1:]:
+        v = [sum(v[c] * C[c][b] for c in range(4)) * SIGNS[a][b] for b in range(4)]
+    return sum(v)
 
 
 def random_density(n, rng):

@@ -8,18 +8,25 @@ rational arithmetic (difference exactly zero) and the library's diagonal
 entries match their exact values to 1e-12 absolute.  The factors
 themselves are compared at 1e-11 relative: factors reach 1.25e5 at the
 grid corner (bit flip, p=0.49, mu=0), where a 1e-12 absolute float64
-comparison is below representation precision (2 ulps = 3e-11).
+comparison is below representation precision (2 ulps = 3e-11).  Past
+n = 6 the closed form is the three-term recurrence of a 2x2 transfer
+matrix (``z_string_lambdas``), checked exactly against the closed forms
+at n = 1..3 and against the 4x4 product of
+``conftest.markov_lambda_exact``; where the exact entry is within
+INVERTIBILITY_TOL of 0 the plan must refuse it.
 """
 
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
-from conftest import random_density, random_hermitian
+import pytest
+from conftest import SIGNS, markov_lambda_exact, random_density, random_hermitian
 
 import noisedeconv as nd
 from noisedeconv.deconvolution import (
+    INVERTIBILITY_TOL,
     deconvolve,
     plan_general,
     plan_pauli,
@@ -29,6 +36,7 @@ from noisedeconv.characterization import (
     positivity_coefficients,
     probe_state,
 )
+from noisedeconv.exceptions import NonInvertibleChannel
 from noisedeconv.pauli import Observable, PauliIndex
 from noisedeconv.sampling import exact_pauli_expectation
 from noisedeconv.simulator import ExperimentConfig, run_experiment
@@ -36,9 +44,6 @@ from noisedeconv.simulator import ExperimentConfig, run_experiment
 P_GRID = [i / 100.0 for i in range(1, 50)]  # 49 values
 MU_GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
 ETA_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
-
-# Exact commutation signs between single-qubit Pauli indices.
-SIGN = [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]
 
 
 def closed_form_bit_flip(n, p, mu):
@@ -57,6 +62,19 @@ def closed_form_depolarizing(n, q, mu):
     return 1 / ((1 - q) * (1 + (mu - 1) ** 2 * (q - 2) * q))
 
 
+def z_string_lambdas(f, mu):
+    """lambda of the all-sigma_z string on n = 1, 2, ... qubits for bit flip
+    (f = 1 - 2p) or depolarizing (f = 1 - q) noise.  The Z signs split the
+    letters into {I, Z} and {X, Y}, a two-state chain whose 2x2 tilted transfer
+    matrix has trace (1 - mu) f and determinant -mu, so lambda_1 = f,
+    lambda_2 = mu + (1 - mu) f**2 and lambda_{j+1} = (1 - mu) f lambda_j + mu lambda_{j-1}."""
+    prev, cur = f, mu + (1 - mu) * f * f
+    yield prev
+    while True:
+        yield cur
+        prev, cur = cur, (1 - mu) * f * cur + mu * prev
+
+
 def lambda_exact_rational(n, p_vec, mu, target):
     """sigma_z-string diagonal entry of the correlated family, exactly."""
     cond = [[(1 - mu) * p_vec[j] + (mu if i == j else 0) for j in range(4)] for i in range(4)]
@@ -67,7 +85,7 @@ def lambda_exact_rational(n, p_vec, mu, target):
         if len(seq) == n:
             s = 1
             for a, b in zip(seq, target):
-                s *= SIGN[a][b]
+                s *= SIGNS[a][b]
             total += s * weight
         else:
             for a in range(4):
@@ -110,6 +128,57 @@ def test_acceptance_1_closed_form_factor_suite():
     print(f"\nACCEPTANCE 1 PASS closed-form factors: exact rational identity on 49x5 grid, "
           f"n=1..3; |lambda - exact| <= {worst_lambda:.2e}; factor rel dev "
           f"{worst_factor_rel:.2e} ({elapsed:.2f} s)")
+
+
+def test_acceptance_1_closed_form_factors_past_the_dense_cap():
+    start = time.monotonic()
+    worst_lambda = 0.0
+    worst_factor_rel = 0.0
+    refused = 0  # entries within INVERTIBILITY_TOL of 0, which the plan refuses
+    for p, mu in product(P_GRID, MU_GRID):
+        pF, muF = Fraction(p), Fraction(mu)
+        for build, closed, f, p_vec in (
+            (nd.bit_flip_channel, closed_form_bit_flip, 1 - 2 * pF,
+             [1 - pF, pF, Fraction(0), Fraction(0)]),
+            (nd.depolarizing_channel, closed_form_depolarizing, 1 - pF,
+             [1 - 3 * pF / 4, pF / 4, pF / 4, pF / 4]),
+        ):
+            lams = list(islice(z_string_lambdas(f, muF), 31))
+            assert [lams[n - 1] * Fraction(closed(n, pF, muF)) for n in (1, 2, 3)] == [1, 1, 1]
+            for n in (10, 20, 31):
+                k = 4**n - 1
+                lam_exact = lams[n - 1]
+                if p in P_GRID[::12]:
+                    assert markov_lambda_exact(k, n, p_vec, muF) == lam_exact
+                ch = build(n, p, mu)
+                worst_lambda = max(worst_lambda, abs(ch.lambdas([k])[k] - float(lam_exact)))
+                obs = Observable(n, {k: 1.0})
+                if abs(lam_exact) <= INVERTIBILITY_TOL:
+                    with pytest.raises(NonInvertibleChannel):
+                        plan_pauli(obs, ch)
+                    refused += 1
+                    continue
+                f_closed = float(1 / lam_exact)
+                f_lib = plan_pauli(obs, ch).weights[k]
+                worst_factor_rel = max(worst_factor_rel, abs(f_lib - f_closed) / abs(f_closed))
+    assert worst_lambda <= 1e-12
+    assert worst_factor_rel <= 1e-11
+    elapsed = time.monotonic() - start
+    assert elapsed < 5.0
+    print(f"ACCEPTANCE 1 PASS closed-form factors past the dense cap: exact rational identity "
+          f"on 49x5 grid, n=10, 20, 31 ({refused} refused as not invertible); |lambda - exact| "
+          f"<= {worst_lambda:.2e}; factor rel dev {worst_factor_rel:.2e} ({elapsed:.2f} s)")
+
+
+def test_the_product_oracle_agrees_with_the_enumeration():
+    rng = np.random.default_rng(1)
+    for n in (1, 2, 3):
+        for _ in range(3):
+            p_vec = [Fraction(int(x), 1000) for x in rng.multinomial(1000, rng.dirichlet(np.ones(4)))]
+            mu = Fraction(int(rng.integers(0, 9)), 8)
+            for k in range(4**n):
+                digits = PauliIndex(n, k).digits
+                assert markov_lambda_exact(k, n, p_vec, mu) == lambda_exact_rational(n, p_vec, mu, digits)
 
 
 def test_acceptance_2_amplitude_damping_suite():
@@ -298,5 +367,9 @@ def test_acceptance_7_speedup_accounting():
         assert obs.r <= d**2
         general = plan_general(obs, ch.ptm())
         assert general.entries_consulted == d**4
-    print("ACCEPTANCE 7 PASS speedup accounting: diagonal plan consults r <= d^2 entries, "
-          "general plan materializes d^4")
+    for n in (10, 31):  # past the dense cap only the diagonal path runs
+        ks = {int(k) for k in rng.integers(0, 4**n, size=64)}
+        obs = Observable(n, {k: float(rng.normal()) or 1.0 for k in ks})
+        assert nd.plan(obs, nd.depolarizing_channel(n, 0.01, 0.3)).entries_consulted == obs.r
+    print("ACCEPTANCE 7 PASS speedup accounting: diagonal plan consults r <= d^2 entries "
+          "(also at n = 10, 31), general plan materializes d^4")

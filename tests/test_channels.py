@@ -1,11 +1,13 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import ptm_bruteforce, random_density
+from conftest import markov_lambda_exact, ptm_bruteforce, random_density
 
 from noisedeconv import channels
 from noisedeconv.channels import (
+    MAX_QUBITS_SPARSE,
     KrausChannel,
     PTM,
     apply_channel,
@@ -265,7 +267,9 @@ class TestCorrelatedPauliFamily:
         with pytest.raises(InvalidCorrelation):
             correlated_pauli_channel(1, [0.7, 0.1, 0.1, 0.1], 1.5)
         with pytest.raises(ResourceCapExceeded):
-            correlated_pauli_channel(7, [0.7, 0.1, 0.1, 0.1], 0.0)
+            correlated_pauli_channel(MAX_QUBITS_SPARSE + 1, [0.7, 0.1, 0.1, 0.1], 0.0)
+        with pytest.raises(ResourceCapExceeded):  # past pauli.MAX_QUBITS only entries are computed
+            correlated_pauli_channel(7, [0.7, 0.1, 0.1, 0.1], 0.0).lambdas()
 
 
 class TestCorrelatedAmplitudeDamping:
@@ -352,6 +356,96 @@ class TestPTMLambdas:
         rho = random_density(2, np.random.default_rng(9))
         for method in ("auto", "diagonal", "ptm"):
             assert np.max(np.abs(ptm.apply(rho, method) - ch.apply(rho, "kraus"))) < 1e-12
+
+
+def markov_families(rng):
+    """(name, channel builder, its marginal) for every Markov-correlated family."""
+    x = float(rng.uniform(0.01, 0.4))
+    custom = rng.dirichlet(np.ones(4)).tolist()
+    return [
+        ("bit_flip", lambda n, mu: bit_flip_channel(n, x, mu), [1 - x, x, 0.0, 0.0]),
+        ("dephasing", lambda n, mu: dephasing_channel(n, x, mu), [1 - x, 0.0, 0.0, x]),
+        ("depolarizing", lambda n, mu: depolarizing_channel(n, x, mu), [1 - 0.75 * x, x / 4, x / 4, x / 4]),
+        ("pauli_custom", lambda n, mu: correlated_pauli_channel(n, custom, mu), custom),
+    ]
+
+
+class TestMarkovLambdas:
+    """A Markov-correlated channel keeps p and mu and computes lambda_k by the
+    4x4 product: entries alone at any n up to MAX_QUBITS_SPARSE, the full
+    vector up to MAX_QUBITS, both with the same bits."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_full_vector_equals_the_entries_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        ks = list(range(4**n))
+        for name, build, _ in markov_families(rng):
+            for mu in (0.0, float(rng.uniform(0, 1)), 1.0):
+                full = build(n, mu).lambdas()
+                entries = build(n, mu).lambdas(ks)  # a fresh channel, so the product runs per entry
+                assert np.array([entries[k] for k in ks]).view(np.int64).tolist() == \
+                    full.view(np.int64).tolist(), (name, mu)
+                assert full[0] == 1.0
+
+    @pytest.mark.parametrize("n", [10, 20, 30])
+    def test_entries_match_the_exact_product(self, n):
+        rng = np.random.default_rng(n)
+        ks = [0, 4**n - 1, int("3" * n, 4), *(int(k) for k in rng.integers(1, 4**n, size=20))]
+        for name, build, p_vec in markov_families(rng):
+            for mu in (0.0, 0.3, 1.0):
+                lam = build(n, mu).lambdas(ks)
+                exact = [markov_lambda_exact(k, n, p_vec, mu) for k in ks]
+                worst = max(abs(float(Fraction(lam[k]) - e)) for k, e in zip(ks, exact))
+                assert worst <= 1e-12, (name, mu, worst)
+
+    def test_entries_at_the_cap_need_no_vector(self):
+        n = MAX_QUBITS_SPARSE
+        ch = depolarizing_channel(n, 0.01, 0.5)
+        tracemalloc.start()
+        lam = ch.lambdas([4**n - 1, 1, 0])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1e6
+        assert lam[0] == 1.0 and 0.0 < lam[4**n - 1] < lam[1] < 1.0
+
+    @pytest.mark.parametrize("k", [-1, 4**3])
+    def test_entries_outside_the_index_range_are_refused(self, k):
+        with pytest.raises(IndexError):
+            bit_flip_channel(3, 0.1, 0.5).lambdas([1, k])
+
+    def test_dense_forms_keep_their_caps(self):
+        ch = bit_flip_channel(7, 0.1, 0.5)
+        assert ch.is_pauli and ch.n == 7
+        for dense in (ch.lambdas, ch.ptm, lambda: ch.pauli_weights, lambda: ch.kraus_ops):
+            with pytest.raises(ResourceCapExceeded):
+                dense()
+
+    def test_weights_and_operators_are_built_on_first_use(self):
+        ch = correlated_pauli_channel(2, [0.7, 0.1, 0.15, 0.05], 0.4)
+        assert ch._weights is None and ch._kraus is None
+        w = ch.pauli_weights
+        assert ch.pauli_weights is w and not w.flags.writeable
+        assert np.allclose(w, correlated_pauli_weights(2, [0.7, 0.1, 0.15, 0.05], 0.4), atol=1e-15)
+        rho = random_density(2, np.random.default_rng(0))
+        assert np.allclose(ch.apply(rho, method="kraus"), ch.apply(rho, method="diagonal"), atol=1e-13)
+
+    def test_entries_index_the_full_vector_once_it_exists(self, monkeypatch):
+        ch = depolarizing_channel(3, 0.2, 0.3)
+        full = ch.lambdas()
+
+        def no_product(*args):
+            raise AssertionError("the product ran again")
+
+        monkeypatch.setattr(channels, "_markov_lambdas", no_product)
+        assert ch.lambdas([63, 0, 5]) is full
+
+    def test_other_sources_answer_entries_with_their_full_vector(self):
+        w = np.random.default_rng(3).dirichlet(np.ones(16))
+        for ch in (KrausChannel.from_pauli_weights(2, w), KrausChannel.from_pauli_weights(2, w).ptm(),
+                   correlated_amplitude_damping(1.0, 0.3)):
+            assert ch.lambdas([15, 0, 3]) is ch.lambdas()
+        with pytest.raises(NotPauliDiagonal):
+            correlated_amplitude_damping(0.5, 0.3).lambdas([1])
 
 
 class TestCaps:

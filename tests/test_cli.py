@@ -9,13 +9,17 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import markov_lambda_exact
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import noisedeconv
+from noisedeconv import channels, pauli
+from noisedeconv.channels import MAX_QUBITS_SPARSE
 from noisedeconv.cli import main
 from noisedeconv.exceptions import IllConditionedWarning
 
@@ -214,6 +218,68 @@ class TestDeconvolveCommand:
         assert main(["deconvolve", "--observable", obs, "--characterization", report,
                      "--measurements", meas]) == 4
         assert capsys.readouterr().out == ""
+
+
+class TestMarkovPastTheDenseCap:
+    """Markov-correlated configs plan from p and mu: deconvolve --config runs to
+    MAX_QUBITS_SPARSE with no 4**n array, and every command that reads the full
+    diagonal or more keeps its cap."""
+
+    def test_n30_bit_flip_with_64_terms(self, tmp_path, capsys):
+        n, p, mu = 30, 0.02, 0.4
+        rng = np.random.default_rng(30)
+        ks = sorted({int(k) for k in rng.integers(1, 4**n, size=64)})
+        assert len(ks) == 64
+        coeffs = rng.uniform(-1, 1, size=64).tolist()
+        values = rng.uniform(-1, 1, size=64).tolist()
+        label = lambda k: "".join("IXYZ"[(k >> 2 * (n - 1 - q)) & 3] for q in range(n))
+        cfg = channel_json(tmp_path, family="bit_flip", n=n, p=p, mu=mu)
+        obs = write(tmp_path, "obs.txt", "".join(f"{label(k)} {c!r}\n" for k, c in zip(ks, coeffs)))
+        meas = write(tmp_path, "meas.txt", "".join(f"{label(k)} {x!r}\n" for k, x in zip(ks, values)))
+        assert main(["deconvolve", "--observable", obs, "--config", cfg, "--measurements", meas]) == 0
+        out = dict(line.split() for line in capsys.readouterr().out.splitlines())
+        assert out["entries_consulted"] == "64"
+        p_vec = [1 - Fraction(p), Fraction(p), 0, 0]
+        weights = [Fraction(c) / markov_lambda_exact(k, n, p_vec, Fraction(mu)) for k, c in zip(ks, coeffs)]
+        exact = sum(w * Fraction(x) for w, x in zip(weights, values))
+        assert abs(Fraction(float(out["value"])) - exact) <= Fraction(1e-12) * sum(map(abs, weights))
+
+    def test_n6_deconvolve_builds_no_weight_vector(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a 4**n array was built")
+
+        for owner, name in ((channels, "correlated_pauli_weights"), (channels, "_transform_per_qubit"),
+                            (pauli, "_transform_per_qubit")):
+            monkeypatch.setattr(owner, name, refuse)
+        cfg = channel_json(tmp_path, family="pauli_custom", n=6, p_vec=[0.9, 0.05, 0.03, 0.02], mu=0.3)
+        obs = write(tmp_path, "obs.txt", "ZZZZZZ 1.0\nXIIIIY 0.5\n")
+        meas = write(tmp_path, "meas.txt", "ZZZZZZ 0.5\nXIIIIY 0.25\n")
+        assert main(["deconvolve", "--observable", obs, "--config", cfg, "--measurements", meas]) == 0
+        assert "entries_consulted 2\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("family, strength", [("bit_flip", "p"), ("dephasing", "p"), ("depolarizing", "q")])
+    @pytest.mark.parametrize("command", [["ptm"], ["ptm", "--diagonal-only"], ["characterize"],
+                                         ["characterize", "--entries", "1"], ["experiment"]])
+    def test_dense_commands_past_six_qubits_exit_four(self, tmp_path, capsys, family, strength, command):
+        n = 7
+        channel = {"family": family, "n": n, strength: 0.1, "mu": 0.5}
+        if command[0] == "experiment":
+            cfg = channel_json(tmp_path, n=n, channel=channel, observable=[["Z" * n, 1.0]], m_max=1)
+        else:
+            cfg = channel_json(tmp_path, **channel)
+        assert main([command[0], "--config", cfg, *command[1:]]) == 4
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("cfg", [{"family": "bit_flip", "p": 0.1}, {"family": "depolarizing", "q": 0.1},
+                                     {"family": "pauli_custom", "p_vec": [0.7, 0.1, 0.1, 0.1], "mu": 0.2}])
+    def test_deconvolve_past_the_sparse_cap_exits_four(self, tmp_path, capsys, cfg):
+        n = MAX_QUBITS_SPARSE + 1
+        path = channel_json(tmp_path, n=n, **cfg)
+        obs = write(tmp_path, "obs.txt", "Z" * n + " 1.0\n")
+        meas = write(tmp_path, "meas.txt", "Z" * n + " 0.5\n")
+        assert main(["deconvolve", "--observable", obs, "--config", path, "--measurements", meas]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"1..{MAX_QUBITS_SPARSE}" in captured.err
 
 
 class TestCharacterizeCommand:
@@ -874,13 +940,17 @@ PARAMS = st.one_of(st.floats(0.0, 1.0), st.floats())
 LABELS = st.text("IXYZ", min_size=1, max_size=2)
 NUMBERS = st.one_of(st.floats(-1.0, 1.0).map(repr), st.floats().map(repr),
                     st.sampled_from(["1e999", "-1e999", "x", "0x1p3"]))
+# Qubit counts of the Markov-correlated families: small ones, and from the
+# dense cap to one past the sparse cap (n = 3..5 would only make the full
+# transfer matrix that ptm prints slow).
+MARKOV_N = st.one_of(st.integers(1, 2), st.integers(6, MAX_QUBITS_SPARSE + 1))
 CHANNELS = st.one_of(
     st.fixed_dictionaries({"family": st.sampled_from(["bit_flip", "dephasing"]),
-                           "n": st.integers(1, 2), "p": PARAMS, "mu": PARAMS}),
+                           "n": MARKOV_N, "p": PARAMS, "mu": PARAMS}),
     st.fixed_dictionaries({"family": st.just("depolarizing"),
-                           "n": st.integers(1, 2), "q": PARAMS, "mu": PARAMS}),
+                           "n": MARKOV_N, "q": PARAMS, "mu": PARAMS}),
     st.fixed_dictionaries({"family": st.just("amp_damp_corr"), "eta": PARAMS, "mu": PARAMS}),
-    st.fixed_dictionaries({"family": st.just("pauli_custom"), "n": st.just(1),
+    st.fixed_dictionaries({"family": st.just("pauli_custom"), "n": MARKOV_N,
                            "p_vec": st.lists(PARAMS, min_size=4, max_size=4), "mu": PARAMS}),
 )
 

@@ -125,6 +125,24 @@ class TestPlanEntryPoint:
                 unit = plan(Observable(ch.n, {k: 1.0}), ch, m)
                 assert unit.weights[k] == 1.0 / float(lam[k]) ** m
 
+    @pytest.mark.parametrize("ch, path", PLAN_CHANNELS, ids=PLAN_IDS)
+    def test_plan_asks_once_for_the_observables_entries(self, ch, path):
+        asked = []
+
+        class Counting:
+            n = ch.n
+
+            def lambdas(self, ks=None):
+                asked.append(ks)
+                return ch.lambdas(ks)
+
+            def ptm(self):
+                return ch.ptm()
+
+        obs = Observable.from_pairs([("Z" * ch.n, 1.0), ("X" + "I" * (ch.n - 1), -0.5)])
+        assert plan(obs, Counting()) == plan(obs, ch)
+        assert [list(ks) for ks in asked] == [sorted(obs.terms)]
+
     def test_general_weights_do_not_depend_on_planning_order(self):
         # plans on one PTM start from the latest m-fold image of their
         # observable; any order must give the bytes of a fresh PTM's plan

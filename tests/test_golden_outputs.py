@@ -43,11 +43,11 @@ GOLDEN = {
     ("ptm", "amp_damp_corr"): (0, "7f5c2a7b8acee91dd725de54ba2270896a1232e8842331d5166ceaa6cd7c810a"),
     ("ptm", "amp_damp_corr_unital"): (0, "7f1b64f8a27de58c2b4383792257e60147609c461c6061b9bed37495b66925c9"),
     ("ptm", "bit_flip_n1"): (0, "684134d766781ae46b620b7e9814d353e36c583e60d04dc5642b945bc23aa2a3"),
-    ("ptm", "bit_flip_n2_correlated"): (0, "41013ff404fba7ff4ba1db083305b68914db877e404ab15010113b18e0c5d049"),
-    ("ptm", "bit_flip_n3_correlated"): (0, "22fe51b14fe671262defda43212b0a4e6fd3fbbeace65f60ea23fe77cf2e2486"),
-    ("ptm", "dephasing_n2"): (0, "c49335663b0d07dfd260f5f1c77f6527dcc327e1ffd4707c68b936581d55a33e"),
-    ("ptm", "depolarizing_n1"): (0, "30ebd167f411da932a12a033ff131e96a0da94b58c5dcdb27379d15cbe1b15de"),
-    ("ptm", "depolarizing_n3_fig2"): (0, "38da1b60c6b0c93ac7d8cffa8405cac2a1c6f76be4e8bb96d767157f4c7ab81b"),
+    ("ptm", "bit_flip_n2_correlated"): (0, "70bdb4f2e6983967702224e2929109de0c5f4491317e8d7ab3fdb4b06e0b6219"),
+    ("ptm", "bit_flip_n3_correlated"): (0, "58d9a4b1fa3c22dd2d4edd651c87ce140ad59c97689328ca7e3191187a59f3c9"),
+    ("ptm", "dephasing_n2"): (0, "2ce727b8504a0d4a1f4e8693b28c01331cae9119924739b2c915aa1f8ff0dbf2"),
+    ("ptm", "depolarizing_n1"): (0, "46c99b538a90548c7fa66b7480b47435ad29d6d3a823d21eef0899b498b5ea36"),
+    ("ptm", "depolarizing_n3_fig2"): (0, "fa6165d6fd8dae80a20bd5cda1bbbdbe297e7f210b743ffc262c3123735b136d"),
     ("ptm", "pauli_custom_n1"): (0, "002ebaf1a6be75cfaccdc9fbc45b149e78c6d16d71d678acbd946680f7bf3843"),
     ("characterize", "amp_damp_corr"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("characterize", "amp_damp_corr_unital"): (0, "aacb0552ee2824056659b673db8e5d5ee0ab52161745b305fadc03732dfe17c3"),
@@ -61,37 +61,37 @@ GOLDEN = {
     ("characterize-exact", "amp_damp_corr"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("characterize-exact", "amp_damp_corr_unital"): (0, "6867a4c68812c5c28e3a50d2c7c69ffd078b06e38c7f1c83c340dd3217afa1bb"),
     ("characterize-exact", "bit_flip_n1"): (0, "28ad8a86c34adc5c7dd2c1b2ac9cfb5fdf9dab1f810052aa8fdef1c54c48d544"),
-    ("characterize-exact", "bit_flip_n2_correlated"): (0, "ddd3653cbf8c03f8515bbac116c149c82c73472c40f542b1dc81924f1211a966"),
-    ("characterize-exact", "bit_flip_n3_correlated"): (0, "ebe2de251f9f047ddcdc00c146e19003d66859795090ac2f32e3a2247be28c1a"),
-    ("characterize-exact", "dephasing_n2"): (0, "cfaf87b43ee9cd4225ab2245bf74985a6fed90d0e5db1ed442e7cf72cc3e1bc3"),
-    ("characterize-exact", "depolarizing_n1"): (0, "184a1b5b48ad660a1756783de5043979d4e26f3d4a35a90e36ffb86921c90b32"),
-    ("characterize-exact", "depolarizing_n3_fig2"): (0, "371ef31cf3cdbac6677ced8221bd0271eed2fce9a0286a66822e84db316d6826"),
+    ("characterize-exact", "bit_flip_n2_correlated"): (0, "b82288410490970f20e2873e6d20b9d72c39eebd92889bb6db5e28e79672226a"),
+    ("characterize-exact", "bit_flip_n3_correlated"): (0, "37a09748419baf18738d25b065fe7af8a73c749afbc698951d8b261d63d710da"),
+    ("characterize-exact", "dephasing_n2"): (0, "84ae169b01cb030c879f5e6058206714706f6709c5404658597b7ea42dac81dc"),
+    ("characterize-exact", "depolarizing_n1"): (0, "83e9fc50a332e51a11893e1d434dd4b457a2d4b6671dcaf9c8b5afe6078d42b7"),
+    ("characterize-exact", "depolarizing_n3_fig2"): (0, "2453691a615ba344c6f0d4aed664b0fd98cfa15f99d8a6c7447fed98ea43d77a"),
     ("characterize-exact", "pauli_custom_n1"): (0, "3374c5100067ee7d4b3c5211e62661b7c8e2904d2b65c710622b136a8cc2117f"),
     ("deconvolve", "amp_damp_corr"): (0, "73d3ddd78c43f4e2d64c7a6bdef2a04e4976c52b9f3f21c8dc468cb1c033f058"),
     ("deconvolve", "amp_damp_corr_unital"): (0, "03defe0bb2b64b302e72ee6d53f85720b9bab852a002d2976047f8d831b52af1"),
     ("deconvolve", "bit_flip_n1"): (0, "731f9ea31d0440dc7396573a9031d6629bdec256f336a225e044b024ec1d70fa"),
     ("deconvolve", "bit_flip_n2_correlated"): (0, "8ae875c15fcf18c98b81117ca03cc54839fc3a6d68c350e8db32c15c9c63bb6c"),
     ("deconvolve", "bit_flip_n3_correlated"): (0, "1ca07d1ee89cf557cd63e5c0fc0cf5d74d26c8160ad8d1ffe45e9a771c765aca"),
-    ("deconvolve", "dephasing_n2"): (0, "872c9e356cc90dd556705617399dad7ffd3aebd649575f39633402d138497954"),
+    ("deconvolve", "dephasing_n2"): (0, "567cf91b5fe5535d17106f85209359201c209230614f164275a4a96bb3cfd538"),
     ("deconvolve", "depolarizing_n1"): (0, "99524132c2fea33140c5a41076716e7de2cc67a77f1ede073ee471f391589fdb"),
-    ("deconvolve", "depolarizing_n3_fig2"): (0, "38e0b229eb58c08de6269a335bcfd8782a1420ccb7ee9dd8d7c6d4aff4240f61"),
+    ("deconvolve", "depolarizing_n3_fig2"): (0, "8c0040f51ae8447cdc796038191cd1101cf80beb26e014d443f14aec7b4c4418"),
     ("deconvolve", "pauli_custom_n1"): (0, "17b108414c99ecdb2435400287b3405ad3dfa7d88cf582a0dabe56c7ac82ec26"),
     ("experiment", "amp_damp_zz"): (0, "394c652753eb7560d1c6a4f23f307eb615e094f673104304e10da19d35dc258d"),
-    ("experiment", "fig2a_mu_sweep"): (0, "244e54ae949a32475ab13eb5e0fefd39ed1d082842537ea6db87b47a3476ce50"),
-    ("experiment", "fig2b_deconvolution"): (0, "d9c3358bf885426db99956962eef9fb389b900fab66deb480428abb2fa820312"),
-    ("experiment", "fig2b_exact"): (0, "afe5f475f77e1d6098f0590fc1a5d2d38d997c3252bd107f56b0af47ed47d38c"),
+    ("experiment", "fig2a_mu_sweep"): (0, "34121690d77a54738bac821d962349aeefa6fb6453f25495656ce68236323ada"),
+    ("experiment", "fig2b_deconvolution"): (0, "ad356a55ca12e2d0eaf9c3ee732060eba8e7c11186021fb373c2f75a2178552a"),
+    ("experiment", "fig2b_exact"): (0, "0e74cf86756d86ea7758868fc0ce3d44f420375ffb632ff149299fa4ff0dd55e"),
     ("experiment-marginal", "amp_damp_zz"): (0, "14626b73d4ada86b86b56836307054a39018d05b5d9a3d452a0e72048edce99b"),
-    ("experiment-marginal", "fig2a_mu_sweep"): (0, "62bb5a59b1c283d9f5cf01d791335f5933e58335bd8c216b3493a6a2f3b48ee3"),
-    ("experiment-marginal", "fig2b_deconvolution"): (0, "f80ac478d27a7e0c889b93de4f7155553206f2970ecbd2a70e6186faeee3f8b2"),
-    ("experiment-marginal", "fig2b_exact"): (0, "f80ac478d27a7e0c889b93de4f7155553206f2970ecbd2a70e6186faeee3f8b2"),
+    ("experiment-marginal", "fig2a_mu_sweep"): (0, "44a690fa008b0a5c671e30f19f90c43dd3c362da38944e877749eff0522390fb"),
+    ("experiment-marginal", "fig2b_deconvolution"): (0, "1fc3f852d538b5f19c9dbf6bf6109ac35ee4da49c6a5f1fdec6bf28b28671720"),
+    ("experiment-marginal", "fig2b_exact"): (0, "1fc3f852d538b5f19c9dbf6bf6109ac35ee4da49c6a5f1fdec6bf28b28671720"),
     ("ptm-json", "amp_damp_corr"): (0, "83c0978cda02022decded44207e0af672b10f39c9d4cb4c47c9d5bc4d191be04"),
     ("ptm-json", "amp_damp_corr_unital"): (0, "ae6eedb9a874d33d58930d6a41614be6891f1a45910d4909ed36fa4aeea329ac"),
     ("ptm-json", "bit_flip_n1"): (0, "5bac3ec64f3bb40c66366cf009894050a5e0546c52b433f289326ef511bc95df"),
-    ("ptm-json", "bit_flip_n2_correlated"): (0, "111117d2484fef2a46ef9bc2358b7ac156afaf1a1995b8214a590e43f3cdb90a"),
-    ("ptm-json", "bit_flip_n3_correlated"): (0, "4732ac78a3413c5d6be0e8d0e08d7dc574b386a403051b2338062fc218124424"),
-    ("ptm-json", "dephasing_n2"): (0, "b747bba8d09863d8d1b815e1a28b2aed5d5963e69065ca98e59d3109a77de682"),
-    ("ptm-json", "depolarizing_n1"): (0, "ab4fb6da748948e2956ca7d7a8a83a2fc95baab601b316cb22ef7619495f0fc9"),
-    ("ptm-json", "depolarizing_n3_fig2"): (0, "dbea411f66887c59ca67f5da1d764bd41c58518f63df1b6009ad49388255c6d4"),
+    ("ptm-json", "bit_flip_n2_correlated"): (0, "e22c9c6397ef3aa0e8ba7601ae19e9dda09c1003dbb85875f9eee75b48411e44"),
+    ("ptm-json", "bit_flip_n3_correlated"): (0, "bd9a923f165f5f76dd484c0ae8cd7d15a164e87f937c583454078308fb229ab2"),
+    ("ptm-json", "dephasing_n2"): (0, "cb1237a3e9a4ce5449b24658f8da2076ca6398a2a773216e08d25b71fdf63f94"),
+    ("ptm-json", "depolarizing_n1"): (0, "6dfd730ae996f962a0e49974112fc8be2e2d9c7bbb26349dd365a78306a736b3"),
+    ("ptm-json", "depolarizing_n3_fig2"): (0, "0ec9609abd5824ece9c05e5b06ac1bf21dd93e362029176fc45a5efc73205fa1"),
     ("ptm-json", "pauli_custom_n1"): (0, "9ca5c78cc6129695efb7423c873b6aac1a0a5679c4f9521b08445eab6600fddb"),
     ("characterize-json", "amp_damp_corr"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("characterize-json", "amp_damp_corr_unital"): (0, "c1102f3efca7c0fa058fc08732cd7e1498d1f050b9a0449bfed1dce19bbb2a20"),
@@ -107,59 +107,59 @@ GOLDEN = {
     ("deconvolve-json", "bit_flip_n1"): (0, "7cc94ad25e12d48c50accbf6aa345bf99037fe62ac4e11b3b7e354cac254aeed"),
     ("deconvolve-json", "bit_flip_n2_correlated"): (0, "a0163551bb9272263edd4e838a27a5330a223b2da5daf05e38ca3db5831e22a7"),
     ("deconvolve-json", "bit_flip_n3_correlated"): (0, "4bd1e00c6a68dfee96bffdc411a13a59124727ec871c68bb986f367242b2da66"),
-    ("deconvolve-json", "dephasing_n2"): (0, "1eeb124c8957ac3906ccad961e1864421a71f115e26be3cd49ed44fda040d82a"),
+    ("deconvolve-json", "dephasing_n2"): (0, "4cc404639da9fff613338687b1f4fc0e1a1181f70977c2674f539b8553c7ec92"),
     ("deconvolve-json", "depolarizing_n1"): (0, "da9d4beca802cbed094f40c4f19e6b3cb71e96b81ed7240483286be7e7672a34"),
-    ("deconvolve-json", "depolarizing_n3_fig2"): (0, "130e1e8e609e1e8257ed2e8742a0e76d069e617141b77c6ffa16751c55eb86cd"),
+    ("deconvolve-json", "depolarizing_n3_fig2"): (0, "b8bfd551aca5e56b0a40f7c04985ce23230576842d14088f404fc0222c1ca48c"),
     ("deconvolve-json", "pauli_custom_n1"): (0, "a8ea54d834d17919d70ee2ae844281c73dd11e0bfccb072143c726600d044c82"),
     ("experiment-json", "amp_damp_zz"): (0, "b82ff9319c0a7995b452f9feaca1aba42ca12c912f822071a0bf2dc1feaa234d"),
     ("experiment-plus", "amp_damp_zz"): (0, "5c039dd1116e177eb165735a00def762363f87175886d52a6ab167b7594fcb0d"),
-    ("experiment-json", "fig2a_mu_sweep"): (0, "52ff16d955d297a66b28628d4c4fec9e3eea3662e27307472d389bf88ab11d57"),
-    ("experiment-json", "fig2b_deconvolution"): (0, "990d83eac8d33a1a0e0adb35c8d4346eccd10a763ca028d67f49cc18b68fdea3"),
-    ("experiment-json", "fig2b_exact"): (0, "814a0e544c0c51c055ae130465efaa9249dae89c557831d4a6be981c7df91e0b"),
+    ("experiment-json", "fig2a_mu_sweep"): (0, "045b256ef3c6763ec23788b299da2bcfebf6e7b82ce13b478997a5404199c2da"),
+    ("experiment-json", "fig2b_deconvolution"): (0, "e276b43f2344c60203b970291779a8578448914846a78c37b93ee7f191359f8c"),
+    ("experiment-json", "fig2b_exact"): (0, "5fc0d1bc86563cdd7a89d81342d09123fa3e7bd3e3752cf6203514e26804c9c0"),
     ("ptm-diagonal", "amp_damp_corr"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("ptm-diagonal", "amp_damp_corr_unital"): (0, "b3dce4a1e37470e211e859777f67ea2a1a31004451c1ef780d113aed83d80fef"),
     ("ptm-diagonal", "bit_flip_n1"): (0, "7f89d2845a1cb22195efdba3bb490624014f23e17107f0df564271a207098b33"),
-    ("ptm-diagonal", "bit_flip_n2_correlated"): (0, "a07782c581b95c6b7e316562a1a09e4ff8723e653599a42e085645b20f7389b9"),
-    ("ptm-diagonal", "bit_flip_n3_correlated"): (0, "4e3f14558716722c08a56fadd0de50a02c377892e39dcb49af80de82bb632082"),
-    ("ptm-diagonal", "dephasing_n2"): (0, "da14e1408b919fe9fe57324ce022d436e7e10e95c8ac958fd7b5277047890e62"),
-    ("ptm-diagonal", "depolarizing_n1"): (0, "c1c942c869b45ec7dd648478fce65ba60e23ad7a9ef78f0c7ee97d074889917f"),
-    ("ptm-diagonal", "depolarizing_n3_fig2"): (0, "b1af23485086fe9ed51f5a88088f4b1278e06321948c253c8c5943fcaf26433f"),
+    ("ptm-diagonal", "bit_flip_n2_correlated"): (0, "0a8a3cb2d5a0894f719dc42ad9128893962836bfbf057b24ddc85557559fb7b9"),
+    ("ptm-diagonal", "bit_flip_n3_correlated"): (0, "1ace7d22c7f57522866dedcd390b4a9c91de2b213891b8e18dd18746e09a75ea"),
+    ("ptm-diagonal", "dephasing_n2"): (0, "e7665b1801fafab80f98285544258985191335fba502111b9a72f9d0538d2581"),
+    ("ptm-diagonal", "depolarizing_n1"): (0, "dcb2a33ee4754dd71c5fbc0521be94bdadca00d3e5a099d2820e48a1f418bfb1"),
+    ("ptm-diagonal", "depolarizing_n3_fig2"): (0, "7e07c5543e6ea5cf9ca891587ea50edcca1d2df97b348b73a74ebabe76afe419"),
     ("ptm-diagonal", "pauli_custom_n1"): (0, "d828f77b18e8a2a55b81c60ded1aea53c8f303a882ed1121962ae68994f48db5"),
     ("ptm-diagonal-json", "amp_damp_corr"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("ptm-diagonal-json", "amp_damp_corr_unital"): (0, "27f548b7fa801a60f610e9f61fc79009eccc58e3f03bb5a7984dc00305ce3925"),
     ("ptm-diagonal-json", "bit_flip_n1"): (0, "d9dec8ff372d7f7780c333d1293a3ca9375bc98fbb961fdb0b611face9c244e9"),
-    ("ptm-diagonal-json", "bit_flip_n2_correlated"): (0, "51712c57260417e983c8f8eb93fd205ba825af10550e0e7d55b8b27dd04fa109"),
-    ("ptm-diagonal-json", "bit_flip_n3_correlated"): (0, "57c08fbfc0f38e2a04ce7e6f29e5a45669b23481cabfabe1fc8a4bb87758d21f"),
-    ("ptm-diagonal-json", "dephasing_n2"): (0, "3f650dd13e05ebe23d61f7a18706ecae995f5d65a70a28b5c730880f24bc66e7"),
-    ("ptm-diagonal-json", "depolarizing_n1"): (0, "7668fe37a4fd8243db5f825395eeae00a78d9bd6bfd44e199f517391053c728b"),
-    ("ptm-diagonal-json", "depolarizing_n3_fig2"): (0, "dc4776db90c173fa74392f6b5f3ceedbc7f26f2183348b918c1a272ba65ea688"),
+    ("ptm-diagonal-json", "bit_flip_n2_correlated"): (0, "745bd514d3fce4ac2d761dab87a7ff2743747778579961ff7e66a1f52a09cc2c"),
+    ("ptm-diagonal-json", "bit_flip_n3_correlated"): (0, "01f9a263941d704fbd45272bd5144abafba82fb09ab0a68e09bed4dc9ce3ed3f"),
+    ("ptm-diagonal-json", "dephasing_n2"): (0, "7e0306e670485a9454df989c0afffea307e96c6cba4ff0781d3af717362c0f34"),
+    ("ptm-diagonal-json", "depolarizing_n1"): (0, "be4bbb507ce82b3d994cfb1ed6be8c2c8c1daacfdb12926b50456036773b1309"),
+    ("ptm-diagonal-json", "depolarizing_n3_fig2"): (0, "737e8ce617c55ce717bbd403d3c6157c844bb1dc4693565698e00c8346bca3c3"),
     ("ptm-diagonal-json", "pauli_custom_n1"): (0, "a707ed8a6560918e9b4a6aec23e8d18f2313c907c7875813822c44b634967f04"),
     ("characterize-entries", "amp_damp_corr"): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("characterize-entries", "amp_damp_corr_unital"): (0, "c7a9b55d31b8d64f60450f8da555227ebfde5a12461e89d42f451cc06f9e4c9a"),
     ("characterize-entries", "bit_flip_n1"): (0, "467d75c664e2340c06ea325641c1a4c3bdaa96987010ee5b6c9582e3c9e261a2"),
-    ("characterize-entries", "bit_flip_n2_correlated"): (0, "10ba9e41107dce7a83bc840cc5a8d33aec5ddcfa3e25764ab2b31f0e9db4d426"),
-    ("characterize-entries", "bit_flip_n3_correlated"): (0, "d746f6ef541db245cb9df99bac9b3d0981cf56d021e7d83749d2ae3abb2c8acd"),
-    ("characterize-entries", "dephasing_n2"): (0, "78b6d0cefb64cfecbdf99ad7f1a93dcd23404ea12411815c11da09a82832e506"),
-    ("characterize-entries", "depolarizing_n1"): (0, "b42820bb31626eb655940b1238fdf69974b715fbf2c64feb15c1ef3de5b1c372"),
-    ("characterize-entries", "depolarizing_n3_fig2"): (0, "d4b58a8c62b7e571293fbdf939986654106d54e8ddbc1722707ac29018643bb8"),
+    ("characterize-entries", "bit_flip_n2_correlated"): (0, "4287108ced641e0f930c3e7d0d243886720bcb69d44f8f6938fa168035ff77df"),
+    ("characterize-entries", "bit_flip_n3_correlated"): (0, "05d5e01c096edd3fef3d46842076aa628490858f3ebf50ea1612266bba6663da"),
+    ("characterize-entries", "dephasing_n2"): (0, "37c72dfe63793acafc7f7fc9da32f3def6ef9b4a1362c8ae81749455824ef0d7"),
+    ("characterize-entries", "depolarizing_n1"): (0, "775263beb3908011cdd87c97fd1340b0f4663ca7751de30534896203e8ccefd0"),
+    ("characterize-entries", "depolarizing_n3_fig2"): (0, "0f956422e92e1f3db3213d1d0ebd56ba06984c9f7b6fe6c48d169d2ff6d7a929"),
     ("characterize-entries", "pauli_custom_n1"): (0, "aa88d1b934a872c8bea40373735abbebe214e3bff3b0a5f5c58d02d44e21dd95"),
     ("deconvolve-characterization", "amp_damp_corr"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("deconvolve-characterization", "amp_damp_corr_unital"): (0, "03defe0bb2b64b302e72ee6d53f85720b9bab852a002d2976047f8d831b52af1"),
     ("deconvolve-characterization", "bit_flip_n1"): (0, "731f9ea31d0440dc7396573a9031d6629bdec256f336a225e044b024ec1d70fa"),
     ("deconvolve-characterization", "bit_flip_n2_correlated"): (0, "8ae875c15fcf18c98b81117ca03cc54839fc3a6d68c350e8db32c15c9c63bb6c"),
     ("deconvolve-characterization", "bit_flip_n3_correlated"): (0, "1ca07d1ee89cf557cd63e5c0fc0cf5d74d26c8160ad8d1ffe45e9a771c765aca"),
-    ("deconvolve-characterization", "dephasing_n2"): (0, "872c9e356cc90dd556705617399dad7ffd3aebd649575f39633402d138497954"),
+    ("deconvolve-characterization", "dephasing_n2"): (0, "567cf91b5fe5535d17106f85209359201c209230614f164275a4a96bb3cfd538"),
     ("deconvolve-characterization", "depolarizing_n1"): (0, "99524132c2fea33140c5a41076716e7de2cc67a77f1ede073ee471f391589fdb"),
-    ("deconvolve-characterization", "depolarizing_n3_fig2"): (0, "38e0b229eb58c08de6269a335bcfd8782a1420ccb7ee9dd8d7c6d4aff4240f61"),
+    ("deconvolve-characterization", "depolarizing_n3_fig2"): (0, "8c0040f51ae8447cdc796038191cd1101cf80beb26e014d443f14aec7b4c4418"),
     ("deconvolve-characterization", "pauli_custom_n1"): (0, "17b108414c99ecdb2435400287b3405ad3dfa7d88cf582a0dabe56c7ac82ec26"),
     ("deconvolve-characterization-diagonal", "amp_damp_corr"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("deconvolve-characterization-diagonal", "amp_damp_corr_unital"): (0, "03defe0bb2b64b302e72ee6d53f85720b9bab852a002d2976047f8d831b52af1"),
     ("deconvolve-characterization-diagonal", "bit_flip_n1"): (0, "731f9ea31d0440dc7396573a9031d6629bdec256f336a225e044b024ec1d70fa"),
     ("deconvolve-characterization-diagonal", "bit_flip_n2_correlated"): (0, "8ae875c15fcf18c98b81117ca03cc54839fc3a6d68c350e8db32c15c9c63bb6c"),
     ("deconvolve-characterization-diagonal", "bit_flip_n3_correlated"): (0, "1ca07d1ee89cf557cd63e5c0fc0cf5d74d26c8160ad8d1ffe45e9a771c765aca"),
-    ("deconvolve-characterization-diagonal", "dephasing_n2"): (0, "872c9e356cc90dd556705617399dad7ffd3aebd649575f39633402d138497954"),
+    ("deconvolve-characterization-diagonal", "dephasing_n2"): (0, "567cf91b5fe5535d17106f85209359201c209230614f164275a4a96bb3cfd538"),
     ("deconvolve-characterization-diagonal", "depolarizing_n1"): (0, "99524132c2fea33140c5a41076716e7de2cc67a77f1ede073ee471f391589fdb"),
-    ("deconvolve-characterization-diagonal", "depolarizing_n3_fig2"): (0, "38e0b229eb58c08de6269a335bcfd8782a1420ccb7ee9dd8d7c6d4aff4240f61"),
+    ("deconvolve-characterization-diagonal", "depolarizing_n3_fig2"): (0, "8c0040f51ae8447cdc796038191cd1101cf80beb26e014d443f14aec7b4c4418"),
     ("deconvolve-characterization-diagonal", "pauli_custom_n1"): (0, "17b108414c99ecdb2435400287b3405ad3dfa7d88cf582a0dabe56c7ac82ec26"),
     ("check-positivity", "n1"): (0, "ae19b1c9bdb0a55451136af2ef00b76688ef8c16819d018d8a273fd806b5f603"),
     ("check-positivity", "n2"): (0, "85fb8602ce2f27d62e09b5f29818515bffc51303f82da7a368caa23a14d1dc69"),

@@ -16,6 +16,7 @@ from noisedeconv.pauli import (
     check_qubits,
     devectorize,
     hs_inner,
+    labelled_rows,
     pauli_element,
     vectorize,
 )
@@ -220,6 +221,33 @@ class TestObservable:
             Observable(1, {3: coeff})
         with pytest.raises(ConfigError):
             Observable.from_text(f"Z {coeff!r}\n")
+
+    def test_labelled_rows_read_the_index_from_the_label(self):
+        n, rows = labelled_rows("xy 1.0\n# note\nZZ 2.0 0.5\n", "<pauli-string> <value>", (2, 3))
+        assert n == 2 and rows == [(1, 6, [1.0]), (3, 15, [2.0, 0.5])]
+        assert all(type(k) is int for _, k, _ in rows)
+
+    @pytest.mark.parametrize("text, message", [
+        ("ZZ 1.0\nZQ 2.0\n", "line 2: invalid Pauli label 'ZQ'"),
+        ("ZZ 1.0\nZ 2.0\n", "line 2: 'Z' has 1 qubits, expected 2"),
+        ("ZZ 1.0 2.0\n", "line 1: expected '<pauli-string> <coefficient>', got 'ZZ 1.0 2.0'"),
+    ])
+    def test_labelled_rows_name_the_bad_line(self, text, message):
+        with pytest.raises(ParseError) as err:
+            Observable.from_text(text)
+        assert str(err.value) == message
+
+    def test_keys_other_than_in_range_ints_are_checked(self):
+        assert Observable(2, {np.int64(6): 1.0, PauliIndex(2, 15): 0.5, True: 0.25}).terms == \
+            {1: 0.25, 6: 1.0, 15: 0.5}
+        with pytest.raises(ValueError, match="out of range"):
+            Observable(1, {4: 1.0})
+        with pytest.raises(ValueError, match="out of range"):
+            Observable(1, {-1: 1.0})
+        with pytest.raises(DimensionMismatch):
+            Observable(2, {PauliIndex(1, 3): 1.0})
+        with pytest.raises(ConfigError, match="coefficient of XY is not finite"):
+            Observable(2, {6: float("nan")})
 
     def test_from_pairs_merges_duplicates(self):
         obs = Observable.from_pairs([("Z", 0.5), ("Z", 0.25)])

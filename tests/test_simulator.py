@@ -445,6 +445,23 @@ class TestDeconvolvedThroughPlan:
             run_experiment(cfg)
 
 
+    def test_records_index_the_full_diagonal(self, monkeypatch):
+        # each grid point computes its channel's diagonal once; the per-record
+        # plans index it and do not run the product again
+        calls = []
+        product = channels._markov_lambdas
+
+        def counting(n, p, mu, ks=None):
+            calls.append(ks is None)
+            return product(n, p, mu, ks)
+
+        monkeypatch.setattr(channels, "_markov_lambdas", counting)
+        cfg = ExperimentConfig.from_dict({
+            "n": 3, "channel": {"family": "depolarizing", "n": 3, "q": 0.01},
+            "observable": [["ZZZ", 1.0], ["XIX", 0.5], ["IYI", 0.25]], "m_max": 4, "mu_grid": [0.0, 0.5]})
+        assert len(run_experiment(cfg)) == 2 * 5 * 3
+        assert calls == [True, True]
+
 class TestCsvOutput:
     def test_header_and_shortest_roundtrip_floats(self):
         records = run_experiment(fig2_config(m_max=2))
