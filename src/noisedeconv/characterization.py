@@ -10,8 +10,10 @@ MAX_QUBITS_FULL_PTM qubits.  A probe's output is read in coefficient
 space, from the channel's transfer matrix: the probe's Pauli coefficient
 vector is e_0 + e_k, so the output's entry j is Gamma[j, 0] + Gamma[j, k],
 which is lambda_k at j = k and 0 elsewhere for a Pauli channel (from
-``lambdas()``, at any n; any other channel is read from ``ptm()`` and
-capped with it).  Both reports come from one probe loop whose entries go
+``lambdas(ks)`` for the probes of a diagonal report, so a Markov-correlated
+channel is probed up to MAX_QUBITS_SPARSE qubits, and from ``lambdas()``
+for a full one; any other channel is read from ``ptm()`` and capped with
+it).  Both reports come from one probe loop whose entries go
 through one ``sampling.read_batch``: probe k is one read from the stream
 (seed, k), its entries drawn in turn with (k, k) first, so a diagonal
 entry equals the full report's bit for bit whatever other probes a report
@@ -23,7 +25,8 @@ reports still parse.
 A report is a lambda source for ``deconvolution.plan``: a diagonal
 report gives its rows as the lambdas, and a full report answers as its
 transfer matrix (``ptm()``) does, so an exactly diagonal one takes the
-diagonal path and any other the general path.
+diagonal path and any other the general path.  A diagonal report parses
+up to MAX_QUBITS_SPARSE qubits, a full one up to pauli.MAX_QUBITS.
 
 Report text is read and written through memos that live for one call.  A
 sampled estimate is 2c/shots - 1 for a count c, and its std_error is a
@@ -34,10 +37,10 @@ their argument, so converting each distinct token once, and formatting
 each distinct (estimate, std_error) pair once, gives the same entries and
 the same bytes as a call per field.  A pair that holds a zero bypasses the
 writer's memo, since -0.0 == 0.0 but the two print differently, and a
-memo stops growing at MEMO_SIZE values.  Text is split CHUNK_LINES lines
-at a time (``pauli.text_chunks``) and each chunk is checked column by
-column; a chunk that fails a check is read again row by row, which names
-the first bad line.
+memo stops growing at pauli.MEMO_SIZE values.  ``pauli.read_text`` hands
+the text over CHUNK_LINES lines at a time to one checker, which checks a
+chunk column by column; a chunk it refuses is handed over again one line
+at a time, and the checker names the first bad line.
 
 The probe's positive semidefiniteness is certified through the
 characteristic-polynomial coefficients S_m, computed by the trace-power
@@ -60,7 +63,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channels import MAX_QUBITS_FULL_PTM, PTM, Channel
+from .channels import MAX_QUBITS_FULL_PTM, MAX_QUBITS_SPARSE, PTM, Channel
 from .channels import apply_channel  # noqa: F401  (unused; the benchmark self-test counts this binding)
 from .exceptions import (
     ConfigError,
@@ -70,7 +73,7 @@ from .exceptions import (
     NotPauliDiagonal,
     ParseError,
 )
-from .pauli import HERMITIAN_TOL, as_index, check_qubits, num_qubits, pauli_element, text_chunks
+from .pauli import HERMITIAN_TOL, MAX_QUBITS, Memo, as_index, check_qubits, num_qubits, pauli_element, read_text
 from .sampling import check_shots_and_seed, read_batch
 
 __all__ = [
@@ -89,11 +92,6 @@ __all__ = [
 UNITALITY_TOL = 1e-9
 PSD_TOL = -1e-10
 
-# Values a report-text memo keeps: past this many distinct values (an exact
-# report of non-Pauli noise has a new one on every row) it only costs time
-# and memory.
-MEMO_SIZE = 4096
-
 
 def probe_state(k, n: int | None = None) -> np.ndarray:
     """The probe (1 + P_k)/d for basis element k, a read-only array; k is a
@@ -109,13 +107,14 @@ def probe_state(k, n: int | None = None) -> np.ndarray:
     return op
 
 
-def _probe_outputs(ch: Channel):
+def _probe_outputs(ch: Channel, ks):
     """The map (k, js) -> entries js of the coefficient vector of the
     channel's output on the probe (1 + P_k)/d, Gamma[js, 0] + Gamma[js, k],
-    as floats.  A non-Pauli channel is checked for unitality here, once:
-    Gamma[:, 0] != e_0 would bias every estimate."""
+    as floats, for the probes ``ks`` (None: every k).  A Pauli channel
+    answers with ``lambdas(ks)``.  A non-Pauli channel is checked for
+    unitality here, once: Gamma[:, 0] != e_0 would bias every estimate."""
     try:
-        lam = ch.lambdas()
+        lam = ch.lambdas(ks)
     except NotPauliDiagonal:
         gamma = ch.ptm().matrix
         resid = float(np.max(np.abs(gamma[:, 0] - (np.arange(len(gamma)) == 0))))
@@ -171,20 +170,15 @@ class CharacterizedPTM:
 
     def to_report_text(self) -> str:
         """The report text, rows in (j, k) order.  Each distinct (estimate,
-        std_error) pair is formatted once per call, unless it holds a zero:
-        -0.0 == 0.0, but the two print differently."""
-        cells: dict[tuple[float, float], str] = {}
+        std_error) pair is formatted once per call; -0.0 == 0.0, but the two
+        print differently, so a pair that holds a zero is keyed with its signs."""
         tail = f" {self.shots} {self.seed}"
+        cells = Memo(lambda key: f"{float(key[0])!r} {float(key[1])!r}{tail}")
         lines = ["# transfer-matrix characterization report", f"n {self.n}", f"mode {self.mode}"]
         for jk in sorted(self.entries):
             est, err = self.entries[jk]
-            key = (est, err) if est and err else None
-            cell = cells.get(key)
-            if cell is None:
-                cell = f"{float(est)!r} {float(err)!r}{tail}"
-                if key and len(cells) < MEMO_SIZE:
-                    cells[key] = cell
-            lines.append(f"{jk[0]} {jk[1]} {cell}")
+            key = (est, err) if est and err else (est, err, math.copysign(1, est), math.copysign(1, err))
+            lines.append(f"{jk[0]} {jk[1]} {cells[key]}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -194,58 +188,55 @@ class CharacterizedPTM:
         pair, which must pass ``check_shots_and_seed``.  A bad line raises
         ParseError naming it."""
         reader = _ReportReader()
-        for chunk in text_chunks(text):
-            reader.read(*chunk)
+        read_text(text, reader.take)
         return cls(*reader.result())
 
 
-class _Memo(dict):
-    """token -> convert(token), so each distinct token is converted once."""
-
-    __slots__ = ("convert",)
-
-    def __init__(self, convert):
-        super().__init__()
-        self.convert = convert
-
-    def __missing__(self, token):
-        value = self.convert(token)
-        if len(self) < MEMO_SIZE:
-            self[token] = value
-        return value
+# What a report row's numbers can fail, in the order a row is checked:
+# conversion, finiteness, sign.  The converters raise the last two.
+_ROW_FAULTS = ("malformed row", "non-finite estimate or error in", "std_error, shots and seed must be >= 0 in")
 
 
 def _finite(token: str) -> float:
     value = float(token)
     if not math.isfinite(value):
-        raise ValueError(f"non-finite {token!r}")
+        raise ValueError(_ROW_FAULTS[1])
     return value
 
 
 def _std_error(token: str) -> float:
     value = _finite(token)
     if value < 0:
-        raise ValueError(f"negative {token!r}")
+        raise ValueError(_ROW_FAULTS[2])
     return value
 
 
-def _header(row: list[str]) -> tuple[str, int | str] | None:
-    """(key, value) of a valid two-field header line, else None."""
-    key, value = row
-    if key == "n" and value.isdecimal():
-        return key, int(value)
-    return (key, value) if key == "mode" else None
+def _count(token: str) -> int:
+    value = int(token)
+    if value < 0:
+        raise ValueError(_ROW_FAULTS[2])
+    return value
+
+
+def _fault(memo: Memo, token: str) -> int:
+    """Index in _ROW_FAULTS of the check ``token`` fails, or past them all."""
+    try:
+        memo[token]
+    except ValueError as exc:
+        return _ROW_FAULTS.index(exc.args[0]) if exc.args[0] in _ROW_FAULTS else 0
+    return len(_ROW_FAULTS)
 
 
 class _ReportReader:
-    """The state of one parse of report text.
+    """The state of one parse of report text, read by ``pauli.read_text``.
 
-    A chunk is read column by column (``_read_columns``): each column goes
-    through one memo of this parse, and every check runs on whole columns.
-    A chunk that fails any check changes nothing and is read again row by
-    row (``_read_row``), which raises the first bad line's error.  The j/k
-    range and the diagonal-mode rule need the header, which may come last,
-    so they are checked in ``result`` from the extent of the int columns.
+    ``take`` checks a chunk column by column, each column through one memo
+    of this parse whose converter checks conversion, finiteness and sign.
+    A refused line is named for the first check it fails in single-line
+    order: field count and header, conversion, finiteness, sign,
+    shots/seed, repeat.  The j/k range and the diagonal-mode rule need the
+    header, which may come last, so ``result`` checks them from the extent
+    of the int columns.
     """
 
     def __init__(self):
@@ -254,94 +245,57 @@ class _ReportReader:
         self.entries: dict[tuple[int, int], tuple[float, float]] = {}
         self.lo, self.hi = math.inf, -math.inf  # least and greatest j or k
         self.diagonal = True  # j == k on every row
-        self.ints, self.ests, self.errs = _Memo(int), _Memo(_finite), _Memo(_std_error)
+        self.ints, self.ests, self.errs, self.counts = Memo(int), Memo(_finite), Memo(_std_error), Memo(_count)
 
-    def read(self, first: int, lines: list[str], fields: list[list[str]]) -> None:
-        """Take one chunk of ``pauli.text_chunks``, or raise ParseError
-        naming its first bad line."""
-        if not self._read_columns(first, fields):
-            for lineno, line, row in zip(range(first, first + len(lines)), lines, fields):
-                if row:
-                    self._read_row(lineno, line, row)
-
-    def _read_columns(self, first: int, fields: list[list[str]]) -> bool:
-        """Take a chunk's header lines and rows if every check passes."""
+    def take(self, first: int, lines: list[str], fields: list[list[str]]) -> None:
+        """Take a chunk's header lines and rows if every check passes, else
+        raise ParseError naming ``first``, the line of a chunk of one."""
         rows = [row for row in fields if len(row) == 6]
         header = {}
         if len(rows) < len(fields):
-            for lineno, row in zip(range(first, first + len(fields)), fields):
+            for lineno, row in enumerate(fields, first):
                 if row and len(row) != 6:
-                    item = _header(row) if len(row) == 2 else None
-                    if item is None or item[0] in self.header or item[0] in header:
-                        return False
-                    header[item[0]] = (item[1], lineno)
+                    if len(row) != 2:
+                        raise ParseError(f"line {first}: expected 'j k estimate std_error shots seed'")
+                    key, value = row
+                    if not (key == "mode" or key == "n" and value.isdecimal()):
+                        raise ParseError(f"line {first}: bad header line {lines[0]!r}")
+                    if key in self.header or key in header:
+                        raise ParseError(f"line {first}: header {key!r} repeats line {(header | self.header)[key][1]}")
+                    header[key] = (int(value) if key == "n" else value, lineno)
         if rows:
-            ints = self.ints.__getitem__
+            ints, counts = self.ints.__getitem__, self.counts.__getitem__
             try:
                 js, ks, ests, errs, shots, seeds = zip(*rows)
                 js, ks = list(map(ints, js)), list(map(ints, ks))
                 chunk = dict(zip(zip(js, ks), zip(map(self.ests.__getitem__, ests),
                                                    map(self.errs.__getitem__, errs))))
                 # each column's distinct values: one shots/seed pair iff one value in each
-                shots, seeds = set(map(ints, set(shots))), set(map(ints, set(seeds)))
+                shots, seeds = set(map(counts, set(shots))), set(map(counts, set(seeds)))
             except ValueError:
-                return False
+                if len(lines) > 1:
+                    raise ParseError("a row of the chunk is refused") from None
+                memos = (self.ints, self.ints, self.ests, self.errs, self.counts, self.counts)
+                fault = _ROW_FAULTS[min(map(_fault, memos, rows[0]))]
+                raise ParseError(f"line {first}: {fault} {lines[0]!r}") from None
             if len(shots) != 1 or len(seeds) != 1:
-                return False
+                raise ParseError("rows of the chunk differ in shots or seed")
             run = (*shots, *seeds)
-            if run != (self.run or run) or len(chunk) < len(rows) or not self.entries.keys().isdisjoint(chunk):
-                return False
             if self.run is None:
                 try:
                     check_shots_and_seed(*run)
-                except ConfigError:
-                    return False
+                except ConfigError as exc:
+                    raise ParseError(f"line {first}: {exc}") from None
+            elif run != self.run:
+                raise ParseError(f"line {first}: shots {run[0]} and seed {run[1]} differ from the first row's {self.run}")
+            if len(chunk) < len(rows) or not self.entries.keys().isdisjoint(chunk):
+                raise ParseError(f"line {first}: entry ({js[0]}, {ks[0]}) repeats an earlier row")
             self.run = run
             self.entries.update(chunk)
-            self._extend(js, ks)
+            self.lo = min(self.lo, min(js), min(ks))
+            self.hi = max(self.hi, max(js), max(ks))
+            self.diagonal = self.diagonal and js == ks
         self.header.update(header)
-        return True
-
-    def _read_row(self, lineno: int, line: str, row: list[str]) -> None:
-        """Take one data line, or raise ParseError naming it."""
-        if len(row) == 2:
-            item = _header(row)
-            if item is None:
-                raise ParseError(f"line {lineno}: bad header line {line!r}")
-            key, value = item
-            if key in self.header:
-                raise ParseError(f"line {lineno}: header {key!r} repeats line {self.header[key][1]}")
-            self.header[key] = (value, lineno)
-            return
-        if len(row) != 6:
-            raise ParseError(f"line {lineno}: expected 'j k estimate std_error shots seed'")
-        try:
-            j, k = int(row[0]), int(row[1])
-            est, err = float(row[2]), float(row[3])
-            shots, seed = int(row[4]), int(row[5])
-        except ValueError:
-            raise ParseError(f"line {lineno}: malformed row {line!r}") from None
-        if not (math.isfinite(est) and math.isfinite(err)):
-            raise ParseError(f"line {lineno}: non-finite estimate or error in {line!r}")
-        if err < 0 or shots < 0 or seed < 0:
-            raise ParseError(f"line {lineno}: std_error, shots and seed must be >= 0 in {line!r}")
-        if self.run is None:
-            try:
-                check_shots_and_seed(shots, seed)
-            except ConfigError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
-            self.run = shots, seed
-        elif shots != self.run[0] or seed != self.run[1]:
-            raise ParseError(f"line {lineno}: shots {shots} and seed {seed} differ from the first row's {self.run}")
-        if (j, k) in self.entries:
-            raise ParseError(f"line {lineno}: entry ({j}, {k}) repeats an earlier row")
-        self.entries[j, k] = (est, err)
-        self._extend([j], [k])
-
-    def _extend(self, js: list[int], ks: list[int]) -> None:
-        self.lo = min(self.lo, min(js), min(ks))
-        self.hi = max(self.hi, max(js), max(ks))
-        self.diagonal = self.diagonal and js == ks
 
     def result(self) -> tuple:
         """(n, mode, entries, shots, seed) once every chunk is read."""
@@ -349,7 +303,7 @@ class _ReportReader:
         mode = self.header.get("mode", (None,))[0]
         if n is None or mode not in ("diagonal", "full"):
             raise ParseError("report lacks a valid 'n'/'mode' header")
-        check_qubits(n)
+        check_qubits(n, MAX_QUBITS_SPARSE if mode == "diagonal" else MAX_QUBITS)
         if not (0 <= self.lo and self.hi < 4**n):
             raise ParseError(f"report entries must have j and k in 0..{4**n - 1}")
         if mode == "diagonal" and not (self.diagonal and self.lo > 0):
@@ -363,13 +317,12 @@ def _probe_report(ch: Channel, mode: str, ks, entries: dict, shots: int, seed: i
     full mode, j = k first, all read from the probe's stream (seed, k) by
     one readout of the whole report.  Every index is validated, then
     unitality is checked once, before the first probe."""
-    idxs = [as_index(k, ch.n) for k in ks]
-    if any(idx.k == 0 for idx in idxs):
+    ks = [as_index(k, ch.n).k for k in ks]
+    if 0 in ks:
         raise IdentityProbe("the k=0 entry equals 1 by trace preservation")
-    output = _probe_outputs(ch)
+    output = _probe_outputs(ch, None if mode == "full" else ks)
     D = 4**ch.n
-    reads = [([k, *range(1, k), *range(k + 1, D)] if mode == "full" else [k], (k,))
-             for k in (idx.k for idx in idxs)]
+    reads = [([k, *range(1, k), *range(k + 1, D)] if mode == "full" else [k], (k,)) for k in ks]
     exact = (output(k, js) for js, (k,) in reads)
     for (js, (k,)), values in zip(reads, read_batch(exact, reads, shots, seed)):
         entries.update(zip([(j, k) for j in js], values))

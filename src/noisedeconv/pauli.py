@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, compress, count
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -56,8 +57,13 @@ PRUNE_TOL = 1e-14
 # every field string of the text alive together.
 CHUNK_LINES = 256
 
+# Values a text memo keeps: past this many distinct tokens it only costs time
+# and memory.
+MEMO_SIZE = 4096
+
 PAULI_LABELS = "IXYZ"
 _LABEL_DIGITS = str.maketrans(PAULI_LABELS, "0123")
+_LABEL_TEXT = frozenset(PAULI_LABELS + " ")  # labels joined by spaces
 
 SIGMAS = (
     np.eye(2, dtype=complex),
@@ -238,52 +244,83 @@ def devectorize(coeffs: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(t.transpose(order)).reshape(2**n, 2**n)
 
 
-def text_chunks(text: str):
-    """(first line number, lines, fields of each line) of each run of
-    CHUNK_LINES lines of ``text``: the one grammar of observable, measurement
-    and report text, where only a newline ends a line, ``#`` starts a
-    comment and fields are separated by whitespace (a carriage return, form
-    feed or other break ``str.splitlines`` would end a line at is whitespace
-    here).  A line without data has no fields."""
+def read_text(text: str, take) -> None:
+    """Hand ``text`` to a format's checker ``take(first, lines, fields)``
+    CHUNK_LINES lines at a time, ``first`` the number of the first line: the
+    one grammar of observable, measurement and report text, where only a
+    newline ends a line (any other break ``str.splitlines`` knows is
+    whitespace), ``#`` starts a comment and a line's fields are split at
+    whitespace, with none on a line without data.  ``take`` takes the whole
+    chunk, or raises ParseError and takes nothing; a refused chunk is handed
+    over again one data line at a time, so that the refusal names the line."""
     lines = text.split("\n")
     for start in range(0, len(lines), CHUNK_LINES):
         chunk = lines[start:start + CHUNK_LINES]
-        yield start + 1, chunk, [line.split("#", 1)[0].split() if "#" in line else line.split()
-                                 for line in chunk]
+        fields = [line.split("#", 1)[0].split() if "#" in line else line.split() for line in chunk]
+        try:
+            take(start + 1, chunk, fields)
+        except ParseError:
+            if len(chunk) == 1:
+                raise
+            for lineno, line, row in zip(range(start + 1, start + 1 + len(chunk)), chunk, fields):
+                if row:
+                    take(lineno, [line], [row])
 
 
-def text_rows(text: str):
-    """(line number, line, fields) of each line of ``text`` that holds data,
-    in the grammar of ``text_chunks``."""
-    for first, lines, fields in text_chunks(text):
-        for lineno, line, row in zip(range(first, first + len(lines)), lines, fields):
-            if row:
-                yield lineno, line, row
+class Memo(dict):
+    """token -> convert(token), each distinct token of a text converted once;
+    a conversion that raises is not kept, and nothing is past MEMO_SIZE
+    values (an exact report of non-Pauli noise has a new one on every row)."""
+
+    __slots__ = ("convert",)
+
+    def __init__(self, convert):
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, token):
+        value = self.convert(token)
+        if len(self) < MEMO_SIZE:
+            self[token] = value
+        return value
 
 
 def labelled_rows(text: str, form: str, widths: tuple[int, ...]) -> tuple[int, list]:
     """The qubit count and rows (line number, flat index k, numbers) of ``form``
     lines, ``<pauli-string> <number>...`` with a field count in ``widths``; k and
-    the qubit count are read from the label itself.  A line with another field
-    count, a bad string or number, a non-finite number or another qubit count
-    raises ParseError naming it; so does no row."""
+    the qubit count are read from the upper-cased label.  A line with another
+    field count, a bad string or number, a non-finite number or another qubit
+    count raises ParseError naming it; so does no row.  A chunk of
+    ``read_text`` is checked column by column: its labels joined, numbers per row."""
     rows = []
     n = None
-    for lineno, line, fields in text_rows(text):
-        if len(fields) not in widths:
-            raise ParseError(f"line {lineno}: expected '{form}', got {line!r}")
+    sizes = {0, *widths}  # field counts of a line without data or a row
+
+    def take(first, lines, fields):  # a message names ``first``, the line of a chunk of one
+        nonlocal n
+        if not sizes.issuperset(map(len, fields)):
+            raise ParseError(f"line {first}: expected '{form}', got {lines[0]!r}")
         try:
-            n_row, k = _label_index(fields[0])
-            numbers = [float(x) for x in fields[1:]]
+            labels = " ".join([row[0] for row in fields if row]).upper()
+            if not _LABEL_TEXT.issuperset(labels):
+                for row in filter(None, fields):
+                    _label_index(row[0])  # raises for the first bad label
+            numbers = [list(map(float, row[1:])) for row in fields if row]
         except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-        if not all(map(math.isfinite, numbers)):
-            raise ParseError(f"line {lineno}: numbers must be finite, got {line!r}")
-        if n is None:
-            n = n_row
-        elif n_row != n:
-            raise ParseError(f"line {lineno}: {fields[0]!r} has {n_row} qubits, expected {n}")
-        rows.append((lineno, k, numbers))
+            raise ParseError(f"line {first}: {exc}") from None
+        if not all(map(math.isfinite, chain.from_iterable(numbers))):
+            raise ParseError(f"line {first}: numbers must be finite, got {lines[0]!r}")
+        if not numbers:
+            return
+        digits = labels.translate(_LABEL_DIGITS).split(" ")
+        qubits = n or len(digits[0])
+        if {*map(len, digits)} != {qubits}:
+            label = next(filter(None, fields))[0]
+            raise ParseError(f"line {first}: {label!r} has {len(digits[0])} qubits, expected {qubits}")
+        n = qubits
+        rows.extend(zip(compress(count(first), fields), [int(k, 4) for k in digits], numbers))
+
+    read_text(text, take)
     if not rows:
         raise ParseError(f"expected '{form}' lines, found none")
     return n, rows

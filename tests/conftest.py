@@ -5,8 +5,8 @@ matrices are built by explicit Kronecker products over itertools.product
 orderings, coefficients by explicit traces, and transfer matrices by
 column-wise trace formulas, so tests compare two independent routes.
 The Markov-correlated entries are evaluated in exact rationals, one
-4x4 product per entry.  The reference report parser reads one line at a
-time, with no memo.
+4x4 product per entry.  The reference readers of labelled (observable and
+measurement) text and of report text read one line at a time, with no memo.
 The reference positivity certificate takes one state at a time: its
 powers, each trace by ``np.trace``, the recursion with an explicit
 (-1)**(j-1), then the Hermiticity check and ``eigvalsh`` only when the
@@ -122,6 +122,39 @@ def projective_sample_bruteforce(rho, P, shots, rng):
     probs = np.clip(np.einsum("ji,jk,ki->i", vecs.conj(), rho, vecs).real, 0.0, None)
     counts = rng.multinomial(shots, probs / probs.sum())
     return float(counts @ np.round(vals)) / shots
+
+
+def labelled_rows_reference(text, form, widths):
+    """The qubit count and rows (line number, k, numbers) of ``form`` lines,
+    read one line at a time: the reader before chunks were checked column by
+    column, kept as the oracle.  A label is upper-cased, then must be a
+    non-empty string over IXYZ, read as base-4 digits."""
+    rows = []
+    n = None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        fields = line.split("#", 1)[0].split()
+        if not fields:
+            continue
+        if len(fields) not in widths:
+            raise ParseError(f"line {lineno}: expected '{form}', got {line!r}")
+        upper = fields[0].upper()
+        if not upper or upper.strip("IXYZ"):
+            raise ParseError(f"line {lineno}: invalid Pauli label {fields[0]!r}")
+        n_row, k = len(upper), int(upper.translate(str.maketrans("IXYZ", "0123")), 4)
+        try:
+            numbers = [float(x) for x in fields[1:]]
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        if not all(map(math.isfinite, numbers)):
+            raise ParseError(f"line {lineno}: numbers must be finite, got {line!r}")
+        if n is None:
+            n = n_row
+        elif n_row != n:
+            raise ParseError(f"line {lineno}: {fields[0]!r} has {n_row} qubits, expected {n}")
+        rows.append((lineno, k, numbers))
+    if not rows:
+        raise ParseError(f"expected '{form}' lines, found none")
+    return n, rows
 
 
 def report_from_text_reference(text):

@@ -19,7 +19,6 @@ from noisedeconv.channels import (
     depolarizing_channel,
 )
 from noisedeconv.characterization import (
-    MEMO_SIZE,
     CharacterizedPTM,
     estimate_diagonal_entries,
     estimate_full_ptm,
@@ -37,7 +36,7 @@ from noisedeconv.exceptions import (
     ParseError,
     ResourceCapExceeded,
 )
-from noisedeconv.pauli import HERMITIAN_TOL, PauliIndex
+from noisedeconv.pauli import HERMITIAN_TOL, MEMO_SIZE, PauliIndex
 from noisedeconv.sampling import MAX_SHOTS, derive_rng, sample_pauli_expectation
 
 
@@ -173,9 +172,9 @@ class TestDiagonalEntries:
         reads, probes = [], []
         original = characterization._probe_outputs
 
-        def counting(channel):
+        def counting(channel, ks):
             reads.append(channel)
-            output = original(channel)
+            output = original(channel, ks)
             return lambda k, js: probes.append(k) or output(k, js)
 
         monkeypatch.setattr(characterization, "_probe_outputs", counting)
@@ -287,7 +286,7 @@ class TestReportRoundTrip:
     @pytest.mark.parametrize("shots", [0, 1000])
     @pytest.mark.parametrize("memo", [1, MEMO_SIZE])
     def test_full_report_text_is_byte_exact(self, n, shots, memo, monkeypatch):
-        monkeypatch.setattr(characterization, "MEMO_SIZE", memo)
+        monkeypatch.setattr(pauli, "MEMO_SIZE", memo)
         report = estimate_full_ptm(depolarizing_channel(n, 0.05, 0.3), shots, seed=5)
         text = report.to_report_text()
         again = CharacterizedPTM.from_report_text(text)
@@ -433,11 +432,9 @@ def _parse(text):
     return report.n, report.mode, report.entries, report.shots, report.seed
 
 
-@settings(max_examples=300, deadline=None)
-@given(text=report_texts(), chunk=st.sampled_from([1, 3, 256]), memo=st.sampled_from([1, MEMO_SIZE]))
-def test_chunked_parser_agrees_with_the_row_by_row_reference(text, chunk, memo):
-    with mock.patch.object(pauli, "CHUNK_LINES", chunk), mock.patch.object(characterization, "MEMO_SIZE", memo):
-        got = _outcome(_parse, text)
+def _assert_agrees_with_the_reference(got, text):
+    """``got`` is the reference's outcome, or the refusal ``_declared_refusal``
+    names where that comes first."""
     expected = _outcome(report_from_text_reference, text)
     declared = _declared_refusal(text)
     failed_at = re.match(r"line (\d+):", expected[1]) if expected[0] is ParseError else None
@@ -445,6 +442,14 @@ def test_chunked_parser_agrees_with_the_row_by_row_reference(text, chunk, memo):
         assert got == expected
     else:
         assert got[0] is ParseError and got[1].startswith(declared[1]), (got, expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=report_texts(), chunk=st.sampled_from([1, 3, 256]), memo=st.sampled_from([1, MEMO_SIZE]))
+def test_chunked_parser_agrees_with_the_row_by_row_reference(text, chunk, memo):
+    with mock.patch.object(pauli, "CHUNK_LINES", chunk), mock.patch.object(pauli, "MEMO_SIZE", memo):
+        got = _outcome(_parse, text)
+    _assert_agrees_with_the_reference(got, text)
 
 
 def _full_text(n, edit=None):
@@ -473,13 +478,29 @@ def _full_text(n, edit=None):
     "n 1\nmode diagonal\n1 1 0.5 0.0 0 0\n2 2 0.5 0.0 0 0\n3 2 0.5 0.0 0 0\n",
     "n 1\nmode diagonal\n1 1 0.5 0.0 0 0\n2 2 0.5 0.0 0 0\n0 0 1.0 0.0 0 0\n",
     "mode diagonal\n1 1 0.5 0.0 0 0\n2 2 0.5 0.0 0 0\n3 3 0.5 0.0 0 0\nn 1\n",
+    # each refusal below sits past its chunk's first line at 3 and 256 lines a chunk
+    _full_text(2, (101, "q 1")),
+    _full_text(2, (101, "n 2")),
+    _full_text(2, (-4, "mode full")),
+    _full_text(2, (50, "1.5 2 0.0 0.0 0 0")),
+    _full_text(2, (-1, "15 15 1.0 0.0 -1 0")),
+    _full_text(2, (0, f"0 0 1.0 0.0 {MAX_SHOTS + 1} 0")),
+    "n 1\nmode diagonal\n\n\n1 1 inf 0.0 0 0\n",
+    # a line that fails several checks is named for the first in single-line order
+    _full_text(2, (-1, "15 15 inf 0.0 x 0")),
+    _full_text(2, (-1, "15 15 inf -0.5 -1 0")),
+    _full_text(2, (-1, "15 15 1.0 -0.5 5 0")),
+    _full_text(2, (-1, "0 0 1.0 0.0 0 1")),
 ], ids=["j_past_the_end", "negative_k_last", "negative_j_first", "k_past_the_end", "repeat_last",
         "repeat_next_to_last", "seed_last", "inf_last", "negative_error_last", "five_fields_last",
-        "comment_last", "off_diagonal_last", "zero_last", "header_last"])
+        "comment_last", "off_diagonal_last", "zero_last", "header_last",
+        "bad_header", "repeated_n", "repeated_mode", "malformed_j", "negative_shots_later",
+        "first_row_shots_past_the_limit", "lone_row_among_blanks",
+        "malformed_before_non_finite", "non_finite_before_negative", "negative_before_run", "run_before_repeat"])
 def test_checks_hold_on_every_chunk_of_a_report(text, chunk):
     with mock.patch.object(pauli, "CHUNK_LINES", chunk):
         got = _outcome(_parse, text)
-    assert got == _outcome(report_from_text_reference, text)
+    _assert_agrees_with_the_reference(got, text)
 
 
 class TestPositivityCoefficients:

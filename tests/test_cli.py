@@ -43,8 +43,8 @@ def count_probes(monkeypatch):
     probes = []
     original = noisedeconv.characterization._probe_outputs
 
-    def counting(ch):
-        output = original(ch)
+    def counting(ch, ks):
+        output = original(ch, ks)
         return lambda k, js: probes.append(k) or output(k, js)
 
     monkeypatch.setattr("noisedeconv.characterization._probe_outputs", counting)
@@ -209,7 +209,7 @@ class TestDeconvolveCommand:
                      "--measurements", meas]) == 0
         assert capsys.readouterr().out == "value 1.0\nstd_error 0.0\nentries_consulted 1\n"
 
-    @pytest.mark.parametrize("n, mode", [(10, "full"), (10, "diagonal"), (6, "full")])
+    @pytest.mark.parametrize("n, mode", [(10, "full"), (MAX_QUBITS_SPARSE + 1, "diagonal"), (6, "full")])
     def test_report_past_the_cap_exits_four(self, tmp_path, capsys, n, mode):
         k = 4**n - 1
         report = write(tmp_path, "report.txt", f"n {n}\nmode {mode}\n{k} {k} 0.9 0.0 0 0\n")
@@ -221,9 +221,9 @@ class TestDeconvolveCommand:
 
 
 class TestMarkovPastTheDenseCap:
-    """Markov-correlated configs plan from p and mu: deconvolve --config runs to
-    MAX_QUBITS_SPARSE with no 4**n array, and every command that reads the full
-    diagonal or more keeps its cap."""
+    """Markov-correlated configs plan from p and mu: deconvolve --config and
+    characterize --entries K1,... run to MAX_QUBITS_SPARSE with no 4**n array,
+    and every command that reads the full diagonal or more keeps its cap."""
 
     def test_n30_bit_flip_with_64_terms(self, tmp_path, capsys):
         n, p, mu = 30, 0.02, 0.4
@@ -258,8 +258,7 @@ class TestMarkovPastTheDenseCap:
         assert "entries_consulted 2\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("family, strength", [("bit_flip", "p"), ("dephasing", "p"), ("depolarizing", "q")])
-    @pytest.mark.parametrize("command", [["ptm"], ["ptm", "--diagonal-only"], ["characterize"],
-                                         ["characterize", "--entries", "1"], ["experiment"]])
+    @pytest.mark.parametrize("command", [["ptm"], ["ptm", "--diagonal-only"], ["characterize"], ["experiment"]])
     def test_dense_commands_past_six_qubits_exit_four(self, tmp_path, capsys, family, strength, command):
         n = 7
         channel = {"family": family, "n": n, strength: 0.1, "mu": 0.5}
@@ -280,6 +279,20 @@ class TestMarkovPastTheDenseCap:
         assert main(["deconvolve", "--observable", obs, "--config", path, "--measurements", meas]) == 4
         captured = capsys.readouterr()
         assert captured.out == "" and f"1..{MAX_QUBITS_SPARSE}" in captured.err
+
+    @pytest.mark.parametrize("n", [7, 30])
+    def test_diagonal_report_past_six_qubits_deconvolves_as_its_channel(self, tmp_path, capsys, n):
+        cfg = channel_json(tmp_path, family="bit_flip", n=n, p=0.05, mu=0.3)
+        labels = ["X" + "I" * (n - 1), "ZZ" + "I" * (n - 2)]
+        assert main(["characterize", "--config", cfg, "--entries", ",".join(labels)]) == 0
+        report = write(tmp_path, "report.txt", capsys.readouterr().out)
+        obs = write(tmp_path, "obs.txt", f"{labels[0]} 0.5\n{labels[1]} -1.25\n")
+        meas = write(tmp_path, "meas.txt", f"{labels[0]} 0.75 0.01\n{labels[1]} 0.5 0.02\n")
+        outputs = []
+        for source in (["--config", cfg], ["--characterization", report]):
+            assert main(["deconvolve", "--observable", obs, "--measurements", meas, *source]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and "entries_consulted 2\n" in outputs[0]
 
 
 class TestCharacterizeCommand:

@@ -1,6 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from conftest import pauli_basis_bruteforce, random_hermitian, vectorize_bruteforce
+from conftest import labelled_rows_reference, pauli_basis_bruteforce, random_hermitian, vectorize_bruteforce
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from noisedeconv import pauli
 
 from noisedeconv.exceptions import (
     ConfigError,
@@ -252,3 +258,75 @@ class TestObservable:
     def test_from_pairs_merges_duplicates(self):
         obs = Observable.from_pairs([("Z", 0.5), ("Z", 0.25)])
         assert obs.terms == {3: 0.75}
+
+
+# Letters of drawn labels past IXYZ: lower case, other letters and digits,
+# and non-ASCII letters whose upper case is in IXYZ (dotless i) or is longer
+# than the letter itself (sharp s, the fi ligature).
+LABEL_LETTERS = "IXYZ" * 4 + "ixyz" * 2 + "Q03_\u0131\u00df\ufb01"
+# Numbers past plain floats: non-finite and overflowing ones, forms float()
+# takes (underscores, a sign, Arabic-Indic digits) and forms it refuses.
+ODD_NUMBERS = ["nan", "inf", "-inf", "1e400", "-1e400", "1_0", "+2", "\u0661", "0x1", "x", "1,5", "--1"]
+
+
+@st.composite
+def labelled_texts(draw):
+    """Observable or measurement text: rows of an n-qubit label and one or
+    two numbers, with blank, comment-only and carriage-return lines, and
+    rows drawn with a wrong field count, label or number."""
+    n = draw(st.integers(1, 4))
+    rnd = draw(st.randoms(use_true_random=False))
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = rnd.choice(["row"] * 6 + ["blank", "comment", "odd_label", "odd_number", "field_count"])
+        if kind == "blank":
+            lines.append(rnd.choice(["", "   ", "\t", "\r", " \x0c "]))
+            continue
+        if kind == "comment":
+            lines.append(rnd.choice(["# note", "#", "  # 1 2 3"]))
+            continue
+        label = "".join(rnd.choice("IXYZ") for _ in range(n))
+        if kind == "odd_label":
+            size = max(1, n + rnd.choice([-1, 0, 1]))
+            label = "".join(rnd.choice(LABEL_LETTERS) for _ in range(size))
+        numbers = [repr(rnd.uniform(-1, 1)) for _ in range(rnd.choice([1, 1, 2]))]
+        if kind == "odd_number":
+            numbers[rnd.randrange(len(numbers))] = rnd.choice(ODD_NUMBERS)
+        elif kind == "field_count":
+            numbers = rnd.choice([[], numbers + ["0.1", "0.2"]])
+        tail = rnd.choice(["", "", " # checked", "#x", "\r", "\t"])
+        lines.append(rnd.choice([" ", "\t", "  "]).join([label, *numbers]) + tail)
+    return "\n".join(lines) + rnd.choice(["\n", ""])
+
+
+def _labelled_outcome(read, text, widths):
+    try:
+        n, rows = read(text, "<pauli-string> <value> [std_error]", widths)
+    except Exception as exc:  # the exception is the outcome compared
+        return type(exc), str(exc)
+    return n, repr(rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=labelled_texts(), widths=st.sampled_from([(2,), (2, 3)]), chunk=st.sampled_from([1, 3, 256]))
+def test_column_reader_agrees_with_the_row_by_row_reference(text, widths, chunk):
+    with mock.patch.object(pauli, "CHUNK_LINES", chunk):
+        got = _labelled_outcome(labelled_rows, text, widths)
+    assert got == _labelled_outcome(labelled_rows_reference, text, widths)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 256])
+@pytest.mark.parametrize("text, message", [
+    ("\n\nZZ 1.0 2.0 3.0\n\n", "line 3: expected '<pauli-string> <value> [std_error]', got 'ZZ 1.0 2.0 3.0'"),
+    ("\n# a\n\u0131Z 1.0\nZ\u00df 2.0\n", "line 4: invalid Pauli label 'Z\u00df'"),
+    ("ZZ 1.0\n\nZZ 1e400\n", "line 3: numbers must be finite, got 'ZZ 1e400'"),
+    ("ZZ 1.0\nZZ 2.0\n\nZZZ 0x1\n", "line 4: could not convert string to float: '0x1'"),
+    ("ZZ 1.0\nZZ 2.0\n\nZZZ 1.0\n", "line 4: 'ZZZ' has 3 qubits, expected 2"),
+])
+def test_labelled_rows_name_a_lone_row_past_the_chunks_first_line(text, message, chunk):
+    with mock.patch.object(pauli, "CHUNK_LINES", chunk), pytest.raises(ParseError) as err:
+        labelled_rows(text, "<pauli-string> <value> [std_error]", (2, 3))
+    assert str(err.value) == message
+    with pytest.raises(ParseError) as err:
+        labelled_rows_reference(text, "<pauli-string> <value> [std_error]", (2, 3))
+    assert str(err.value) == message
