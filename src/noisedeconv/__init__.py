@@ -35,16 +35,12 @@ from .pauli import (
     MAX_QUBITS,
     Observable,
     PauliIndex,
-    devectorize,
-    hs_inner,
     pauli_element,
     vectorize,
 )
-from .sampling import exact_pauli_expectation
 from .simulator import (
     ExpectationRecord,
     ExperimentConfig,
-    evolve,
     records_to_csv,
     run_experiment,
 )

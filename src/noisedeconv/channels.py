@@ -1,7 +1,9 @@
 """Quantum channels: Kraus sets and Pauli transfer matrices.
 
-Two representations share one interface (``n``, ``d``, ``lambdas(ks=None)``,
-``ptm()`` and ``apply(rho, method)``):
+Two representations share one interface (``n``, ``d``, ``lambdas(ks=None)``
+and ``ptm()``); every shipped path works on Pauli coefficients through it.
+``KrausChannel.apply(rho, method)`` also maps a dense state, by the Kraus
+sum, the diagonal or the transfer matrix:
 
 * :class:`KrausChannel` -- explicit operator-sum form; a random Pauli map
   carries instead its probability vector over Pauli strings, or, for the
@@ -247,10 +249,6 @@ class PTM:
     def ptm(self) -> "PTM":
         return self
 
-    def apply(self, rho: np.ndarray, method: str = "auto") -> np.ndarray:
-        """Map rho through the matrix (``auto``/``ptm``) or its diagonal."""
-        return _apply_transfer(self, _as_operator(rho, self.d), "ptm" if method == "auto" else method)
-
     def __repr__(self) -> str:
         return f"PTM(n={self.n}, shape={self.matrix.shape})"
 
@@ -372,7 +370,9 @@ class KrausChannel:
     def apply(self, rho: np.ndarray, method: str = "auto") -> np.ndarray:
         """Map rho through the Kraus operators, the diagonal or the full
         transfer matrix; ``auto`` takes the diagonal for Pauli maps at n >= 4."""
-        rho = _as_operator(rho, self.d)
+        rho = np.asarray(rho, dtype=complex)
+        if rho.shape != (self.d, self.d):
+            raise DimensionMismatch(f"state shape {rho.shape} does not match d={self.d}")
         if method == "auto":
             method = "diagonal" if (self.is_pauli and self.n >= 4) else "kraus"
         if method == "kraus":
@@ -380,7 +380,11 @@ class KrausChannel:
             for K in self.kraus_ops:
                 out += K @ rho @ K.conj().T
             return out
-        return _apply_transfer(self, rho, method)
+        if method == "diagonal":
+            return devectorize(self.lambdas() * vectorize(rho))
+        if method == "ptm":
+            return devectorize(self.ptm().matrix @ vectorize(rho))
+        raise ValueError(f"unknown application method {method!r}")
 
     def __repr__(self) -> str:
         kind = "pauli" if self.is_pauli else "generic"
@@ -388,21 +392,6 @@ class KrausChannel:
 
 
 Channel = Union[KrausChannel, PTM]
-
-
-def _as_operator(rho, d: int) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (d, d):
-        raise DimensionMismatch(f"state shape {rho.shape} does not match d={d}")
-    return rho
-
-
-def _apply_transfer(ch: Channel, rho: np.ndarray, method: str) -> np.ndarray:
-    if method == "diagonal":
-        return devectorize(ch.lambdas() * vectorize(rho))
-    if method == "ptm":
-        return devectorize(ch.ptm().matrix @ vectorize(rho))
-    raise ValueError(f"unknown application method {method!r}")
 
 
 def _superoperator_ptm(kraus_ops: Sequence[np.ndarray], n: int) -> PTM:
@@ -436,8 +425,8 @@ def _superoperator(kraus_ops: Sequence[np.ndarray], n: int) -> np.ndarray:
     return np.ascontiguousarray(S.transpose(order))
 
 
-def apply_channel(ch: Channel, rho: np.ndarray, method: str = "auto") -> np.ndarray:
-    """Apply a channel to a density matrix (or any operator)."""
+def apply_channel(ch: KrausChannel, rho: np.ndarray, method: str = "auto") -> np.ndarray:
+    """Apply a Kraus-form channel to a density matrix (or any operator)."""
     return ch.apply(rho, method=method)
 
 

@@ -322,9 +322,9 @@ def _probe_report(ch: Channel, mode: str, ks, entries: dict, shots: int, seed: i
         raise IdentityProbe("the k=0 entry equals 1 by trace preservation")
     output = _probe_outputs(ch, None if mode == "full" else ks)
     D = 4**ch.n
-    reads = [([k, *range(1, k), *range(k + 1, D)] if mode == "full" else [k], (k,)) for k in ks]
-    exact = (output(k, js) for js, (k,) in reads)
-    for (js, (k,)), values in zip(reads, read_batch(exact, reads, shots, seed)):
+    rows = [[k, *range(1, k), *range(k + 1, D)] if mode == "full" else [k] for k in ks]
+    exact = map(output, ks, rows)
+    for k, js, values in zip(ks, rows, read_batch(exact, [(k,) for k in ks], shots, seed)):
         entries.update(zip([(j, k) for j in js], values))
     return CharacterizedPTM(n=ch.n, mode=mode, entries=entries, shots=shots, seed=seed)
 

@@ -209,13 +209,12 @@ def _kept_inverse_adjoint(ptm: PTM) -> tuple[np.ndarray | None, float]:
         return ptm._inverse_adjoint, ptm._condition_number
 
 
-def _shared_inverse_adjoint(ptm: PTM, cond_warn: float) -> np.ndarray:
+def _shared_inverse_adjoint(ptm: PTM) -> np.ndarray:
     """The kept inv(Gamma^T) of ``ptm``, shared read-only by every plan on it.
-    The singularity gate and the conditioning warning apply on every call,
-    to the kept bound sqrt(kappa_1 * kappa_inf) >= kappa_2 and against this
-    call's ``cond_warn``."""
+    The singularity gate and the conditioning warning (above CONDITION_WARN)
+    apply on every call, to the kept bound sqrt(kappa_1 * kappa_inf) >= kappa_2."""
     inv, cond = _kept_inverse_adjoint(ptm)
-    _check_condition(cond, cond_warn)
+    _check_condition(cond, CONDITION_WARN)
     return inv
 
 
@@ -242,11 +241,10 @@ def _inverse_image(ptm: PTM, inv: np.ndarray, obs: Observable, m: int) -> np.nda
     return w
 
 
-def plan_general(obs: Observable, ptm: PTM, cond_warn: float = CONDITION_WARN,
-                 m: int = 1) -> DeconvolutionPlan:
+def plan_general(obs: Observable, ptm: PTM, m: int = 1) -> DeconvolutionPlan:
     """General-path plan: the inverse of the transposed transfer matrix, which ``ptm``
     computes once and shares with every plan on it, applied m times to the coefficients.
-    Warns when the weights' 1-norm exceeds ``cond_warn`` times the coefficients'.  An
+    Warns when the weights' 1-norm exceeds CONDITION_WARN times the coefficients'.  An
     observable with no terms plans no weights and consults no entry, as on the diagonal path."""
     if m < 0:
         raise ValueError(f"repetition count must be >= 0, got {m}")
@@ -254,11 +252,11 @@ def plan_general(obs: Observable, ptm: PTM, cond_warn: float = CONDITION_WARN,
         raise DimensionMismatch(f"observable is on n={obs.n}, transfer matrix on n={ptm.n}")
     if not obs.terms:
         return DeconvolutionPlan(observable=obs, entries_consulted=0, weights={})
-    inv = _shared_inverse_adjoint(ptm, cond_warn)
+    inv = _shared_inverse_adjoint(ptm)
     w = _inverse_image(ptm, inv, obs, m)
     amplification = float(np.sum(np.abs(w)))
     scale = sum(abs(c) for c in obs.terms.values())
-    if amplification > cond_warn * scale:
+    if amplification > CONDITION_WARN * scale:
         warnings.warn(
             f"deconvolution weights amplify the observable by {amplification / scale:.3e} (m = {m})",
             IllConditionedWarning,

@@ -29,10 +29,6 @@ class DimensionMismatch(MathematicalError, ValueError):
     """Operands act on different Hilbert spaces."""
 
 
-class NonHermitianInput(MathematicalError, ValueError):
-    """Operator expected to be Hermitian is not (beyond tolerance)."""
-
-
 class NotTracePreserving(MathematicalError, ValueError):
     """Kraus set or transfer matrix violates trace preservation."""
 

@@ -25,7 +25,6 @@ import numpy as np
 from .exceptions import (
     ConfigError,
     DimensionMismatch,
-    NonHermitianInput,
     ParseError,
     ResourceCapExceeded,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "PauliIndex",
     "Observable",
     "pauli_element",
-    "hs_inner",
     "vectorize",
     "devectorize",
     "num_qubits",
@@ -180,16 +178,6 @@ def is_hermitian(A: np.ndarray) -> bool:
     return bool(np.max(np.abs(A - A.conj().T)) <= HERMITIAN_TOL)
 
 
-def hs_inner(A: np.ndarray, B: np.ndarray) -> complex:
-    """Normalized Hilbert-Schmidt inner product Tr[A^dag B]/d."""
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    if A.shape != B.shape:
-        raise DimensionMismatch(f"shape mismatch {A.shape} vs {B.shape}")
-    num_qubits(A)
-    return complex(np.vdot(A, B) / A.shape[0])
-
-
 # Per-qubit kernels mapping between matrix entries and Pauli coefficients.
 # Entry index m = 2*row + col of the single-qubit block:
 #   _VEC_KERNEL[a, m]   = sigma_a[col, row]   (trace pairing)
@@ -222,7 +210,7 @@ def _transform_per_qubit(kernels: Sequence[np.ndarray], flat: np.ndarray) -> np.
 def vectorize(A: np.ndarray) -> np.ndarray:
     """Coefficient vector of A over the Pauli basis.
 
-    Component k equals hs_inner(P_k, A); the result has length 4**n.
+    Component k equals Tr[P_k A]/d; the result has length 4**n.
     """
     A = np.asarray(A, dtype=complex)
     n = num_qubits(A)
@@ -365,20 +353,6 @@ class Observable:
         for k, c in self.terms.items():
             v[k] = c
         return v
-
-    def to_operator(self) -> np.ndarray:
-        return devectorize(self.coefficient_vector())
-
-    @classmethod
-    def from_operator(cls, A: np.ndarray) -> "Observable":
-        A = np.asarray(A, dtype=complex)
-        n = num_qubits(A)
-        if not is_hermitian(A):
-            raise NonHermitianInput(
-                f"operator deviates from Hermiticity by more than {HERMITIAN_TOL}"
-            )
-        coeffs = vectorize(A)
-        return cls(n, {k: coeffs[k].real for k in range(coeffs.size)})
 
     @classmethod
     def from_pairs(cls, pairs: Iterable, n: int | None = None) -> "Observable":

@@ -7,21 +7,20 @@ resolves more outcomes, but each has eigenvalue +1 or -1 and the +1
 outcomes' probabilities sum to (1 + e)/2, so its +1 count is
 Binomial(shots, (1 + e)/2) too: the marginal draw has that measurement's
 distribution and needs only e.
-``sample_marginal`` is the one copy of that draw, and
-``sample_pauli_expectation`` its dense reference, which reads e from a
-density matrix.
+``sample_marginal`` is that draw for one e, the scalar reference that
+``read_batch``'s vector draw is pinned to.
 
 Every sampler consumes a numpy Generator; ``derive_rng`` builds
 independent deterministic streams from a base seed plus integer tags so
 results do not depend on evaluation order.  ``read_batch`` is the one
 readout the experiments and the probe estimators share: it takes the
 exact expectations it reads and holds the exact/sampled switch and the
-stream layout.  Each read ``(ks, tags)`` derives its one stream with
-``derive_rng(seed, *tags)`` and draws its entries from it in turn, with
-one ``Generator.binomial`` call over the read's (1 + e)/2.  numpy's
-vector draw equals the same draws made one at a time, so entry i of a
-read is the i-th ``sample_marginal`` draw from that stream;
-``tests/test_sampling.py::TestVectorDraw`` pins that.  This layout
+stream layout.  Each read is named by its stream tags alone: it derives
+its one stream with ``derive_rng(seed, *tags)`` and draws its entries
+from it in turn, with one ``Generator.binomial`` call over the read's
+(1 + e)/2.  numpy's vector draw equals the same draws made one at a
+time, so entry i of a read is the i-th ``sample_marginal`` draw from that
+stream; ``tests/test_sampling.py::TestVectorDraw`` pins that.  This layout
 replaced one stream (seed, *tags, j) per entry j, which cost a generator
 per entry, so sampled outputs differ from earlier versions' while exact
 outputs, and the report and CSV formats, are unchanged.
@@ -35,16 +34,14 @@ from itertools import accumulate, chain
 import numpy as np
 
 from .exceptions import ConfigError, InvalidState, ProbabilityOutOfRange
-from .pauli import as_index, num_qubits, pauli_element
+from .pauli import as_index
 
 __all__ = [
     "MAX_SHOTS",
     "check_shots_and_seed",
     "derive_rng",
-    "exact_pauli_expectation",
     "coefficient_expectations",
     "sample_marginal",
-    "sample_pauli_expectation",
     "read_batch",
 ]
 
@@ -72,22 +69,6 @@ def check_shots_and_seed(shots: int, seed: int) -> None:
         raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
-def _check_real(val: complex, n: int, k: int) -> None:
-    if abs(val.imag) >= _IMAG_TOL:
-        raise InvalidState(
-            f"expectation of {as_index(k, n).label} has imaginary residue {val.imag:.3e}"
-        )
-
-
-def exact_pauli_expectation(rho: np.ndarray, k) -> float:
-    """Tr[P_k rho] for a Hermitian unit-trace rho."""
-    rho = np.asarray(rho, dtype=complex)
-    idx = as_index(k, num_qubits(rho))
-    val = complex(np.einsum("ij,ji->", pauli_element(idx), rho))
-    _check_real(val, idx.n, idx.k)
-    return float(val.real)
-
-
 def coefficient_expectations(coeffs: np.ndarray, ks) -> list[float]:
     """Tr[P_k rho] for each k in ``ks``, read from rho's scaled Pauli
     coefficient vector ``coeffs = d * vectorize(rho)`` (entry j is
@@ -97,7 +78,8 @@ def coefficient_expectations(coeffs: np.ndarray, ks) -> list[float]:
     bad = np.abs(vals.imag) >= _IMAG_TOL
     if bad.any():
         i = int(np.argmax(bad))
-        _check_real(complex(vals[i]), (coeffs.size.bit_length() - 1) // 2, int(ks[i]))
+        label = as_index(int(ks[i]), (coeffs.size.bit_length() - 1) // 2).label
+        raise InvalidState(f"expectation of {label} has imaginary residue {vals[i].imag:.3e}")
     return vals.real.tolist()
 
 
@@ -118,12 +100,6 @@ def sample_marginal(e: float, shots: int, rng: np.random.Generator) -> tuple[flo
     return value, math.sqrt(max(0.0, 1.0 - value * value) / shots)
 
 
-def sample_pauli_expectation(rho: np.ndarray, k, shots: int, rng: np.random.Generator) -> tuple[float, float]:
-    """Finite-shot estimate of Tr[P_k rho] for a dense rho, the reference for
-    the readout: :func:`sample_marginal` of :func:`exact_pauli_expectation`."""
-    return sample_marginal(exact_pauli_expectation(rho, k), shots, rng)
-
-
 def _plus_probabilities(es: np.ndarray) -> np.ndarray:
     """(1 + e)/2 clipped to [0, 1] for each exact expectation e, after the
     range check of :func:`sample_marginal`, over a whole batch."""
@@ -135,28 +111,28 @@ def _plus_probabilities(es: np.ndarray) -> np.ndarray:
     return np.clip(0.5 * (1.0 + es), 0.0, 1.0)
 
 
-def read_batch(values, reads, shots: int, seed: int) -> list[list[tuple[float, float]]]:
-    """``(value, std_error)`` of each entry j in ks, for each ``(ks, tags)``
-    in the sequence ``reads``, from the exact expectations at the same place
-    in the iterable ``values``: the item of a read is a list of floats, the
-    exact expectation of each j in its ks in order.
+def read_batch(values, tags, shots: int, seed: int) -> list[list[tuple[float, float]]]:
+    """``(value, std_error)`` of each entry of each read, for each read's
+    stream tags in the sequence ``tags``, from the exact expectations at the
+    same place in the iterable ``values``: the item of a read is its list of
+    exact expectations, one per entry, in order.
 
     ``shots = 0`` returns the exact values (std_error 0) and derives no
-    stream.  Otherwise each read draws its entries, in order, from its one
-    stream ``derive_rng(seed, *tags)``: one binomial call over the read's
-    (1 + e)/2, whose counts equal one :func:`sample_marginal` draw per entry
-    made in turn from that stream.  The range check and the count ->
+    stream.  Otherwise each read, with tags t, draws its entries, in order,
+    from its one stream ``derive_rng(seed, *t)``: one binomial call over the
+    read's (1 + e)/2, whose counts equal one :func:`sample_marginal` draw per
+    entry made in turn from that stream.  The range check and the count ->
     (value, std_error) arithmetic run once over the whole call.
     """
     if not shots:
-        return [[(e, 0.0) for e in exact] for _, exact in zip(reads, values)]
-    exact = [e for _, e in zip(reads, values)]
+        return [[(e, 0.0) for e in exact] for _, exact in zip(tags, values)]
+    exact = [e for _, e in zip(tags, values)]
     bounds = [0, *accumulate(map(len, exact))]
     p = _plus_probabilities(np.fromiter(chain.from_iterable(exact), dtype=float, count=bounds[-1]))
     counts = np.empty(len(p), dtype=np.int64)
     spans = list(zip(bounds, bounds[1:]))
-    for (_, tags), (a, b) in zip(reads, spans):
-        counts[a:b] = derive_rng(seed, *tags).binomial(shots, p[a:b])
+    for read_tags, (a, b) in zip(tags, spans):
+        counts[a:b] = derive_rng(seed, *read_tags).binomial(shots, p[a:b])
     value = 2.0 * counts / shots - 1.0
     pairs = list(zip(value.tolist(), np.sqrt(np.maximum(0.0, 1.0 - value * value) / shots).tolist()))
     return [pairs[a:b] for a, b in spans]

@@ -4,6 +4,9 @@ The oracles here deliberately avoid the library's fast paths: Pauli
 matrices are built by explicit Kronecker products over itertools.product
 orderings, coefficients by explicit traces, and transfer matrices by
 column-wise trace formulas, so tests compare two independent routes.
+The dense-state oracles evolve a density matrix by the Kraus sum over a
+channel's ``kraus_ops`` and read Tr[P_k rho] by an explicit trace; the
+library itself works only on Pauli coefficients.
 The Markov-correlated entries are evaluated in exact rationals, one
 4x4 product per entry.  The reference readers of labelled (observable and
 measurement) text and of report text read one line at a time, with no memo.
@@ -20,7 +23,8 @@ from itertools import product
 import numpy as np
 
 from noisedeconv.exceptions import ParseError
-from noisedeconv.pauli import check_qubits
+from noisedeconv.pauli import Observable, check_qubits
+from noisedeconv.sampling import sample_marginal
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -29,15 +33,54 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 SINGLE = (I2, SX, SY, SZ)
 
 
+def kron_string(digits):
+    """The Pauli string with single-qubit indices ``digits``, one Kronecker
+    product per digit."""
+    m = np.ones((1, 1), dtype=complex)
+    for d in digits:
+        m = np.kron(m, SINGLE[d])
+    return m
+
+
 def pauli_basis_bruteforce(n):
     """All 4**n Pauli strings in lexicographic order via itertools.product."""
-    mats = []
-    for digits in product(range(4), repeat=n):
-        m = np.ones((1, 1), dtype=complex)
-        for d in digits:
-            m = np.kron(m, SINGLE[d])
-        mats.append(m)
-    return mats
+    return [kron_string(digits) for digits in product(range(4), repeat=n)]
+
+
+def pauli_string_bruteforce(k, n):
+    """Pauli string k on n qubits, its digits read from k in base 4."""
+    return kron_string((k >> 2 * (n - 1 - q)) & 3 for q in range(n))
+
+
+def kraus_sum(kraus_ops, A):
+    """sum_i K_i A K_i^dag."""
+    return sum(K @ A @ K.conj().T for K in kraus_ops)
+
+
+def evolve(rho, ch, m):
+    """rho after m uses of the channel, each the Kraus sum over ``ch.kraus_ops``."""
+    out = np.asarray(rho, dtype=complex)
+    for _ in range(m):
+        out = kraus_sum(ch.kraus_ops, out)
+    return out
+
+
+def exact_pauli_expectation(rho, k):
+    """Tr[P_k rho] for the flat index k, by an explicit trace."""
+    rho = np.asarray(rho, dtype=complex)
+    val = np.trace(pauli_string_bruteforce(k, rho.shape[0].bit_length() - 1) @ rho)
+    assert abs(val.imag) < 1e-10
+    return float(val.real)
+
+
+def observable_expectation(rho, obs):
+    """Tr[O rho] for O = sum_k c_k P_k, one explicit trace per term."""
+    return sum(c * exact_pauli_expectation(rho, k) for k, c in obs.items())
+
+
+def sample_pauli_expectation(rho, k, shots, rng):
+    """Finite-shot Tr[P_k rho]: the marginal draw of the exact trace."""
+    return sample_marginal(exact_pauli_expectation(rho, k), shots, rng)
 
 
 def vectorize_bruteforce(A):
@@ -55,7 +98,7 @@ def ptm_bruteforce(kraus_ops, n):
     dim = 4**n
     M = np.zeros((dim, dim), dtype=complex)
     for q in range(dim):
-        out = sum(K @ basis[q] @ K.conj().T for K in kraus_ops)
+        out = kraus_sum(kraus_ops, basis[q])
         for j in range(dim):
             M[j, q] = np.trace(basis[j] @ out) / d
     assert np.max(np.abs(M.imag)) < 1e-10
@@ -106,6 +149,11 @@ def positivity_certificate_reference(rho, psd_tol, hermitian_tol):
     hermitian = bool(np.max(np.abs(rho - rho.conj().T)) <= hermitian_tol)
     ok = hermitian and all(s >= psd_tol for s in S) and float(np.linalg.eigvalsh(rho)[0]) >= psd_tol
     return S, ok
+
+
+def random_observable(n, rng):
+    """An observable with a standard-normal coefficient on every Pauli string."""
+    return Observable(n, dict(enumerate(rng.normal(size=4**n).tolist())))
 
 
 def random_hermitian(n, rng, scale=1.0):

@@ -22,7 +22,15 @@ from itertools import islice, product
 
 import numpy as np
 import pytest
-from conftest import SIGNS, markov_lambda_exact, random_density, random_hermitian
+from conftest import (
+    SIGNS,
+    evolve,
+    exact_pauli_expectation,
+    markov_lambda_exact,
+    observable_expectation,
+    random_density,
+    random_observable,
+)
 
 import noisedeconv as nd
 from noisedeconv.deconvolution import (
@@ -38,7 +46,6 @@ from noisedeconv.characterization import (
 )
 from noisedeconv.exceptions import NonInvertibleChannel
 from noisedeconv.pauli import Observable, PauliIndex
-from noisedeconv.sampling import exact_pauli_expectation
 from noisedeconv.simulator import ExperimentConfig, run_experiment
 
 P_GRID = [i / 100.0 for i in range(1, 50)]  # 49 values
@@ -246,20 +253,20 @@ def test_acceptance_3_exact_roundtrip_oracle():
             n = int(rng.integers(1, 4))
             ch = build(n)
             rho = random_density(n, rng)
-            obs = Observable.from_operator(random_hermitian(n, rng))
-            ideal = float(np.trace(rho @ obs.to_operator()).real)
-            rhop = nd.apply_channel(ch, rho)
+            obs = random_observable(n, rng)
+            ideal = observable_expectation(rho, obs)
+            rhop = evolve(rho, ch, 1)
             plan = plan_pauli(obs, ch)
-            noisy = {k: exact_pauli_expectation(rhop, PauliIndex(n, k)) for k in obs.terms}
+            noisy = {k: exact_pauli_expectation(rhop, k) for k in obs.terms}
             worst = max(worst, abs(deconvolve(plan, noisy) - ideal))
     for _ in range(trials_per_family):
         ch = nd.correlated_amplitude_damping(rng.uniform(0.2, 1.0), rng.uniform(0, 1))
         rho = random_density(2, rng)
-        obs = Observable.from_operator(random_hermitian(2, rng))
-        ideal = float(np.trace(rho @ obs.to_operator()).real)
-        rhop = nd.apply_channel(ch, rho)
+        obs = random_observable(2, rng)
+        ideal = observable_expectation(rho, obs)
+        rhop = evolve(rho, ch, 1)
         plan = plan_general(obs, ch.ptm())
-        noisy = {j: exact_pauli_expectation(rhop, PauliIndex(2, j))
+        noisy = {j: exact_pauli_expectation(rhop, j)
                  for j in plan.required_indices}
         worst = max(worst, abs(deconvolve(plan, noisy) - ideal))
     assert worst < 1e-9

@@ -4,7 +4,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import positivity_certificate_reference, random_density, report_from_text_reference
+from conftest import (
+    evolve,
+    positivity_certificate_reference,
+    random_density,
+    report_from_text_reference,
+    sample_pauli_expectation,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +18,6 @@ from noisedeconv import characterization, pauli
 
 from noisedeconv.channels import (
     KrausChannel,
-    apply_channel,
     bit_flip_channel,
     correlated_amplitude_damping,
     dephasing_channel,
@@ -37,7 +42,7 @@ from noisedeconv.exceptions import (
     ResourceCapExceeded,
 )
 from noisedeconv.pauli import HERMITIAN_TOL, MEMO_SIZE, PauliIndex
-from noisedeconv.sampling import MAX_SHOTS, derive_rng, sample_pauli_expectation
+from noisedeconv.sampling import MAX_SHOTS, derive_rng
 
 
 class TestProbeState:
@@ -141,7 +146,7 @@ class TestEstimateFullPtm:
         result = estimate_full_ptm(ch, shots=shots, seed=seed)
         for k in range(1, 4**n):
             # probe k is one stream (seed, k), read with j = k first
-            out, rng = apply_channel(ch, probe_state(k, n)), derive_rng(seed, k)
+            out, rng = evolve(probe_state(k, n), ch, 1), derive_rng(seed, k)
             for j in [k, *(j for j in range(1, 4**n) if j != k)]:
                 assert result.entries[(j, k)] == sample_pauli_expectation(out, j, shots, rng)
 

@@ -11,7 +11,6 @@ from noisedeconv import pauli
 from noisedeconv.exceptions import (
     ConfigError,
     DimensionMismatch,
-    NonHermitianInput,
     ParseError,
     ResourceCapExceeded,
 )
@@ -21,7 +20,6 @@ from noisedeconv.pauli import (
     PauliIndex,
     check_qubits,
     devectorize,
-    hs_inner,
     labelled_rows,
     pauli_element,
     vectorize,
@@ -79,6 +77,14 @@ class TestPauliElement:
                 assert np.max(np.abs(P @ P - np.eye(d))) == 0  # unitary
                 assert np.trace(P) == (d if k == 0 else 0)
 
+    def test_orthonormality(self):
+        # under the normalized Hilbert-Schmidt product Tr[A^dag B]/d
+        for n in (1, 2):
+            for j in range(4**n):
+                for k in range(4**n):
+                    val = np.vdot(pauli_element(j, n), pauli_element(k, n)) / 2**n
+                    assert val == (1.0 if j == k else 0.0)
+
     def test_qubit_cap(self):
         with pytest.raises(ResourceCapExceeded):
             pauli_element(0, 7)
@@ -98,33 +104,6 @@ class TestCheckQubits:
         check_qubits(MAX_QUBITS)
         with pytest.raises(ResourceCapExceeded):
             check_qubits(MAX_QUBITS + 1)
-
-
-class TestHsInner:
-    def test_orthonormality(self):
-        for n in (1, 2):
-            for j in range(4**n):
-                for k in range(4**n):
-                    val = hs_inner(pauli_element(j, n), pauli_element(k, n))
-                    assert val == (1.0 if j == k else 0.0)
-
-    def test_sigma_z_on_ground_state(self):
-        rho = np.array([[1, 0], [0, 0]], dtype=complex)
-        assert hs_inner(pauli_element(3, 1), rho) == 0.5
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            hs_inner(np.eye(2), np.eye(4))
-
-    def test_expectation_bridge(self):
-        # Tr[rho O] = d * <<rho|O>> for Hermitian rho, O
-        rng = np.random.default_rng(11)
-        for n in (1, 2, 3):
-            rho = random_hermitian(n, rng)
-            O = random_hermitian(n, rng)
-            lhs = np.trace(rho @ O)
-            rhs = 2**n * np.vdot(vectorize(rho), vectorize(O))
-            assert abs(lhs - rhs) < 1e-10
 
 
 class TestVectorize:
@@ -153,6 +132,16 @@ class TestVectorize:
             A = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
             assert np.max(np.abs(devectorize(vectorize(A)) - A)) < 1e-12
 
+    def test_expectation_bridge(self):
+        # Tr[rho O] = d * <<rho|O>> for Hermitian rho, O
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3):
+            rho = random_hermitian(n, rng)
+            O = random_hermitian(n, rng)
+            lhs = np.trace(rho @ O)
+            rhs = 2**n * np.vdot(vectorize(rho), vectorize(O))
+            assert abs(lhs - rhs) < 1e-10
+
     def test_hermitian_iff_real_coefficients(self):
         rng = np.random.default_rng(4)
         H = random_hermitian(2, rng)
@@ -179,28 +168,17 @@ class TestDevectorize:
 
 class TestObservable:
     def test_single_basis_element(self):
-        obs = Observable.from_operator(np.asarray(pauli_element(63, 3)))
+        obs = Observable.from_pairs([("ZZZ", 1.0)])
         assert obs.terms == {63: 1.0}
         assert obs.r == 1
 
     def test_two_term_sum(self):
+        # the labels index the strings whose operator sum the coefficients expand
         A = np.kron(np.eye(2), pauli_element(3, 1)) + np.kron(pauli_element(3, 1), np.eye(2))
-        obs = Observable.from_operator(A)
+        obs = Observable.from_pairs([("IZ", 1.0), ("ZI", 1.0)])
         assert set(obs.terms) == {3, 12}
         assert obs.r == 2
-        assert np.allclose(list(obs.terms.values()), [1.0, 1.0])
-
-    def test_random_hermitian_roundtrip(self):
-        rng = np.random.default_rng(7)
-        A = random_hermitian(2, rng)
-        obs = Observable.from_operator(A)
-        assert obs.r <= 16
-        assert np.max(np.abs(obs.to_operator() - A)) < 1e-12
-
-    def test_non_hermitian_rejected(self):
-        A = np.array([[0, 1], [0, 0]], dtype=complex)
-        with pytest.raises(NonHermitianInput):
-            Observable.from_operator(A)
+        assert np.allclose(vectorize(A), [obs.terms.get(k, 0.0) for k in range(16)])
 
     def test_pruning(self):
         obs = Observable(1, {0: 1.0, 3: 1e-15})

@@ -39,9 +39,9 @@ class TestStreamStates:
         for row in rows:
             rng = derive_rng(seed, *row)
             expected.append([sample_marginal(e, 2**40, rng) for e in values[0]])
-        got = read_batch(values, [([1, 2, 3], row) for row in rows], 2**40, seed)
+        got = read_batch(values, rows, 2**40, seed)
         assert got == expected
-        assert got == read_batch(values, [([1, 2, 3], row) for row in rows.tolist()], 2**40, seed)
+        assert got == read_batch(values, rows.tolist(), 2**40, seed)
 
     def test_empty_batch(self, monkeypatch):
         calls = []
@@ -55,12 +55,12 @@ class TestStreamStates:
             with pytest.raises(ValueError):
                 derive_rng(seed, *tags)
             with pytest.raises(ValueError):
-                read_batch([[0.5]], [([1], tags)], 100, seed)
+                read_batch([[0.5]], [tags], 100, seed)
 
     def test_a_tag_past_one_word_is_a_stream_of_derive_rng(self):
         rng = derive_rng(7, 2**32 + 1)
         expected = [sample_marginal(e, 1000, rng) for e in (0.1, -0.4, 0.8)]
-        assert read_batch([[0.1, -0.4, 0.8]], [([1, 2, 3], (2**32 + 1,))], 1000, 7) == [expected]
+        assert read_batch([[0.1, -0.4, 0.8]], [(2**32 + 1,)], 1000, 7) == [expected]
 
     @pytest.mark.parametrize("shots", [1, 1000, 2**40])
     def test_draws_equal_derive_rng_draws(self, shots):
@@ -68,13 +68,13 @@ class TestStreamStates:
         # derive_rng(seed, *tags); reads of one entry, of none and of many mix
         seed = 2**64 + 3
         es = np.linspace(-0.999, 0.999, 41).tolist()
-        reads = [(range(1, 42), (4, 1)), ([7], (4, 2)), ([], (5, 0)), ([2, 3], (0, 2**32 - 1))]
+        tags = [(4, 1), (4, 2), (5, 0), (0, 2**32 - 1)]
         values = [es, [0.3], [], [-0.2, 0.9]]
         expected = []
-        for vals, (_, tags) in zip(values, reads):
-            rng = derive_rng(seed, *tags)
+        for vals, read_tags in zip(values, tags):
+            rng = derive_rng(seed, *read_tags)
             expected.append([sample_marginal(e, shots, rng) for e in vals])
-        assert read_batch(values, reads, shots, seed) == expected
+        assert read_batch(values, tags, shots, seed) == expected
 
 
 class TestVectorDraw:
@@ -114,9 +114,9 @@ class TestOneDerivationPerBatch:
         # a report, full or diagonal, is one batch of reads
         batches = []
 
-        def counting(values, reads, shots, seed):
-            batches.append(len(reads))
-            return read_batch(values, reads, shots, seed)
+        def counting(values, tags, shots, seed):
+            batches.append(len(tags))
+            return read_batch(values, tags, shots, seed)
 
         monkeypatch.setattr(characterization, "read_batch", counting)
         ch = depolarizing_channel(2, 0.2, 0.4)
@@ -157,7 +157,7 @@ class TestOneDerivationPerBatch:
 @pytest.mark.parametrize("bad", [1.5, -1.0 - 1e-6, float("nan")])
 def test_read_batch_refuses_an_expectation_outside_the_unit_interval(bad):
     with pytest.raises(ProbabilityOutOfRange):
-        read_batch([[0.2], [0.1, bad]], [([1], (1,)), ([1, 2], (2,))], 100, 0)
+        read_batch([[0.2], [0.1, bad]], [(1,), (2,)], 100, 0)
     with pytest.raises(ProbabilityOutOfRange):
         sample_marginal(bad, 100, derive_rng(0))
 

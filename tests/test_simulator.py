@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
-from conftest import pauli_basis_bruteforce, projective_sample_bruteforce, random_density
+from conftest import (
+    evolve,
+    exact_pauli_expectation,
+    pauli_basis_bruteforce,
+    projective_sample_bruteforce,
+    random_density,
+    sample_pauli_expectation,
+)
 
 from noisedeconv import channels, deconvolution, simulator
-from noisedeconv.channels import (
-    KrausChannel,
-    bit_flip_channel,
-    channel_from_config,
-    correlated_amplitude_damping,
-    depolarizing_channel,
-)
+from noisedeconv.channels import bit_flip_channel, channel_from_config, depolarizing_channel
 from noisedeconv.deconvolution import deconvolve, plan, propagated_std_error
 from noisedeconv.exceptions import (
     ConfigError,
@@ -17,19 +18,11 @@ from noisedeconv.exceptions import (
     InvalidState,
     ProbabilityOutOfRange,
 )
-from noisedeconv.pauli import Observable, PauliIndex, devectorize, vectorize
-from noisedeconv.sampling import (
-    coefficient_expectations,
-    derive_rng,
-    exact_pauli_expectation,
-    read_batch,
-    sample_marginal,
-    sample_pauli_expectation,
-)
+from noisedeconv.pauli import Observable, devectorize, vectorize
+from noisedeconv.sampling import coefficient_expectations, derive_rng, read_batch, sample_marginal
 from noisedeconv.simulator import (
     CSV_HEADER,
     ExperimentConfig,
-    evolve,
     preset_state,
     records_to_csv,
     run_experiment,
@@ -54,80 +47,73 @@ def fig2_config(**overrides):
     return ExperimentConfig.from_dict(raw)
 
 
+def preset_expectations(name, n, ks):
+    """The exact readout of the preset state's Pauli coefficients at ks."""
+    return coefficient_expectations(vectorize(preset_state(name, n)) * 2**n, ks)
+
+
 class TestEvolve:
+    """The conftest dense oracle that the coefficient tests lean on, pinned
+    to closed forms."""
+
     def test_zero_applications(self):
-        rng = np.random.default_rng(0)
-        rho = random_density(2, rng)
+        rho = random_density(2, np.random.default_rng(0))
         assert np.array_equal(evolve(rho, bit_flip_channel(2, 0.3), 0), rho)
 
     def test_identity_channel_many_times(self):
-        rng = np.random.default_rng(1)
-        rho = random_density(2, rng)
-        out = evolve(rho, KrausChannel([np.eye(4)]), 100)
+        rho = random_density(2, np.random.default_rng(1))
+        out = evolve(rho, channels.KrausChannel([np.eye(4)]), 100)
         assert np.max(np.abs(out - rho)) < 1e-12
 
     def test_single_step_fig2_point(self):
         q, mu = 0.00052, 0.25
-        rho = preset_state("zeros", 3)
-        out = evolve(rho, depolarizing_channel(3, q, mu), 1)
-        got = exact_pauli_expectation(out, PauliIndex(3, 63))
-        assert got == pytest.approx(fig2_lambda(q, mu), abs=1e-14)
-
-    def test_trace_and_hermiticity_through_fifty_steps(self):
-        rng = np.random.default_rng(2)
-        for ch in (bit_flip_channel(2, 0.2, 0.5),
-                   depolarizing_channel(2, 0.15, 0.25),
-                   correlated_amplitude_damping(0.8, 0.4)):
-            rho = evolve(random_density(2, rng), ch, 50)
-            assert abs(np.trace(rho) - 1.0) < 1e-9
-            assert np.max(np.abs(rho - rho.conj().T)) < 1e-9
+        rho = evolve(preset_state("zeros", 3), depolarizing_channel(3, q, mu), 1)
+        assert exact_pauli_expectation(rho, 63) == pytest.approx(fig2_lambda(q, mu), abs=1e-14)
 
 
 class TestExpectationExact:
     def test_ground_state_zzz(self):
-        assert exact_pauli_expectation(preset_state("zeros", 3), PauliIndex(3, 63)) == 1.0
+        assert preset_expectations("zeros", 3, [63]) == [1.0]
 
     def test_mixed_state_vanishes(self):
-        rho = preset_state("mixed", 2)
-        for k in (1, 5, 15):
-            assert abs(exact_pauli_expectation(rho, PauliIndex(2, k))) < 1e-14
+        assert all(abs(e) < 1e-14 for e in preset_expectations("mixed", 2, [1, 5, 15]))
 
     def test_plus_state_x(self):
-        assert exact_pauli_expectation(preset_state("plus", 1), PauliIndex(1, 1)) == pytest.approx(1.0)
+        assert preset_expectations("plus", 1, [1]) == [pytest.approx(1.0)]
 
     def test_imaginary_residue_rejected(self):
         rho = np.array([[0.5, 1j], [0.0, 0.5]])
         with pytest.raises(InvalidState):
-            exact_pauli_expectation(rho, PauliIndex(1, 1))
+            coefficient_expectations(vectorize(rho) * 2, [1])
 
 
 class TestExpectationSampled:
     def test_certain_outcome(self):
-        value, err = sample_pauli_expectation(preset_state("zeros", 1), 3, 100, derive_rng(0, 3))
-        assert value == 1.0 and err == 0.0
+        (e,) = preset_expectations("zeros", 1, [3])
+        assert sample_marginal(e, 100, derive_rng(0, 3)) == (1.0, 0.0)
 
     def test_unbiased_null_expectation(self):
-        value, _ = sample_pauli_expectation(preset_state("zeros", 1), 1, 8192, derive_rng(5, 1))
+        (e,) = preset_expectations("zeros", 1, [1])
+        value, _ = sample_marginal(e, 8192, derive_rng(5, 1))
         assert abs(value) <= 4.0 / np.sqrt(8192)
 
     def test_deterministic_given_seed(self):
-        rho = preset_state("plus", 2)
-        a = sample_pauli_expectation(rho, 5, 2048, derive_rng(11, 5))
-        b = sample_pauli_expectation(rho, 5, 2048, derive_rng(11, 5))
-        assert a == b
+        (e,) = preset_expectations("plus", 2, [5])
+        assert sample_marginal(e, 2048, derive_rng(11, 5)) == sample_marginal(e, 2048, derive_rng(11, 5))
 
     def test_probability_out_of_range(self):
         rho = np.diag([1.2, -0.2]).astype(complex)
+        (e,) = coefficient_expectations(vectorize(rho) * 2, [3])
         with pytest.raises(ProbabilityOutOfRange):
-            sample_pauli_expectation(rho, PauliIndex(1, 3), 100, derive_rng(0))
+            sample_marginal(e, 100, derive_rng(0))
 
     def test_projective_sampler_agrees_statistically(self):
         # the marginal draw and a projective one over the full eigenbasis of
         # ZZ (the conftest oracle) both centre on the exact value
-        rho = np.asarray(evolve(preset_state("zeros", 2), bit_flip_channel(2, 0.2, 0.3), 2))
-        exact = exact_pauli_expectation(rho, PauliIndex(2, 15))
+        rho = evolve(preset_state("zeros", 2), bit_flip_channel(2, 0.2, 0.3), 2)
+        exact = exact_pauli_expectation(rho, 15)
         zz = pauli_basis_bruteforce(2)[15]
-        for draw in (lambda rng: sample_pauli_expectation(rho, PauliIndex(2, 15), 4096, rng)[0],
+        for draw in (lambda rng: sample_pauli_expectation(rho, 15, 4096, rng)[0],
                      lambda rng: projective_sample_bruteforce(rho, zz, 4096, rng)):
             vals = [draw(derive_rng(s)) for s in range(30)]
             assert abs(np.mean(vals) - exact) < 5 * np.sqrt((1 - exact**2) / 4096 / 30)
@@ -139,10 +125,10 @@ class TestExpectationSampled:
         ks, tags = [1, 5, 6, 15], (3, 0, 2)
         exact = coefficient_expectations(c, ks)
         rng = derive_rng(9, *tags)
-        assert read_batch([exact], [(ks, tags)], 500, 9) == [[
+        assert read_batch([exact], [tags], 500, 9) == [[
             sample_pauli_expectation(devectorize(c / 4), j, 500, rng) for j in ks
         ]]
-        assert read_batch([exact], [(ks, tags)], 0, 9) == [[(e, 0.0) for e in exact]]
+        assert read_batch([exact], [tags], 0, 9) == [[(e, 0.0) for e in exact]]
 
 
 class TestRunExperiment:
@@ -203,7 +189,7 @@ class TestRunExperiment:
             "seed": 0,
         })
         rho = preset_state("plus", 2)
-        ideal = {k: exact_pauli_expectation(rho, PauliIndex(2, k)) for k in (5, 15)}
+        ideal = {k: exact_pauli_expectation(rho, k) for k in (5, 15)}
         for r in run_experiment(cfg):
             assert r.deconvolved == pytest.approx(ideal[r.k], abs=1e-9)
 
@@ -288,7 +274,7 @@ def grid_channels(cfg):
 
 class TestCoefficientEvolution:
     """run_experiment evolves Pauli coefficient vectors; these pin it to
-    the dense path (evolve + a readout of the density matrix)."""
+    the dense oracle (the Kraus sum, read through explicit traces)."""
 
     @pytest.mark.parametrize("state", ["zeros", "plus", "random"])
     @pytest.mark.parametrize("channel", EVOLUTION_CHANNELS, ids=lambda c: f"{c['family']}")
@@ -330,6 +316,15 @@ class TestCoefficientEvolution:
                     assert r.deconvolved == deconvolve(plans[k], {j: drawn[j][0] for j in plans[k].weights})
         assert next(records, None) is None
 
+    @pytest.mark.parametrize("channel", EVOLUTION_CHANNELS, ids=lambda c: f"{c['family']}")
+    def test_trace_through_fifty_steps(self, channel):
+        # <I> = Tr[rho] stays 1 on every path, Gamma's first row included
+        n = channel.get("n", 2)
+        cfg = evolution_config(channel, "random", m_max=50, observable=[["I" * n, 1.0]])
+        records = run_experiment(cfg)
+        assert len(records) == 2 * 51
+        assert all(abs(r.value - 1.0) < 1e-12 for r in records)
+
     def test_no_channel_application(self, monkeypatch):
         calls = []
 
@@ -340,7 +335,7 @@ class TestCoefficientEvolution:
             return wrapper
 
         for owner, name in ((simulator, "apply_channel"), (channels, "apply_channel"),
-                            (channels.KrausChannel, "apply"), (channels.PTM, "apply")):
+                            (channels.KrausChannel, "apply")):
             monkeypatch.setattr(owner, name, counting(getattr(owner, name)))
         for channel in EVOLUTION_CHANNELS:
             for overrides in ({}, {"shots": 64}):
@@ -490,9 +485,7 @@ class TestShotNoiseCoverage:
         factor = fig2_lambda(q, mu) ** -m
         hits = 0
         for seed in range(1000):
-            value, err = sample_pauli_expectation(
-                rho, PauliIndex(3, 63), shots, derive_rng(seed)
-            )
+            value, err = sample_pauli_expectation(rho, 63, shots, derive_rng(seed))
             dec, dec_err = factor * value, factor * err
             if dec_err == 0.0:
                 hits += abs(dec - 1.0) < 1e-9
