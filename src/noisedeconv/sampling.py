@@ -69,18 +69,19 @@ def check_shots_and_seed(shots: int, seed: int) -> None:
         raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
-def coefficient_expectations(coeffs: np.ndarray, ks) -> list[float]:
+def coefficient_expectations(coeffs: np.ndarray, ks, n: int | None = None) -> list[float]:
     """Tr[P_k rho] for each k in ``ks``, read from rho's scaled Pauli
     coefficient vector ``coeffs = d * vectorize(rho)`` (entry j is
-    Tr[P_j rho]); every entry read gets the imaginary-residue check."""
+    Tr[P_j rho]), or, given ``n``, from a table of its entries ks, one row per
+    vector; every entry read gets the imaginary-residue check."""
     ks = np.asarray(ks, dtype=int)
-    vals = coeffs[ks]
+    vals = coeffs[ks] if n is None else coeffs
     bad = np.abs(vals.imag) >= _IMAG_TOL
     if bad.any():
         i = int(np.argmax(bad))
-        label = as_index(int(ks[i]), (coeffs.size.bit_length() - 1) // 2).label
-        raise InvalidState(f"expectation of {label} has imaginary residue {vals[i].imag:.3e}")
-    return vals.real.tolist()
+        label = as_index(int(ks[i % ks.size]), n or (coeffs.size.bit_length() - 1) // 2).label
+        raise InvalidState(f"expectation of {label} has imaginary residue {vals.flat[i].imag:.3e}")
+    return vals.real.ravel().tolist()
 
 
 def sample_marginal(e: float, shots: int, rng: np.random.Generator) -> tuple[float, float]:

@@ -3,22 +3,21 @@
 ``run_experiment`` drives the full pipeline: prepare a state, apply the
 channel m times for m = 0..m_max, measure the observable's Pauli
 components (exactly, or with a finite shot budget), and attach the
-deconvolved values.  The deconvolved <P_k> after m steps comes from
-``deconvolution.plan(P_k, channel, m)``, the same plan the CLI uses, with
-its ``deconvolve`` and ``propagated_std_error``.  Repetitions apply the
-identical channel independently at each step.
+deconvolved values, planned by ``deconvolution.plan``, as in the CLI.
+Repetitions apply the identical channel independently at each step.
 
-The experiment evolves the state as its Pauli coefficient vector
-c = d * vectorize(rho), whose entry j is Tr[P_j rho]: one step rescales
-it by the channel's diagonal (c -> lambda * c) for a Pauli channel, or
-multiplies it by the transfer matrix Gamma otherwise.  The plans for
-every m come first; then one ``sampling.read_batch`` per grid point reads
-the expectations each m needs from c as it evolves.  When sampled, the
-grid point is one read from the one stream (seed, mu index, strength
-index), its entries drawn in turn m-major, then j ascending.  This layout
-replaced one stream (seed, mu index, strength index, m, j) per entry, so
-sampled records differ from those of earlier versions; the CSV schema is
-unchanged.
+The state is its Pauli coefficient vector c = d * vectorize(rho), whose
+entry j is Tr[P_j rho].  Under a Pauli channel deconvolution rescales each
+Pauli component, so a grid point is a few array operations: one plan of
+sum_k P_k per m, the r entries c_k its records read evolved as
+c_k -> lambda_k * c_k in an (m_max + 1) x r table, and every record
+c_k(m) * lambda_k**(-m) with its error computed from that table as
+``deconvolve`` and ``propagated_std_error`` round and refuse them.
+Otherwise c is multiplied by the transfer matrix Gamma, and each record
+goes through its own plan(P_k, channel, m), whose weights may read any
+entry.  Either way one ``sampling.read_batch`` per grid point reads the
+expectations: one read from the stream (seed, mu index, strength index)
+when sampled, its entries drawn m-major, then j ascending.
 
 Records carry the raw and deconvolved estimates together with their
 standard errors; ``records_to_csv`` renders them with shortest
@@ -28,7 +27,8 @@ round-trip decimals so outputs are byte-stable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from itertools import accumulate, product
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .channels import (
 )
 from .channels import apply_channel  # noqa: F401  (unused; the benchmark self-test counts this binding)
 from .characterization import is_positive_semidefinite
-from .deconvolution import deconvolve, plan, propagated_std_error
+from .deconvolution import _finite, deconvolve, plan, propagated_std_error
 # Unused here; bound only for the benchmark self-test that counts inversions at every binding.
 from .deconvolution import _invert_adjoint  # noqa: F401
 from .exceptions import ConfigError, InvalidState, NotPauliDiagonal
@@ -224,13 +224,37 @@ def _grid_channel(base: dict, mu: float | None, strength: float | None) -> dict:
     return cfg
 
 
-def _evolved(c: np.ndarray, lam, gamma, m_max: int) -> Iterator[np.ndarray]:
-    """The coefficient vector ``c`` after m = 0..m_max channel uses, one at
-    a time: c -> lam * c for a Pauli channel, else c -> gamma @ c."""
-    yield c
-    for _ in range(m_max):
-        c = lam * c if gamma is None else gamma @ c
-        yield c
+def _diagonal_rows(cfg: ExperimentConfig, ch, lam: np.ndarray, c: np.ndarray, ks: list[int], tags) -> list[tuple]:
+    """(value, std_error, deconvolved, deconvolved_std_error) of a Pauli channel's records, m-major,
+    then k ascending: c_k(m) * lambda_k**(-m) from (m_max + 1) x r tables of the weights and c[ks]."""
+    every = Observable(cfg.n, dict.fromkeys(ks, 1.0))
+    weights = np.array([w for m in range(cfg.m_max + 1) for w in plan(every, ch, m).weights.values()])
+    table = np.multiply.accumulate(np.vstack([c[ks], np.broadcast_to(lam[ks], (cfg.m_max, len(ks)))]))
+    got = read_batch([coefficient_expectations(table, ks, cfg.n)], [tags], cfg.shots, cfg.seed)[0]
+    value, std_error = np.array(got).reshape(-1, 2).T
+    with np.errstate(over="ignore"):
+        deconvolved, error = 0.0 + weights * value, np.sqrt(np.square(weights * std_error))
+    bad = np.flatnonzero(~(np.isfinite(deconvolved) & np.isfinite(error)))
+    if bad.size:  # the first bad record, refused as deconvolve and propagated_std_error refuse it
+        _finite(deconvolved[bad[0]], "deconvolved value")
+        _finite(error[bad[0]], "propagated standard error")
+    return [(*ve, d, e) for ve, d, e in zip(got, deconvolved.tolist(), error.tolist())]
+
+
+def _general_rows(cfg: ExperimentConfig, ch, c: np.ndarray, ks: list[int], tags) -> list[tuple]:
+    """The same rows off the diagonal path, record by record, each through its own plan(P_k, channel, m)."""
+    gamma = ch.ptm().matrix
+    plans = [[plan(Observable(cfg.n, {k: 1.0}), ch, m) for k in ks] for m in range(cfg.m_max + 1)]
+    needed = [sorted({j for p in ps for j in p.weights} | set(ks)) for ps in plans]
+    evolved = accumulate(range(cfg.m_max), lambda v, _: gamma @ v, initial=c)  # c after m = 0..m_max uses
+    exact = [e for v, js in zip(evolved, needed) for e in coefficient_expectations(v, js)]
+    got = iter(read_batch([exact], [tags], cfg.shots, cfg.seed)[0])  # m-major, then j ascending
+    rows = []
+    for ps, js in zip(plans, needed):
+        step = dict(zip(js, got))  # j -> (value, std_error) after m uses
+        rows += [(*step[k], deconvolve(p, {j: step[j][0] for j in p.weights}),
+                  propagated_std_error(p, {j: step[j][1] for j in p.weights})) for k, p in zip(ks, ps)]
+    return rows
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ExpectationRecord]:
@@ -245,7 +269,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExpectationRecord]:
     mu_values: list[float | None] = list(cfg.mu_grid) if cfg.mu_grid else [None]
     s_values: list[float | None] = list(cfg.strength_grid) if cfg.strength_grid else [None]
     term_ks = sorted(cfg.observable.terms)
-    units = {k: Observable(cfg.n, {k: 1.0}) for k in term_ks}
     c = vectorize(cfg.initial_state) * 2**cfg.n  # entry j is Tr[P_j rho]
     records: list[ExpectationRecord] = []
     for gi, mu in enumerate(mu_values):
@@ -258,22 +281,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExpectationRecord]:
             strength_key = STRENGTH_KEYS.get(ch_cfg.get("family"))
             strength_out = float(ch_cfg[strength_key]) if strength_key and strength_key in ch_cfg else float("nan")
             try:
-                lam, gamma = ch.lambdas(), None
+                lam = ch.lambdas()
             except NotPauliDiagonal:
-                lam, gamma = None, ch.ptm().matrix
-            plans = [[plan(units[k], ch, m) for k in term_ks] for m in range(cfg.m_max + 1)]
-            needed = [sorted({j for p in ps for j in p.weights} | set(term_ks)) for ps in plans]
-            exact = [e for v, js in zip(_evolved(c, lam, gamma, cfg.m_max), needed)
-                     for e in coefficient_expectations(v, js)]
-            # one read, its entries m-major, then j ascending
-            got = iter(read_batch([exact], [(gi, si)], cfg.shots, cfg.seed)[0])
-            for m, (ps, js) in enumerate(zip(plans, needed)):
-                step = dict(zip(js, got))  # j -> (value, std_error) after m uses
-                for k, p in zip(term_ks, ps):
-                    records.append(ExpectationRecord(
-                        mu_out, strength_out, m, k, cfg.shots, cfg.seed, *step[k],
-                        deconvolve(p, {j: step[j][0] for j in p.weights}),
-                        propagated_std_error(p, {j: step[j][1] for j in p.weights})))
+                lam = None
+            rows = (_general_rows(cfg, ch, c, term_ks, (gi, si)) if lam is None
+                    else _diagonal_rows(cfg, ch, lam, c, term_ks, (gi, si)))
+            records += [ExpectationRecord(mu_out, strength_out, m, k, cfg.shots, cfg.seed, *row)
+                        for (m, k), row in zip(product(range(cfg.m_max + 1), term_ks), rows)]
     return records
 
 

@@ -473,6 +473,21 @@ class TestExperimentCommand:
         row = capsys.readouterr().out.strip().split("\n")[1].split(",")
         assert row[4] == "16" and row[5] == "4"
 
+    @pytest.mark.parametrize("channel, terms, extra, message", [
+        ({"family": "bit_flip", "n": 2, "p": 0.5}, [["ZI", 1.0]], {},
+         "diagonal entry 0.0 at k=12 is not invertible"),
+        ({"family": "depolarizing", "n": 2, "q": 0.5}, [["ZI", 1.0], ["XX", 1.0]], {"m_max": 1100},
+         "lambda_k**(-m) overflows at k=5, m=512"),
+        # sampled, at the last m whose plans all exist: the first record's error bar overflows
+        ({"family": "depolarizing", "n": 2, "q": 0.5}, [["ZI", 1.0], ["XX", 1.0]],
+         {"m_max": 511, "shots": 100, "seed": 3}, "propagated standard error is inf"),
+    ], ids=["not-invertible", "weight-overflow", "stderr-overflow"])
+    def test_refusals_exit_three_and_name_the_fault(self, tmp_path, capsys, channel, terms, extra, message):
+        cfg = write(tmp_path, "exp.json", json.dumps({"n": 2, "channel": channel, "observable": terms, **extra}))
+        assert main(["experiment", "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
     def test_json_rows_are_the_csv_rows(self, capsys):
         cfg = str(CONFIG_DIR / "experiments" / "fig2a_mu_sweep.json")
         assert main(["experiment", "--config", cfg, "--shots", "64", "--seed", "2"]) == 0

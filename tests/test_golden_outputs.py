@@ -14,10 +14,14 @@ that ``characterize --entries 1,...,4^n-1 --out`` writes.  On every
 experiment config they are ``experiment`` as shipped (csv and json) and
 with ``--shots 2048 --seed 1`` and ``"sampling": "marginal"`` (the config
 copied to a temp file with the key set, as older configs say it).
-``experiment-plus`` runs ``amp_damp_zz`` from ``initial_state`` ``plus``
-with ``--shots 2048 --seed 1``: from ``zeros`` every entry its plans read
-is +-1, so the sampled case above draws only p = 0 or 1 and cannot see a
-change to the sampler.
+``experiment-plus`` runs ``amp_damp_zz`` and ``fig2b_deconvolution`` from
+``initial_state`` ``plus`` with ``--shots 2048 --seed 1``: from ``zeros``
+every entry their plans read is +-1, so the sampled cases above draw only
+p = 0 or 1 and cannot see a change to the sampler (from ``plus``, <ZZZ> is
+0).  ``experiment-grid`` runs ``GRID_EXPERIMENT``, written here: r = 3 terms
+over a mu x strength grid, from a matrix initial state, under a bit flip
+whose strongest setting gives negative diagonal entries, exact and with
+``--shots 1000 --seed 7``.
 ``check-positivity`` runs at n = 1..4, on one label, and on a passing and
 a failing ``--state-file``.  Stderr is not compared: a warning may be added
 without changing stdout.
@@ -113,6 +117,9 @@ GOLDEN = {
     ("deconvolve-json", "pauli_custom_n1"): (0, "a8ea54d834d17919d70ee2ae844281c73dd11e0bfccb072143c726600d044c82"),
     ("experiment-json", "amp_damp_zz"): (0, "b82ff9319c0a7995b452f9feaca1aba42ca12c912f822071a0bf2dc1feaa234d"),
     ("experiment-plus", "amp_damp_zz"): (0, "5c039dd1116e177eb165735a00def762363f87175886d52a6ab167b7594fcb0d"),
+    ("experiment-plus", "fig2b_deconvolution"): (0, "49751c2dec41ccb52464a80af3d827bfeacf41802ca0de82dc45a9121d0999c1"),
+    ("experiment-grid", "exact"): (0, "7b5147ae908e0bac6db3d45dd21c1b937503ef5eeb748121f5562f37a1a675f3"),
+    ("experiment-grid", "shots1000"): (0, "75033bed1939cbfbd8e9ea7f2fd001149e4628f94ed5d298e3068d7195d8b1e0"),
     ("experiment-json", "fig2a_mu_sweep"): (0, "045b256ef3c6763ec23788b299da2bcfebf6e7b82ce13b478997a5404199c2da"),
     ("experiment-json", "fig2b_deconvolution"): (0, "e276b43f2344c60203b970291779a8578448914846a78c37b93ee7f191359f8c"),
     ("experiment-json", "fig2b_exact"): (0, "5fc0d1bc86563cdd7a89d81342d09123fa3e7bd3e3752cf6203514e26804c9c0"),
@@ -200,7 +207,8 @@ CASES = (
     + [("experiment-marginal", p) for p in EXPERIMENTS]
     + [(f"{c}-json", p) for c in ("ptm", "characterize", "deconvolve") for p in CHANNELS]
     + [("experiment-json", p) for p in EXPERIMENTS]
-    + [("experiment-plus", CONFIG_DIR / "experiments" / "amp_damp_zz.json")]
+    + [("experiment-plus", CONFIG_DIR / "experiments" / f"{stem}.json")
+       for stem in ("amp_damp_zz", "fig2b_deconvolution")]
     + [(c, p) for c in ("ptm-diagonal", "ptm-diagonal-json", "characterize-entries",
                         "deconvolve-characterization", "deconvolve-characterization-diagonal")
        for p in CHANNELS]
@@ -215,6 +223,27 @@ CHECKS = {
     "n2-kZZ": ["--n", "2", "--k", "ZZ"],
     "state-pass": ["--state-file", "pass.json"],
     "state-fail": ["--state-file", "fail.json"],
+}
+
+# An r = 3 sweep on the diagonal path: mu x strength grid, a matrix initial
+# state (Hermitian, trace 1, with complex coherences), lambda < 0 at p = 0.8.
+GRID_EXPERIMENT = {
+    "n": 2,
+    "channel": {"family": "bit_flip", "n": 2, "p": 0.1, "mu": 0.3},
+    "observable": [["ZZ", 1.0], ["XY", -0.5], ["IX", 0.25]],
+    "initial_state": [[0.45, 0.1, 0.0, [0.0, -0.25]],
+                      [0.1, 0.15, 0.0, 0.0],
+                      [0.0, 0.0, 0.1, 0.0],
+                      [[0.0, 0.25], 0.0, 0.0, 0.3]],
+    "m_max": 6,
+    "mu_grid": [0.0, 0.6],
+    "strength_grid": [0.05, 0.8],
+}
+
+# experiment-grid case -> arguments
+GRIDS = {
+    "exact": ["--shots", "0"],
+    "shots1000": ["--shots", "1000", "--seed", "7"],
 }
 
 
@@ -273,6 +302,13 @@ def test_check_positivity_matches_the_recorded_table(case, tmp_path, monkeypatch
     assert _run(["check-positivity", *CHECKS[case]]) == GOLDEN[("check-positivity", case)]
 
 
+@pytest.mark.parametrize("case", GRIDS)
+def test_grid_experiment_matches_the_recorded_table(case, tmp_path):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(GRID_EXPERIMENT))
+    assert _run(["experiment", "--config", str(path), *GRIDS[case]]) == GOLDEN[("experiment-grid", case)]
+
+
 def test_exact_reports_deconvolve_as_their_channels():
     # an exact report holds its channel's diagonal bit for bit, and a diagonal
     # full report plans on the diagonal path, so only the source differs
@@ -282,7 +318,8 @@ def test_exact_reports_deconvolve_as_their_channels():
 
 
 def test_table_covers_every_case():
-    assert set(GOLDEN) == {(c, p.stem) for c, p in CASES} | {("check-positivity", c) for c in CHECKS}
+    assert set(GOLDEN) == ({(c, p.stem) for c, p in CASES} | {("check-positivity", c) for c in CHECKS}
+                           | {("experiment-grid", c) for c in GRIDS})
 
 
 @pytest.mark.parametrize("module", ["channels", "characterization", "deconvolution", "pauli",

@@ -363,6 +363,12 @@ class TestCoefficientEvolution:
         assert coefficient_expectations(c, [3, 4]) == [values[3], values[4]]
         with pytest.raises(InvalidState, match="XX"):
             coefficient_expectations(c, [3, 5, 9])
+        # a table of the entries [3, 5, 9] of three vectors, read row by row:
+        # its first bad entry is named on n qubits, not on the table's size
+        table = np.array([c.real[[3, 5, 9]], c.real[[3, 5, 9]], c[[3, 5, 9]]])
+        with pytest.raises(InvalidState, match="expectation of XX has imaginary residue 1.000e-06"):
+            coefficient_expectations(table, [3, 5, 9], 2)
+        assert coefficient_expectations(table[:2], [3, 5, 9], 2) == [values[k] for k in (3, 5, 9)] * 2
         e = exact_pauli_expectation(rho, 5)
         assert sample_marginal(e, 300, derive_rng(2)) == sample_pauli_expectation(rho, 5, 300, derive_rng(2))
         with pytest.raises(ProbabilityOutOfRange):
@@ -400,11 +406,11 @@ class TestDeconvolvedThroughPlan:
                     assert repr(r.deconvolved_std_error) == repr(propagated_std_error(p, errors))
         assert next(groups, None) is None
 
-    @pytest.mark.parametrize("channel", [EVOLUTION_CHANNELS[1], EVOLUTION_CHANNELS[4]],
-                             ids=["dephasing", "amp_damp_corr"])
+    @pytest.mark.parametrize("channel", [EVOLUTION_CHANNELS[4]], ids=["amp_damp_corr"])
     def test_records_hand_over_only_their_plans_entries(self, channel, monkeypatch):
-        # a record costs O(|weights|), not O(r): with all 16 terms measured,
-        # each deconvolve/propagated_std_error call sees only its plan's entries
+        # off the diagonal path a record costs O(|weights|), not O(r): with all
+        # 16 terms measured, each deconvolve/propagated_std_error call sees
+        # only its plan's entries
         seen = []
 
         def spy(real):
@@ -418,6 +424,29 @@ class TestDeconvolvedThroughPlan:
         full = [[a + b, 1.0] for a in "IXYZ" for b in "IXYZ"]
         run_experiment(evolution_config(channel, "plus", observable=full, m_max=3, mu_grid=None))
         assert len(seen) == 2 * 16 * 4 and all(seen)
+
+    def test_diagonal_path_plans_each_m_once_and_deconvolves_no_record(self, monkeypatch):
+        # a Pauli channel's grid point asks one plan per m for all its terms
+        # and reads its records from tables, with no per-record deconvolve
+        plans, calls = [], []
+        monkeypatch.setattr(simulator, "plan", lambda obs, ch, m: plans.append((obs.r, m)) or plan(obs, ch, m))
+        monkeypatch.setattr(simulator, "deconvolve", lambda *args: calls.append(args))
+        monkeypatch.setattr(simulator, "propagated_std_error", lambda *args: calls.append(args))
+        full = [[a + b, 1.0] for a in "IXYZ" for b in "IXYZ"]
+        cfg = evolution_config(EVOLUTION_CHANNELS[1], "plus", observable=full, m_max=3, shots=64,
+                               strength_grid=[0.1, 0.2])
+        assert len(run_experiment(cfg)) == 2 * 2 * 4 * 16
+        assert plans == [(16, m) for m in range(4)] * (2 * 2) and calls == []
+
+    def test_imaginary_residue_on_the_diagonal_path_names_its_term(self, monkeypatch):
+        vectorize_state = simulator.vectorize
+
+        def with_residue(rho):
+            return vectorize_state(rho) + 1e-6j * (np.arange(16) == 5)  # XX
+
+        monkeypatch.setattr(simulator, "vectorize", with_residue)
+        with pytest.raises(InvalidState, match="expectation of XX has imaginary residue 4.000e-06"):
+            run_experiment(evolution_config(EVOLUTION_CHANNELS[1], "plus"))
 
     def test_one_inversion_per_grid_point(self, monkeypatch):
         calls = []
