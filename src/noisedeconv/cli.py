@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -45,8 +46,10 @@ MAX_QUBITS_POSITIVITY_ALL = 4
 
 
 def _read_text(path: str) -> str:
+    """A file's text untranslated: a lone carriage return ends no line."""
     try:
-        return Path(path).read_text()
+        with open(path, newline="") as f:
+            return f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
 
@@ -179,8 +182,8 @@ def cmd_experiment(args) -> int:
         raw["seed"] = args.seed
     records = simulator.run_experiment(ExperimentConfig.from_dict(raw))
     columns = simulator.CSV_HEADER.split(",")
-    return _write(args, lambda: simulator.records_to_csv(records),
-                  lambda: [dict(zip(columns, r)) for r in records])
+    return _write(args, lambda: simulator.records_to_csv(records),  # JSON has no NaN: q is null there
+                  lambda: [dict(zip(columns, r), q=None if math.isnan(r.strength) else r.strength) for r in records])
 
 
 def cmd_check_positivity(args) -> int:

@@ -56,6 +56,7 @@ __all__ = [
     "DeconvolutionPlan",
     "plan",
     "plan_pauli",
+    "rescaling_weights",
     "plan_general",
     "deconvolve",
     "propagated_std_error",
@@ -121,30 +122,41 @@ def plan(obs: Observable, ch: Channel, m: int = 1) -> DeconvolutionPlan:
 
 def plan_pauli(obs: Observable, ch: Channel, m: int = 1, lam=None) -> DeconvolutionPlan:
     """Diagonal-path plan: divide each term k by lambda_k**m (m applications of the
-    channel).  ``lam`` is ``ch.lambdas(ks)`` for the observable's indices, a lookup
-    by k, asked of ``ch`` when not given.  Refuses |lambda_k| <= INVERTIBILITY_TOL,
-    an overflowing lambda_k**(-m), and a report that lacks lambda_k."""
+    channel), the one-m case of ``rescaling_weights``.  ``lam`` is ``ch.lambdas(ks)``
+    for the observable's indices, a lookup by k, asked of ``ch`` when not given."""
     if m < 0:
         raise ValueError(f"repetition count must be >= 0, got {m}")
     if ch.n != obs.n:
         raise DimensionMismatch(f"observable is on n={obs.n}, channel on n={ch.n}")
     if lam is None:
         lam = ch.lambdas(obs.terms)
-    weights: dict[int, float] = {}
-    for k, coeff in obs.items():
+    weights = rescaling_weights(obs.terms, lam, [m])[0]
+    return DeconvolutionPlan(observable=obs, entries_consulted=len(weights), weights=dict(zip(obs.terms, weights)))
+
+
+def rescaling_weights(terms: dict[int, float], lam, ms) -> list[list[float]]:
+    """The diagonal path's weights c_k / lambda_k**m of each term k -> c_k, a row per m in
+    ``ms``.  Refuses, k by k, a lambda_k missing from ``lam`` and |lambda_k| <=
+    INVERTIBILITY_TOL; then, m-major, the first lambda_k**(-m) that overflows."""
+    lams = []
+    for k in terms:
         try:
             lam_k = float(lam[k])
         except KeyError:
             raise MissingMeasurement(f"characterization report lacks the diagonal entry k={k}") from None
         if abs(lam_k) <= INVERTIBILITY_TOL:
-            raise NonInvertibleChannel(
-                f"diagonal entry {lam_k!r} at k={k} is not invertible (tol {INVERTIBILITY_TOL})"
-            )
-        power = lam_k ** m
-        if power == 0.0 or not math.isfinite(1.0 / power):
-            raise NonInvertibleChannel(f"lambda_k**(-m) overflows at k={k}, m={m}")
-        weights[k] = coeff / power
-    return DeconvolutionPlan(observable=obs, entries_consulted=len(weights), weights=weights)
+            raise NonInvertibleChannel(f"diagonal entry {lam_k!r} at k={k} is not invertible (tol {INVERTIBILITY_TOL})")
+        lams.append(lam_k)
+    table = []
+    for m in ms:
+        row = []
+        for k, coeff, lam_k in zip(terms, terms.values(), lams):
+            power = lam_k ** m
+            if power == 0.0 or not math.isfinite(1.0 / power):
+                raise NonInvertibleChannel(f"lambda_k**(-m) overflows at k={k}, m={m}")
+            row.append(coeff / power)
+        table.append(row)
+    return table
 
 
 def _check_condition(cond: float, cond_warn: float) -> None:

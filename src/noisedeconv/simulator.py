@@ -3,21 +3,23 @@
 ``run_experiment`` drives the full pipeline: prepare a state, apply the
 channel m times for m = 0..m_max, measure the observable's Pauli
 components (exactly, or with a finite shot budget), and attach the
-deconvolved values, planned by ``deconvolution.plan``, as in the CLI.
-Repetitions apply the identical channel independently at each step.
+deconvolved values, weighted as ``deconvolution.plan`` weights them in the
+CLI.  Repetitions apply the identical channel independently at each step.
 
-The state is its Pauli coefficient vector c = d * vectorize(rho), whose
-entry j is Tr[P_j rho].  Under a Pauli channel deconvolution rescales each
-Pauli component, so a grid point is a few array operations: one plan of
-sum_k P_k per m, the r entries c_k its records read evolved as
-c_k -> lambda_k * c_k in an (m_max + 1) x r table, and every record
-c_k(m) * lambda_k**(-m) with its error computed from that table as
-``deconvolve`` and ``propagated_std_error`` round and refuse them.
-Otherwise c is multiplied by the transfer matrix Gamma, and each record
-goes through its own plan(P_k, channel, m), whose weights may read any
-entry.  Either way one ``sampling.read_batch`` per grid point reads the
-expectations: one read from the stream (seed, mu index, strength index)
-when sampled, its entries drawn m-major, then j ascending.
+The state is its Pauli coefficients c_j = Tr[P_j rho]: d * vectorize(rho)
+for a matrix, c_k = prod_q b[a_q] over the digits of k for a preset (a
+product state kept by name).  Under a Pauli channel, whose ``lambdas(ks)``
+answers for the r terms, a grid point is a few array operations on them
+alone: c_k -> lambda_k * c_k in an (m_max + 1) x r table, one table of
+weights lambda_k**(-m) (``deconvolution.rescaling_weights``), and every
+record and its error from the two, rounded and refused as ``deconvolve``
+and ``propagated_std_error`` do; no array has 4**n entries for a preset on
+a Markov-correlated channel.  Otherwise the dense c is multiplied by the
+transfer matrix Gamma, and each record goes through its own
+plan(P_k, channel, m), whose weights may read any entry.  Either way one
+``sampling.read_batch`` per grid point reads the expectations: one read
+from the stream (seed, mu index, strength index) when sampled, its
+entries drawn m-major, then j ascending.
 
 Records carry the raw and deconvolved estimates together with their
 standard errors; ``records_to_csv`` renders them with shortest
@@ -26,13 +28,16 @@ round-trip decimals so outputs are byte-stable across runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
+from functools import reduce
 from itertools import accumulate, product
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from .channels import (
+    MAX_QUBITS_SPARSE,
     STRENGTH_KEYS,
     _config_float,
     _config_int,
@@ -41,11 +46,11 @@ from .channels import (
 )
 from .channels import apply_channel  # noqa: F401  (unused; the benchmark self-test counts this binding)
 from .characterization import is_positive_semidefinite
-from .deconvolution import _finite, deconvolve, plan, propagated_std_error
+from .deconvolution import _finite, deconvolve, plan, propagated_std_error, rescaling_weights
 # Unused here; bound only for the benchmark self-test that counts inversions at every binding.
 from .deconvolution import _invert_adjoint  # noqa: F401
 from .exceptions import ConfigError, InvalidState, NotPauliDiagonal
-from .pauli import Observable, check_qubits, is_hermitian, num_qubits, vectorize
+from .pauli import MAX_QUBITS, SIGMAS, Observable, check_qubits, is_hermitian, num_qubits, vectorize
 from .sampling import check_shots_and_seed, coefficient_expectations, read_batch
 
 __all__ = [
@@ -58,22 +63,22 @@ __all__ = [
 
 CSV_HEADER = "mu,q,m,k,shots,seed,noisy,noisy_stderr,deconvolved,deconvolved_stderr"
 
-STATE_PRESETS = ("zeros", "plus", "mixed")
+# Bloch components (b_I, b_X, b_Y, b_Z) of each preset's one-qubit factor.
+PRESET_BLOCH = {"zeros": (1.0, 0.0, 0.0, 1.0), "plus": (1.0, 1.0, 0.0, 0.0), "mixed": (1.0, 0.0, 0.0, 0.0)}
 
 
 def preset_state(name: str, n: int) -> np.ndarray:
-    """Named initial states: |0...0>, |+...+>, or the maximally mixed state."""
-    d = 2**n
-    if name == "zeros":
-        rho = np.zeros((d, d), dtype=complex)
-        rho[0, 0] = 1.0
-    elif name == "plus":
-        rho = np.full((d, d), 1.0 / d, dtype=complex)
-    elif name == "mixed":
-        rho = np.eye(d, dtype=complex) / d
-    else:
-        raise ConfigError(f"unknown state preset {name!r}; expected one of {STATE_PRESETS}")
-    return rho
+    """A preset made dense: |0...0>, |+...+>, or the maximally mixed state."""
+    one = sum(b * sigma for b, sigma in zip(PRESET_BLOCH[name], SIGMAS)) / 2
+    return reduce(np.kron, [one] * n, np.ones((1, 1), dtype=complex))
+
+
+def preset_coefficients(name: str, n: int, ks) -> np.ndarray:
+    """Tr[P_k rho] of a preset at each flat index k in ``ks``, in O(len(ks) * n): complex, as
+    d * vectorize(rho) holds it, so that products with a negative lambda_k give the same signed zeros."""
+    ks = np.asarray(ks, dtype=np.int64)
+    digits = (ks >> 2 * np.arange(n - 1, -1, -1)[:, None]) & 3
+    return np.array(PRESET_BLOCH[name])[digits].prod(axis=0).astype(complex)
 
 
 class ExpectationRecord(NamedTuple):
@@ -105,13 +110,13 @@ class ExperimentConfig:
     ``channel`` is a channel-config mapping (see channel_from_config);
     ``mu_grid`` and ``strength_grid`` sweep the channel's correlation and
     strength parameters, defaulting to the single configured value.
-    ``shots = 0`` selects exact expectation values.
+    ``initial_state`` is a preset's name or a matrix; ``shots = 0`` reads exactly.
     """
 
     n: int
     channel: dict
     observable: Observable
-    initial_state: np.ndarray
+    initial_state: np.ndarray | str
     m_max: int = 40
     shots: int = 0
     seed: int = 0
@@ -119,6 +124,8 @@ class ExperimentConfig:
     strength_grid: list[float] | None = None
 
     def __post_init__(self):
+        if isinstance(self.initial_state, str) and self.initial_state not in PRESET_BLOCH:
+            raise ConfigError(f"unknown state preset {self.initial_state!r}; expected one of {tuple(PRESET_BLOCH)}")
         if self.m_max < 0:
             raise ConfigError(f"m_max must be >= 0, got {self.m_max}")
         check_shots_and_seed(self.shots, self.seed)
@@ -136,14 +143,12 @@ class ExperimentConfig:
             raise ConfigError(f"sampling must be 'marginal', got {raw['sampling']!r}")
         try:
             n = _config_int(raw["n"], "n")
-            check_qubits(n)  # before the 4**n-entry initial state is built
+            initial_state = raw.get("initial_state", "zeros")
+            check_qubits(n, MAX_QUBITS_SPARSE if isinstance(initial_state, str) else MAX_QUBITS)
             channel = dict(raw["channel"])
             observable = _observable_from_json(raw["observable"])
-            state_spec = raw.get("initial_state", "zeros")
-            if isinstance(state_spec, str):
-                initial_state = preset_state(state_spec, n)
-            else:
-                initial_state = _matrix_from_json(state_spec)
+            if not isinstance(initial_state, str):
+                initial_state = _matrix_from_json(initial_state)
             grids = {}
             for key in ("mu_grid", "strength_grid"):
                 if raw.get(key) is not None:
@@ -199,6 +204,17 @@ def _matrix_from_json(entries) -> np.ndarray:
     return rho
 
 
+def _check_product_state(b: tuple[float, ...], n: int) -> None:
+    """_validate_initial_state of the product of n factors (b_I I + b_X X + b_Y Y + b_Z Z)/2,
+    in O(1): Hermitian if b is real, of trace b_I**n, PSD if |(b_X, b_Y, b_Z)| <= b_I."""
+    if any(complex(x).imag for x in b):
+        raise InvalidState("initial state is not Hermitian")
+    if b[0] != 1.0:
+        raise InvalidState(f"initial state trace is {complex(b[0] ** n)!r}, expected 1")
+    if math.hypot(*b[1:]) > b[0]:
+        raise InvalidState("initial state is not positive semidefinite")
+
+
 def _validate_initial_state(rho: np.ndarray, n: int) -> None:
     if rho.shape != (2**n, 2**n):
         raise ConfigError(f"initial state shape {rho.shape} does not match n={n}")
@@ -224,12 +240,12 @@ def _grid_channel(base: dict, mu: float | None, strength: float | None) -> dict:
     return cfg
 
 
-def _diagonal_rows(cfg: ExperimentConfig, ch, lam: np.ndarray, c: np.ndarray, ks: list[int], tags) -> list[tuple]:
+def _diagonal_rows(cfg: ExperimentConfig, lam, c0: np.ndarray, ks: list[int], tags) -> list[tuple]:
     """(value, std_error, deconvolved, deconvolved_std_error) of a Pauli channel's records, m-major,
-    then k ascending: c_k(m) * lambda_k**(-m) from (m_max + 1) x r tables of the weights and c[ks]."""
-    every = Observable(cfg.n, dict.fromkeys(ks, 1.0))
-    weights = np.array([w for m in range(cfg.m_max + 1) for w in plan(every, ch, m).weights.values()])
-    table = np.multiply.accumulate(np.vstack([c[ks], np.broadcast_to(lam[ks], (cfg.m_max, len(ks)))]))
+    then k ascending: c_k(m) * lambda_k**(-m) from (m_max + 1) x r tables of the weights and c_k(m)."""
+    weights = np.array(rescaling_weights(dict.fromkeys(ks, 1.0), lam, range(cfg.m_max + 1))).ravel()
+    lam_ks = np.array([lam[k] for k in ks], dtype=float)
+    table = np.multiply.accumulate(np.vstack([c0, np.broadcast_to(lam_ks, (cfg.m_max, len(ks)))]))
     got = read_batch([coefficient_expectations(table, ks, cfg.n)], [tags], cfg.shots, cfg.seed)[0]
     value, std_error = np.array(got).reshape(-1, 2).T
     with np.errstate(over="ignore"):
@@ -265,11 +281,16 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExpectationRecord]:
     point draw from the stream derived from (seed, grid indices), so the
     output is reproducible regardless of evaluation order.
     """
-    _validate_initial_state(cfg.initial_state, cfg.n)
     mu_values: list[float | None] = list(cfg.mu_grid) if cfg.mu_grid else [None]
     s_values: list[float | None] = list(cfg.strength_grid) if cfg.strength_grid else [None]
     term_ks = sorted(cfg.observable.terms)
-    c = vectorize(cfg.initial_state) * 2**cfg.n  # entry j is Tr[P_j rho]
+    if isinstance(cfg.initial_state, str):
+        _check_product_state(PRESET_BLOCH[cfg.initial_state], cfg.n)
+        c, c0 = None, preset_coefficients(cfg.initial_state, cfg.n, term_ks)
+    else:
+        _validate_initial_state(cfg.initial_state, cfg.n)
+        c = vectorize(cfg.initial_state) * 2**cfg.n  # entry j is Tr[P_j rho]
+        c0 = c[term_ks]
     records: list[ExpectationRecord] = []
     for gi, mu in enumerate(mu_values):
         for si, strength in enumerate(s_values):
@@ -281,11 +302,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExpectationRecord]:
             strength_key = STRENGTH_KEYS.get(ch_cfg.get("family"))
             strength_out = float(ch_cfg[strength_key]) if strength_key and strength_key in ch_cfg else float("nan")
             try:
-                lam = ch.lambdas()
+                lam = ch.lambdas(term_ks)
             except NotPauliDiagonal:
-                lam = None
-            rows = (_general_rows(cfg, ch, c, term_ks, (gi, si)) if lam is None
-                    else _diagonal_rows(cfg, ch, lam, c, term_ks, (gi, si)))
+                if c is None:  # a preset, made dense for the transfer matrix
+                    c = vectorize(preset_state(cfg.initial_state, cfg.n)) * 2**cfg.n
+                rows = _general_rows(cfg, ch, c, term_ks, (gi, si))
+            else:
+                rows = _diagonal_rows(cfg, lam, c0, term_ks, (gi, si))
             records += [ExpectationRecord(mu_out, strength_out, m, k, cfg.shots, cfg.seed, *row)
                         for (m, k), row in zip(product(range(cfg.m_max + 1), term_ks), rows)]
     return records
@@ -296,9 +319,13 @@ def _fmt(x: float) -> str:
 
 
 def records_to_csv(records: Iterable[ExpectationRecord]) -> str:
-    """Render records under the fixed experiment CSV schema, one row each."""
+    """Render records under the fixed experiment CSV schema, one row each.  The fields
+    around k are formatted again when one is not the very object of the row before."""
     lines = [CSV_HEADER]
+    last = (None,) * 5
     for mu, strength, m, k, shots, seed, value, std_error, deconvolved, deconvolved_std_error in records:
-        lines.append(",".join([_fmt(mu), _fmt(strength), str(m), str(k), str(shots), str(seed),
-                               _fmt(value), _fmt(std_error), _fmt(deconvolved), _fmt(deconvolved_std_error)]))
+        if not (mu is last[0] and strength is last[1] and m is last[2] and shots is last[3] and seed is last[4]):
+            last = (mu, strength, m, shots, seed)
+            head, tail = f"{_fmt(mu)},{_fmt(strength)},{m!s},", f",{shots!s},{seed!s},"
+        lines.append(f"{head}{k!s}{tail}{_fmt(value)},{_fmt(std_error)},{_fmt(deconvolved)},{_fmt(deconvolved_std_error)}")
     return "\n".join(lines) + "\n"

@@ -262,8 +262,10 @@ class TestMarkovPastTheDenseCap:
     def test_dense_commands_past_six_qubits_exit_four(self, tmp_path, capsys, family, strength, command):
         n = 7
         channel = {"family": family, "n": n, strength: 0.1, "mu": 0.5}
-        if command[0] == "experiment":
-            cfg = channel_json(tmp_path, n=n, channel=channel, observable=[["Z" * n, 1.0]], m_max=1)
+        if command[0] == "experiment":  # a matrix state keeps the dense cap; a preset runs past it
+            mixed = (np.eye(2**n) / 2**n).tolist()
+            cfg = channel_json(tmp_path, n=n, channel=channel, observable=[["Z" * n, 1.0]], m_max=1,
+                               initial_state=mixed)
         else:
             cfg = channel_json(tmp_path, **channel)
         assert main([command[0], "--config", cfg, *command[1:]]) == 4
@@ -440,16 +442,46 @@ class TestExperimentCommand:
         assert row[4] == "128" and row[5] == "7"
 
     def test_qubit_cap_is_checked_before_the_state_is_built(self, tmp_path, capsys, monkeypatch):
+        n = MAX_QUBITS_SPARSE + 1
         cfg = write(tmp_path, "exp.json", json.dumps({
-            "n": 7,
-            "channel": {"family": "depolarizing", "n": 7, "q": 0.1},
-            "observable": [["ZZZZZZZ", 1.0]],
+            "n": n,
+            "channel": {"family": "depolarizing", "n": n, "q": 0.1},
+            "observable": [["Z" * n, 1.0]],
             "initial_state": "plus",
         }))
         built = []
         monkeypatch.setattr("noisedeconv.simulator.preset_state", lambda *args: built.append(args))
         assert main(["experiment", "--config", cfg]) == 4
         assert capsys.readouterr().out == "" and built == []
+
+    def test_past_the_dense_cap_a_preset_runs_and_a_matrix_or_weight_vector_does_not(self, tmp_path, capsys):
+        n = MAX_QUBITS_SPARSE
+        run = {"n": n, "channel": {"family": "bit_flip", "n": n, "p": 0.05, "mu": 0.5},
+               "observable": [["Z" * n, 1.0], ["IZ" * (n // 2) + "Z", 0.5]], "m_max": 2}
+        assert main(["experiment", "--config", write(tmp_path, "run.json", json.dumps(run))]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 3 * 2 and all(abs(float(row[8]) - 1.0) < 1e-12 for row in rows)
+        weights = {**run, "n": 7, "channel": {"family": "pauli_custom", "n": 7, "beta": {"I" * 7: 0.9, "Z" * 7: 0.1}},
+                   "observable": [["Z" * 7, 1.0]]}
+        assert main(["experiment", "--config", write(tmp_path, "weights.json", json.dumps(weights))]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and "1..6" in captured.err
+
+    def test_json_has_null_for_a_family_without_strength(self, tmp_path, capsys):
+        cfg = write(tmp_path, "exp.json", json.dumps({
+            "n": 1, "channel": {"family": "pauli_custom", "n": 1, "p_vec": [0.8, 0.1, 0.05, 0.05]},
+            "observable": [["Z", 1.0]], "m_max": 2}))
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        assert main(["experiment", "--config", cfg, "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert len(data) == 3 and all(d["q"] is None for d in data)
+        assert list(data[0]) == ["mu", "q", "m", "k", "shots", "seed", "noisy", "noisy_stderr",
+                                 "deconvolved", "deconvolved_stderr"]
+        assert main(["experiment", "--config", cfg]) == 0
+        assert all(line.split(",")[1] == "nan" for line in capsys.readouterr().out.splitlines()[1:])
 
     @pytest.mark.parametrize("overrides", [[], ["--shots", "5"], ["--seed", "3"]])
     @pytest.mark.parametrize("content", [[1, 2], "text", 7])
@@ -884,6 +916,30 @@ class TestLineGrammar:
                  "--characterization": "n 1 # header\n\nmode diagonal\n3 3 0.8 0.0 5 7\n"}
         assert self._deconvolve(tmp_path, files) == 0
         assert capsys.readouterr().out == "value 0.625\nstd_error 0.0125\nentries_consulted 1\n"
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--observable", "Z 1.0\rX 0.5\n"),
+        ("--measurements", "Z 0.5\rX 0.5\n"),
+        ("--characterization", "n 1\rmode diagonal\n3 3 0.8 0.0 5 7\n"),
+    ], ids=["observable", "measurements", "report"])
+    def test_a_lone_carriage_return_ends_no_line(self, tmp_path, capsys, flag, text):
+        # files were read with newline translation, so a lone \r ended a line
+        # at the CLI while Observable.from_text refused the same text
+        files = {"--observable": "Z 1.0\n", "--measurements": "Z 0.5 0.01\n",
+                 "--characterization": "n 1\nmode diagonal\n3 3 0.8 0.0 5 7\n"}
+        files[flag] = text
+        assert self._deconvolve(tmp_path, files) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "line 1" in captured.err
+
+    def test_crlf_files_read_as_their_lf_twins(self, tmp_path, capsys):
+        files = {"--observable": "# observable\nZ 1.0\nX -0.5\n", "--measurements": "Z 0.5 0.01\nX 0.25 0.02\n",
+                 "--characterization": "n 1\nmode diagonal\n1 1 0.9 0.0 5 7\n3 3 0.8 0.0 5 7\n"}
+        assert self._deconvolve(tmp_path, files) == 0
+        lf = capsys.readouterr().out
+        crlf = {flag: text.replace("\n", "\r\n") for flag, text in files.items()}
+        assert self._deconvolve(tmp_path, crlf) == 0
+        assert capsys.readouterr().out == lf and "entries_consulted 2\n" in lf
 
     @pytest.mark.parametrize("flag, text", [
         ("--observable", "# one\x0ctwo\nZ 1.0\x0b\nQ 1.0\n"),

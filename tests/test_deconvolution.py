@@ -22,6 +22,7 @@ from noisedeconv.deconvolution import (
     plan_general,
     plan_pauli,
     propagated_std_error,
+    rescaling_weights,
 )
 from noisedeconv.exceptions import (
     DimensionMismatch,
@@ -57,6 +58,29 @@ class TestPlanPauli:
     def test_non_invertible(self):
         with pytest.raises(NonInvertibleChannel):
             plan_pauli(Observable.from_pairs([("Z", 1.0)]), depolarizing_channel(1, 1.0))
+
+    def test_plan_is_the_one_m_row_of_the_weight_table(self):
+        ch = depolarizing_channel(3, 0.2, 0.4)
+        obs = Observable.from_pairs([("ZZZ", 1.0), ("XIY", -0.5), ("IIZ", 2.0)])
+        lam = ch.lambdas(obs.terms)
+        table = rescaling_weights(obs.terms, lam, range(9))
+        assert table == [[c / lam[k] ** m for k, c in obs.items()] for m in range(9)]
+        for m in range(9):
+            assert plan_pauli(obs, ch, m).weights == dict(zip(obs.terms, table[m]))
+
+    @pytest.mark.parametrize("lam, ms, message", [
+        # k=1 overflows at m=40, but every term's tolerance check comes first
+        ({1: 1e-10, 2: 0.0}, [40], "diagonal entry 0.0 at k=2 is not invertible"),
+        # m-major: k=2 overflows at m=29, before k=1 at m=31
+        ({1: 1e-10, 2: 1e-11}, range(41), r"lambda_k\*\*\(-m\) overflows at k=2, m=29"),
+    ], ids=["tolerance-first", "overflow-m-major"])
+    def test_weight_table_refusal_order(self, lam, ms, message):
+        with pytest.raises(NonInvertibleChannel, match=message):
+            rescaling_weights({1: 1.0, 2: 1.0}, lam, ms)
+
+    def test_weight_table_names_a_missing_entry(self):
+        with pytest.raises(MissingMeasurement, match="lacks the diagonal entry k=2"):
+            rescaling_weights({1: 1.0, 2: 1.0}, {1: 0.5}, range(3))
 
     def test_consults_r_entries(self):
         rng = np.random.default_rng(0)

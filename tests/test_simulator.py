@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from conftest import (
     evolve,
     exact_pauli_expectation,
+    markov_lambda_exact,
     pauli_basis_bruteforce,
     projective_sample_bruteforce,
     random_density,
@@ -10,7 +13,8 @@ from conftest import (
 )
 
 from noisedeconv import channels, deconvolution, simulator
-from noisedeconv.channels import bit_flip_channel, channel_from_config, depolarizing_channel
+from noisedeconv.channels import MAX_QUBITS_SPARSE, bit_flip_channel, channel_from_config, depolarizing_channel
+from noisedeconv.characterization import is_positive_semidefinite
 from noisedeconv.deconvolution import deconvolve, plan, propagated_std_error
 from noisedeconv.exceptions import (
     ConfigError,
@@ -22,7 +26,10 @@ from noisedeconv.pauli import Observable, devectorize, vectorize
 from noisedeconv.sampling import coefficient_expectations, derive_rng, read_batch, sample_marginal
 from noisedeconv.simulator import (
     CSV_HEADER,
+    PRESET_BLOCH,
     ExperimentConfig,
+    ExpectationRecord,
+    preset_coefficients,
     preset_state,
     records_to_csv,
     run_experiment,
@@ -218,6 +225,9 @@ class TestRunExperiment:
             fig2_config(m_max=-1)
         with pytest.raises(ConfigError):
             fig2_config(observable=[["ZZ", 1.0]])  # wrong qubit count
+        with pytest.raises(ConfigError, match="^unknown state preset 'bogus'"):  # built without from_dict too
+            ExperimentConfig(n=1, channel={"family": "bit_flip", "n": 1, "p": 0.1},
+                             observable=Observable.from_pairs([("Z", 1.0)]), initial_state="bogus")
 
     def test_sampling_key_takes_only_marginal(self):
         said = fig2_config(sampling="marginal", m_max=2, shots=64)
@@ -264,6 +274,13 @@ def evolution_config(channel, state, **overrides):
     return cfg
 
 
+def dense_state(cfg):
+    """The initial state as a matrix: a preset's name made dense."""
+    if isinstance(cfg.initial_state, str):
+        return preset_state(cfg.initial_state, cfg.n)
+    return cfg.initial_state
+
+
 def grid_channels(cfg):
     """(gi, si, channel) per grid point, in run_experiment's order."""
     strengths = cfg.strength_grid or [None]
@@ -281,10 +298,11 @@ class TestCoefficientEvolution:
     def test_exact_records_match_dense_evolution(self, channel, state):
         cfg = evolution_config(channel, state)
         records = iter(run_experiment(cfg))
-        ideal = {k: exact_pauli_expectation(cfg.initial_state, k) for k in cfg.observable.terms}
+        rho0 = dense_state(cfg)
+        ideal = {k: exact_pauli_expectation(rho0, k) for k in cfg.observable.terms}
         for _, _, ch in grid_channels(cfg):
             for m in range(cfg.m_max + 1):
-                rho = evolve(cfg.initial_state, ch, m)
+                rho = evolve(rho0, ch, m)
                 for k in cfg.observable.terms:
                     r = next(records)
                     assert (r.m, r.k) == (m, k)
@@ -425,18 +443,21 @@ class TestDeconvolvedThroughPlan:
         run_experiment(evolution_config(channel, "plus", observable=full, m_max=3, mu_grid=None))
         assert len(seen) == 2 * 16 * 4 and all(seen)
 
-    def test_diagonal_path_plans_each_m_once_and_deconvolves_no_record(self, monkeypatch):
-        # a Pauli channel's grid point asks one plan per m for all its terms
-        # and reads its records from tables, with no per-record deconvolve
-        plans, calls = [], []
-        monkeypatch.setattr(simulator, "plan", lambda obs, ch, m: plans.append((obs.r, m)) or plan(obs, ch, m))
-        monkeypatch.setattr(simulator, "deconvolve", lambda *args: calls.append(args))
-        monkeypatch.setattr(simulator, "propagated_std_error", lambda *args: calls.append(args))
+    def test_diagonal_path_takes_one_weight_table_and_deconvolves_no_record(self, monkeypatch):
+        # a Pauli channel's grid point asks one (m_max + 1) x r table of weights
+        # for all its terms and reads its records from tables, with no plan and
+        # no per-record deconvolve
+        tables, calls = [], []
+        real = deconvolution.rescaling_weights
+        monkeypatch.setattr(simulator, "rescaling_weights",
+                            lambda terms, lam, ms: tables.append((len(terms), list(ms))) or real(terms, lam, ms))
+        for name in ("plan", "deconvolve", "propagated_std_error"):
+            monkeypatch.setattr(simulator, name, lambda *args: calls.append(args))
         full = [[a + b, 1.0] for a in "IXYZ" for b in "IXYZ"]
         cfg = evolution_config(EVOLUTION_CHANNELS[1], "plus", observable=full, m_max=3, shots=64,
                                strength_grid=[0.1, 0.2])
         assert len(run_experiment(cfg)) == 2 * 2 * 4 * 16
-        assert plans == [(16, m) for m in range(4)] * (2 * 2) and calls == []
+        assert tables == [(16, [0, 1, 2, 3])] * (2 * 2) and calls == []
 
     def test_imaginary_residue_on_the_diagonal_path_names_its_term(self, monkeypatch):
         vectorize_state = simulator.vectorize
@@ -469,14 +490,14 @@ class TestDeconvolvedThroughPlan:
             run_experiment(cfg)
 
 
-    def test_records_index_the_full_diagonal(self, monkeypatch):
-        # each grid point computes its channel's diagonal once; the per-record
-        # plans index it and do not run the product again
+    def test_records_ask_only_their_terms_diagonal(self, monkeypatch):
+        # each grid point asks its channel once, for the r entries its records
+        # read, and never for the full diagonal
         calls = []
         product = channels._markov_lambdas
 
         def counting(n, p, mu, ks=None):
-            calls.append(ks is None)
+            calls.append(None if ks is None else list(ks))
             return product(n, p, mu, ks)
 
         monkeypatch.setattr(channels, "_markov_lambdas", counting)
@@ -484,7 +505,93 @@ class TestDeconvolvedThroughPlan:
             "n": 3, "channel": {"family": "depolarizing", "n": 3, "q": 0.01},
             "observable": [["ZZZ", 1.0], ["XIX", 0.5], ["IYI", 0.25]], "m_max": 4, "mu_grid": [0.0, 0.5]})
         assert len(run_experiment(cfg)) == 2 * 5 * 3
-        assert calls == [True, True]
+        assert calls == [[8, 17, 63]] * 2  # IYI, XIX, ZZZ
+
+def product_state(b, n):
+    """The dense product of n one-qubit factors (b_I I + b_X X + b_Y Y + b_Z Z)/2."""
+    one = (b[0] * np.eye(2) + b[1] * np.array([[0, 1], [1, 0]]) + b[2] * np.array([[0, -1j], [1j, 0]])
+           + b[3] * np.diag([1, -1])) / 2
+    rho = np.ones((1, 1), dtype=complex)
+    for _ in range(n):
+        rho = np.kron(rho, one)
+    return rho
+
+
+class TestPresetsInClosedForm:
+    """A preset is kept by name: its coefficients are products of Bloch
+    components, and its certificate is the product-state one."""
+
+    @pytest.mark.parametrize("name", PRESET_BLOCH)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_closed_form_is_the_dense_preset(self, name, n):
+        rho = preset_state(name, n)
+        dense = vectorize(rho) * 2**n
+        closed = preset_coefficients(name, n, range(4**n))
+        assert np.array_equal(closed, dense) and not dense.imag.any()
+        for part in ("real", "imag"):  # -0.0 prints apart from 0.0, and a product's zero sign reads both
+            assert np.array_equal(np.signbit(getattr(closed, part)), np.signbit(getattr(dense, part)))
+        assert is_positive_semidefinite(rho)
+
+    @pytest.mark.parametrize("shots", [0, 300])
+    @pytest.mark.parametrize("channel", [
+        {"family": "pauli_custom", "n": 2, "p_vec": [0.35, 0.05, 0.07, 0.53], "mu": 0.5},
+        {"family": "bit_flip", "n": 2, "p": 0.8, "mu": 0.3},
+        {"family": "amp_damp_corr", "eta": 0.9, "mu": 0.5},
+    ], ids=["pauli_custom", "bit_flip", "amp_damp_corr"])
+    def test_a_preset_prints_as_its_matrix(self, channel, shots):
+        # lambda_k < 0 on terms with c_k = 0: the table's zeros keep the signs
+        # the dense coefficient vector gives them, so -0.0 prints where it did
+        full = [[a + b, 1.0] for a in "IXYZ" for b in "IXYZ"]
+        for name in PRESET_BLOCH:
+            raw = {"n": 2, "channel": channel, "observable": full, "m_max": 7, "shots": shots, "seed": 4}
+            by_name = records_to_csv(run_experiment(ExperimentConfig.from_dict({**raw, "initial_state": name})))
+            matrix = [[[z.real, z.imag] for z in row] for row in preset_state(name, 2)]
+            assert by_name == records_to_csv(run_experiment(ExperimentConfig.from_dict({**raw, "initial_state": matrix})))
+
+    @pytest.mark.parametrize("b, message", [
+        ((1.0, 0.0, 0.5j, 0.0), "not Hermitian"),
+        ((0.5, 0.0, 0.0, 0.5), r"trace is \(0\.125\+0j\), expected 1"),
+        ((1.0, 0.8, 0.0, 0.8), "not positive semidefinite"),
+    ], ids=["hermitian", "trace", "psd"])
+    def test_certificate_refuses_as_the_dense_check(self, monkeypatch, b, message):
+        with pytest.raises(InvalidState, match=message):
+            simulator._validate_initial_state(product_state(b, 3), 3)
+        monkeypatch.setitem(simulator.PRESET_BLOCH, "zeros", b)
+        with pytest.raises(InvalidState, match=message):
+            run_experiment(fig2_config(m_max=1))
+
+    def test_n20_depolarizing_deconvolves_to_its_initial_value(self):
+        n, q, mu = 20, 0.01, 0.3
+        labels = ["Z" * n, "Z" + "I" * (n - 1), "IZ" * (n // 2)]
+        cfg = ExperimentConfig.from_dict({
+            "n": n, "channel": {"family": "depolarizing", "n": n, "q": q, "mu": mu},
+            "observable": [[label, 1.0] for label in labels], "initial_state": "zeros", "m_max": 5})
+        records = run_experiment(cfg)
+        assert len(records) == 6 * 3
+        p_vec = [1 - Fraction(3 * q) / 4] + [Fraction(q) / 4] * 3
+        lam = {k: markov_lambda_exact(k, n, p_vec, Fraction(mu)) for k in cfg.observable.terms}
+        for r in records:
+            assert abs(r.deconvolved - 1.0) < 1e-12
+            assert abs(Fraction(r.value) - lam[r.k] ** r.m) < Fraction(1e-12)
+
+    @pytest.mark.parametrize("n", [3, 8, MAX_QUBITS_SPARSE])
+    @pytest.mark.parametrize("shots", [0, 256])
+    def test_preset_on_a_markov_channel_builds_nothing_dense(self, monkeypatch, n, shots):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense state or a full diagonal was built")
+
+        for owner, name in ((simulator, "vectorize"), (simulator, "preset_state"),
+                            (channels.KrausChannel, "_full_lambdas"), (channels, "correlated_pauli_weights")):
+            monkeypatch.setattr(owner, name, refuse)
+        cfg = ExperimentConfig.from_dict({
+            "n": n, "channel": {"family": "bit_flip", "n": n, "p": 0.05, "mu": 0.4},
+            "observable": [["X" * n, 0.5], ["Z" * n, 1.0]], "initial_state": "plus", "m_max": 3,
+            "shots": shots, "seed": 7, "strength_grid": [0.05, 0.1]})
+        records = run_experiment(cfg)
+        assert len(records) == 2 * 4 * 2
+        if not shots:  # <X...X> = 1 and <Z...Z> = 0 on |+...+>
+            assert [r.deconvolved for r in records] == pytest.approx([1.0, 0.0] * 8, abs=1e-12)
+
 
 class TestCsvOutput:
     def test_header_and_shortest_roundtrip_floats(self):
@@ -498,6 +605,22 @@ class TestCsvOutput:
         # every numeric field round-trips exactly through repr
         for field in row:
             float(field)
+
+    def test_each_row_as_its_own_fields_print(self):
+        # a grid point's repeated fields are formatted once, yet every row
+        # reads as its fields do: -0.0 and 0.0 apart, NaN strength, any objects
+        def row(r):
+            return ",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in r)
+
+        records = run_experiment(fig2_config(m_max=0, mu_grid=[-0.0, 0.0, 0.0, 0.5], shots=8, seed=3))
+        records += run_experiment(fig2_config(m_max=2, channel={"family": "pauli_custom", "n": 3,
+                                                                 "p_vec": [0.9, 0.05, 0.03, 0.02]}))
+        records += [ExpectationRecord(0.5, 0.1, 1, 3, 0, 0, 0.25, 0.0, 0.5, 0.0),
+                    ExpectationRecord(0.5, 0.1, 1, 3, 0, 0, -0.0, 0.0, 0.0, 0.0)]
+        assert records_to_csv(records) == "\n".join([CSV_HEADER] + [row(r) for r in records]) + "\n"
+        assert records_to_csv(records).splitlines()[1:3] == [
+            "-0.0,0.00052,0,63,8,3," + row(records[0]).split(",", 6)[6],
+            "0.0,0.00052,0,63,8,3," + row(records[1]).split(",", 6)[6]]
 
     def test_byte_identical_reruns(self):
         a = records_to_csv(run_experiment(fig2_config(shots=512, seed=9, m_max=4)))
