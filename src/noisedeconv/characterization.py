@@ -28,19 +28,20 @@ transfer matrix (``ptm()``) does, so an exactly diagonal one takes the
 diagonal path and any other the general path.  A diagonal report parses
 up to MAX_QUBITS_SPARSE qubits, a full one up to pauli.MAX_QUBITS.
 
+A report is four columns in row order (js, ks, estimates, std_errors),
+extended probe by probe or chunk by chunk, with no object per entry.
 Report text is read and written through memos that live for one call.  A
 sampled estimate is 2c/shots - 1 for a count c, and its std_error is a
 function of the same count, so a column holds at most shots + 1 distinct
-values (about 150 in a 4096-row report at 1000 shots), and every row
-shares one shots/seed pair.  int, float and repr are pure functions of
-their argument, so converting each distinct token once, and formatting
-each distinct (estimate, std_error) pair once, gives the same entries and
-the same bytes as a call per field.  A pair that holds a zero bypasses the
-writer's memo, since -0.0 == 0.0 but the two print differently, and a
+values; int, float and repr are pure, so converting each distinct token
+once, and formatting each distinct (estimate, std_error) pair once, gives
+the columns and bytes of a call per field.  A pair that holds a zero is
+keyed with its signs (-0.0 == 0.0, but the two print differently), and a
 memo stops growing at pauli.MEMO_SIZE values.  ``pauli.read_text`` hands
-the text over CHUNK_LINES lines at a time to one checker, which checks a
-chunk column by column; a chunk it refuses is handed over again one line
-at a time, and the checker names the first bad line.
+the text over CHUNK_LINES lines at a time; a chunk the reader refuses is
+handed over again one line at a time, and the reader names the first bad
+line.  Repeated (j, k) are found from the whole columns once the text is
+read, and named before any later refusal.
 
 The probe's positive semidefiniteness is certified through the
 characteristic-polynomial coefficients S_m, computed by the trace-power
@@ -60,6 +61,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -124,23 +126,36 @@ def _probe_outputs(ch: Channel, ks):
     return lambda k, js: np.where(np.asarray(js) == k, lam[k], 0.0).tolist()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CharacterizedPTM:
     """Estimated transfer-matrix entries with their standard errors, planned
     like a channel (``n``, ``lambdas()``, ``ptm()``).
 
-    ``entries`` maps (j, k) to (estimate, std_error).  Diagonal-only mode
-    stores just the requested (k, k) pairs, k >= 1; full mode stores the
-    whole matrix, with the k = 0 row and column filled from trace
-    preservation and unitality rather than measurement, and builds its
-    ``ptm()`` once.  Every entry shares one ``shots`` and ``seed``.
+    Entry i is (``js[i]``, ``ks[i]``) with ``estimates[i]`` and
+    ``std_errors[i]``: Python ints and floats, no (j, k) twice, never changed
+    once built.  Diagonal mode holds the requested (k, k), k >= 1; full mode
+    the whole matrix, its k = 0 row and column from trace preservation and
+    unitality, scattered into its ``ptm()`` once.  Every entry shares one
+    ``shots`` and ``seed``.  ``entries`` is a read-only view (j, k) ->
+    (estimate, std_error) in row order; reports are equal when it is.
     """
 
     n: int
     mode: str  # "diagonal" | "full"
-    entries: dict[tuple[int, int], tuple[float, float]]
+    js: list[int]
+    ks: list[int]
+    estimates: list[float]
+    std_errors: list[float]
     shots: int
     seed: int
+
+    @cached_property
+    def entries(self) -> MappingProxyType:
+        return MappingProxyType(dict(zip(zip(self.js, self.ks), zip(self.estimates, self.std_errors))))
+
+    def __eq__(self, other):
+        return isinstance(other, CharacterizedPTM) and all(
+            getattr(self, name) == getattr(other, name) for name in ("n", "mode", "shots", "seed", "entries"))
 
     def lambdas(self, ks=None) -> dict[int, float] | np.ndarray:
         """A diagonal report's rows, with lambda_0 = 1 from trace preservation,
@@ -149,7 +164,7 @@ class CharacterizedPTM:
         DIAGONAL_TOL, else NotPauliDiagonal, planned from ``ptm()``."""
         if self.mode == "full":
             return self.ptm().lambdas()
-        return {0: 1.0} | {k: est for (_, k), (est, _) in self.entries.items()}
+        return {0: 1.0} | dict(zip(self.ks, self.estimates))
 
     def ptm(self) -> PTM:
         if self.mode != "full":
@@ -159,14 +174,18 @@ class CharacterizedPTM:
     @cached_property
     def _ptm(self) -> PTM:
         check_qubits(self.n, MAX_QUBITS_FULL_PTM)
-        missing = 16**self.n - len(self.entries)
+        missing = 16**self.n - len(self.js)
         if missing:
             raise ParseError(f"full report lacks {missing} of its {16**self.n} entries (j, k)")
-        dim = 4**self.n
-        M = np.zeros((dim, dim))
-        for (j, k), (est, _) in self.entries.items():
-            M[j, k] = est
+        M = np.zeros((4**self.n, 4**self.n))
+        M[_int64(self.js), _int64(self.ks)] = np.fromiter(self.estimates, float, len(self.estimates))
         return PTM(self.n, M)
+
+    @property
+    def sorted_columns(self) -> list[list]:
+        """The four columns, rows in (j, k) order."""
+        order = np.lexsort((_int64(self.ks), _int64(self.js))).tolist()
+        return [list(map(column.__getitem__, order)) for column in (self.js, self.ks, self.estimates, self.std_errors)]
 
     def to_report_text(self) -> str:
         """The report text, rows in (j, k) order.  Each distinct (estimate,
@@ -175,10 +194,9 @@ class CharacterizedPTM:
         tail = f" {self.shots} {self.seed}"
         cells = Memo(lambda key: f"{float(key[0])!r} {float(key[1])!r}{tail}")
         lines = ["# transfer-matrix characterization report", f"n {self.n}", f"mode {self.mode}"]
-        for jk in sorted(self.entries):
-            est, err = self.entries[jk]
+        for j, k, est, err in zip(*self.sorted_columns):
             key = (est, err) if est and err else (est, err, math.copysign(1, est), math.copysign(1, err))
-            lines.append(f"{jk[0]} {jk[1]} {cells[key]}")
+            lines.append(f"{j} {k} {cells[key]}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -188,64 +206,59 @@ class CharacterizedPTM:
         pair, which must pass ``check_shots_and_seed``.  A bad line raises
         ParseError naming it."""
         reader = _ReportReader()
-        read_text(text, reader.take)
-        return cls(*reader.result())
+        try:
+            read_text(text, reader.take)
+        finally:  # a repeated row is refused before any later line
+            j, k = reader.indices(text)
+        return cls(*reader.result(j, k))
 
 
-# What a report row's numbers can fail, in the order a row is checked:
-# conversion, finiteness, sign.  The converters raise the last two.
-_ROW_FAULTS = ("malformed row", "non-finite estimate or error in", "std_error, shots and seed must be >= 0 in")
-
-
-def _finite(token: str) -> float:
-    value = float(token)
-    if not math.isfinite(value):
-        raise ValueError(_ROW_FAULTS[1])
-    return value
-
-
-def _std_error(token: str) -> float:
-    value = _finite(token)
-    if value < 0:
-        raise ValueError(_ROW_FAULTS[2])
-    return value
-
-
-def _count(token: str) -> int:
-    value = int(token)
-    if value < 0:
-        raise ValueError(_ROW_FAULTS[2])
-    return value
-
-
-def _fault(memo: Memo, token: str) -> int:
-    """Index in _ROW_FAULTS of the check ``token`` fails, or past them all."""
+def _int64(column: list[int]) -> np.ndarray:
+    """``column`` as int64, or as Python ints past int64 (and every range)."""
     try:
-        memo[token]
-    except ValueError as exc:
-        return _ROW_FAULTS.index(exc.args[0]) if exc.args[0] in _ROW_FAULTS else 0
-    return len(_ROW_FAULTS)
+        return np.fromiter(column, np.int64, len(column))
+    except OverflowError:
+        return np.array(column, dtype=object)
+
+
+def _checked(convert, ok):
+    """``convert``, refusing (ValueError) a value that fails ``ok``."""
+    def checked(token: str):
+        if ok(value := convert(token)):
+            return value
+        raise ValueError(token)
+    return checked
+
+
+def _row_fault(row: list[str]) -> str:
+    """The first check a refused row fails: conversion, finiteness, sign."""
+    try:
+        est, err, *_ = float(row[2]), float(row[3]), *map(int, row[:2] + row[4:])
+    except ValueError:
+        return "malformed row"
+    if math.isfinite(est) and math.isfinite(err):
+        return "std_error, shots and seed must be >= 0 in"
+    return "non-finite estimate or error in"
 
 
 class _ReportReader:
     """The state of one parse of report text, read by ``pauli.read_text``.
 
-    ``take`` checks a chunk column by column, each column through one memo
-    of this parse whose converter checks conversion, finiteness and sign.
-    A refused line is named for the first check it fails in single-line
-    order: field count and header, conversion, finiteness, sign,
-    shots/seed, repeat.  The j/k range and the diagonal-mode rule need the
-    header, which may come last, so ``result`` checks them from the extent
-    of the int columns.
+    ``take`` checks a chunk column by column, each through a memo whose
+    converter checks conversion, finiteness and sign, and appends it to the
+    columns.  A refused line is named for the first check it fails in
+    single-line order: field count and header, conversion, finiteness,
+    sign, shots/seed, repeat.  Repeats, the j/k range and the diagonal rule
+    are checked on whole columns once the text is read.
     """
 
     def __init__(self):
         self.header: dict[str, tuple] = {}  # "n" / "mode" -> (value, line number)
         self.run: tuple[int, int] | None = None  # (shots, seed) of the first row
-        self.entries: dict[tuple[int, int], tuple[float, float]] = {}
-        self.lo, self.hi = math.inf, -math.inf  # least and greatest j or k
-        self.diagonal = True  # j == k on every row
-        self.ints, self.ests, self.errs, self.counts = Memo(int), Memo(_finite), Memo(_std_error), Memo(_count)
+        self.columns: tuple[list, ...] = ([], [], [], [])  # js, ks, estimates, std_errors
+        ints, errs = Memo(int), Memo(_checked(float, lambda err: 0 <= err < math.inf))
+        self.memos = ints, ints, Memo(_checked(float, math.isfinite)), errs  # one per column
+        self.counts = Memo(_checked(int, (0).__le__))  # shots and seed
 
     def take(self, first: int, lines: list[str], fields: list[list[str]]) -> None:
         """Take a chunk's header lines and rows if every check passes, else
@@ -264,60 +277,66 @@ class _ReportReader:
                         raise ParseError(f"line {first}: header {key!r} repeats line {(header | self.header)[key][1]}")
                     header[key] = (int(value) if key == "n" else value, lineno)
         if rows:
-            ints, counts = self.ints.__getitem__, self.counts.__getitem__
             try:
-                js, ks, ests, errs, shots, seeds = zip(*rows)
-                js, ks = list(map(ints, js)), list(map(ints, ks))
-                chunk = dict(zip(zip(js, ks), zip(map(self.ests.__getitem__, ests),
-                                                   map(self.errs.__getitem__, errs))))
+                *columns, shots, seeds = zip(*rows)
+                chunk = [list(map(memo.__getitem__, column)) for memo, column in zip(self.memos, columns)]
                 # each column's distinct values: one shots/seed pair iff one value in each
-                shots, seeds = set(map(counts, set(shots))), set(map(counts, set(seeds)))
+                shots, seeds = (set(map(self.counts.__getitem__, set(column))) for column in (shots, seeds))
             except ValueError:
                 if len(lines) > 1:
                     raise ParseError("a row of the chunk is refused") from None
-                memos = (self.ints, self.ints, self.ests, self.errs, self.counts, self.counts)
-                fault = _ROW_FAULTS[min(map(_fault, memos, rows[0]))]
-                raise ParseError(f"line {first}: {fault} {lines[0]!r}") from None
+                raise ParseError(f"line {first}: {_row_fault(rows[0])} {lines[0]!r}") from None
             if len(shots) != 1 or len(seeds) != 1:
                 raise ParseError("rows of the chunk differ in shots or seed")
             run = (*shots, *seeds)
-            if self.run is None:
-                try:
-                    check_shots_and_seed(*run)
-                except ConfigError as exc:
-                    raise ParseError(f"line {first}: {exc}") from None
-            elif run != self.run:
+            if self.run not in (None, run):
                 raise ParseError(f"line {first}: shots {run[0]} and seed {run[1]} differ from the first row's {self.run}")
-            if len(chunk) < len(rows) or not self.entries.keys().isdisjoint(chunk):
-                raise ParseError(f"line {first}: entry ({js[0]}, {ks[0]}) repeats an earlier row")
+            try:
+                check_shots_and_seed(*run)
+            except ConfigError as exc:
+                raise ParseError(f"line {first}: {exc}") from None
             self.run = run
-            self.entries.update(chunk)
-            self.lo = min(self.lo, min(js), min(ks))
-            self.hi = max(self.hi, max(js), max(ks))
-            self.diagonal = self.diagonal and js == ks
+            for column, values in zip(self.columns, chunk):
+                column += values
         self.header.update(header)
 
-    def result(self) -> tuple:
-        """(n, mode, entries, shots, seed) once every chunk is read."""
+    def indices(self, text: str) -> tuple[np.ndarray, np.ndarray]:
+        """The j and k columns as arrays if no row taken repeats the (j, k) of
+        an earlier one, else ParseError naming the first that does (row i is
+        the text's i-th line of six fields)."""
+        js, ks = self.columns[:2]
+        j, k = _int64(js), _int64(ks)
+        order = np.lexsort((k, j))  # stable: the rows of one (j, k) in row order
+        sj, sk = j[order], k[order]
+        repeats = order[1:][(sj[1:] == sj[:-1]) & (sk[1:] == sk[:-1])]
+        if len(repeats):
+            i, lines = int(repeats.min()), []
+            read_text(text, lambda first, _, rows: lines.extend(n for n, f in enumerate(rows, first) if len(f) == 6))
+            raise ParseError(f"line {lines[i]}: entry ({js[i]}, {ks[i]}) repeats an earlier row") from None
+        return j, k
+
+    def result(self, j: np.ndarray, k: np.ndarray) -> tuple:
+        """(n, mode, js, ks, estimates, std_errors, shots, seed) once every
+        chunk is read and no row repeats, ``j`` and ``k`` the index arrays."""
         n = self.header.get("n", (None,))[0]
         mode = self.header.get("mode", (None,))[0]
         if n is None or mode not in ("diagonal", "full"):
             raise ParseError("report lacks a valid 'n'/'mode' header")
         check_qubits(n, MAX_QUBITS_SPARSE if mode == "diagonal" else MAX_QUBITS)
-        if not (0 <= self.lo and self.hi < 4**n):
+        if len(j) and not (0 <= min(j.min(), k.min()) and max(j.max(), k.max()) < 4**n):
             raise ParseError(f"report entries must have j and k in 0..{4**n - 1}")
-        if mode == "diagonal" and not (self.diagonal and self.lo > 0):
+        if mode == "diagonal" and not ((j == k).all() and 0 not in k):
             raise ParseError("a diagonal report holds only (k, k) rows with k >= 1")
-        return (n, mode, self.entries, *(self.run or (0, 0)))
+        return (n, mode, *self.columns, *(self.run or (0, 0)))
 
 
-def _probe_report(ch: Channel, mode: str, ks, entries: dict, shots: int, seed: int) -> CharacterizedPTM:
-    """Probe the channel once per k in ``ks`` and add to ``entries`` what
-    its output gives: (k, k) in diagonal mode, every (j, k) with j != 0 in
-    full mode, j = k first, all read from the probe's stream (seed, k) by
-    one readout of the whole report.  Every index is validated, then
-    unitality is checked once, before the first probe."""
-    ks = [as_index(k, ch.n).k for k in ks]
+def _probe_report(ch: Channel, mode: str, ks, columns: tuple[list, ...], shots: int, seed: int) -> CharacterizedPTM:
+    """Probe the channel once per distinct k in ``ks`` and append to the four
+    ``columns`` what its output gives: (k, k) in diagonal mode, every (j, k)
+    with j != 0 in full mode, j = k first, all read from the probe's stream
+    (seed, k) by one readout of the whole report.  Every index is validated,
+    then unitality is checked once, before the first probe."""
+    ks = list(dict.fromkeys(as_index(k, ch.n).k for k in ks))  # a repeated k is probed once
     if 0 in ks:
         raise IdentityProbe("the k=0 entry equals 1 by trace preservation")
     output = _probe_outputs(ch, None if mode == "full" else ks)
@@ -325,8 +344,9 @@ def _probe_report(ch: Channel, mode: str, ks, entries: dict, shots: int, seed: i
     rows = [[k, *range(1, k), *range(k + 1, D)] if mode == "full" else [k] for k in ks]
     exact = map(output, ks, rows)
     for k, js, values in zip(ks, rows, read_batch(exact, [(k,) for k in ks], shots, seed)):
-        entries.update(zip([(j, k) for j in js], values))
-    return CharacterizedPTM(n=ch.n, mode=mode, entries=entries, shots=shots, seed=seed)
+        for column, part in zip(columns, (js, [k] * len(js), *zip(*values))):
+            column += part
+    return CharacterizedPTM(ch.n, mode, *columns, shots, seed)
 
 
 def estimate_diagonal_entries(ch: Channel, ks, shots: int = 0, seed: int = 0) -> CharacterizedPTM:
@@ -338,7 +358,7 @@ def estimate_diagonal_entries(ch: Channel, ks, shots: int = 0, seed: int = 0) ->
     MAX_QUBITS_FULL_PTM qubits.  Entry (k, k) equals the full report's,
     byte for byte.
     """
-    return _probe_report(ch, "diagonal", ks, {}, shots, seed)
+    return _probe_report(ch, "diagonal", ks, ([], [], [], []), shots, seed)
 
 
 def estimate_full_ptm(ch: Channel, shots: int = 0, seed: int = 0) -> CharacterizedPTM:
@@ -350,9 +370,9 @@ def estimate_full_ptm(ch: Channel, shots: int = 0, seed: int = 0) -> Characteriz
     MAX_QUBITS_FULL_PTM qubits it refuses before the first probe.
     """
     check_qubits(ch.n, MAX_QUBITS_FULL_PTM)
-    ks = range(1, 4**ch.n)
-    identities = {(0, 0): (1.0, 0.0)} | {jk: (0.0, 0.0) for q in ks for jk in ((0, q), (q, 0))}
-    return _probe_report(ch, "full", ks, identities, shots, seed)
+    D = 4**ch.n  # the identities first: row 0, then column 0
+    js, ks, zeros = [0] * D + [*range(1, D)], [*range(D)] + [0] * (D - 1), [0.0] * (2 * D - 1)
+    return _probe_report(ch, "full", range(1, D), (js, ks, [1.0] + zeros[1:], zeros), shots, seed)
 
 
 def _trace_powers(states: np.ndarray) -> list[list[float]]:

@@ -147,8 +147,8 @@ def _parse_index(token: str, n: int) -> int:
 
 
 def _parse_entries(spec: str, n: int) -> list[int]:
-    """Distinct entries in first-seen order, so a repeated one is probed once."""
-    ks = list(dict.fromkeys(_parse_index(token, n) for token in map(str.strip, spec.split(",")) if token))
+    """The entries of ``spec`` in its order (the estimator probes a repeated one once)."""
+    ks = [_parse_index(token, n) for token in map(str.strip, spec.split(",")) if token]
     if not ks:
         raise ConfigError("no entries requested")
     for k in ks:
@@ -168,7 +168,7 @@ def cmd_characterize(args) -> int:
     return _write(args, result.to_report_text, lambda: {
         "n": result.n, "mode": result.mode, "shots": result.shots, "seed": result.seed,
         "entries": [{"j": j, "k": k, "estimate": est, "std_error": err}
-                    for (j, k), (est, err) in sorted(result.entries.items())],
+                    for j, k, est, err in zip(*result.sorted_columns)],
     })
 
 

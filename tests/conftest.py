@@ -9,7 +9,8 @@ channel's ``kraus_ops`` and read Tr[P_k rho] by an explicit trace; the
 library itself works only on Pauli coefficients.
 The Markov-correlated entries are evaluated in exact rationals, one
 4x4 product per entry.  The reference readers of labelled (observable and
-measurement) text and of report text read one line at a time, with no memo.
+measurement) text and of report text read one line at a time, with no memo,
+and a full report's matrix is filled one entry at a time.
 The reference positivity certificate takes one state at a time: its
 powers, each trace by ``np.trace``, the recursion with an explicit
 (-1)**(j-1), then the Hermiticity check and ``eigvalsh`` only when the
@@ -255,3 +256,14 @@ def report_from_text_reference(text):
     if mode == "diagonal" and not all(j == k > 0 for j, k in entries):
         raise ParseError("a diagonal report holds only (k, k) rows with k >= 1")
     return (n, mode, entries, *(run or (0, 0)))
+
+
+def report_matrix_reference(n, entries):
+    """The transfer matrix of a complete full report's entries {(j, k):
+    (estimate, std_error)}, filled one entry at a time: the fill from before
+    reports were held as columns, kept as the oracle."""
+    dim = 4**n
+    M = np.zeros((dim, dim))
+    for (j, k), (est, _) in entries.items():
+        M[j, k] = est
+    return M

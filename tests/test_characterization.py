@@ -1,5 +1,8 @@
+import dataclasses
+import json
 import math
 import re
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -9,6 +12,7 @@ from conftest import (
     positivity_certificate_reference,
     random_density,
     report_from_text_reference,
+    report_matrix_reference,
     sample_pauli_expectation,
 )
 from hypothesis import given, settings
@@ -34,6 +38,7 @@ from noisedeconv.characterization import (
     positivity_coefficients,
     probe_state,
 )
+from noisedeconv.cli import main
 from noisedeconv.exceptions import (
     DimensionMismatch,
     IdentityProbe,
@@ -208,6 +213,18 @@ class TestDiagonalEntries:
         assert estimate_diagonal_entries(ch, [5, 3], shots=700, seed=2).entries[(3, 3)] == alone
         assert estimate_diagonal_entries(ch, [3, 15, 5], shots=700, seed=2).entries[(3, 3)] == alone
 
+    @pytest.mark.parametrize("shots", [0, 700])
+    def test_a_repeated_k_is_one_row(self, shots):
+        ch = bit_flip_channel(2, 0.15, 0.25)
+        once = estimate_diagonal_entries(ch, [3, 5], shots=shots, seed=2)
+        for ks in ([3, 3, 5], [3, PauliIndex(2, 3), 5, 3]):
+            report = estimate_diagonal_entries(ch, ks, shots=shots, seed=2)
+            assert (report.js, report.ks, report.estimates, report.std_errors) == \
+                (once.js, once.ks, once.estimates, once.std_errors)
+            text = report.to_report_text()
+            assert text == once.to_report_text()
+            assert CharacterizedPTM.from_report_text(text) == once
+
     def test_kraus_channel_past_the_full_cap_refused(self):
         # Probe outputs come from the transfer matrix, so a non-Pauli channel
         # is capped as plan() and run_experiment cap it; a Pauli one is not.
@@ -300,14 +317,53 @@ class TestReportRoundTrip:
         assert again.to_report_text() == text
 
     def test_negative_zero_keeps_its_sign(self):
-        report = CharacterizedPTM(1, "diagonal", {(1, 1): (0.0, 0.0), (2, 2): (-0.0, 0.0),
-                                                  (3, 3): (0.0, -0.0)}, 0, 0)
+        report = CharacterizedPTM(1, "diagonal", [1, 2, 3], [1, 2, 3], [0.0, -0.0, 0.0], [0.0, 0.0, -0.0], 0, 0)
         text = report.to_report_text()
         assert text.splitlines()[3:] == ["1 1 0.0 0.0 0 0", "2 2 -0.0 0.0 0 0", "3 3 0.0 -0.0 0 0"]
         again = CharacterizedPTM.from_report_text(text)
         assert [tuple(map(math.copysign, (1.0, 1.0), v)) for v in again.entries.values()] == \
             [(1.0, 1.0), (-1.0, 1.0), (1.0, -1.0)]
         assert again.to_report_text() == text
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("shots", [0, 1000])
+    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    def test_text_and_json_survive_a_parse_byte_for_byte(self, n, shots, mode, monkeypatch, capsys, tmp_path):
+        ch = depolarizing_channel(n, 0.05, 0.3)
+        if mode == "full":
+            report = estimate_full_ptm(ch, shots, seed=5)
+        else:  # probed in descending k, so the columns are not in the text's (j, k) order
+            report = estimate_diagonal_entries(ch, range(4**n - 1, 0, -2), shots, seed=5)
+        report = dataclasses.replace(report,  # with -0.0 cells, which print apart from 0.0
+                                     estimates=[-0.0 if i % 7 == 3 else e for i, e in enumerate(report.estimates)],
+                                     std_errors=[-0.0 if i % 5 == 2 else e for i, e in enumerate(report.std_errors)])
+        text = report.to_report_text()
+        again = CharacterizedPTM.from_report_text(text)
+        assert again == report
+        assert again.to_report_text() == text
+        written = _characterize_json(monkeypatch, capsys, tmp_path, report)
+        assert _characterize_json(monkeypatch, capsys, tmp_path, again) == written
+        assert json.loads(written)["entries"] == [{"j": j, "k": k, "estimate": est, "std_error": err}
+                                                  for (j, k), (est, err) in sorted(report.entries.items())]
+
+    def test_equality_ignores_row_order_and_the_sign_of_zero(self):
+        report = CharacterizedPTM(1, "diagonal", [1, 2, 3], [1, 2, 3], [0.5, 0.0, -0.25], [0.1, 0.0, 0.2], 10, 1)
+        shuffled = CharacterizedPTM(1, "diagonal", [3, 1, 2], [3, 1, 2], [-0.25, 0.5, -0.0], [0.2, 0.1, 0.0], 10, 1)
+        assert report == shuffled
+        assert report != dataclasses.replace(shuffled, estimates=[-0.25, 0.5, 0.125])
+        assert report != dataclasses.replace(shuffled, seed=2)
+        assert report != dataclasses.replace(shuffled, js=[3, 1, 1], ks=[3, 1, 1])
+
+
+def _characterize_json(monkeypatch, capsys, tmp_path, report):
+    """``characterize --format json`` output when the estimate is ``report``."""
+    monkeypatch.setattr(characterization, "estimate_full_ptm", lambda *args, **kwargs: report)
+    monkeypatch.setattr(characterization, "estimate_diagonal_entries", lambda *args, **kwargs: report)
+    config = tmp_path / "channel.json"
+    config.write_text(json.dumps({"family": "depolarizing", "n": report.n, "q": 0.1}))
+    entries = "full" if report.mode == "full" else "1"
+    assert main(["characterize", "--config", str(config), "--entries", entries, "--format", "json"]) == 0
+    return capsys.readouterr().out
 
 
 def _arabic(value):
@@ -437,6 +493,19 @@ def _parse(text):
     return report.n, report.mode, report.entries, report.shots, report.seed
 
 
+def _assert_scalars_and_matrix_agree(text):
+    """The entries of a report the reference reads are Python ints and floats,
+    and a complete full report scatters the reference's matrix, bit for bit
+    (so a -0.0 estimate keeps its sign), before the checks of ``PTM``."""
+    report = CharacterizedPTM.from_report_text(text)
+    assert all(type(j) is type(k) is int and type(est) is type(err) is float
+               for (j, k), (est, err) in report.entries.items())
+    n, mode, entries, _, _ = report_from_text_reference(text)
+    if mode == "full" and len(entries) == 16**n:
+        with mock.patch.object(characterization, "PTM", lambda n, matrix: SimpleNamespace(matrix=matrix)):
+            assert report.ptm().matrix.tobytes() == report_matrix_reference(n, entries).tobytes()
+
+
 def _assert_agrees_with_the_reference(got, text):
     """``got`` is the reference's outcome, or the refusal ``_declared_refusal``
     names where that comes first."""
@@ -454,6 +523,8 @@ def _assert_agrees_with_the_reference(got, text):
 def test_chunked_parser_agrees_with_the_row_by_row_reference(text, chunk, memo):
     with mock.patch.object(pauli, "CHUNK_LINES", chunk), mock.patch.object(pauli, "MEMO_SIZE", memo):
         got = _outcome(_parse, text)
+        if not isinstance(got[0], type):  # parsed, not refused
+            _assert_scalars_and_matrix_agree(text)
     _assert_agrees_with_the_reference(got, text)
 
 
@@ -496,12 +567,16 @@ def _full_text(n, edit=None):
     _full_text(2, (-1, "15 15 inf -0.5 -1 0")),
     _full_text(2, (-1, "15 15 1.0 -0.5 5 0")),
     _full_text(2, (-1, "0 0 1.0 0.0 0 1")),
+    # j or k past int64, which only the range refuses
+    "n 1\nmode diagonal\n1 1 0.5 0.0 0 0\n99999999999999999999 1 0.5 0.0 0 0\n1 1 0.5 0.0 0 0\n",
+    "n 1\nmode diagonal\n1 99999999999999999999 0.5 0.0 0 0\n-99999999999999999999 1 0.5 0.0 0 0\n",
 ], ids=["j_past_the_end", "negative_k_last", "negative_j_first", "k_past_the_end", "repeat_last",
         "repeat_next_to_last", "seed_last", "inf_last", "negative_error_last", "five_fields_last",
         "comment_last", "off_diagonal_last", "zero_last", "header_last",
         "bad_header", "repeated_n", "repeated_mode", "malformed_j", "negative_shots_later",
         "first_row_shots_past_the_limit", "lone_row_among_blanks",
-        "malformed_before_non_finite", "non_finite_before_negative", "negative_before_run", "run_before_repeat"])
+        "malformed_before_non_finite", "non_finite_before_negative", "negative_before_run", "run_before_repeat",
+        "repeat_past_a_j_beyond_int64", "j_and_k_beyond_int64"])
 def test_checks_hold_on_every_chunk_of_a_report(text, chunk):
     with mock.patch.object(pauli, "CHUNK_LINES", chunk):
         got = _outcome(_parse, text)
