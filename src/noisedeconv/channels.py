@@ -101,7 +101,7 @@ MAX_QUBITS_SPARSE = 31
 
 TP_TOL = 1e-10
 DIAGONAL_TOL = 1e-12
-PTM_IMAG_TOL = 1e-10
+PTM_RESIDUE_TOL = 1e-10
 WEIGHT_SUM_TOL = 1e-12
 
 # s1[a, b] = +1 when single-qubit sigma_a and sigma_b commute, -1 otherwise.
@@ -183,7 +183,7 @@ class PTM:
             raise DimensionMismatch(f"expected shape ({dim}, {dim}), got {M.shape}")
         if np.iscomplexobj(M):
             resid = float(np.max(np.abs(M.imag)))
-            if resid >= PTM_IMAG_TOL:
+            if resid >= PTM_RESIDUE_TOL:
                 raise NotTracePreserving(
                     f"transfer matrix has imaginary residue {resid:.3e}"
                 )
@@ -556,7 +556,7 @@ def correlated_amplitude_damping(eta: float, mu: float) -> KrausChannel:
     E0 = np.array([[1.0, 0.0], [0.0, np.sqrt(eta)]], dtype=complex)
     E1 = np.array([[0.0, np.sqrt(1.0 - eta)], [0.0, 0.0]], dtype=complex)
     singles = [np.kron(a, b) for a in (E0, E1) for b in (E0, E1)]
-    B0 = np.diag([1.0, 1.0, 1.0, np.sqrt(eta)]).astype(complex)
+    B0 = np.diag(np.array([1.0, 1.0, 1.0, np.sqrt(eta)], dtype=complex))
     B1 = np.zeros((4, 4), dtype=complex)
     B1[0, 3] = np.sqrt(1.0 - eta)
     ops = [np.sqrt(1.0 - mu) * A for A in singles] + [np.sqrt(mu) * B for B in (B0, B1)]

@@ -38,10 +38,11 @@ once, and formatting each distinct (estimate, std_error) pair once, gives
 the columns and bytes of a call per field.  A pair that holds a zero is
 keyed with its signs (-0.0 == 0.0, but the two print differently), and a
 memo stops growing at pauli.MEMO_SIZE values.  ``pauli.read_text`` hands
-the text over CHUNK_LINES lines at a time; a chunk the reader refuses is
-handed over again one line at a time, and the reader names the first bad
-line.  Repeated (j, k) are found from the whole columns once the text is
-read, and named before any later refusal.
+the text over in chunks of whole lines, each about pauli.CHUNK_CHARS
+characters; a chunk the reader refuses is handed over again one line at a
+time, and the reader names the first bad line.  Repeated (j, k) are found
+from the whole columns once the text is read, and named before any later
+refusal.
 
 The probe's positive semidefiniteness is certified through the
 characteristic-polynomial coefficients S_m, computed by the trace-power

@@ -51,9 +51,10 @@ MAX_QUBITS = 6
 HERMITIAN_TOL = 1e-10
 PRUNE_TOL = 1e-14
 
-# Lines of text split at a time: a whole report's fields at once would hold
-# every field string of the text alive together.
-CHUNK_LINES = 256
+# Characters of text split at a time, the chunk ending at the next newline:
+# a whole report's lines or fields at once would hold every string of the
+# text alive together.
+CHUNK_CHARS = 16384
 
 # Values a text memo keeps: past this many distinct tokens it only costs time
 # and memory.
@@ -233,26 +234,30 @@ def devectorize(coeffs: np.ndarray) -> np.ndarray:
 
 
 def read_text(text: str, take) -> None:
-    """Hand ``text`` to a format's checker ``take(first, lines, fields)``
-    CHUNK_LINES lines at a time, ``first`` the number of the first line: the
-    one grammar of observable, measurement and report text, where only a
-    newline ends a line (any other break ``str.splitlines`` knows is
+    """Hand ``text`` to a format's checker ``take(first, lines, fields)`` a
+    chunk at a time: the lines up to the first newline CHUNK_CHARS past the
+    chunk's start, cut by offset, ``first`` the number of its first line.  It
+    is the one grammar of observable, measurement and report text, where only
+    a newline ends a line (any other break ``str.splitlines`` knows is
     whitespace), ``#`` starts a comment and a line's fields are split at
     whitespace, with none on a line without data.  ``take`` takes the whole
     chunk, or raises ParseError and takes nothing; a refused chunk is handed
     over again one data line at a time, so that the refusal names the line."""
-    lines = text.split("\n")
-    for start in range(0, len(lines), CHUNK_LINES):
-        chunk = lines[start:start + CHUNK_LINES]
+    first = start = 0
+    while start <= len(text):
+        end = text.find("\n", start + CHUNK_CHARS)
+        end = len(text) if end < 0 else end
+        chunk = text[start:end].split("\n")
         fields = [line.split("#", 1)[0].split() if "#" in line else line.split() for line in chunk]
         try:
-            take(start + 1, chunk, fields)
+            take(first + 1, chunk, fields)
         except ParseError:
             if len(chunk) == 1:
                 raise
-            for lineno, line, row in zip(range(start + 1, start + 1 + len(chunk)), chunk, fields):
+            for lineno, line, row in zip(range(first + 1, first + 1 + len(chunk)), chunk, fields):
                 if row:
                     take(lineno, [line], [row])
+        first, start = first + len(chunk), end + 1
 
 
 class Memo(dict):

@@ -1,4 +1,8 @@
-"""Exact and shot-sampled Pauli expectation values.
+"""Shot-sampled Pauli expectation values, read from exact ones.
+
+The exact values are real numbers the caller makes (an experiment's Pauli
+coefficients Tr[P_k rho], a probe's expectations); nothing here sees a
+state or checks one.
 
 A Pauli string has a +/-1 spectrum, so a finite-shot measurement is a
 Bernoulli experiment with success probability (1 + e)/2 where e is the
@@ -33,14 +37,12 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .exceptions import ConfigError, InvalidState, ProbabilityOutOfRange
-from .pauli import as_index
+from .exceptions import ConfigError, ProbabilityOutOfRange
 
 __all__ = [
     "MAX_SHOTS",
     "check_shots_and_seed",
     "derive_rng",
-    "coefficient_expectations",
     "sample_marginal",
     "read_batch",
 ]
@@ -48,7 +50,6 @@ __all__ = [
 # numpy's binomial takes counts up to the int64 maximum.
 MAX_SHOTS = 2**63 - 1
 
-_IMAG_TOL = 1e-10
 _RANGE_TOL = 1e-9
 
 
@@ -67,21 +68,6 @@ def check_shots_and_seed(shots: int, seed: int) -> None:
         raise ConfigError(f"shots must be in 0..{MAX_SHOTS} (2**63 - 1), got {shots}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-
-
-def coefficient_expectations(coeffs: np.ndarray, ks, n: int | None = None) -> list[float]:
-    """Tr[P_k rho] for each k in ``ks``, read from rho's scaled Pauli
-    coefficient vector ``coeffs = d * vectorize(rho)`` (entry j is
-    Tr[P_j rho]), or, given ``n``, from a table of its entries ks, one row per
-    vector; every entry read gets the imaginary-residue check."""
-    ks = np.asarray(ks, dtype=int)
-    vals = coeffs[ks] if n is None else coeffs
-    bad = np.abs(vals.imag) >= _IMAG_TOL
-    if bad.any():
-        i = int(np.argmax(bad))
-        label = as_index(int(ks[i % ks.size]), n or (coeffs.size.bit_length() - 1) // 2).label
-        raise InvalidState(f"expectation of {label} has imaginary residue {vals.flat[i].imag:.3e}")
-    return vals.real.ravel().tolist()
 
 
 def sample_marginal(e: float, shots: int, rng: np.random.Generator) -> tuple[float, float]:

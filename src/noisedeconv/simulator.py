@@ -6,20 +6,21 @@ components (exactly, or with a finite shot budget), and attach the
 deconvolved values, weighted as ``deconvolution.plan`` weights them in the
 CLI.  Repetitions apply the identical channel independently at each step.
 
-The state is its Pauli coefficients c_j = Tr[P_j rho]: d * vectorize(rho)
-for a matrix, c_k = prod_q b[a_q] over the digits of k for a preset (a
-product state kept by name).  Under a Pauli channel, whose ``lambdas(ks)``
-answers for the r terms, a grid point is a few array operations on them
-alone: c_k -> lambda_k * c_k in an (m_max + 1) x r table, one table of
-weights lambda_k**(-m) (``deconvolution.rescaling_weights``), and every
-record and its error from the two, rounded and refused as ``deconvolve``
-and ``propagated_std_error`` do; no array has 4**n entries for a preset on
-a Markov-correlated channel.  Otherwise the dense c is multiplied by the
-transfer matrix Gamma, and each record goes through its own
-plan(P_k, channel, m), whose weights may read any entry.  Either way one
-``sampling.read_batch`` per grid point reads the expectations: one read
-from the stream (seed, mu index, strength index) when sampled, its
-entries drawn m-major, then j ascending.
+The state is its real Pauli coefficients c_j = Tr[P_j rho]: for a matrix,
+the real part of d * vectorize(rho), checked once for an imaginary residue;
+for a preset (a product state kept by name), c_k = prod_q b[a_q] over the
+digits of k.  Under a Pauli channel, whose ``lambdas(ks)`` answers for the
+r terms, a grid point is a few array operations on them alone:
+c_k -> lambda_k * c_k in an (m_max + 1) x r table, one table of weights
+lambda_k**(-m) (``deconvolution.rescaling_weights``), and every record and
+its error from the two, rounded and refused as ``deconvolve`` and
+``propagated_std_error`` do; no array has 4**n entries for a preset on a
+Markov-correlated channel.  Otherwise the dense c, a preset's in closed
+form too, is multiplied by the transfer matrix Gamma, and each record goes
+through its own plan(P_k, channel, m), whose weights may read any entry.
+Either way one ``sampling.read_batch`` per grid point reads the
+expectations: one read from the stream (seed, mu index, strength index)
+when sampled, its entries drawn m-major, then j ascending.
 
 Records carry the raw and deconvolved estimates together with their
 standard errors; ``records_to_csv`` renders them with shortest
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import reduce
 from itertools import accumulate, product
 from typing import Iterable, Mapping, NamedTuple
 
@@ -50,8 +50,8 @@ from .deconvolution import _finite, deconvolve, plan, propagated_std_error, resc
 # Unused here; bound only for the benchmark self-test that counts inversions at every binding.
 from .deconvolution import _invert_adjoint  # noqa: F401
 from .exceptions import ConfigError, InvalidState, NotPauliDiagonal
-from .pauli import MAX_QUBITS, SIGMAS, Observable, check_qubits, is_hermitian, num_qubits, vectorize
-from .sampling import check_shots_and_seed, coefficient_expectations, read_batch
+from .pauli import HERMITIAN_TOL, MAX_QUBITS, Observable, as_index, check_qubits, is_hermitian, num_qubits, vectorize
+from .sampling import check_shots_and_seed, read_batch
 
 __all__ = [
     "ExperimentConfig",
@@ -67,18 +67,11 @@ CSV_HEADER = "mu,q,m,k,shots,seed,noisy,noisy_stderr,deconvolved,deconvolved_std
 PRESET_BLOCH = {"zeros": (1.0, 0.0, 0.0, 1.0), "plus": (1.0, 1.0, 0.0, 0.0), "mixed": (1.0, 0.0, 0.0, 0.0)}
 
 
-def preset_state(name: str, n: int) -> np.ndarray:
-    """A preset made dense: |0...0>, |+...+>, or the maximally mixed state."""
-    one = sum(b * sigma for b, sigma in zip(PRESET_BLOCH[name], SIGMAS)) / 2
-    return reduce(np.kron, [one] * n, np.ones((1, 1), dtype=complex))
-
-
 def preset_coefficients(name: str, n: int, ks) -> np.ndarray:
-    """Tr[P_k rho] of a preset at each flat index k in ``ks``, in O(len(ks) * n): complex, as
-    d * vectorize(rho) holds it, so that products with a negative lambda_k give the same signed zeros."""
+    """Tr[P_k rho] of a preset at each flat index k in ``ks``, in O(len(ks) * n)."""
     ks = np.asarray(ks, dtype=np.int64)
     digits = (ks >> 2 * np.arange(n - 1, -1, -1)[:, None]) & 3
-    return np.array(PRESET_BLOCH[name])[digits].prod(axis=0).astype(complex)
+    return np.array(PRESET_BLOCH[name])[digits].prod(axis=0)
 
 
 class ExpectationRecord(NamedTuple):
@@ -226,6 +219,16 @@ def _validate_initial_state(rho: np.ndarray, n: int) -> None:
         raise InvalidState("initial state is not positive semidefinite")
 
 
+def _matrix_coefficients(rho: np.ndarray, n: int) -> np.ndarray:
+    """Tr[P_j rho] for every j: the real part of d * vectorize(rho), once no
+    term has an imaginary residue of HERMITIAN_TOL or more (the first is named)."""
+    c = vectorize(rho) * 2**n
+    bad = np.flatnonzero(np.abs(c.imag) >= HERMITIAN_TOL)
+    if bad.size:
+        raise InvalidState(f"expectation of {as_index(int(bad[0]), n).label} has imaginary residue {c.imag[bad[0]]:.3e}")
+    return c.real
+
+
 def _grid_channel(base: dict, mu: float | None, strength: float | None) -> dict:
     cfg = dict(base)
     if mu is not None:
@@ -246,7 +249,7 @@ def _diagonal_rows(cfg: ExperimentConfig, lam, c0: np.ndarray, ks: list[int], ta
     weights = np.array(rescaling_weights(dict.fromkeys(ks, 1.0), lam, range(cfg.m_max + 1))).ravel()
     lam_ks = np.array([lam[k] for k in ks], dtype=float)
     table = np.multiply.accumulate(np.vstack([c0, np.broadcast_to(lam_ks, (cfg.m_max, len(ks)))]))
-    got = read_batch([coefficient_expectations(table, ks, cfg.n)], [tags], cfg.shots, cfg.seed)[0]
+    got = read_batch([table.ravel().tolist()], [tags], cfg.shots, cfg.seed)[0]
     value, std_error = np.array(got).reshape(-1, 2).T
     with np.errstate(over="ignore"):
         deconvolved, error = 0.0 + weights * value, np.sqrt(np.square(weights * std_error))
@@ -263,7 +266,7 @@ def _general_rows(cfg: ExperimentConfig, ch, c: np.ndarray, ks: list[int], tags)
     plans = [[plan(Observable(cfg.n, {k: 1.0}), ch, m) for k in ks] for m in range(cfg.m_max + 1)]
     needed = [sorted({j for p in ps for j in p.weights} | set(ks)) for ps in plans]
     evolved = accumulate(range(cfg.m_max), lambda v, _: gamma @ v, initial=c)  # c after m = 0..m_max uses
-    exact = [e for v, js in zip(evolved, needed) for e in coefficient_expectations(v, js)]
+    exact = [e for v, js in zip(evolved, needed) for e in v[js].tolist()]
     got = iter(read_batch([exact], [tags], cfg.shots, cfg.seed)[0])  # m-major, then j ascending
     rows = []
     for ps, js in zip(plans, needed):
@@ -289,7 +292,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExpectationRecord]:
         c, c0 = None, preset_coefficients(cfg.initial_state, cfg.n, term_ks)
     else:
         _validate_initial_state(cfg.initial_state, cfg.n)
-        c = vectorize(cfg.initial_state) * 2**cfg.n  # entry j is Tr[P_j rho]
+        c = _matrix_coefficients(cfg.initial_state, cfg.n)
         c0 = c[term_ks]
     records: list[ExpectationRecord] = []
     for gi, mu in enumerate(mu_values):
@@ -304,8 +307,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExpectationRecord]:
             try:
                 lam = ch.lambdas(term_ks)
             except NotPauliDiagonal:
-                if c is None:  # a preset, made dense for the transfer matrix
-                    c = vectorize(preset_state(cfg.initial_state, cfg.n)) * 2**cfg.n
+                if c is None:  # a preset's every coefficient, for the transfer matrix
+                    c = preset_coefficients(cfg.initial_state, cfg.n, range(4**cfg.n))
                 rows = _general_rows(cfg, ch, c, term_ks, (gi, si))
             else:
                 rows = _diagonal_rows(cfg, lam, c0, term_ks, (gi, si))

@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's fast paths: Pauli
 matrices are built by explicit Kronecker products over itertools.product
 orderings, coefficients by explicit traces, and transfer matrices by
 column-wise trace formulas, so tests compare two independent routes.
-The dense-state oracles evolve a density matrix by the Kraus sum over a
+The dense-state oracles build a preset as the Kronecker power of its
+one-qubit factor, evolve a density matrix by the Kraus sum over a
 channel's ``kraus_ops`` and read Tr[P_k rho] by an explicit trace; the
 library itself works only on Pauli coefficients.
 The Markov-correlated entries are evaluated in exact rationals, one
@@ -26,6 +27,7 @@ import numpy as np
 from noisedeconv.exceptions import ParseError
 from noisedeconv.pauli import Observable, check_qubits
 from noisedeconv.sampling import sample_marginal
+from noisedeconv.simulator import PRESET_BLOCH
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -51,6 +53,21 @@ def pauli_basis_bruteforce(n):
 def pauli_string_bruteforce(k, n):
     """Pauli string k on n qubits, its digits read from k in base 4."""
     return kron_string((k >> 2 * (n - 1 - q)) & 3 for q in range(n))
+
+
+def product_state(b, n):
+    """The dense product of n one-qubit factors (b_I I + b_X X + b_Y Y + b_Z Z)/2,
+    one Kronecker product per qubit."""
+    one = sum(x * sigma for x, sigma in zip(b, SINGLE)) / 2
+    rho = np.ones((1, 1), dtype=complex)
+    for _ in range(n):
+        rho = np.kron(rho, one)
+    return rho
+
+
+def preset_state(name, n):
+    """A preset made dense: |0...0>, |+...+>, or the maximally mixed state."""
+    return product_state(PRESET_BLOCH[name], n)
 
 
 def kraus_sum(kraus_ops, A):

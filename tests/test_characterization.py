@@ -518,10 +518,15 @@ def _assert_agrees_with_the_reference(got, text):
         assert got[0] is ParseError and got[1].startswith(declared[1]), (got, expected)
 
 
+# Characters a chunk of read_text takes before its next newline: one line a
+# chunk, a few lines, and the shipped budget.
+CHUNK_BUDGETS = [0, 72, pauli.CHUNK_CHARS]
+
+
 @settings(max_examples=300, deadline=None)
-@given(text=report_texts(), chunk=st.sampled_from([1, 3, 256]), memo=st.sampled_from([1, MEMO_SIZE]))
+@given(text=report_texts(), chunk=st.sampled_from(CHUNK_BUDGETS), memo=st.sampled_from([1, MEMO_SIZE]))
 def test_chunked_parser_agrees_with_the_row_by_row_reference(text, chunk, memo):
-    with mock.patch.object(pauli, "CHUNK_LINES", chunk), mock.patch.object(pauli, "MEMO_SIZE", memo):
+    with mock.patch.object(pauli, "CHUNK_CHARS", chunk), mock.patch.object(pauli, "MEMO_SIZE", memo):
         got = _outcome(_parse, text)
         if not isinstance(got[0], type):  # parsed, not refused
             _assert_scalars_and_matrix_agree(text)
@@ -538,7 +543,7 @@ def _full_text(n, edit=None):
     return "\n".join([f"n {n}", "mode full", *rows]) + "\n"
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 256])
+@pytest.mark.parametrize("chunk", CHUNK_BUDGETS)
 @pytest.mark.parametrize("text", [
     _full_text(2, (-1, "16 15 0.0 0.0 0 0")),
     _full_text(2, (-1, "15 -1 0.0 0.0 0 0")),
@@ -554,7 +559,7 @@ def _full_text(n, edit=None):
     "n 1\nmode diagonal\n1 1 0.5 0.0 0 0\n2 2 0.5 0.0 0 0\n3 2 0.5 0.0 0 0\n",
     "n 1\nmode diagonal\n1 1 0.5 0.0 0 0\n2 2 0.5 0.0 0 0\n0 0 1.0 0.0 0 0\n",
     "mode diagonal\n1 1 0.5 0.0 0 0\n2 2 0.5 0.0 0 0\n3 3 0.5 0.0 0 0\nn 1\n",
-    # each refusal below sits past its chunk's first line at 3 and 256 lines a chunk
+    # each refusal below sits past its chunk's first line at 72 characters and the shipped budget
     _full_text(2, (101, "q 1")),
     _full_text(2, (101, "n 2")),
     _full_text(2, (-4, "mode full")),
@@ -578,7 +583,7 @@ def _full_text(n, edit=None):
         "malformed_before_non_finite", "non_finite_before_negative", "negative_before_run", "run_before_repeat",
         "repeat_past_a_j_beyond_int64", "j_and_k_beyond_int64"])
 def test_checks_hold_on_every_chunk_of_a_report(text, chunk):
-    with mock.patch.object(pauli, "CHUNK_LINES", chunk):
+    with mock.patch.object(pauli, "CHUNK_CHARS", chunk):
         got = _outcome(_parse, text)
     _assert_agrees_with_the_reference(got, text)
 

@@ -450,7 +450,7 @@ class TestExperimentCommand:
             "initial_state": "plus",
         }))
         built = []
-        monkeypatch.setattr("noisedeconv.simulator.preset_state", lambda *args: built.append(args))
+        monkeypatch.setattr("noisedeconv.simulator.preset_coefficients", lambda *args: built.append(args))
         assert main(["experiment", "--config", cfg]) == 4
         assert capsys.readouterr().out == "" and built == []
 
@@ -519,6 +519,17 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", cfg]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
+
+    def test_imaginary_residue_exits_three_and_names_its_term(self, tmp_path, capsys, monkeypatch):
+        plus = [[[0.25, 0.0]] * 4] * 4
+        cfg = write(tmp_path, "exp.json", json.dumps({
+            "n": 2, "channel": {"family": "dephasing", "n": 2, "p": 0.1}, "observable": [["XX", 1.0]],
+            "initial_state": plus, "m_max": 2}))
+        vectorize = pauli.vectorize
+        monkeypatch.setattr("noisedeconv.simulator.vectorize", lambda rho: vectorize(rho) + 1e-6j * (np.arange(16) == 5))
+        assert main(["experiment", "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "expectation of XX has imaginary residue 4.000e-06" in captured.err
 
     def test_json_rows_are_the_csv_rows(self, capsys):
         cfg = str(CONFIG_DIR / "experiments" / "fig2a_mu_sweep.json")

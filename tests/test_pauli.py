@@ -22,6 +22,7 @@ from noisedeconv.pauli import (
     devectorize,
     labelled_rows,
     pauli_element,
+    read_text,
     vectorize,
 )
 
@@ -285,15 +286,20 @@ def _labelled_outcome(read, text, widths):
     return n, repr(rows)
 
 
+# Characters a chunk of read_text takes before its next newline: one line a
+# chunk, a few lines, and the shipped budget.
+CHUNK_BUDGETS = [0, 8, pauli.CHUNK_CHARS]
+
+
 @settings(max_examples=400, deadline=None)
-@given(text=labelled_texts(), widths=st.sampled_from([(2,), (2, 3)]), chunk=st.sampled_from([1, 3, 256]))
+@given(text=labelled_texts(), widths=st.sampled_from([(2,), (2, 3)]), chunk=st.sampled_from(CHUNK_BUDGETS))
 def test_column_reader_agrees_with_the_row_by_row_reference(text, widths, chunk):
-    with mock.patch.object(pauli, "CHUNK_LINES", chunk):
+    with mock.patch.object(pauli, "CHUNK_CHARS", chunk):
         got = _labelled_outcome(labelled_rows, text, widths)
     assert got == _labelled_outcome(labelled_rows_reference, text, widths)
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 256])
+@pytest.mark.parametrize("chunk", CHUNK_BUDGETS)
 @pytest.mark.parametrize("text, message", [
     ("\n\nZZ 1.0 2.0 3.0\n\n", "line 3: expected '<pauli-string> <value> [std_error]', got 'ZZ 1.0 2.0 3.0'"),
     ("\n# a\n\u0131Z 1.0\nZ\u00df 2.0\n", "line 4: invalid Pauli label 'Z\u00df'"),
@@ -302,9 +308,52 @@ def test_column_reader_agrees_with_the_row_by_row_reference(text, widths, chunk)
     ("ZZ 1.0\nZZ 2.0\n\nZZZ 1.0\n", "line 4: 'ZZZ' has 3 qubits, expected 2"),
 ])
 def test_labelled_rows_name_a_lone_row_past_the_chunks_first_line(text, message, chunk):
-    with mock.patch.object(pauli, "CHUNK_LINES", chunk), pytest.raises(ParseError) as err:
+    with mock.patch.object(pauli, "CHUNK_CHARS", chunk), pytest.raises(ParseError) as err:
         labelled_rows(text, "<pauli-string> <value> [std_error]", (2, 3))
     assert str(err.value) == message
     with pytest.raises(ParseError) as err:
         labelled_rows_reference(text, "<pauli-string> <value> [std_error]", (2, 3))
     assert str(err.value) == message
+
+
+def _chunks(text, budget):
+    """(first, lines, fields) of each chunk read_text hands over at ``budget``."""
+    chunks = []
+    with mock.patch.object(pauli, "CHUNK_CHARS", budget):
+        read_text(text, lambda first, lines, fields: chunks.append((first, lines, fields)))
+    return chunks
+
+
+def _assert_covered_once(text, chunks):
+    assert "\n".join("\n".join(lines) for _, lines, _ in chunks) == text
+    assert [first for first, _, _ in chunks] == [1 + sum(len(lines) for _, lines, _ in chunks[:i])
+                                                 for i in range(len(chunks))]
+    for _, lines, fields in chunks:
+        assert fields == [line.split("#", 1)[0].split() for line in lines]
+
+
+@pytest.mark.parametrize("budget", [0, 1, 5, pauli.CHUNK_CHARS])
+@pytest.mark.parametrize("text", [
+    "", "\n", "\n\n\n", "ZZ 1.0", "ZZ 1.0\nXX 2.0", "ZZ 1.0\nXX 2.0\n", "ZZ 1.0\r\rXX 2.0 # c\rYY 3.0\r",
+    "ZZ 1.0\r\nXX 2.0\r\n", "a\n\n\n\n\n\nb\n\n",
+], ids=["empty", "newline", "newlines", "one_line", "no_trailing_newline", "trailing_newline", "cr_only",
+        "crlf", "blank_run"])
+def test_read_text_chunks_cover_the_text_once_in_order(text, budget):
+    chunks = _chunks(text, budget)
+    _assert_covered_once(text, chunks)
+    if budget == 0:  # one line a chunk
+        assert [lines for _, lines, _ in chunks] == [[line] for line in text.split("\n")]
+
+
+def test_a_chunk_ends_at_the_first_newline_past_its_budget():
+    # the boundary falls inside the run of blank lines, which both chunks share
+    text = "a" * 10 + "\n" * 6 + "b"
+    assert _chunks(text, 12) == [(1, ["a" * 10, "", ""], [["a" * 10], [], []]),
+                                 (4, ["", "", "", "b"], [[], [], [], ["b"]])]
+    assert _chunks("ZZ 1.0\rXX 2.0", 0) == [(1, ["ZZ 1.0\rXX 2.0"], [["ZZ", "1.0", "XX", "2.0"]])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(alphabet="ab #\n\r", max_size=60), budget=st.integers(0, 20))
+def test_read_text_chunks_cover_any_text_once(text, budget):
+    _assert_covered_once(text, _chunks(text, budget))

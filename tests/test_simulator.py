@@ -7,6 +7,8 @@ from conftest import (
     exact_pauli_expectation,
     markov_lambda_exact,
     pauli_basis_bruteforce,
+    preset_state,
+    product_state,
     projective_sample_bruteforce,
     random_density,
     sample_pauli_expectation,
@@ -23,14 +25,13 @@ from noisedeconv.exceptions import (
     ProbabilityOutOfRange,
 )
 from noisedeconv.pauli import Observable, devectorize, vectorize
-from noisedeconv.sampling import coefficient_expectations, derive_rng, read_batch, sample_marginal
+from noisedeconv.sampling import derive_rng, read_batch, sample_marginal
 from noisedeconv.simulator import (
     CSV_HEADER,
     PRESET_BLOCH,
     ExperimentConfig,
     ExpectationRecord,
     preset_coefficients,
-    preset_state,
     records_to_csv,
     run_experiment,
 )
@@ -55,8 +56,8 @@ def fig2_config(**overrides):
 
 
 def preset_expectations(name, n, ks):
-    """The exact readout of the preset state's Pauli coefficients at ks."""
-    return coefficient_expectations(vectorize(preset_state(name, n)) * 2**n, ks)
+    """The entries ks of the dense preset's coefficient vector, as a matrix state's are made."""
+    return simulator._matrix_coefficients(preset_state(name, n), n)[ks].tolist()
 
 
 class TestEvolve:
@@ -90,8 +91,8 @@ class TestExpectationExact:
 
     def test_imaginary_residue_rejected(self):
         rho = np.array([[0.5, 1j], [0.0, 0.5]])
-        with pytest.raises(InvalidState):
-            coefficient_expectations(vectorize(rho) * 2, [1])
+        with pytest.raises(InvalidState, match="^expectation of X has imaginary residue 1.000e\\+00$"):
+            simulator._matrix_coefficients(rho, 1)
 
 
 class TestExpectationSampled:
@@ -110,7 +111,7 @@ class TestExpectationSampled:
 
     def test_probability_out_of_range(self):
         rho = np.diag([1.2, -0.2]).astype(complex)
-        (e,) = coefficient_expectations(vectorize(rho) * 2, [3])
+        e = simulator._matrix_coefficients(rho, 1)[3].item()
         with pytest.raises(ProbabilityOutOfRange):
             sample_marginal(e, 100, derive_rng(0))
 
@@ -128,9 +129,9 @@ class TestExpectationSampled:
     def test_read_batch_is_one_draw_per_entry(self):
         # the read's entries are the dense sampler's draws, in turn, from its
         # one stream (seed, *tags)
-        c = vectorize(random_density(2, np.random.default_rng(6))) * 4
+        c = simulator._matrix_coefficients(random_density(2, np.random.default_rng(6)), 2)
         ks, tags = [1, 5, 6, 15], (3, 0, 2)
-        exact = coefficient_expectations(c, ks)
+        exact = c[ks].tolist()
         rng = derive_rng(9, *tags)
         assert read_batch([exact], [tags], 500, 9) == [[
             sample_pauli_expectation(devectorize(c / 4), j, 500, rng) for j in ks
@@ -371,22 +372,23 @@ class TestCoefficientEvolution:
         with pytest.raises(InvalidState, match="not Hermitian"):
             run_experiment(cfg)
 
-    def test_coefficient_readout_and_marginal_draw(self):
+    def test_coefficient_readout_and_marginal_draw(self, monkeypatch):
         rho = random_density(2, np.random.default_rng(4))
-        c = vectorize(rho) * 4
-        values = coefficient_expectations(c, range(16))
+        c = simulator._matrix_coefficients(rho, 2)
+        assert c.dtype == float
         for k in range(16):
-            assert abs(values[k] - exact_pauli_expectation(rho, k)) < 1e-15
-        c[[5, 9]] += 1e-6j
-        assert coefficient_expectations(c, [3, 4]) == [values[3], values[4]]
-        with pytest.raises(InvalidState, match="XX"):
-            coefficient_expectations(c, [3, 5, 9])
-        # a table of the entries [3, 5, 9] of three vectors, read row by row:
-        # its first bad entry is named on n qubits, not on the table's size
-        table = np.array([c.real[[3, 5, 9]], c.real[[3, 5, 9]], c[[3, 5, 9]]])
-        with pytest.raises(InvalidState, match="expectation of XX has imaginary residue 1.000e-06"):
-            coefficient_expectations(table, [3, 5, 9], 2)
-        assert coefficient_expectations(table[:2], [3, 5, 9], 2) == [values[k] for k in (3, 5, 9)] * 2
+            assert abs(c[k] - exact_pauli_expectation(rho, k)) < 1e-15
+        # the residue is checked once, over every term, where c is made: one
+        # under the tolerance is dropped, and the first at or over it is named
+        vectorize_state = simulator.vectorize
+        for residue, expected in ((2e-11, None), (1e-6, "expectation of XX has imaginary residue 4.000e-06")):
+            monkeypatch.setattr(simulator, "vectorize",
+                                lambda rho, r=residue: vectorize_state(rho) + 1j * r * np.isin(np.arange(16), [5, 9]))
+            if expected is None:
+                assert simulator._matrix_coefficients(rho, 2).tobytes() == c.tobytes()
+            else:
+                with pytest.raises(InvalidState, match=f"^{expected}$"):
+                    simulator._matrix_coefficients(rho, 2)
         e = exact_pauli_expectation(rho, 5)
         assert sample_marginal(e, 300, derive_rng(2)) == sample_pauli_expectation(rho, 5, 300, derive_rng(2))
         with pytest.raises(ProbabilityOutOfRange):
@@ -469,6 +471,19 @@ class TestDeconvolvedThroughPlan:
         with pytest.raises(InvalidState, match="expectation of XX has imaginary residue 4.000e-06"):
             run_experiment(evolution_config(EVOLUTION_CHANNELS[1], "plus"))
 
+    @pytest.mark.parametrize("channel, k, label", [
+        (EVOLUTION_CHANNELS[4], 5, "XX"),  # off the diagonal path, on a term read
+        (EVOLUTION_CHANNELS[1], 1, "IX"),  # on a term no record reads
+        (EVOLUTION_CHANNELS[4], 1, "IX"),
+    ], ids=["general_path", "unread_term_diagonal", "unread_term_general"])
+    def test_imaginary_residue_is_refused_where_the_state_is_made(self, monkeypatch, channel, k, label):
+        vectorize_state = simulator.vectorize
+        monkeypatch.setattr(simulator, "vectorize", lambda rho: vectorize_state(rho) + 1e-6j * (np.arange(16) == k))
+        cfg = evolution_config(channel, "plus", observable=AMP_DAMP_TERMS)
+        assert 1 not in cfg.observable.terms
+        with pytest.raises(InvalidState, match=f"^expectation of {label} has imaginary residue 4.000e-06$"):
+            run_experiment(cfg)
+
     def test_one_inversion_per_grid_point(self, monkeypatch):
         calls = []
         original = deconvolution._invert_adjoint
@@ -507,15 +522,6 @@ class TestDeconvolvedThroughPlan:
         assert len(run_experiment(cfg)) == 2 * 5 * 3
         assert calls == [[8, 17, 63]] * 2  # IYI, XIX, ZZZ
 
-def product_state(b, n):
-    """The dense product of n one-qubit factors (b_I I + b_X X + b_Y Y + b_Z Z)/2."""
-    one = (b[0] * np.eye(2) + b[1] * np.array([[0, 1], [1, 0]]) + b[2] * np.array([[0, -1j], [1j, 0]])
-           + b[3] * np.diag([1, -1])) / 2
-    rho = np.ones((1, 1), dtype=complex)
-    for _ in range(n):
-        rho = np.kron(rho, one)
-    return rho
-
 
 class TestPresetsInClosedForm:
     """A preset is kept by name: its coefficients are products of Bloch
@@ -527,10 +533,20 @@ class TestPresetsInClosedForm:
         rho = preset_state(name, n)
         dense = vectorize(rho) * 2**n
         closed = preset_coefficients(name, n, range(4**n))
-        assert np.array_equal(closed, dense) and not dense.imag.any()
-        for part in ("real", "imag"):  # -0.0 prints apart from 0.0, and a product's zero sign reads both
-            assert np.array_equal(np.signbit(getattr(closed, part)), np.signbit(getattr(dense, part)))
+        assert closed.dtype == float and not dense.imag.any()
+        # bit for bit: -0.0 prints apart from 0.0
+        assert closed.tobytes() == dense.real.tobytes()
+        assert np.array_equal(np.signbit(closed), np.signbit(dense.real))
         assert is_positive_semidefinite(rho)
+
+    def test_a_zero_under_a_negative_lambda_takes_the_real_products_sign(self):
+        # |+> under a bit flip of p = 0.8: c_Z = 0 and lambda_Z = -0.6, so the
+        # exact <Z> after m uses is 0.0 * (-0.6)**m, whose zero alternates sign
+        raw = {"n": 1, "channel": {"family": "bit_flip", "n": 1, "p": 0.8}, "observable": [["Z", 1.0]], "m_max": 3}
+        for state in ("plus", [[[z.real, z.imag] for z in row] for row in preset_state("plus", 1)]):
+            noisy = [line.split(",")[6] for line in records_to_csv(
+                run_experiment(ExperimentConfig.from_dict({**raw, "initial_state": state}))).splitlines()[1:]]
+            assert noisy == ["0.0", "-0.0", "0.0", "-0.0"]
 
     @pytest.mark.parametrize("shots", [0, 300])
     @pytest.mark.parametrize("channel", [
@@ -580,9 +596,12 @@ class TestPresetsInClosedForm:
         def refuse(*args, **kwargs):
             raise AssertionError("a dense state or a full diagonal was built")
 
-        for owner, name in ((simulator, "vectorize"), (simulator, "preset_state"),
-                            (channels.KrausChannel, "_full_lambdas"), (channels, "correlated_pauli_weights")):
+        for owner, name in ((simulator, "vectorize"), (channels.KrausChannel, "_full_lambdas"),
+                            (channels, "correlated_pauli_weights")):
             monkeypatch.setattr(owner, name, refuse)
+        closed_form = simulator.preset_coefficients
+        monkeypatch.setattr(simulator, "preset_coefficients",
+                            lambda name, n, ks: closed_form(name, n, ks) if len(ks) == 2 else refuse())
         cfg = ExperimentConfig.from_dict({
             "n": n, "channel": {"family": "bit_flip", "n": n, "p": 0.05, "mu": 0.4},
             "observable": [["X" * n, 0.5], ["Z" * n, 1.0]], "initial_state": "plus", "m_max": 3,
