@@ -22,13 +22,16 @@ a product of n 4x4 factors per entry (``_markov_lambdas``), so
 ``lambdas(ks)`` costs O(len(ks) * n) with no 4**n array.  A
 general Kraus set gets its transfer matrix from the superoperator
 sum_i K_i (x) conj(K_i), taken to the Pauli basis by per-qubit 4x4
-kernels on both sides, with no loop over the 4**n basis strings.
+kernels on both sides, with no loop over the 4**n basis strings: both
+are made in place in one D x D complex work array, 1 MB block by block
+(``_superoperator_ptm``), and its memory goes back to the OS before the
+inversion that usually follows.
 
 A PTM's entries are fixed for its lifetime (``matrix`` is a read-only
 property), so the general deconvolution path inverts the transposed
 matrix once per PTM: the inverse and the condition bound
-sqrt(kappa_1 * kappa_inf) >= kappa_2 taken from it (no SVD) are kept on
-the PTM and shared, read-only, by every plan built on it.
+sqrt(kappa_1 * kappa_inf) >= kappa_2 taken from it once (no SVD) are
+kept on the PTM and shared, read-only, by every plan built on it.
 
 Channel families:
 
@@ -48,8 +51,10 @@ MAX_QUBITS_SPARSE qubits, where only ``lambdas(ks)`` is within its caps.
 
 from __future__ import annotations
 
+import mmap
 import numbers
 import threading
+from itertools import product
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -397,32 +402,86 @@ Channel = Union[KrausChannel, PTM]
 def _superoperator_ptm(kraus_ops: Sequence[np.ndarray], n: int) -> PTM:
     """Transfer matrix of rho -> sum_i K_i rho K_i^dag in one basis change.
 
-    With each qubit's (row, column) entry axes of the superoperator made
+    With each qubit's (row, column) entry axes of the superoperator S made
     adjacent, the vectorize kernel on the output side and the devectorize
     kernel on the input side give Gamma = V S W / d in 2n per-qubit
-    contractions.  The superoperator is passed without a name kept here,
-    so at most two D x D complex work arrays are alive at once.
+    contractions, 1/d folded into the last kernel (exact, as d is a power of
+    two).  S and Gamma share one D x D complex work array (``_work_array``),
+    viewed as (4**lead, block) with lead = max(0, 2n - _BLOCK_AXES), and one
+    more row of scratch: S is formed a row at a time, the first ``lead``
+    contractions run over column chunks of one block's size and the other
+    2n - lead over one row at a time, each in place, so a pass over the array
+    reads memory once instead of once per contraction.  Every entry goes
+    through the same operations, in the same order, as with one pass per
+    contraction, so the bits are the same.  Up to n = 4 the array is one
+    block (lead = 0): S is one product and each contraction one pass.
     """
     check_qubits(n, MAX_QUBITS_FULL_PTM)
     d = 2**n
-    gamma = _transform_per_qubit([_VEC_KERNEL] * n + [_DEVEC_KERNEL.T] * n, _superoperator(kraus_ops, n))
-    gamma /= d
-    return PTM(n, gamma.reshape(d * d, d * d))
+    lead = max(0, 2 * n - _BLOCK_AXES)
+    kernels = [_VEC_KERNEL] * n + [_DEVEC_KERNEL.T] * (n - 1) + [_DEVEC_KERNEL.T / d]
+    work = _work_array(4**lead + 1, 4 ** (2 * n - lead))
+    work, scratch = work[:-1], work[-1]
+    _superoperator(kraus_ops, n, lead, work, scratch)
+    chunk = work.shape[1] >> 2 * lead
+    for j in range(0, work.shape[1], chunk) if lead else ():
+        cols = work[:, j:j + chunk]
+        cols[...] = _transform_per_qubit(kernels[:lead], cols).reshape(chunk, -1).T
+    for row in work:
+        _transform_in_place(kernels[lead:], row, scratch)
+    return PTM(n, work.reshape(d * d, d * d))
 
 
-def _superoperator(kraus_ops: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """S = sum_i K_i (x) conj(K_i), which maps the row-major entries of rho to
-    those of its image, formed by one product over the stacked operators and
-    returned with its axes in qubit order: output (row, column) bits of each
-    qubit, then input (row, column) bits of each qubit."""
-    d = 2**n
-    stacked = np.stack(kraus_ops).reshape(len(kraus_ops), d * d)
-    # S[(a, c), (b, e)] = sum_i K_i[a, c] conj(K_i[b, e]), for output entry
-    # (a, b) and input entry (c, e); axes a, c, b, e hold n qubit bits each.
-    S = (stacked.T @ stacked.conj()).reshape((2,) * (4 * n))
-    a, c, b, e = (range(i * n, (i + 1) * n) for i in range(4))
-    order = [ax for q in range(n) for ax in (a[q], b[q])] + [ax for q in range(n) for ax in (c[q], e[q])]
-    return np.ascontiguousarray(S.transpose(order))
+# A block of the transfer-matrix build spans this many per-qubit axes: 4**8
+# complex entries, 1 MB, which stays in a core's L2 cache.
+_BLOCK_AXES = 8
+
+
+def _work_array(rows: int, cols: int) -> np.ndarray:
+    """An uninitialized (rows, cols) complex array.  One of more than two
+    rows is an anonymous mapping, populated when made, whose pages go back
+    to the OS when the array is freed, so the inversion that usually follows
+    does not grow the heap by it.  Two rows (a one-block build, n <= 4) come
+    from the heap: there the mapping's system calls and page faults would
+    cost more than the build."""
+    if rows <= 2:
+        return np.empty((rows, cols), dtype=complex)
+    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+    return np.frombuffer(mmap.mmap(-1, 16 * rows * cols, flags=flags), dtype=complex).reshape(rows, cols)
+
+
+def _transform_in_place(kernels: Sequence[np.ndarray], block: np.ndarray, scratch: np.ndarray) -> None:
+    """``_transform_per_qubit`` of a contiguous ``block`` for an even number of
+    kernels, left in ``block``: each step is the same product, written into the
+    other of ``block`` and ``scratch`` (of the same size)."""
+    src, dst = block, scratch
+    for kernel in kernels:
+        np.dot(src.reshape(4, -1).T, kernel.T, out=dst.reshape(-1, 4))
+        src, dst = dst, src
+
+
+def _superoperator(kraus_ops: Sequence[np.ndarray], n: int, lead: int, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Write S = sum_i K_i (x) conj(K_i), which maps the row-major entries of rho
+    to those of its image, into ``out`` with its axes in qubit order: output
+    (row, column) bits of each qubit, then input (row, column) bits of each
+    qubit.  Row L of ``out``, (4**lead, 4**(2n - lead)), holds the entries
+    whose first ``lead`` output pairs (a_q, b_q) spell L; it is one product
+    over the rows of the stacked operators with those leading bits of a and b,
+    made in ``scratch`` (one row's size) and copied into place."""
+    stacked = np.stack(kraus_ops).reshape((len(kraus_ops),) + (2,) * lead + (-1,))
+    conj = stacked.conj()
+    # prod[(a, c), (b, e)] = sum_i K_i[a, c] conj(K_i[b, e]), for output entry
+    # (a, b) and input entry (c, e); axes a and b hold the rest = n - lead
+    # bits after the leading ones, c and e all n bits.
+    rest = n - lead
+    a, c, b, e = (range(lo, lo + width) for lo, width in
+                  zip((0, rest, rest + n, 2 * rest + n), (rest, n, rest, n)))
+    order = [ax for q in range(rest) for ax in (a[q], b[q])] + [ax for q in range(n) for ax in (c[q], e[q])]
+    shape = (2,) * 2 * (rest + n)
+    prod = scratch.reshape(2 ** (rest + n), -1)
+    for row, bits in zip(out, product((0, 1), repeat=2 * lead)):  # bits: a_0, b_0, a_1, b_1, ...
+        np.matmul(stacked[(slice(None), *bits[0::2])].T, conj[(slice(None), *bits[1::2])], out=prod)
+        row.reshape(shape)[...] = prod.reshape(shape).transpose(order)
 
 
 def apply_channel(ch: KrausChannel, rho: np.ndarray, method: str = "auto") -> np.ndarray:

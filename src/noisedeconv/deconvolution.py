@@ -191,16 +191,22 @@ def _one_and_inf_norms(a: np.ndarray) -> tuple[float, float]:
     return float(a.sum(axis=0).max()), float(a.sum(axis=1).max())
 
 
-def _invert_adjoint(matrix: np.ndarray, cond_warn: float) -> np.ndarray:
+def _invert_adjoint(matrix: np.ndarray, cond_warn: float, keep_on: PTM | None = None) -> np.ndarray:
     """inv(matrix.T) behind the singularity gate and the conditioning
     warning, both read from the bound sqrt(kappa_1 * kappa_inf) >= kappa_2
-    of the inverse just made; every inversion on the general path runs here."""
+    of the inverse just made; every inversion on the general path runs here.
+    With ``keep_on``, the PTM of ``matrix``, the inverse (read-only) and that
+    bound are kept on it, so the bound is computed once per PTM."""
     adj = matrix.T
     try:
         inv = np.linalg.inv(adj)
     except np.linalg.LinAlgError as exc:
         raise SingularPTM(str(exc)) from None
-    _check_condition(_condition_bound(adj, inv), cond_warn)
+    cond = _condition_bound(adj, inv)
+    _check_condition(cond, cond_warn)
+    if keep_on is not None:
+        inv.setflags(write=False)
+        keep_on._inverse_adjoint, keep_on._condition_number = inv, cond
     return inv
 
 
@@ -211,13 +217,9 @@ def _kept_inverse_adjoint(ptm: PTM) -> tuple[np.ndarray | None, float]:
     with ptm._lock:
         if ptm._condition_number is None:
             try:
-                inv = _invert_adjoint(ptm.matrix, math.inf)
+                _invert_adjoint(ptm.matrix, math.inf, keep_on=ptm)
             except SingularPTM:
                 ptm._condition_number = math.inf
-            else:
-                inv.setflags(write=False)
-                ptm._inverse_adjoint = inv
-                ptm._condition_number = _condition_bound(ptm.matrix.T, inv)
         return ptm._inverse_adjoint, ptm._condition_number
 
 

@@ -194,6 +194,8 @@ _DEVEC_KERNEL = np.array(
 def _transform_per_qubit(kernels: Sequence[np.ndarray], flat: np.ndarray) -> np.ndarray:
     """Apply kernels[q], a 4x4 matrix, along axis q of ``flat`` viewed as
     an array of shape (4,) * len(kernels); return the result flattened.
+    ``flat`` may carry a trailing axis of any length, (4,) * len(kernels) +
+    (m,), which the result then leads: (m,) + (4,) * len(kernels).
 
     Each step contracts the leading axis and appends its image as the last
     axis, so a step is one matrix product over a transposed view, with no

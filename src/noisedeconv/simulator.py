@@ -221,12 +221,23 @@ def _validate_initial_state(rho: np.ndarray, n: int) -> None:
 
 def _matrix_coefficients(rho: np.ndarray, n: int) -> np.ndarray:
     """Tr[P_j rho] for every j: the real part of d * vectorize(rho), once no
-    term has an imaginary residue of HERMITIAN_TOL or more (the first is named)."""
+    term has an imaginary residue beyond ``_residue_bound(n)`` (the first is
+    named)."""
     c = vectorize(rho) * 2**n
-    bad = np.flatnonzero(np.abs(c.imag) >= HERMITIAN_TOL)
+    bad = np.flatnonzero(np.abs(c.imag) > _residue_bound(n))
     if bad.size:
         raise InvalidState(f"expectation of {as_index(int(bad[0]), n).label} has imaginary residue {c.imag[bad[0]]:.3e}")
     return c.real
+
+
+def _residue_bound(n: int) -> float:
+    """The largest |Im Tr[P_j rho]| a validated state on n qubits can give.
+    ``is_hermitian`` bounds each entry of rho - rho^dag by HERMITIAN_TOL, and
+    Im Tr[P_j rho] = Tr[P_j (rho - rho^dag)] / 2i sums d of them, so it is at
+    most d * HERMITIAN_TOL / 2.  The n per-qubit steps of ``vectorize`` each
+    round a sum of two exact products, which adds at most n * eps * d, as a
+    positive semidefinite state of unit trace has no entry above 1."""
+    return 2**n * (HERMITIAN_TOL / 2 + n * np.finfo(float).eps)
 
 
 def _grid_channel(base: dict, mu: float | None, strength: float | None) -> dict:

@@ -4,6 +4,9 @@ The oracles here deliberately avoid the library's fast paths: Pauli
 matrices are built by explicit Kronecker products over itertools.product
 orderings, coefficients by explicit traces, and transfer matrices by
 column-wise trace formulas, so tests compare two independent routes.
+The transfer matrix of a Kraus set is also built one whole-array pass per
+step (``ptm_one_pass``), the order of operations the blocked library build
+must keep bit for bit.
 The dense-state oracles build a preset as the Kronecker power of its
 one-qubit factor, evolve a density matrix by the Kraus sum over a
 channel's ``kraus_ops`` and read Tr[P_k rho] by an explicit trace; the
@@ -121,6 +124,24 @@ def ptm_bruteforce(kraus_ops, n):
             M[j, q] = np.trace(basis[j] @ out) / d
     assert np.max(np.abs(M.imag)) < 1e-10
     return M.real
+
+
+def ptm_one_pass(kraus_ops, n):
+    """The Kraus-to-transfer-matrix build one whole-array pass per step, as the
+    library made it before it worked in blocks: the full product of the
+    stacked operators, a 4n-axis transpose copy to paired (row, column) axes,
+    ``_transform_per_qubit`` over all 2n kernels, then a division by d.  The
+    complex D x D result, for bit-for-bit comparison with the blocked build."""
+    from noisedeconv.pauli import _DEVEC_KERNEL, _VEC_KERNEL, _transform_per_qubit
+
+    d = 2**n
+    stacked = np.stack(kraus_ops).reshape(len(kraus_ops), d * d)
+    S = (stacked.T @ stacked.conj()).reshape((2,) * (4 * n))
+    a, c, b, e = (range(i * n, (i + 1) * n) for i in range(4))
+    order = [ax for q in range(n) for ax in (a[q], b[q])] + [ax for q in range(n) for ax in (c[q], e[q])]
+    gamma = _transform_per_qubit([_VEC_KERNEL] * n + [_DEVEC_KERNEL.T] * n, np.ascontiguousarray(S.transpose(order)))
+    gamma /= d
+    return gamma.reshape(d * d, d * d)
 
 
 # Exact commutation signs between single-qubit Pauli indices.

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import markov_lambda_exact, ptm_bruteforce, random_density
+from conftest import markov_lambda_exact, ptm_bruteforce, ptm_one_pass, random_density
 
 from noisedeconv import channels
 from noisedeconv.channels import (
@@ -99,8 +104,8 @@ class TestPtmFromKraus:
             channels._superoperator_ptm(ops, 2)
 
     def test_superoperator_ptm_holds_two_work_arrays(self):
-        # each per-qubit step frees its input, the superoperator included: the
-        # input used to stay alive through all 2n steps, three 16 D^2-byte arrays
+        # up to n = 4 the build is one block on the heap, where tracemalloc sees
+        # it: the work array and its scratch row, one 16 D^2-byte array each
         n = 4
         D = 4**n
         rng = np.random.default_rng(2)
@@ -115,6 +120,54 @@ class TestPtmFromKraus:
             tracemalloc.stop()
         assert ptm.matrix.nbytes == 8 * D * D
         assert peak <= 2 * 16 * D * D + ptm.matrix.nbytes + 64 * 1024
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    def test_superoperator_ptm_maps_one_work_array(self):
+        # At n = 5 the work array is an anonymous mapping, which tracemalloc does
+        # not see, so a fresh process reads its own peak resident memory: the
+        # build adds at least the work array (the mapping is counted) and at most
+        # the work array, the real matrix and a few blocks of scratch.
+        script = textwrap.dedent("""
+            import numpy as np
+            from noisedeconv import channels
+
+            def status(key):
+                with open("/proc/self/status") as f:
+                    return next(int(line.split()[1]) * 1024 for line in f if line.startswith(key + ":"))
+
+            rng = np.random.default_rng(2)
+            unitary = np.linalg.qr(rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32)))[0]
+            ops = [np.sqrt(0.9) * np.eye(32), np.sqrt(0.1) * unitary]
+            rss, before = status("VmRSS"), status("VmHWM")
+            ptm = channels._superoperator_ptm(ops, 5)
+            print(rss, before, status("VmHWM"), status("VmRSS"), ptm.matrix.nbytes)
+        """)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(channels.__file__).parents[1]),
+                                                            os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+        rss, before, after, rss_after, matrix_bytes = map(int, out.stdout.split())
+        D, block = 4**5, 16 * 4**8
+        assert before - rss < block  # the peak starts where the build does, so its growth is seen
+        assert 16 * D * D <= after - rss <= 16 * D * D + matrix_bytes + 4 * block
+        assert rss_after - rss < matrix_bytes + 2 * block  # the mapping went back to the OS
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_blocked_build_is_the_one_pass_build_bit_for_bit(self, n):
+        # the same operations in the same order, signed zeros included
+        rng = np.random.default_rng(40 + n)
+        d = 2**n
+        A = rng.normal(size=(3 * d, d)) + 1j * rng.normal(size=(3 * d, d))
+        V = np.linalg.qr(A)[0]
+        sets = [[V[i * d:(i + 1) * d] for i in range(3)],
+                [np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]]]
+        if n == 2:
+            sets += [correlated_amplitude_damping(0.3, 0.5).kraus_ops,
+                     channel_from_config({"family": "amp_damp_corr", "eta": 1.0, "mu": 0.25}).kraus_ops]
+        for ops in sets:
+            got = channels._superoperator_ptm(ops, n).matrix
+            want = np.ascontiguousarray(ptm_one_pass(ops, n).real)
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_matrix_is_a_read_only_property(self):
         ptm = bit_flip_channel(1, 0.1).ptm()

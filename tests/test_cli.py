@@ -520,6 +520,19 @@ class TestExperimentCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
 
+    def test_state_within_the_hermitian_tolerance_runs(self, tmp_path, capsys):
+        # I/4 with 0.45e-10 i on (0, 1), (1, 0), (2, 3) and (3, 2): each entry of
+        # rho - rho^dag is 0.9e-10, within HERMITIAN_TOL, and Tr[IX rho] sums four
+        # of them to a residue of 1.8e-10 i, within d * HERMITIAN_TOL / 2
+        state = [[[0.25 if i == j else 0.0, 0.45e-10 if {i, j} in ({0, 1}, {2, 3}) else 0.0]
+                  for j in range(4)] for i in range(4)]
+        cfg = write(tmp_path, "exp.json", json.dumps({
+            "n": 2, "channel": {"family": "dephasing", "n": 2, "p": 0.1}, "observable": [["IX", 1.0]],
+            "initial_state": state, "m_max": 1}))
+        assert main(["experiment", "--config", cfg]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[8] for row in rows] == ["0.0", "0.0"]  # deconvolved <IX> of I/4
+
     def test_imaginary_residue_exits_three_and_names_its_term(self, tmp_path, capsys, monkeypatch):
         plus = [[[0.25, 0.0]] * 4] * 4
         cfg = write(tmp_path, "exp.json", json.dumps({

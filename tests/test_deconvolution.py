@@ -516,6 +516,41 @@ class TestConditionBound:
             plan_general(Observable(3, {1: 1.0}), ptm)
         assert ptm.condition_number == np.inf
 
+    @pytest.mark.parametrize("build, refused", [
+        (lambda: correlated_amplitude_damping(0.6, 0.3).ptm(), False),
+        (lambda: depolarizing_channel(1, 1 - 1e-9).ptm(), False),  # warns on every plan
+        (lambda: PTM(1, np.diag([1.0, 1.0, 1.0, 1e-17])), True),
+    ], ids=["well_conditioned", "ill_conditioned", "singular"])
+    def test_bound_is_computed_once_per_ptm(self, monkeypatch, build, refused):
+        calls = []
+        original = deconvolution._condition_bound
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(deconvolution, "_condition_bound", counting)
+        ptm = build()
+        fresh = build()
+        obs = Observable(ptm.n, {1: 1.0, 3: 0.5})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IllConditionedWarning)
+            for i, m in enumerate((1, 2, 1, 3)):
+                if refused:
+                    with pytest.raises(SingularPTM):
+                        plan_general(obs, ptm, m)
+                else:
+                    plan_general(obs, ptm, m)
+                assert len(calls) == 1, f"plan {i}"
+        cond = ptm.condition_number
+        assert len(calls) == 1
+        monkeypatch.setattr(deconvolution, "_condition_bound", original)
+        assert cond == fresh.condition_number  # the kept bound is the one computed afresh
+        if refused:
+            assert cond == np.inf
+        else:
+            assert cond == original(fresh.matrix.T, np.linalg.inv(fresh.matrix.T))
+
     def test_general_path_runs_no_svd(self, monkeypatch):
         rng = np.random.default_rng(4)
         matrix = np.eye(4**5) + 1e-3 * rng.normal(size=(4**5, 4**5))

@@ -7,6 +7,7 @@ from conftest import (
     exact_pauli_expectation,
     markov_lambda_exact,
     pauli_basis_bruteforce,
+    pauli_string_bruteforce,
     preset_state,
     product_state,
     projective_sample_bruteforce,
@@ -24,7 +25,7 @@ from noisedeconv.exceptions import (
     InvalidState,
     ProbabilityOutOfRange,
 )
-from noisedeconv.pauli import Observable, devectorize, vectorize
+from noisedeconv.pauli import HERMITIAN_TOL, Observable, devectorize, is_hermitian, vectorize
 from noisedeconv.sampling import derive_rng, read_batch, sample_marginal
 from noisedeconv.simulator import (
     CSV_HEADER,
@@ -372,6 +373,22 @@ class TestCoefficientEvolution:
         with pytest.raises(InvalidState, match="not Hermitian"):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_state_is_hermitian_accepts_passes_the_residue_check(self, n):
+        # rho = I/d + i (HERMITIAN_TOL / 2) P for a real Pauli string P: each entry
+        # of rho - rho^dag is HERMITIAN_TOL at most, as is_hermitian allows, and
+        # Im Tr[P rho] = d * HERMITIAN_TOL / 2 is the largest residue it admits
+        d = 2**n
+        for k in range(4**n):
+            P = pauli_string_bruteforce(k, n)
+            if np.any(P.imag):
+                continue
+            rho = np.eye(d) / d + 0.5j * HERMITIAN_TOL * P
+            assert is_hermitian(rho)
+            c = simulator._matrix_coefficients(rho, n)
+            assert abs(c[k] - (1.0 if k == 0 else 0.0)) < 1e-15
+            assert d * HERMITIAN_TOL / 2 <= simulator._residue_bound(n) < d * HERMITIAN_TOL
+
     def test_coefficient_readout_and_marginal_draw(self, monkeypatch):
         rho = random_density(2, np.random.default_rng(4))
         c = simulator._matrix_coefficients(rho, 2)
@@ -379,9 +396,12 @@ class TestCoefficientEvolution:
         for k in range(16):
             assert abs(c[k] - exact_pauli_expectation(rho, k)) < 1e-15
         # the residue is checked once, over every term, where c is made: one
-        # under the tolerance is dropped, and the first at or over it is named
+        # within the bound is dropped, and the first beyond it is named
         vectorize_state = simulator.vectorize
-        for residue, expected in ((2e-11, None), (1e-6, "expectation of XX has imaginary residue 4.000e-06")):
+        bound = simulator._residue_bound(2) / 4  # vectorize's share: c is 4 * vectorize(rho)
+        for residue, expected in ((2e-11, None), (0.99 * bound, None),
+                                  (1.01 * bound, f"expectation of XX has imaginary residue {4.04 * bound:.3e}"),
+                                  (1e-6, "expectation of XX has imaginary residue 4.000e-06")):
             monkeypatch.setattr(simulator, "vectorize",
                                 lambda rho, r=residue: vectorize_state(rho) + 1j * r * np.isin(np.arange(16), [5, 9]))
             if expected is None:
