@@ -17,10 +17,7 @@ from .characterization import (
     CharacterizedPTM,
     estimate_diagonal_entries,
     estimate_full_ptm,
-    is_positive_semidefinite,
-    positivity_certificate,
     positivity_certificates,
-    positivity_coefficients,
     probe_state,
 )
 from .deconvolution import (

@@ -72,7 +72,6 @@ from .pauli import (
     _VEC_KERNEL,
     PauliIndex,
     _transform_per_qubit,
-    as_index,
     check_qubits,
     devectorize,
     num_qubits,
@@ -521,8 +520,8 @@ def correlated_pauli_weights(n: int, p_vec, mu: float) -> np.ndarray:
 
 def _markov_lambdas(n: int, p: np.ndarray, mu: float, ks=None) -> np.ndarray:
     """Diagonal entries of the Markov-correlated map with marginal p and
-    correlation mu, every one in index order (``ks`` None) or those at the
-    flat indices ``ks``, with lambda_0 = 1 exactly.
+    correlation mu at the flat indices ``ks`` (None: every k, in index
+    order), with lambda_0 = 1 exactly.
 
     In its hidden-Markov form (Macchiavello & Palma, PRA 65, 050301, 2002)
     an entry is a product over the digits a_1 ... a_n of k:
@@ -532,26 +531,13 @@ def _markov_lambdas(n: int, p: np.ndarray, mu: float, ks=None) -> np.ndarray:
     with s_a column a of the commutation signs.  As v C = (1 - mu) (v . 1) p
     + mu v, one factor takes the row vector v of the first j - 1 digits to
     ((1 - mu) (v . 1) p + mu v) o s_{a_j} in a few elementwise operations.
-    v is held for each k's own prefix, or for all 4**j prefixes of j digits
-    when every entry is asked for, as the columns of a (4, count) array; a
-    factor is the same operations on either, so both give the same bits, in
-    O(count * n), with no 4**n array for the entries alone.
+    v is held for each k's own prefix as the columns of a (4, len(ks)) array,
+    in O(len(ks) * n), with no 4**n array for the entries alone.
     """
     signs = _COMMUTATION_SIGNS.T  # symmetric; column a is s_a
     q = ((1.0 - mu) * p)[:, None]
     p = p[:, None]
-    if ks is None:
-        # The columns are the prefixes with the last digit most significant, so
-        # that every broadcast runs along the long axis; the entries are put in
-        # index order at the end.
-        v = signs * p  # column a: p o s_a, the prefix a
-        for _ in range(n - 1):
-            w = q * _column_sums(v) + mu * v
-            v = (signs[:, :, None] * w[:, None, :]).reshape(4, -1)
-        lam = _column_sums(v).reshape((4,) * n).transpose(range(n - 1, -1, -1)).reshape(-1)
-        lam[0] = 1.0
-        return lam
-    ks = np.asarray(ks, dtype=np.int64)
+    ks = np.arange(4**n) if ks is None else np.asarray(ks, dtype=np.int64)
     if ks.size and not (0 <= ks.min() and ks.max() < 4**n):
         raise IndexError(f"flat indices must lie in 0..{4**n - 1}")
     s = signs[:, (ks >> 2 * np.arange(n - 1, -1, -1)[:, None]) & 3]  # [b, j, entry] = s_{a_j}[b]
@@ -686,9 +672,14 @@ def channel_from_config(cfg: Mapping) -> KrausChannel:
             check_qubits(n)  # before 4**n weights are allocated
             beta = cfg["beta"]
             if isinstance(beta, Mapping):
-                w = np.zeros(4**n)
+                w, labels = np.zeros(4**n), {}  # k -> the label that set it
                 for label, weight in beta.items():
-                    w[as_index(PauliIndex.from_label(str(label)), n).k] = _config_float(weight, "beta entry")
+                    idx = PauliIndex.from_label(str(label))
+                    if idx.n != n:
+                        raise ValueError(f"index is for n={idx.n}, expected n={n}")
+                    if idx.k in labels:
+                        raise ConfigError(f"beta label {label!r} repeats {labels[idx.k]!r}")
+                    w[idx.k], labels[idx.k] = _config_float(weight, "beta entry"), label
             else:
                 w = np.array([_config_float(v, "beta entry") for v in beta])
             return KrausChannel.from_pauli_weights(n, w)

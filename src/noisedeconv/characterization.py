@@ -76,7 +76,7 @@ from .exceptions import (
     NotPauliDiagonal,
     ParseError,
 )
-from .pauli import HERMITIAN_TOL, MAX_QUBITS, Memo, as_index, check_qubits, num_qubits, pauli_element, read_text
+from .pauli import HERMITIAN_TOL, MAX_QUBITS, Memo, PauliIndex, check_qubits, num_qubits, pauli_element, read_text
 from .sampling import check_shots_and_seed, read_batch
 
 __all__ = [
@@ -84,9 +84,6 @@ __all__ = [
     "probe_state",
     "estimate_diagonal_entries",
     "estimate_full_ptm",
-    "positivity_coefficients",
-    "is_positive_semidefinite",
-    "positivity_certificate",
     "positivity_certificates",
     "UNITALITY_TOL",
     "PSD_TOL",
@@ -96,16 +93,15 @@ UNITALITY_TOL = 1e-9
 PSD_TOL = -1e-10
 
 
-def probe_state(k, n: int | None = None) -> np.ndarray:
-    """The probe (1 + P_k)/d for basis element k, a read-only array; k is a
-    PauliIndex, or an int with n (k = 0 needs no probe)."""
-    idx = as_index(k, n)
-    if idx.k == 0:
+def probe_state(k: int, n: int) -> np.ndarray:
+    """The probe (1 + P_k)/d for the flat index k on n qubits, a read-only
+    array (k = 0 needs no probe)."""
+    if k == 0:
         raise IdentityProbe(
             "the k=0 entry equals 1 by trace preservation; no probe is needed"
         )
-    d = 2**idx.n
-    op = (np.eye(d, dtype=complex) + pauli_element(idx)) / d
+    P = pauli_element(k, n)
+    op = (np.eye(len(P), dtype=complex) + P) / len(P)
     op.setflags(write=False)
     return op
 
@@ -210,7 +206,7 @@ class CharacterizedPTM:
         try:
             read_text(text, reader.take)
         finally:  # a repeated row is refused before any later line
-            j, k = reader.indices(text)
+            j, k = reader.index_arrays(text)
         return cls(*reader.result(j, k))
 
 
@@ -301,7 +297,7 @@ class _ReportReader:
                 column += values
         self.header.update(header)
 
-    def indices(self, text: str) -> tuple[np.ndarray, np.ndarray]:
+    def index_arrays(self, text: str) -> tuple[np.ndarray, np.ndarray]:
         """The j and k columns as arrays if no row taken repeats the (j, k) of
         an earlier one, else ParseError naming the first that does (row i is
         the text's i-th line of six fields)."""
@@ -337,7 +333,7 @@ def _probe_report(ch: Channel, mode: str, ks, columns: tuple[list, ...], shots: 
     with j != 0 in full mode, j = k first, all read from the probe's stream
     (seed, k) by one readout of the whole report.  Every index is validated,
     then unitality is checked once, before the first probe."""
-    ks = list(dict.fromkeys(as_index(k, ch.n).k for k in ks))  # a repeated k is probed once
+    ks = list(dict.fromkeys(PauliIndex(ch.n, int(k)).k for k in ks))  # a repeated k is probed once
     if 0 in ks:
         raise IdentityProbe("the k=0 entry equals 1 by trace preservation")
     output = _probe_outputs(ch, None if mode == "full" else ks)
@@ -403,20 +399,6 @@ def _newton(traces: list[float]) -> list[float]:
     return S
 
 
-def positivity_coefficients(rho: np.ndarray) -> list[float]:
-    """Characteristic-polynomial coefficients S_0 ... S_d of rho.
-
-    Computed by the trace-power recursion.  In exact arithmetic a Hermitian
-    unit-trace rho is positive semidefinite iff every S_m is nonnegative; in
-    floating point a small negative eigenvalue can leave every S_m above any
-    absolute tolerance, so the verdict is ``positivity_certificate``'s, which
-    also reads the smallest eigenvalue.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    num_qubits(rho)
-    return _newton(_trace_powers(rho[None])[0])
-
-
 def positivity_certificates(states) -> list[tuple[list[float], bool]]:
     """(S_0 ... S_d, PSD verdict) of each state of a stack of 2**n x 2**n
     matrices (an array or a sequence), in one pass over the stack.
@@ -450,14 +432,3 @@ def positivity_certificates(states) -> list[tuple[list[float], bool]]:
         for i, smallest in zip(todo, np.linalg.eigvalsh(states[todo])[:, 0].tolist()):
             ok[i] = smallest >= PSD_TOL
     return [(S[:], passed) for (S, _), passed in zip(rows, ok)]
-
-
-def positivity_certificate(rho: np.ndarray) -> tuple[list[float], bool]:
-    """The coefficients S_0 ... S_d of rho and its PSD verdict: the
-    certificate of ``positivity_certificates`` for a stack of one."""
-    return positivity_certificates(np.asarray(rho, dtype=complex)[None])[0]
-
-
-def is_positive_semidefinite(rho: np.ndarray) -> bool:
-    """PSD verdict of :func:`positivity_certificate`."""
-    return positivity_certificate(rho)[1]

@@ -50,7 +50,7 @@ from .exceptions import (
     NotPauliDiagonal,
     SingularPTM,
 )
-from .pauli import Observable, PauliIndex, as_index
+from .pauli import Observable
 
 __all__ = [
     "DeconvolutionPlan",
@@ -87,19 +87,6 @@ class DeconvolutionPlan:
     observable: Observable
     entries_consulted: int
     weights: dict[int, float]
-
-    @property
-    def n(self) -> int:
-        return self.observable.n
-
-    @property
-    def required_indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.weights))
-
-
-def _as_k(key, n: int) -> int:
-    """The flat index of an int key, or of a PauliIndex key, which must be on n qubits."""
-    return as_index(key, n).k if isinstance(key, PauliIndex) else int(key)
 
 
 def _finite(x: float, what: str) -> float:
@@ -282,12 +269,10 @@ def plan_general(obs: Observable, ptm: PTM, m: int = 1) -> DeconvolutionPlan:
 def deconvolve(plan: DeconvolutionPlan, noisy) -> float:
     """Combine noisy expectation values into the noiseless one.
 
-    ``noisy`` maps Pauli indices (ints, or PauliIndex on the plan's qubit
-    count) to measured values and must cover every index in
-    ``plan.required_indices``.
+    ``noisy`` maps flat Pauli indices k (ints) to measured values and must
+    cover every index in ``plan.weights``.
     """
-    n = plan.n
-    table = {_as_k(key, n): float(v) for key, v in noisy.items()}
+    table = {int(k): float(v) for k, v in noisy.items()}
     total = 0.0
     for j in sorted(plan.weights):
         if j not in table:
@@ -297,9 +282,9 @@ def deconvolve(plan: DeconvolutionPlan, noisy) -> float:
 
 
 def propagated_std_error(plan: DeconvolutionPlan, std_errors) -> float:
-    """Standard error of the deconvolved value for independent inputs."""
-    n = plan.n
-    table = {_as_k(key, n): float(v) for key, v in std_errors.items()}
+    """Standard error of the deconvolved value for independent inputs, from
+    ``std_errors`` keyed by flat Pauli index k (an int); a missing k counts as 0."""
+    table = {int(k): float(v) for k, v in std_errors.items()}
     acc = 0.0
     try:
         for j in sorted(plan.weights):

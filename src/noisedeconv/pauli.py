@@ -6,6 +6,9 @@ index k = sum_i a_i * 4**(n-i), first qubit most significant.  Under the
 normalized Hilbert-Schmidt inner product Tr[A^dag B]/d (d = 2**n) the
 basis is orthonormal, so every operator has a unique real-or-complex
 coefficient vector over it; Hermitian operators have real coefficients.
+Past the text boundary a Pauli index is that flat int k, with its qubit
+count n passed beside it; ``PauliIndex`` only checks a k against n and
+reads and writes labels.
 
 Dense matrices are materialized lazily per (n, k) and are supported for
 n up to MAX_QUBITS.  ``check_qubits`` holds every qubit cap of the
@@ -82,7 +85,8 @@ def check_qubits(n: int, cap: int = MAX_QUBITS) -> None:
 
 @dataclass(frozen=True)
 class PauliIndex:
-    """Flat index of an n-qubit Pauli string.
+    """The label of the flat index k of an n-qubit Pauli string, checked to
+    lie in 0..4**n - 1: ``from_label``, ``label`` and ``digits``.
 
     The base-4 digits of ``k`` select the single-qubit factor on each
     qubit; digit i of value a means sigma_a on qubit i, with the first
@@ -116,10 +120,6 @@ class PauliIndex:
     def label(self) -> str:
         return "".join(PAULI_LABELS[d] for d in self.digits)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.k == 0
-
 
 def _label_index(label: str) -> tuple[int, int]:
     """(qubit count, flat index) of a Pauli label: I, X, Y, Z in either case,
@@ -128,18 +128,6 @@ def _label_index(label: str) -> tuple[int, int]:
     if not upper or upper.strip(PAULI_LABELS):
         raise ValueError(f"invalid Pauli label {label!r}")
     return len(upper), int(upper.translate(_LABEL_DIGITS), 4)
-
-
-def as_index(k, n: int | None = None) -> PauliIndex:
-    """Normalize a PauliIndex, or an int with its qubit count n, to a
-    PauliIndex on n qubits."""
-    if isinstance(k, PauliIndex):
-        if n is not None and k.n != n:
-            raise DimensionMismatch(f"index is for n={k.n}, expected n={n}")
-        return k
-    if n is None:
-        raise ValueError("plain integer index requires the qubit count n")
-    return PauliIndex(n, int(k))
 
 
 @lru_cache(maxsize=512)
@@ -151,14 +139,10 @@ def _pauli_matrix(n: int, k: int) -> np.ndarray:
     return mat
 
 
-def pauli_element(idx, n: int | None = None) -> np.ndarray:
-    """Dense matrix of the Pauli string ``idx`` (read-only array).
-
-    ``idx`` may be a PauliIndex, or a plain int combined with ``n``.
-    """
-    idx = as_index(idx, n)
-    check_qubits(idx.n)
-    return _pauli_matrix(idx.n, idx.k)
+def pauli_element(k: int, n: int) -> np.ndarray:
+    """Dense matrix of the Pauli string with flat index k on n qubits (read-only array)."""
+    check_qubits(n)
+    return _pauli_matrix(n, int(k))
 
 
 def num_qubits(A: np.ndarray) -> int:
@@ -336,8 +320,8 @@ class Observable:
         size = 4**self.n
         cleaned: dict[int, float] = {}
         for key, coeff in terms.items():
-            # an int key in range is its own flat index; as_index checks any other
-            k = key if type(key) is int and 0 <= key < size else as_index(key, self.n).k
+            # an int key in range is its own flat index; PauliIndex checks any other
+            k = key if type(key) is int and 0 <= key < size else PauliIndex(self.n, int(key)).k
             coeff = float(coeff)
             if not math.isfinite(coeff):
                 raise ConfigError(f"coefficient of {PauliIndex(self.n, k).label} is not finite: {coeff!r}")
@@ -352,9 +336,6 @@ class Observable:
     def items(self):
         return self.terms.items()
 
-    def indices(self) -> list[PauliIndex]:
-        return [PauliIndex(self.n, k) for k in self.terms]
-
     def coefficient_vector(self) -> np.ndarray:
         v = np.zeros(4**self.n)
         for k, c in self.terms.items():
@@ -362,9 +343,10 @@ class Observable:
         return v
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable, n: int | None = None) -> "Observable":
+    def from_pairs(cls, pairs: Iterable) -> "Observable":
         """Build from (label, coefficient) pairs such as [("ZZZ", 1.0)]."""
         terms: dict[int, float] = {}
+        n = None
         for label, coeff in pairs:
             idx = PauliIndex.from_label(str(label))
             if n is None:

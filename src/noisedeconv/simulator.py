@@ -45,12 +45,12 @@ from .channels import (
     channel_from_config,
 )
 from .channels import apply_channel  # noqa: F401  (unused; the benchmark self-test counts this binding)
-from .characterization import is_positive_semidefinite
+from .characterization import positivity_certificates
 from .deconvolution import _finite, deconvolve, plan, propagated_std_error, rescaling_weights
 # Unused here; bound only for the benchmark self-test that counts inversions at every binding.
 from .deconvolution import _invert_adjoint  # noqa: F401
 from .exceptions import ConfigError, InvalidState, NotPauliDiagonal
-from .pauli import HERMITIAN_TOL, MAX_QUBITS, Observable, as_index, check_qubits, is_hermitian, num_qubits, vectorize
+from .pauli import HERMITIAN_TOL, MAX_QUBITS, Observable, PauliIndex, check_qubits, is_hermitian, num_qubits, vectorize
 from .sampling import check_shots_and_seed, read_batch
 
 __all__ = [
@@ -215,7 +215,7 @@ def _validate_initial_state(rho: np.ndarray, n: int) -> None:
         raise InvalidState("initial state is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-9 or abs(np.trace(rho).imag) > 1e-9:
         raise InvalidState(f"initial state trace is {complex(np.trace(rho))!r}, expected 1")
-    if not is_positive_semidefinite(rho):
+    if not positivity_certificates([rho])[0][1]:
         raise InvalidState("initial state is not positive semidefinite")
 
 
@@ -226,7 +226,7 @@ def _matrix_coefficients(rho: np.ndarray, n: int) -> np.ndarray:
     c = vectorize(rho) * 2**n
     bad = np.flatnonzero(np.abs(c.imag) > _residue_bound(n))
     if bad.size:
-        raise InvalidState(f"expectation of {as_index(int(bad[0]), n).label} has imaginary residue {c.imag[bad[0]]:.3e}")
+        raise InvalidState(f"expectation of {PauliIndex(n, int(bad[0])).label} has imaginary residue {c.imag[bad[0]]:.3e}")
     return c.real
 
 

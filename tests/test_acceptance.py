@@ -41,7 +41,7 @@ from noisedeconv.deconvolution import (
 )
 from noisedeconv.characterization import (
     estimate_full_ptm,
-    positivity_coefficients,
+    positivity_certificates,
     probe_state,
 )
 from noisedeconv.exceptions import NonInvertibleChannel
@@ -267,7 +267,7 @@ def test_acceptance_3_exact_roundtrip_oracle():
         rhop = evolve(rho, ch, 1)
         plan = plan_general(obs, ch.ptm())
         noisy = {j: exact_pauli_expectation(rhop, j)
-                 for j in plan.required_indices}
+                 for j in plan.weights}
         worst = max(worst, abs(deconvolve(plan, noisy) - ideal))
     assert worst < 1e-9
     elapsed = time.monotonic() - start
@@ -351,7 +351,7 @@ def test_acceptance_6_probe_positivity():
         d = 2**n
         delta = 1 + d // 2
         for k in range(1, 4**n):
-            S = positivity_coefficients(probe_state(k, n))
+            S, _ = positivity_certificates([probe_state(k, n)])[0]
             assert len(S) == d + 1
             assert all(s > 0 for s in S[:delta]), (n, k)
             assert all(abs(s) < 1e-10 for s in S[delta:]), (n, k)

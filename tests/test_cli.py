@@ -100,6 +100,21 @@ class TestPtmCommand:
         assert main(["ptm", "--config", cfg]) == 4
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("beta, named", [
+        ({"I": 0.5, "X": 0.5, "x": 0.5}, "beta label 'x' repeats 'X'"),  # wrote weights summing to 1.5
+        ({"I": 0.5, "i": 0.5}, "beta label 'i' repeats 'I'"),  # was refused for summing to 0.5
+    ], ids=["lower-case-x", "lower-case-i"])
+    def test_a_repeated_beta_label_exits_two_naming_both(self, tmp_path, capsys, beta, named):
+        cfg = channel_json(tmp_path, family="pauli_custom", n=1, beta=beta)
+        assert main(["ptm", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and named in err
+
+    def test_a_beta_label_on_another_qubit_count_exits_two(self, tmp_path, capsys):
+        cfg = channel_json(tmp_path, family="pauli_custom", n=2, beta={"II": 0.5, "Z": 0.5})
+        assert main(["ptm", "--config", cfg]) == 2
+        assert "index is for n=1, expected n=2" in capsys.readouterr().err
+
     def test_diagonal_only_is_the_diagonal_byte_for_byte(self, tmp_path, capsys):
         beta = np.random.default_rng(4).dirichlet(np.ones(64)).tolist()
         cfg = channel_json(tmp_path, family="pauli_custom", n=3, beta=beta)

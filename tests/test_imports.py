@@ -1,11 +1,13 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+name its ``__all__`` lists is bound in it.
 
-A deletion tends to leave its imports behind; this check reads each
-module under ``src/noisedeconv`` with the standard-library ``ast`` and
-fails on an imported name that no expression, string annotation or
-``__all__`` entry of the module mentions.  A line marked ``# noqa: F401``
-is a deliberate binding and is skipped, as is ``__init__.py``, whose
-imports are the package's exports.
+A deletion tends to leave its imports and its ``__all__`` entry behind;
+this check reads each module under ``src/noisedeconv`` with the
+standard-library ``ast``.  It fails on an imported name that no expression
+or string annotation of the module mentions (an ``__all__`` entry is not a
+use), and on an ``__all__`` entry that no top-level statement of the module
+binds.  A line marked ``# noqa: F401`` is a deliberate binding and is
+skipped, as is ``__init__.py``, whose imports are the package's exports.
 """
 
 import ast
@@ -29,15 +31,38 @@ def imported_names(tree: ast.Module, lines: list[str]) -> dict[str, int]:
     return bound
 
 
-def used_names(tree: ast.Module) -> set[str]:
-    """Names read anywhere in the module, in string annotations, or listed in ``__all__``."""
+def used_names(tree: ast.AST) -> set[str]:
+    """Names read anywhere in the module, or in a string annotation such as "PTM"."""
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            used.add(node.value)  # an ``__all__`` entry, or a quoted annotation such as "PTM"
+        note = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        if isinstance(note, ast.Constant) and isinstance(note.value, str):
+            used |= used_names(ast.parse(note.value, mode="eval"))
     return used
+
+
+def module_bindings(tree: ast.Module) -> set[str]:
+    """Names the module's top-level statements bind: definitions, imports and assignments."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        else:
+            bound.update(name.id for name in ast.walk(node)
+                         if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store))
+    return bound
+
+
+def exported_names(tree: ast.Module) -> list[str]:
+    """The entries of the module's ``__all__``, in order."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return [entry.value for entry in node.value.elts]
+    return []
 
 
 def unused_imports(path: pathlib.Path) -> list[str]:
@@ -49,9 +74,20 @@ def unused_imports(path: pathlib.Path) -> list[str]:
             if name not in used]
 
 
+def unbound_exports(path: pathlib.Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    bound = module_bindings(tree)
+    return [f"{path.name}: __all__ lists {name!r}" for name in exported_names(tree) if name not in bound]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_every_import_is_used(path):
     assert unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_every_export_is_bound(path):
+    assert unbound_exports(path) == []
 
 
 def test_the_check_finds_a_leftover(tmp_path):
@@ -60,3 +96,13 @@ def test_the_check_finds_a_leftover(tmp_path):
                       "from .channels import apply_channel  # noqa: F401\n"
                       "def f(k):\n    return as_index(k)\n")
     assert unused_imports(module) == ["leftover.py:1: devectorize"]
+
+
+def test_the_check_finds_a_stale_export(tmp_path):
+    # a deleted function left in __all__, and an import only __all__ lists
+    module = tmp_path / "leftover.py"
+    module.write_text("from .pauli import PauliIndex, vectorize\n"
+                      "__all__ = ['f', 'g', 'PauliIndex']\n"
+                      "def f(A) -> 'vectorize':\n    return A\n")
+    assert unused_imports(module) == ["leftover.py:1: PauliIndex"]
+    assert unbound_exports(module) == ["leftover.py: __all__ lists 'g'"]

@@ -17,7 +17,7 @@ from conftest import (
 
 from noisedeconv import channels, deconvolution, simulator
 from noisedeconv.channels import MAX_QUBITS_SPARSE, bit_flip_channel, channel_from_config, depolarizing_channel
-from noisedeconv.characterization import is_positive_semidefinite
+from noisedeconv.characterization import positivity_certificates
 from noisedeconv.deconvolution import deconvolve, plan, propagated_std_error
 from noisedeconv.exceptions import (
     ConfigError,
@@ -557,7 +557,7 @@ class TestPresetsInClosedForm:
         # bit for bit: -0.0 prints apart from 0.0
         assert closed.tobytes() == dense.real.tobytes()
         assert np.array_equal(np.signbit(closed), np.signbit(dense.real))
-        assert is_positive_semidefinite(rho)
+        assert positivity_certificates([rho])[0][1]
 
     def test_a_zero_under_a_negative_lambda_takes_the_real_products_sign(self):
         # |+> under a bit flip of p = 0.8: c_Z = 0 and lambda_Z = -0.6, so the
