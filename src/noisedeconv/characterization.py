@@ -180,8 +180,13 @@ class CharacterizedPTM:
 
     @property
     def sorted_columns(self) -> list[list]:
-        """The four columns, rows in (j, k) order."""
-        order = np.lexsort((_int64(self.ks), _int64(self.js))).tolist()
+        """The four columns, rows in (j, k) order: one stable argsort of the
+        flat index j * 4**n + k (below 16**MAX_QUBITS in full mode), or of k
+        alone in diagonal mode, where j == k."""
+        key = _int64(self.ks)
+        if self.mode == "full":
+            key += _int64(self.js) * 4**self.n
+        order = np.argsort(key, kind="stable").tolist()
         return [list(map(column.__getitem__, order)) for column in (self.js, self.ks, self.estimates, self.std_errors)]
 
     def to_report_text(self) -> str:

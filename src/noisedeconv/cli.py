@@ -5,7 +5,11 @@ Outputs are deterministic for fixed (arguments, config, seed).  Every
 command hands its result to one writer, ``_write``, which builds only
 the format asked for (``--format json`` or the command's text), sends it
 to stdout or ``--out`` and returns the exit code.  Relative ``--out``
-paths are resolved against $NOISEDECONV_OUT_DIR when set.
+paths are resolved against $NOISEDECONV_OUT_DIR when set.  An existing
+``--out`` file is rewritten in place, then cut to the written length; a
+device or FIFO is written without a cut.  A failed write exits 2 and may
+leave the file partly rewritten, as truncating on open left it partly
+written.
 
 Exit codes: 0 success, 3 on a failed positivity check, and otherwise one
 map from the package's error families (``EXIT_CODES``): 2 config/parse
@@ -19,7 +23,9 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Callable
 
@@ -55,11 +61,36 @@ def _read_text(path: str) -> str:
 
 
 def _load_json(path: str) -> dict:
+    """A JSON config; a key repeated in any one object raises ParseError."""
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = next(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+            raise ParseError(f"{path}: key {key!r} repeats in one object")
+        return obj
+
     text = _read_text(path)
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+
+
+def _write_file(path: Path, body: str) -> None:
+    """Write ``body`` to ``path`` as ``open(path, "w")`` would, but over an
+    existing file in place, then cut a regular file to the written length:
+    truncating to zero and refilling costs several times as much.  A device
+    or FIFO is written without a cut.  A missing parent directory is made
+    when the first open says so."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w") as f:  # the default encoding and newlines of a text-mode open
+        f.write(body)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            f.truncate()
 
 
 def _write(args, text: Callable[[], str], data: Callable[[], object] | None = None,
@@ -74,8 +105,7 @@ def _write(args, text: Callable[[], str], data: Callable[[], object] | None = No
     else:
         path = Path(os.environ.get(OUT_DIR_ENV, "")) / args.out  # an absolute --out ignores the base
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(body)
+            _write_file(path, body)
         except OSError as exc:
             raise ConfigError(f"cannot write {path}: {exc}") from None
     return code

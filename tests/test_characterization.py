@@ -343,6 +343,18 @@ class TestReportRoundTrip:
         assert json.loads(written)["entries"] == [{"j": j, "k": k, "estimate": est, "std_error": err}
                                                   for (j, k), (est, err) in sorted(report.entries.items())]
 
+    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    def test_sorted_columns_follow_lexsort_on_shuffled_columns(self, mode):
+        n = 2
+        report = estimate_full_ptm(depolarizing_channel(n, 0.05, 0.3), 1000, seed=5) if mode == "full" else \
+            estimate_diagonal_entries(depolarizing_channel(n, 0.05, 0.3), range(1, 4**n), 1000, seed=5)
+        shuffle = np.random.default_rng(7).permutation(len(report.js))
+        shuffled = dataclasses.replace(report, **{name: [getattr(report, name)[i] for i in shuffle]
+                                                  for name in ("js", "ks", "estimates", "std_errors")})
+        order = np.lexsort((shuffled.ks, shuffled.js))
+        assert shuffled.sorted_columns == [[column[i] for i in order] for column in
+                                           (shuffled.js, shuffled.ks, shuffled.estimates, shuffled.std_errors)]
+
     def test_equality_ignores_row_order_and_the_sign_of_zero(self):
         report = CharacterizedPTM(1, "diagonal", [1, 2, 3], [1, 2, 3], [0.5, 0.0, -0.25], [0.1, 0.0, 0.2], 10, 1)
         shuffled = CharacterizedPTM(1, "diagonal", [3, 1, 2], [3, 1, 2], [-0.25, 0.5, -0.0], [0.2, 0.1, 0.0], 10, 1)

@@ -1,13 +1,16 @@
 import argparse
 import contextlib
+import errno
 import io
 import json
 import math
 import os
 import pathlib
 import re
+import stat
 import subprocess
 import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -18,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import noisedeconv
-from noisedeconv import channels, pauli
+from noisedeconv import channels, cli, pauli
 from noisedeconv.channels import MAX_QUBITS_SPARSE
 from noisedeconv.cli import main
 from noisedeconv.exceptions import IllConditionedWarning
@@ -659,6 +662,56 @@ class TestOneWriter:
         captured = capsys.readouterr()
         assert captured.out == "" and f"cannot write {tmp_path / target}" in captured.err
 
+    def test_a_longer_file_is_rewritten_to_exactly_the_new_bytes(self, tmp_path, capsys):
+        target = tmp_path / "result.txt"
+        target.write_bytes(b"x" * 10_000)
+        assert main(["check-positivity", "--n", "1", "--k", "3"]) == 0
+        printed = capsys.readouterr().out
+        assert main(["check-positivity", "--n", "1", "--k", "3", "--out", str(target)]) == 0
+        assert target.read_bytes() == printed.encode()
+
+    def test_dev_null_exits_zero(self, capsys):
+        assert main(["check-positivity", "--n", "1", "--out", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_a_fifo_receives_the_bytes(self, tmp_path, capsys):
+        assert main(["check-positivity", "--n", "2"]) == 0
+        printed = capsys.readouterr().out
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main(["check-positivity", "--n", "2", "--out", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert received == [printed.encode()]
+
+    def test_a_read_only_file_exits_two(self, tmp_path, capsys, monkeypatch):
+        target = tmp_path / "result.txt"
+        target.write_text("kept\n")
+        target.chmod(0o444)
+        if os.access(target, os.W_OK):  # a privileged user writes past the mode bits: refuse as the kernel would
+            def refuse(path, *args):
+                if pathlib.Path(path) == target:
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+                return os_open(path, *args)
+
+            os_open = os.open
+            monkeypatch.setattr(os, "open", refuse)
+        assert main(["check-positivity", "--n", "1", "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"cannot write {target}" in captured.err
+        assert target.read_text() == "kept\n"
+
+    def test_a_new_file_gets_the_mode_open_gives_it(self, tmp_path, capsys):
+        target = tmp_path / "result.txt"
+        umask = os.umask(0o002)  # leaves group write, which a narrower create mode would drop
+        try:
+            assert main(["check-positivity", "--n", "1", "--out", str(target)]) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~0o002
+
     def test_json_does_not_build_the_text(self, tmp_path, capsys, monkeypatch):
         cfg = channel_json(tmp_path, family="bit_flip", n=2, p=0.1)
 
@@ -708,6 +761,22 @@ class TestArgumentErrors:
         cfg = write(tmp_path, "bad.json", '{"family": "bit_flip",')
         assert main(["ptm", "--config", cfg]) == 2
         assert "line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, text, key", [
+        ("ptm", '{"family": "bit_flip", "n": 1, "p": 0.1, "p": 0.3}', "p"),
+        ("ptm", '{"family": "pauli_custom", "n": 1, "beta": {"X": 0.5, "X": 0.5}}', "X"),
+        ("experiment", '{"n": 1, "channel": {"family": "bit_flip", "n": 1, "p": 0.1, "n": 1}, '
+                       '"observable": [["Z", 1.0]], "initial_state": "zeros", "m_max": 2}', "n"),
+    ])
+    def test_a_repeated_json_key_exits_two(self, tmp_path, capsys, command, text, key):
+        cfg = write(tmp_path, "repeat.json", text)
+        assert main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"{cfg}: key {key!r} repeats" in captured.err
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*/*.json")), ids=lambda p: p.name)
+    def test_every_shipped_config_loads(self, path):
+        assert cli._load_json(str(path)) == json.loads(path.read_text())
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["ptm", "--config", "/nonexistent/ch.json"]) == 2
