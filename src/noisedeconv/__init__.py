@@ -31,8 +31,9 @@ from .deconvolution import (
 from .pauli import (
     MAX_QUBITS,
     Observable,
-    PauliIndex,
+    label_index,
     pauli_element,
+    pauli_label,
     vectorize,
 )
 from .simulator import (

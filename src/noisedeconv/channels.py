@@ -13,7 +13,8 @@ sum, the diagonal or the transfer matrix:
   Tr[P_j Phi(P_q)]/d.
 
 ``lambdas()`` gives every diagonal entry, and ``lambdas(ks)`` a lookup by
-flat index that holds those at ks: the full vector where it exists.
+flat index that holds those at ks: the entries alone for a
+Markov-correlated map, the full vector for any other.
 Conversions are explicit and cached per instance.
 Diagonal entries of a Pauli map given by its weights are computed from
 the commutation signs between Pauli strings (lambda_j = sum_m beta_m *
@@ -70,10 +71,10 @@ from .exceptions import (
 from .pauli import (
     _DEVEC_KERNEL,
     _VEC_KERNEL,
-    PauliIndex,
     _transform_per_qubit,
     check_qubits,
     devectorize,
+    label_index,
     num_qubits,
     pauli_element,
     vectorize,
@@ -107,6 +108,7 @@ TP_TOL = 1e-10
 DIAGONAL_TOL = 1e-12
 PTM_RESIDUE_TOL = 1e-10
 WEIGHT_SUM_TOL = 1e-12
+_JSON_TYPES = {list: "array", str: "string", int: "number", float: "number", bool: "boolean", type(None): "null"}
 
 # s1[a, b] = +1 when single-qubit sigma_a and sigma_b commute, -1 otherwise.
 _COMMUTATION_SIGNS = np.array(
@@ -135,6 +137,13 @@ def _config_float(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{what} must be a number, got {value!r}")
     return float(value)
+
+
+def _config_object(cfg, what: str) -> Mapping:
+    """``cfg`` itself when it is a mapping; else ConfigError naming its JSON type."""
+    if not isinstance(cfg, Mapping):
+        raise ConfigError(f"{what} must be a JSON object, got {_JSON_TYPES.get(type(cfg), type(cfg).__name__)}")
+    return cfg
 
 
 def _config_keys(cfg: Mapping, allowed, what: str) -> None:
@@ -330,23 +339,19 @@ class KrausChannel:
     def lambdas(self, ks=None) -> np.ndarray | dict[int, float]:
         """Diagonal transfer-matrix entries, with lambda_0 = 1 exactly: a
         lookup by flat index k that holds every k in ``ks``, or all of them.
-        The full vector answers for any ``ks`` once it exists; it is built
-        once, without the full matrix (so up to n = MAX_QUBITS): from a
+        A Markov-correlated map answers ``ks`` with the dict {k: lambda_k} of
+        those entries alone (``_markov_lambdas``), bit for bit as its full
+        vector holds them.  Any other ``ks``, or none, gets the full vector,
+        built once without the full matrix (so up to n = MAX_QUBITS): from a
         Markov-correlated map's p and mu, from a Pauli map's weights through
-        the per-qubit commutation signs, else from ``ptm()``.  Before it
-        exists, a Markov-correlated map answers ``ks`` with the dict
-        {k: lambda_k} of those entries alone (``_markov_lambdas``), bit for
-        bit as the full vector holds them."""
-        lam = self._lambdas  # set once, so read without the lock
-        if lam is None:
-            if ks is not None and self._markov is not None:
-                ks = list(ks)
-                return dict(zip(ks, _markov_lambdas(self.n, *self._markov, ks).tolist()))
-            with self._lock:
-                if self._lambdas is None:
-                    self._lambdas = self._full_lambdas()
-            lam = self._lambdas
-        return lam
+        the per-qubit commutation signs, else from ``ptm()``."""
+        if ks is not None and self._markov is not None:
+            ks = list(ks)
+            return dict(zip(ks, _markov_lambdas(self.n, *self._markov, ks).tolist()))
+        with self._lock:
+            if self._lambdas is None:
+                self._lambdas = self._full_lambdas()
+            return self._lambdas
 
     def _full_lambdas(self) -> np.ndarray:
         if self._markov is not None:
@@ -642,8 +647,8 @@ def channel_from_config(cfg: Mapping) -> KrausChannel:
     Any other key, ``beta`` with ``p_vec`` or ``mu``, raises ConfigError.
     """
     try:
-        family = cfg["family"]
-    except (KeyError, TypeError):
+        family = _config_object(cfg, "channel config")["family"]
+    except KeyError:
         raise ConfigError("channel config lacks the 'family' key") from None
     if family not in CHANNEL_FAMILIES:
         raise ConfigError(
@@ -674,12 +679,12 @@ def channel_from_config(cfg: Mapping) -> KrausChannel:
             if isinstance(beta, Mapping):
                 w, labels = np.zeros(4**n), {}  # k -> the label that set it
                 for label, weight in beta.items():
-                    idx = PauliIndex.from_label(str(label))
-                    if idx.n != n:
-                        raise ValueError(f"index is for n={idx.n}, expected n={n}")
-                    if idx.k in labels:
-                        raise ConfigError(f"beta label {label!r} repeats {labels[idx.k]!r}")
-                    w[idx.k], labels[idx.k] = _config_float(weight, "beta entry"), label
+                    qubits, k = label_index(str(label))
+                    if qubits != n:
+                        raise ValueError(f"index is for n={qubits}, expected n={n}")
+                    if k in labels:
+                        raise ConfigError(f"beta label {label!r} repeats {labels[k]!r}")
+                    w[k], labels[k] = _config_float(weight, "beta entry"), label
             else:
                 w = np.array([_config_float(v, "beta entry") for v in beta])
             return KrausChannel.from_pauli_weights(n, w)

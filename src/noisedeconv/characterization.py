@@ -76,7 +76,7 @@ from .exceptions import (
     NotPauliDiagonal,
     ParseError,
 )
-from .pauli import HERMITIAN_TOL, MAX_QUBITS, Memo, PauliIndex, check_qubits, num_qubits, pauli_element, read_text
+from .pauli import HERMITIAN_TOL, MAX_QUBITS, Memo, _check_index, check_qubits, num_qubits, pauli_element, read_text
 from .sampling import check_shots_and_seed, read_batch
 
 __all__ = [
@@ -338,7 +338,7 @@ def _probe_report(ch: Channel, mode: str, ks, columns: tuple[list, ...], shots: 
     with j != 0 in full mode, j = k first, all read from the probe's stream
     (seed, k) by one readout of the whole report.  Every index is validated,
     then unitality is checked once, before the first probe."""
-    ks = list(dict.fromkeys(PauliIndex(ch.n, int(k)).k for k in ks))  # a repeated k is probed once
+    ks = list(dict.fromkeys(_check_index(int(k), ch.n) for k in ks))  # a repeated k is probed once
     if 0 in ks:
         raise IdentityProbe("the k=0 entry equals 1 by trace preservation")
     output = _probe_outputs(ch, None if mode == "full" else ks)
@@ -385,10 +385,11 @@ def _trace_powers(states: np.ndarray) -> list[list[float]]:
     diagonals = np.empty((count, d, d), dtype=complex)  # [state, j - 1, i]
     power, spare = np.eye(d, dtype=complex) @ states, np.empty_like(states)
     diagonals[:, 0] = power.diagonal(axis1=1, axis2=2)
-    for j in range(1, d):
-        power, spare = np.matmul(power, states, out=spare), power
-        diagonals[:, j] = power.diagonal(axis1=1, axis2=2)
-    return diagonals.sum(axis=2).real.tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge state's powers go inf or nan and fail
+        for j in range(1, d):
+            power, spare = np.matmul(power, states, out=spare), power
+            diagonals[:, j] = power.diagonal(axis1=1, axis2=2)
+        return diagonals.sum(axis=2).real.tolist()
 
 
 def _newton(traces: list[float]) -> list[float]:

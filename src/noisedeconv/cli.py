@@ -30,14 +30,14 @@ from pathlib import Path
 from typing import Callable
 
 from . import characterization, deconvolution, simulator
-from .channels import channel_from_config
+from .channels import _config_object, channel_from_config
 from .exceptions import (
     ConfigError,
     MathematicalError,
     ParseError,
     ResourceCapExceeded,
 )
-from .pauli import Observable, PauliIndex, check_qubits, labelled_rows
+from .pauli import Observable, check_qubits, label_index, labelled_rows, pauli_label
 from .sampling import check_shots_and_seed
 from .simulator import ExperimentConfig, _fmt
 
@@ -122,7 +122,7 @@ def _parse_measurements(text: str) -> tuple[dict[int, float], dict[int, float], 
         if err < 0:
             raise ParseError(f"line {lineno}: std_error must be >= 0, got {err!r}")
         if k in values:
-            raise ParseError(f"line {lineno}: {PauliIndex(n, k).label!r} repeats an earlier row")
+            raise ParseError(f"line {lineno}: {pauli_label(k, n)!r} repeats an earlier row")
         values[k] = value
         errors[k] = err
     return values, errors, n
@@ -168,12 +168,12 @@ def _parse_index(token: str, n: int) -> int:
     except ValueError:
         pass
     try:
-        idx = PauliIndex.from_label(token)
+        qubits, k = label_index(token)
     except ValueError:
         raise ConfigError(f"bad index {token!r}; use an index or a Pauli string") from None
-    if idx.n != n:
-        raise ConfigError(f"label {token!r} is for {idx.n} qubits, expected n={n}")
-    return idx.k
+    if qubits != n:
+        raise ConfigError(f"label {token!r} is for {qubits} qubits, expected n={n}")
+    return k
 
 
 def _parse_entries(spec: str, n: int) -> list[int]:
@@ -203,9 +203,7 @@ def cmd_characterize(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    raw = _load_json(args.config)
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{args.config}: an experiment config must be a JSON object")
+    raw = _config_object(_load_json(args.config), f"{args.config}: an experiment config")
     if args.shots is not None:
         raw["shots"] = args.shots
     if args.seed is not None:
@@ -236,7 +234,7 @@ def cmd_check_positivity(args) -> int:
             ks = [k_int]
         d = 2**n
         lines = [f"n {n} d {d} delta {_fmt(1 + d / 2)}"]
-        prefixes = [f"k {k} {PauliIndex(n, k).label} " for k in ks]
+        prefixes = [f"k {k} {pauli_label(k, n)} " for k in ks]
         states = [characterization.probe_state(k, n) for k in ks]
     ok = True
     for prefix, (S, passed) in zip(prefixes, characterization.positivity_certificates(states)):

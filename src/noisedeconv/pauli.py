@@ -6,9 +6,8 @@ index k = sum_i a_i * 4**(n-i), first qubit most significant.  Under the
 normalized Hilbert-Schmidt inner product Tr[A^dag B]/d (d = 2**n) the
 basis is orthonormal, so every operator has a unique real-or-complex
 coefficient vector over it; Hermitian operators have real coefficients.
-Past the text boundary a Pauli index is that flat int k, with its qubit
-count n passed beside it; ``PauliIndex`` only checks a k against n and
-reads and writes labels.
+A Pauli index is that flat int k, with its qubit count n passed beside
+it; ``pauli_label`` writes the label of a k and ``label_index`` reads one.
 
 Dense matrices are materialized lazily per (n, k) and are supported for
 n up to MAX_QUBITS.  ``check_qubits`` holds every qubit cap of the
@@ -18,7 +17,6 @@ package: outside 1..cap it raises ResourceCapExceeded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress, count
 from typing import Iterable, Mapping, Sequence
@@ -39,7 +37,8 @@ __all__ = [
     "PRUNE_TOL",
     "SIGMAS",
     "PAULI_LABELS",
-    "PauliIndex",
+    "pauli_label",
+    "label_index",
     "Observable",
     "pauli_element",
     "vectorize",
@@ -83,45 +82,22 @@ def check_qubits(n: int, cap: int = MAX_QUBITS) -> None:
         raise ResourceCapExceeded(f"supported qubit range is 1..{cap}, got n={n}")
 
 
-@dataclass(frozen=True)
-class PauliIndex:
-    """The label of the flat index k of an n-qubit Pauli string, checked to
-    lie in 0..4**n - 1: ``from_label``, ``label`` and ``digits``.
-
-    The base-4 digits of ``k`` select the single-qubit factor on each
-    qubit; digit i of value a means sigma_a on qubit i, with the first
-    qubit in the most significant position.
-    """
-
-    n: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"qubit count must be >= 1, got {self.n}")
-        if not 0 <= self.k < 4**self.n:
-            raise ValueError(f"index {self.k} out of range for n={self.n}")
-
-    @classmethod
-    def from_label(cls, label: str) -> "PauliIndex":
-        """I, X, Y, Z in either case, first qubit first, read as base-4 digits."""
-        return cls(*_label_index(label))
-
-    @property
-    def digits(self) -> tuple[int, ...]:
-        out = []
-        k = self.k
-        for _ in range(self.n):
-            out.append(k % 4)
-            k //= 4
-        return tuple(reversed(out))
-
-    @property
-    def label(self) -> str:
-        return "".join(PAULI_LABELS[d] for d in self.digits)
+def _check_index(k: int, n: int) -> int:
+    """k, once n >= 1 and k lies in 0..4**n - 1; else ValueError."""
+    if n < 1:
+        raise ValueError(f"qubit count must be >= 1, got {n}")
+    if not 0 <= k < 4**n:
+        raise ValueError(f"index {k} out of range for n={n}")
+    return k
 
 
-def _label_index(label: str) -> tuple[int, int]:
+def pauli_label(k: int, n: int) -> str:
+    """Label of flat index k on n qubits: I, X, Y or Z per base-4 digit, first qubit first."""
+    _check_index(k, n)
+    return "".join(PAULI_LABELS[(k >> 2 * q) & 3] for q in range(n - 1, -1, -1))
+
+
+def label_index(label: str) -> tuple[int, int]:
     """(qubit count, flat index) of a Pauli label: I, X, Y, Z in either case,
     first qubit first, read as base-4 digits; anything else raises ValueError."""
     upper = label.upper()
@@ -133,8 +109,8 @@ def _label_index(label: str) -> tuple[int, int]:
 @lru_cache(maxsize=512)
 def _pauli_matrix(n: int, k: int) -> np.ndarray:
     mat = np.ones((1, 1), dtype=complex)
-    for d in PauliIndex(n, k).digits:
-        mat = np.kron(mat, SIGMAS[d])
+    for q in range(n - 1, -1, -1):
+        mat = np.kron(mat, SIGMAS[(k >> 2 * q) & 3])
     mat.setflags(write=False)
     return mat
 
@@ -142,7 +118,7 @@ def _pauli_matrix(n: int, k: int) -> np.ndarray:
 def pauli_element(k: int, n: int) -> np.ndarray:
     """Dense matrix of the Pauli string with flat index k on n qubits (read-only array)."""
     check_qubits(n)
-    return _pauli_matrix(n, int(k))
+    return _pauli_matrix(n, _check_index(int(k), n))
 
 
 def num_qubits(A: np.ndarray) -> int:
@@ -283,7 +259,7 @@ def labelled_rows(text: str, form: str, widths: tuple[int, ...]) -> tuple[int, l
             labels = " ".join([row[0] for row in fields if row]).upper()
             if not _LABEL_TEXT.issuperset(labels):
                 for row in filter(None, fields):
-                    _label_index(row[0])  # raises for the first bad label
+                    label_index(row[0])  # raises for the first bad label
             numbers = [list(map(float, row[1:])) for row in fields if row]
         except ValueError as exc:
             raise ParseError(f"line {first}: {exc}") from None
@@ -320,11 +296,11 @@ class Observable:
         size = 4**self.n
         cleaned: dict[int, float] = {}
         for key, coeff in terms.items():
-            # an int key in range is its own flat index; PauliIndex checks any other
-            k = key if type(key) is int and 0 <= key < size else PauliIndex(self.n, int(key)).k
+            # an int key in range is its own flat index; _check_index checks any other
+            k = key if type(key) is int and 0 <= key < size else _check_index(int(key), self.n)
             coeff = float(coeff)
             if not math.isfinite(coeff):
-                raise ConfigError(f"coefficient of {PauliIndex(self.n, k).label} is not finite: {coeff!r}")
+                raise ConfigError(f"coefficient of {pauli_label(k, self.n)} is not finite: {coeff!r}")
             if abs(coeff) > PRUNE_TOL:
                 cleaned[k] = cleaned.get(k, 0.0) + coeff
         self.terms: dict[int, float] = dict(sorted(cleaned.items()))
@@ -348,12 +324,12 @@ class Observable:
         terms: dict[int, float] = {}
         n = None
         for label, coeff in pairs:
-            idx = PauliIndex.from_label(str(label))
+            qubits, k = label_index(str(label))
             if n is None:
-                n = idx.n
-            elif idx.n != n:
-                raise ValueError(f"label {label!r} has {idx.n} qubits, expected {n}")
-            terms[idx.k] = terms.get(idx.k, 0.0) + float(coeff)
+                n = qubits
+            elif qubits != n:
+                raise ValueError(f"label {label!r} has {qubits} qubits, expected {n}")
+            terms[k] = terms.get(k, 0.0) + float(coeff)
         if n is None:
             raise ValueError("cannot build an observable from no terms")
         return cls(n, terms)
@@ -369,9 +345,7 @@ class Observable:
         return cls(n, terms)
 
     def to_text(self) -> str:
-        lines = [
-            f"{PauliIndex(self.n, k).label} {float(c)!r}" for k, c in self.terms.items()
-        ]
+        lines = [f"{pauli_label(k, self.n)} {float(c)!r}" for k, c in self.terms.items()]
         return "\n".join(lines) + "\n"
 
     def __eq__(self, other) -> bool:
@@ -382,5 +356,5 @@ class Observable:
         )
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{PauliIndex(self.n, k).label}: {c!r}" for k, c in self.terms.items())
+        body = ", ".join(f"{pauli_label(k, self.n)}: {c!r}" for k, c in self.terms.items())
         return f"Observable(n={self.n}, {{{body}}})"

@@ -487,16 +487,6 @@ class TestMarkovLambdas:
         rho = random_density(2, np.random.default_rng(0))
         assert np.allclose(ch.apply(rho, method="kraus"), ch.apply(rho, method="diagonal"), atol=1e-13)
 
-    def test_entries_index_the_full_vector_once_it_exists(self, monkeypatch):
-        ch = depolarizing_channel(3, 0.2, 0.3)
-        full = ch.lambdas()
-
-        def no_product(*args):
-            raise AssertionError("the product ran again")
-
-        monkeypatch.setattr(channels, "_markov_lambdas", no_product)
-        assert ch.lambdas([63, 0, 5]) is full
-
     def test_other_sources_answer_entries_with_their_full_vector(self):
         w = np.random.default_rng(3).dirichlet(np.ones(16))
         for ch in (KrausChannel.from_pauli_weights(2, w), KrausChannel.from_pauli_weights(2, w).ptm(),

@@ -43,7 +43,7 @@ from noisedeconv.exceptions import (
     ParseError,
     ResourceCapExceeded,
 )
-from noisedeconv.pauli import HERMITIAN_TOL, MEMO_SIZE, PauliIndex
+from noisedeconv.pauli import HERMITIAN_TOL, MEMO_SIZE, label_index
 from noisedeconv.sampling import MAX_SHOTS, derive_rng
 
 
@@ -88,7 +88,7 @@ class TestEstimateDiagonalEntry:
 
     def test_matches_ptm_from_kraus(self):
         ch = bit_flip_channel(2, 0.2, 0.6)
-        k = PauliIndex.from_label("ZZ").k
+        k = label_index("ZZ")[1]
         value, _ = estimate_diagonal_entries(ch, [k]).entries[(k, k)]
         assert value == pytest.approx(ch.ptm().matrix[k, k], abs=1e-12)
 

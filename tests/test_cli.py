@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import noisedeconv
-from noisedeconv import channels, cli, pauli
+from noisedeconv import channels, cli, pauli, simulator
 from noisedeconv.channels import MAX_QUBITS_SPARSE
 from noisedeconv.cli import main
 from noisedeconv.exceptions import IllConditionedWarning
@@ -112,6 +112,16 @@ class TestPtmCommand:
         assert main(["ptm", "--config", cfg]) == 2
         out, err = capsys.readouterr()
         assert out == "" and named in err
+
+    @pytest.mark.parametrize("content, kind", [
+        ([["family", "bit_flip"], ["n", 1], ["p", 0.1]], "array"),
+        ("bit_flip", "string"), (None, "null"), (0.1, "number"),
+    ])
+    def test_a_config_that_is_not_an_object_exits_two_naming_its_type(self, tmp_path, capsys, content, kind):
+        cfg = write(tmp_path, "ch.json", json.dumps(content))
+        assert main(["ptm", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"channel config must be a JSON object, got {kind}" in err
 
     def test_a_beta_label_on_another_qubit_count_exits_two(self, tmp_path, capsys):
         cfg = channel_json(tmp_path, family="pauli_custom", n=2, beta={"II": 0.5, "Z": 0.5})
@@ -472,6 +482,43 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", cfg]) == 4
         assert capsys.readouterr().out == "" and built == []
 
+    @pytest.mark.parametrize("grids, m_max, over", [  # the most records that run, then one m more
+        ({}, 9, 11), ({"mu_grid": []}, 9, 11), ({"mu_grid": [0.0, 0.5]}, 4, 12),
+        ({"mu_grid": [0.0], "strength_grid": [0.1, 0.2]}, 4, 12),
+    ])
+    def test_records_past_the_cap_exit_four_before_any_table(self, tmp_path, capsys, monkeypatch, grids, m_max, over):
+        monkeypatch.setattr(simulator, "MAX_RECORDS", 10)
+        raw = {"n": 1, "channel": {"family": "bit_flip", "n": 1, "p": 0.0}, "observable": [["Z", 1.0]], **grids}
+
+        def config(m):
+            return write(tmp_path, "exp.json", json.dumps({**raw, "m_max": m}))
+
+        assert main(["experiment", "--config", config(m_max)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 10
+        monkeypatch.setattr(simulator, "rescaling_weights", lambda *args: pytest.fail("a table was built"))
+        assert main(["experiment", "--config", config(m_max + 1)]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and f"experiment holds {over} records, above the cap of 10" in err
+
+    @pytest.mark.parametrize("channel, kind", [([["family", "bit_flip"], ["n", 1], ["p", 0.1]], "array"),
+                                               ("bit_flip", "string"), (None, "null")])
+    def test_a_channel_that_is_not_an_object_exits_two_naming_its_type(self, tmp_path, capsys, channel, kind):
+        cfg = write(tmp_path, "exp.json", json.dumps({"n": 1, "channel": channel, "observable": [["Z", 1.0]]}))
+        assert main(["experiment", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"channel config must be a JSON object, got {kind}" in err
+
+    def test_a_huge_state_that_is_not_psd_exits_three_without_a_warning(self, tmp_path, capsys):
+        # unit trace and Hermitian; its powers overflow, which the certificate reads as a failure
+        cfg = write(tmp_path, "exp.json", json.dumps({"n": 1, "channel": {"family": "bit_flip", "n": 1, "p": 0.1},
+                                                      "observable": [["Z", 1.0]], "m_max": 2,
+                                                      "initial_state": [[0.5, 1e200], [1e200, 0.5]]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["experiment", "--config", cfg]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "not positive semidefinite" in err
+
     def test_past_the_dense_cap_a_preset_runs_and_a_matrix_or_weight_vector_does_not(self, tmp_path, capsys):
         n = MAX_QUBITS_SPARSE
         run = {"n": n, "channel": {"family": "bit_flip", "n": n, "p": 0.05, "mu": 0.5},
@@ -623,6 +670,13 @@ class TestCheckPositivityCommand:
         state = write(tmp_path, "state.json", json.dumps(np.diag(eigenvalues).tolist()))
         assert main(["check-positivity", "--state-file", state]) == 3
         assert capsys.readouterr().out.endswith("FAIL\nFAILED\n")
+
+    def test_a_huge_state_fails_without_a_warning(self, tmp_path, capsys):
+        state = write(tmp_path, "state.json", json.dumps([[0.5, 1e200], [1e200, 0.5]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check-positivity", "--state-file", state]) == 3
+        assert capsys.readouterr().out.endswith("S 1.0 1.0 -inf FAIL\nFAILED\n")
 
     def test_non_hermitian_state_fails(self, tmp_path, capsys):
         # eigvalsh reads one triangle, so the S_m and the smallest eigenvalue alone pass it

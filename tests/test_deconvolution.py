@@ -32,12 +32,12 @@ from noisedeconv.exceptions import (
     NonInvertibleChannel,
     SingularPTM,
 )
-from noisedeconv.pauli import Observable, PauliIndex
+from noisedeconv.pauli import Observable, label_index
 from noisedeconv.characterization import estimate_diagonal_entries, estimate_full_ptm
 
 
 def k_of(label):
-    return PauliIndex.from_label(label).k
+    return label_index(label)[1]
 
 
 def factor(ch, k, m=1):

@@ -8,15 +8,20 @@ or string annotation of the module mentions (an ``__all__`` entry is not a
 use), and on an ``__all__`` entry that no top-level statement of the module
 binds.  A line marked ``# noqa: F401`` is a deliberate binding and is
 skipped, as is ``__init__.py``, whose imports are the package's exports.
+Such a binding must name its reader: its ``module.name`` has to appear in
+the benchmark self-test, the one file that reads one, so a binding that
+test stops reading fails here and can go.
 """
 
 import ast
 import pathlib
+import re
 
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "noisedeconv"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+BENCH_TEST = PACKAGE.parents[1] / "bench" / "tests" / "test_bench.py"
 
 
 def imported_names(tree: ast.Module, lines: list[str]) -> dict[str, int]:
@@ -80,6 +85,16 @@ def unbound_exports(path: pathlib.Path) -> list[str]:
     return [f"{path.name}: __all__ lists {name!r}" for name in exported_names(tree) if name not in bound]
 
 
+def unread_bindings(path: pathlib.Path, reader: str) -> list[str]:
+    """``module.name`` of each name a ``# noqa: F401`` import binds that ``reader`` does not mention."""
+    source = path.read_text()
+    lines = source.splitlines()
+    names = [f"{path.stem}.{alias.asname or alias.name.split('.')[0]}" for node in ast.walk(ast.parse(source))
+             if isinstance(node, (ast.Import, ast.ImportFrom)) and "# noqa: F401" in lines[node.lineno - 1]
+             for alias in node.names]
+    return [name for name in names if not re.search(rf"\b{re.escape(name)}\b", reader)]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_every_import_is_used(path):
     assert unused_imports(path) == []
@@ -88,6 +103,11 @@ def test_every_import_is_used(path):
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_every_export_is_bound(path):
     assert unbound_exports(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_every_deliberate_binding_names_its_reader(path):
+    assert unread_bindings(path, BENCH_TEST.read_text()) == []
 
 
 def test_the_check_finds_a_leftover(tmp_path):
@@ -106,3 +126,14 @@ def test_the_check_finds_a_stale_export(tmp_path):
                       "def f(A) -> 'vectorize':\n    return A\n")
     assert unused_imports(module) == ["leftover.py:1: PauliIndex"]
     assert unbound_exports(module) == ["leftover.py: __all__ lists 'g'"]
+
+
+def test_the_check_finds_an_unread_binding(tmp_path):
+    # the reader stopped reading _invert_adjoint; apply_channels is another name
+    module = tmp_path / "leftover.py"
+    module.write_text("from .channels import apply_channel  # noqa: F401\n"
+                      "from .deconvolution import _invert_adjoint, plan  # noqa: F401\n")
+    reader = "assert leftover.apply_channel is original and leftover.plan\nleftover._invert_adjoints\n"
+    assert unread_bindings(module, reader) == ["leftover._invert_adjoint"]
+    assert unread_bindings(module, "leftover.apply_channels") == ["leftover.apply_channel", "leftover._invert_adjoint",
+                                                                  "leftover.plan"]

@@ -17,11 +17,12 @@ from noisedeconv.exceptions import (
 from noisedeconv.pauli import (
     MAX_QUBITS,
     Observable,
-    PauliIndex,
     check_qubits,
     devectorize,
+    label_index,
     labelled_rows,
     pauli_element,
+    pauli_label,
     read_text,
     vectorize,
 )
@@ -31,27 +32,26 @@ class TestPauliIndex:
     def test_digit_index_bijection_exhaustive(self):
         for n in range(1, 7):
             for k in range(4**n):
-                idx = PauliIndex(n, k)
-                assert PauliIndex.from_label(idx.label) == idx
+                assert label_index(pauli_label(k, n)) == (n, k)
 
     def test_first_qubit_most_significant(self):
-        assert PauliIndex.from_label("xy").k == 6
-        assert PauliIndex(2, 6).digits == (1, 2)
-        assert PauliIndex.from_label("XY").k == 6
-        assert PauliIndex(3, 63).label == "ZZZ"
+        assert label_index("xy") == (2, 6)
+        assert pauli_label(6, 2) == "XY"
+        assert label_index("XY") == (2, 6)
+        assert pauli_label(63, 3) == "ZZZ"
 
     def test_identity_is_zero(self):
-        assert PauliIndex.from_label("III").k == 0
-        assert PauliIndex(3, 0).label == "III"
+        assert label_index("III") == (3, 0)
+        assert pauli_label(0, 3) == "III"
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
-            PauliIndex(1, 4)
+            pauli_label(4, 1)
         with pytest.raises(ValueError):
-            PauliIndex(0, 0)
+            pauli_label(0, 0)
         for label in ("XQ", "", "X1", "X Y", "-Z"):
             with pytest.raises(ValueError, match="invalid Pauli label"):
-                PauliIndex.from_label(label)
+                label_index(label)
 
 
 class TestPauliElement:
