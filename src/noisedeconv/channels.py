@@ -184,7 +184,7 @@ class PTM:
     ``matrix`` is read-only and fixed for the instance's lifetime, so the
     diagonal verdict of ``lambdas()``, the inverse of the transpose and the
     condition bound taken from that inverse (both filled in by the general
-    deconvolution path) are computed once and kept.
+    deconvolution path) are computed once and kept; nothing per observable is.
     """
 
     def __init__(self, n: int, matrix):
@@ -211,9 +211,6 @@ class PTM:
         # the inverse is shared read-only by its plans.
         self._inverse_adjoint: np.ndarray | None = None
         self._condition_number: float | None = None
-        # observable terms -> (m, inverse applied m times to its coefficients),
-        # the latest image per observable, kept by the general deconvolution path.
-        self._inverse_images: dict[tuple, tuple[int, np.ndarray]] = {}
         # (lambdas, None) or (None, refusal), from the first lambdas() call.
         self._diagonal: tuple[np.ndarray | None, Exception | None] | None = None
         self._lock = threading.RLock()

@@ -11,10 +11,9 @@ full transfer matrix is transposed and inverted, and the observable's
 coefficient vector is pushed through the inverse m times to give the
 weights; that path materializes all d^4 matrix entries.  The inverse
 belongs to the channel, not to the observable: it is computed once per
-PTM and shared by every plan on it, and the PTM keeps each observable's
-latest m-fold image, so plans at m, m + 1, ... cost one matrix-vector
-product each.  A general-path plan warns when its weights amplify the
-observable's coefficients (sum_j |w_j| / sum_k |c_k|) beyond
+PTM and shared by every plan on it, and a plan at m costs m
+matrix-vector products.  A general-path plan warns when its weights
+amplify the observable's coefficients (sum_j |w_j| / sum_k |c_k|) beyond
 CONDITION_WARN: rounding in the data is then amplified as much.
 
 Every source answers ``lambdas(ks)`` with a lookup by index that holds
@@ -225,21 +224,14 @@ def _pruned_weights(w: np.ndarray) -> dict[int, float]:
     return {int(j): float(w[j]) for j in np.nonzero(np.abs(w) > cut)[0]}
 
 
-def _inverse_image(ptm: PTM, inv: np.ndarray, obs: Observable, m: int) -> np.ndarray:
-    """``inv`` applied m times to the coefficient vector of ``obs``.  The PTM
-    keeps the latest image per observable (about one per matrix row), so
-    plans at m, m + 1, ... on one PTM cost one product each."""
-    key = tuple(obs.items())
-    with ptm._lock:
-        start, w = ptm._inverse_images.get(key, (0, None))
-        if w is None or start > m:
-            start, w = 0, obs.coefficient_vector()
-        for _ in range(m - start):
-            w = inv @ w
-        if len(ptm._inverse_images) > inv.shape[0]:
-            ptm._inverse_images.clear()
-        ptm._inverse_images[key] = (m, w)
-    return w
+def _warn_amplified(w: np.ndarray, scale: float, m: int) -> bool:
+    """Warn, attributed to the caller of ``plan_general``, when the 1-norm of the weights
+    ``w`` passes CONDITION_WARN times ``scale``, the coefficients' 1-norm; True if it warned."""
+    amplification = float(np.sum(np.abs(w)))
+    if amplification > CONDITION_WARN * scale:
+        message = f"deconvolution weights amplify the observable by {amplification / scale:.3e} (m = {m})"
+        warnings.warn(message, IllConditionedWarning, stacklevel=3)
+    return amplification > CONDITION_WARN * scale
 
 
 def plan_general(obs: Observable, ptm: PTM, m: int = 1) -> DeconvolutionPlan:
@@ -254,15 +246,10 @@ def plan_general(obs: Observable, ptm: PTM, m: int = 1) -> DeconvolutionPlan:
     if not obs.terms:
         return DeconvolutionPlan(observable=obs, entries_consulted=0, weights={})
     inv = _shared_inverse_adjoint(ptm)
-    w = _inverse_image(ptm, inv, obs, m)
-    amplification = float(np.sum(np.abs(w)))
-    scale = sum(abs(c) for c in obs.terms.values())
-    if amplification > CONDITION_WARN * scale:
-        warnings.warn(
-            f"deconvolution weights amplify the observable by {amplification / scale:.3e} (m = {m})",
-            IllConditionedWarning,
-            stacklevel=2,
-        )
+    w = obs.coefficient_vector()
+    for _ in range(m):
+        w = inv @ w
+    _warn_amplified(w, sum(abs(c) for c in obs.terms.values()), m)
     return DeconvolutionPlan(observable=obs, entries_consulted=inv.size, weights=_pruned_weights(w))
 
 
@@ -288,6 +275,8 @@ def propagated_std_error(plan: DeconvolutionPlan, std_errors) -> float:
     acc = 0.0
     try:
         for j in sorted(plan.weights):
+            # ``** 2`` is libm's pow, not always rounded as x * x (glibc 2.36: about 0.1% of
+            # doubles), so the last bit can depend on the libm; x * x moves golden digests.
             acc += (plan.weights[j] * table.get(j, 0.0)) ** 2
     except OverflowError:  # float ** 2 raises where numpy scalars give inf
         acc = float("inf")

@@ -16,8 +16,8 @@ lambda_k**(-m) (``deconvolution.rescaling_weights``), and every record and
 its error from the two, rounded and refused as ``deconvolve`` and
 ``propagated_std_error`` do; no array has 4**n entries for a preset on a
 Markov-correlated channel.  Otherwise the dense c, a preset's in closed
-form too, is multiplied by the transfer matrix Gamma, and each record goes
-through its own plan(P_k, channel, m), whose weights may read any entry.
+form too, is multiplied by the transfer matrix Gamma, and one walk over m
+takes each term's weights inv(Gamma^T)**m e_k, which may read any entry.
 Either way one ``sampling.read_batch`` per grid point reads the
 expectations: one read from the stream (seed, mu index, strength index)
 when sampled, its entries drawn m-major, then j ascending.
@@ -30,7 +30,7 @@ round-trip decimals so outputs are byte-stable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import accumulate, product
+from itertools import product
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -46,7 +46,8 @@ from .channels import (
 )
 from .channels import apply_channel  # noqa: F401  (unused; the benchmark self-test counts this binding)
 from .characterization import positivity_certificates
-from .deconvolution import _finite, deconvolve, plan, propagated_std_error, rescaling_weights
+from .deconvolution import DeconvolutionPlan, _finite, _pruned_weights, _shared_inverse_adjoint, _warn_amplified
+from .deconvolution import deconvolve, propagated_std_error, rescaling_weights
 # Unused here; bound only for the benchmark self-test that counts inversions at every binding.
 from .deconvolution import _invert_adjoint  # noqa: F401
 from .exceptions import ConfigError, InvalidState, NotPauliDiagonal, ResourceCapExceeded
@@ -267,18 +268,27 @@ def _diagonal_rows(cfg: ExperimentConfig, lam, c0: np.ndarray, ks: list[int], ta
 
 
 def _general_rows(cfg: ExperimentConfig, ch, c: np.ndarray, ks: list[int], tags) -> list[tuple]:
-    """The same rows off the diagonal path, record by record, each through its own plan(P_k, channel, m)."""
-    gamma = ch.ptm().matrix
-    plans = [[plan(Observable(cfg.n, {k: 1.0}), ch, m) for k in ks] for m in range(cfg.m_max + 1)]
-    needed = [sorted({j for p in ps for j in p.weights} | set(ks)) for ps in plans]
-    evolved = accumulate(range(cfg.m_max), lambda v, _: gamma @ v, initial=c)  # c after m = 0..m_max uses
-    exact = [e for v, js in zip(evolved, needed) for e in v[js].tolist()]
+    """The same rows off the diagonal path, from one walk over m: the state and each term's weights
+    inv(Gamma^T)**m e_k, as ``plan_general`` makes them, take one product per step; the first amplified m alone warns."""
+    if not ks:  # no term plans nothing, so a singular channel is not refused
+        return []
+    gamma, inv = ch.ptm().matrix, _shared_inverse_adjoint(ch.ptm())
+    units = [Observable(cfg.n, {k: 1.0}) for k in ks]
+    v, vectors, warned, steps, exact = c, [u.coefficient_vector() for u in units], False, [], []
+    for m in range(cfg.m_max + 1):
+        if m:
+            v, vectors = gamma @ v, [inv @ w for w in vectors]
+        warned = warned or any(_warn_amplified(w, 1.0, m) for w in vectors)
+        ws = [_pruned_weights(w) for w in vectors]
+        steps.append((ws, sorted(set(ks).union(*ws))))
+        exact += v[steps[-1][1]].tolist()
     got = iter(read_batch([exact], [tags], cfg.shots, cfg.seed)[0])  # m-major, then j ascending
     rows = []
-    for ps, js in zip(plans, needed):
+    for ws, js in steps:
         step = dict(zip(js, got))  # j -> (value, std_error) after m uses
+        plans = [DeconvolutionPlan(u, inv.size, w) for u, w in zip(units, ws)]  # held for this m only
         rows += [(*step[k], deconvolve(p, {j: step[j][0] for j in p.weights}),
-                  propagated_std_error(p, {j: step[j][1] for j in p.weights})) for k, p in zip(ks, ps)]
+                  propagated_std_error(p, {j: step[j][1] for j in p.weights})) for k, p in zip(ks, plans)]
     return rows
 
 

@@ -19,17 +19,21 @@ The reference positivity certificate takes one state at a time: its
 powers, each trace by ``np.trace``, the recursion with an explicit
 (-1)**(j-1), then the Hermiticity check and ``eigvalsh`` only when the
 earlier checks pass.
+The reference general-path experiment rows (``general_rows_per_record``)
+plan every record on its own, plan(P_k, channel, m), and deconvolve it
+through that plan.
 """
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
+from noisedeconv.deconvolution import deconvolve, plan, propagated_std_error
 from noisedeconv.exceptions import ParseError
 from noisedeconv.pauli import Observable, check_qubits
-from noisedeconv.sampling import sample_marginal
+from noisedeconv.sampling import read_batch, sample_marginal
 from noisedeconv.simulator import PRESET_BLOCH
 
 I2 = np.eye(2, dtype=complex)
@@ -305,3 +309,22 @@ def report_matrix_reference(n, entries):
     for (j, k), (est, _) in entries.items():
         M[j, k] = est
     return M
+
+
+def general_rows_per_record(cfg, ch, c, ks, tags):
+    """The rows of ``simulator._general_rows``, record by record: each through its
+    own plan(P_k, channel, m), then deconvolve and propagated_std_error on the
+    entries that plan reads.  The plans' entries are read in one read_batch,
+    m-major, then j ascending."""
+    gamma = ch.ptm().matrix
+    plans = [[plan(Observable(cfg.n, {k: 1.0}), ch, m) for k in ks] for m in range(cfg.m_max + 1)]
+    needed = [sorted({j for p in ps for j in p.weights} | set(ks)) for ps in plans]
+    evolved = accumulate(range(cfg.m_max), lambda v, _: gamma @ v, initial=c)  # c after m = 0..m_max uses
+    exact = [e for v, js in zip(evolved, needed) for e in v[js].tolist()]
+    got = iter(read_batch([exact], [tags], cfg.shots, cfg.seed)[0])
+    rows = []
+    for ps, js in zip(plans, needed):
+        step = dict(zip(js, got))  # j -> (value, std_error) after m uses
+        rows += [(*step[k], deconvolve(p, {j: step[j][0] for j in p.weights}),
+                  propagated_std_error(p, {j: step[j][1] for j in p.weights})) for k, p in zip(ks, ps)]
+    return rows

@@ -167,8 +167,8 @@ class TestPlanEntryPoint:
         assert [list(ks) for ks in asked] == [sorted(obs.terms)]
 
     def test_general_weights_do_not_depend_on_planning_order(self):
-        # plans on one PTM start from the latest m-fold image of their
-        # observable; any order must give the bytes of a fresh PTM's plan
+        # plans on one PTM share its inverse; any order must give the bytes
+        # of a fresh PTM's plan
         matrix = correlated_amplitude_damping(0.6, 0.3).ptm().matrix
         shared = PTM(2, matrix)
         rng = np.random.default_rng(3)
@@ -177,28 +177,6 @@ class TestPlanEntryPoint:
             for obs in observables:
                 got = plan_general(obs, shared, m=m)
                 assert _plan_bytes(got) == _plan_bytes(plan_general(obs, PTM(2, matrix), m=m))
-                assert shared._inverse_images[tuple(obs.items())][0] == m
-        # the kept images never outnumber the matrix rows
-        for k in range(1, 40):
-            plan_general(Observable(2, {k % 16: 1.0 + k}), shared, m=1)
-            assert len(shared._inverse_images) <= 17
-
-    def test_consecutive_plans_cost_one_product_each(self):
-        class Counting(np.ndarray):
-            products = 0
-
-            def __matmul__(self, other):
-                Counting.products += 1
-                return np.asarray(self) @ other
-
-        ptm = correlated_amplitude_damping(0.6, 0.3).ptm()
-        obs = Observable.from_pairs([("ZZ", 1.0)])
-        plan_general(obs, ptm)
-        ptm._inverse_adjoint = ptm._inverse_adjoint.view(Counting)
-        with pytest.warns(IllConditionedWarning, match="amplify"):  # from about m = 21
-            for m in range(2, 30):
-                plan_general(obs, ptm, m=m)
-        assert Counting.products == 28
 
     def test_negative_repetitions_raise(self):
         obs = Observable.from_pairs([("ZZ", 1.0)])

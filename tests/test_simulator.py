@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from conftest import (
     evolve,
     exact_pauli_expectation,
+    general_rows_per_record,
     markov_lambda_exact,
     pauli_basis_bruteforce,
     pauli_string_bruteforce,
@@ -473,7 +475,7 @@ class TestDeconvolvedThroughPlan:
         real = deconvolution.rescaling_weights
         monkeypatch.setattr(simulator, "rescaling_weights",
                             lambda terms, lam, ms: tables.append((len(terms), list(ms))) or real(terms, lam, ms))
-        for name in ("plan", "deconvolve", "propagated_std_error"):
+        for name in ("deconvolve", "propagated_std_error"):
             monkeypatch.setattr(simulator, name, lambda *args: calls.append(args))
         full = [[a + b, 1.0] for a in "IXYZ" for b in "IXYZ"]
         cfg = evolution_config(EVOLUTION_CHANNELS[1], "plus", observable=full, m_max=3, shots=64,
@@ -541,6 +543,86 @@ class TestDeconvolvedThroughPlan:
             "observable": [["ZZZ", 1.0], ["XIX", 0.5], ["IYI", 0.25]], "m_max": 4, "mu_grid": [0.0, 0.5]})
         assert len(run_experiment(cfg)) == 2 * 5 * 3
         assert calls == [[8, 17, 63]] * 2  # IYI, XIX, ZZZ
+
+
+ALL_TWO_QUBIT_TERMS = [[a + b, 1.0] for a in "IXYZ" for b in "IXYZ"]
+
+
+def amp_damp_config(eta, mu, observable, state, **overrides):
+    raw = {"n": 2, "channel": {"family": "amp_damp_corr", "eta": eta, "mu": mu},
+           "observable": observable, "initial_state": "zeros" if state == "random" else state, **overrides}
+    cfg = ExperimentConfig.from_dict(raw)
+    if state == "random":
+        cfg.initial_state = random_density(2, np.random.default_rng(11))
+    return cfg
+
+
+def csv_or_refusal(cfg):
+    """The experiment's CSV, or the type and text of its refusal, with every warning silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return records_to_csv(run_experiment(cfg))
+        except Exception as exc:  # the refusal itself is compared
+            return f"{type(exc).__name__}: {exc}"
+
+
+class TestGeneralWalk:
+    """Off the diagonal path a grid point is one walk over m; its records are
+    those of one plan(P_k, channel, m) per record, byte for byte."""
+
+    @pytest.mark.parametrize("cfg, refusal", [
+        (amp_damp_config(0.99, 0.3, ALL_TWO_QUBIT_TERMS[1:], "zeros", mu_grid=[0.1, 0.5], shots=1000, seed=7,
+                         m_max=3), None),
+        (amp_damp_config(0.3, 0.5, [["ZZ", 1.0], ["XI", 1.0]], "plus", m_max=80), None),
+        (amp_damp_config(0.8, 0.4, ALL_TWO_QUBIT_TERMS[3:9], "random", strength_grid=[0.8, 0.9], shots=200, seed=2,
+                         m_max=30), None),
+        (amp_damp_config(0.3, 0.2, [["ZZ", 1.0]], "plus", m_max=1100), "deconvolved value is nan"),
+        (amp_damp_config(0.3, 0.5, [["ZZ", 1.0]], "plus", m_max=1100), "deconvolved value is inf"),
+    ], ids=["fifteen_terms_sampled", "amplified_exact", "random_state_sampled", "refused_nan", "refused_inf"])
+    def test_walk_equals_the_per_record_plans(self, cfg, refusal, monkeypatch):
+        # the fifteen-term case moves by one ulp in one error if a record squares
+        # by x * x, not by propagated_std_error's ** 2
+        walked = csv_or_refusal(cfg)
+        monkeypatch.setattr(simulator, "_general_rows", general_rows_per_record)
+        assert walked == csv_or_refusal(cfg)
+        assert walked.startswith(CSV_HEADER if refusal is None else f"MathematicalError: {refusal}; ")
+
+    def test_one_amplification_warning_per_grid_point(self):
+        # per-record plans warned 270 times here, once per amplified record
+        cfg = amp_damp_config(0.3, 0.5, [["ZZ", 1.0], ["XI", 1.0]], "plus", mu_grid=[0.5, 0.2], m_max=80)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_experiment(cfg)
+        assert [str(w.message) for w in caught] == [
+            "deconvolution weights amplify the observable by 3.054e+08 (m = 12)",
+            "deconvolution weights amplify the observable by 1.793e+08 (m = 9)",
+        ]
+
+    def test_an_observable_with_no_term_inverts_nothing(self):
+        # all-zero coefficients leave no term: no record, and a singular channel
+        # (eta 0) is not refused, as with no plan at all
+        cfg = amp_damp_config(0.0, 0.0, [["ZZ", 0.0]], "zeros", m_max=2)
+        assert cfg.observable.r == 0
+        assert csv_or_refusal(cfg) == CSV_HEADER + "\n"
+
+    def test_a_grid_point_costs_r_times_m_max_products(self, monkeypatch):
+        class Counting(np.ndarray):
+            products = 0
+
+            def __matmul__(self, other):
+                Counting.products += 1
+                return np.asarray(self) @ other
+
+        cfg = amp_damp_config(0.6, 0.3, [["ZZ", 1.0], ["XI", 1.0], ["YY", 1.0]], "plus", m_max=29)
+        ch = channel_from_config(cfg.channel)
+        ptm = ch.ptm()
+        assert ptm.condition_number < 1e8  # fills the kept inverse
+        ptm._inverse_adjoint = ptm._inverse_adjoint.view(Counting)
+        monkeypatch.setattr(simulator, "channel_from_config", lambda _: ch)
+        with pytest.warns(IllConditionedWarning, match="amplify"):
+            records = run_experiment(cfg)
+        assert len(records) == 3 * 30 and Counting.products == 3 * 29
 
 
 class TestPresetsInClosedForm:
