@@ -13,11 +13,11 @@ which is lambda_k at j = k and 0 elsewhere for a Pauli channel (from
 ``lambdas(ks)`` for the probes of a diagonal report, so a Markov-correlated
 channel is probed up to MAX_QUBITS_SPARSE qubits, and from ``lambdas()``
 for a full one; any other channel is read from ``ptm()`` and capped with
-it).  Both reports come from one probe loop whose entries go
-through one ``sampling.read_batch``: probe k is one read from the stream
-(seed, k), its entries drawn in turn with (k, k) first, so a diagonal
-entry equals the full report's bit for bit whatever other probes a report
-holds, and an exact one equals the channel's lambda_k.  This layout
+it).  Both reports come from one probe loop, and probe k is one
+``sampling.reader`` read from the stream (seed, k), its entries drawn in
+turn with (k, k) first, so a diagonal entry equals the full report's bit
+for bit whatever other probes a report holds, and an exact one equals the
+channel's lambda_k.  This layout
 replaced one stream (seed, k, j) per entry, so sampled reports differ
 from those of earlier versions; the report text is unchanged and those
 reports still parse.
@@ -77,7 +77,7 @@ from .exceptions import (
     ParseError,
 )
 from .pauli import HERMITIAN_TOL, MAX_QUBITS, Memo, _check_index, check_qubits, num_qubits, pauli_element, read_text
-from .sampling import check_shots_and_seed, read_batch
+from .sampling import check_shots_and_seed, reader
 
 __all__ = [
     "CharacterizedPTM",
@@ -109,7 +109,7 @@ def probe_state(k: int, n: int) -> np.ndarray:
 def _probe_outputs(ch: Channel, ks):
     """The map (k, js) -> entries js of the coefficient vector of the
     channel's output on the probe (1 + P_k)/d, Gamma[js, 0] + Gamma[js, k],
-    as floats, for the probes ``ks`` (None: every k).  A Pauli channel
+    as a float array, for the probes ``ks`` (None: every k).  A Pauli channel
     answers with ``lambdas(ks)``.  A non-Pauli channel is checked for
     unitality here, once: Gamma[:, 0] != e_0 would bias every estimate."""
     try:
@@ -119,8 +119,8 @@ def _probe_outputs(ch: Channel, ks):
         resid = float(np.max(np.abs(gamma[:, 0] - (np.arange(len(gamma)) == 0))))
         if resid > UNITALITY_TOL:
             raise NonUnitalChannel(f"channel is not unital: identity-column residual {resid:.3e}") from None
-        return lambda k, js: (gamma[js, 0] + gamma[js, k]).tolist()
-    return lambda k, js: np.where(np.asarray(js) == k, lam[k], 0.0).tolist()
+        return lambda k, js: gamma[js, 0] + gamma[js, k]
+    return lambda k, js: np.where(np.asarray(js) == k, lam[k], 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,17 +335,17 @@ class _ReportReader:
 def _probe_report(ch: Channel, mode: str, ks, columns: tuple[list, ...], shots: int, seed: int) -> CharacterizedPTM:
     """Probe the channel once per distinct k in ``ks`` and append to the four
     ``columns`` what its output gives: (k, k) in diagonal mode, every (j, k)
-    with j != 0 in full mode, j = k first, all read from the probe's stream
-    (seed, k) by one readout of the whole report.  Every index is validated,
-    then unitality is checked once, before the first probe."""
+    with j != 0 in full mode, j = k first, read from the probe's stream
+    (seed, k) by one reader per probe.  Every index is validated, then
+    unitality is checked once, before the first probe."""
     ks = list(dict.fromkeys(_check_index(int(k), ch.n) for k in ks))  # a repeated k is probed once
     if 0 in ks:
         raise IdentityProbe("the k=0 entry equals 1 by trace preservation")
     output = _probe_outputs(ch, None if mode == "full" else ks)
     D = 4**ch.n
-    rows = [[k, *range(1, k), *range(k + 1, D)] if mode == "full" else [k] for k in ks]
-    exact = map(output, ks, rows)
-    for k, js, values in zip(ks, rows, read_batch(exact, [(k,) for k in ks], shots, seed)):
+    for k in ks:
+        js = [k, *range(1, k), *range(k + 1, D)] if mode == "full" else [k]
+        values = reader(shots, seed, k)(output(k, js))
         for column, part in zip(columns, (js, [k] * len(js), *zip(*values))):
             column += part
     return CharacterizedPTM(ch.n, mode, *columns, shots, seed)

@@ -218,15 +218,20 @@ def _shared_inverse_adjoint(ptm: PTM) -> np.ndarray:
     return inv
 
 
-def _pruned_weights(w: np.ndarray) -> dict[int, float]:
-    """Nonzero entries of a weight vector, relative cut _WEIGHT_PRUNE."""
-    cut = _WEIGHT_PRUNE * max(1.0, float(np.max(np.abs(w))))
+def _pruned_weights(w: np.ndarray, m: int) -> dict[int, float]:
+    """Nonzero entries of a weight vector after m inverse steps, relative cut _WEIGHT_PRUNE.
+    A vector with an entry past the float range is refused, as the cut would keep none of it."""
+    top = float(np.max(np.abs(w)))  # inf or nan (np.max keeps a nan) past the float range
+    if not math.isfinite(top):
+        raise MathematicalError(f"deconvolution weights at m = {m} are not finite; the inputs overflow the float range")
+    cut = _WEIGHT_PRUNE * max(1.0, top)
     return {int(j): float(w[j]) for j in np.nonzero(np.abs(w) > cut)[0]}
 
 
 def _warn_amplified(w: np.ndarray, scale: float, m: int) -> bool:
     """Warn, attributed to the caller of ``plan_general``, when the 1-norm of the weights
-    ``w`` passes CONDITION_WARN times ``scale``, the coefficients' 1-norm; True if it warned."""
+    ``w`` passes CONDITION_WARN times ``scale``, the coefficients' 1-norm; True if it warned.
+    Callers run it where an overflow is ignored, as the 1-norm of finite weights may be inf."""
     amplification = float(np.sum(np.abs(w)))
     if amplification > CONDITION_WARN * scale:
         message = f"deconvolution weights amplify the observable by {amplification / scale:.3e} (m = {m})"
@@ -237,8 +242,9 @@ def _warn_amplified(w: np.ndarray, scale: float, m: int) -> bool:
 def plan_general(obs: Observable, ptm: PTM, m: int = 1) -> DeconvolutionPlan:
     """General-path plan: the inverse of the transposed transfer matrix, which ``ptm``
     computes once and shares with every plan on it, applied m times to the coefficients.
-    Warns when the weights' 1-norm exceeds CONDITION_WARN times the coefficients'.  An
-    observable with no terms plans no weights and consults no entry, as on the diagonal path."""
+    Refuses weights that overflow, naming m, then warns when the weights' 1-norm exceeds
+    CONDITION_WARN times the coefficients'.  An observable with no terms plans no weights
+    and consults no entry, as on the diagonal path."""
     if m < 0:
         raise ValueError(f"repetition count must be >= 0, got {m}")
     if ptm.n != obs.n:
@@ -247,10 +253,12 @@ def plan_general(obs: Observable, ptm: PTM, m: int = 1) -> DeconvolutionPlan:
         return DeconvolutionPlan(observable=obs, entries_consulted=0, weights={})
     inv = _shared_inverse_adjoint(ptm)
     w = obs.coefficient_vector()
-    for _ in range(m):
-        w = inv @ w
-    _warn_amplified(w, sum(abs(c) for c in obs.terms.values()), m)
-    return DeconvolutionPlan(observable=obs, entries_consulted=inv.size, weights=_pruned_weights(w))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by the prune
+        for _ in range(m):
+            w = inv @ w
+        weights = _pruned_weights(w, m)
+        _warn_amplified(w, sum(abs(c) for c in obs.terms.values()), m)
+    return DeconvolutionPlan(observable=obs, entries_consulted=inv.size, weights=weights)
 
 
 def deconvolve(plan: DeconvolutionPlan, noisy) -> float:

@@ -12,19 +12,20 @@ outcomes' probabilities sum to (1 + e)/2, so its +1 count is
 Binomial(shots, (1 + e)/2) too: the marginal draw has that measurement's
 distribution and needs only e.
 ``sample_marginal`` is that draw for one e, the scalar reference that
-``read_batch``'s vector draw is pinned to.
+``reader``'s vector draw is pinned to.
 
 Every sampler consumes a numpy Generator; ``derive_rng`` builds
 independent deterministic streams from a base seed plus integer tags so
-results do not depend on evaluation order.  ``read_batch`` is the one
-readout the experiments and the probe estimators share: it takes the
-exact expectations it reads and holds the exact/sampled switch and the
-stream layout.  Each read is named by its stream tags alone: it derives
-its one stream with ``derive_rng(seed, *tags)`` and draws its entries
-from it in turn, with one ``Generator.binomial`` call over the read's
-(1 + e)/2.  numpy's vector draw equals the same draws made one at a
-time, so entry i of a read is the i-th ``sample_marginal`` draw from that
-stream; ``tests/test_sampling.py::TestVectorDraw`` pins that.  This layout
+results do not depend on evaluation order.  ``reader`` is the one
+readout the experiments and the probe estimators share: it holds the
+exact/sampled switch and the stream layout, and the caller hands it the
+exact expectations it reads.  A read is named by its stream tags alone:
+it derives its one stream with ``derive_rng(seed, *tags)`` and draws its
+entries from it in turn, with one ``Generator.binomial`` call over each
+part's (1 + e)/2.  numpy's vector draw equals the same draws made one at
+a time, so entry i of a read is the i-th ``sample_marginal`` draw from
+that stream however the read is cut into parts;
+``tests/test_sampling.py::TestVectorDraw`` pins that.  This layout
 replaced one stream (seed, *tags, j) per entry j, which cost a generator
 per entry, so sampled outputs differ from earlier versions' while exact
 outputs, and the report and CSV formats, are unchanged.
@@ -33,7 +34,6 @@ outputs, and the report and CSV formats, are unchanged.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, chain
 
 import numpy as np
 
@@ -44,7 +44,7 @@ __all__ = [
     "check_shots_and_seed",
     "derive_rng",
     "sample_marginal",
-    "read_batch",
+    "reader",
 ]
 
 # numpy's binomial takes counts up to the int64 maximum.
@@ -87,39 +87,30 @@ def sample_marginal(e: float, shots: int, rng: np.random.Generator) -> tuple[flo
     return value, math.sqrt(max(0.0, 1.0 - value * value) / shots)
 
 
-def _plus_probabilities(es: np.ndarray) -> np.ndarray:
-    """(1 + e)/2 clipped to [0, 1] for each exact expectation e, after the
-    range check of :func:`sample_marginal`, over a whole batch."""
-    bad = ~(np.abs(es) <= 1.0 + _RANGE_TOL)
-    if bad.any():
-        raise ProbabilityOutOfRange(
-            f"expectation value {float(es[np.argmax(bad)])!r} lies outside [-1, 1]; upstream state is corrupted"
-        )
-    return np.clip(0.5 * (1.0 + es), 0.0, 1.0)
+def reader(shots: int, seed: int, *tags: int):
+    """The function ``read(exact)`` that reads a float array of exact
+    expectations as ``(value, std_error)`` pairs of Python floats, one per
+    entry, in order.
 
-
-def read_batch(values, tags, shots: int, seed: int) -> list[list[tuple[float, float]]]:
-    """``(value, std_error)`` of each entry of each read, for each read's
-    stream tags in the sequence ``tags``, from the exact expectations at the
-    same place in the iterable ``values``: the item of a read is its list of
-    exact expectations, one per entry, in order.
-
-    ``shots = 0`` returns the exact values (std_error 0) and derives no
-    stream.  Otherwise each read, with tags t, draws its entries, in order,
-    from its one stream ``derive_rng(seed, *t)``: one binomial call over the
-    read's (1 + e)/2, whose counts equal one :func:`sample_marginal` draw per
-    entry made in turn from that stream.  The range check and the count ->
-    (value, std_error) arithmetic run once over the whole call.
+    ``shots = 0`` reads the exact values (std_error 0) and derives no stream.
+    Otherwise the reader derives its one stream ``derive_rng(seed, *tags)``,
+    and each call draws its entries in turn from where the last call left
+    the stream: one binomial call over the part's (1 + e)/2, whose counts
+    equal one :func:`sample_marginal` draw per entry made in turn, so parts
+    read one after another draw what one read of them all draws.  An entry
+    outside [-1, 1] (NaN too) is refused, the first one named.
     """
     if not shots:
-        return [[(e, 0.0) for e in exact] for _, exact in zip(tags, values)]
-    exact = [e for _, e in zip(tags, values)]
-    bounds = [0, *accumulate(map(len, exact))]
-    p = _plus_probabilities(np.fromiter(chain.from_iterable(exact), dtype=float, count=bounds[-1]))
-    counts = np.empty(len(p), dtype=np.int64)
-    spans = list(zip(bounds, bounds[1:]))
-    for read_tags, (a, b) in zip(tags, spans):
-        counts[a:b] = derive_rng(seed, *read_tags).binomial(shots, p[a:b])
-    value = 2.0 * counts / shots - 1.0
-    pairs = list(zip(value.tolist(), np.sqrt(np.maximum(0.0, 1.0 - value * value) / shots).tolist()))
-    return [pairs[a:b] for a, b in spans]
+        return lambda exact: [(e, 0.0) for e in exact.tolist()]
+    rng = derive_rng(seed, *tags)
+
+    def read(exact: np.ndarray) -> list[tuple[float, float]]:
+        ok = np.abs(exact) <= 1.0 + _RANGE_TOL  # False at NaN too
+        if not ok.all():
+            raise ProbabilityOutOfRange(
+                f"expectation value {float(exact[np.argmin(ok)])!r} lies outside [-1, 1]; upstream state is corrupted"
+            )
+        value = 2.0 * rng.binomial(shots, np.clip(0.5 * (1.0 + exact), 0.0, 1.0)) / shots - 1.0
+        return list(zip(value.tolist(), np.sqrt(np.maximum(0.0, 1.0 - value * value) / shots).tolist()))
+
+    return read

@@ -18,9 +18,11 @@ its error from the two, rounded and refused as ``deconvolve`` and
 Markov-correlated channel.  Otherwise the dense c, a preset's in closed
 form too, is multiplied by the transfer matrix Gamma, and one walk over m
 takes each term's weights inv(Gamma^T)**m e_k, which may read any entry.
-Either way one ``sampling.read_batch`` per grid point reads the
-expectations: one read from the stream (seed, mu index, strength index)
-when sampled, its entries drawn m-major, then j ascending.
+Either way a grid point is one read from the stream (seed, mu index,
+strength index) when sampled, its entries drawn m-major, then j
+ascending: ``sampling.reader`` reads the table at once, and each m of the
+walk in turn, read and deconvolved before the next, so the walk holds no
+weights past their m.
 
 Records carry the raw and deconvolved estimates together with their
 standard errors; ``records_to_csv`` renders them with shortest
@@ -52,7 +54,7 @@ from .deconvolution import deconvolve, propagated_std_error, rescaling_weights
 from .deconvolution import _invert_adjoint  # noqa: F401
 from .exceptions import ConfigError, InvalidState, NotPauliDiagonal, ResourceCapExceeded
 from .pauli import HERMITIAN_TOL, MAX_QUBITS, Observable, check_qubits, is_hermitian, num_qubits, pauli_label, vectorize
-from .sampling import check_shots_and_seed, read_batch
+from .sampling import check_shots_and_seed, reader
 
 __all__ = [
     "ExperimentConfig",
@@ -256,7 +258,7 @@ def _diagonal_rows(cfg: ExperimentConfig, lam, c0: np.ndarray, ks: list[int], ta
     weights = np.array(rescaling_weights(dict.fromkeys(ks, 1.0), lam, range(cfg.m_max + 1))).ravel()
     lam_ks = np.array([lam[k] for k in ks], dtype=float)
     table = np.multiply.accumulate(np.vstack([c0, np.broadcast_to(lam_ks, (cfg.m_max, len(ks)))]))
-    got = read_batch([table.ravel().tolist()], [tags], cfg.shots, cfg.seed)[0]
+    got = reader(cfg.shots, cfg.seed, *tags)(table.ravel())
     value, std_error = np.array(got).reshape(-1, 2).T
     with np.errstate(over="ignore"):
         deconvolved, error = 0.0 + weights * value, np.sqrt(np.square(weights * std_error))
@@ -269,26 +271,25 @@ def _diagonal_rows(cfg: ExperimentConfig, lam, c0: np.ndarray, ks: list[int], ta
 
 def _general_rows(cfg: ExperimentConfig, ch, c: np.ndarray, ks: list[int], tags) -> list[tuple]:
     """The same rows off the diagonal path, from one walk over m: the state and each term's weights
-    inv(Gamma^T)**m e_k, as ``plan_general`` makes them, take one product per step; the first amplified m alone warns."""
+    inv(Gamma^T)**m e_k, as ``plan_general`` makes them, take one product per step, and each m reads
+    and deconvolves the entries it needs before the next; the first amplified m alone warns."""
     if not ks:  # no term plans nothing, so a singular channel is not refused
         return []
     gamma, inv = ch.ptm().matrix, _shared_inverse_adjoint(ch.ptm())
     units = [Observable(cfg.n, {k: 1.0}) for k in ks]
-    v, vectors, warned, steps, exact = c, [u.coefficient_vector() for u in units], False, [], []
-    for m in range(cfg.m_max + 1):
-        if m:
-            v, vectors = gamma @ v, [inv @ w for w in vectors]
-        warned = warned or any(_warn_amplified(w, 1.0, m) for w in vectors)
-        ws = [_pruned_weights(w) for w in vectors]
-        steps.append((ws, sorted(set(ks).union(*ws))))
-        exact += v[steps[-1][1]].tolist()
-    got = iter(read_batch([exact], [tags], cfg.shots, cfg.seed)[0])  # m-major, then j ascending
-    rows = []
-    for ws, js in steps:
-        step = dict(zip(js, got))  # j -> (value, std_error) after m uses
-        plans = [DeconvolutionPlan(u, inv.size, w) for u, w in zip(units, ws)]  # held for this m only
-        rows += [(*step[k], deconvolve(p, {j: step[j][0] for j in p.weights}),
-                  propagated_std_error(p, {j: step[j][1] for j in p.weights})) for k, p in zip(ks, plans)]
+    read = reader(cfg.shots, cfg.seed, *tags)  # m-major, then j ascending
+    v, vectors, warned, rows = c, [u.coefficient_vector() for u in units], False, []
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by the prune
+        for m in range(cfg.m_max + 1):
+            if m:
+                v, vectors = gamma @ v, [inv @ w for w in vectors]
+            ws = [_pruned_weights(w, m) for w in vectors]
+            warned = warned or any(_warn_amplified(w, 1.0, m) for w in vectors)
+            js = sorted(set(ks).union(*ws))
+            step = dict(zip(js, read(v[js])))  # j -> (value, std_error) after m uses
+            plans = [DeconvolutionPlan(u, inv.size, w) for u, w in zip(units, ws)]
+            rows += [(*step[k], deconvolve(p, {j: step[j][0] for j in p.weights}),
+                      propagated_std_error(p, {j: step[j][1] for j in p.weights})) for k, p in zip(ks, plans)]
     return rows
 
 

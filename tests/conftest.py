@@ -33,7 +33,7 @@ import numpy as np
 from noisedeconv.deconvolution import deconvolve, plan, propagated_std_error
 from noisedeconv.exceptions import ParseError
 from noisedeconv.pauli import Observable, check_qubits
-from noisedeconv.sampling import read_batch, sample_marginal
+from noisedeconv.sampling import reader, sample_marginal
 from noisedeconv.simulator import PRESET_BLOCH
 
 I2 = np.eye(2, dtype=complex)
@@ -314,14 +314,14 @@ def report_matrix_reference(n, entries):
 def general_rows_per_record(cfg, ch, c, ks, tags):
     """The rows of ``simulator._general_rows``, record by record: each through its
     own plan(P_k, channel, m), then deconvolve and propagated_std_error on the
-    entries that plan reads.  The plans' entries are read in one read_batch,
-    m-major, then j ascending."""
+    entries that plan reads.  The plans' entries are read in one read of all m,
+    m-major, then j ascending, the oracle for the walk's read of each m in turn."""
     gamma = ch.ptm().matrix
     plans = [[plan(Observable(cfg.n, {k: 1.0}), ch, m) for k in ks] for m in range(cfg.m_max + 1)]
     needed = [sorted({j for p in ps for j in p.weights} | set(ks)) for ps in plans]
     evolved = accumulate(range(cfg.m_max), lambda v, _: gamma @ v, initial=c)  # c after m = 0..m_max uses
-    exact = [e for v, js in zip(evolved, needed) for e in v[js].tolist()]
-    got = iter(read_batch([exact], [tags], cfg.shots, cfg.seed)[0])
+    exact = np.concatenate([v[js] for v, js in zip(evolved, needed)])
+    got = iter(reader(cfg.shots, cfg.seed, *tags)(exact))
     rows = []
     for ps, js in zip(plans, needed):
         step = dict(zip(js, got))  # j -> (value, std_error) after m uses

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import markov_lambda_exact
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import noisedeconv
@@ -1158,6 +1158,24 @@ class TestNonFiniteInputs:
         captured = capsys.readouterr()
         assert captured.out == "" and "matrix entry (1, 1) is nan; entries must be finite" in captured.err
 
+    def test_overflowed_general_weights_exit_three_naming_m(self, tmp_path, capsys):
+        # deconvolve printed value 0.0 and exited 0, as the prune's cut was inf
+        # and kept no weight; both refused only after numpy RuntimeWarnings,
+        # which fail this test
+        obs = write(tmp_path, "obs.txt", "ZZ 1.7e308\n")
+        meas = write(tmp_path, "meas.txt", "ZZ 0.5\nXX 0.1\nZI 0.2\nIZ 0.2\n")
+        exp = write(tmp_path, "exp.json", json.dumps({
+            "n": 2, "channel": {"family": "amp_damp_corr", "eta": 0.3, "mu": 0.5},
+            "observable": [["XX", 1.0]], "initial_state": "zeros", "m_max": 1400}))
+        for argv, m in [(["deconvolve", "--config", str(CONFIG_DIR / "channels" / "amp_damp_corr.json"),
+                          "--observable", obs, "--measurements", meas], 1),
+                        (["experiment", "--config", exp], 828)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IllConditionedWarning)
+                assert main(argv) == 3
+            assert capsys.readouterr() == (
+                "", f"error: deconvolution weights at m = {m} are not finite; the inputs overflow the float range\n")
+
 
 class TestNegativeInputs:
     def test_negative_std_error_in_measurements_exits_two(self, tmp_path, capsys):
@@ -1282,6 +1300,12 @@ def cli_inputs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(inputs=cli_inputs())
+@example(inputs=(  # general-path weights that overflow at m = 1 exit 3 with no numpy warning
+    {"family": "amp_damp_corr", "eta": 0.5, "mu": 0.25}, "ZZ 1.7e308\n", "ZZ 0.5\nXX 0.1\nZI 0.2\nIZ 0.2\n",
+    {"n": 2, "channel": {"family": "amp_damp_corr", "eta": 0.5, "mu": 0.25}, "observable": [["ZZ", 1.0]],
+     "m_max": 2},
+    ("n 1\nmode diagonal\n3 3 0.9 0.0 0 0\n", "Z 1.0\n", "Z 0.5 0.1\n"),
+))
 def test_fuzzed_inputs_keep_the_exit_code_contract(tmp_path_factory, inputs):
     cfg, obs, meas, experiment, report = inputs
     tmp = tmp_path_factory.mktemp("fuzz")

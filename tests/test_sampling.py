@@ -1,22 +1,25 @@
 """The readout's streams and its vector draw, pinned to numpy.
 
-``sampling.read_batch`` derives one stream per read with the public
-definition of a stream, ``derive_rng(seed, *tags)``, and draws all the
-read's entries with one vector binomial call on it.  ``TestStreamStates``
-pins each read's draws to those of ``derive_rng`` of its tags; ``TestVectorDraw``
-pins that call to the same draws made one at a time, so a numpy release
-that changed its binomial sampler fails there first; the counters below
-pin one derivation per read, and none for an exact readout.
+``sampling.reader`` derives one stream per read with the public
+definition of a stream, ``derive_rng(seed, *tags)``, and draws each part
+of the read with one vector binomial call on it.  ``TestStreamStates``
+pins each read's draws to those of ``derive_rng`` of its tags, and parts
+read in turn to one read of them all; ``TestVectorDraw`` pins that call
+to the same draws made one at a time, so a numpy release that changed
+its binomial sampler fails there first; the counters below pin one
+derivation per read, and none for an exact readout.
 """
+
+import re
 
 import numpy as np
 import pytest
 
-from noisedeconv import characterization, sampling
+from noisedeconv import sampling
 from noisedeconv.channels import depolarizing_channel
 from noisedeconv.characterization import estimate_diagonal_entries, estimate_full_ptm
 from noisedeconv.exceptions import ProbabilityOutOfRange
-from noisedeconv.sampling import derive_rng, read_batch, sample_marginal
+from noisedeconv.sampling import derive_rng, reader, sample_marginal
 from noisedeconv.simulator import ExperimentConfig, run_experiment
 
 
@@ -29,25 +32,29 @@ class TestStreamStates:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
     def test_equals_derive_rng(self, seed, width):
-        # every read of a batch draws from the stream derive_rng(seed, *row)
-        # of its own tags, whether the tags come as an array or as lists
+        # every read draws from the stream derive_rng(seed, *row) of its
+        # own tags, whether the tags come as numpy integers or as ints
         rows = np.random.default_rng(width).integers(0, 2**32, size=(20, width))
         rows[0], rows[1] = 0, 2**32 - 1
         rows[2, :] = [0, 2**32 - 1, 1, 2**31, 7][:width]
-        values = [[0.1, -0.6, 0.35]] * len(rows)
+        values = np.array([0.1, -0.6, 0.35])
         expected = []
         for row in rows:
             rng = derive_rng(seed, *row)
-            expected.append([sample_marginal(e, 2**40, rng) for e in values[0]])
-        got = read_batch(values, rows, 2**40, seed)
+            expected.append([sample_marginal(e, 2**40, rng) for e in values.tolist()])
+        got = [reader(2**40, seed, *row)(values) for row in rows]
         assert got == expected
-        assert got == read_batch(values, rows.tolist(), 2**40, seed)
+        assert got == [reader(2**40, seed, *row)(values) for row in rows.tolist()]
 
-    def test_empty_batch(self, monkeypatch):
+    def test_empty_read(self, monkeypatch):
+        # an empty part reads nothing and leaves the stream where it was; an
+        # exact reader derives no stream
+        read = reader(100, 3, 1)
+        assert read(np.empty(0)) == []
+        assert read(np.array([0.4, -0.1])) == reader(100, 3, 1)(np.array([0.4, -0.1]))
         calls = []
         monkeypatch.setattr(sampling, "derive_rng", lambda *a: calls.append(a))
-        assert read_batch([], [], 100, 3) == []
-        assert read_batch(iter([]), (), 100, 3) == []
+        assert reader(0, 3, 1)(np.empty(0)) == []
         assert calls == []
 
     def test_refuses_what_derive_rng_refuses(self):
@@ -55,12 +62,12 @@ class TestStreamStates:
             with pytest.raises(ValueError):
                 derive_rng(seed, *tags)
             with pytest.raises(ValueError):
-                read_batch([[0.5]], [tags], 100, seed)
+                reader(100, seed, *tags)
 
     def test_a_tag_past_one_word_is_a_stream_of_derive_rng(self):
         rng = derive_rng(7, 2**32 + 1)
         expected = [sample_marginal(e, 1000, rng) for e in (0.1, -0.4, 0.8)]
-        assert read_batch([[0.1, -0.4, 0.8]], [(2**32 + 1,)], 1000, 7) == [expected]
+        assert reader(1000, 7, 2**32 + 1)(np.array([0.1, -0.4, 0.8])) == expected
 
     @pytest.mark.parametrize("shots", [1, 1000, 2**40])
     def test_draws_equal_derive_rng_draws(self, shots):
@@ -74,12 +81,24 @@ class TestStreamStates:
         for vals, read_tags in zip(values, tags):
             rng = derive_rng(seed, *read_tags)
             expected.append([sample_marginal(e, shots, rng) for e in vals])
-        assert read_batch(values, tags, shots, seed) == expected
+        assert [reader(shots, seed, *t)(np.array(vals)) for vals, t in zip(values, tags)] == expected
+
+    @pytest.mark.parametrize("shots", [1, 1000, 2**40])
+    def test_parts_read_in_turn_equal_one_read(self, shots):
+        # empty parts, one-entry parts and uneven parts, read one after
+        # another, draw what one read of them all draws
+        seed, tags = 2**64 + 3, (4, 1)
+        es = np.linspace(-0.999, 0.999, 41)
+        cuts = [0, 0, 1, 2, 2, 3, 9, 30, 30, 40, 41, 41]
+        read = reader(shots, seed, *tags)
+        parts = [pair for a, b in zip(cuts, cuts[1:]) for pair in read(es[a:b])]
+        rng = derive_rng(seed, *tags)
+        assert parts == reader(shots, seed, *tags)(es) == [sample_marginal(e, shots, rng) for e in es.tolist()]
 
 
 class TestVectorDraw:
     """numpy's vector binomial equals the same draws made one at a time from
-    one generator: what makes a read's one call equal to a per-entry
+    one generator: what makes a part's one call equal to a per-entry
     ``sample_marginal`` loop over its stream."""
 
     @pytest.mark.parametrize("shots", [1, 1000, 2**40])
@@ -96,8 +115,8 @@ class TestVectorDraw:
 
 
 class TestOneDerivationPerBatch:
-    """One ``read_batch`` call per report or experiment grid point, and
-    within it one ``derive_rng`` per read."""
+    """One ``derive_rng`` per read: per probe of a report, per experiment
+    grid point."""
 
     @pytest.fixture
     def derivations(self, monkeypatch):
@@ -109,21 +128,6 @@ class TestOneDerivationPerBatch:
 
         monkeypatch.setattr(sampling, "derive_rng", counting)
         return calls
-
-    def test_full_report_derives_once(self, monkeypatch):
-        # a report, full or diagonal, is one batch of reads
-        batches = []
-
-        def counting(values, tags, shots, seed):
-            batches.append(len(tags))
-            return read_batch(values, tags, shots, seed)
-
-        monkeypatch.setattr(characterization, "read_batch", counting)
-        ch = depolarizing_channel(2, 0.2, 0.4)
-        estimate_full_ptm(ch, shots=500, seed=4)
-        assert batches == [15]
-        estimate_diagonal_entries(ch, range(1, 16), shots=500, seed=4)
-        assert batches == [15, 15]
 
     def test_report_derives_once_per_probe(self, derivations):
         ch = depolarizing_channel(2, 0.2, 0.4)
@@ -155,9 +159,11 @@ class TestOneDerivationPerBatch:
 
 
 @pytest.mark.parametrize("bad", [1.5, -1.0 - 1e-6, float("nan")])
-def test_read_batch_refuses_an_expectation_outside_the_unit_interval(bad):
-    with pytest.raises(ProbabilityOutOfRange):
-        read_batch([[0.2], [0.1, bad]], [(1,), (2,)], 100, 0)
+def test_reader_refuses_an_expectation_outside_the_unit_interval(bad):
+    read = reader(100, 0, 1)
+    read(np.array([0.2]))
+    with pytest.raises(ProbabilityOutOfRange, match=re.escape(f"expectation value {bad!r} lies outside")):
+        read(np.array([0.1, bad, 2.0]))
     with pytest.raises(ProbabilityOutOfRange):
         sample_marginal(bad, 100, derive_rng(0))
 

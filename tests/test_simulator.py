@@ -28,7 +28,7 @@ from noisedeconv.exceptions import (
     ProbabilityOutOfRange,
 )
 from noisedeconv.pauli import HERMITIAN_TOL, Observable, devectorize, is_hermitian, vectorize
-from noisedeconv.sampling import derive_rng, read_batch, sample_marginal
+from noisedeconv.sampling import derive_rng, reader, sample_marginal
 from noisedeconv.simulator import (
     CSV_HEADER,
     PRESET_BLOCH,
@@ -129,17 +129,16 @@ class TestExpectationSampled:
             vals = [draw(derive_rng(s)) for s in range(30)]
             assert abs(np.mean(vals) - exact) < 5 * np.sqrt((1 - exact**2) / 4096 / 30)
 
-    def test_read_batch_is_one_draw_per_entry(self):
+    def test_read_is_one_draw_per_entry(self):
         # the read's entries are the dense sampler's draws, in turn, from its
         # one stream (seed, *tags)
         c = simulator._matrix_coefficients(random_density(2, np.random.default_rng(6)), 2)
         ks, tags = [1, 5, 6, 15], (3, 0, 2)
-        exact = c[ks].tolist()
         rng = derive_rng(9, *tags)
-        assert read_batch([exact], [tags], 500, 9) == [[
+        assert reader(500, 9, *tags)(c[ks]) == [
             sample_pauli_expectation(devectorize(c / 4), j, 500, rng) for j in ks
-        ]]
-        assert read_batch([exact], [tags], 0, 9) == [[(e, 0.0) for e in exact]]
+        ]
+        assert reader(0, 9, *tags)(c[ks]) == [(e, 0.0) for e in c[ks].tolist()]
 
 
 class TestRunExperiment:
@@ -577,9 +576,12 @@ class TestGeneralWalk:
         (amp_damp_config(0.3, 0.5, [["ZZ", 1.0], ["XI", 1.0]], "plus", m_max=80), None),
         (amp_damp_config(0.8, 0.4, ALL_TWO_QUBIT_TERMS[3:9], "random", strength_grid=[0.8, 0.9], shots=200, seed=2,
                          m_max=30), None),
-        (amp_damp_config(0.3, 0.2, [["ZZ", 1.0]], "plus", m_max=1100), "deconvolved value is nan"),
-        (amp_damp_config(0.3, 0.5, [["ZZ", 1.0]], "plus", m_max=1100), "deconvolved value is inf"),
-    ], ids=["fifteen_terms_sampled", "amplified_exact", "random_state_sampled", "refused_nan", "refused_inf"])
+        # weights that overflow are refused at the first such m, not pruned to nothing
+        (amp_damp_config(0.3, 0.2, [["ZZ", 1.0]], "plus", m_max=1100),
+         "deconvolution weights at m = 351 are not finite"),
+        (amp_damp_config(0.3, 0.5, [["ZZ", 1.0]], "plus", m_max=1100),
+         "deconvolution weights at m = 436 are not finite"),
+    ], ids=["fifteen_terms_sampled", "amplified_exact", "random_state_sampled", "refused_at_351", "refused_at_436"])
     def test_walk_equals_the_per_record_plans(self, cfg, refusal, monkeypatch):
         # the fifteen-term case moves by one ulp in one error if a record squares
         # by x * x, not by propagated_std_error's ** 2
@@ -587,6 +589,30 @@ class TestGeneralWalk:
         monkeypatch.setattr(simulator, "_general_rows", general_rows_per_record)
         assert walked == csv_or_refusal(cfg)
         assert walked.startswith(CSV_HEADER if refusal is None else f"MathematicalError: {refusal}; ")
+
+    def test_each_m_is_one_read_of_its_needed_entries(self, monkeypatch):
+        # m_max + 1 reads of one stream, read m holding, j ascending, the entries
+        # that m's per-record plans read, at the state after m uses
+        cfg = amp_damp_config(0.8, 0.4, ALL_TWO_QUBIT_TERMS[3:9], "random", shots=200, seed=2, m_max=30)
+        reads = []
+
+        def recording(shots, seed, *tags):
+            assert (shots, seed, tags) == (200, 2, (0, 0))
+            read = reader(shots, seed, *tags)
+            return lambda exact: reads.append(exact.copy()) or read(exact)
+
+        monkeypatch.setattr(simulator, "reader", recording)
+        ch, ks = channel_from_config(cfg.channel), sorted(cfg.observable.terms)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IllConditionedWarning)
+            run_experiment(cfg)
+            needed = [sorted({j for k in ks for j in plan(Observable(2, {k: 1.0}), ch, m).weights} | set(ks))
+                      for m in range(cfg.m_max + 1)]
+        assert len(reads) == cfg.m_max + 1
+        v = simulator._matrix_coefficients(cfg.initial_state, 2)
+        for got, js in zip(reads, needed):
+            assert got.tobytes() == v[js].tobytes()
+            v = ch.ptm().matrix @ v
 
     def test_one_amplification_warning_per_grid_point(self):
         # per-record plans warned 270 times here, once per amplified record
