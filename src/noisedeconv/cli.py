@@ -13,7 +13,8 @@ written.
 
 Exit codes: 0 success, 3 on a failed positivity check, and otherwise one
 map from the package's error families (``EXIT_CODES``): 2 config/parse
-error, 3 mathematical error, 4 resource cap exceeded.
+error, 3 mathematical error, 4 resource cap exceeded.  An
+IllConditionedWarning turned into an error (``python -W error``) exits 3.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from . import characterization, deconvolution, simulator
 from .channels import _config_object, channel_from_config
 from .exceptions import (
     ConfigError,
+    IllConditionedWarning,
     MathematicalError,
     ParseError,
     ResourceCapExceeded,
@@ -44,7 +46,7 @@ from .simulator import ExperimentConfig, _fmt
 OUT_DIR_ENV = "NOISEDECONV_OUT_DIR"
 
 # Error family -> exit code; a failed positivity check also exits 3.
-EXIT_CODES = {ConfigError: 2, ResourceCapExceeded: 4, MathematicalError: 3}
+EXIT_CODES = {ConfigError: 2, ResourceCapExceeded: 4, MathematicalError: 3, IllConditionedWarning: 3}
 
 # `check-positivity --k all` enumerates 4**n - 1 probes; past this the
 # table stops being a table.

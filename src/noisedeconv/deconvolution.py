@@ -12,9 +12,10 @@ coefficient vector is pushed through the inverse m times to give the
 weights; that path materializes all d^4 matrix entries.  The inverse
 belongs to the channel, not to the observable: it is computed once per
 PTM and shared by every plan on it, and a plan at m costs m
-matrix-vector products.  A general-path plan warns when its weights
-amplify the observable's coefficients (sum_j |w_j| / sum_k |c_k|) beyond
-CONDITION_WARN: rounding in the data is then amplified as much.
+matrix-vector products: ``general_plans`` walks observables over many m
+at once, and ``plan_general`` is its one-m case.  The walk warns once when
+weights amplify an observable's coefficients (sum_j |w_j| / sum_k |c_k|)
+beyond CONDITION_WARN: rounding in the data is then amplified as much.
 
 Every source answers ``lambdas(ks)`` with a lookup by index that holds
 the diagonal entries at the observable's indices, and ``plan`` asks
@@ -57,6 +58,7 @@ __all__ = [
     "plan_pauli",
     "rescaling_weights",
     "plan_general",
+    "general_plans",
     "deconvolve",
     "propagated_std_error",
     "INVERTIBILITY_TOL",
@@ -209,15 +211,6 @@ def _kept_inverse_adjoint(ptm: PTM) -> tuple[np.ndarray | None, float]:
         return ptm._inverse_adjoint, ptm._condition_number
 
 
-def _shared_inverse_adjoint(ptm: PTM) -> np.ndarray:
-    """The kept inv(Gamma^T) of ``ptm``, shared read-only by every plan on it.
-    The singularity gate and the conditioning warning (above CONDITION_WARN)
-    apply on every call, to the kept bound sqrt(kappa_1 * kappa_inf) >= kappa_2."""
-    inv, cond = _kept_inverse_adjoint(ptm)
-    _check_condition(cond, CONDITION_WARN)
-    return inv
-
-
 def _pruned_weights(w: np.ndarray, m: int) -> dict[int, float]:
     """Nonzero entries of a weight vector after m inverse steps, relative cut _WEIGHT_PRUNE.
     A vector with an entry past the float range is refused, as the cut would keep none of it."""
@@ -228,37 +221,45 @@ def _pruned_weights(w: np.ndarray, m: int) -> dict[int, float]:
     return {int(j): float(w[j]) for j in np.nonzero(np.abs(w) > cut)[0]}
 
 
-def _warn_amplified(w: np.ndarray, scale: float, m: int) -> bool:
-    """Warn, attributed to the caller of ``plan_general``, when the 1-norm of the weights
-    ``w`` passes CONDITION_WARN times ``scale``, the coefficients' 1-norm; True if it warned.
-    Callers run it where an overflow is ignored, as the 1-norm of finite weights may be inf."""
-    amplification = float(np.sum(np.abs(w)))
-    if amplification > CONDITION_WARN * scale:
-        message = f"deconvolution weights amplify the observable by {amplification / scale:.3e} (m = {m})"
-        warnings.warn(message, IllConditionedWarning, stacklevel=3)
-    return amplification > CONDITION_WARN * scale
+def general_plans(observables, ptm: PTM, ms):
+    """The general path's plans of each observable at each m in ``ms`` (rising), a list per m:
+    the kept inverse of Gamma^T, taken once, applied to each coefficient vector one product per
+    step, max(ms) products each.  Refuses weights that overflow, naming m, and warns at the first
+    m whose weights' 1-norm exceeds CONDITION_WARN times the coefficients'.  An observable with
+    no terms plans no weights, consults no entry and needs no inverse."""
+    ms, observables = list(ms), list(observables)
+    if min(ms, default=0) < 0:
+        raise ValueError(f"repetition count must be >= 0, got {min(ms)}")
+    if ms != sorted(ms):
+        raise ValueError(f"repetition counts must not fall, got {ms}")
+    for obs in observables:
+        if obs.n != ptm.n:
+            raise DimensionMismatch(f"observable is on n={obs.n}, transfer matrix on n={ptm.n}")
+    if any(obs.terms for obs in observables):
+        inv, cond = _kept_inverse_adjoint(ptm)
+        _check_condition(cond, CONDITION_WARN)
+    vectors = [obs.coefficient_vector() for obs in observables]
+    scales = [sum(abs(c) for c in obs.terms.values()) for obs in observables]
+    warned = False
+    for before, m in zip([0, *ms], ms):
+        with np.errstate(over="ignore", invalid="ignore"):  # the prune refuses an overflow; left before the yield
+            for _ in range(m - before):
+                vectors = [inv @ w if obs.terms else w for obs, w in zip(observables, vectors)]
+            plans = [DeconvolutionPlan(obs, inv.size if obs.terms else 0, _pruned_weights(w, m))
+                     for obs, w in zip(observables, vectors)]
+            for w, scale in [] if warned else zip(vectors, scales):
+                amplification = float(np.sum(np.abs(w)))  # inf for finite weights past the range
+                if warned := amplification > CONDITION_WARN * scale:
+                    message = f"deconvolution weights amplify the observable by {amplification / scale:.3e} (m = {m})"
+                    warnings.warn(message, IllConditionedWarning, stacklevel=3)  # the consumer's caller
+                    break
+        yield plans
 
 
 def plan_general(obs: Observable, ptm: PTM, m: int = 1) -> DeconvolutionPlan:
-    """General-path plan: the inverse of the transposed transfer matrix, which ``ptm``
-    computes once and shares with every plan on it, applied m times to the coefficients.
-    Refuses weights that overflow, naming m, then warns when the weights' 1-norm exceeds
-    CONDITION_WARN times the coefficients'.  An observable with no terms plans no weights
-    and consults no entry, as on the diagonal path."""
-    if m < 0:
-        raise ValueError(f"repetition count must be >= 0, got {m}")
-    if ptm.n != obs.n:
-        raise DimensionMismatch(f"observable is on n={obs.n}, transfer matrix on n={ptm.n}")
-    if not obs.terms:
-        return DeconvolutionPlan(observable=obs, entries_consulted=0, weights={})
-    inv = _shared_inverse_adjoint(ptm)
-    w = obs.coefficient_vector()
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by the prune
-        for _ in range(m):
-            w = inv @ w
-        weights = _pruned_weights(w, m)
-        _warn_amplified(w, sum(abs(c) for c in obs.terms.values()), m)
-    return DeconvolutionPlan(observable=obs, entries_consulted=inv.size, weights=weights)
+    """General-path plan: the inverse of Gamma^T, kept on ``ptm`` and shared by every plan on
+    it, applied m times to the coefficients; the one-m case of ``general_plans``."""
+    return next(general_plans([obs], ptm, [m]))[0]
 
 
 def deconvolve(plan: DeconvolutionPlan, noisy) -> float:

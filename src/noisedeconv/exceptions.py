@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: ConfigError (and subclasses) exit 2,
-MathematicalError exit 3, ResourceCapExceeded exit 4.
+MathematicalError exit 3, ResourceCapExceeded exit 4, and an
+IllConditionedWarning turned into an error (``python -W error``) exit 3.
 """
 
 

@@ -17,12 +17,12 @@ its error from the two, rounded and refused as ``deconvolve`` and
 ``propagated_std_error`` do; no array has 4**n entries for a preset on a
 Markov-correlated channel.  Otherwise the dense c, a preset's in closed
 form too, is multiplied by the transfer matrix Gamma, and one walk over m
-takes each term's weights inv(Gamma^T)**m e_k, which may read any entry.
-Either way a grid point is one read from the stream (seed, mu index,
-strength index) when sampled, its entries drawn m-major, then j
-ascending: ``sampling.reader`` reads the table at once, and each m of the
-walk in turn, read and deconvolved before the next, so the walk holds no
-weights past their m.
+takes each term's weights inv(Gamma^T)**m e_k, which may read any entry,
+from ``deconvolution.general_plans``.  Either way a grid point is one read
+from the stream (seed, mu index, strength index) when sampled, its entries
+drawn m-major, then j ascending: ``sampling.reader`` reads the table at
+once, and each m of the walk in turn, read and deconvolved before the
+next, so the walk holds no weights past their m.
 
 Records carry the raw and deconvolved estimates together with their
 standard errors; ``records_to_csv`` renders them with shortest
@@ -48,8 +48,7 @@ from .channels import (
 )
 from .channels import apply_channel  # noqa: F401  (unused; the benchmark self-test counts this binding)
 from .characterization import positivity_certificates
-from .deconvolution import DeconvolutionPlan, _finite, _pruned_weights, _shared_inverse_adjoint, _warn_amplified
-from .deconvolution import deconvolve, propagated_std_error, rescaling_weights
+from .deconvolution import _finite, deconvolve, general_plans, propagated_std_error, rescaling_weights
 # Unused here; bound only for the benchmark self-test that counts inversions at every binding.
 from .deconvolution import _invert_adjoint  # noqa: F401
 from .exceptions import ConfigError, InvalidState, NotPauliDiagonal, ResourceCapExceeded
@@ -270,26 +269,21 @@ def _diagonal_rows(cfg: ExperimentConfig, lam, c0: np.ndarray, ks: list[int], ta
 
 
 def _general_rows(cfg: ExperimentConfig, ch, c: np.ndarray, ks: list[int], tags) -> list[tuple]:
-    """The same rows off the diagonal path, from one walk over m: the state and each term's weights
-    inv(Gamma^T)**m e_k, as ``plan_general`` makes them, take one product per step, and each m reads
-    and deconvolves the entries it needs before the next; the first amplified m alone warns."""
+    """The same rows off the diagonal path, from one walk over m: the state takes one product per step,
+    ``general_plans`` gives each term's weights, and each m reads what its plans need, then deconvolves."""
     if not ks:  # no term plans nothing, so a singular channel is not refused
         return []
-    gamma, inv = ch.ptm().matrix, _shared_inverse_adjoint(ch.ptm())
+    gamma = ch.ptm().matrix
     units = [Observable(cfg.n, {k: 1.0}) for k in ks]
     read = reader(cfg.shots, cfg.seed, *tags)  # m-major, then j ascending
-    v, vectors, warned, rows = c, [u.coefficient_vector() for u in units], False, []
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by the prune
-        for m in range(cfg.m_max + 1):
-            if m:
-                v, vectors = gamma @ v, [inv @ w for w in vectors]
-            ws = [_pruned_weights(w, m) for w in vectors]
-            warned = warned or any(_warn_amplified(w, 1.0, m) for w in vectors)
-            js = sorted(set(ks).union(*ws))
-            step = dict(zip(js, read(v[js])))  # j -> (value, std_error) after m uses
-            plans = [DeconvolutionPlan(u, inv.size, w) for u, w in zip(units, ws)]
-            rows += [(*step[k], deconvolve(p, {j: step[j][0] for j in p.weights}),
-                      propagated_std_error(p, {j: step[j][1] for j in p.weights})) for k, p in zip(ks, plans)]
+    v, rows = c, []
+    for m, plans in enumerate(general_plans(units, ch.ptm(), range(cfg.m_max + 1))):
+        if m:
+            v = gamma @ v
+        js = sorted(set(ks).union(*(p.weights for p in plans)))
+        step = dict(zip(js, read(v[js])))  # j -> (value, std_error) after m uses
+        rows += [(*step[k], deconvolve(p, {j: step[j][0] for j in p.weights}),
+                  propagated_std_error(p, {j: step[j][1] for j in p.weights})) for k, p in zip(ks, plans)]
     return rows
 
 

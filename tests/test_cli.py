@@ -1177,6 +1177,47 @@ class TestNonFiniteInputs:
                 "", f"error: deconvolution weights at m = {m} are not finite; the inputs overflow the float range\n")
 
 
+class TestWarningsAsErrors:
+    """Under ``python -W error`` an IllConditionedWarning is an exception; it exits 3 with
+    one ``error:`` line, not a traceback.  Without the flag the run is as before."""
+
+    @staticmethod
+    def _argv(tmp_path, case):
+        if case == "amplified_experiment":  # warns at m = 22; without the flag, refused at m = 828
+            return ["experiment", "--config", write(tmp_path, "exp.json", json.dumps({
+                "n": 2, "channel": {"family": "amp_damp_corr", "eta": 0.3, "mu": 0.5},
+                "observable": [["XX", 1.0]], "initial_state": "zeros", "m_max": 1400}))]
+        matrix = np.diag([1.0, 1e-9, 1.0, 1.0])
+        matrix[2, 3] = 0.5  # not Pauli-diagonal: the general path, condition bound 1.5e9
+        rows = "".join(f"{j} {k} {float(matrix[j, k])!r} 0.0 0 0\n" for j in range(4) for k in range(4))
+        return ["deconvolve", "--observable", write(tmp_path, "obs.txt", "Z 1.0\n"),
+                "--characterization", write(tmp_path, "report.txt", "n 1\nmode full\n" + rows),
+                "--measurements", write(tmp_path, "meas.txt", "Z 0.5\n")]
+
+    @pytest.mark.parametrize("case, message", [
+        ("amplified_experiment", "deconvolution weights amplify the observable by 1.589e+08 (m = 22)"),
+        ("ill_conditioned_report", "transfer-matrix inversion with condition number 1.500e+09"),
+    ], ids=["amplified_experiment", "ill_conditioned_report"])
+    def test_warning_as_error_exits_three(self, tmp_path, case, message):
+        argv = self._argv(tmp_path, case)
+        src = str(pathlib.Path(noisedeconv.__file__).resolve().parents[1])
+
+        def run(*flags):
+            return subprocess.run([sys.executable, *flags, "-m", "noisedeconv", *argv],
+                                  capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+
+        strict = run("-W", "error")
+        assert (strict.returncode, strict.stdout, strict.stderr) == (3, "", f"error: {message}\n")
+        plain = run()
+        out = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("ignore")
+            code = main(argv)
+        assert (plain.returncode, plain.stdout) == (code, out.getvalue())
+        assert "IllConditionedWarning" in plain.stderr and "Traceback" not in plain.stderr
+        assert code == (3 if case == "amplified_experiment" else 0)
+
+
 class TestNegativeInputs:
     def test_negative_std_error_in_measurements_exits_two(self, tmp_path, capsys):
         cfg = channel_json(tmp_path, family="bit_flip", n=1, p=0.1)

@@ -1,10 +1,11 @@
+import pathlib
 import warnings
 
 import numpy as np
 import pytest
 from conftest import evolve, exact_pauli_expectation, observable_expectation, random_density, random_observable
 
-from noisedeconv import deconvolution
+from noisedeconv import deconvolution, simulator
 from noisedeconv.channels import (
     PTM,
     KrausChannel,
@@ -18,6 +19,7 @@ from noisedeconv.deconvolution import (
     CONDITION_WARN,
     _condition_bound,
     deconvolve,
+    general_plans,
     plan,
     plan_general,
     plan_pauli,
@@ -531,6 +533,97 @@ class TestConditionBound:
         plan = plan_general(Observable(5, {1: 1.0, 700: -0.5}), ptm)
         assert plan.entries_consulted == 4**10
         assert 1.0 < ptm.condition_number < 10.0
+
+
+class TestGeneralPlans:
+    """``general_plans`` is the general path's schedule over m: at each m, the plans
+    ``plan_general`` makes afresh, from one walk of max(ms) products per observable."""
+
+    MS = [0, 1, 4, 4, 9]
+
+    @staticmethod
+    def _observables():
+        # two with terms and one without, which needs no product
+        rng = np.random.default_rng(8)
+        return [random_observable(2, rng), Observable.from_pairs([("II", 0.0)]), random_observable(2, rng)]
+
+    def test_each_plan_is_a_fresh_plan_general(self):
+        matrix = correlated_amplitude_damping(0.6, 0.3).ptm().matrix
+        observables = self._observables()
+        got = list(general_plans(observables, PTM(2, matrix), self.MS))
+        assert len(got) == len(self.MS)
+        for m, plans in zip(self.MS, got):
+            assert [p.observable for p in plans] == observables
+            assert [_plan_bytes(p) for p in plans] == [_plan_bytes(plan_general(obs, PTM(2, matrix), m))
+                                                       for obs in observables]
+        assert _plan_bytes(got[0][1]) == ("[]", 0)
+
+    def test_a_call_costs_max_ms_products_per_observable(self):
+        class Counting(np.ndarray):
+            products = 0
+
+            def __matmul__(self, other):
+                Counting.products += 1
+                return np.asarray(self) @ other
+
+        ptm = correlated_amplitude_damping(0.6, 0.3).ptm()
+        assert ptm.condition_number < CONDITION_WARN  # fills the kept inverse
+        ptm._inverse_adjoint = ptm._inverse_adjoint.view(Counting)
+        list(general_plans(self._observables(), ptm, self.MS))
+        assert Counting.products == max(self.MS) * 2
+
+    def test_a_call_warns_once(self):
+        # ZZ's weights pass CONDITION_WARN at m = 12, and a plan_general at each later m warns
+        ptm = correlated_amplitude_damping(0.3, 0.5).ptm()
+        observables = Observable.from_pairs([("ZZ", 1.0)]), Observable.from_pairs([("XI", 1.0)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            list(general_plans(observables, ptm, range(30)))
+            assert len(caught) == 1
+            plan_general(observables[0], ptm, 12)
+        assert [str(w.message) for w in caught] == [str(caught[1].message)] * 2
+        assert str(caught[0].message).endswith("(m = 12)")
+
+    @pytest.mark.parametrize("ms, message", [
+        ([-1], "repetition count must be >= 0, got -1"),
+        ([0, 2, -1], "repetition count must be >= 0, got -1"),
+        ([0, 3, 2], "repetition counts must not fall, got \\[0, 3, 2\\]"),
+    ], ids=["negative", "negative_later", "falling"])
+    def test_falling_or_negative_ms_raise(self, ms, message):
+        ptm = correlated_amplitude_damping(0.6, 0.3).ptm()
+        with pytest.raises(ValueError, match=message):
+            next(general_plans([Observable.from_pairs([("ZZ", 1.0)])], ptm, ms))
+        assert ptm._condition_number is None  # refused before any inversion
+
+    def test_an_observable_on_another_n_is_refused(self):
+        ptm = correlated_amplitude_damping(0.6, 0.3).ptm()
+        with pytest.raises(DimensionMismatch, match="observable is on n=1, transfer matrix on n=2"):
+            next(general_plans([Observable.from_pairs([("ZZ", 1.0)]), Observable.from_pairs([("Z", 1.0)])], ptm, [1]))
+
+
+class TestWarningFrames:
+    """Each IllConditionedWarning names the code that asked for the plans: the caller of
+    ``plan_general``, and ``run_experiment`` in the simulator for an experiment."""
+
+    def test_plan_general_warnings_name_its_caller(self):
+        cases = [(depolarizing_channel(1, 1 - 1e-9).ptm(), Observable.from_pairs([("Z", 1.0)]), 0, "condition number"),
+                 (correlated_amplitude_damping(0.3, 0.5).ptm(), Observable.from_pairs([("ZZ", 1.0)]), 12, "amplify")]
+        for ptm, obs, m, message in cases:
+            with pytest.warns(IllConditionedWarning, match=message) as record:
+                plan_general(obs, ptm, m)
+            assert [w.filename for w in record] == [__file__]
+
+    def test_run_experiment_warnings_name_the_simulator(self):
+        # eta 1e-9: a condition bound of 6e9, and weights amplified 1.6e10-fold at m = 2
+        cfg = simulator.ExperimentConfig.from_dict({
+            "n": 2, "channel": {"family": "amp_damp_corr", "eta": 1e-9, "mu": 0.5},
+            "observable": [["ZZ", 1.0]], "initial_state": "zeros", "m_max": 2})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            simulator.run_experiment(cfg)
+        assert [str(w.message).split(" ")[0] for w in caught] == ["transfer-matrix", "deconvolution"]
+        assert {w.filename for w in caught} == {simulator.__file__}
+        assert pathlib.Path(simulator.__file__).name == "simulator.py"
 
 
 class TestReconstructionFactor:

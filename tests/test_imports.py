@@ -11,6 +11,10 @@ skipped, as is ``__init__.py``, whose imports are the package's exports.
 Such a binding must name its reader: its ``module.name`` has to appear in
 the benchmark self-test, the one file that reads one, so a binding that
 test stops reading fails here and can go.
+
+A private name (``_name``) that one module imports from a sibling couples
+the two, so every such import is listed in ``PRIVATE_IMPORTS`` with its
+reason; a new coupling has to be added there, and one that goes, taken out.
 """
 
 import ast
@@ -22,6 +26,22 @@ import pytest
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "noisedeconv"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 BENCH_TEST = PACKAGE.parents[1] / "bench" / "tests" / "test_bench.py"
+
+# (importing module, sibling, private name) -> why the name crosses the module boundary.
+PRIVATE_IMPORTS = {
+    ("channels", "deconvolution", "_kept_inverse_adjoint"): "PTM.condition_number reads the bound kept with the inverse",
+    ("channels", "pauli", "_DEVEC_KERNEL"): "a Kraus transfer matrix is built from devectorize's one-qubit kernel",
+    ("channels", "pauli", "_VEC_KERNEL"): "a Kraus transfer matrix is built from vectorize's one-qubit kernel",
+    ("channels", "pauli", "_transform_per_qubit"): "the transfer matrix and the Pauli lambdas use vectorize's per-qubit step",
+    ("characterization", "pauli", "_check_index"): "a probe's k is checked as a Pauli index is everywhere",
+    ("cli", "channels", "_config_object"): "an experiment config file is checked as a channel config is",
+    ("cli", "simulator", "_fmt"): "every command prints numbers as the experiment CSV does",
+    ("simulator", "channels", "_config_float"): "experiment config numbers are read as channel config numbers are",
+    ("simulator", "channels", "_config_int"): "experiment config counts are read as channel config counts are",
+    ("simulator", "channels", "_config_keys"): "an experiment config refuses unknown keys as a channel config does",
+    ("simulator", "channels", "_config_object"): "an experiment's channel is checked as a channel config is",
+    ("simulator", "deconvolution", "_finite"): "the diagonal table refuses a record as deconvolve does",
+}
 
 
 def imported_names(tree: ast.Module, lines: list[str]) -> dict[str, int]:
@@ -85,6 +105,16 @@ def unbound_exports(path: pathlib.Path) -> list[str]:
     return [f"{path.name}: __all__ lists {name!r}" for name in exported_names(tree) if name not in bound]
 
 
+def private_imports(path: pathlib.Path) -> set[tuple[str, str, str]]:
+    """(module, sibling, name) of each private name the module imports from a sibling, but
+    for a ``# noqa: F401`` binding; imports inside functions count too."""
+    source = path.read_text()
+    lines = source.splitlines()
+    return {(path.stem, node.module, alias.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and "# noqa: F401" not in lines[node.lineno - 1]
+            for alias in node.names if alias.name.startswith("_")}
+
+
 def unread_bindings(path: pathlib.Path, reader: str) -> list[str]:
     """``module.name`` of each name a ``# noqa: F401`` import binds that ``reader`` does not mention."""
     source = path.read_text()
@@ -108,6 +138,21 @@ def test_every_export_is_bound(path):
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_every_deliberate_binding_names_its_reader(path):
     assert unread_bindings(path, BENCH_TEST.read_text()) == []
+
+
+def test_private_imports_are_the_listed_ones():
+    assert set().union(*map(private_imports, MODULES)) == set(PRIVATE_IMPORTS)
+
+
+def test_the_check_finds_a_private_import(tmp_path):
+    # multi-line and in-function imports count; a deliberate binding does not
+    module = tmp_path / "leftover.py"
+    module.write_text("from .deconvolution import _finite, plan\n"
+                      "from .deconvolution import _invert_adjoint  # noqa: F401\n"
+                      "from .pauli import (\n    Memo,\n    _check_index,\n)\n"
+                      "def f():\n    from .channels import _config_int\n")
+    assert private_imports(module) == {("leftover", "deconvolution", "_finite"), ("leftover", "pauli", "_check_index"),
+                                       ("leftover", "channels", "_config_int")}
 
 
 def test_the_check_finds_a_leftover(tmp_path):
